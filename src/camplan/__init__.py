@@ -23,7 +23,7 @@ from .scenario import (
     serialize_solution,
 )
 from .select import greedy_cover, verify_solution
-from .sweep import ScenarioIndex, sweep, sweep_points
+from .sweep import ScenarioIndex, sweep_points
 
 __all__ = [
     "CameraPlacement",
@@ -48,7 +48,6 @@ __all__ = [
     "random_scenario",
     "serialize_scenario",
     "serialize_solution",
-    "sweep",
     "sweep_points",
     "validate_scenario",
     "verify_solution",

@@ -168,6 +168,9 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     if not (s.width > 0 and s.height > 0):
         err(ValidationIssue("area", f"non-positive area {s.width}x{s.height}"))
     sensor = s.sensor
+    for name in ("aov_deg", "r_min", "r_max", "phi_deg"):
+        if not math.isfinite(getattr(sensor, name)):
+            err(ValidationIssue("sensor", f"non-finite {name} {getattr(sensor, name)}"))
     if not (0.0 < sensor.theta < 2.0 * math.pi):
         err(ValidationIssue("sensor", f"aov {sensor.aov_deg} deg outside (0, 360)"))
     if sensor.r_min < 0.0:

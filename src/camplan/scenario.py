@@ -181,7 +181,13 @@ def _field(obj, key, path: str):
 def _number(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ParseError(f"{path}: expected a number")
-    return float(v)
+    try:
+        x = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise ParseError(f"{path}: expected a finite number")
+    return x
 
 
 def _integer(v, path: str) -> int:

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .geom import Point, bearing, norm_angle, point_segment_distance, segment_blocks_triangle, wrap_pi
+from .geom import Point, bearing, norm_angle, point_segment_distance, wrap_pi
 from .model import CameraPlacement, CandidateConfig, Scenario, Target, facing
 from .fields import occlusion_excluded, subtended_angle
 
@@ -139,11 +139,19 @@ def f1_at(cfg: CandidateConfig, alpha: float, subset=None) -> float:
 
 # --- vectorized batch sweep --------------------------------------------------
 
+# Points per dense (point, target) range pass, and the element budget of one
+# padded (points, K, K) subset tensor or one (pairs, blockers) box test: a
+# chunk's temporaries stay at a few MB whatever the point count or K.
+_CHUNK = 128
+_BUDGET = 1 << 18
+
+
 class ScenarioIndex:
     """Flat numpy snapshot of a scenario for the batch sweep."""
 
     def __init__(self, s: Scenario):
         self.scenario = s
+        self.tol = s.tol
         ts = s.targets
         self.ids = np.array([t.id for t in ts], dtype=np.int64)
         self.sx = np.array([t.start[0] for t in ts])
@@ -155,7 +163,6 @@ class ScenarioIndex:
         self.mx = (self.sx + self.ex) / 2.0
         self.my = (self.sy + self.ey) / 2.0
         blockers = s.blockers()
-        self.bsegs = [b for b, _ in blockers]
         self.bax = np.array([b.a[0] for b, _ in blockers])
         self.bay = np.array([b.a[1] for b, _ in blockers])
         self.bbx = np.array([b.b[0] for b, _ in blockers])
@@ -165,31 +172,6 @@ class ScenarioIndex:
         self.bx_hi = np.maximum(self.bax, self.bbx)
         self.by_lo = np.minimum(self.bay, self.bby)
         self.by_hi = np.maximum(self.bay, self.bby)
-        self.tol = s.tol
-        self.by_id = {t.id: t for t in ts}
-        self.tsegs = [t.segment for t in ts]
-        # plain-float copies for the scalar per-point path
-        self.ids_l = self.ids.tolist()
-        self.sx_l, self.sy_l = self.sx.tolist(), self.sy.tolist()
-        self.ex_l, self.ey_l = self.ex.tolist(), self.ey.tolist()
-        self.mx_l, self.my_l = self.mx.tolist(), self.my.tolist()
-        self.bx_lo_l, self.bx_hi_l = self.bx_lo.tolist(), self.bx_hi.tolist()
-        self.by_lo_l, self.by_hi_l = self.by_lo.tolist(), self.by_hi.tolist()
-        # blockers close enough to a target's sight disk to ever matter
-        r = s.sensor.r_max
-        self.near_blockers: list[list[int]] = []
-        for j, t in enumerate(ts):
-            if self.owner.size:
-                d = _seg_point_dist_np(self.mx[j], self.my[j],
-                                       self.bax, self.bay, self.bbx, self.bby)
-                near = (d <= r + t.width + 1.0) & (self.owner != t.id)
-                self.near_blockers.append(np.flatnonzero(near).tolist())
-            else:
-                self.near_blockers.append([])
-
-    @property
-    def n(self) -> int:
-        return self.ids.size
 
 
 def _seg_point_dist_np(px, py, ax, ay, bx, by):
@@ -200,264 +182,237 @@ def _seg_point_dist_np(px, py, ax, ay, bx, by):
     return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
-def _coverable_mask(pts: np.ndarray, idx: ScenarioIndex) -> np.ndarray:
-    """(C, n) mask of the range/angle/facing clauses (occlusion handled separately)."""
+def _norm_angle_np(a):
+    """Elementwise geom.norm_angle."""
+    r = np.fmod(a, TWO_PI)
+    r = np.where(r < 0.0, r + TWO_PI, r)
+    return np.where(r >= TWO_PI, 0.0, r)
+
+
+def _cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
+    """(point, target) index pairs passing the range, r_min, subtended-angle and
+    facing clauses, point-major with targets in index order."""
     s = idx.scenario.sensor
     eps_len = idx.tol.eps_len
     eps_ang = idx.tol.eps_ang
-    px = pts[:, 0:1]
-    py = pts[:, 1:2]
-    vsx = idx.sx[None, :] - px
-    vsy = idx.sy[None, :] - py
-    vex = idx.ex[None, :] - px
-    vey = idx.ey[None, :] - py
-    d_s = np.hypot(vsx, vsy)
-    d_e = np.hypot(vex, vey)
-    ok = (d_s > eps_len) & (d_e > eps_len)
-    ok &= np.maximum(d_s, d_e) <= s.r_max + eps_len
+    # the range clause puts both endpoints, so the midpoint too, within
+    # r_max + eps_len: a squared distance with slack picks the candidates
+    reach = (s.r_max + 2.0 * eps_len) * (1.0 + 1e-12)
+    dmx = idx.mx - block[:, 0:1]
+    dmy = idx.my - block[:, 1:2]
+    pi, tj = np.nonzero(dmx * dmx + dmy * dmy <= reach * reach)
+    x = block[pi, 0]
+    y = block[pi, 1]
+    sx, sy, ex, ey = idx.sx[tj], idx.sy[tj], idx.ex[tj], idx.ey[tj]
+    d_s = np.hypot(sx - x, sy - y)
+    d_e = np.hypot(ex - x, ey - y)
+    keep = (d_s > eps_len) & (d_e > eps_len) & (np.maximum(d_s, d_e) <= s.r_max + eps_len)
     if s.r_min > 0.0:
-        seg_d = _seg_point_dist_np(px, py, idx.sx[None, :], idx.sy[None, :], idx.ex[None, :], idx.ey[None, :])
-        ok &= seg_d >= s.r_min - eps_len
+        keep &= _seg_point_dist_np(x, y, sx, sy, ex, ey) >= s.r_min - eps_len
     if s.theta < math.pi:
+        vsx, vsy = sx - x, sy - y
+        vex, vey = ex - x, ey - y
         cross = np.abs(vsx * vey - vsy * vex)
         dot = vsx * vex + vsy * vey
-        ok &= np.arctan2(cross, dot) <= s.theta + eps_ang
-    vmx = px - idx.mx[None, :]
-    vmy = py - idx.my[None, :]
-    fcross = np.abs(idx.nx[None, :] * vmy - idx.ny[None, :] * vmx)
-    fdot = idx.nx[None, :] * vmx + idx.ny[None, :] * vmy
-    ok &= np.arctan2(fcross, fdot) <= s.phi + eps_ang
-    ok &= np.hypot(vmx, vmy) > eps_len
-    return ok
+        keep &= np.arctan2(cross, dot) <= s.theta + eps_ang
+    nx, ny = idx.nx[tj], idx.ny[tj]
+    vmx = x - idx.mx[tj]
+    vmy = y - idx.my[tj]
+    fcross = np.abs(nx * vmy - ny * vmx)
+    fdot = nx * vmx + ny * vmy
+    keep &= np.arctan2(fcross, fdot) <= s.phi + eps_ang
+    keep &= np.hypot(vmx, vmy) > eps_len
+    return pi[keep], tj[keep]
 
 
-def _occluded_mask(x: Point, tsel: np.ndarray, idx: ScenarioIndex) -> np.ndarray:
-    """(k,) mask over targets tsel: some blocker enters the open sight triangle."""
-    k = tsel.size
-    out = np.zeros(k, dtype=bool)
-    if k == 0 or idx.owner.size == 0:
-        return out
-    eps = idx.tol.eps_len
-    sx, sy = idx.sx[tsel], idx.sy[tsel]
-    ex, ey = idx.ex[tsel], idx.ey[tsel]
-    # bounding-box prefilter: only (target, blocker) pairs whose sight triangle
-    # and blocker boxes overlap need the exact clip
-    tx_lo = np.minimum(np.minimum(sx, ex), x[0]) - eps
-    tx_hi = np.maximum(np.maximum(sx, ex), x[0]) + eps
-    ty_lo = np.minimum(np.minimum(sy, ey), x[1]) - eps
-    ty_hi = np.maximum(np.maximum(sy, ey), x[1]) + eps
-    bx_lo, bx_hi = idx.bx_lo, idx.bx_hi
-    by_lo, by_hi = idx.by_lo, idx.by_hi
-    cand = (
-        (tx_lo[:, None] <= bx_hi[None, :]) & (bx_lo[None, :] <= tx_hi[:, None])
-        & (ty_lo[:, None] <= by_hi[None, :]) & (by_lo[None, :] <= ty_hi[:, None])
-        & (idx.owner[None, :] != idx.ids[tsel][:, None])
-    )
-    ti, bi = np.nonzero(cand)
-    if ti.size == 0:
-        return out
-
-    # winding sign of (apex, start, end); degenerate slivers never block
-    cross = (sx - x[0]) * (ey - x[1]) - (sy - x[1]) * (ex - x[0])
-    sgn = np.sign(cross)[ti]
-    live = sgn != 0.0
-    ti, bi, sgn = ti[live], bi[live], sgn[live]
-    if ti.size == 0:
-        return out
-
-    bax, bay = idx.bax[bi], idx.bay[bi]
-    bdx, bdy = idx.bbx[bi] - bax, idx.bby[bi] - bay
-    vx = (np.full(ti.size, x[0]), sx[ti], ex[ti])
-    vy = (np.full(ti.size, x[1]), sy[ti], ey[ti])
-
-    lo = np.zeros(ti.size)
-    hi = np.ones(ti.size)
-    empty = np.zeros(ti.size, dtype=bool)
+def _blocks_triangle_np(ax, ay, sx, sy, ex, ey, bax, bay, bbx, bby, eps):
+    """Elementwise geom.segment_blocks_triangle: blocker (ba, bb) enters the
+    open triangle (apex, s, e)."""
+    cross = (sx - ax) * (ey - ay) - (sy - ay) * (ex - ax)
+    sgn = np.sign(cross)
+    # degenerate slivers never block
+    out = sgn != 0.0
+    vx = (ax, sx, ex)
+    vy = (ay, sy, ey)
+    lo = np.zeros(out.shape)
+    hi = np.ones(out.shape)
     planes = []
     for i in range(3):
         ux, uy = vx[i], vy[i]
         nx = sgn * (uy - vy[(i + 1) % 3])
         ny = sgn * (vx[(i + 1) % 3] - ux)
-        nlen = np.hypot(nx, ny)
-        planes.append((ux, uy, nx, ny, nlen))
+        planes.append((ux, uy, nx, ny, np.hypot(nx, ny)))
         dp = nx * (bax - ux) + ny * (bay - uy)
-        dq = dp + nx * bdx + ny * bdy
-        empty |= (dp < 0.0) & (dq < 0.0)
+        dq = nx * (bbx - ux) + ny * (bby - uy)
+        out &= (dp >= 0.0) | (dq >= 0.0)
         den = dp - dq
-        cross_at = dp / np.where(den != 0.0, den, 1.0)
-        lo = np.where((dp < 0.0) & (dq >= 0.0), np.maximum(lo, cross_at), lo)
-        hi = np.where((dq < 0.0) & (dp >= 0.0), np.minimum(hi, cross_at), hi)
-
-    blocked = ~empty & (hi - lo > 1e-12)
+        at = dp / np.where(den != 0.0, den, 1.0)
+        lo = np.where((dp < 0.0) & (dq >= 0.0), np.maximum(lo, at), lo)
+        hi = np.where((dq < 0.0) & (dp >= 0.0), np.minimum(hi, at), hi)
+    out &= hi - lo > 1e-12
     sm = (lo + hi) / 2.0
-    mxp = bax + sm * bdx
-    myp = bay + sm * bdy
+    mx = bax + sm * (bbx - bax)
+    my = bay + sm * (bby - bay)
     for ux, uy, nx, ny, nlen in planes:
-        blocked &= nx * (mxp - ux) + ny * (myp - uy) > eps * nlen
-    out[ti[blocked]] = True
+        out &= nx * (mx - ux) + ny * (my - uy) > eps * nlen
     return out
 
 
-def _configs_at(x: Point, tsel: np.ndarray, idx: ScenarioIndex, source: int) -> list[CandidateConfig]:
-    """Enumerate maximal co-coverable subsets of the coverable targets tsel at x."""
-    if tsel.size == 0:
-        return []
+def _occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex) -> np.ndarray:
+    """Per pair: some blocker other than the target itself enters the open
+    sight triangle from point pi of the block to target tj."""
+    out = np.zeros(tj.size, dtype=bool)
+    eps = idx.tol.eps_len
+    # a blocker entering a sight triangle comes within r_max + eps_len of its
+    # apex, so the block tests only the blockers whose boxes reach one of its points
+    reach = idx.scenario.sensor.r_max + 3.0 * eps
+    px, py = block[:, 0:1], block[:, 1:2]
+    near = np.flatnonzero(((idx.bx_lo - reach <= px) & (px <= idx.bx_hi + reach)
+                           & (idx.by_lo - reach <= py) & (py <= idx.by_hi + reach)).any(axis=0))
+    if near.size == 0 or tj.size == 0:
+        return out
+    bx_lo, bx_hi, by_lo, by_hi = idx.bx_lo[near], idx.bx_hi[near], idx.by_lo[near], idx.by_hi[near]
+    owner = idx.owner[near]
+    x, y = block[pi, 0], block[pi, 1]
+    sx, sy, ex, ey = idx.sx[tj], idx.sy[tj], idx.ex[tj], idx.ey[tj]
+    # bounding-box prefilter: only (pair, blocker) candidates whose sight
+    # triangle and blocker boxes overlap need the exact clip
+    tx_lo = np.minimum(np.minimum(sx, ex), x) - eps
+    tx_hi = np.maximum(np.maximum(sx, ex), x) + eps
+    ty_lo = np.minimum(np.minimum(sy, ey), y) - eps
+    ty_hi = np.maximum(np.maximum(sy, ey), y) + eps
+    own = idx.ids[tj]
+    step = max(1, _BUDGET // near.size)
+    for a in range(0, tj.size, step):
+        q = slice(a, a + step)
+        cand = (
+            (tx_lo[q, None] <= bx_hi) & (bx_lo <= tx_hi[q, None])
+            & (ty_lo[q, None] <= by_hi) & (by_lo <= ty_hi[q, None])
+            & (owner != own[q, None])
+        )
+        p, k = np.nonzero(cand)
+        p += a
+        b = near[k]
+        hit = _blocks_triangle_np(x[p], y[p], sx[p], sy[p], ex[p], ey[p],
+                                  idx.bax[b], idx.bay[b], idx.bbx[b], idx.bby[b], eps)
+        out[p[hit]] = True
+    return out
+
+
+def _maximal_rows(fits: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """(G, K) mask of the anchors whose (G, K, K) fits row is a maximal subset:
+    non-empty, the first anchor with that row, and strictly inside no other row.
+    Rows are compared as packed uint64 words, so any K works."""
+    G, K, _ = fits.shape
+    W = -(-K // 64)
+    if W * 64 != K:
+        fits = np.concatenate([fits, np.zeros((G, K, W * 64 - K), dtype=bool)], axis=2)
+    bits = np.packbits(fits, axis=2, bitorder="little").view("<u8")
+    eq = np.ones((G, K, K), dtype=bool)
+    sub = np.ones((G, K, K), dtype=bool)   # sub[g, a, b]: row a within row b
+    for w in range(W):
+        word = bits[:, :, w]
+        eq &= word[:, :, None] == word[:, None, :]
+        sub &= (word[:, :, None] & ~word[:, None, :]) == 0
+    dup = (eq & np.tri(K, k=-1, dtype=bool)).any(axis=2)
+    inside = (sub & ~eq & valid[:, None, :]).any(axis=2)
+    return valid & ~dup & ~inside & bits.any(axis=2)
+
+
+def _sweep_chunk(block: np.ndarray, idx: ScenarioIndex, source: int) -> list[list[CandidateConfig]]:
+    """Maximal co-coverable subsets at every point of the block, as a few array
+    passes over the block's coverable (point, target) pairs."""
+    C = block.shape[0]
+    groups: list[list[CandidateConfig]] = [[] for _ in range(C)]
+    pi, tj = _cheap_pairs(block, idx)
+    live = ~_occluded(block, pi, tj, idx)
+    pi, tj = pi[live], tj[live]
+    if pi.size == 0:
+        return groups
+    x, y = block[pi, 0], block[pi, 1]
+
     theta = idx.scenario.sensor.theta
     eps_ang = idx.tol.eps_ang
-    b1 = np.arctan2(idx.sy[tsel] - x[1], idx.sx[tsel] - x[0])
-    b2 = np.arctan2(idx.ey[tsel] - x[1], idx.ex[tsel] - x[0])
+    limit = theta + eps_ang
+    b1 = np.arctan2(idx.sy[tj] - y, idx.sx[tj] - x)
+    b2 = np.arctan2(idx.ey[tj] - y, idx.ex[tj] - x)
     diff = np.remainder(b2 - b1 + math.pi, TWO_PI) - math.pi
     lo = np.where(diff >= 0.0, b1, b2) % TWO_PI
     width = np.abs(diff)
-    mids = np.arctan2(idx.my[tsel] - x[1], idx.mx[tsel] - x[0]) % TWO_PI
+    mids = np.arctan2(idx.my[tj] - y, idx.mx[tj] - x) % TWO_PI
+    tid = idx.ids[tj]
 
-    rel = np.remainder(lo[None, :] - lo[:, None], TWO_PI)
-    fits = rel + width[None, :] <= theta + eps_ang
-    # dedupe identical rows (first anchor wins), then drop rows strictly
-    # contained in another row
-    first = {}
-    for a, row in enumerate(fits):
-        first.setdefault(row.tobytes(), a)
-    anchors = np.fromiter(first.values(), dtype=np.int64)
-    rows = fits[anchors]
-    contained = (rows[:, None, :] <= rows[None, :, :]).all(axis=2)
-    np.fill_diagonal(contained, False)
-    maximal = ~contained.any(axis=1)
-
-    configs = []
-    ids = idx.ids[tsel]
-    pos = (float(x[0]), float(x[1]))
-    for row, anchor in zip(rows[maximal], anchors[maximal]):
-        members = np.flatnonzero(row)
-        if members.size == 0:
+    count = np.bincount(pi, minlength=C)
+    offset = np.concatenate(([0], np.cumsum(count)))
+    slot = np.arange(pi.size) - offset[pi]
+    K = int(count.max())
+    G = max(1, _BUDGET // (K * K))
+    pos = [tuple(p) for p in block.tolist()]
+    for g0 in range(0, C, G):
+        g1 = min(g0 + G, C)
+        sel = slice(offset[g0], offset[g1])
+        if sel.start == sel.stop:
             continue
-        span = (rel[anchor, members] + width[members]).max()
-        vd_window = theta - span
-        vd_lo = norm_angle(lo[anchor] + span - theta / 2.0)
-        vd_rep = norm_angle(lo[anchor] + span / 2.0)
+        gp, sp = pi[sel] - g0, slot[sel]
+        n_g = g1 - g0
+        # padded per-point tables; a padded member never fits (infinite width)
+        pair = np.zeros((n_g, K), dtype=np.int64)
+        pair[gp, sp] = np.arange(sel.start, sel.stop)
+        valid = np.zeros((n_g, K), dtype=bool)
+        valid[gp, sp] = True
+        lo_p = lo[pair]
+        wd_p = np.where(valid, width[pair], np.inf)
+        id_p = np.where(valid, tid[pair], np.iinfo(np.int64).max)
+
+        rel = np.remainder(lo_p[:, None, :] - lo_p[:, :, None], TWO_PI)   # [g, anchor, member]
+        fits = (rel + wd_p[:, None, :] <= limit) & valid[:, :, None]
+        gm, am = np.nonzero(_maximal_rows(fits, valid))
+        rows = fits[gm, am]
+        span = np.where(rows, rel[gm, am] + wd_p[gm], -np.inf).max(axis=1)
+        lo_a = lo_p[gm, am]
         # re-verify angular containment at vd_rep (range/facing already hold)
-        cone_lo = lo[anchor] + span / 2.0 - theta / 2.0
-        off = np.remainder(lo[members] - cone_lo, TWO_PI)
+        cone_lo = lo_a + span / 2.0 - theta / 2.0
+        off = np.remainder(lo_p[gm] - cone_lo[:, None], TWO_PI)
         off = np.where(off > TWO_PI - eps_ang, 0.0, off)
-        if not np.all(off + width[members] <= theta + eps_ang):
+        ok = (~rows | (off + wd_p[gm] <= limit)).all(axis=1)
+        gm, rows, span, lo_a = gm[ok], rows[ok], span[ok], lo_a[ok]
+        if gm.size == 0:
             continue
-        members = members[np.argsort(ids[members])]
-        mid_arr = mids[members]
-        dev = np.abs(np.remainder(mid_arr - vd_rep + math.pi, TWO_PI) - math.pi).sum()
-        cfg = CandidateConfig(
-            source=source,
-            position=pos,
-            vd_rep=float(vd_rep),
-            vd_lo=float(vd_lo),
-            vd_window=float(vd_window),
-            covered=tuple(ids[members].tolist()),
-            interval_lo=tuple(lo[members].tolist()),
-            interval_hi=tuple(np.remainder(lo[members] + width[members], TWO_PI).tolist()),
-            mid_bearings=tuple(mid_arr.tolist()),
-            deviation_f1=float(dev),
-            vd_opt=float(vd_rep),
-        )
-        configs.append(cfg)
-    return configs
-
-
-# below this many coverable targets the per-point numpy overhead dominates,
-# so the sweep switches to a plain-float twin of the same pipeline
-_SCALAR_K = 8
-
-
-def _configs_scalar(x, tsel, idx: ScenarioIndex, source: int) -> list[CandidateConfig]:
-    """Scalar twin of _occluded_mask + _configs_at for a handful of targets."""
-    theta = idx.scenario.sensor.theta
-    eps_ang = idx.tol.eps_ang
-    eps = idx.tol.eps_len
-    limit = theta + eps_ang
-    xx, xy = float(x[0]), float(x[1])
-    apex = (xx, xy)
-    lo: list[float] = []
-    width: list[float] = []
-    mids: list[float] = []
-    ids: list[int] = []
-    for j in tsel:
-        near = idx.near_blockers[j]
-        if near:
-            sxj, syj = idx.sx_l[j], idx.sy_l[j]
-            exj, eyj = idx.ex_l[j], idx.ey_l[j]
-            tx_lo = min(sxj, exj, xx) - eps
-            tx_hi = max(sxj, exj, xx) + eps
-            ty_lo = min(syj, eyj, xy) - eps
-            ty_hi = max(syj, eyj, xy) + eps
-            tseg = idx.tsegs[j]
-            hit = False
-            for b in near:
-                if (idx.bx_lo_l[b] > tx_hi or idx.bx_hi_l[b] < tx_lo
-                        or idx.by_lo_l[b] > ty_hi or idx.by_hi_l[b] < ty_lo):
-                    continue
-                if segment_blocks_triangle(idx.bsegs[b], apex, tseg, eps):
-                    hit = True
-                    break
-            if hit:
-                continue
-        b1 = math.atan2(idx.sy_l[j] - xy, idx.sx_l[j] - xx)
-        b2 = math.atan2(idx.ey_l[j] - xy, idx.ex_l[j] - xx)
-        diff = (b2 - b1 + math.pi) % TWO_PI - math.pi
-        lo.append((b1 if diff >= 0.0 else b2) % TWO_PI)
-        width.append(abs(diff))
-        mids.append(math.atan2(idx.my_l[j] - xy, idx.mx_l[j] - xx) % TWO_PI)
-        ids.append(idx.ids_l[j])
-    k = len(ids)
-    if k == 0:
-        return []
-
-    rel = [[(lo[m] - lo[a]) % TWO_PI for m in range(k)] for a in range(k)]
-    # rows as bitmasks: subset test is mask & ~other == 0
-    first: dict[int, int] = {}
-    for a in range(k):
-        ra = rel[a]
-        mask = 0
-        for m in range(k):
-            if ra[m] + width[m] <= limit:
-                mask |= 1 << m
-        first.setdefault(mask, a)
-    uniq = list(first.items())
-    configs = []
-    for mask, anchor in uniq:
-        if not mask or any(mask != other and mask & ~other == 0 for other, _ in uniq):
-            continue
-        members = [m for m in range(k) if mask >> m & 1]
-        span = max(rel[anchor][m] + width[m] for m in members)
         vd_window = theta - span
-        vd_lo = norm_angle(lo[anchor] + span - theta / 2.0)
-        vd_rep = norm_angle(lo[anchor] + span / 2.0)
-        # re-verify angular containment at vd_rep (range/facing already hold)
-        cone_lo = lo[anchor] + span / 2.0 - theta / 2.0
-        ok = True
-        for m in members:
-            off = (lo[m] - cone_lo) % TWO_PI
-            if off > TWO_PI - eps_ang:
-                off = 0.0
-            if off + width[m] > limit:
-                ok = False
-                break
-        if not ok:
-            continue
-        members.sort(key=lambda m: ids[m])
-        mid_list = [mids[m] for m in members]
-        dev = sum(abs((mid - vd_rep + math.pi) % TWO_PI - math.pi) for mid in mid_list)
-        configs.append(CandidateConfig(
-            source=source,
-            position=apex,
-            vd_rep=vd_rep,
-            vd_lo=vd_lo,
-            vd_window=vd_window,
-            covered=tuple(ids[m] for m in members),
-            interval_lo=tuple(lo[m] for m in members),
-            interval_hi=tuple((lo[m] + width[m]) % TWO_PI for m in members),
-            mid_bearings=tuple(mid_list),
-            deviation_f1=dev,
-            vd_opt=vd_rep,
-        ))
-    return configs
+        vd_lo = _norm_angle_np(lo_a + span - theta / 2.0)
+        vd_rep = _norm_angle_np(lo_a + span / 2.0)
+
+        # members of each config in target-id order, flattened config by config
+        order = np.argsort(id_p, axis=1, kind="stable")
+        r, c = np.nonzero(np.take_along_axis(rows, order[gm], axis=1))
+        q = pair[gm[r], order[gm[r], c]]
+        size = rows.sum(axis=1)
+        ends = np.cumsum(size)
+        dev = np.abs(np.remainder(mids[q] - np.repeat(vd_rep, size) + math.pi, TWO_PI) - math.pi)
+        dev_f1 = np.add.reduceat(dev, ends - size)
+
+        ids_l = tid[q].tolist()
+        lo_l = lo[q].tolist()
+        hi_l = np.remainder(lo[q] + width[q], TWO_PI).tolist()
+        mid_l = mids[q].tolist()
+        a = 0
+        for g, b, rep, vlo, win, f1 in zip((gm + g0).tolist(), ends.tolist(), vd_rep.tolist(),
+                                           vd_lo.tolist(), vd_window.tolist(), dev_f1.tolist()):
+            groups[g].append(CandidateConfig(
+                source=source + g,
+                position=pos[g],
+                vd_rep=rep,
+                vd_lo=vlo,
+                vd_window=win,
+                covered=tuple(ids_l[a:b]),
+                interval_lo=tuple(lo_l[a:b]),
+                interval_hi=tuple(hi_l[a:b]),
+                mid_bearings=tuple(mid_l[a:b]),
+                deviation_f1=f1,
+                vd_opt=rep,
+            ))
+            a = b
+    return groups
 
 
 def sweep_points(
@@ -465,26 +420,14 @@ def sweep_points(
     s: Scenario,
     index: ScenarioIndex | None = None,
     start_index: int = 0,
-    chunk: int = 512,
+    chunk: int = _CHUNK,
 ) -> list[list[CandidateConfig]]:
     """Run the angular sweep at every point; results parallel to `points`."""
     idx = index if index is not None else ScenarioIndex(s)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     out: list[list[CandidateConfig]] = []
     for base in range(0, pts.shape[0], chunk):
-        block = pts[base:base + chunk]
-        cheap = _coverable_mask(block, idx).tolist()
-        for i in range(block.shape[0]):
-            x = block[i]
-            tsel = [j for j, v in enumerate(cheap[i]) if v]
-            if not tsel:
-                out.append([])
-            elif len(tsel) <= _SCALAR_K:
-                out.append(_configs_scalar(x, tsel, idx, start_index + base + i))
-            else:
-                tarr = np.array(tsel, dtype=np.int64)
-                occ = _occluded_mask(x, tarr, idx)
-                out.append(_configs_at(x, tarr[~occ], idx, start_index + base + i))
+        out.extend(_sweep_chunk(pts[base:base + chunk], idx, start_index + base))
     return out
 
 

@@ -106,6 +106,20 @@ def test_invalid_scenario_is_a_validation_error(tmp_path, capsys):
     assert "validation error" in err
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_non_finite_number_is_a_parse_error(tmp_path, capsys, token):
+    doc = tmp_path / "scn.json"
+    doc.write_text(
+        '{"area": {"width": 100, "height": 100},'
+        f' "sensor": {{"aov_deg": 100, "r_min": 0, "r_max": {token}, "phi_deg": 90}},'
+        ' "targets": [{"id": 0, "start": [10, 10], "end": [11, 10], "normal": [0, 1]}],'
+        ' "obstacles": []}'
+    )
+    code, _, err = run(["solve", str(doc)], capsys)
+    assert code == 2
+    assert "$.sensor.r_max: expected a finite number" in err
+
+
 def test_generate_rejects_infeasible_packing(tmp_path, capsys):
     code, _, err = run(
         ["generate", "--n", "5", "--width", "10", "--height", "10", "--margin", "5",

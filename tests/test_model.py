@@ -54,6 +54,16 @@ def test_validate_bad_range_order():
     assert any("r_min" in str(e) for e in rep.errors)
 
 
+@pytest.mark.parametrize("field", ["aov_deg", "r_min", "r_max", "phi_deg"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_validate_rejects_non_finite_sensor(field, value):
+    fields = {"aov_deg": 90.0, "r_min": 0.0, "r_max": 10.0, "phi_deg": 90.0, field: value}
+    t = Target(0, (0, 0), (1, 0), (0, 1))
+    rep = validate_scenario(make_scenario([t], sensor=SensorSpec(**fields)))
+    assert not rep.ok
+    assert any(f"non-finite {field}" in str(e) for e in rep.errors)
+
+
 def test_validate_normal_not_unit():
     t = Target(0, (0, 0), (1, 0), (0, 2))
     rep = validate_scenario(make_scenario([t]))

@@ -3,9 +3,14 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from camplan.geom import norm_angle, wrap_pi
+import camplan
+import camplan.sweep as sweep_module
+from camplan.geom import Segment, norm_angle, segment_blocks_triangle, wrap_pi
 from camplan.model import CameraPlacement, Obstacle, Scenario, SensorSpec, Target
 from camplan.sweep import (
     apply_vd_optimization,
@@ -17,6 +22,7 @@ from camplan.sweep import (
     optimize_vd,
     subset_window,
     sweep,
+    sweep_points,
     target_interval,
 )
 
@@ -324,3 +330,148 @@ def test_verifier_against_region_membership():
         if reg.boundary_distance(p) < 1e-6:
             continue
         assert coverable(p, T0, s) == reg.contains(p)
+
+
+def test_sweep_module_is_not_shadowed():
+    assert camplan.sweep is sweep_module
+    assert callable(camplan.sweep.sweep)
+    assert camplan.sweep.sweep((50.0, 50.0), scen([T0])) == []
+
+
+# --- batched kernel against the scalar references -----------------------------------
+
+lattice = st.integers(-4, 4).map(lambda k: k * 0.5)
+lattice_points = st.tuples(lattice, lattice)
+float_points = st.tuples(st.floats(-10, 10), st.floats(-10, 10))
+any_points = st.one_of(lattice_points, float_points)
+
+
+@st.composite
+def blocker_triples(draw):
+    """(apex, base, blocker) with lattice, shared-endpoint and near-radial cases."""
+    apex, a, b = draw(any_points), draw(any_points), draw(any_points)
+    kind = draw(st.sampled_from(["free", "shared", "radial"]))
+    if kind == "free":
+        p, q = draw(any_points), draw(any_points)
+    elif kind == "shared":
+        p = draw(st.sampled_from([apex, a, b]))
+        q = draw(st.one_of(any_points, st.sampled_from([apex, a, b])))
+    else:
+        # along the ray from the apex through a point of the base, nudged sideways
+        u = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+        tx, ty = a[0] + u * (b[0] - a[0]), a[1] + u * (b[1] - a[1])
+        dx, dy = tx - apex[0], ty - apex[1]
+        t1, t2 = draw(st.floats(0.0, 1.5)), draw(st.floats(0.0, 1.5))
+        nudge = draw(st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6]))
+        p = (apex[0] + t1 * dx - nudge * dy, apex[1] + t1 * dy + nudge * dx)
+        q = (apex[0] + t2 * dx, apex[1] + t2 * dy)
+    return apex, Segment(a, b), Segment(p, q)
+
+
+@given(st.lists(blocker_triples(), min_size=1, max_size=40), st.sampled_from([0.0, 1e-9, 1e-7]))
+@settings(max_examples=300, deadline=None)
+def test_batched_occlusion_matches_scalar_reference(triples, eps):
+    col = lambda f: np.array([f(apex, base, blk) for apex, base, blk in triples], dtype=float)
+    got = sweep_module._blocks_triangle_np(
+        col(lambda x, t, b: x[0]), col(lambda x, t, b: x[1]),
+        col(lambda x, t, b: t.a[0]), col(lambda x, t, b: t.a[1]),
+        col(lambda x, t, b: t.b[0]), col(lambda x, t, b: t.b[1]),
+        col(lambda x, t, b: b.a[0]), col(lambda x, t, b: b.a[1]),
+        col(lambda x, t, b: b.b[0]), col(lambda x, t, b: b.b[1]), eps)
+    want = [segment_blocks_triangle(blk, apex, base, eps) for apex, base, blk in triples]
+    assert got.tolist() == want
+
+
+def levelwise_maximal(x, s):
+    """Oracle for many coverable targets: every feasible subset, grown one
+    target at a time (a subset of a feasible set is feasible), then the maximal ones."""
+    cov = [t for t in s.targets if coverable(x, t, s)]
+    limit = s.sensor.theta + s.tol.eps_ang
+    ivals = {t.id: target_interval(x, t) for t in cov}
+
+    def fits(sub):
+        return any(
+            all(norm_angle(ivals[m][0] - ivals[a][0]) + norm_angle(ivals[m][1] - ivals[m][0]) <= limit
+                for m in sub)
+            for a in sub)
+
+    ids = sorted(ivals)
+    level = [(tid,) for tid in ids if fits((tid,))]
+    feasible = set()
+    while level:
+        feasible.update(frozenset(sub) for sub in level)
+        level = [sub + (tid,) for sub in level for tid in ids if tid > sub[-1] and fits(sub + (tid,))]
+    return {f for f in feasible if not any(f < g for g in feasible)}
+
+
+def occluded_scene(rng, n):
+    s = random_scene(rng, n)
+    obstacles = []
+    for k in range(rng.randint(0, 3)):
+        x, y = rng.uniform(2, 18), rng.uniform(2, 18)
+        chain = [(x, y)]
+        for _ in range(rng.randint(1, 3)):
+            x = min(max(x + rng.uniform(-2, 2), 0.0), 20.0)
+            y = min(max(y + rng.uniform(-2, 2), 0.0), 20.0)
+            chain.append((x, y))
+        obstacles.append(Obstacle(k, tuple(chain)))
+    return scen(s.targets, s.sensor, obstacles, w=20.0, h=20.0)
+
+
+def test_sweep_points_matches_brute_force_at_every_point():
+    rng = random.Random(2024)
+    for trial in range(6):
+        s = occluded_scene(rng, rng.randint(3, 8))
+        pts = [(rng.uniform(0, 20), rng.uniform(0, 20)) for _ in range(150)]
+        for t in s.targets:
+            for _ in range(8):
+                d = rng.uniform(0.3, 2.8)
+                pts.append((t.midpoint[0] + t.normal[0] * d + rng.uniform(-1, 1),
+                            t.midpoint[1] + t.normal[1] * d + rng.uniform(-1, 1)))
+        groups = sweep_points(pts, s, chunk=37)
+        assert len(groups) == len(pts)
+        for k, (x, group) in enumerate(zip(pts, groups)):
+            assert all(c.source == k and c.position == x for c in group)
+            assert all(list(c.covered) == sorted(c.covered) for c in group)
+            assert {frozenset(c.covered) for c in group} == brute_force_maximal(x, s), f"trial {trial} point {k}"
+            if k % 25 == 0:
+                assert levelwise_maximal(x, s) == brute_force_maximal(x, s)
+
+
+def ring_scene(n=70, aov=10.0, center=(50.0, 50.0)):
+    """n narrow targets on a ring facing its center, ids shuffled against index order."""
+    step = 360.0 / n
+    ids = list(range(n))
+    random.Random(3).shuffle(ids)
+    targets = [arc_target(ids[k], k * step, k * step + 2.0, dist=5.0, center=center) for k in range(n)]
+    return scen(targets, SensorSpec(aov_deg=aov, r_min=0.0, r_max=8.0))
+
+
+def test_sweep_points_wide_point_matches_oracle():
+    s = ring_scene()
+    rng = random.Random(8)
+    pts = [(50.0, 50.0)] + [(50.0 + rng.uniform(-0.5, 0.5), 50.0 + rng.uniform(-0.5, 0.5)) for _ in range(5)]
+    groups = sweep_points(pts, s)
+    widest = max(len({tid for c in g for tid in c.covered}) for g in groups)
+    assert widest > 64
+    for x, group in zip(pts, groups):
+        assert all(list(c.covered) == sorted(c.covered) for c in group)
+        assert {frozenset(c.covered) for c in group} == levelwise_maximal(x, s)
+
+
+def test_sweep_points_independent_of_chunking(monkeypatch):
+    rng = random.Random(77)
+    s = occluded_scene(rng, 8)
+    ring = ring_scene(aov=30.0, center=(10.0, 10.0))
+    pts = [(rng.uniform(0, 20), rng.uniform(0, 20)) for _ in range(300)]
+    for scene, points in ((s, pts), (ring, [(10.0, 10.0), (10.3, 9.8)] + pts[:40])):
+        whole = sweep_points(points, scene, chunk=len(points))
+        assert sum(map(len, whole)) > 0
+        for chunk in (1, 7, 128):
+            assert sweep_points(points, scene, chunk=chunk) == whole
+        # one point per subset batch and one pair per occlusion batch
+        monkeypatch.setattr(sweep_module, "_BUDGET", 1)
+        assert sweep_points(points, scene, chunk=50) == whole
+        monkeypatch.undo()
+        shifted = sweep_points(points, scene, start_index=1000)
+        assert [[c.source - 1000 for c in g] for g in shifted] == [[c.source for c in g] for g in whole]
