@@ -371,13 +371,9 @@ def blocker_triples(draw):
 @given(st.lists(blocker_triples(), min_size=1, max_size=40), st.sampled_from([0.0, 1e-9, 1e-7]))
 @settings(max_examples=300, deadline=None)
 def test_batched_occlusion_matches_scalar_reference(triples, eps):
-    col = lambda f: np.array([f(apex, base, blk) for apex, base, blk in triples], dtype=float)
-    got = sweep_module._blocks_triangle_np(
-        col(lambda x, t, b: x[0]), col(lambda x, t, b: x[1]),
-        col(lambda x, t, b: t.a[0]), col(lambda x, t, b: t.a[1]),
-        col(lambda x, t, b: t.b[0]), col(lambda x, t, b: t.b[1]),
-        col(lambda x, t, b: b.a[0]), col(lambda x, t, b: b.a[1]),
-        col(lambda x, t, b: b.b[0]), col(lambda x, t, b: b.b[1]), eps)
+    cols = np.array([(*apex, *base.a, *base.b, *blk.a, *blk.b) for apex, base, blk in triples],
+                    dtype=float).T
+    got = sweep_module._blocks_triangle_np(*cols, eps)
     want = [segment_blocks_triangle(blk, apex, base, eps) for apex, base, blk in triples]
     assert got.tolist() == want
 
