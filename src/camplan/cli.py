@@ -2,7 +2,7 @@
 
 Subcommands: generate, solve, verify, candidates, bench. Exit codes: 0 success,
 1 verification failure, 2 parse/input error, 3 validation error, 4 infeasible,
-5 a solve whose own verification failed.
+5 a solve whose own verification failed or an internal geometry error.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from multiprocessing import Pool
 from pathlib import Path
 
 from .discretize import CandidateSet, bcpf_sample, comprehensive_candidates, grid_sample
+from .geom import DegenerateError
 from .model import Scenario, SensorSpec, Solution, validate_scenario
 from .scenario import (
     GenParams,
@@ -303,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="camplan",
         description="Minimum-camera coverage planning for oriented segment targets.",
         epilog="Exit codes: 0 ok, 1 coverage verification failed, 2 parse error, "
-               "3 invalid scenario, 4 infeasible, 5 solve self-check failed.",
+               "3 invalid scenario, 4 infeasible, 5 solve self-check or geometry failure.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -382,6 +383,10 @@ def main(argv=None) -> int:
     except ValidationFailure as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
+    except DegenerateError as e:
+        # validated input never reaches one: a solver fault, not bad input
+        print(f"internal geometry error: {e}", file=sys.stderr)
+        return EXIT_SELFCHECK
     except (PackingError, ValueError) as e:
         print(f"invalid input: {e}", file=sys.stderr)
         return EXIT_VALIDATION

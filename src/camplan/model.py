@@ -4,6 +4,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .geom import Point, Segment, Tolerance, angle_between, segment_segment_distance
 
 
@@ -124,12 +126,6 @@ class CandidateConfig:
     interval_lo: tuple[float, ...]
     interval_hi: tuple[float, ...]
     mid_bearings: tuple[float, ...]
-    deviation_f1: float = 0.0
-    vd_opt: float = 0.0
-
-    @property
-    def vd_hi(self) -> float:
-        return self.vd_lo + self.vd_window
 
 
 @dataclass
@@ -201,12 +197,11 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         if w > sensor.r_max / 2.0 + tol.eps_len:
             warn(ValidationIssue(name, f"width {w:.6g} > r_max/2 (narrow-target assumption broken)"))
 
-    for i in range(len(s.targets)):
-        for j in range(i + 1, len(s.targets)):
-            ti, tj = s.targets[i], s.targets[j]
-            if segment_segment_distance(ti.segment, tj.segment) <= tol.eps_len:
-                if not _touch_only_at_endpoints(ti.segment, tj.segment, tol.eps_len):
-                    err(ValidationIssue(f"targets {ti.id},{tj.id}", "overlap (not an endpoint contact)"))
+    for i, j in _box_pairs(s.targets, 2.0 * tol.eps_len):
+        ti, tj = s.targets[i], s.targets[j]
+        if segment_segment_distance(ti.segment, tj.segment) <= tol.eps_len:
+            if not _touch_only_at_endpoints(ti.segment, tj.segment, tol.eps_len):
+                err(ValidationIssue(f"targets {ti.id},{tj.id}", "overlap (not an endpoint contact)"))
 
     for obs in s.obstacles:
         name = f"obstacle {obs.id}"
@@ -221,6 +216,23 @@ def validate_scenario(s: Scenario) -> ValidationReport:
                 err(ValidationIssue(name, "outside area"))
                 break
     return rep
+
+
+# Elements of one (rows, n) box-overlap block in the target pair prefilter.
+_PAIR_BUDGET = 1 << 20
+
+
+def _box_pairs(targets, pad: float):
+    """Index pairs (i, j), i < j, in row-major order whose bounding boxes,
+    each grown by `pad`, overlap: the only pairs that can come within 2·pad."""
+    xy = np.array([(*t.start, *t.end) for t in targets], dtype=float).reshape(-1, 4)
+    lo = np.minimum(xy[:, :2], xy[:, 2:]) - pad
+    hi = np.maximum(xy[:, :2], xy[:, 2:]) + pad
+    step = max(1, _PAIR_BUDGET // max(len(xy), 1))
+    for a in range(0, len(xy), step):
+        near = ((lo[a:a + step, None] <= hi) & (lo <= hi[a:a + step, None])).all(axis=2)
+        i, j = np.nonzero(np.triu(near, k=a + 1))
+        yield from zip((i + a).tolist(), j.tolist())
 
 
 def _touch_only_at_endpoints(s1: Segment, s2: Segment, eps: float) -> bool:

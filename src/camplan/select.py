@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -35,6 +36,11 @@ def greedy_cover(configs: list[CandidateConfig], s: Scenario, vd_mode: str = "f1
 
     Each selected camera's final direction is re-optimized for exactly the
     targets assigned to it.
+
+    Gains stay exact without recounting: covering a target takes one off the
+    gain of each config covering it, found through an inverse index. A tie-break
+    score depends only on the config's uncovered members, so it is cached until
+    one of them is covered.
     """
     ids = [t.id for t in s.targets]
     col = {tid: k for k, tid in enumerate(ids)}
@@ -45,11 +51,18 @@ def greedy_cover(configs: list[CandidateConfig], s: Scenario, vd_mode: str = "f1
         return Solution(placements=[], assignment={}, meta={"rounds": 0})
 
     m = len(configs)
-    cover = np.zeros((m, n), dtype=bool)
-    for i, cfg in enumerate(configs):
-        for tid in cfg.covered:
-            if tid in col:
-                cover[i, col[tid]] = True
+    # (config, column) pairs as keys column * m + config, deduplicated and
+    # sorted: the configs covering target column k are rows[ptr[k]:ptr[k + 1]]
+    sizes = np.array([len(cfg.covered) for cfg in configs], dtype=np.int64)
+    members = chain.from_iterable(cfg.covered for cfg in configs)
+    cols = np.fromiter(map(col.get, members, repeat(-1)), dtype=np.int64, count=int(sizes.sum()))
+    known = cols >= 0
+    key = np.sort(cols[known] * m + np.repeat(np.arange(m), sizes)[known])
+    key = key[np.diff(key, prepend=-1) != 0]
+    rows = key % m
+    ptr = np.searchsorted(key, np.arange(n + 1) * m)
+    gains = np.bincount(rows, minlength=m)
+    score = np.full(m, np.nan)   # cached tie-break scores, NaN until computed
 
     uncovered = np.ones(n, dtype=bool)
     placements: list[CameraPlacement] = []
@@ -57,18 +70,15 @@ def greedy_cover(configs: list[CandidateConfig], s: Scenario, vd_mode: str = "f1
     selected: list[int] = []
 
     while uncovered.any():
-        gains = cover[:, uncovered].sum(axis=1) if m else np.zeros(0, dtype=int)
-        best_gain = gains.max() if m else 0
+        best_gain = gains.max(initial=0)
         if best_gain == 0:
             raise InfeasibleError([ids[k] for k in np.flatnonzero(uncovered)])
         tied = np.flatnonzero(gains == best_gain)
         if tied.size > 1:
-            remaining = {ids[k] for k in np.flatnonzero(uncovered)}
-            scored = []
-            for i in tied:
-                new_ids = [tid for tid in configs[i].covered if tid in remaining]
-                scored.append((_subset_f1(configs[i], new_ids, theta), i))
-            pick = int(min(scored)[1])
+            for i in tied[np.isnan(score[tied])].tolist():
+                new_ids = [tid for tid in configs[i].covered if tid in col and uncovered[col[tid]]]
+                score[i] = _subset_f1(configs[i], new_ids, theta)
+            pick = int(tied[np.argmin(score[tied])])
         else:
             pick = int(tied[0])
 
@@ -81,8 +91,13 @@ def greedy_cover(configs: list[CandidateConfig], s: Scenario, vd_mode: str = "f1
         index = len(placements)
         placements.append(CameraPlacement(cfg.position, norm_angle(alpha)))
         for tid in new_ids:
+            k = col[tid]
+            if uncovered[k]:
+                holders = rows[ptr[k]:ptr[k + 1]]
+                gains[holders] -= 1
+                score[holders] = np.nan
             assignment[tid] = index
-            uncovered[col[tid]] = False
+            uncovered[k] = False
         selected.append(pick)
 
     return Solution(

@@ -9,7 +9,6 @@ scalar, works from first principles, and never consults placement regions.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -117,24 +116,6 @@ def subset_window(cfg: CandidateConfig, ids, theta: float) -> tuple[float, float
     w_lo = max(rel_hi) - theta / 2.0
     w_hi = min(rel_lo) + theta / 2.0
     return norm_angle(cfg.vd_rep + w_lo), max(w_hi - w_lo, 0.0)
-
-
-def optimize_vd(x: Point, cfg: CandidateConfig, mode: str = "f1") -> float:
-    """Optimized direction for cfg; every covered target stays inside the view
-    cone because the result is clamped to the feasible window."""
-    if mode == "none":
-        return cfg.vd_rep
-    return optimal_vd(cfg.mid_bearings, cfg.vd_lo, cfg.vd_window, mode)
-
-
-def f1_at(cfg: CandidateConfig, alpha: float, subset=None) -> float:
-    """Total midpoint deviation of cfg's targets (or a subset) at direction alpha."""
-    total = 0.0
-    for tid, b in zip(cfg.covered, cfg.mid_bearings):
-        if subset is not None and tid not in subset:
-            continue
-        total += abs(wrap_pi(b - alpha))
-    return total
 
 
 # --- vectorized batch sweep --------------------------------------------------
@@ -386,18 +367,15 @@ def _sweep_chunk(block: np.ndarray, idx: ScenarioIndex, source: int) -> list[lis
         order = np.argsort(id_p, axis=1, kind="stable")
         r, c = np.nonzero(np.take_along_axis(rows, order[gm], axis=1))
         q = pair[gm[r], order[gm[r], c]]
-        size = rows.sum(axis=1)
-        ends = np.cumsum(size)
-        dev = np.abs(np.remainder(mids[q] - np.repeat(vd_rep, size) + math.pi, TWO_PI) - math.pi)
-        dev_f1 = np.add.reduceat(dev, ends - size)
+        ends = np.cumsum(rows.sum(axis=1))
 
         ids_l = tid[q].tolist()
         lo_l = lo[q].tolist()
         hi_l = np.remainder(lo[q] + width[q], TWO_PI).tolist()
         mid_l = mids[q].tolist()
         a = 0
-        for g, b, rep, vlo, win, f1 in zip((gm + g0).tolist(), ends.tolist(), vd_rep.tolist(),
-                                           vd_lo.tolist(), vd_window.tolist(), dev_f1.tolist()):
+        for g, b, rep, vlo, win in zip((gm + g0).tolist(), ends.tolist(), vd_rep.tolist(),
+                                       vd_lo.tolist(), vd_window.tolist()):
             groups[g].append(CandidateConfig(
                 source=source + g,
                 position=pos[g],
@@ -408,8 +386,6 @@ def _sweep_chunk(block: np.ndarray, idx: ScenarioIndex, source: int) -> list[lis
                 interval_lo=tuple(lo_l[a:b]),
                 interval_hi=tuple(hi_l[a:b]),
                 mid_bearings=tuple(mid_l[a:b]),
-                deviation_f1=f1,
-                vd_opt=rep,
             ))
             a = b
     return groups
@@ -434,14 +410,3 @@ def sweep_points(
 def sweep(x: Point, s: Scenario, index: ScenarioIndex | None = None) -> list[CandidateConfig]:
     """Maximal simultaneously coverable target subsets at x with their vd windows."""
     return sweep_points([x], s, index)[0]
-
-
-def apply_vd_optimization(configs: list[CandidateConfig], mode: str) -> list[CandidateConfig]:
-    """Replace each config's optimized direction per the requested deviation norm."""
-    if mode == "none":
-        return configs
-    out = []
-    for cfg in configs:
-        alpha = optimal_vd(cfg.mid_bearings, cfg.vd_lo, cfg.vd_window, mode)
-        out.append(replace(cfg, vd_opt=alpha, deviation_f1=f1_at(cfg, alpha)))
-    return out

@@ -3,7 +3,9 @@ import csv
 
 import pytest
 
+from camplan import cli
 from camplan.cli import CSV_COLUMNS, _parse_algo_spec, main
+from camplan.geom import DegenerateError
 from camplan.model import CameraPlacement, Solution
 from camplan.scenario import parse_candidates, parse_scenario, parse_solution, serialize_solution
 
@@ -118,6 +120,30 @@ def test_non_finite_number_is_a_parse_error(tmp_path, capsys, token):
     code, _, err = run(["solve", str(doc)], capsys)
     assert code == 2
     assert "$.sensor.r_max: expected a finite number" in err
+
+
+def test_unsupported_parameters_are_invalid_input(tmp_path, capsys):
+    # comprehensive candidates need narrow targets: a plain ValueError, exit 3
+    doc = tmp_path / "scn.json"
+    doc.write_text(
+        '{"area": {"width": 100, "height": 100},'
+        ' "sensor": {"aov_deg": 100, "r_min": 0, "r_max": 4, "phi_deg": 90},'
+        ' "targets": [{"id": 0, "start": [10, 10], "end": [13, 10], "normal": [0, 1]}],'
+        ' "obstacles": []}'
+    )
+    code, _, err = run(["solve", str(doc), "--algo", "comprehensive"], capsys)
+    assert code == 3
+    assert "invalid input" in err and "r_max/2" in err
+
+
+def test_degenerate_geometry_is_an_internal_error(small_scenario, capsys, monkeypatch):
+    def degenerate(*args, **kwargs):
+        raise DegenerateError("bearing undefined for coincident points")
+
+    monkeypatch.setattr(cli, "run_pipeline", degenerate)
+    code, _, err = run(["solve", str(small_scenario)], capsys)
+    assert code == 5
+    assert "internal geometry error: bearing undefined for coincident points" in err
 
 
 def test_generate_rejects_infeasible_packing(tmp_path, capsys):

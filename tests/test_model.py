@@ -1,15 +1,19 @@
 """Domain model tests: validation rules and the facing predicate."""
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from camplan import model
+from camplan.geom import segment_segment_distance
 from camplan.model import (
     Obstacle,
     Scenario,
     SensorSpec,
     Target,
+    _touch_only_at_endpoints,
     facing,
     validate_scenario,
 )
@@ -102,6 +106,61 @@ def test_validate_crossing_targets_rejected():
     b = Target(1, (1, -1), (1, 1), (1, 0))
     rep = validate_scenario(make_scenario([a, b]))
     assert not rep.ok
+
+
+def all_pairs_overlaps(s):
+    """Reference: the target-overlap check over every pair, in (i, j) order."""
+    eps = s.tol.eps_len
+    out = []
+    for i in range(len(s.targets)):
+        for j in range(i + 1, len(s.targets)):
+            ti, tj = s.targets[i], s.targets[j]
+            if segment_segment_distance(ti.segment, tj.segment) <= eps:
+                if not _touch_only_at_endpoints(ti.segment, tj.segment, eps):
+                    out.append(f"targets {ti.id},{tj.id}: overlap (not an endpoint contact)")
+    return out
+
+
+def _target(tid, a, b):
+    L = math.dist(a, b)
+    normal = ((a[1] - b[1]) / L, (b[0] - a[0]) / L) if L > 0 else (0.0, 1.0)
+    return Target(tid, a, b, normal)
+
+
+@st.composite
+def touching_layouts(draw):
+    """Targets on a small lattice reaching the area boundary (shared endpoints,
+    T-junctions, collinear overlaps, zero-width targets) plus copies of earlier
+    ones shifted across or along themselves by a few eps_len."""
+    w = 10.0
+    eps = Scenario(w, w, SENSOR, ()).tol.eps_len
+    lattice = st.tuples(st.integers(0, 10), st.integers(0, 10)).map(lambda p: (float(p[0]), float(p[1])))
+    segs = []
+    for _ in range(draw(st.integers(0, 14))):
+        if segs and draw(st.booleans()):
+            a, b = draw(st.sampled_from(segs))
+            L = math.dist(a, b) or 1.0
+            ux, uy = (b[0] - a[0]) / L, (b[1] - a[1]) / L
+            k = draw(st.sampled_from([-4.0, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0, 4.0])) * eps
+            if draw(st.booleans()):   # parallel, k apart
+                dx, dy = -uy * k, ux * k
+            else:                     # collinear, slid by its length plus k
+                dx, dy = ux * (L + k), uy * (L + k)
+            segs.append(((a[0] + dx, a[1] + dy), (b[0] + dx, b[1] + dy)))
+        else:
+            segs.append((draw(lattice), draw(lattice)))
+    targets = [_target(i, a, b) for i, (a, b) in enumerate(segs)]
+    return Scenario(width=w, height=w, sensor=SENSOR, targets=tuple(draw(st.permutations(targets))))
+
+
+@settings(max_examples=400, deadline=None)
+@given(touching_layouts())
+def test_validate_overlap_prefilter_matches_all_pairs(s):
+    want = all_pairs_overlaps(s)
+    for budget in (model._PAIR_BUDGET, 7):   # one block, and blocks of a row or less
+        with mock.patch.object(model, "_PAIR_BUDGET", budget):
+            errors = validate_scenario(s).errors
+        assert [str(e) for e in errors if e.entity.startswith("targets ")] == want
 
 
 def test_validate_obstacle_chain():

@@ -1,9 +1,14 @@
 """Greedy selection and solution verification tests."""
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from camplan.discretize import comprehensive_candidates
+from camplan.cli import run_pipeline
+from camplan.discretize import bcpf_sample, comprehensive_candidates
+from camplan.geom import norm_angle, wrap_pi
 from camplan.model import (
     CameraPlacement,
     CandidateConfig,
@@ -12,8 +17,9 @@ from camplan.model import (
     Solution,
     Target,
 )
+from camplan.scenario import GenParams, random_scenario, serialize_solution
 from camplan.select import InfeasibleError, greedy_cover, verify_solution
-from camplan.sweep import is_fully_covered, sweep_points
+from camplan.sweep import is_fully_covered, optimal_vd, subset_window, sweep_points
 
 THETA = math.radians(100.0)
 
@@ -238,3 +244,135 @@ def test_clustered_targets_need_exactly_one_camera():
     s = scen(targets, sensor)
     for algo in ("comprehensive", "bcpf"):
         assert _pipeline(s, algo).cameras == 1
+
+
+# --- reference: greedy over a dense cover matrix ---------------------------------
+# The dense-matrix greedy that the incremental one replaced, kept as the oracle
+# its picks, placements and errors must match exactly.
+
+def oracle_subset_f1(cfg: CandidateConfig, ids, theta: float) -> float:
+    """Minimum total deviation achievable for `ids` within their vd window."""
+    lo, window = subset_window(cfg, ids, theta)
+    wanted = set(ids)
+    mids = [b for tid, b in zip(cfg.covered, cfg.mid_bearings) if tid in wanted]
+    alpha = optimal_vd(mids, lo, window, "f1")
+    return sum(abs(wrap_pi(b - alpha)) for b in mids)
+
+
+def oracle_greedy_cover(configs: list[CandidateConfig], s: Scenario, vd_mode: str = "f1") -> Solution:
+    """Pick configs by maximum new coverage; break ties by minimum achievable
+    total deviation over the newly covered targets, then by lowest config index.
+
+    Each selected camera's final direction is re-optimized for exactly the
+    targets assigned to it.
+    """
+    ids = [t.id for t in s.targets]
+    col = {tid: k for k, tid in enumerate(ids)}
+    n = len(ids)
+    theta = s.sensor.theta
+
+    if n == 0:
+        return Solution(placements=[], assignment={}, meta={"rounds": 0})
+
+    m = len(configs)
+    cover = np.zeros((m, n), dtype=bool)
+    for i, cfg in enumerate(configs):
+        for tid in cfg.covered:
+            if tid in col:
+                cover[i, col[tid]] = True
+
+    uncovered = np.ones(n, dtype=bool)
+    placements: list[CameraPlacement] = []
+    assignment: dict[int, int] = {}
+    selected: list[int] = []
+
+    while uncovered.any():
+        gains = cover[:, uncovered].sum(axis=1) if m else np.zeros(0, dtype=int)
+        best_gain = gains.max() if m else 0
+        if best_gain == 0:
+            raise InfeasibleError([ids[k] for k in np.flatnonzero(uncovered)])
+        tied = np.flatnonzero(gains == best_gain)
+        if tied.size > 1:
+            remaining = {ids[k] for k in np.flatnonzero(uncovered)}
+            scored = []
+            for i in tied:
+                new_ids = [tid for tid in configs[i].covered if tid in remaining]
+                scored.append((oracle_subset_f1(configs[i], new_ids, theta), i))
+            pick = int(min(scored)[1])
+        else:
+            pick = int(tied[0])
+
+        cfg = configs[pick]
+        new_ids = [tid for tid in cfg.covered if uncovered[col[tid]]]
+        lo, window = subset_window(cfg, new_ids, theta)
+        wanted = set(new_ids)
+        mids = [b for tid, b in zip(cfg.covered, cfg.mid_bearings) if tid in wanted]
+        alpha = cfg.vd_rep if vd_mode == "none" else optimal_vd(mids, lo, window, vd_mode)
+        index = len(placements)
+        placements.append(CameraPlacement(cfg.position, norm_angle(alpha)))
+        for tid in new_ids:
+            assignment[tid] = index
+            uncovered[col[tid]] = False
+        selected.append(pick)
+
+    return Solution(
+        placements=placements,
+        assignment=assignment,
+        meta={"rounds": len(placements), "selected_configs": selected},
+    )
+
+
+def _solve_or_uncovered(solver, configs, s, vd_mode):
+    try:
+        sol = solver(configs, s, vd_mode=vd_mode)
+    except InfeasibleError as e:
+        return ("infeasible", e.uncovered)
+    return (sol.placements, sol.assignment, sol.meta)
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """Synthetic config sets built to tie: few distinct bearings (equal f1),
+    duplicated configs, one-target configs, targets no config covers, and
+    members listed twice in one config."""
+    ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=12, unique=True))
+    # targets outside the pool are never offered by any config
+    pool = ids if draw(st.booleans()) else ids[: draw(st.integers(1, len(ids)))]
+    bearings = st.sampled_from([0.0, 0.25, 0.5, 0.75])
+    configs = []
+    for _ in range(draw(st.integers(0, 14))):
+        covered = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+        mids = draw(st.lists(bearings, min_size=len(covered), max_size=len(covered)))
+        pos = (float(draw(st.integers(0, 3))), 0.0)
+        cfg = mk_cfg(covered, mids, pos=pos)
+        configs.extend([cfg] * draw(st.integers(1, 3)))
+    order = draw(st.permutations(ids))
+    return scen(dummy_targets(order)), configs
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances(), st.sampled_from(["none", "f1", "finf"]))
+def test_greedy_matches_dense_oracle_on_tie_heavy_sets(instance, vd_mode):
+    s, configs = instance
+    got = _solve_or_uncovered(greedy_cover, configs, s, vd_mode)
+    want = _solve_or_uncovered(oracle_greedy_cover, configs, s, vd_mode)
+    assert got == want
+
+
+@pytest.mark.parametrize("family", [
+    # small versions of the three benchmark workloads
+    dict(n=40, r_max=30.0, obstacles=0, algo="bcpf"),
+    dict(n=90, r_max=10.0, obstacles=0, algo="bcpf"),
+    dict(n=8, r_max=20.0, obstacles=6, algo="comprehensive"),
+])
+def test_greedy_solution_bytes_match_dense_oracle(family):
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=family["r_max"], phi_deg=90.0)
+    for seed in range(3):
+        s = random_scenario(GenParams(n_targets=family["n"], n_obstacles=family["obstacles"],
+                                      margin=3.0, seed=seed), sensor)
+        cs = (bcpf_sample(s, eps_a=0.1, eps_r=s.sensor.r_max) if family["algo"] == "bcpf"
+              else comprehensive_candidates(s))
+        configs = [cfg for group in sweep_points(cs.points, s) for cfg in group]
+        want = serialize_solution(oracle_greedy_cover(configs, s))
+        assert serialize_solution(greedy_cover(configs, s)) == want
+        assert serialize_solution(run_pipeline(s, family["algo"]).solution) == want

@@ -13,13 +13,10 @@ import camplan.sweep as sweep_module
 from camplan.geom import Segment, norm_angle, segment_blocks_triangle, wrap_pi
 from camplan.model import CameraPlacement, Obstacle, Scenario, SensorSpec, Target
 from camplan.sweep import (
-    apply_vd_optimization,
     coverable,
     deviation,
-    f1_at,
     is_fully_covered,
     optimal_vd,
-    optimize_vd,
     subset_window,
     sweep,
     sweep_points,
@@ -187,11 +184,20 @@ def test_optimal_vd_finf():
     assert norm_angle(alpha) == pytest.approx(norm_angle(40 * DEG))
 
 
+def f1_at(cfg, alpha):
+    """Total midpoint deviation of cfg's targets at direction alpha."""
+    return sum(abs(wrap_pi(b - alpha)) for b in cfg.mid_bearings)
+
+
+def cfg_optimal_vd(cfg, mode="f1"):
+    return optimal_vd(cfg.mid_bearings, cfg.vd_lo, cfg.vd_window, mode)
+
+
 def test_optimize_vd_single_target_zero_deviation():
     t1 = arc_target(1, 10.0, 20.0)
     s = scen([t1])
     (cfg,) = sweep((0.0, 0.0), s)
-    alpha = optimize_vd((0.0, 0.0), cfg, "f1")
+    alpha = cfg_optimal_vd(cfg)
     assert f1_at(cfg, alpha) == pytest.approx(0.0, abs=1e-9)
     assert alpha == pytest.approx(15 * DEG, abs=1e-9)
 
@@ -263,12 +269,12 @@ def test_sweep_soundness_random():
         d = rng.uniform(0.3, 2.8)
         jx, jy = rng.uniform(-1, 1), rng.uniform(-1, 1)
         x = (t.midpoint[0] + t.normal[0] * d + jx, t.midpoint[1] + t.normal[1] * d + jy)
-        cfgs = sweep(x, s)
-        for cfg in apply_vd_optimization(cfgs, "f1"):
+        for cfg in sweep(x, s):
+            alpha = cfg_optimal_vd(cfg)
             for tid in cfg.covered:
                 t = next(t for t in s.targets if t.id == tid)
                 assert is_fully_covered(t, CameraPlacement(cfg.position, cfg.vd_rep), s)
-                assert is_fully_covered(t, CameraPlacement(cfg.position, cfg.vd_opt), s)
+                assert is_fully_covered(t, CameraPlacement(cfg.position, alpha), s)
                 checked += 1
     assert checked > 50
 
@@ -279,7 +285,7 @@ def test_f1_grid_optimality():
         s = random_scene(rng, rng.randint(2, 6))
         x = (rng.uniform(0, 20), rng.uniform(0, 20))
         for cfg in sweep(x, s):
-            alpha = optimize_vd(x, cfg, "f1")
+            alpha = cfg_optimal_vd(cfg)
             best = f1_at(cfg, alpha)
             steps = max(int(cfg.vd_window / 0.001), 1)
             for k in range(steps + 1):
@@ -293,7 +299,7 @@ def test_optimal_vd_rotation_equivariant():
     t2 = arc_target(2, 50.0, 60.0)
     s = scen([t1, t2])
     (cfg,) = sweep((0.0, 0.0), s)
-    base = optimize_vd((0.0, 0.0), cfg, "f1")
+    base = cfg_optimal_vd(cfg)
     for _ in range(10):
         rot = rng.uniform(0, 2 * math.pi)
         c, sn = math.cos(rot), math.sin(rot)
@@ -303,7 +309,7 @@ def test_optimal_vd_rotation_equivariant():
 
         ts = [Target(t.id, mv(t.start), mv(t.end), mv(t.normal)) for t in (t1, t2)]
         (cfg2,) = sweep((0.0, 0.0), scen(ts))
-        alpha2 = optimize_vd((0.0, 0.0), cfg2, "f1")
+        alpha2 = cfg_optimal_vd(cfg2)
         assert wrap_pi(alpha2 - base - rot) == pytest.approx(0.0, abs=1e-9)
 
 
