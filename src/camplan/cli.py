@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 import time
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from multiprocessing import Pool
 from pathlib import Path
 
 from .discretize import CandidateSet, bcpf_sample, comprehensive_candidates, grid_sample
-from .geom import DegenerateError
+from .geom import DegenerateError, bearing, wrap_pi
 from .model import Scenario, SensorSpec, Solution, validate_scenario
 from .scenario import (
     GenParams,
@@ -31,7 +30,7 @@ from .scenario import (
     serialize_solution,
 )
 from .select import InfeasibleError, greedy_cover, verify_solution
-from .sweep import sweep_points, total_deviation
+from .sweep import sweep_points
 
 EXIT_OK = 0
 EXIT_UNCOVERED = 1
@@ -86,7 +85,7 @@ def solution_f1(s: Scenario, sol: Solution) -> float:
     total = 0.0
     for tid, idx in sol.assignment.items():
         cam = sol.placements[idx]
-        total += total_deviation(cam.position, cam.vd, [by_id[tid]])
+        total += abs(wrap_pi(bearing(cam.position, by_id[tid].midpoint) - cam.vd))
     return total
 
 

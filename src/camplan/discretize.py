@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .fields import aov_pair, bcpf_contains, cpf, field_tolerance
+from .fields import aov_pair, covers, cpf, field_tolerance
 from .geom import DegenerateError, Piece, Point, piece_curve_intersections, piece_intersections
 from .model import Scenario, Target
 
@@ -158,7 +158,7 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
             r = outer
             while r >= r_floor - tol.eps_len:
                 p = (mx + r * ux, my + r * uy)
-                if bcpf_contains(t, sensor, p, tol):
+                if covers(t, p, sensor, tol):
                     tagged.append((p, "bcpf-sample"))
                 r -= eps_r
     tagged = [(_clamp_to_area(p, s), "bcpf-sample") for p, _ in tagged]

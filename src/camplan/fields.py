@@ -1,13 +1,19 @@
-"""Placement-field construction.
+"""Placement-field construction and the scalar coverage model.
+
+`covers` is the one scalar reference for whether a camera covers a target:
+range, facing, view angle and occlusion.  Field membership, the polar sampler
+and the solution verifier (`select.verify_solution`) all call it; the sweep's
+batched kernel is its array form and never calls it, so the verifier stays
+independent of the sweep.
 
 For one target, the set of camera positions that can fully cover it is cut out
 of the plane by four constraint families: range to both endpoints, the maximum
 view angle (an inscribed-angle circle pair over the target chord), the facing
 cone, and occlusion by other segments.  Regions are built by classifying a
-boundary-curve arrangement against the exact membership predicate, which keeps
-the two from drifting apart; the one sanctioned exception is an occlusion
-sliver thinner than the classification offset, which stays inside the region
-(see cpf).  Membership predicates are always the final authority.
+boundary-curve arrangement against `covers`, which keeps the two from
+drifting apart; the one sanctioned exception is an occlusion sliver thinner
+than the classification offset, which stays inside the region (see cpf).
+`covers` is always the final authority.
 """
 from __future__ import annotations
 
@@ -23,11 +29,13 @@ from .geom import (
     Segment,
     Tolerance,
     angle_between,
+    bearing,
     region_from_curves,
     point_segment_distance,
     segment_blocks_triangle,
+    wrap_pi,
 )
-from .model import Scenario, SensorSpec, Target, facing
+from .model import Scenario, SensorSpec, Target
 
 
 @dataclass(frozen=True, slots=True)
@@ -78,20 +86,76 @@ def field_tolerance(t: Target, sensor: SensorSpec) -> Tolerance:
     return Tolerance.for_diameter(2.0 * (sensor.r_max + t.width))
 
 
-def bcpf_contains(t: Target, sensor: SensorSpec, p: Point, tol: Tolerance | None = None) -> bool:
-    """Range + view-angle + facing predicate; the exact membership test for bcpf()."""
-    if tol is None:
-        tol = field_tolerance(t, sensor)
-    if math.dist(p, t.start) > sensor.r_max + tol.eps_len:
+def covers(
+    t: Target,
+    x: Point,
+    sensor: SensorSpec,
+    tol: Tolerance,
+    vd: float | None = None,
+    scenario: Scenario | None = None,
+    blockers: list[tuple[Segment, int]] | None = None,
+    report: tuple[dict, dict] | None = None,
+) -> bool:
+    """Whether a camera at x covers target t whole: the scalar coverage model.
+
+    - range: both endpoints farther than eps_len and within r_max, and the
+      target outside the r_min band;
+    - facing: x farther than eps_len from the midpoint and within phi of the
+      target's normal;
+    - view_angle: given vd, both endpoint bearings within theta/2 of vd;
+      without vd, the target subtends at most theta;
+    - occlusion, only given a scenario: no other segment enters the sight
+      triangle, at the scenario's tolerance.
+
+    Without `report` it returns at the first failing clause.  Given a
+    (clauses, margins) pair of dicts it evaluates every clause and records
+    each verdict and slack in the order range, facing, view_angle, occlusion.
+    """
+    eps, eps_ang = tol.eps_len, tol.eps_ang
+    r_max, r_min = sensor.r_max, sensor.r_min
+    full = report is not None
+    if full:
+        clauses, margins = report
+    d_s = math.dist(x, t.start)
+    d_e = math.dist(x, t.end)
+    inner = point_segment_distance(x, t.segment) - r_min if full or r_min > 0.0 else 0.0
+    in_range = d_s > eps and d_e > eps and r_max - d_s >= -eps and r_max - d_e >= -eps and inner >= -eps
+    if full:
+        margins["range_slack"] = r_max - max(d_s, d_e)
+        margins["inner_slack"] = inner
+        clauses["range"] = in_range
+    elif not in_range:
         return False
-    if math.dist(p, t.end) > sensor.r_max + tol.eps_len:
+
+    vx = x[0] - (t.start[0] + t.end[0]) / 2.0
+    vy = x[1] - (t.start[1] + t.end[1]) / 2.0
+    facing_angle = angle_between(t.normal, (vx, vy)) if math.hypot(vx, vy) > eps else math.pi
+    facing = facing_angle <= sensor.phi + eps_ang
+    if full:
+        margins["facing_angle"] = facing_angle
+        clauses["facing"] = facing
+    elif not facing:
         return False
-    if sensor.r_min > 0.0 and point_segment_distance(p, t.segment) < sensor.r_min - tol.eps_len:
-        return False
+
     theta = sensor.theta
-    if theta < math.pi and subtended_angle(t, p) > theta + tol.eps_ang:
+    if vd is None:
+        view = in_range and (theta >= math.pi or subtended_angle(t, x) <= theta + eps_ang)
+    else:
+        # bearings are defined once the range clause holds
+        slack = theta / 2.0 - max(abs(wrap_pi(bearing(x, t.start) - vd)),
+                                  abs(wrap_pi(bearing(x, t.end) - vd))) if in_range else -math.pi
+        view = in_range and slack >= -eps_ang
+        if full:
+            margins["angular_slack"] = slack
+    if full:
+        clauses["view_angle"] = view
+    elif not view:
         return False
-    return facing(t, p, sensor.phi, tol.eps_ang)
+
+    visible = scenario is None or not occlusion_excluded(t, x, scenario, blockers)
+    if full and scenario is not None:
+        clauses["occlusion"] = visible
+    return in_range and facing and view and visible
 
 
 def bcpf_boundary_curves(t: Target, sensor: SensorSpec) -> list[Curve]:
@@ -117,12 +181,12 @@ def _field_scales(t: Target, sensor: SensorSpec) -> tuple[float, float]:
 def bcpf(t: Target, sensor: SensorSpec) -> Region:
     """Placement region ignoring occlusion.  Exact construction needs r_min = 0."""
     if sensor.r_min > 0.0:
-        raise ValueError("region construction supports r_min = 0 only; use bcpf_contains")
+        raise ValueError("region construction supports r_min = 0 only; use covers")
     offset, snap = _field_scales(t, sensor)
     tol = field_tolerance(t, sensor)
 
     def inside(p: Point) -> bool:
-        return bcpf_contains(t, sensor, p, tol)
+        return covers(t, p, sensor, tol)
 
     return region_from_curves(bcpf_boundary_curves(t, sensor), inside, offset=offset, snap=snap, eps=snap)
 
@@ -159,17 +223,9 @@ def occlusion_excluded(
     return False
 
 
-@dataclass(frozen=True, slots=True)
-class OcclusionFan:
-    """Boundary geometry of one occluder's shadow: rays from its endpoints
-    directed away from the target endpoints, plus the occluder itself."""
-
-    target_id: int
-    occluder: Segment
-    rays: tuple[Segment, ...]
-
-
-def occlusion_fan(t: Target, occluder: Segment, reach: float, eps: float) -> OcclusionFan:
+def occlusion_fan(t: Target, occluder: Segment, reach: float, eps: float) -> list[Segment]:
+    """Boundary rays of one occluder's shadow: from its endpoints, directed
+    away from the target endpoints."""
     rays = []
     m = t.midpoint
     for q in (occluder.a, occluder.b):
@@ -180,19 +236,7 @@ def occlusion_fan(t: Target, occluder: Segment, reach: float, eps: float) -> Occ
             length = reach + math.dist(q, m)
             ux, uy = (q[0] - e[0]) / d, (q[1] - e[1]) / d
             rays.append(Segment(q, (q[0] + ux * length, q[1] + uy * length)))
-    return OcclusionFan(t.id, occluder, tuple(rays))
-
-
-def cpf_contains(
-    t: Target,
-    scenario: Scenario,
-    p: Point,
-    tol: Tolerance | None = None,
-    blockers: list[tuple[Segment, int]] | None = None,
-) -> bool:
-    if not bcpf_contains(t, scenario.sensor, p, tol):
-        return False
-    return not occlusion_excluded(t, p, scenario, blockers)
+    return rays
 
 
 def _probe_fan(t: Target, sensor: SensorSpec) -> list[Point]:
@@ -233,11 +277,11 @@ def cpf(t: Target, scenario: Scenario) -> Region:
     extraction is therefore checked against its own membership predicate on a
     probe fan; on disagreement the most needle-like occluder is dropped and the
     region rebuilt, conservatively keeping such slivers inside the region.
-    Exact occlusion everywhere remains the job of cpf_contains.
+    Exact occlusion everywhere remains the job of covers.
     """
     sensor = scenario.sensor
     if sensor.r_min > 0.0:
-        raise ValueError("region construction supports r_min = 0 only; use cpf_contains")
+        raise ValueError("region construction supports r_min = 0 only; use covers")
     offset, snap = _field_scales(t, sensor)
     tol = field_tolerance(t, sensor)
     reach = 2.0 * (sensor.r_max + t.width)
@@ -250,37 +294,12 @@ def cpf(t: Target, scenario: Scenario) -> Region:
         curves = bcpf_boundary_curves(t, sensor)
         for seg, _ in subset:
             curves.append(seg)
-            curves.extend(occlusion_fan(t, seg, reach, tol.eps_len).rays)
+            curves.extend(occlusion_fan(t, seg, reach, tol.eps_len))
 
         def inside(p: Point) -> bool:
-            return cpf_contains(t, scenario, p, tol, subset)
+            return covers(t, p, sensor, tol, scenario=scenario, blockers=subset)
 
         region = region_from_curves(curves, inside, offset=offset, snap=snap, eps=snap)
         if not subset or all(region.contains(q) == inside(q) for q in probes):
             return region
         subset.pop()
-
-
-def frontal_fan(region: Region, origin: Point, normal: Point) -> float:
-    """Angular extent of the region's boundary as seen from origin, measured
-    as a spread around the normal direction.  Used for sampler budget bounds."""
-    base = math.atan2(normal[1], normal[0])
-    lo = math.inf
-    hi = -math.inf
-    for piece in region.pieces():
-        if isinstance(piece, Segment):
-            samples = [piece.point_at(k / 8.0) for k in range(9)]
-        else:
-            sw = piece.sweep()
-            step = sw / 8.0 if piece.ccw else -sw / 8.0
-            samples = [piece.circle.point_at(piece.start + k * step) for k in range(9)]
-        for q in samples:
-            dx, dy = q[0] - origin[0], q[1] - origin[1]
-            if dx == 0.0 and dy == 0.0:
-                continue
-            rel = math.remainder(math.atan2(dy, dx) - base, math.tau)
-            lo = min(lo, rel)
-            hi = max(hi, rel)
-    if lo > hi:
-        return 0.0
-    return hi - lo

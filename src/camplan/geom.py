@@ -72,11 +72,6 @@ def wrap_pi(a: float) -> float:
     return r
 
 
-def ang_diff(a: float, b: float) -> float:
-    """Signed smallest rotation taking b onto a, in (-pi, pi]."""
-    return wrap_pi(a - b)
-
-
 def bearing(p: Point, q: Point, eps: float = EPS) -> float:
     """Bearing of q as seen from p, in [0, 2*pi).
 
@@ -554,22 +549,6 @@ def _ray_arc(p: Point, ux: float, uy: float, arc: Arc, eps: float) -> tuple[int,
     return count, False
 
 
-def loop_signed_area(loop: Sequence[Piece]) -> float:
-    """Signed area enclosed by a loop (positive = counter-clockwise)."""
-    area = 0.0
-    for piece in loop:
-        if isinstance(piece, Segment):
-            area += piece.a[0] * piece.b[1] - piece.b[0] * piece.a[1]
-        else:
-            a0, a1 = piece.start_point(), piece.end_point()
-            area += a0[0] * a1[1] - a1[0] * a0[1]
-            r = piece.circle.radius
-            sw = piece.sweep() if piece.ccw else -piece.sweep()
-            # circular-segment correction between chord and arc
-            area += r * r * (sw - math.sin(sw))
-    return area / 2.0
-
-
 def loop_bbox_diameter(loop: Sequence[Piece]) -> float:
     xs: list[float] = []
     ys: list[float] = []
@@ -705,11 +684,6 @@ def _piece_point_tangent(piece: Piece, frac: float) -> tuple[Point, Point]:
     r = math.hypot(rx, ry)
     tx, ty = (-ry / r, rx / r) if piece.ccw else (ry / r, -rx / r)
     return p, (tx, ty)
-
-
-def _piece_tangent_at_mid(piece: Piece) -> tuple[Point, Point]:
-    """(midpoint, unit tangent in travel direction)."""
-    return _piece_point_tangent(piece, 0.5)
 
 
 def _classify_piece(piece: Piece, inside: Callable[[Point], bool], offset: float) -> Piece | None:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import Point, Segment, Tolerance, angle_between, segment_segment_distance
+from .geom import Point, Segment, Tolerance, segment_segment_distance
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,15 +73,6 @@ class Scenario:
     @property
     def n(self) -> int:
         return len(self.targets)
-
-    @property
-    def obstacle_edge_count(self) -> int:
-        return sum(max(len(o.chain) - 1, 0) for o in self.obstacles)
-
-    @property
-    def segment_count(self) -> int:
-        """Targets plus obstacle edges: the instance's geometric complexity."""
-        return self.n + self.obstacle_edge_count
 
     @property
     def diameter(self) -> float:
@@ -154,6 +145,11 @@ class ValidationReport:
         return not self.errors
 
 
+# Largest area side and range: squared distances between points of the area
+# stay finite (targets and obstacles must lie in the area).
+MAX_LENGTH = 1e100
+
+
 def validate_scenario(s: Scenario) -> ValidationReport:
     """Check sensor parameters, target/obstacle geometry and pairwise disjointness."""
     rep = ValidationReport()
@@ -163,6 +159,8 @@ def validate_scenario(s: Scenario) -> ValidationReport:
 
     if not (s.width > 0 and s.height > 0):
         err(ValidationIssue("area", f"non-positive area {s.width}x{s.height}"))
+    if max(s.width, s.height) > MAX_LENGTH:
+        err(ValidationIssue("area", f"side beyond {MAX_LENGTH:g}"))
     sensor = s.sensor
     for name in ("aov_deg", "r_min", "r_max", "phi_deg"):
         if not math.isfinite(getattr(sensor, name)):
@@ -173,6 +171,8 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         err(ValidationIssue("sensor", f"negative r_min {sensor.r_min}"))
     if sensor.r_min >= sensor.r_max:
         err(ValidationIssue("sensor", f"r_min {sensor.r_min} >= r_max {sensor.r_max}"))
+    if sensor.r_max > MAX_LENGTH:
+        err(ValidationIssue("sensor", f"r_max beyond {MAX_LENGTH:g}"))
     if not (0.0 < sensor.phi <= math.pi / 2.0 + tol.eps_ang):
         err(ValidationIssue("sensor", f"phi {sensor.phi_deg} deg outside (0, 90]"))
 
@@ -182,6 +182,8 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         if t.id in seen_ids:
             err(ValidationIssue(name, "duplicate id"))
         seen_ids.add(t.id)
+        if not -(1 << 63) <= t.id < 1 << 63:
+            err(ValidationIssue(name, "id outside the signed 64-bit range"))
         w = t.width
         if w <= tol.eps_len:
             err(ValidationIssue(name, "zero-width target"))
@@ -250,11 +252,3 @@ def _touch_only_at_endpoints(s1: Segment, s2: Segment, eps: float) -> bool:
 
     return point_segment_distance(mid1, s2) > eps and point_segment_distance(mid2, s1) > eps
 
-
-def facing(t: Target, p: Point, phi: float, eps_ang: float = 1e-12) -> bool:
-    """Whether the target's front side is turned toward p (angle(normal, p-M) <= phi)."""
-    m = t.midpoint
-    v = (p[0] - m[0], p[1] - m[1])
-    if v == (0.0, 0.0):
-        return False
-    return angle_between(t.normal, v) <= phi + eps_ang

@@ -1,15 +1,14 @@
 """Greedy set-cover over candidate configurations and solution verification."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 import numpy as np
 
-from .geom import bearing, norm_angle, point_segment_distance, wrap_pi
+from .geom import norm_angle, wrap_pi
 from .model import CameraPlacement, CandidateConfig, Scenario, Solution
-from .fields import occlusion_excluded
+from .fields import covers
 from .sweep import optimal_vd, subset_window
 
 
@@ -148,41 +147,7 @@ def verify_solution(s: Scenario, sol: Solution) -> VerificationReport:
 
 def _check_target(t, cam: CameraPlacement, s: Scenario) -> TargetCheck:
     tol = s.tol
-    sensor = s.sensor
-    x = cam.position
-    clauses: dict = {}
+    clauses = {"in_area": s.in_area(cam.position, tol.eps_len)}
     margins: dict = {}
-
-    clauses["in_area"] = s.in_area(x, tol.eps_len)
-
-    d_s = math.dist(x, t.start)
-    d_e = math.dist(x, t.end)
-    margins["range_slack"] = sensor.r_max - max(d_s, d_e)
-    seg_d = point_segment_distance(x, t.segment)
-    margins["inner_slack"] = seg_d - sensor.r_min
-    clauses["range"] = (
-        min(d_s, d_e) > tol.eps_len
-        and margins["range_slack"] >= -tol.eps_len
-        and margins["inner_slack"] >= -tol.eps_len
-    )
-
-    vx, vy = x[0] - t.midpoint[0], x[1] - t.midpoint[1]
-    if vx == 0.0 and vy == 0.0:
-        facing_angle = math.pi
-    else:
-        facing_angle = math.atan2(abs(t.normal[0] * vy - t.normal[1] * vx),
-                                  t.normal[0] * vx + t.normal[1] * vy)
-    margins["facing_angle"] = facing_angle
-    clauses["facing"] = facing_angle <= sensor.phi + tol.eps_ang
-
-    if clauses["range"]:
-        spread = max(abs(wrap_pi(bearing(x, e) - cam.vd)) for e in (t.start, t.end))
-        margins["angular_slack"] = sensor.theta / 2.0 - spread
-        clauses["view_angle"] = margins["angular_slack"] >= -tol.eps_ang
-    else:
-        margins["angular_slack"] = -math.pi
-        clauses["view_angle"] = False
-
-    clauses["occlusion"] = not occlusion_excluded(t, x, s)
-
+    covers(t, cam.position, s.sensor, tol, vd=cam.vd, scenario=s, report=(clauses, margins))
     return TargetCheck(t.id, all(clauses.values()), clauses, margins)

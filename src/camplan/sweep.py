@@ -2,9 +2,9 @@
 
 Given a candidate position, find which targets it could cover, enumerate every
 maximal subset that fits in one view cone, and derive the feasible
-viewing-direction window per subset.  Also hosts the independent full-coverage
-verifier (`is_fully_covered`) used to check final solutions; the verifier is
-scalar, works from first principles, and never consults placement regions.
+viewing-direction window per subset.  The clauses here are the array form of
+the scalar reference `fields.covers`; the solution verifier
+(`select.verify_solution`) calls that reference and never this module's kernel.
 """
 from __future__ import annotations
 
@@ -12,66 +12,10 @@ import math
 
 import numpy as np
 
-from .geom import Point, bearing, norm_angle, point_segment_distance, wrap_pi
-from .model import CameraPlacement, CandidateConfig, Scenario, Target, facing
-from .fields import occlusion_excluded, subtended_angle
+from .geom import Point, norm_angle, wrap_pi
+from .model import CandidateConfig, Scenario
 
 TWO_PI = 2.0 * math.pi
-
-
-# --- scalar predicates ------------------------------------------------------
-
-def coverable(x: Point, t: Target, s: Scenario, blockers=None) -> bool:
-    """Whether some viewing direction at x would fully cover t."""
-    tol = s.tol
-    sensor = s.sensor
-    d_s = math.dist(x, t.start)
-    d_e = math.dist(x, t.end)
-    if d_s <= tol.eps_len or d_e <= tol.eps_len:
-        return False
-    if max(d_s, d_e) > sensor.r_max + tol.eps_len:
-        return False
-    if sensor.r_min > 0.0 and point_segment_distance(x, t.segment) < sensor.r_min - tol.eps_len:
-        return False
-    if sensor.theta < math.pi and subtended_angle(t, x) > sensor.theta + tol.eps_ang:
-        return False
-    if not facing(t, x, sensor.phi, tol.eps_ang):
-        return False
-    return not occlusion_excluded(t, x, s, blockers)
-
-
-def target_interval(x: Point, t: Target) -> tuple[float, float]:
-    """Bearings from x to the target endpoints, ordered so the ccw sweep
-    lo -> hi has width < pi."""
-    b1 = bearing(x, t.start)
-    b2 = bearing(x, t.end)
-    if wrap_pi(b2 - b1) >= 0.0:
-        return b1, b2
-    return b2, b1
-
-
-def is_fully_covered(t: Target, cam: CameraPlacement, s: Scenario) -> bool:
-    """The solution verifier: coverable at cam.position and the whole target
-    inside the view cone [vd - theta/2, vd + theta/2] (inclusive)."""
-    if not coverable(cam.position, t, s):
-        return False
-    theta = s.sensor.theta
-    eps = s.tol.eps_ang
-    cone_lo = cam.vd - theta / 2.0
-    for endpoint in (t.start, t.end):
-        off = norm_angle(bearing(cam.position, endpoint) - cone_lo)
-        if off > theta + eps and off < TWO_PI - eps:
-            return False
-    return True
-
-
-def deviation(x: Point, alpha: float, t: Target) -> float:
-    """Angle between the viewing direction and the line of sight to the target midpoint."""
-    return abs(wrap_pi(bearing(x, t.midpoint) - alpha))
-
-
-def total_deviation(x: Point, alpha: float, targets) -> float:
-    return sum(deviation(x, alpha, t) for t in targets)
 
 
 # --- viewing-direction optimization ----------------------------------------

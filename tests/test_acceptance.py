@@ -17,7 +17,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from camplan.cli import CSV_COLUMNS, main, run_pipeline
-from camplan.fields import aov_pair, bcpf, cpf, cpf_contains
+from camplan.fields import aov_pair, bcpf, covers, cpf, field_tolerance
 from camplan.geom import Segment
 from camplan.model import Obstacle, Scenario, SensorSpec, Target
 from camplan.scenario import GenParams, random_scenario
@@ -194,7 +194,7 @@ def test_view_circle_closed_forms_region_shape_and_predicate_agreement():
             p = (rng.uniform(28.0, 72.0), rng.uniform(28.0, 72.0))
             if reg.boundary_distance(p) <= 1e-6:
                 continue
-            if reg.contains(p) != cpf_contains(t, s, p):
+            if reg.contains(p) != covers(t, p, s.sensor, field_tolerance(t, s.sensor), scenario=s):
                 disagreements += 1
         assert disagreements == 0, f"scene {k}: {disagreements} region/predicate mismatches"
 

@@ -1,7 +1,15 @@
 """End-to-end command line tests: exit codes, file round trips, bench CSV."""
+import contextlib
+import copy
 import csv
+import io
+import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from camplan import cli
 from camplan.cli import CSV_COLUMNS, _parse_algo_spec, main
@@ -249,3 +257,86 @@ def test_bench_worker_pool_preserves_row_order(tmp_path, capsys):
     assert run(BENCH_ARGS + ["--out", str(a)], capsys)[0] == 0
     assert run(BENCH_ARGS + ["--workers", "2", "--out", str(b)], capsys)[0] == 0
     assert strip_runtime(a) == strip_runtime(b)
+
+
+def test_target_id_beyond_int64_is_a_validation_error(tmp_path, capsys):
+    doc = tmp_path / "scn.json"
+    doc.write_text(
+        '{"area": {"width": 100, "height": 100},'
+        ' "sensor": {"aov_deg": 100, "r_min": 0, "r_max": 30, "phi_deg": 90},'
+        ' "targets": [{"id": 100000000000000000000, "start": [10, 10], "end": [11, 10], "normal": [0, 1]}],'
+        ' "obstacles": []}'
+    )
+    code, _, err = run(["solve", str(doc)], capsys)
+    assert code == 3
+    assert "validation error" in err and "64-bit" in err
+
+
+# --- fuzzed documents -----------------------------------------------------------
+
+FUZZ_BASE = {
+    "area": {"width": 30.0, "height": 30.0},
+    "sensor": {"aov_deg": 100.0, "r_min": 0.0, "r_max": 8.0, "phi_deg": 90.0},
+    "targets": [
+        {"id": 0, "start": [10.0, 10.0], "end": [11.0, 10.0], "normal": [0.0, 1.0]},
+        {"id": 1, "start": [15.0, 14.0], "end": [15.0, 15.0], "normal": [-1.0, 0.0]},
+    ],
+    "obstacles": [{"id": 0, "chain": [[12.0, 12.0], [13.0, 12.5]]}],
+}
+EDGE_INTS = [-1, 0, 2 ** 63 - 1, 2 ** 63, -(2 ** 63) - 1, 10 ** 20]
+EDGE_FLOATS = [0.0, -0.0, 1e-300, -3.5, 1e308, -1e308, 90.0000001, 180.0, 360.0]
+WRONG_TYPES = [float("nan"), float("inf"), "7", None, True, [], {}, [0.0], [1.0, 2.0, 3.0]]
+
+
+def _paths(v, prefix=()):
+    yield prefix
+    items = v.items() if isinstance(v, dict) else enumerate(v) if isinstance(v, list) else ()
+    for k, x in items:
+        yield from _paths(x, prefix + (k,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """The base document with 1-3 mutations: a value replaced by an edge value
+    of its type (ids beyond int64, huge or tiny numbers) or by a value of
+    another type (NaN, strings, null, arrays), a number nudged, a field or
+    element deleted, an array or object emptied, an element duplicated."""
+    doc = copy.deepcopy(FUZZ_BASE)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            return json.dumps(draw(st.sampled_from(WRONG_TYPES)))
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        key, value = path[-1], parent[path[-1]]
+        op = draw(st.sampled_from(["replace", "replace", "nudge", "delete", "empty", "duplicate"]))
+        if op == "replace":
+            edges = EDGE_INTS if type(value) is int else EDGE_FLOATS if type(value) is float else []
+            parent[key] = copy.deepcopy(draw(st.sampled_from(edges + WRONG_TYPES)))
+        elif op == "nudge" and isinstance(value, (int, float)) and not isinstance(value, bool):
+            parent[key] = value * draw(st.sampled_from([-1.0, 0.0, 1e-9, 2.0, 1e6])) + draw(
+                st.sampled_from([0.0, 1e-12, 0.5, 40.0]))
+        elif op == "delete":
+            del parent[key]
+        elif op == "empty" and isinstance(value, (list, dict)):
+            parent[key] = type(value)()
+        elif op == "duplicate" and isinstance(parent, list):
+            parent.append(copy.deepcopy(value))
+    return json.dumps(doc)
+
+
+@given(mutated_documents())
+@example(json.dumps({**FUZZ_BASE, "targets": [{**FUZZ_BASE["targets"][0], "id": 2 ** 63}]}))
+@settings(max_examples=200, deadline=None)
+def test_solve_of_mutated_documents_ends_in_a_documented_exit_code(text):
+    """Default `solve` (bcpf sampling) only: the grid's candidate count grows
+    with the area, which a mutated document may make astronomically large."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scn, sol = Path(tmp) / "scn.json", Path(tmp) / "sol.json"
+        scn.write_text(text)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["solve", str(scn), "--out", str(sol)])
+            assert code in range(6)
+            if code == 0:
+                assert main(["verify", str(scn), str(sol)]) == 0

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from camplan.discretize import bcpf_sample, comprehensive_candidates, grid_sample
-from camplan.fields import bcpf, frontal_fan
+from camplan.fields import bcpf
 from camplan.model import Obstacle, Scenario, SensorSpec, Target
 from camplan.select import greedy_cover
 from camplan.sweep import sweep_points
@@ -91,8 +91,8 @@ def test_bcpf_sample_single_ring():
     reg = bcpf(t, SENSOR_20)
     for p in cs.points:
         assert reg.contains(p)
-    rho = frontal_fan(reg, t.midpoint, t.normal)
-    assert len(cs) <= math.ceil(rho / 0.1)
+    # at most one sample per fan direction
+    assert len(cs) <= int(2.0 * SENSOR_20.phi / 0.1)
 
 
 def test_bcpf_sample_multiple_rings():
@@ -101,8 +101,7 @@ def test_bcpf_sample_multiple_rings():
     one = bcpf_sample(s, eps_a=0.3, eps_r=20.0)
     many = bcpf_sample(s, eps_a=0.3, eps_r=5.0)
     assert len(many) > 2 * len(one)
-    rho = frontal_fan(bcpf(t, SENSOR_20), t.midpoint, t.normal)
-    bound = math.ceil(rho / 0.3) * math.ceil(20.0 / 5.0 + 1)
+    bound = int(2.0 * SENSOR_20.phi / 0.3) * math.ceil(20.0 / 5.0 + 1)
     assert len(many) <= bound
 
 

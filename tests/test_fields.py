@@ -7,10 +7,9 @@ import pytest
 from camplan.fields import (
     aov_pair,
     bcpf,
-    bcpf_contains,
+    covers,
     cpf,
-    cpf_contains,
-    frontal_fan,
+    field_tolerance,
     interacting_blockers,
     occlusion_excluded,
     subtended_angle,
@@ -21,6 +20,41 @@ from camplan.model import Obstacle, Scenario, SensorSpec, Target
 
 def scen(targets, sensor, obstacles=(), w=100.0, h=100.0):
     return Scenario(width=w, height=h, sensor=sensor, targets=tuple(targets), obstacles=tuple(obstacles))
+
+
+def bcpf_contains(t, sensor, p):
+    """Membership in the basic field, as bcpf classifies it."""
+    return covers(t, p, sensor, field_tolerance(t, sensor))
+
+
+def cpf_contains(t, s, p, blockers=None):
+    """Membership in the full field, as cpf classifies it."""
+    return covers(t, p, s.sensor, field_tolerance(t, s.sensor), scenario=s, blockers=blockers)
+
+
+def frontal_fan(region, origin, normal):
+    """Angular extent of the region's boundary as seen from origin, measured
+    as a spread around the normal direction."""
+    base = math.atan2(normal[1], normal[0])
+    lo = math.inf
+    hi = -math.inf
+    for piece in region.pieces():
+        if isinstance(piece, Segment):
+            samples = [piece.point_at(k / 8.0) for k in range(9)]
+        else:
+            sw = piece.sweep()
+            step = sw / 8.0 if piece.ccw else -sw / 8.0
+            samples = [piece.circle.point_at(piece.start + k * step) for k in range(9)]
+        for q in samples:
+            dx, dy = q[0] - origin[0], q[1] - origin[1]
+            if dx == 0.0 and dy == 0.0:
+                continue
+            rel = math.remainder(math.atan2(dy, dx) - base, math.tau)
+            lo = min(lo, rel)
+            hi = max(hi, rel)
+    if lo > hi:
+        return 0.0
+    return hi - lo
 
 
 UNIT_CHORD = Segment((0.0, 0.0), (1.0, 0.0))

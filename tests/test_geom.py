@@ -17,7 +17,6 @@ from camplan.geom import (
     angle_between,
     bearing,
     intersect,
-    loop_signed_area,
     norm_angle,
     point_piece_distance,
     point_segment_distance,
@@ -228,6 +227,22 @@ def test_point_arc_distance():
 
 
 # --- region extraction ----------------------------------------------------
+
+def loop_signed_area(loop):
+    """Signed area enclosed by a loop (positive = counter-clockwise)."""
+    area = 0.0
+    for piece in loop:
+        if isinstance(piece, Segment):
+            area += piece.a[0] * piece.b[1] - piece.b[0] * piece.a[1]
+        else:
+            a0, a1 = piece.start_point(), piece.end_point()
+            area += a0[0] * a1[1] - a1[0] * a0[1]
+            r = piece.circle.radius
+            sw = piece.sweep() if piece.ccw else -piece.sweep()
+            # circular-segment correction between chord and arc
+            area += r * r * (sw - math.sin(sw))
+    return area / 2.0
+
 
 def test_region_from_curves_square():
     lines = [

@@ -1,4 +1,4 @@
-"""Domain model tests: validation rules and the facing predicate."""
+"""Domain model tests: validation rules and the facing clause of the coverage reference."""
 import math
 from unittest import mock
 
@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camplan import model
-from camplan.geom import segment_segment_distance
+from camplan.fields import covers
+from camplan.geom import Tolerance, segment_segment_distance
 from camplan.model import (
     Obstacle,
     Scenario,
     SensorSpec,
     Target,
     _touch_only_at_endpoints,
-    facing,
     validate_scenario,
 )
 
@@ -163,6 +163,23 @@ def test_validate_overlap_prefilter_matches_all_pairs(s):
         assert [str(e) for e in errors if e.entity.startswith("targets ")] == want
 
 
+def test_validate_target_ids_within_int64():
+    for tid in (2 ** 63, -(2 ** 63) - 1, 10 ** 20):
+        rep = validate_scenario(make_scenario([Target(tid, (0, 0), (1, 0), (0, 1))]))
+        assert any("64-bit" in str(e) for e in rep.errors)
+    for tid in (2 ** 63 - 1, -(2 ** 63)):
+        assert validate_scenario(make_scenario([Target(tid, (0, 0), (1, 0), (0, 1))])).ok
+
+
+def test_validate_lengths_within_bound():
+    big = Target(0, (0, 0), (1e95, 0), (0, 1))
+    assert validate_scenario(make_scenario([big], sensor=SensorSpec(90.0, 0.0, 1e100), w=1e100, h=1e100)).ok
+    t = Target(0, (0, 0), (1, 0), (0, 1))
+    for sensor, w in ((SensorSpec(90.0, 0.0, 1e101), 100.0), (SENSOR, 1e101), (SensorSpec(90.0, 0.0, 1e308), 100.0)):
+        rep = validate_scenario(make_scenario([t], sensor=sensor, w=w))
+        assert any("beyond 1e+100" in str(e) for e in rep.errors)
+
+
 def test_validate_obstacle_chain():
     good = Obstacle(0, ((0, 0), (1, 0), (1, 1)))
     rep = validate_scenario(make_scenario([], obstacles=[good]))
@@ -177,13 +194,21 @@ def test_scenario_counts():
     o = Obstacle(0, ((2, 2), (3, 2), (3, 3)))
     s = make_scenario([t], obstacles=[o])
     assert s.n == 1
-    assert s.obstacle_edge_count == 2
-    assert s.segment_count == 3
+    assert len(o.edges()) == 2
+    assert len(s.blockers()) == 3
 
 
 # --- facing ---------------------------------------------------------------
 
 T_FACING = Target(0, (0, 0), (1, 0), (0, 1))
+
+
+def facing(t, p, phi):
+    """The facing clause of the coverage reference at p, with an angle tolerance of 1e-12."""
+    clauses: dict = {}
+    covers(t, p, SensorSpec(aov_deg=180.0, r_min=0.0, r_max=100.0, phi_deg=math.degrees(phi)),
+           Tolerance(eps_len=1e-9, eps_ang=1e-12), report=(clauses, {}))
+    return clauses["facing"]
 
 
 def test_facing_front():

@@ -19,7 +19,8 @@ from camplan.model import (
 )
 from camplan.scenario import GenParams, random_scenario, serialize_solution
 from camplan.select import InfeasibleError, greedy_cover, verify_solution
-from camplan.sweep import is_fully_covered, optimal_vd, subset_window, sweep_points
+from camplan.fields import covers
+from camplan.sweep import optimal_vd, subset_window, sweep_points
 
 THETA = math.radians(100.0)
 
@@ -145,8 +146,9 @@ def test_greedy_then_verify_roundtrip():
 def test_verify_matches_scalar_coverage():
     s, sol = solve_small()
     report = verify_solution(s, sol)
+    cams = [sol.placements[sol.assignment[t.id]] for t in s.targets]
     covered = all(
-        is_fully_covered(t, sol.placements[sol.assignment[t.id]], s) for t in s.targets
+        covers(t, cam.position, s.sensor, s.tol, vd=cam.vd, scenario=s) for t, cam in zip(s.targets, cams)
     )
     assert report.ok == covered
 

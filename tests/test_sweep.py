@@ -1,4 +1,4 @@
-"""Sweep tests: coverability, verifier, maximal-subset enumeration, vd optimization."""
+"""Sweep tests: the coverage reference at a point, maximal-subset enumeration, vd optimization."""
 import itertools
 import math
 import random
@@ -10,18 +10,11 @@ from hypothesis import strategies as st
 
 import camplan
 import camplan.sweep as sweep_module
-from camplan.geom import Segment, norm_angle, segment_blocks_triangle, wrap_pi
-from camplan.model import CameraPlacement, Obstacle, Scenario, SensorSpec, Target
-from camplan.sweep import (
-    coverable,
-    deviation,
-    is_fully_covered,
-    optimal_vd,
-    subset_window,
-    sweep,
-    sweep_points,
-    target_interval,
-)
+from camplan.cli import solution_f1
+from camplan.fields import covers
+from camplan.geom import Segment, bearing, norm_angle, segment_blocks_triangle, wrap_pi
+from camplan.model import CameraPlacement, Obstacle, Scenario, SensorSpec, Solution, Target
+from camplan.sweep import optimal_vd, subset_window, sweep, sweep_points
 
 DEG = math.pi / 180.0
 SENSOR = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=2.0, phi_deg=90.0)
@@ -42,6 +35,31 @@ def arc_target(tid, ang_lo_deg, ang_hi_deg, dist=1.0, center=(0.0, 0.0)):
     mid_ang = (a1 + a2) / 2.0
     normal = (-math.cos(mid_ang), -math.sin(mid_ang))
     return Target(tid, p1, p2, normal)
+
+
+def coverable(x, t, s):
+    """The coverage reference with no viewing direction fixed, at the scene tolerance."""
+    return covers(t, x, s.sensor, s.tol, scenario=s)
+
+
+def is_fully_covered(t, cam, s):
+    """The coverage reference for one placement, as the solution verifier calls it."""
+    return covers(t, cam.position, s.sensor, s.tol, vd=cam.vd, scenario=s)
+
+
+def target_interval(x, t):
+    """Bearings from x to the target endpoints, ordered so the ccw sweep
+    lo -> hi has width < pi."""
+    b1 = bearing(x, t.start)
+    b2 = bearing(x, t.end)
+    if wrap_pi(b2 - b1) >= 0.0:
+        return b1, b2
+    return b2, b1
+
+
+def deviation(x, alpha, t):
+    """`cli.solution_f1` of one camera at x, aimed at alpha, assigned target t."""
+    return solution_f1(scen([t]), Solution([CameraPlacement(x, alpha)], {t.id: 0}))
 
 
 # --- coverable ---------------------------------------------------------------
