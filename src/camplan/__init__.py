@@ -7,6 +7,7 @@ from .fields import aov_pair, bcpf, cpf
 from .model import (
     CameraPlacement,
     CandidateConfig,
+    ConfigTable,
     Obstacle,
     Scenario,
     SensorSpec,
@@ -29,6 +30,7 @@ __all__ = [
     "CameraPlacement",
     "CandidateConfig",
     "CandidateSet",
+    "ConfigTable",
     "GenParams",
     "Obstacle",
     "Scenario",

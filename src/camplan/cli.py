@@ -74,7 +74,7 @@ def run_pipeline(s: Scenario, algo: str, *, eps_a: float = 0.1, eps_r: float | N
     runtime covers exactly these three stages."""
     t0 = time.perf_counter()
     cs = build_candidates(s, algo, eps_a, eps_r, grid_eps)
-    configs = [cfg for group in sweep_points(cs.points, s) for cfg in group]
+    configs = sweep_points(cs.points, s).table
     sol = greedy_cover(configs, s, vd_mode=vd_mode)
     runtime_ms = (time.perf_counter() - t0) * 1000.0
     return SolveResult(solution=sol, candidates=cs, configs=len(configs), runtime_ms=runtime_ms)

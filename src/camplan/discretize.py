@@ -166,14 +166,22 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
     return CandidateSet(points, tags, params={"algo": "bcpf", "eps_a": eps_a, "eps_r": eps_r})
 
 
+# Most points grid_sample builds; a finer grid over the area is rejected.
+MAX_GRID_POINTS = 1_000_000
+
+
 def grid_sample(s: Scenario, grid_eps: float) -> CandidateSet:
     """Centers of a uniform grid of grid_eps x grid_eps cells over the area."""
     if grid_eps <= 0.0:
         raise ValueError("grid step must be positive")
     if grid_eps > min(s.width, s.height):
         raise ValueError("grid step exceeds the area")
-    nx = math.floor(s.width / grid_eps + 1e-9)
-    ny = math.floor(s.height / grid_eps + 1e-9)
+    # counts capped above the bound stay finite and keep the product above it
+    cap = MAX_GRID_POINTS + 1.0
+    nx = math.floor(min(s.width / grid_eps + 1e-9, cap))
+    ny = math.floor(min(s.height / grid_eps + 1e-9, cap))
+    if nx * ny > MAX_GRID_POINTS:
+        raise ValueError(f"a {grid_eps:g} grid step puts more than {MAX_GRID_POINTS} points in the area")
     points = [
         ((i + 0.5) * grid_eps, (j + 0.5) * grid_eps)
         for j in range(ny)

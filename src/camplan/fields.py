@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .geom import (
     Circle,
     Curve,
@@ -102,8 +104,9 @@ def covers(
       target outside the r_min band;
     - facing: x farther than eps_len from the midpoint and within phi of the
       target's normal;
-    - view_angle: given vd, both endpoint bearings within theta/2 of vd;
-      without vd, the target subtends at most theta;
+    - view_angle: given vd, both endpoint bearings within theta/2 of vd and,
+      for theta > pi, the bearings between them clear of the blind spot
+      around vd + pi; without vd, the target subtends at most theta;
     - occlusion, only given a scenario: no other segment enters the sight
       triangle, at the scenario's tolerance.
 
@@ -141,9 +144,16 @@ def covers(
     if vd is None:
         view = in_range and (theta >= math.pi or subtended_angle(t, x) <= theta + eps_ang)
     else:
-        # bearings are defined once the range clause holds
-        slack = theta / 2.0 - max(abs(wrap_pi(bearing(x, t.start) - vd)),
-                                  abs(wrap_pi(bearing(x, t.end) - vd))) if in_range else -math.pi
+        slack = -math.pi   # bearings are defined once the range clause holds
+        if in_range:
+            off_s = wrap_pi(bearing(x, t.start) - vd)
+            off_e = wrap_pi(bearing(x, t.end) - vd)
+            spread = max(abs(off_s), abs(off_e))
+            if theta > math.pi and abs(off_s - off_e) > math.pi:
+                # the target's bearings run the short way between its
+                # endpoints', here through vd + pi: a wide cone's blind spot
+                spread = math.pi
+            slack = theta / 2.0 - spread
         view = in_range and slack >= -eps_ang
         if full:
             margins["angular_slack"] = slack
@@ -193,15 +203,34 @@ def bcpf(t: Target, sensor: SensorSpec) -> Region:
 
 # --- occlusion -------------------------------------------------------------
 
-def interacting_blockers(t: Target, scenario: Scenario) -> list[tuple[Segment, int]]:
-    """Blocking segments close enough to matter for this target's field."""
+class BlockerPool:
+    """A scenario's sight-blocking segments, listed once, with the bounding
+    boxes that `interacting_blockers` prefilters on."""
+
+    def __init__(self, scenario: Scenario):
+        self.items = scenario.blockers()
+        ends = np.array([(*seg.a, *seg.b) for seg, _ in self.items], dtype=float).reshape(-1, 4)
+        self.lo = np.minimum(ends[:, :2], ends[:, 2:])
+        self.hi = np.maximum(ends[:, :2], ends[:, 2:])
+
+
+def interacting_blockers(t: Target, scenario: Scenario,
+                         pool: BlockerPool | None = None) -> list[tuple[Segment, int]]:
+    """Blocking segments close enough to matter for this target's field, in
+    the order of `Scenario.blockers`.  Pass the scenario's `pool` when asking
+    for many targets."""
+    if pool is None:
+        pool = BlockerPool(scenario)
     m = t.midpoint
     reach = scenario.sensor.r_max + t.width + scenario.tol.eps_len
+    # a segment is no nearer than its bounding box: the box distance, padded
+    # for rounding, keeps every blocker the exact test below can accept
+    gap = np.maximum(np.maximum(pool.lo - m, m - pool.hi), 0.0)
+    near = np.hypot(gap[:, 0], gap[:, 1]) <= reach + scenario.tol.eps_len
     out = []
-    for seg, owner in scenario.blockers():
-        if owner == t.id:
-            continue
-        if point_segment_distance(m, seg) <= reach:
+    for k in np.flatnonzero(near).tolist():
+        seg, owner = pool.items[k]
+        if owner != t.id and point_segment_distance(m, seg) <= reach:
             out.append((seg, owner))
     return out
 

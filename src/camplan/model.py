@@ -2,7 +2,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,13 +100,13 @@ class CameraPlacement:
     vd: float  # viewing direction, radians in [0, 2*pi)
 
 
-@dataclass(frozen=True, slots=True)
-class CandidateConfig:
+class CandidateConfig(NamedTuple):
     """One viewing-direction window at one candidate point.
 
     vd window is stored as (vd_lo, vd_lo + window) with window >= 0; vd_rep is
     its circular midpoint.  Interval and midpoint bearings of the covered
     targets are kept so selection can re-optimize the direction later.
+    A `ConfigTable` holds configs as arrays and builds these as views.
     """
 
     source: int                 # candidate index in the CandidateSet
@@ -117,6 +118,83 @@ class CandidateConfig:
     interval_lo: tuple[float, ...]
     interval_hi: tuple[float, ...]
     mid_bearings: tuple[float, ...]
+
+
+@dataclass(frozen=True, eq=False)
+class ConfigTable:
+    """Candidate configs as one struct of arrays.
+
+    Per config i: the `CandidateConfig` fields source, position (row of an
+    (m, 2) array), vd_rep, vd_lo and vd_window.  Its members are entries
+    ptr[i]:ptr[i + 1] of the member arrays: target id (`covered`), the
+    target's column in the scenario's target list (`col`, -1 for an id the
+    scenario lacks), interval_lo, interval_hi and mid_bearings.
+    `table[i]` builds config i as a `CandidateConfig`.
+    """
+
+    source: np.ndarray
+    position: np.ndarray
+    vd_rep: np.ndarray
+    vd_lo: np.ndarray
+    vd_window: np.ndarray
+    ptr: np.ndarray
+    covered: np.ndarray
+    col: np.ndarray
+    interval_lo: np.ndarray
+    interval_hi: np.ndarray
+    mid_bearings: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.source)
+
+    def __getitem__(self, i: int) -> CandidateConfig:
+        if not 0 <= i < len(self.source):
+            raise IndexError(f"config {i} outside 0:{len(self.source)}")
+        a, b = self.ptr[i:i + 2].tolist()
+        return CandidateConfig(
+            int(self.source[i]),
+            tuple(self.position[i].tolist()),
+            float(self.vd_rep[i]),
+            float(self.vd_lo[i]),
+            float(self.vd_window[i]),
+            tuple(self.covered[a:b].tolist()),
+            tuple(self.interval_lo[a:b].tolist()),
+            tuple(self.interval_hi[a:b].tolist()),
+            tuple(self.mid_bearings[a:b].tolist()),
+        )
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConfigTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+    @classmethod
+    def from_configs(cls, configs, targets) -> "ConfigTable":
+        """The table of a sequence of `CandidateConfig`s, with member columns
+        taken from the order of `targets`."""
+        column = {t.id: k for k, t in enumerate(targets)}
+        covered = [tid for cfg in configs for tid in cfg.covered]
+
+        def per_config(name):
+            return np.array([getattr(cfg, name) for cfg in configs], dtype=float)
+
+        def per_member(name):
+            return np.array([v for cfg in configs for v in getattr(cfg, name)], dtype=float)
+
+        return cls(
+            source=np.array([cfg.source for cfg in configs], dtype=np.int64),
+            position=per_config("position").reshape(-1, 2),
+            vd_rep=per_config("vd_rep"),
+            vd_lo=per_config("vd_lo"),
+            vd_window=per_config("vd_window"),
+            ptr=np.cumsum([0] + [len(cfg.covered) for cfg in configs], dtype=np.int64),
+            covered=np.array(covered, dtype=np.int64),
+            col=np.array([column.get(tid, -1) for tid in covered], dtype=np.int64),
+            interval_lo=per_member("interval_lo"),
+            interval_hi=per_member("interval_hi"),
+            mid_bearings=per_member("mid_bearings"),
+        )
 
 
 @dataclass
@@ -205,8 +283,12 @@ def validate_scenario(s: Scenario) -> ValidationReport:
             if not _touch_only_at_endpoints(ti.segment, tj.segment, tol.eps_len):
                 err(ValidationIssue(f"targets {ti.id},{tj.id}", "overlap (not an endpoint contact)"))
 
+    seen_obstacle_ids: set[int] = set()
     for obs in s.obstacles:
         name = f"obstacle {obs.id}"
+        if obs.id in seen_obstacle_ids:
+            err(ValidationIssue(name, "duplicate id"))
+        seen_obstacle_ids.add(obs.id)
         if len(obs.chain) < 2:
             err(ValidationIssue(name, "chain needs at least 2 points"))
             continue

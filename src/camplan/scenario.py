@@ -274,7 +274,7 @@ def parse_scenario(text: str, validate: bool = True) -> Scenario:
 class ValidationFailure(ValueError):
     def __init__(self, report):
         self.report = report
-        lines = "; ".join(i.message for i in report.errors)
+        lines = "; ".join(str(i) for i in report.errors)
         super().__init__(f"scenario is invalid: {lines}")
 
 

@@ -1,14 +1,14 @@
 """Greedy set-cover over candidate configurations and solution verification."""
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
 
 import numpy as np
 
 from .geom import norm_angle, wrap_pi
-from .model import CameraPlacement, CandidateConfig, Scenario, Solution
-from .fields import covers
+from .model import CameraPlacement, CandidateConfig, ConfigTable, Scenario, Solution
+from .fields import BlockerPool, covers, interacting_blockers
 from .sweep import optimal_vd, subset_window
 
 
@@ -29,7 +29,8 @@ def _subset_f1(cfg: CandidateConfig, ids, theta: float) -> float:
     return sum(abs(wrap_pi(b - alpha)) for b in mids)
 
 
-def greedy_cover(configs: list[CandidateConfig], s: Scenario, vd_mode: str = "f1") -> Solution:
+def greedy_cover(configs: ConfigTable | Sequence[CandidateConfig], s: Scenario,
+                 vd_mode: str = "f1") -> Solution:
     """Pick configs by maximum new coverage; break ties by minimum achievable
     total deviation over the newly covered targets, then by lowest config index.
 
@@ -37,66 +38,67 @@ def greedy_cover(configs: list[CandidateConfig], s: Scenario, vd_mode: str = "f1
     targets assigned to it.
 
     Gains stay exact without recounting: covering a target takes one off the
-    gain of each config covering it, found through an inverse index. A tie-break
-    score depends only on the config's uncovered members, so it is cached until
-    one of them is covered.
+    gain of each config covering it, found through an inverse index built from
+    the table's member columns. A tie-break score depends only on the config's
+    uncovered members, so it is cached until one of them is covered. Only the
+    configs scored in a tie or picked are built as `CandidateConfig` views.
     """
+    table = configs if isinstance(configs, ConfigTable) else ConfigTable.from_configs(configs, s.targets)
     ids = [t.id for t in s.targets]
-    col = {tid: k for k, tid in enumerate(ids)}
     n = len(ids)
     theta = s.sensor.theta
 
     if n == 0:
         return Solution(placements=[], assignment={}, meta={"rounds": 0})
 
-    m = len(configs)
+    m = len(table)
     # (config, column) pairs as keys column * m + config, deduplicated and
     # sorted: the configs covering target column k are rows[ptr[k]:ptr[k + 1]]
-    sizes = np.array([len(cfg.covered) for cfg in configs], dtype=np.int64)
-    members = chain.from_iterable(cfg.covered for cfg in configs)
-    cols = np.fromiter(map(col.get, members, repeat(-1)), dtype=np.int64, count=int(sizes.sum()))
+    cols = table.col
+    owner = np.repeat(np.arange(m), np.diff(table.ptr))
     known = cols >= 0
-    key = np.sort(cols[known] * m + np.repeat(np.arange(m), sizes)[known])
+    key = np.sort(cols[known] * m + owner[known])
     key = key[np.diff(key, prepend=-1) != 0]
     rows = key % m
     ptr = np.searchsorted(key, np.arange(n + 1) * m)
     gains = np.bincount(rows, minlength=m)
     score = np.full(m, np.nan)   # cached tie-break scores, NaN until computed
 
-    uncovered = np.ones(n, dtype=bool)
+    open_ids = set(ids)   # targets not yet covered
     placements: list[CameraPlacement] = []
     assignment: dict[int, int] = {}
     selected: list[int] = []
 
-    while uncovered.any():
+    while open_ids:
         best_gain = gains.max(initial=0)
         if best_gain == 0:
-            raise InfeasibleError([ids[k] for k in np.flatnonzero(uncovered)])
+            raise InfeasibleError(open_ids)
         tied = np.flatnonzero(gains == best_gain)
         if tied.size > 1:
             for i in tied[np.isnan(score[tied])].tolist():
-                new_ids = [tid for tid in configs[i].covered if tid in col and uncovered[col[tid]]]
-                score[i] = _subset_f1(configs[i], new_ids, theta)
+                cfg = table[i]
+                score[i] = _subset_f1(cfg, [tid for tid in cfg.covered if tid in open_ids], theta)
             pick = int(tied[np.argmin(score[tied])])
         else:
             pick = int(tied[0])
 
-        cfg = configs[pick]
-        new_ids = [tid for tid in cfg.covered if uncovered[col[tid]]]
+        cfg = table[pick]
+        start, stop = table.ptr[pick:pick + 2].tolist()
+        fresh = [(tid, k) for tid, k in zip(cfg.covered, cols[start:stop].tolist()) if tid in open_ids]
+        new_ids = [tid for tid, _ in fresh]
         lo, window = subset_window(cfg, new_ids, theta)
         wanted = set(new_ids)
         mids = [b for tid, b in zip(cfg.covered, cfg.mid_bearings) if tid in wanted]
         alpha = cfg.vd_rep if vd_mode == "none" else optimal_vd(mids, lo, window, vd_mode)
         index = len(placements)
         placements.append(CameraPlacement(cfg.position, norm_angle(alpha)))
-        for tid in new_ids:
-            k = col[tid]
-            if uncovered[k]:
+        for tid, k in fresh:
+            if tid in open_ids:
                 holders = rows[ptr[k]:ptr[k + 1]]
                 gains[holders] -= 1
                 score[holders] = np.nan
+                open_ids.remove(tid)
             assignment[tid] = index
-            uncovered[k] = False
         selected.append(pick)
 
     return Solution(
@@ -134,6 +136,7 @@ class VerificationReport:
 
 def verify_solution(s: Scenario, sol: Solution) -> VerificationReport:
     """Re-check every target against its assigned placement from first principles."""
+    pool = BlockerPool(s)
     checks = []
     for t in s.targets:
         idx = sol.assignment.get(t.id)
@@ -141,13 +144,14 @@ def verify_solution(s: Scenario, sol: Solution) -> VerificationReport:
             checks.append(TargetCheck(t.id, False, {"assigned": False}, {}))
             continue
         cam = sol.placements[idx]
-        checks.append(_check_target(t, cam, s))
+        checks.append(_check_target(t, cam, s, pool))
     return VerificationReport(checks)
 
 
-def _check_target(t, cam: CameraPlacement, s: Scenario) -> TargetCheck:
+def _check_target(t, cam: CameraPlacement, s: Scenario, pool: BlockerPool | None = None) -> TargetCheck:
     tol = s.tol
     clauses = {"in_area": s.in_area(cam.position, tol.eps_len)}
     margins: dict = {}
-    covers(t, cam.position, s.sensor, tol, vd=cam.vd, scenario=s, report=(clauses, margins))
+    covers(t, cam.position, s.sensor, tol, vd=cam.vd, scenario=s,
+           blockers=interacting_blockers(t, s, pool), report=(clauses, margins))
     return TargetCheck(t.id, all(clauses.values()), clauses, margins)

@@ -2,18 +2,20 @@
 
 Given a candidate position, find which targets it could cover, enumerate every
 maximal subset that fits in one view cone, and derive the feasible
-viewing-direction window per subset.  The clauses here are the array form of
+viewing-direction window per subset; the configs of many points come out as
+one `model.ConfigTable`.  The clauses here are the array form of
 the scalar reference `fields.covers`; the solution verifier
 (`select.verify_solution`) calls that reference and never this module's kernel.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 
 import numpy as np
 
 from .geom import Point, norm_angle, wrap_pi
-from .model import CandidateConfig, Scenario
+from .model import CandidateConfig, ConfigTable, Scenario
 
 TWO_PI = 2.0 * math.pi
 
@@ -244,16 +246,26 @@ def _maximal_rows(fits: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return valid & ~dup & ~inside & bits.any(axis=2)
 
 
-def _sweep_chunk(block: np.ndarray, idx: ScenarioIndex, source: int) -> list[list[CandidateConfig]]:
+# Configs of a run of points: per config its point, vd_rep, vd_lo, vd_window
+# and member count; per member its target column, interval_lo, interval_hi
+# and mid bearing.
+_NO_CONFIGS = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), np.zeros(0),
+               np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+               np.zeros(0), np.zeros(0), np.zeros(0))
+
+
+def _sweep_chunk(block: np.ndarray, idx: ScenarioIndex, first: int) -> list[tuple]:
     """Maximal co-coverable subsets at every point of the block, as a few array
-    passes over the block's coverable (point, target) pairs."""
+    passes over the block's coverable (point, target) pairs.  Returns parts
+    laid out as `_NO_CONFIGS`, point-major with points numbered from `first`,
+    members of a config in target-id order."""
     C = block.shape[0]
-    groups: list[list[CandidateConfig]] = [[] for _ in range(C)]
+    parts: list[tuple] = []
     pi, tj = _cheap_pairs(block, idx)
     live = ~_occluded(block, pi, tj, idx)
     pi, tj = pi[live], tj[live]
     if pi.size == 0:
-        return groups
+        return parts
     x, y = block[pi, 0], block[pi, 1]
 
     theta = idx.scenario.sensor.theta
@@ -272,7 +284,6 @@ def _sweep_chunk(block: np.ndarray, idx: ScenarioIndex, source: int) -> list[lis
     slot = np.arange(pi.size) - offset[pi]
     K = int(count.max())
     G = max(1, _BUDGET // (K * K))
-    pos = [tuple(p) for p in block.tolist()]
     for g0 in range(0, C, G):
         g1 = min(g0 + G, C)
         sel = slice(offset[g0], offset[g1])
@@ -303,36 +314,46 @@ def _sweep_chunk(block: np.ndarray, idx: ScenarioIndex, source: int) -> list[lis
         gm, rows, span, lo_a = gm[ok], rows[ok], span[ok], lo_a[ok]
         if gm.size == 0:
             continue
-        vd_window = theta - span
-        vd_lo = _norm_angle_np(lo_a + span - theta / 2.0)
-        vd_rep = _norm_angle_np(lo_a + span / 2.0)
 
         # members of each config in target-id order, flattened config by config
         order = np.argsort(id_p, axis=1, kind="stable")
         r, c = np.nonzero(np.take_along_axis(rows, order[gm], axis=1))
         q = pair[gm[r], order[gm[r], c]]
-        ends = np.cumsum(rows.sum(axis=1))
+        parts.append((
+            gm + (first + g0),
+            _norm_angle_np(lo_a + span / 2.0),
+            _norm_angle_np(lo_a + span - theta / 2.0),
+            theta - span,
+            rows.sum(axis=1),
+            tj[q],
+            lo[q],
+            np.remainder(lo[q] + width[q], TWO_PI),
+            mids[q],
+        ))
+    return parts
 
-        ids_l = tid[q].tolist()
-        lo_l = lo[q].tolist()
-        hi_l = np.remainder(lo[q] + width[q], TWO_PI).tolist()
-        mid_l = mids[q].tolist()
-        a = 0
-        for g, b, rep, vlo, win in zip((gm + g0).tolist(), ends.tolist(), vd_rep.tolist(),
-                                       vd_lo.tolist(), vd_window.tolist()):
-            groups[g].append(CandidateConfig(
-                source=source + g,
-                position=pos[g],
-                vd_rep=rep,
-                vd_lo=vlo,
-                vd_window=win,
-                covered=tuple(ids_l[a:b]),
-                interval_lo=tuple(lo_l[a:b]),
-                interval_hi=tuple(hi_l[a:b]),
-                mid_bearings=tuple(mid_l[a:b]),
-            ))
-            a = b
-    return groups
+
+class PointGroups(Sequence):
+    """The sweep's configs grouped by candidate point.
+
+    `table` holds every config, point-major; item k lists the configs of
+    point k as `CandidateConfig` views, built on access."""
+
+    def __init__(self, table: ConfigTable, ptr: np.ndarray):
+        self.table = table
+        self.ptr = ptr   # the configs of point k are table rows ptr[k]:ptr[k + 1]
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
+
+    def __getitem__(self, k: int) -> list[CandidateConfig]:
+        k = range(len(self))[k]
+        return [self.table[i] for i in range(self.ptr[k], self.ptr[k + 1])]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PointGroups):
+            return NotImplemented
+        return np.array_equal(self.ptr, other.ptr) and self.table == other.table
 
 
 def sweep_points(
@@ -341,14 +362,29 @@ def sweep_points(
     index: ScenarioIndex | None = None,
     start_index: int = 0,
     chunk: int = _CHUNK,
-) -> list[list[CandidateConfig]]:
-    """Run the angular sweep at every point; results parallel to `points`."""
+) -> PointGroups:
+    """Run the angular sweep at every point; groups parallel to `points`,
+    config sources numbered from `start_index`."""
     idx = index if index is not None else ScenarioIndex(s)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    out: list[list[CandidateConfig]] = []
+    parts = [_NO_CONFIGS]
     for base in range(0, pts.shape[0], chunk):
-        out.extend(_sweep_chunk(pts[base:base + chunk], idx, start_index + base))
-    return out
+        parts.extend(_sweep_chunk(pts[base:base + chunk], idx, base))
+    point, vd_rep, vd_lo, vd_window, size, col, lo, hi, mids = map(np.concatenate, zip(*parts))
+    table = ConfigTable(
+        source=point + start_index,
+        position=pts[point],
+        vd_rep=vd_rep,
+        vd_lo=vd_lo,
+        vd_window=vd_window,
+        ptr=np.concatenate(([0], np.cumsum(size))),
+        covered=idx.ids[col],
+        col=col,
+        interval_lo=lo,
+        interval_hi=hi,
+        mid_bearings=mids,
+    )
+    return PointGroups(table, np.searchsorted(point, np.arange(pts.shape[0] + 1)))
 
 
 def sweep(x: Point, s: Scenario, index: ScenarioIndex | None = None) -> list[CandidateConfig]:

@@ -4,6 +4,7 @@ import copy
 import csv
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -177,6 +178,44 @@ def test_grid_dead_band_is_infeasible(tmp_path, capsys):
     assert "infeasible" in err and "[0]" in err
 
 
+def test_grid_beyond_the_point_bound_is_invalid_input(tmp_path, capsys):
+    doc = tmp_path / "scn.json"
+    doc.write_text(json.dumps(FUZZ_BASE))
+    code, _, err = run(["solve", str(doc), "--algo", "grid", "--grid-eps", "0.01"], capsys)
+    assert code == 3
+    assert "invalid input" in err and "more than 1000000 points" in err
+
+
+def test_duplicate_obstacle_ids_are_a_validation_error(tmp_path, capsys):
+    doc = tmp_path / "scn.json"
+    doc.write_text(json.dumps({**FUZZ_BASE, "obstacles": FUZZ_BASE["obstacles"] * 2}))
+    code, _, err = run(["solve", str(doc)], capsys)
+    assert code == 3
+    assert "validation error" in err and "obstacle 0: duplicate id" in err
+
+
+def test_verify_fails_a_target_in_a_wide_cone_blind_spot(tmp_path, capsys):
+    # aov 300 at vd 0: both endpoints (bearings 140 and 220 degrees) are in
+    # the cone, the target's middle (180 degrees) is in its blind spot
+    x, a, b = (10.0, 10.0), math.radians(140.0), math.radians(220.0)
+    doc = tmp_path / "scn.json"
+    doc.write_text(json.dumps({
+        "area": {"width": 20.0, "height": 20.0},
+        "sensor": {"aov_deg": 300.0, "r_min": 0.0, "r_max": 5.0, "phi_deg": 90.0},
+        "targets": [{"id": 0, "start": [x[0] + 1.5 * math.cos(a), x[1] + 1.5 * math.sin(a)],
+                     "end": [x[0] + 1.5 * math.cos(b), x[1] + 1.5 * math.sin(b)],
+                     "normal": [1.0, 0.0]}],
+        "obstacles": [],
+    }))
+    sol = tmp_path / "sol.json"
+    for vd, code_want, line in ((0.0, 1, "target 0: NOT COVERED (view_angle)"),
+                                (180.0, 0, "target 0: covered")):
+        sol.write_text(serialize_solution(Solution([CameraPlacement(x, math.radians(vd))], {0: 0})))
+        code, out, _ = run(["verify", str(doc), str(sol)], capsys)
+        assert code == code_want
+        assert line in out
+
+
 def test_solve_empty_scenario_places_nothing(tmp_path, capsys):
     path = tmp_path / "scn.json"
     assert run(["generate", "--n", "0", "--out", str(path)], capsys)[0] == 0
@@ -328,15 +367,18 @@ def mutated_documents(draw):
 
 @given(mutated_documents())
 @example(json.dumps({**FUZZ_BASE, "targets": [{**FUZZ_BASE["targets"][0], "id": 2 ** 63}]}))
+@example(json.dumps({**FUZZ_BASE, "area": {"width": 1e100, "height": 1e100}}))
 @settings(max_examples=200, deadline=None)
 def test_solve_of_mutated_documents_ends_in_a_documented_exit_code(text):
-    """Default `solve` (bcpf sampling) only: the grid's candidate count grows
-    with the area, which a mutated document may make astronomically large."""
+    """Default `solve` (bcpf sampling) and `--algo grid` at a 2 m step: a
+    mutated area that would put more grid points in than the bound allows is
+    rejected before any is built."""
     with tempfile.TemporaryDirectory() as tmp:
         scn, sol = Path(tmp) / "scn.json", Path(tmp) / "sol.json"
         scn.write_text(text)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(["solve", str(scn), "--out", str(sol)])
-            assert code in range(6)
-            if code == 0:
-                assert main(["verify", str(scn), str(sol)]) == 0
+            for algo in ("bcpf", "grid"):
+                code = main(["solve", str(scn), "--algo", algo, "--grid-eps", "2", "--out", str(sol)])
+                assert code in range(6)
+                if code == 0:
+                    assert main(["verify", str(scn), str(sol)]) == 0

@@ -3,11 +3,19 @@ replaced, and the sweep's batched kernel against the reference."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from camplan import select, sweep
-from camplan.fields import aov_pair, covers, field_tolerance, interacting_blockers, occlusion_excluded
+from camplan.fields import (
+    BlockerPool,
+    aov_pair,
+    covers,
+    field_tolerance,
+    interacting_blockers,
+    occlusion_excluded,
+)
 from camplan.geom import (
     Point,
     Segment,
@@ -19,6 +27,7 @@ from camplan.geom import (
     wrap_pi,
 )
 from camplan.model import CameraPlacement, Obstacle, Scenario, SensorSpec, Target
+from camplan.scenario import GenParams, random_scenario
 from camplan.select import TargetCheck
 
 TWO_PI = 2.0 * math.pi
@@ -312,6 +321,18 @@ def on_cone_edge(p: Point, t: Target, vd: float, theta: float) -> bool:
     return False
 
 
+def crosses_blind_spot(p: Point, t: Target, vd: float, theta: float) -> bool:
+    """A view cone wider than pi at vd, and the target's bearings from p,
+    which run the short way between its endpoints', passing vd + pi."""
+    if theta <= math.pi or min(math.dist(p, t.start), math.dist(p, t.end)) == 0.0:
+        return False
+    return abs(wrap_pi(bearing(p, t.start) - vd) - wrap_pi(bearing(p, t.end) - vd)) > math.pi
+
+
+# A third deliberate difference: the old verifiers tested only the endpoint
+# bearings, so a cone wider than pi passed a target crossing its blind spot.
+# There the reference fails view_angle with slack theta/2 - pi.
+
 @given(scenes(), st.data())
 @settings(max_examples=75, deadline=None)
 def test_verifier_matches_old_verifiers(s, data):
@@ -324,13 +345,105 @@ def test_verifier_matches_old_verifiers(s, data):
                 cam = CameraPlacement(p, vd)
                 got = select._check_target(t, cam, s)
                 want = _check_target(t, cam, s)
+                blind = want.clauses["range"] and crosses_blind_spot(p, t, vd, sensor.theta)
+                if blind:
+                    want.clauses["view_angle"] = False
+                    want.margins["angular_slack"] = sensor.theta / 2.0 - math.pi
+                    want.ok = False
                 assert (got.ok, list(got.clauses.items()), list(got.margins.items())) == (
                     want.ok, list(want.clauses.items()), list(want.margins.items())), (t, cam)
                 # is_fully_covered places the cone by a norm_angle offset from its
                 # lower edge, the verifier by a wrap_pi spread around vd: compared
                 # only outside a 1e-9 rad band around the cone edge
-                if not on_range_threshold(p, t, sensor, tol.eps_len) and not on_cone_edge(p, t, vd, sensor.theta):
+                if blind:
+                    assert not covers(t, p, sensor, tol, vd=vd, scenario=s), (t, cam)
+                elif not on_range_threshold(p, t, sensor, tol.eps_len) and not on_cone_edge(p, t, vd, sensor.theta):
                     assert covers(t, p, sensor, tol, vd=vd, scenario=s) == is_fully_covered(t, cam, s), (t, cam)
+
+
+def blind_spot_case(aov_deg=300.0):
+    """A camera at (10, 10) facing vd 0 and a target whose endpoints sit at
+    bearings 140 and 220 degrees, 1.5 away, facing the camera: both endpoints
+    lie inside a 300 degree cone, its middle in the 60 degree blind spot."""
+    x = (10.0, 10.0)
+    a, b = math.radians(140.0), math.radians(220.0)
+    t = Target(0, (x[0] + 1.5 * math.cos(a), x[1] + 1.5 * math.sin(a)),
+               (x[0] + 1.5 * math.cos(b), x[1] + 1.5 * math.sin(b)), (1.0, 0.0))
+    sensor = SensorSpec(aov_deg=aov_deg, r_min=0.0, r_max=5.0, phi_deg=90.0)
+    return Scenario(20.0, 20.0, sensor, (t,)), t, x
+
+
+def test_wide_cone_blind_spot_fails_view_angle():
+    s, t, x = blind_spot_case()
+    check = select._check_target(t, CameraPlacement(x, 0.0), s)
+    assert check.failed_clauses() == ["view_angle"]
+    assert check.margins["angular_slack"] == pytest.approx(math.radians(150.0 - 180.0))
+    assert not covers(t, x, s.sensor, s.tol, vd=0.0, scenario=s)
+    assert is_fully_covered(t, CameraPlacement(x, 0.0), s)   # the endpoint-only verdict
+    # turned toward the target, or with the blind spot elsewhere, it is covered
+    for vd in (math.pi, math.radians(90.0), math.radians(270.0)):
+        assert covers(t, x, s.sensor, s.tol, vd=vd, scenario=s)
+    # a cone of pi or less keeps the endpoint test: 140 and 220 degrees are
+    # not both within 90 of vd 0
+    narrow, t, x = blind_spot_case(aov_deg=180.0)
+    assert select._check_target(t, CameraPlacement(x, 0.0), narrow).failed_clauses() == ["view_angle"]
+
+
+# --- blocker selection against the plain scan it replaced ----------------------------
+
+def plain_interacting_blockers(t: Target, scenario: Scenario) -> list:
+    """Blocking segments close enough to matter for this target's field."""
+    m = t.midpoint
+    reach = scenario.sensor.r_max + t.width + scenario.tol.eps_len
+    out = []
+    for seg, owner in scenario.blockers():
+        if owner == t.id:
+            continue
+        if point_segment_distance(m, seg) <= reach:
+            out.append((seg, owner))
+    return out
+
+
+def reach_ring(s: Scenario) -> Scenario:
+    """s plus, around its first target, short walls whose nearest point sits
+    within a few ulps of the selection distance, on either side of it."""
+    t = s.targets[0]
+    m = t.midpoint
+    reach = s.sensor.r_max + t.width + s.tol.eps_len
+    walls = []
+    for k in range(24):
+        ang = 2.0 * math.pi * k / 24
+        d = reach + (k % 5 - 2) * 2e-16 * reach
+        ux, uy = math.cos(ang), math.sin(ang)
+        c = (m[0] + d * ux, m[1] + d * uy)
+        # tangent to the circle of radius d, so c is its nearest point to m
+        walls.append(Obstacle(1000 + k, ((c[0] - 0.3 * uy, c[1] + 0.3 * ux), (c[0] + 0.3 * uy, c[1] - 0.3 * ux))))
+    return Scenario(s.width, s.height, s.sensor, s.targets, s.obstacles + tuple(walls))
+
+
+@given(scenes())
+@settings(max_examples=150, deadline=None)
+def test_interacting_blockers_match_plain_scan(s):
+    for scene in (s, reach_ring(s)):
+        pool = BlockerPool(scene)
+        for t in scene.targets:
+            want = plain_interacting_blockers(t, scene)
+            assert interacting_blockers(t, scene) == want
+            assert interacting_blockers(t, scene, pool) == want
+
+
+def test_interacting_blockers_match_plain_scan_on_bench_scenes():
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=10.0, phi_deg=90.0)
+    for seed in range(3):
+        s = random_scenario(GenParams(n_targets=120, n_obstacles=30, margin=3.0, seed=seed), sensor)
+        pool = BlockerPool(s)
+        selected = 0
+        for t in s.targets:
+            want = plain_interacting_blockers(t, s)
+            assert interacting_blockers(t, s, pool) == want
+            selected += len(want)
+        # the selection keeps some blockers and drops others
+        assert 0 < selected < len(s.targets) * (len(s.blockers()) - 1)
 
 
 # --- the sweep's batched kernel against the reference ---------------------------------

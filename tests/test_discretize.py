@@ -176,6 +176,21 @@ def test_grid_rejects_bad_eps():
         grid_sample(grid_scenario(), 101.0)
 
 
+def test_grid_rejects_more_points_than_the_bound(monkeypatch):
+    import camplan.discretize as discretize
+
+    # 1e6 m sides at a 2 m step ask for 2.5e11 points; a vanishing step
+    # overflows the per-side count, which must still be rejected, not raise
+    huge = scen([], SENSOR_2, w=1e6, h=1e6)
+    for eps in (2.0, 1e-300):
+        with pytest.raises(ValueError, match="more than 1000000 points"):
+            grid_sample(huge, eps)
+    monkeypatch.setattr(discretize, "MAX_GRID_POINTS", 100)
+    assert len(grid_sample(grid_scenario(), 10.0)) == 100
+    with pytest.raises(ValueError, match="more than 100 points"):
+        grid_sample(grid_scenario(), 9.0)
+
+
 def test_grid_points_inside_area():
     cs = grid_sample(grid_scenario(), 7.0)
     assert len(cs) == 14 * 14

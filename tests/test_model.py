@@ -189,6 +189,16 @@ def test_validate_obstacle_chain():
     assert not rep.ok
 
 
+def test_validate_rejects_duplicate_obstacle_ids():
+    a = Obstacle(3, ((0, 0), (1, 0)))
+    b = Obstacle(3, ((5, 5), (6, 5)))
+    rep = validate_scenario(make_scenario([], obstacles=[a, b]))
+    assert [str(e) for e in rep.errors] == ["obstacle 3: duplicate id"]
+    # a target and an obstacle may share an id: they are separate namespaces
+    t = Target(3, (10, 10), (11, 10), (0, 1))
+    assert validate_scenario(make_scenario([t], obstacles=[a])).ok
+
+
 def test_scenario_counts():
     t = Target(0, (0, 0), (1, 0), (0, 1))
     o = Obstacle(0, ((2, 2), (3, 2), (3, 3)))

@@ -44,7 +44,7 @@ def mk_cfg(covered, mids, lo=None, hi=None, pos=(0.0, 0.0)):
     w_lo = max(hi) - THETA / 2.0
     w_hi = min(lo) + THETA / 2.0
     return CandidateConfig(
-        source=pos,
+        source=0,
         position=pos,
         vd_rep=(w_lo + w_hi) / 2.0,
         vd_lo=w_lo,
@@ -123,8 +123,7 @@ def solve_small():
     t = Target(0, (9.0, 10.0), (10.0, 10.0), (0.0, 1.0))
     s = scen([t], w=20.0, h=20.0)
     cs = comprehensive_candidates(s)
-    configs = [c for lst in sweep_points(cs.points, s) for c in lst]
-    sol = greedy_cover(configs, s)
+    sol = greedy_cover(sweep_points(cs.points, s).table, s)
     return s, sol
 
 
@@ -224,9 +223,9 @@ def test_greedy_is_deterministic():
     sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=12.0, phi_deg=90.0)
     s = random_scenario(GenParams(n_targets=9, margin=6.0, seed=11), sensor)
     cs = comprehensive_candidates(s)
-    configs = [cfg for group in sweep_points(cs.points, s) for cfg in group]
-    first = greedy_cover(configs, s)
-    second = greedy_cover(list(configs), s)
+    table = sweep_points(cs.points, s).table
+    first = greedy_cover(table, s)
+    second = greedy_cover(list(table), s)
     assert serialize_solution(first) == serialize_solution(second)
 
 
@@ -374,7 +373,10 @@ def test_greedy_solution_bytes_match_dense_oracle(family):
                                       margin=3.0, seed=seed), sensor)
         cs = (bcpf_sample(s, eps_a=0.1, eps_r=s.sensor.r_max) if family["algo"] == "bcpf"
               else comprehensive_candidates(s))
-        configs = [cfg for group in sweep_points(cs.points, s) for cfg in group]
-        want = serialize_solution(oracle_greedy_cover(configs, s))
-        assert serialize_solution(greedy_cover(configs, s)) == want
-        assert serialize_solution(run_pipeline(s, family["algo"]).solution) == want
+        groups = sweep_points(cs.points, s)
+        configs = [cfg for group in groups for cfg in group]
+        for vd_mode in ("f1", "none", "finf"):
+            want = serialize_solution(oracle_greedy_cover(configs, s, vd_mode))
+            assert serialize_solution(greedy_cover(groups.table, s, vd_mode)) == want
+            assert serialize_solution(greedy_cover(configs, s, vd_mode)) == want
+            assert serialize_solution(run_pipeline(s, family["algo"], vd_mode=vd_mode).solution) == want

@@ -1,0 +1,250 @@
+"""The sweep's config table against the per-config objects it replaced.
+
+`oracle_sweep_chunk` is the sweep's block pass as it stood when it built one
+`CandidateConfig` per config, copied verbatim apart from its name; the table's
+per-point views must equal its output field by field, and solving from the
+table must give the bytes that solving from its configs gives."""
+import math
+import random
+
+import numpy as np
+import pytest
+
+from camplan import sweep as sweep_module
+from camplan.cli import build_candidates, run_pipeline
+from camplan.model import CandidateConfig, ConfigTable, Obstacle, Scenario, SensorSpec, Target
+from camplan.scenario import GenParams, random_scenario, serialize_solution
+from camplan.select import greedy_cover
+from camplan.sweep import (
+    TWO_PI,
+    ScenarioIndex,
+    _BUDGET,
+    _cheap_pairs,
+    _maximal_rows,
+    _norm_angle_np,
+    _occluded,
+    sweep_points,
+)
+
+
+def oracle_sweep_chunk(block: np.ndarray, idx: ScenarioIndex, source: int) -> list[list[CandidateConfig]]:
+    """Maximal co-coverable subsets at every point of the block, as a few array
+    passes over the block's coverable (point, target) pairs."""
+    C = block.shape[0]
+    groups: list[list[CandidateConfig]] = [[] for _ in range(C)]
+    pi, tj = _cheap_pairs(block, idx)
+    live = ~_occluded(block, pi, tj, idx)
+    pi, tj = pi[live], tj[live]
+    if pi.size == 0:
+        return groups
+    x, y = block[pi, 0], block[pi, 1]
+
+    theta = idx.scenario.sensor.theta
+    eps_ang = idx.tol.eps_ang
+    limit = theta + eps_ang
+    b1 = np.arctan2(idx.sy[tj] - y, idx.sx[tj] - x)
+    b2 = np.arctan2(idx.ey[tj] - y, idx.ex[tj] - x)
+    diff = np.remainder(b2 - b1 + math.pi, TWO_PI) - math.pi
+    lo = np.where(diff >= 0.0, b1, b2) % TWO_PI
+    width = np.abs(diff)
+    mids = np.arctan2(idx.my[tj] - y, idx.mx[tj] - x) % TWO_PI
+    tid = idx.ids[tj]
+
+    count = np.bincount(pi, minlength=C)
+    offset = np.concatenate(([0], np.cumsum(count)))
+    slot = np.arange(pi.size) - offset[pi]
+    K = int(count.max())
+    G = max(1, _BUDGET // (K * K))
+    pos = [tuple(p) for p in block.tolist()]
+    for g0 in range(0, C, G):
+        g1 = min(g0 + G, C)
+        sel = slice(offset[g0], offset[g1])
+        if sel.start == sel.stop:
+            continue
+        gp, sp = pi[sel] - g0, slot[sel]
+        n_g = g1 - g0
+        # padded per-point tables; a padded member never fits (infinite width)
+        pair = np.zeros((n_g, K), dtype=np.int64)
+        pair[gp, sp] = np.arange(sel.start, sel.stop)
+        valid = np.zeros((n_g, K), dtype=bool)
+        valid[gp, sp] = True
+        lo_p = lo[pair]
+        wd_p = np.where(valid, width[pair], np.inf)
+        id_p = np.where(valid, tid[pair], np.iinfo(np.int64).max)
+
+        rel = np.remainder(lo_p[:, None, :] - lo_p[:, :, None], TWO_PI)   # [g, anchor, member]
+        fits = (rel + wd_p[:, None, :] <= limit) & valid[:, :, None]
+        gm, am = np.nonzero(_maximal_rows(fits, valid))
+        rows = fits[gm, am]
+        span = np.where(rows, rel[gm, am] + wd_p[gm], -np.inf).max(axis=1)
+        lo_a = lo_p[gm, am]
+        # re-verify angular containment at vd_rep (range/facing already hold)
+        cone_lo = lo_a + span / 2.0 - theta / 2.0
+        off = np.remainder(lo_p[gm] - cone_lo[:, None], TWO_PI)
+        off = np.where(off > TWO_PI - eps_ang, 0.0, off)
+        ok = (~rows | (off + wd_p[gm] <= limit)).all(axis=1)
+        gm, rows, span, lo_a = gm[ok], rows[ok], span[ok], lo_a[ok]
+        if gm.size == 0:
+            continue
+        vd_window = theta - span
+        vd_lo = _norm_angle_np(lo_a + span - theta / 2.0)
+        vd_rep = _norm_angle_np(lo_a + span / 2.0)
+
+        # members of each config in target-id order, flattened config by config
+        order = np.argsort(id_p, axis=1, kind="stable")
+        r, c = np.nonzero(np.take_along_axis(rows, order[gm], axis=1))
+        q = pair[gm[r], order[gm[r], c]]
+        ends = np.cumsum(rows.sum(axis=1))
+
+        ids_l = tid[q].tolist()
+        lo_l = lo[q].tolist()
+        hi_l = np.remainder(lo[q] + width[q], TWO_PI).tolist()
+        mid_l = mids[q].tolist()
+        a = 0
+        for g, b, rep, vlo, win in zip((gm + g0).tolist(), ends.tolist(), vd_rep.tolist(),
+                                       vd_lo.tolist(), vd_window.tolist()):
+            groups[g].append(CandidateConfig(
+                source=source + g,
+                position=pos[g],
+                vd_rep=rep,
+                vd_lo=vlo,
+                vd_window=win,
+                covered=tuple(ids_l[a:b]),
+                interval_lo=tuple(lo_l[a:b]),
+                interval_hi=tuple(hi_l[a:b]),
+                mid_bearings=tuple(mid_l[a:b]),
+            ))
+            a = b
+    return groups
+
+
+def oracle_sweep_points(points, s: Scenario, chunk: int = 128) -> list[list[CandidateConfig]]:
+    idx = ScenarioIndex(s)
+    pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    out: list[list[CandidateConfig]] = []
+    for base in range(0, pts.shape[0], chunk):
+        out.extend(oracle_sweep_chunk(pts[base:base + chunk], idx, base))
+    return out
+
+
+# --- scenes -------------------------------------------------------------------------
+
+def bench_family(n, r_max, obstacles, algo, seed):
+    """A small scene of one benchmark workload's family and its candidates."""
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=r_max, phi_deg=90.0)
+    s = random_scenario(GenParams(n_targets=n, n_obstacles=obstacles, margin=3.0, seed=seed), sensor)
+    return s, build_candidates(s, algo, 0.1, None, 4.0).points
+
+
+def ring_scene():
+    """70 narrow targets on a ring facing its center, ids shuffled against
+    index order: the center sees every one of them."""
+    ids = list(range(70))
+    random.Random(3).shuffle(ids)
+    targets = []
+    for k in range(70):
+        a1, a2 = math.radians(k * 360.0 / 70), math.radians(k * 360.0 / 70 + 2.0)
+        mid = (a1 + a2) / 2.0
+        targets.append(Target(ids[k], (50.0 + 5.0 * math.cos(a1), 50.0 + 5.0 * math.sin(a1)),
+                              (50.0 + 5.0 * math.cos(a2), 50.0 + 5.0 * math.sin(a2)),
+                              (-math.cos(mid), -math.sin(mid))))
+    s = Scenario(100.0, 100.0, SensorSpec(aov_deg=30.0, r_min=0.0, r_max=8.0), tuple(targets))
+    rng = random.Random(8)
+    return s, [(50.0, 50.0)] + [(50.0 + rng.uniform(-0.5, 0.5), 50.0 + rng.uniform(-0.5, 0.5))
+                                for _ in range(9)]
+
+
+def occluded_scene():
+    """Crowded targets and walls built of several edges, sampled on a grid."""
+    rng = random.Random(5)
+    sensor = SensorSpec(aov_deg=120.0, r_min=0.0, r_max=6.0)
+    base = random_scenario(GenParams(width=20.0, height=20.0, n_targets=12, margin=1.0, seed=9), sensor)
+    walls = []
+    for k in range(4):
+        x, y = rng.uniform(3, 17), rng.uniform(3, 17)
+        chain = [(x, y)]
+        for _ in range(3):
+            x, y = x + rng.uniform(-2, 2), y + rng.uniform(-2, 2)
+            chain.append((min(max(x, 0.0), 20.0), min(max(y, 0.0), 20.0)))
+        walls.append(Obstacle(k, tuple(chain)))
+    s = Scenario(20.0, 20.0, sensor, base.targets, tuple(walls))
+    return s, build_candidates(s, "grid", 0.1, None, 0.5).points
+
+
+SCENES = {
+    "bcpf-140-r30 family": lambda: bench_family(40, 30.0, 0, "bcpf", 1),
+    "bcpf-400-r10 family": lambda: bench_family(90, 10.0, 0, "bcpf", 2),
+    "comprehensive-occluded family": lambda: bench_family(8, 20.0, 6, "comprehensive", 3),
+    "grid": lambda: bench_family(30, 15.0, 0, "grid", 4),
+    "occluded": occluded_scene,
+    "more than 64 targets at a point": ring_scene,
+}
+
+
+# --- the table against the oracle -------------------------------------------------------
+
+@pytest.mark.parametrize("name", sorted(SCENES))
+@pytest.mark.parametrize("chunk", [1, 7, 128])
+def test_table_views_equal_oracle_configs(name, chunk):
+    s, points = SCENES[name]()
+    if chunk == 1:
+        points = points[:300]   # one point per block: keep it quick
+    want = oracle_sweep_points(points, s, chunk=chunk)
+    groups = sweep_points(points, s, chunk=chunk)
+    assert sum(map(len, want)) > 0
+    assert len(groups) == len(want)
+    for k, (got_group, want_group) in enumerate(zip(groups, want)):
+        assert len(got_group) == len(want_group), k
+        for got, cfg in zip(got_group, want_group):
+            assert type(got) is CandidateConfig
+            for field in CandidateConfig._fields:
+                assert getattr(got, field) == getattr(cfg, field), (k, field)
+    # indexing a group and iterating the groups agree
+    assert [groups[k] for k in range(len(groups))] == list(groups)
+    table = groups.table
+    assert list(table) == [cfg for group in want for cfg in group]
+    assert len(table) == sum(map(len, want))
+    # member columns name the scenario's targets
+    ids = np.array([t.id for t in s.targets], dtype=np.int64)
+    assert np.array_equal(ids[table.col], table.covered)
+    if name == "more than 64 targets at a point":
+        assert max(len({tid for cfg in g for tid in cfg.covered}) for g in groups) > 64
+
+
+@pytest.mark.parametrize("name", ["bcpf-140-r30 family", "comprehensive-occluded family", "grid"])
+def test_table_solves_to_the_bytes_of_its_configs(name):
+    s, points = SCENES[name]()
+    configs = [cfg for group in oracle_sweep_points(points, s) for cfg in group]
+    table = sweep_points(points, s).table
+    assert table == ConfigTable.from_configs(configs, s.targets)
+    algo = "comprehensive" if "comprehensive" in name else name.split("-")[0]
+    for mode in ("f1", "none", "finf"):
+        want = serialize_solution(greedy_cover(configs, s, vd_mode=mode))
+        assert serialize_solution(greedy_cover(table, s, vd_mode=mode)) == want
+        assert serialize_solution(run_pipeline(s, algo, grid_eps=4.0, vd_mode=mode).solution) == want
+
+
+def test_table_rejects_indices_outside_it():
+    s, points = ring_scene()
+    table = sweep_points(points, s).table
+    for i in (-1, len(table)):
+        with pytest.raises(IndexError):
+            table[i]
+    empty = sweep_points([(0.0, 0.0)], s)
+    assert len(empty.table) == 0 and list(empty) == [[]]
+    assert len(sweep_points([], s)) == 0
+
+
+def test_table_invariants():
+    s, points = bench_family(40, 30.0, 0, "bcpf", 1)
+    groups = sweep_points(points, s, start_index=5)
+    table = groups.table
+    sizes = np.diff(table.ptr)
+    assert table.ptr[0] == 0 and (sizes > 0).all() and table.ptr[-1] == len(table.covered)
+    # point-major configs, members in target-id order within each config
+    assert (np.diff(table.source) >= 0).all()
+    assert np.array_equal(np.diff(groups.ptr), np.bincount(table.source - 5, minlength=len(points)))
+    owner = np.repeat(np.arange(len(table)), sizes)
+    same = owner[1:] == owner[:-1]
+    assert (np.diff(table.covered)[same] > 0).all()
+    assert np.array_equal(table.position, np.asarray(points)[table.source - 5])
