@@ -10,11 +10,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .fields import aov_pair, covers, cpf, field_tolerance
 from .geom import DegenerateError, Piece, Point, piece_curve_intersections, piece_intersections
 from .model import Scenario, Target
+from .sweep import ScenarioIndex, clause_slacks
 
 _TAG_RANK = {"cpf-critical": 0, "cpf-x-cpf": 1, "cpf-x-aov": 2, "bcpf-sample": 3, "grid": 4}
+# Target pairs per row block of `_interacting_pairs`' distance test.
+_PAIR_BUDGET = 1 << 18
 
 
 @dataclass
@@ -28,38 +33,53 @@ class CandidateSet:
         return len(self.points)
 
 
-def _clamp_to_area(p: Point, s: Scenario) -> Point:
-    return (min(max(p[0], 0.0), s.width), min(max(p[1], 0.0), s.height))
+def _clamp_to_area(xy: np.ndarray, s: Scenario) -> np.ndarray:
+    """(m, 2) points moved into the area coordinate by coordinate, as
+    min(max(c, 0.0), side) would: a coordinate of -0.0 stays -0.0."""
+    up = np.where(0.0 > xy, 0.0, xy)
+    side = np.array([s.width, s.height])
+    return np.where(side < up, side, up)
 
 
-def _dedupe(tagged: list[tuple[Point, str]], eps: float) -> tuple[list[Point], list[str]]:
-    """Merge points closer than eps, keeping the lexicographically smallest
-    of each cluster (ties on position resolved by provenance rank)."""
-    tagged = sorted(tagged, key=lambda it: (it[0], _TAG_RANK[it[1]]))
-    kept: list[Point] = []
-    tags: list[str] = []
-    # grid buckets so dedupe stays near-linear
-    cell = eps if eps > 0 else 1.0
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for p, tag in tagged:
-        key = (math.floor(p[0] / cell), math.floor(p[1] / cell))
-        dup = False
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                for idx in buckets.get((key[0] + dx, key[1] + dy), ()):
-                    if math.dist(p, kept[idx]) <= eps:
-                        dup = True
-                        break
-                if dup:
-                    break
-            if dup:
-                break
-        if dup:
-            continue
-        buckets.setdefault(key, []).append(len(kept))
-        kept.append(p)
-        tags.append(tag)
-    return kept, tags
+def _dedupe(xy: np.ndarray, rank: np.ndarray, eps: float) -> np.ndarray:
+    """Indices of the points kept when merging points closer than eps.
+
+    The rule is sequential: walk the points in (x, y, rank) order and drop a
+    point when some point kept before it lies within eps in its own or one of
+    the eight neighbouring cells of an eps grid.  Only such neighbours
+    interact, so the walk visits just the points that have one; the rest are
+    kept whatever the order.  Returns indices in walk order."""
+    order = np.lexsort((rank, xy[:, 1], xy[:, 0]))
+    p = xy[order]
+    # a point equal to the one before it sees the same kept points and is
+    # dropped whatever became of that one: only the first of each run walks
+    lead = np.ones(len(p), dtype=bool)
+    lead[1:] = (p[1:] != p[:-1]).any(axis=1)
+    order, p = order[lead], p[lead]
+    if len(p) == 0:
+        return order
+    key = np.floor(p / (eps if eps > 0 else 1.0))
+    # cells as one int64 code; clamped points and a diameter-scaled eps keep
+    # the codes far inside its range
+    key = (key - key.min(axis=0) + 1.0).astype(np.int64)
+    stride = int(key[:, 1].max()) + 2
+    code = key[:, 0] * stride + key[:, 1]
+    cells = np.sort(code)
+    around = [dx * stride + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
+    others = np.full(len(p), -1)   # points in the 3 x 3 cells around each, itself excluded
+    for step in around:
+        others += np.searchsorted(cells, code + step, side="right") - np.searchsorted(cells, code + step)
+    keep = np.ones(len(p), dtype=bool)
+    kept: dict[int, list[list[float]]] = {}
+    walk = np.flatnonzero(others)
+    for a in range(0, walk.size, 1024):   # a slice at a time, to bound the lists
+        w = walk[a:a + 1024]
+        for k, q, c in zip(w.tolist(), p[w].tolist(), code[w].tolist()):
+            if any(math.dist(q, r) <= eps for step in around for r in kept.get(c + step, ())):
+                keep[k] = False
+            else:
+                kept.setdefault(c, []).append(q)
+    return order[keep]
 
 
 def comprehensive_candidates(s: Scenario) -> CandidateSet:
@@ -93,19 +113,34 @@ def comprehensive_candidates(s: Scenario) -> CandidateSet:
                         for pt in piece_curve_intersections(piece, circle, eps):
                             tagged.append((pt, "cpf-x-aov"))
 
-    tagged = [(_clamp_to_area(p, s), tag) for p, tag in tagged]
-    points, tags = _dedupe(tagged, eps)
-    return CandidateSet(points, tags, params={"algo": "comprehensive"}, uncoverable=uncoverable)
+    xy = _clamp_to_area(np.array([p for p, _ in tagged], dtype=float).reshape(-1, 2), s)
+    rank = np.array([_TAG_RANK[tag] for _, tag in tagged], dtype=np.int64)
+    del tagged, regions, pieces   # free the fields before the merge
+    kept = _dedupe(xy, rank, eps)
+    tags = list(_TAG_RANK)   # in rank order
+    return CandidateSet([tuple(p) for p in xy[kept].tolist()], [tags[r] for r in rank[kept].tolist()],
+                        params={"algo": "comprehensive"}, uncoverable=uncoverable)
 
 
 def _interacting_pairs(s: Scenario) -> list[tuple[int, int]]:
-    """Index pairs whose placement fields could touch (others cannot intersect)."""
+    """Index pairs whose placement fields could touch (others cannot
+    intersect), in (i, j) order with i < j."""
+    ts = s.targets
+    mid = np.array([t.midpoint for t in ts], dtype=float).reshape(-1, 2)
+    width = np.array([t.width for t in ts], dtype=float)
+    r2, eps = 2.0 * s.sensor.r_max, s.tol.eps_len
     out = []
-    for i in range(s.n):
-        for j in range(i + 1, s.n):
-            ti, tj = s.targets[i], s.targets[j]
-            reach = 2.0 * s.sensor.r_max + ti.width + tj.width
-            if math.dist(ti.midpoint, tj.midpoint) <= reach + s.tol.eps_len:
+    step = max(1, _PAIR_BUDGET // max(s.n, 1))
+    for a in range(0, s.n, step):
+        rows = np.arange(a, min(a + step, s.n))
+        gap = np.hypot(mid[rows, 0:1] - mid[:, 0], mid[rows, 1:2] - mid[:, 1])
+        # a distance test padded for rounding, then the exact one
+        near = ((gap <= (r2 + width[rows, None] + width + eps) * (1.0 + 1e-9))
+                & (rows[:, None] < np.arange(s.n)))
+        r, c = np.nonzero(near)
+        for i, j in zip((r + a).tolist(), c.tolist()):
+            ti, tj = ts[i], ts[j]
+            if math.dist(ti.midpoint, tj.midpoint) <= r2 + ti.width + tj.width + eps:
                 out.append((i, j))
     return out
 
@@ -132,38 +167,70 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
     along each fan direction the outermost sample sits on the field's outer
     boundary (max endpoint distance exactly r_max) and further samples step
     inward by eps_r while the radius stays >= max(r_min, width).
+
+    All fans are built at once as arrays, in target, fan, ring order.  The
+    array clauses of `sweep.clause_slacks` decide membership where every
+    slack clears a rounding margin; `covers` decides the few samples within
+    it, so the samples are those `covers` accepts.
     """
     if eps_a <= 0.0 or eps_r <= 0.0:
         raise ValueError("sampling steps must be positive")
     sensor = s.sensor
-    tagged: list[tuple[Point, str]] = []
-    for t in s.targets:
-        tol = field_tolerance(t, sensor)
-        mx, my = t.midpoint
-        base = math.atan2(t.normal[1], t.normal[0])
-        half_w2 = (t.width / 2.0) ** 2
-        r_floor = max(sensor.r_min, t.width)
-        steps = int(2.0 * sensor.phi / eps_a)
-        for i in range(steps):
-            psi = -sensor.phi + (i + 0.5) * eps_a
-            ux, uy = math.cos(base + psi), math.sin(base + psi)
-            outer = math.inf
-            for e in (t.start, t.end):
-                c = ux * (e[0] - mx) + uy * (e[1] - my)
-                disc = c * c + sensor.r_max * sensor.r_max - half_w2
-                if disc < 0.0:  # r_max shorter than the endpoint offset: no reach
-                    outer = -math.inf
-                    break
-                outer = min(outer, c + math.sqrt(disc))
-            r = outer
-            while r >= r_floor - tol.eps_len:
-                p = (mx + r * ux, my + r * uy)
-                if covers(t, p, sensor, tol):
-                    tagged.append((p, "bcpf-sample"))
-                r -= eps_r
-    tagged = [(_clamp_to_area(p, s), "bcpf-sample") for p, _ in tagged]
-    points, tags = _dedupe(tagged, s.tol.eps_len)
-    return CandidateSet(points, tags, params={"algo": "bcpf", "eps_a": eps_a, "eps_r": eps_r})
+    ts = s.targets
+    steps = int(2.0 * sensor.phi / eps_a)
+    psi = [-sensor.phi + (i + 0.5) * eps_a for i in range(steps)]
+    tols = [field_tolerance(t, sensor) for t in ts]
+    eps_len = np.array([tol.eps_len for tol in tols])
+    idx = ScenarioIndex(s)
+    # one ray per (target, fan step), target-major
+    base = np.array([math.atan2(t.normal[1], t.normal[0]) for t in ts])
+    angle = (base[:, None] + np.array(psi)).ravel().tolist()
+    ux = np.array([math.cos(a) for a in angle])
+    uy = np.array([math.sin(a) for a in angle])
+    ray_t = np.repeat(np.arange(len(ts)), steps)
+    mx, my = idx.mx[ray_t], idx.my[ray_t]
+    half_w2 = np.array([(t.width / 2.0) ** 2 for t in ts])[ray_t]
+    rr = sensor.r_max * sensor.r_max
+    outer = np.full(ray_t.size, np.inf)
+    for ex, ey in ((idx.sx, idx.sy), (idx.ex, idx.ey)):
+        c = ux * (ex[ray_t] - mx) + uy * (ey[ray_t] - my)
+        disc = c * c + rr - half_w2
+        reach = c + np.sqrt(np.where(disc < 0.0, 0.0, disc))
+        # r_max shorter than the endpoint offset: no reach
+        outer = np.where(disc < 0.0, -np.inf, np.where(reach < outer, reach, outer))
+    # rings by repeated subtraction, which rounds as a walk inward does and
+    # outer - k * eps_r does not
+    floor = np.array([max(sensor.r_min, t.width) - tol.eps_len for t, tol in zip(ts, tols)])[ray_t]
+    rays, radii = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    live = np.flatnonzero(outer >= floor)
+    r = outer[live]
+    while live.size:
+        rays.append(live)
+        radii.append(r)
+        r = r - eps_r
+        on = r >= floor[live]
+        live, r = live[on], r[on]
+    ray, r = np.concatenate(rays), np.concatenate(radii)
+    order = np.argsort(ray, kind="stable")
+    ray, r = ray[order], r[order]
+    x = mx[ray] + r * ux[ray]
+    y = my[ray] + r * uy[ray]
+
+    tj = ray_t[ray]
+    eps_ang = np.array([tol.eps_ang for tol in tols])
+    lengths, angles = clause_slacks(x, y, tj, idx, eps_len[tj], eps_ang[tj])
+    # np.hypot and np.arctan2 may differ from math's in the last bits, far
+    # below these margins (thousands of ulps): a slack within one is left to covers
+    margins = [1e-3 * eps_len[tj]] * len(lengths) + [1e-12] * len(angles)
+    slacks = lengths + angles
+    fails = np.logical_or.reduce([slack < -m for slack, m in zip(slacks, margins)])
+    keep = np.logical_and.reduce([slack > m for slack, m in zip(slacks, margins)])
+    for k in np.flatnonzero(~fails & ~keep).tolist():
+        keep[k] = covers(ts[tj[k]], (float(x[k]), float(y[k])), sensor, tols[tj[k]])
+    xy = _clamp_to_area(np.stack([x[keep], y[keep]], axis=1), s)
+    kept = _dedupe(xy, np.full(len(xy), _TAG_RANK["bcpf-sample"]), s.tol.eps_len)
+    return CandidateSet([tuple(p) for p in xy[kept].tolist()], ["bcpf-sample"] * len(kept),
+                        params={"algo": "bcpf", "eps_a": eps_a, "eps_r": eps_r})
 
 
 # Most points grid_sample builds; a finer grid over the area is rejected.

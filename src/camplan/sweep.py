@@ -66,7 +66,7 @@ def subset_window(cfg: CandidateConfig, ids, theta: float) -> tuple[float, float
 
 # --- vectorized batch sweep --------------------------------------------------
 
-# Points per dense (point, target) range pass, and the element budget of one
+# Points per tile's (point, target) range pass, and the element budget of one
 # padded (points, K, K) subset tensor or one (pairs, blockers) box test: a
 # chunk's temporaries stay at a few MB whatever the point count or K.
 _CHUNK = 128
@@ -116,39 +116,59 @@ def _norm_angle_np(a):
     return np.where(r >= TWO_PI, 0.0, r)
 
 
-def _cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
-    """(point, target) index pairs passing the range, r_min, subtended-angle and
-    facing clauses, point-major with targets in index order."""
+def clause_slacks(x, y, tj, idx: ScenarioIndex, eps_len, eps_ang):
+    """Slacks of the coverage clauses that need neither a viewing direction nor
+    occlusion, for camera (x[k], y[k]) and target column tj[k]: both endpoints
+    farther than eps_len and within r_max, outside the r_min band (given
+    r_min > 0), the midpoint farther than eps_len; the facing angle and, given
+    theta < pi, the subtended angle.
+
+    Returns (length slacks, angle slacks), two lists of per-pair arrays, one
+    array per clause; a pair passes every clause exactly when all its slacks
+    are >= 0.  eps_len and eps_ang are scalars or per-pair arrays."""
     s = idx.scenario.sensor
-    eps_len = idx.tol.eps_len
-    eps_ang = idx.tol.eps_ang
-    # the range clause puts both endpoints, so the midpoint too, within
-    # r_max + eps_len: a squared distance with slack picks the candidates
-    reach = (s.r_max + 2.0 * eps_len) * (1.0 + 1e-12)
-    dmx = idx.mx - block[:, 0:1]
-    dmy = idx.my - block[:, 1:2]
-    pi, tj = np.nonzero(dmx * dmx + dmy * dmy <= reach * reach)
-    x = block[pi, 0]
-    y = block[pi, 1]
     sx, sy, ex, ey = idx.sx[tj], idx.sy[tj], idx.ex[tj], idx.ey[tj]
     d_s = np.hypot(sx - x, sy - y)
     d_e = np.hypot(ex - x, ey - y)
-    keep = (d_s > eps_len) & (d_e > eps_len) & (np.maximum(d_s, d_e) <= s.r_max + eps_len)
+    vmx = x - idx.mx[tj]
+    vmy = y - idx.my[tj]
+    # a strict clause d > eps is the closed clause d >= the next float above eps
+    above = np.nextafter(eps_len, np.inf)
+    lengths = [d_s - above, d_e - above, (s.r_max + eps_len) - np.maximum(d_s, d_e),
+               np.hypot(vmx, vmy) - above]
     if s.r_min > 0.0:
-        keep &= _seg_point_dist_np(x, y, sx, sy, ex, ey) >= s.r_min - eps_len
+        lengths.append(_seg_point_dist_np(x, y, sx, sy, ex, ey) - (s.r_min - eps_len))
+    nx, ny = idx.nx[tj], idx.ny[tj]
+    fcross = np.abs(nx * vmy - ny * vmx)
+    fdot = nx * vmx + ny * vmy
+    angles = [(s.phi + eps_ang) - np.arctan2(fcross, fdot)]
     if s.theta < math.pi:
         vsx, vsy = sx - x, sy - y
         vex, vey = ex - x, ey - y
         cross = np.abs(vsx * vey - vsy * vex)
         dot = vsx * vex + vsy * vey
-        keep &= np.arctan2(cross, dot) <= s.theta + eps_ang
-    nx, ny = idx.nx[tj], idx.ny[tj]
-    vmx = x - idx.mx[tj]
-    vmy = y - idx.my[tj]
-    fcross = np.abs(nx * vmy - ny * vmx)
-    fdot = nx * vmx + ny * vmy
-    keep &= np.arctan2(fcross, fdot) <= s.phi + eps_ang
-    keep &= np.hypot(vmx, vmy) > eps_len
+        angles.append((s.theta + eps_ang) - np.arctan2(cross, dot))
+    return lengths, angles
+
+
+def _cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
+    """(point, target) index pairs passing the `clause_slacks` clauses at the
+    scene tolerance, point-major with targets in index order."""
+    eps_len = idx.tol.eps_len
+    # the range clause puts both endpoints, so the midpoint too, within
+    # r_max + eps_len: a squared distance with slack picks the candidates,
+    # among the targets whose midpoints lie that near the block's box
+    reach = (idx.scenario.sensor.r_max + 2.0 * eps_len) * (1.0 + 1e-12)
+    pad = reach * (1.0 + 1e-9)
+    lo, hi = block.min(axis=0), block.max(axis=0)
+    near = np.flatnonzero((idx.mx - lo[0] >= -pad) & (idx.mx - hi[0] <= pad)
+                          & (idx.my - lo[1] >= -pad) & (idx.my - hi[1] <= pad))
+    dmx = idx.mx[near] - block[:, 0:1]
+    dmy = idx.my[near] - block[:, 1:2]
+    pi, k = np.nonzero(dmx * dmx + dmy * dmy <= reach * reach)
+    tj = near[k]
+    lengths, angles = clause_slacks(block[pi, 0], block[pi, 1], tj, idx, eps_len, idx.tol.eps_ang)
+    keep = np.logical_and.reduce([slack >= 0.0 for slack in lengths + angles])
     return pi[keep], tj[keep]
 
 
@@ -191,11 +211,11 @@ def _occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex) -> np.ndarray:
     out = np.zeros(tj.size, dtype=bool)
     eps = idx.tol.eps_len
     # a blocker entering a sight triangle comes within r_max + eps_len of its
-    # apex, so the block tests only the blockers whose boxes reach one of its points
+    # apex, so the block tests only the blockers whose boxes reach its box
     reach = idx.scenario.sensor.r_max + 3.0 * eps
-    px, py = block[:, 0:1], block[:, 1:2]
-    near = np.flatnonzero(((idx.bx_lo - reach <= px) & (px <= idx.bx_hi + reach)
-                           & (idx.by_lo - reach <= py) & (py <= idx.by_hi + reach)).any(axis=0))
+    lo, hi = block.min(axis=0), block.max(axis=0)
+    near = np.flatnonzero((idx.bx_lo - reach <= hi[0]) & (lo[0] <= idx.bx_hi + reach)
+                          & (idx.by_lo - reach <= hi[1]) & (lo[1] <= idx.by_hi + reach))
     if near.size == 0 or tj.size == 0:
         return out
     bx_lo, bx_hi, by_lo, by_hi = idx.bx_lo[near], idx.bx_hi[near], idx.by_lo[near], idx.by_hi[near]
@@ -254,11 +274,11 @@ _NO_CONFIGS = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), np.zeros(0
                np.zeros(0), np.zeros(0), np.zeros(0))
 
 
-def _sweep_chunk(block: np.ndarray, idx: ScenarioIndex, first: int) -> list[tuple]:
+def _sweep_chunk(block: np.ndarray, idx: ScenarioIndex, number: np.ndarray) -> list[tuple]:
     """Maximal co-coverable subsets at every point of the block, as a few array
     passes over the block's coverable (point, target) pairs.  Returns parts
-    laid out as `_NO_CONFIGS`, point-major with points numbered from `first`,
-    members of a config in target-id order."""
+    laid out as `_NO_CONFIGS`, point-major in block order with block row k
+    numbered number[k], members of a config in target-id order."""
     C = block.shape[0]
     parts: list[tuple] = []
     pi, tj = _cheap_pairs(block, idx)
@@ -320,7 +340,7 @@ def _sweep_chunk(block: np.ndarray, idx: ScenarioIndex, first: int) -> list[tupl
         r, c = np.nonzero(np.take_along_axis(rows, order[gm], axis=1))
         q = pair[gm[r], order[gm[r], c]]
         parts.append((
-            gm + (first + g0),
+            number[gm + g0],
             _norm_angle_np(lo_a + span / 2.0),
             _norm_angle_np(lo_a + span - theta / 2.0),
             theta - span,
@@ -356,6 +376,21 @@ class PointGroups(Sequence):
         return np.array_equal(self.ptr, other.ptr) and self.table == other.table
 
 
+def _z_order(pts: np.ndarray) -> np.ndarray:
+    """Indices of the points in Z-order (Morton order) over a 2^16 x 2^16
+    lattice on their bounding box; ties keep input order."""
+    if pts.shape[0] == 0:
+        return np.zeros(0, dtype=np.int64)
+    lo = pts.min(axis=0)
+    span = pts.max(axis=0) - lo
+    with np.errstate(all="ignore"):
+        q = (pts - lo) / np.where(span > 0.0, span, 1.0) * 65535.0
+    q = np.clip(np.nan_to_num(q), 0.0, 65535.0).astype(np.uint64)
+    for shift, mask in ((8, 0x00FF00FF), (4, 0x0F0F0F0F), (2, 0x33333333), (1, 0x55555555)):
+        q = (q | (q << np.uint64(shift))) & np.uint64(mask)
+    return np.argsort(q[:, 0] | (q[:, 1] << np.uint64(1)), kind="stable")
+
+
 def sweep_points(
     points,
     s: Scenario,
@@ -364,25 +399,39 @@ def sweep_points(
     chunk: int = _CHUNK,
 ) -> PointGroups:
     """Run the angular sweep at every point; groups parallel to `points`,
-    config sources numbered from `start_index`."""
+    config sources numbered from `start_index`.
+
+    Blocks of `chunk` points are taken in Z-order, so each block is a compact
+    tile that sees few targets and blockers; a point's configs do not depend
+    on its block, and a stable sort by point restores point-major order."""
     idx = index if index is not None else ScenarioIndex(s)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
+    tiles = _z_order(pts)
     parts = [_NO_CONFIGS]
     for base in range(0, pts.shape[0], chunk):
-        parts.extend(_sweep_chunk(pts[base:base + chunk], idx, base))
+        tile = tiles[base:base + chunk]
+        parts.extend(_sweep_chunk(pts[tile], idx, tile))
     point, vd_rep, vd_lo, vd_window, size, col, lo, hi, mids = map(np.concatenate, zip(*parts))
+    del parts   # free the blocks' pieces before the reordered copies
+    order = np.argsort(point, kind="stable")
+    first = (np.cumsum(size) - size)[order]   # each config's first member as emitted
+    size = size[order]
+    ptr = np.concatenate(([0], np.cumsum(size)))
+    member = np.repeat(first - ptr[:-1], size) + np.arange(ptr[-1])
+    point = point[order]
+    col = col[member]
     table = ConfigTable(
         source=point + start_index,
         position=pts[point],
-        vd_rep=vd_rep,
-        vd_lo=vd_lo,
-        vd_window=vd_window,
-        ptr=np.concatenate(([0], np.cumsum(size))),
+        vd_rep=vd_rep[order],
+        vd_lo=vd_lo[order],
+        vd_window=vd_window[order],
+        ptr=ptr,
         covered=idx.ids[col],
         col=col,
-        interval_lo=lo,
-        interval_hi=hi,
-        mid_bearings=mids,
+        interval_lo=lo[member],
+        interval_hi=hi[member],
+        mid_bearings=mids[member],
     )
     return PointGroups(table, np.searchsorted(point, np.arange(pts.shape[0] + 1)))
 

@@ -183,15 +183,8 @@ SCENES = {
 
 # --- the table against the oracle -------------------------------------------------------
 
-@pytest.mark.parametrize("name", sorted(SCENES))
-@pytest.mark.parametrize("chunk", [1, 7, 128])
-def test_table_views_equal_oracle_configs(name, chunk):
-    s, points = SCENES[name]()
-    if chunk == 1:
-        points = points[:300]   # one point per block: keep it quick
-    want = oracle_sweep_points(points, s, chunk=chunk)
-    groups = sweep_points(points, s, chunk=chunk)
-    assert sum(map(len, want)) > 0
+def assert_groups_equal(groups, want, s):
+    """The sweep's groups and table hold exactly the configs of `want`."""
     assert len(groups) == len(want)
     for k, (got_group, want_group) in enumerate(zip(groups, want)):
         assert len(got_group) == len(want_group), k
@@ -207,6 +200,18 @@ def test_table_views_equal_oracle_configs(name, chunk):
     # member columns name the scenario's targets
     ids = np.array([t.id for t in s.targets], dtype=np.int64)
     assert np.array_equal(ids[table.col], table.covered)
+
+
+@pytest.mark.parametrize("name", sorted(SCENES))
+@pytest.mark.parametrize("chunk", [1, 7, 128])
+def test_table_views_equal_oracle_configs(name, chunk):
+    s, points = SCENES[name]()
+    if chunk == 1:
+        points = points[:300]   # one point per block: keep it quick
+    want = oracle_sweep_points(points, s, chunk=chunk)
+    groups = sweep_points(points, s, chunk=chunk)
+    assert sum(map(len, want)) > 0
+    assert_groups_equal(groups, want, s)
     if name == "more than 64 targets at a point":
         assert max(len({tid for cfg in g for tid in cfg.covered}) for g in groups) > 64
 
@@ -222,6 +227,48 @@ def test_table_solves_to_the_bytes_of_its_configs(name):
         want = serialize_solution(greedy_cover(configs, s, vd_mode=mode))
         assert serialize_solution(greedy_cover(table, s, vd_mode=mode)) == want
         assert serialize_solution(run_pipeline(s, algo, grid_eps=4.0, vd_mode=mode).solution) == want
+
+
+# --- spatial tiles ------------------------------------------------------------------------
+
+def special_point_sets():
+    s, points = bench_family(40, 30.0, 0, "bcpf", 1)
+    rng = random.Random(12)
+    near = points[len(points) // 2]
+    return s, {
+        "no points": [],
+        "one point": [near],
+        "identical points": [near] * 300,
+        "points outside the area": [(rng.uniform(-40.0, 140.0), rng.choice((-1e-9, -3.0, 100.0 + 1e-9, 104.0)))
+                                    for _ in range(150)] + [(-0.0, 50.0), (0.0, -0.0), (100.0, 100.0)],
+        "clustered and scattered": [(near[0] + rng.gauss(0.0, 0.3), near[1] + rng.gauss(0.0, 0.3))
+                                    for _ in range(150)] + points[::17],
+    }
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 128])
+def test_tiled_sweep_equals_oracle_on_special_point_sets(chunk):
+    s, sets = special_point_sets()
+    for name, points in sets.items():
+        want = oracle_sweep_points(points, s, chunk=chunk)
+        groups = sweep_points(points, s, chunk=chunk)
+        assert_groups_equal(groups, want, s)
+        if name in ("identical points", "points outside the area", "clustered and scattered"):
+            assert sum(map(len, want)) > 0, name
+
+
+@pytest.mark.parametrize("name", ["bcpf-400-r10 family", "occluded", "more than 64 targets at a point"])
+def test_tiled_sweep_follows_a_permutation_of_its_points(name):
+    s, points = SCENES[name]()
+    groups = sweep_points(points, s, chunk=32)
+    perm = list(range(len(points)))
+    random.Random(9).shuffle(perm)
+    shuffled = sweep_points([points[k] for k in perm], s, chunk=32)
+    assert len(shuffled) == len(groups)
+    for k, p in enumerate(perm):
+        assert [cfg._replace(source=0) for cfg in shuffled[k]] == [cfg._replace(source=0) for cfg in groups[p]]
+        assert all(cfg.source == k for cfg in shuffled[k])
+    assert (np.diff(shuffled.table.source) >= 0).all()
 
 
 def test_table_rejects_indices_outside_it():
