@@ -18,8 +18,6 @@ from .model import Scenario, Target
 from .sweep import ScenarioIndex, clause_slacks
 
 _TAG_RANK = {"cpf-critical": 0, "cpf-x-cpf": 1, "cpf-x-aov": 2, "bcpf-sample": 3, "grid": 4}
-# Target pairs per row block of `_interacting_pairs`' distance test.
-_PAIR_BUDGET = 1 << 18
 
 
 @dataclass
@@ -72,13 +70,11 @@ def _dedupe(xy: np.ndarray, rank: np.ndarray, eps: float) -> np.ndarray:
     keep = np.ones(len(p), dtype=bool)
     kept: dict[int, list[list[float]]] = {}
     walk = np.flatnonzero(others)
-    for a in range(0, walk.size, 1024):   # a slice at a time, to bound the lists
-        w = walk[a:a + 1024]
-        for k, q, c in zip(w.tolist(), p[w].tolist(), code[w].tolist()):
-            if any(math.dist(q, r) <= eps for step in around for r in kept.get(c + step, ())):
-                keep[k] = False
-            else:
-                kept.setdefault(c, []).append(q)
+    for k, q, c in zip(walk.tolist(), p[walk].tolist(), code[walk].tolist()):
+        if any(math.dist(q, r) <= eps for step in around for r in kept.get(c + step, ())):
+            keep[k] = False
+        else:
+            kept.setdefault(c, []).append(q)
     return order[keep]
 
 
@@ -123,24 +119,13 @@ def comprehensive_candidates(s: Scenario) -> CandidateSet:
 
 
 def _interacting_pairs(s: Scenario) -> list[tuple[int, int]]:
-    """Index pairs whose placement fields could touch (others cannot
-    intersect), in (i, j) order with i < j."""
-    ts = s.targets
-    mid = np.array([t.midpoint for t in ts], dtype=float).reshape(-1, 2)
-    width = np.array([t.width for t in ts], dtype=float)
-    r2, eps = 2.0 * s.sensor.r_max, s.tol.eps_len
+    """Index pairs whose placement fields could touch (others cannot intersect)."""
     out = []
-    step = max(1, _PAIR_BUDGET // max(s.n, 1))
-    for a in range(0, s.n, step):
-        rows = np.arange(a, min(a + step, s.n))
-        gap = np.hypot(mid[rows, 0:1] - mid[:, 0], mid[rows, 1:2] - mid[:, 1])
-        # a distance test padded for rounding, then the exact one
-        near = ((gap <= (r2 + width[rows, None] + width + eps) * (1.0 + 1e-9))
-                & (rows[:, None] < np.arange(s.n)))
-        r, c = np.nonzero(near)
-        for i, j in zip((r + a).tolist(), c.tolist()):
-            ti, tj = ts[i], ts[j]
-            if math.dist(ti.midpoint, tj.midpoint) <= r2 + ti.width + tj.width + eps:
+    for i in range(s.n):
+        for j in range(i + 1, s.n):
+            ti, tj = s.targets[i], s.targets[j]
+            reach = 2.0 * s.sensor.r_max + ti.width + tj.width
+            if math.dist(ti.midpoint, tj.midpoint) <= reach + s.tol.eps_len:
                 out.append((i, j))
     return out
 

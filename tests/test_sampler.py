@@ -1,9 +1,8 @@
 """The array-native candidate stage against the scalar code it replaced.
 
-`oracle_bcpf_sample`, `oracle_dedupe`, `oracle_clamp_to_area` and
-`oracle_interacting_pairs` are the scalar polar sampler, point merge, area
-clamp and target-pair scan as they stood before the candidate stage worked on
-arrays, copied verbatim apart from their names.  Points are compared through
+`oracle_bcpf_sample`, `oracle_dedupe` and `oracle_clamp_to_area` are the
+scalar polar sampler, point merge and area clamp as they stood before the
+candidate stage worked on arrays, copied verbatim apart from their names.  Points are compared through
 `float.hex`, so a coordinate of -0.0 differs from 0.0."""
 import math
 import random
@@ -13,7 +12,7 @@ import pytest
 
 from camplan import discretize
 from camplan.cli import build_candidates
-from camplan.discretize import _TAG_RANK, CandidateSet, _dedupe, _interacting_pairs, bcpf_sample
+from camplan.discretize import _TAG_RANK, CandidateSet, _dedupe, bcpf_sample
 from camplan.fields import covers, field_tolerance, subtended_angle
 from camplan.geom import Point
 from camplan.model import Scenario, SensorSpec, Target
@@ -53,18 +52,6 @@ def oracle_dedupe(tagged: list[tuple[Point, str]], eps: float) -> tuple[list[Poi
         kept.append(p)
         tags.append(tag)
     return kept, tags
-
-
-def oracle_interacting_pairs(s: Scenario) -> list[tuple[int, int]]:
-    """Index pairs whose placement fields could touch (others cannot intersect)."""
-    out = []
-    for i in range(s.n):
-        for j in range(i + 1, s.n):
-            ti, tj = s.targets[i], s.targets[j]
-            reach = 2.0 * s.sensor.r_max + ti.width + tj.width
-            if math.dist(ti.midpoint, tj.midpoint) <= reach + s.tol.eps_len:
-                out.append((i, j))
-    return out
 
 
 def oracle_bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
@@ -332,71 +319,6 @@ def test_comprehensive_candidates_merge_like_the_oracle(monkeypatch):
     for seed, aov in ((21, 60.0), (22, 100.0), (23, 200.0)):
         build_candidates(scene(10, 12.0, seed, obstacles=4, aov=aov, margin=0.0), "comprehensive", 0.1, None, 2.0)
     assert len(seen) == 3 and sum(seen) > 0
-
-
-# --- interacting target pairs ------------------------------------------------------------
-
-def test_interacting_pairs_equal_the_plain_loop():
-    for seed in range(6):
-        s = scene(random.Random(seed).randint(2, 60), random.Random(seed).choice((2.0, 5.0, 20.0)), 30 + seed)
-        assert _interacting_pairs(s) == oracle_interacting_pairs(s)
-    empty = Scenario(10.0, 10.0, SensorSpec(aov_deg=100.0, r_min=0.0, r_max=3.0), ())
-    assert _interacting_pairs(empty) == []
-
-
-def test_interacting_pairs_at_the_reach_within_a_few_ulps(monkeypatch):
-    rng = random.Random(7)
-    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=3.0)
-    targets = []
-    for k in range(80):
-        # a pair whose midpoints lie the reach apart, give or take a few ulps
-        w1, w2 = rng.uniform(0.5, 1.5), rng.uniform(0.5, 1.5)
-        x, y = rng.uniform(10, 90), rng.uniform(10, 90)
-        a = rng.uniform(0, 2 * math.pi)
-        targets.append(Target(2 * k, (x - w1 / 2, y), (x + w1 / 2, y), (0.0, 1.0)))
-        t1 = targets[-1]
-        s = Scenario(100.0, 100.0, sensor, ())
-        d = 2.0 * sensor.r_max + t1.width + w2 + s.tol.eps_len
-        for _ in range(rng.randint(-4, 4)):
-            d = math.nextafter(d, math.inf)
-        mx, my = t1.midpoint[0] + d * math.cos(a), t1.midpoint[1] + d * math.sin(a)
-        targets.append(Target(2 * k + 1, (mx - w2 / 2, my), (mx + w2 / 2, my), (0.0, 1.0)))
-    s = Scenario(100.0, 100.0, sensor, tuple(targets))
-    want = oracle_interacting_pairs(s)
-    assert _interacting_pairs(s) == want
-    near_reach = [(i, j) for i, j in want if j == i + 1 and i % 2 == 0]
-    assert 0 < len(near_reach) < 80
-    # one row per block of the distance test
-    monkeypatch.setattr(discretize, "_PAIR_BUDGET", 1)
-    assert _interacting_pairs(s) == want
-
-
-def test_interacting_pairs_where_numpy_and_math_distances_disagree():
-    # pairs whose np.hypot and math.dist distances differ by an ulp, with a
-    # range that puts the reach between the two: the exact test decides
-    rng = random.Random(8)
-    verdicts = []
-    while len(verdicts) < 6:
-        x, y = rng.uniform(30, 70), rng.uniform(30, 70)
-        a, d = rng.uniform(0, 2 * math.pi), rng.uniform(8, 25)
-        t1 = Target(0, (x - 0.5, y), (x + 0.5, y), (0.0, 1.0))
-        x2, y2 = x + d * math.cos(a), y + d * math.sin(a)
-        t2 = Target(1, (x2 - 0.5, y2), (x2 + 0.5, y2), (0.0, 1.0))
-        (ax, ay), (bx, by) = t1.midpoint, t2.midpoint
-        exact_d, numpy_d = math.dist((ax, ay), (bx, by)), float(np.hypot(bx - ax, by - ay))
-        if exact_d == numpy_d:
-            continue
-        eps = Scenario(100.0, 100.0, SensorSpec(100.0, 0.0, 1.0), ()).tol.eps_len
-        r = (min(exact_d, numpy_d) - t1.width - t2.width - eps) / 2.0
-        for _ in range(40):
-            reach = 2.0 * r + t1.width + t2.width + eps
-            if min(exact_d, numpy_d) <= reach < max(exact_d, numpy_d):
-                s = Scenario(100.0, 100.0, SensorSpec(100.0, 0.0, r), (t1, t2))
-                assert _interacting_pairs(s) == oracle_interacting_pairs(s) == ([(0, 1)] if exact_d <= reach else [])
-                verdicts.append(exact_d <= reach)
-                break
-            r = math.nextafter(r, math.inf if reach < min(exact_d, numpy_d) else -math.inf)
-    assert any(verdicts) and not all(verdicts)
 
 
 def test_clause_slacks_keep_strict_clauses_strict():

@@ -1,9 +1,12 @@
 """The sweep's config table against the per-config objects it replaced.
 
 `oracle_sweep_chunk` is the sweep's block pass as it stood when it built one
-`CandidateConfig` per config, copied verbatim apart from its name; the table's
-per-point views must equal its output field by field, and solving from the
-table must give the bytes that solving from its configs gives."""
+`CandidateConfig` per config, and `oracle_cheap_pairs` and `oracle_occluded`
+are its pair and blocker tests as they stood before the sweep ran in spatial
+tiles (each against every point of the block, not the block's box); all three
+are copied verbatim apart from their names.  The table's per-point views must
+equal the oracle's output field by field, and solving from the table must give
+the bytes that solving from its configs gives."""
 import math
 import random
 
@@ -19,12 +22,89 @@ from camplan.sweep import (
     TWO_PI,
     ScenarioIndex,
     _BUDGET,
-    _cheap_pairs,
+    _blocks_triangle_np,
     _maximal_rows,
     _norm_angle_np,
-    _occluded,
+    _seg_point_dist_np,
     sweep_points,
 )
+
+
+def oracle_cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
+    """(point, target) index pairs passing the range, r_min, subtended-angle and
+    facing clauses, point-major with targets in index order."""
+    s = idx.scenario.sensor
+    eps_len = idx.tol.eps_len
+    eps_ang = idx.tol.eps_ang
+    # the range clause puts both endpoints, so the midpoint too, within
+    # r_max + eps_len: a squared distance with slack picks the candidates
+    reach = (s.r_max + 2.0 * eps_len) * (1.0 + 1e-12)
+    dmx = idx.mx - block[:, 0:1]
+    dmy = idx.my - block[:, 1:2]
+    pi, tj = np.nonzero(dmx * dmx + dmy * dmy <= reach * reach)
+    x = block[pi, 0]
+    y = block[pi, 1]
+    sx, sy, ex, ey = idx.sx[tj], idx.sy[tj], idx.ex[tj], idx.ey[tj]
+    d_s = np.hypot(sx - x, sy - y)
+    d_e = np.hypot(ex - x, ey - y)
+    keep = (d_s > eps_len) & (d_e > eps_len) & (np.maximum(d_s, d_e) <= s.r_max + eps_len)
+    if s.r_min > 0.0:
+        keep &= _seg_point_dist_np(x, y, sx, sy, ex, ey) >= s.r_min - eps_len
+    if s.theta < math.pi:
+        vsx, vsy = sx - x, sy - y
+        vex, vey = ex - x, ey - y
+        cross = np.abs(vsx * vey - vsy * vex)
+        dot = vsx * vex + vsy * vey
+        keep &= np.arctan2(cross, dot) <= s.theta + eps_ang
+    nx, ny = idx.nx[tj], idx.ny[tj]
+    vmx = x - idx.mx[tj]
+    vmy = y - idx.my[tj]
+    fcross = np.abs(nx * vmy - ny * vmx)
+    fdot = nx * vmx + ny * vmy
+    keep &= np.arctan2(fcross, fdot) <= s.phi + eps_ang
+    keep &= np.hypot(vmx, vmy) > eps_len
+    return pi[keep], tj[keep]
+
+
+def oracle_occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex) -> np.ndarray:
+    """Per pair: some blocker other than the target itself enters the open
+    sight triangle from point pi of the block to target tj."""
+    out = np.zeros(tj.size, dtype=bool)
+    eps = idx.tol.eps_len
+    # a blocker entering a sight triangle comes within r_max + eps_len of its
+    # apex, so the block tests only the blockers whose boxes reach one of its points
+    reach = idx.scenario.sensor.r_max + 3.0 * eps
+    px, py = block[:, 0:1], block[:, 1:2]
+    near = np.flatnonzero(((idx.bx_lo - reach <= px) & (px <= idx.bx_hi + reach)
+                           & (idx.by_lo - reach <= py) & (py <= idx.by_hi + reach)).any(axis=0))
+    if near.size == 0 or tj.size == 0:
+        return out
+    bx_lo, bx_hi, by_lo, by_hi = idx.bx_lo[near], idx.bx_hi[near], idx.by_lo[near], idx.by_hi[near]
+    owner = idx.owner[near]
+    x, y = block[pi, 0], block[pi, 1]
+    sx, sy, ex, ey = idx.sx[tj], idx.sy[tj], idx.ex[tj], idx.ey[tj]
+    # bounding-box prefilter: only (pair, blocker) candidates whose sight
+    # triangle and blocker boxes overlap need the exact clip
+    tx_lo = np.minimum(np.minimum(sx, ex), x) - eps
+    tx_hi = np.maximum(np.maximum(sx, ex), x) + eps
+    ty_lo = np.minimum(np.minimum(sy, ey), y) - eps
+    ty_hi = np.maximum(np.maximum(sy, ey), y) + eps
+    own = idx.ids[tj]
+    step = max(1, _BUDGET // near.size)
+    for a in range(0, tj.size, step):
+        q = slice(a, a + step)
+        cand = (
+            (tx_lo[q, None] <= bx_hi) & (bx_lo <= tx_hi[q, None])
+            & (ty_lo[q, None] <= by_hi) & (by_lo <= ty_hi[q, None])
+            & (owner != own[q, None])
+        )
+        p, k = np.nonzero(cand)
+        p += a
+        b = near[k]
+        hit = _blocks_triangle_np(x[p], y[p], sx[p], sy[p], ex[p], ey[p],
+                                  idx.bax[b], idx.bay[b], idx.bbx[b], idx.bby[b], eps)
+        out[p[hit]] = True
+    return out
 
 
 def oracle_sweep_chunk(block: np.ndarray, idx: ScenarioIndex, source: int) -> list[list[CandidateConfig]]:
@@ -32,8 +112,8 @@ def oracle_sweep_chunk(block: np.ndarray, idx: ScenarioIndex, source: int) -> li
     passes over the block's coverable (point, target) pairs."""
     C = block.shape[0]
     groups: list[list[CandidateConfig]] = [[] for _ in range(C)]
-    pi, tj = _cheap_pairs(block, idx)
-    live = ~_occluded(block, pi, tj, idx)
+    pi, tj = oracle_cheap_pairs(block, idx)
+    live = ~oracle_occluded(block, pi, tj, idx)
     pi, tj = pi[live], tj[live]
     if pi.size == 0:
         return groups
@@ -269,6 +349,48 @@ def test_tiled_sweep_follows_a_permutation_of_its_points(name):
         assert [cfg._replace(source=0) for cfg in shuffled[k]] == [cfg._replace(source=0) for cfg in groups[p]]
         assert all(cfg.source == k for cfg in shuffled[k])
     assert (np.diff(shuffled.table.source) >= 0).all()
+
+
+def range_limit_scene(seed):
+    """A tile of 7 points, and narrow targets facing the tile's outermost
+    point in directions on and near the axes, their midpoints from 5e-8 m
+    past the range (within eps_len, so still in range) to 8 mm inside it;
+    walls a few mm in front of some of them.  These
+    are the pairs and blockers that the tile's box tests keep only if their
+    reach is as wide as the per-point tests'."""
+    rng = random.Random(seed)
+    r_max, w = 10.0, 1e-3
+    points = [(45.0 + rng.uniform(0.0, 2.0), 45.0 + rng.uniform(0.0, 2.0)) for _ in range(7)]
+    targets, walls = [], []
+    for k in range(16):
+        a = k // 4 * math.pi / 2.0 + (0.0, 2e-3, -2e-3, 5e-3)[k % 4]
+        ux, uy = math.cos(a), math.sin(a)
+        px, py = max(points, key=lambda p: p[0] * ux + p[1] * uy)
+        d = r_max - (-5e-8, 0.0, 1e-7, 1e-4, 2e-3, 8e-3)[k % 6]
+        mx, my = px + d * ux, py + d * uy
+        targets.append(Target(k, (mx - uy * w / 2.0, my + ux * w / 2.0), (mx + uy * w / 2.0, my - ux * w / 2.0),
+                              (-ux, -uy)))
+        if k % 2:
+            g = d - rng.choice((1e-3, 5e-3))
+            walls.append(Obstacle(k, ((px + g * ux - uy * 2 * w, py + g * uy + ux * 2 * w),
+                                      (px + g * ux + uy * 2 * w, py + g * uy - ux * 2 * w))))
+    s = Scenario(100.0, 100.0, SensorSpec(aov_deg=100.0, r_min=0.0, r_max=r_max), tuple(targets), tuple(walls))
+    return s, points
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_tile_box_tests_keep_pairs_and_blockers_at_the_range_limit(seed):
+    s, points = range_limit_scene(seed)
+    idx = ScenarioIndex(s)
+    block = np.array(points)
+    pi, tj = sweep_module._cheap_pairs(block, idx)
+    want_pi, want_tj = oracle_cheap_pairs(block, idx)
+    assert np.array_equal(pi, want_pi) and np.array_equal(tj, want_tj)
+    assert len(set(tj.tolist())) == 16   # every target is seen from its tile
+    hidden = sweep_module._occluded(block, pi, tj, idx)
+    assert np.array_equal(hidden, oracle_occluded(block, pi, tj, idx))
+    assert hidden.any() and not hidden.all()
+    assert_groups_equal(sweep_points(points, s, chunk=7), oracle_sweep_points(points, s, chunk=7), s)
 
 
 def test_table_rejects_indices_outside_it():
