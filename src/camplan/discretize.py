@@ -19,6 +19,9 @@ from .sweep import ScenarioIndex, clause_slacks
 
 _TAG_RANK = {"cpf-critical": 0, "cpf-x-cpf": 1, "cpf-x-aov": 2, "bcpf-sample": 3, "grid": 4}
 
+# Most points grid_sample or bcpf_sample builds; finer steps are rejected.
+MAX_GRID_POINTS = 1_000_000
+
 
 @dataclass
 class CandidateSet:
@@ -188,6 +191,10 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
     floor = np.array([max(sensor.r_min, t.width) - tol.eps_len for t, tol in zip(ts, tols)])[ray_t]
     rays, radii = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     live = np.flatnonzero(outer >= floor)
+    # counted before any ring is built: a step below half an ulp of the
+    # radius never shortens it, and the walk would not end
+    if np.sum(np.floor((outer[live] - floor[live]) / eps_r) + 1.0) > MAX_GRID_POINTS:
+        raise ValueError(f"a {eps_r:g} radial step puts more than {MAX_GRID_POINTS} samples in the fields")
     r = outer[live]
     while live.size:
         rays.append(live)
@@ -216,10 +223,6 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
     kept = _dedupe(xy, np.full(len(xy), _TAG_RANK["bcpf-sample"]), s.tol.eps_len)
     return CandidateSet([tuple(p) for p in xy[kept].tolist()], ["bcpf-sample"] * len(kept),
                         params={"algo": "bcpf", "eps_a": eps_a, "eps_r": eps_r})
-
-
-# Most points grid_sample builds; a finer grid over the area is rejected.
-MAX_GRID_POINTS = 1_000_000
 
 
 def grid_sample(s: Scenario, grid_eps: float) -> CandidateSet:

@@ -10,10 +10,9 @@ For one target, the set of camera positions that can fully cover it is cut out
 of the plane by four constraint families: range to both endpoints, the maximum
 view angle (an inscribed-angle circle pair over the target chord), the facing
 cone, and occlusion by other segments.  Regions are built by classifying a
-boundary-curve arrangement against `covers`, which keeps the two from
-drifting apart; the one sanctioned exception is an occlusion sliver thinner
-than the classification offset, which stays inside the region (see cpf).
-`covers` is always the final authority.
+boundary-curve arrangement against the exact field those curves bound; the
+occlusion slivers `covers` accepts at its tolerance stay outside them (see
+cpf).  `covers` is always the final authority.
 """
 from __future__ import annotations
 
@@ -32,6 +31,7 @@ from .geom import (
     Tolerance,
     angle_between,
     bearing,
+    orientation,
     region_from_curves,
     point_segment_distance,
     segment_blocks_triangle,
@@ -183,22 +183,9 @@ def bcpf_boundary_curves(t: Target, sensor: SensorSpec) -> list[Curve]:
     return curves
 
 
-def _field_scales(t: Target, sensor: SensorSpec) -> tuple[float, float]:
-    d = 2.0 * (sensor.r_max + t.width)
-    return 1e-7 * d, 1e-9 * d  # classification offset, vertex snap
-
-
 def bcpf(t: Target, sensor: SensorSpec) -> Region:
     """Placement region ignoring occlusion.  Exact construction needs r_min = 0."""
-    if sensor.r_min > 0.0:
-        raise ValueError("region construction supports r_min = 0 only; use covers")
-    offset, snap = _field_scales(t, sensor)
-    tol = field_tolerance(t, sensor)
-
-    def inside(p: Point) -> bool:
-        return covers(t, p, sensor, tol)
-
-    return region_from_curves(bcpf_boundary_curves(t, sensor), inside, offset=offset, snap=snap, eps=snap)
+    return _region(t, sensor, [])
 
 
 # --- occlusion -------------------------------------------------------------
@@ -252,83 +239,72 @@ def occlusion_excluded(
     return False
 
 
-def occlusion_fan(t: Target, occluder: Segment, reach: float, eps: float) -> list[Segment]:
-    """Boundary rays of one occluder's shadow: from its endpoints, directed
-    away from the target endpoints."""
+def occlusion_fan(t: Target, occluders: list[Segment], reach: float, eps: float) -> list[Segment]:
+    """Boundary rays of the occluders' shadows: from each occluder end q,
+    directed away from each target end e.
+
+    A ray is left out when an occluder ending at q has its other end strictly
+    on the side of the line through e and q where the target's other end is.
+    Points on and beside such a ray see that occluder cross their sight
+    triangle at q, so it bounds no shadow, while a near-radial occluder would
+    lay it within the classification offset of the ray that does."""
+    others: dict[Point, list[Point]] = {}
+    for seg in occluders:
+        others.setdefault(seg.a, []).append(seg.b)
+        others.setdefault(seg.b, []).append(seg.a)
     rays = []
     m = t.midpoint
-    for q in (occluder.a, occluder.b):
-        for e in (t.start, t.end):
+    for q, ends in others.items():
+        for e, e_other in ((t.start, t.end), (t.end, t.start)):
             d = math.dist(q, e)
             if d <= eps:
                 continue  # shared endpoint never blocks, casts no shadow edge
+            side = orientation(e, q, e_other)
+            if any(orientation(e, q, end) == side != 0 for end in ends):
+                continue
             length = reach + math.dist(q, m)
             ux, uy = (q[0] - e[0]) / d, (q[1] - e[1]) / d
             rays.append(Segment(q, (q[0] + ux * length, q[1] + uy * length)))
     return rays
 
 
-def _probe_fan(t: Target, sensor: SensorSpec) -> list[Point]:
-    """Deterministic spot checks across the facing cone at three depths."""
-    m = t.midpoint
-    nb = math.atan2(t.normal[1], t.normal[0])
-    floor = max(sensor.r_min, t.width)
-    pts = []
-    for i in range(9):
-        psi = nb - sensor.phi + (i + 0.5) * (2.0 * sensor.phi / 9.0)
-        for frac in (0.2, 0.5, 0.85):
-            r = floor + frac * (sensor.r_max - floor)
-            pts.append((m[0] + r * math.cos(psi), m[1] + r * math.sin(psi)))
-    return pts
-
-
-def _shadow_sine(t: Target, seg: Segment) -> float:
-    """|sin| of the angle between an occluder and its sight line to the target.
-    Near zero means the occluder points at the target and casts a needle."""
-    m = t.midpoint
-    bx = (seg.a[0] + seg.b[0]) / 2.0 - m[0]
-    by = (seg.a[1] + seg.b[1]) / 2.0 - m[1]
-    L = math.hypot(bx, by)
-    if L == 0.0:
-        return 0.0
-    dx, dy = seg.direction()
-    return abs(bx * dy - by * dx) / L
-
-
 def cpf(t: Target, scenario: Scenario) -> Region:
-    """Full placement region: bcpf minus every occluder's shadow.
+    """Full placement region: bcpf minus every occluder's shadow, built in one
+    arrangement pass; an empty region means the target cannot be covered.
 
-    Built in one arrangement pass over bcpf curves + occluder segments + shadow
-    rays; an empty region is legal and means the target cannot be covered.
-
-    A near-radial occluder casts a needle-shaped shadow thinner than the
-    classification offset, which no boundary arrangement can close.  The
-    extraction is therefore checked against its own membership predicate on a
-    probe fan; on disagreement the most needle-like occluder is dropped and the
-    region rebuilt, conservatively keeping such slivers inside the region.
-    Exact occlusion everywhere remains the job of covers.
+    Pieces are classified against the exact shadow the curves bound: no
+    blocker enters the open sight triangle, at zero tolerance.  `covers`, at
+    the scene's eps_len, still sees the target from a sliver about
+    2 * eps_len * D / w deep behind an occluder (D away, w wide across the
+    sight line); the region leaves it out and `covers` stays the final
+    authority.  A blocker with an end off the target's line by more than the
+    vertex snap and at most ten classification offsets shadows a strip along
+    that line too thin for the offset to resolve: it is left out, and its
+    sliver stays inside the region.
     """
-    sensor = scenario.sensor
+    return _region(t, scenario.sensor, [seg for seg, _ in interacting_blockers(t, scenario)])
+
+
+def _region(t: Target, sensor: SensorSpec, blockers: list[Segment]) -> Region:
     if sensor.r_min > 0.0:
         raise ValueError("region construction supports r_min = 0 only; use covers")
-    offset, snap = _field_scales(t, sensor)
+    d = 2.0 * (sensor.r_max + t.width)
+    offset, snap = 1e-7 * d, 1e-9 * d  # classification offset, vertex snap
     tol = field_tolerance(t, sensor)
-    reach = 2.0 * (sensor.r_max + t.width)
-    probes = _probe_fan(t, sensor)
-    # fattest shadows last so needles are sacrificed first
-    subset = sorted(interacting_blockers(t, scenario),
-                    key=lambda item: _shadow_sine(t, item[0]), reverse=True)
+    (sx, sy), (ex, ey) = t.start, t.end
+    # leave out blockers with an end a hair beside the target's line (see cpf)
+    blockers = [seg for seg in blockers if not any(
+        0.5 * snap < abs((ex - sx) * (q[1] - sy) - (ey - sy) * (q[0] - sx)) / t.width <= 10.0 * offset
+        for q in (seg.a, seg.b))]
+    # a blocker whose line splits the target's ends crosses every sight
+    # triangle whose apex lies near it: it lies inside its own shadow
+    curves = bcpf_boundary_curves(t, sensor) + [
+        seg for seg in blockers
+        if orientation(seg.a, seg.b, t.start) * orientation(seg.a, seg.b, t.end) >= 0]
+    curves += occlusion_fan(t, blockers, d, tol.eps_len)
 
-    while True:
-        curves = bcpf_boundary_curves(t, sensor)
-        for seg, _ in subset:
-            curves.append(seg)
-            curves.extend(occlusion_fan(t, seg, reach, tol.eps_len))
+    def inside(p: Point) -> bool:
+        return covers(t, p, sensor, tol) and not any(
+            segment_blocks_triangle(seg, p, t.segment, 0.0) for seg in blockers)
 
-        def inside(p: Point) -> bool:
-            return covers(t, p, sensor, tol, scenario=scenario, blockers=subset)
-
-        region = region_from_curves(curves, inside, offset=offset, snap=snap, eps=snap)
-        if not subset or all(region.contains(q) == inside(q) for q in probes):
-            return region
-        subset.pop()
+    return region_from_curves(curves, inside, offset=offset, snap=snap, eps=snap)

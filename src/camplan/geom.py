@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 Point = tuple[float, float]
@@ -379,6 +380,19 @@ def _on_piece(pt: Point, piece: Piece, eps: float) -> bool:
     return piece.angle_inside(ang, tol)
 
 
+def orientation(p: Point, q: Point, r: Point) -> int:
+    """Exact sign of the turn p -> q -> r: 1 counter-clockwise, -1 clockwise,
+    0 collinear.  Floats decide when the determinant clears their rounding
+    bound; otherwise it is evaluated in exact rationals."""
+    left = (q[0] - p[0]) * (r[1] - p[1])
+    right = (q[1] - p[1]) * (r[0] - p[0])
+    det = left - right
+    if abs(det) <= 1e-15 * (abs(left) + abs(right)):
+        px, py, qx, qy, rx, ry = map(Fraction, (*p, *q, *r))
+        det = (qx - px) * (ry - py) - (qy - py) * (rx - px)
+    return (det > 0) - (det < 0)
+
+
 # ---------------------------------------------------------------------------
 # occlusion predicate
 
@@ -742,10 +756,7 @@ def _dedupe_pieces(pieces: list[Piece], snap: float) -> list[Piece]:
     q = max(snap, 1e-12)
     for pc in pieces:
         a, b = _piece_endpoints(pc)
-        if isinstance(pc, Segment):
-            m = pc.midpoint()
-        else:
-            m = pc.midpoint()
+        m = pc.midpoint()
         pts = sorted([a, b])
         key = tuple(round(v / q) for pt in (pts[0], pts[1], m) for v in pt)
         if key not in seen:
@@ -782,38 +793,43 @@ class _VertexIndex:
 def _chain_loops(pieces: list[Piece], snap: float) -> list[list[Piece]]:
     vi = _VertexIndex(snap)
     starts: dict[int, list[int]] = {}
+    enters: dict[int, list[int]] = {}
     ends: list[tuple[int, int]] = []
     for i, pc in enumerate(pieces):
         a, b = _piece_endpoints(pc)
         va, vb = vi.lookup(a), vi.lookup(b)
         starts.setdefault(va, []).append(i)
+        enters.setdefault(vb, []).append(i)
         ends.append((va, vb))
 
+    # a piece that no kept piece leads into, or out of, lies on no loop: a
+    # spur left by a piece shorter than the classification offset.  Pruned
+    # first, it cannot divert a chain off the loop it touches.
     used = [False] * len(pieces)
+    spurs = [i for i, (va, vb) in enumerate(ends) if va not in enters or vb not in starts]
+    while spurs:
+        i = spurs.pop()
+        if used[i]:
+            continue
+        used[i] = True
+        va, vb = ends[i]
+        if all(used[j] for j in starts[va]):
+            spurs.extend(enters.get(va, ()))
+        if all(used[j] for j in enters[vb]):
+            spurs.extend(starts.get(vb, ()))
     loops: list[list[Piece]] = []
     for i0 in range(len(pieces)):
         if used[i0]:
             continue
-        chain = [i0]
         used[i0] = True
-        v_start = ends[i0][0]
-        v = ends[i0][1]
-        closed = False
-        while True:
-            if v == v_start:
-                closed = True
-                break
-            nxt = None
-            for j in starts.get(v, ()):
-                if not used[j]:
-                    nxt = j
-                    break
+        chain, v = [i0], ends[i0][1]
+        while v != ends[i0][0]:
+            nxt = next((j for j in starts.get(v, ()) if not used[j]), None)
             if nxt is None:
-                break
+                break  # unclosed chains are eps debris; drop them
             used[nxt] = True
             chain.append(nxt)
             v = ends[nxt][1]
-        if closed and chain:
+        else:
             loops.append([pieces[i] for i in chain])
-        # unclosed chains are eps debris; drop them
     return loops

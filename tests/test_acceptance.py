@@ -28,8 +28,8 @@ def sensor(aov: float = 100.0, r_max: float = 20.0) -> SensorSpec:
     return SensorSpec(aov_deg=aov, r_min=0.0, r_max=r_max, phi_deg=90.0)
 
 
-def scene(n, seed, *, aov=100.0, r_max=20.0, width=100.0, height=100.0, margin=3.0):
-    p = GenParams(width=width, height=height, n_targets=n, margin=margin, seed=seed)
+def scene(n, seed, *, aov=100.0, r_max=20.0, width=100.0, height=100.0, margin=3.0, walls=0):
+    p = GenParams(width=width, height=height, n_targets=n, n_obstacles=walls, margin=margin, seed=seed)
     return random_scenario(p, sensor(aov=aov, r_max=r_max))
 
 
@@ -67,6 +67,20 @@ def test_critical_point_greedy_matches_dense_grid_oracle():
         if comp_cams <= oracle_cams:
             wins += 1
     assert wins >= 19, f"critical points matched the dense grid in only {wins}/20 runs"
+
+
+def test_critical_point_greedy_matches_dense_grid_oracle_among_walls():
+    # the same oracle on scenes where as many walls as targets occlude
+    wins = 0
+    for seed in range(40):
+        n = 2 + seed % 5
+        s = scene(n, seed, r_max=8.0, width=20.0, height=20.0, margin=1.5, walls=n)
+        oracle_cams, _, oracle_ok = solved(s, "grid", grid_eps=0.25)
+        comp_cams, _, comp_ok = solved(s, "comprehensive")
+        assert oracle_ok and comp_ok, f"seed {seed}: verification failed"
+        if comp_cams <= oracle_cams:
+            wins += 1
+    assert wins >= 38, f"critical points matched the dense grid in only {wins}/40 runs"
 
 
 def test_wider_aov_never_needs_more_cameras_and_keeps_runtime_flat():

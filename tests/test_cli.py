@@ -6,6 +6,7 @@ import io
 import json
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,19 @@ def test_grid_beyond_the_point_bound_is_invalid_input(tmp_path, capsys):
     code, _, err = run(["solve", str(doc), "--algo", "grid", "--grid-eps", "0.01"], capsys)
     assert code == 3
     assert "invalid input" in err and "more than 1000000 points" in err
+
+
+@pytest.mark.parametrize("r_max,eps_r", [(1e17, 1.0), (1e9, 1.0)])
+def test_bcpf_beyond_the_sample_bound_is_invalid_input(tmp_path, capsys, r_max, eps_r):
+    # at 1e17 a 1 m step no longer shortens the radius; at 1e9 it would
+    # take a billion rings per fan: both are refused before any ring is built
+    doc = tmp_path / "scn.json"
+    doc.write_text(json.dumps({**FUZZ_BASE, "sensor": {**FUZZ_BASE["sensor"], "r_max": r_max}}))
+    t0 = time.perf_counter()
+    code, _, err = run(["solve", str(doc), "--algo", "bcpf", "--eps-r", str(eps_r)], capsys)
+    assert code == 3
+    assert "invalid input" in err and "more than 1000000 samples" in err
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_duplicate_obstacle_ids_are_a_validation_error(tmp_path, capsys):

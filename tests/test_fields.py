@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import camplan.fields as fields_module
 from camplan.fields import (
     aov_pair,
     bcpf,
@@ -14,8 +15,9 @@ from camplan.fields import (
     occlusion_excluded,
     subtended_angle,
 )
-from camplan.geom import Arc, Segment
+from camplan.geom import Arc, Segment, segment_blocks_triangle
 from camplan.model import Obstacle, Scenario, SensorSpec, Target
+from camplan.scenario import GenParams, random_scenario
 
 
 def scen(targets, sensor, obstacles=(), w=100.0, h=100.0):
@@ -30,6 +32,13 @@ def bcpf_contains(t, sensor, p):
 def cpf_contains(t, s, p, blockers=None):
     """Membership in the full field, as cpf classifies it."""
     return covers(t, p, s.sensor, field_tolerance(t, s.sensor), scenario=s, blockers=blockers)
+
+
+def exact_contains(t, s, p, blockers):
+    """Membership in the exact occluded field: bcpf membership and no
+    interacting blocker entering the open sight triangle at zero tolerance."""
+    return bcpf_contains(t, s.sensor, p) and not any(
+        segment_blocks_triangle(seg, p, t.segment, 0.0) for seg, _ in blockers)
 
 
 def frontal_fan(region, origin, normal):
@@ -262,9 +271,8 @@ def test_frontal_fan_half_plane_case():
 
 
 def test_cpf_survives_radial_occluder():
-    # occluder pointing straight at the target casts a needle shadow thinner
-    # than the classification offset; the region must keep its main loop and
-    # may conservatively retain the needle
+    # occluder pointing straight at the target casts a needle shadow; the
+    # region must keep its main loop and every point covers accepts
     t = Target(0, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
     d = math.hypot(0.03, 1.0)
     dirv = (0.03 / d, 1.0 / d)
@@ -287,8 +295,8 @@ def test_cpf_survives_radial_occluder():
 
 
 def test_cpf_radial_occluder_keeps_fat_shadows_exact():
-    # one needle occluder plus one broadside wall: dropping the needle from the
-    # region must not lose the wall's real shadow
+    # one needle occluder plus one broadside wall: the needle must not cost
+    # the region the wall's real shadow
     t = Target(0, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
     d = math.hypot(0.03, 1.0)
     dirv = (0.03 / d, 1.0 / d)
@@ -306,3 +314,120 @@ def test_cpf_radial_occluder_keeps_fat_shadows_exact():
     q = (1.8, 2.5)
     assert cpf_contains(t, s, q)
     assert reg.contains(q)
+
+
+def walled_scenes():
+    """Two scenes of the occluded benchmark family (25 targets among 25
+    walls, r_max 20) and eight small wall scenes (20 x 20 m, r_max 8)."""
+    wide = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=20.0, phi_deg=90.0)
+    small = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=8.0, phi_deg=90.0)
+    scenes = [random_scenario(GenParams(n_targets=25, n_obstacles=25, margin=3.0, seed=seed), wide)
+              for seed in (11000, 11001)]
+    scenes += [random_scenario(GenParams(width=20.0, height=20.0, n_targets=3, n_obstacles=6,
+                                         margin=1.5, seed=seed), small)
+               for seed in range(8)]
+    return scenes
+
+
+def radial_scenes():
+    """A unit target and a unit occluder two meters out, aimed along a sight
+    line at the target's start, middle or end, turned off that line by 0,
+    1e-9, +-1e-6 or 1e-3 rad; alone, or chained to a second unit wall bent
+    60 degrees either way at its far end."""
+    t = Target(0, (10.0, 10.0), (11.0, 10.0), (0.0, 1.0))
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=20.0, phi_deg=90.0)
+    out = []
+    for aim in (t.start, t.midpoint, t.end):
+        for deg in (70.0, 90.0, 110.0):
+            a = math.radians(deg)
+            q = (aim[0] + 2.0 * math.cos(a), aim[1] + 2.0 * math.sin(a))
+            for nudge in (0.0, 1e-9, 1e-6, -1e-6, 1e-3):
+                far = (q[0] + math.cos(a + nudge), q[1] + math.sin(a + nudge))
+                for bend in (None, 60.0, -60.0):
+                    chain = (q, far) if bend is None else (
+                        q, far, (far[0] + math.cos(a + math.radians(bend)),
+                                 far[1] + math.sin(a + math.radians(bend))))
+                    out.append((t, scen([t], sensor, [Obstacle(0, chain)], w=40.0, h=40.0)))
+    return out
+
+
+def probe_fan(t, sensor):
+    """Deterministic spot checks across the facing cone at three depths."""
+    m = t.midpoint
+    nb = math.atan2(t.normal[1], t.normal[0])
+    pts = []
+    for i in range(9):
+        psi = nb - sensor.phi + (i + 0.5) * (2.0 * sensor.phi / 9.0)
+        for frac in (0.2, 0.5, 0.85):
+            r = t.width + frac * (sensor.r_max - t.width)
+            pts.append((m[0] + r * math.cos(psi), m[1] + r * math.sin(psi)))
+    return pts
+
+
+def test_cpf_matches_exact_occlusion_on_walled_scenes():
+    bad = []
+    for k, s in enumerate(walled_scenes()):
+        rng = random.Random(k)
+        for t in s.targets:
+            reg = cpf(t, s)
+            blockers = interacting_blockers(t, s)
+            reach = s.sensor.r_max + t.width
+            m = t.midpoint
+            for _ in range(400):
+                p = (m[0] + rng.uniform(-reach, reach), m[1] + rng.uniform(-reach, reach))
+                if reg.boundary_distance(p) <= 1e-6:
+                    continue
+                if reg.contains(p) != exact_contains(t, s, p, blockers):
+                    bad.append((k, t.id, p))
+                    break
+    assert not bad, f"{len(bad)} targets disagree with exact occlusion, first: {bad[:3]}"
+
+
+def test_cpf_builds_once_and_agrees_on_its_probe_fan(monkeypatch):
+    builds = []
+    build = fields_module.region_from_curves
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(fields_module, "region_from_curves", counting)
+    cases = [(t, s) for s in walled_scenes() for t in s.targets] + radial_scenes()
+    bad = []
+    for t, s in cases:
+        before = len(builds)
+        reg = cpf(t, s)
+        assert len(builds) - before == 1, f"target {t.id}: {len(builds) - before} builds"
+        blockers = interacting_blockers(t, s)
+        for q in probe_fan(t, s.sensor):
+            if reg.boundary_distance(q) > 1e-6 and reg.contains(q) != exact_contains(t, s, q, blockers):
+                bad.append((t.id, q))
+    assert not bad, f"{len(bad)} probes disagree, first: {bad[:3]}"
+
+
+def test_cpf_keeps_every_covered_point_beside_edge_on_walls():
+    # a wall continuing the target's line, off it by h: on the line within
+    # the vertex snap (about 2e-8 m here) or clear of it, the region is
+    # exact; in between, the wall's shadow is a strip too thin to classify,
+    # the wall is left out and the region keeps that strip
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=8.0, phi_deg=90.0)
+    rng = random.Random(17)
+    for deg in (0.0, 30.0, 123.4):
+        c, sn = math.cos(math.radians(deg)), math.sin(math.radians(deg))
+
+        def place(x, y):
+            return (20.0 + x * c - y * sn, 20.0 + x * sn + y * c)
+
+        t = Target(0, place(0.0, 0.0), place(1.0, 0.0), (-sn, c))
+        for h in (0.0, 1e-12, 1e-7, -1e-7, 1e-6, -1e-6, 1e-3):
+            wall = Obstacle(0, (place(1.5, h), place(6.0, h)))
+            s = scen([t], sensor, [wall], w=60.0, h=60.0)
+            reg = cpf(t, s)
+            blockers = interacting_blockers(t, s)
+            exact = abs(h) < 1e-8 or abs(h) > 1e-4
+            for _ in range(300):
+                p = place(rng.uniform(-9.0, 10.0), rng.uniform(-9.0, 9.0))
+                if reg.boundary_distance(p) <= 1e-6:
+                    continue
+                covered = exact_contains(t, s, p, blockers)
+                assert reg.contains(p) == covered or (not exact and not covered), (deg, h, p)
