@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import aov_pair, covers, cpf, field_tolerance
-from .geom import DegenerateError, Piece, Point, piece_curve_intersections, piece_intersections
+from .geom import DegenerateError, Piece, Point, Segment, piece_curve_intersections, piece_intersections
 from .model import Scenario, Target
 from .sweep import ScenarioIndex, clause_slacks
 
@@ -83,7 +83,9 @@ def _dedupe(xy: np.ndarray, rank: np.ndarray, eps: float) -> np.ndarray:
 
 def comprehensive_candidates(s: Scenario) -> CandidateSet:
     """Critical points of all placement fields plus their pairwise and
-    view-circle intersections.  Complete for joint coverage when r_min = 0."""
+    view-circle intersections.  Complete for joint coverage when r_min = 0.
+    Intersections are computed only for pieces that can meet (see the
+    comment after this function)."""
     if s.sensor.r_min > 0.0:
         raise ValueError("comprehensive candidates require r_min = 0")
     if any(t.width > s.sensor.r_max / 2.0 + s.tol.eps_len for t in s.targets):
@@ -99,18 +101,28 @@ def comprehensive_candidates(s: Scenario) -> CandidateSet:
 
     pieces: dict[int, list[Piece]] = {tid: list(reg.pieces()) for tid, reg in regions.items()}
     pairs = _interacting_pairs(s)
-    for i, j in pairs:
+    views = [_pair_view_circles(s.targets[i], s.targets[j], s.sensor.theta)
+             if s.sensor.theta < math.pi else [] for i, j in pairs]
+    rings: dict[int, list[tuple[float, float, float]]] = {tid: [] for tid in pieces}
+    for (i, j), view in zip(pairs, views):
+        for tid in (s.targets[i].id, s.targets[j].id):
+            rings[tid] += [(*c.center, c.radius) for c in view]
+    rings_xyr = {tid: np.array(rows, dtype=float).reshape(-1, 3) for tid, rows in rings.items()}
+    bounds = {tid: _piece_bounds(pcs) for tid, pcs in pieces.items()}
+    ext = _extent(bounds.values(), rings_xyr.values())
+    reach = {tid: _grow_boxes(box, radius, eps, ext) for tid, (box, radius) in bounds.items()}
+    # one row per view circle a target's pieces meet, taken in the loop's order
+    near = {tid: iter(_reaches_ring(reach[tid], rings_xyr[tid], eps, ext)) for tid in pieces}
+    for (i, j), view in zip(pairs, views):
         ti, tj = s.targets[i], s.targets[j]
-        for pi in pieces[ti.id]:
-            for pj in pieces[tj.id]:
-                for pt in piece_intersections(pi, pj, eps):
-                    tagged.append((pt, "cpf-x-cpf"))
-        if s.sensor.theta < math.pi:
-            for circle in _pair_view_circles(ti, tj, s.sensor.theta):
-                for tid in (ti.id, tj.id):
-                    for piece in pieces[tid]:
-                        for pt in piece_curve_intersections(piece, circle, eps):
-                            tagged.append((pt, "cpf-x-aov"))
+        for a, b in np.argwhere(_boxes_meet(reach[ti.id], reach[tj.id])).tolist():
+            for pt in piece_intersections(pieces[ti.id][a], pieces[tj.id][b], eps):
+                tagged.append((pt, "cpf-x-cpf"))
+        for circle in view:
+            for tid in (ti.id, tj.id):
+                for a in np.flatnonzero(next(near[tid])).tolist():
+                    for pt in piece_curve_intersections(pieces[tid][a], circle, eps):
+                        tagged.append((pt, "cpf-x-aov"))
 
     xy = _clamp_to_area(np.array([p for p, _ in tagged], dtype=float).reshape(-1, 2), s)
     rank = np.array([_TAG_RANK[tag] for _, tag in tagged], dtype=np.int64)
@@ -119,6 +131,114 @@ def comprehensive_candidates(s: Scenario) -> CandidateSet:
     tags = list(_TAG_RANK)   # in rank order
     return CandidateSet([tuple(p) for p in xy[kept].tolist()], [tags[r] for r in rank[kept].tolist()],
                         params={"algo": "comprehensive"}, uncoverable=uncoverable)
+
+
+# The pair loops above skip a pair only when no point the exact kernels keep
+# can exist, so every call that runs is one the unpruned loops make, in their
+# order, and the candidates are the same.  A pair of pieces is kept when
+# their bounding boxes, each grown by the piece's reach, overlap: a kept
+# point lies within reach of both pieces, so both grown boxes hold it.
+#
+# Reach, from the acceptance rules of `geom.intersect` and `geom._on_piece`:
+# - Segment: `_on_piece` keeps a point within 2*eps of it.
+# - Arc of radius r: `_on_piece` checks only the angle, within
+#   tol = 2*eps/max(r, eps) of the sweep, so a kept point o off the circle
+#   lies within o + (r + o)*tol of the arc.  `_off_circle` bounds o over the
+#   branches of `intersect` that can return the point, with
+#   rho = eps*max(r, 1) + eps^2*ext (plus rounding):
+#   - segment x circle, roots: on the circle, then moved up to eps along the
+#     segment when its parameter is clamped;
+#   - segment x circle, near tangency (negative discriminant accepted): the
+#     foot of the perpendicular at D from the center, with
+#     D^2 - r^2 < eps*max(r, 1) <= rho, so D - r < min(rho/r, sqrt(rho)),
+#     up to sqrt(eps) off a tiny view circle; then clamped by up to eps;
+#   - circle x circle, two points: on both circles;
+#   - circle x circle, tangency (h^2 = r1^2 - a^2 in [0, eps^2*max(r1, 1)]):
+#     the midpoint of the common chord of half-length h, inside each circle
+#     by at most min(h, h^2/r) <= min(sqrt(rho), rho/r), as h^2 <= eps^2*ext;
+#   - circle x circle, apart by delta <= eps (d > r1 + r2): on the line of
+#     centers, off each circle by at most delta;
+#   - circle x circle, nested by delta <= eps (d < |r1 - r2|): on the line of
+#     centers, off both circles by up to delta*(2*r2 + delta)/(2*d), which
+#     grows without bound as d shrinks.  No reach covers it, and none needs
+#     to: seen from both centers the point lies in one direction, where the
+#     two circles pass delta apart, and each arc keeps the point only if it
+#     runs within r*tol of that direction, so the grown boxes overlap (and
+#     an arc's grown box reaches a view circle's ring) anyway.
+# - View circle: a kept point lies within `_off_circle` of it as well, so a
+#   piece is kept when its grown box meets the ring r - o .. r + o.
+# Rounding: every kernel quantity is formed from magnitudes <= ext, so a
+# computed coordinate is within 16*ulp*ext of its exact value, a
+# discriminant or h^2 within 16*ulp*ext^2 (added to rho), and a crossing of
+# two circles within 16*ulp*ext^2/r of circle r.
+_ULP = float(np.finfo(float).eps)
+
+
+def _piece_bounds(pieces: list[Piece]) -> tuple[np.ndarray, np.ndarray]:
+    """(m, 4) bounding boxes (x_lo, y_lo, x_hi, y_hi) of the pieces and their
+    radii, NaN for segments.  An arc's box holds its ends and each axis
+    extreme inside its sweep."""
+    box = np.empty((len(pieces), 4))
+    radius = np.full(len(pieces), np.nan)
+    for k, pc in enumerate(pieces):
+        if isinstance(pc, Segment):
+            ends = [pc.a, pc.b]
+        else:
+            (cx, cy), r = pc.circle.center, pc.circle.radius
+            radius[k] = r
+            ends = [pc.start_point(), pc.end_point()] + [
+                (cx + r * ux, cy + r * uy)
+                for q, (ux, uy) in enumerate(((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)))
+                if pc.angle_inside(q * math.pi / 2.0)]
+        xs, ys = zip(*ends)
+        box[k] = (min(xs), min(ys), max(xs), max(ys))
+    return box, radius
+
+
+def _extent(bounds, rings) -> float:
+    """Largest magnitude the kernels meet, at least 1: a piece coordinate or
+    an arc's center coordinate plus its radius, over `_piece_bounds` results,
+    or a view circle's, over (k, 3) arrays of rows (x, y, r)."""
+    ext = 1.0
+    for box, radius in bounds:
+        ext = max(ext, float(np.abs(box).max(initial=0.0)) + 2.0 * float(np.nan_to_num(radius).max(initial=0.0)))
+    for xyr in rings:
+        ext = max(ext, float((np.abs(xyr[:, :2]).max(axis=1, initial=0.0) + xyr[:, 2]).max(initial=0.0)))
+    return ext
+
+
+def _off_circle(r: np.ndarray, eps: float, ext: float) -> np.ndarray:
+    """How far off a circle of radius r a kept point may lie (see above)."""
+    rnd = 16.0 * _ULP * ext * ext
+    rho = eps * np.maximum(r, 1.0) + eps * eps * ext + rnd
+    return eps + np.minimum(rho / r, np.sqrt(rho)) + rnd / r + 16.0 * _ULP * ext
+
+
+def _grow_boxes(box: np.ndarray, radius: np.ndarray, eps: float, ext: float) -> np.ndarray:
+    """Piece boxes grown by each piece's reach (see above)."""
+    grow = np.full(len(box), 2.0 * eps)
+    arc = ~np.isnan(radius)
+    r = radius[arc]
+    off = _off_circle(r, eps, ext)
+    grow[arc] = off + (r + off) * (2.0 * eps / np.maximum(r, eps))
+    grow += 16.0 * _ULP * ext
+    return np.concatenate([box[:, :2] - grow[:, None], box[:, 2:] + grow[:, None]], axis=1)
+
+
+def _boxes_meet(box_i: np.ndarray, box_j: np.ndarray) -> np.ndarray:
+    """(m_i, m_j) mask of the box pairs that overlap, edges included."""
+    return ((box_i[:, None, :2] <= box_j[None, :, 2:]) & (box_j[None, :, :2] <= box_i[:, None, 2:])).all(axis=2)
+
+
+def _reaches_ring(box: np.ndarray, rings: np.ndarray, eps: float, ext: float) -> np.ndarray:
+    """(k, m) mask of the boxes that meet ring k: the points within
+    `_off_circle` of circle k, a row (x, y, r) of `rings`."""
+    c = rings[:, None, :2]
+    near = np.maximum(np.maximum(box[None, :, :2] - c, c - box[None, :, 2:]), 0.0)
+    far = np.maximum(np.abs(box[None, :, :2] - c), np.abs(box[None, :, 2:] - c))
+    r = rings[:, None, 2]
+    off = _off_circle(r, eps, ext)
+    return (np.hypot(near[..., 0], near[..., 1]) <= r + off) & (np.hypot(far[..., 0], far[..., 1]) >= r - off)
 
 
 def _interacting_pairs(s: Scenario) -> list[tuple[int, int]]:
@@ -135,8 +255,6 @@ def _interacting_pairs(s: Scenario) -> list[tuple[int, int]]:
 
 def _pair_view_circles(ti: Target, tj: Target, theta: float):
     """View-angle circles of the four chords joining endpoints across the pair."""
-    from .geom import Segment
-
     circles = []
     for a in (ti.start, ti.end):
         for b in (tj.start, tj.end):

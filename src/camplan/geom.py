@@ -208,7 +208,12 @@ def _segments_properly_cross(s1: Segment, s2: Segment) -> bool:
     d2 = orient(s2.a, s2.b, s1.b)
     d3 = orient(s1.a, s1.b, s2.a)
     d4 = orient(s1.a, s1.b, s2.b)
-    return ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0
+    if not (((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)) and d1 != 0 and d2 != 0):
+        return False
+    # on nearly collinear segments the float signs are rounding noise and can
+    # cross segments that lie far apart on one line: confirm with exact signs
+    return (orientation(s2.a, s2.b, s1.a) * orientation(s2.a, s2.b, s1.b) < 0
+            and (orientation(s1.a, s1.b, s2.a) > 0) != (orientation(s1.a, s1.b, s2.b) > 0))
 
 
 def point_piece_distance(p: Point, piece: Piece) -> float:
@@ -352,11 +357,7 @@ def piece_intersections(p1: Piece, p2: Piece, eps: float = EPS) -> list[Point]:
     res = intersect(c1, c2, eps)
     if res is OVERLAP:
         return []
-    out = []
-    for pt in res:
-        if _on_piece(pt, p1, eps) and _on_piece(pt, p2, eps):
-            out.append(pt)
-    return sorted(out)
+    return [pt for pt in res if _on_piece(pt, p1, eps) and _on_piece(pt, p2, eps)]
 
 
 def piece_curve_intersections(piece: Piece, curve: Curve, eps: float = EPS) -> list[Point]:
@@ -365,7 +366,7 @@ def piece_curve_intersections(piece: Piece, curve: Curve, eps: float = EPS) -> l
     res = intersect(base, curve, eps)
     if res is OVERLAP:
         return []
-    return sorted(pt for pt in res if _on_piece(pt, piece, eps))
+    return [pt for pt in res if _on_piece(pt, piece, eps)]
 
 
 def _on_piece(pt: Point, piece: Piece, eps: float) -> bool:

@@ -277,7 +277,8 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         if w > sensor.r_max / 2.0 + tol.eps_len:
             warn(ValidationIssue(name, f"width {w:.6g} > r_max/2 (narrow-target assumption broken)"))
 
-    for i, j in _box_pairs(s.targets, 2.0 * tol.eps_len):
+    segments = [t.segment for t in s.targets]
+    for i, j in _box_pairs(segments, 2.0 * tol.eps_len):
         ti, tj = s.targets[i], s.targets[j]
         if segment_segment_distance(ti.segment, tj.segment) <= tol.eps_len:
             if not _touch_only_at_endpoints(ti.segment, tj.segment, tol.eps_len):
@@ -299,6 +300,17 @@ def validate_scenario(s: Scenario) -> ValidationReport:
             if not s.in_area(p, tol.eps_len):
                 err(ValidationIssue(name, "outside area"))
                 break
+
+    # an obstacle edge may meet a target only at endpoints, as targets meet
+    edges = [(obs.id, e) for obs in s.obstacles for e in obs.edges()]
+    on_target: dict[tuple[int, int], None] = {}
+    for i, k in _box_pairs(segments, 2.0 * tol.eps_len, [e for _, e in edges]):
+        t, (oid, e) = s.targets[i], edges[k]
+        if segment_segment_distance(t.segment, e) <= tol.eps_len:
+            if not _touch_only_at_endpoints(t.segment, e, tol.eps_len):
+                on_target[(oid, t.id)] = None
+    for oid, tid in on_target:
+        err(ValidationIssue(f"obstacle {oid}", f"lies on target {tid} (not an endpoint contact)"))
     return rep
 
 
@@ -306,17 +318,25 @@ def validate_scenario(s: Scenario) -> ValidationReport:
 _PAIR_BUDGET = 1 << 20
 
 
-def _box_pairs(targets, pad: float):
-    """Index pairs (i, j), i < j, in row-major order whose bounding boxes,
-    each grown by `pad`, overlap: the only pairs that can come within 2·pad."""
-    xy = np.array([(*t.start, *t.end) for t in targets], dtype=float).reshape(-1, 4)
-    lo = np.minimum(xy[:, :2], xy[:, 2:]) - pad
-    hi = np.maximum(xy[:, :2], xy[:, 2:]) + pad
-    step = max(1, _PAIR_BUDGET // max(len(xy), 1))
-    for a in range(0, len(xy), step):
-        near = ((lo[a:a + step, None] <= hi) & (lo <= hi[a:a + step, None])).all(axis=2)
-        i, j = np.nonzero(np.triu(near, k=a + 1))
+def _box_pairs(first: list[Segment], pad: float, second: list[Segment] | None = None):
+    """Index pairs (i, j) in row-major order whose bounding boxes, each grown
+    by `pad`, overlap: the only pairs that can come within 2·pad.  Pairs join
+    first[i] to second[j], or first[i] to first[j] with i < j when `second`
+    is None."""
+    lo, hi = _boxes(first, pad)
+    lo_b, hi_b = (lo, hi) if second is None else _boxes(second, pad)
+    step = max(1, _PAIR_BUDGET // max(len(lo_b), 1))
+    for a in range(0, len(lo), step):
+        near = ((lo[a:a + step, None] <= hi_b) & (lo_b <= hi[a:a + step, None])).all(axis=2)
+        if second is None:
+            near = np.triu(near, k=a + 1)
+        i, j = np.nonzero(near)
         yield from zip((i + a).tolist(), j.tolist())
+
+
+def _boxes(segments: list[Segment], pad: float) -> tuple[np.ndarray, np.ndarray]:
+    xy = np.array([(*seg.a, *seg.b) for seg in segments], dtype=float).reshape(-1, 4)
+    return np.minimum(xy[:, :2], xy[:, 2:]) - pad, np.maximum(xy[:, :2], xy[:, 2:]) + pad
 
 
 def _touch_only_at_endpoints(s1: Segment, s2: Segment, eps: float) -> bool:

@@ -200,6 +200,15 @@ def test_bcpf_beyond_the_sample_bound_is_invalid_input(tmp_path, capsys, r_max, 
     assert time.perf_counter() - t0 < 10.0
 
 
+def test_obstacle_on_a_target_is_a_validation_error(tmp_path, capsys):
+    doc = tmp_path / "scn.json"
+    wall = {"id": 5, "chain": [[10.5, 9.0], [10.5, 11.0]]}   # crosses target 0
+    doc.write_text(json.dumps({**FUZZ_BASE, "obstacles": FUZZ_BASE["obstacles"] + [wall]}))
+    code, _, err = run(["solve", str(doc)], capsys)
+    assert code == 3
+    assert "validation error" in err and "obstacle 5: lies on target 0" in err
+
+
 def test_duplicate_obstacle_ids_are_a_validation_error(tmp_path, capsys):
     doc = tmp_path / "scn.json"
     doc.write_text(json.dumps({**FUZZ_BASE, "obstacles": FUZZ_BASE["obstacles"] * 2}))

@@ -1,11 +1,26 @@
 """Candidate generation tests: comprehensive, polar field sampling, grid."""
 import math
+import random
 
+import numpy as np
 import pytest
 
-from camplan.discretize import bcpf_sample, comprehensive_candidates, grid_sample
-from camplan.fields import bcpf
+import camplan.discretize as discretize
+from camplan.discretize import (
+    _TAG_RANK,
+    CandidateSet,
+    _clamp_to_area,
+    _dedupe,
+    _interacting_pairs,
+    _pair_view_circles,
+    bcpf_sample,
+    comprehensive_candidates,
+    grid_sample,
+)
+from camplan.fields import bcpf, cpf
+from camplan.geom import Arc, Circle, Segment, piece_curve_intersections, piece_intersections
 from camplan.model import Obstacle, Scenario, SensorSpec, Target
+from camplan.scenario import GenParams, random_scenario
 from camplan.select import greedy_cover
 from camplan.sweep import sweep_points
 
@@ -78,6 +93,241 @@ def test_comprehensive_pair_covers_both_with_one_camera():
     sol = greedy_cover(configs, s)
     assert len(sol.placements) == 1
     assert set(sol.assignment) == {0, 1}
+
+
+# --- comprehensive: box-pruned pair loops against the unpruned ones -----------
+
+def unpruned_comprehensive(s, found=None):
+    """Reference: `comprehensive_candidates` with its pair loops unpruned, every
+    piece against every piece and every view circle.  Appends each non-empty
+    kernel result, tagged, to `found`."""
+    if s.sensor.r_min > 0.0:
+        raise ValueError("comprehensive candidates require r_min = 0")
+    if any(t.width > s.sensor.r_max / 2.0 + s.tol.eps_len for t in s.targets):
+        raise ValueError("comprehensive candidates require target width <= r_max/2")
+    eps = s.tol.eps_len
+    regions = {t.id: cpf(t, s) for t in s.targets}
+    uncoverable = tuple(t.id for t in s.targets if regions[t.id].is_empty())
+
+    tagged = []
+    for reg in regions.values():
+        for v in reg.vertices():
+            tagged.append((v, "cpf-critical"))
+
+    pieces = {tid: list(reg.pieces()) for tid, reg in regions.items()}
+    pairs = _interacting_pairs(s)
+    for i, j in pairs:
+        ti, tj = s.targets[i], s.targets[j]
+        for pi in pieces[ti.id]:
+            for pj in pieces[tj.id]:
+                for pt in piece_intersections(pi, pj, eps):
+                    tagged.append((pt, "cpf-x-cpf"))
+        if s.sensor.theta < math.pi:
+            for circle in _pair_view_circles(ti, tj, s.sensor.theta):
+                for tid in (ti.id, tj.id):
+                    for piece in pieces[tid]:
+                        for pt in piece_curve_intersections(piece, circle, eps):
+                            tagged.append((pt, "cpf-x-aov"))
+    if found is not None:
+        found.extend(tp for tp in tagged if tp[1] != "cpf-critical")
+
+    xy = _clamp_to_area(np.array([p for p, _ in tagged], dtype=float).reshape(-1, 2), s)
+    rank = np.array([_TAG_RANK[tag] for _, tag in tagged], dtype=np.int64)
+    kept = _dedupe(xy, rank, eps)
+    tags = list(_TAG_RANK)
+    return CandidateSet([tuple(p) for p in xy[kept].tolist()], [tags[r] for r in rank[kept].tolist()],
+                        params={"algo": "comprehensive"}, uncoverable=uncoverable)
+
+
+def facing_left(tid, a, b):
+    """Target from a to b facing the left of its travel."""
+    L = math.dist(a, b)
+    return Target(tid, a, b, ((a[1] - b[1]) / L, (b[0] - a[0]) / L))
+
+
+def bench_family(seed):
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=20.0, phi_deg=90.0)
+    return random_scenario(GenParams(width=100.0, height=100.0, n_targets=25, n_obstacles=25,
+                                     margin=3.0, seed=seed), sensor)
+
+
+def touching_fields():
+    """Targets sharing endpoints, facing each other, and side by side."""
+    ts = [facing_left(0, (10.0, 10.0), (11.0, 10.0)), facing_left(1, (11.0, 10.0), (11.6, 10.8)),
+          facing_left(2, (11.6, 10.8), (10.8, 11.4)),
+          facing_left(3, (20.0, 10.0), (21.0, 10.0)), facing_left(4, (21.0, 10.5), (20.0, 10.5)),
+          facing_left(5, (20.0, 12.0), (21.0, 12.0)), facing_left(6, (21.0, 12.0), (22.0, 12.0))]
+    return scen(ts, SensorSpec(aov_deg=100.0, r_min=0.0, r_max=4.0, phi_deg=90.0), w=30.0, h=30.0)
+
+
+def tiny_view_circles():
+    """Pairs whose ends are 1e-6 to 1e-3 m apart: their view circles are tiny,
+    and field pieces through the shared corner pass near tangent to them."""
+    ts = []
+    for k, gap in enumerate((1e-6, 1e-5, 1e-4, 1e-3)):
+        for m, (turn, side) in enumerate(((0.0, 0.0), (math.pi / 2, math.pi / 4), (0.3, -1.2), (2.5, 2.0))):
+            x0, y0 = 5.0 + 8.0 * m, 5.0 + 8.0 * k
+            a = facing_left(len(ts), (x0, y0), (x0 + 1.0, y0))
+            bx, by = x0 + 1.0 + gap * math.cos(side), y0 + gap * math.sin(side)
+            ts += [a, facing_left(len(ts) + 1, (bx, by), (bx + 0.8 * math.cos(turn), by + 0.8 * math.sin(turn)))]
+    return scen(ts, SensorSpec(aov_deg=100.0, r_min=0.0, r_max=2.0, phi_deg=90.0), w=40.0, h=40.0)
+
+
+def touching_boxes():
+    """Collinear targets 3 m apart: the field pieces along their line span
+    [-1, 2] m around each target, so they touch end to end, or miss by a few
+    ulps or a fraction of eps; likewise up a column."""
+    eps = scen([], SENSOR_2, w=60.0, h=60.0).tol.eps_len
+    ts = []
+    for k, shift in enumerate((0.0, 2.0, -2.0, 0.5, 1.5, 3.0)):
+        y0 = 5.0 + 5.0 * k
+        ts.append(facing_left(len(ts), (5.0, y0), (6.0, y0)))
+        x1 = 8.0 + (shift * eps if k > 2 else shift * math.ulp(8.0))
+        ts.append(facing_left(len(ts), (x1, y0), (x1 + 1.0, y0)))
+        x0 = 30.0 + 5.0 * k
+        ts.append(facing_left(len(ts), (x0, 5.0), (x0, 4.0)))
+        y1 = 8.0 + (shift * eps if k > 2 else shift * math.ulp(8.0))
+        ts.append(facing_left(len(ts), (x0, y1 + 1.0), (x0, y1)))
+    return scen(ts, SENSOR_2, w=60.0, h=60.0)
+
+
+def collinear_walls():
+    """Walls on the lines of field segments: the target line (the facing
+    cone's edge at phi 90 degrees), a shadow ray of another wall, and a
+    45-degree facing edge."""
+    t0 = facing_left(0, (20.0, 20.0), (21.0, 20.0))
+    t1 = facing_left(1, (24.0, 22.0), (25.0, 22.0))
+    q = (23.0, 24.0)
+    ux, uy = (q[0] - 20.0) / math.dist(q, (20.0, 20.0)), (q[1] - 20.0) / math.dist(q, (20.0, 20.0))
+    walls = [Obstacle(0, ((22.5, 20.0), (26.0, 20.0))), Obstacle(1, ((22.0, 24.0), q)),
+             Obstacle(2, ((q[0] + 2.0 * ux, q[1] + 2.0 * uy), (q[0] + 3.0 * ux, q[1] + 3.0 * uy))),
+             Obstacle(3, ((20.5 + 3.0, 20.0 + 3.0), (20.5 + 4.0, 20.0 + 4.0)))]
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=8.0, phi_deg=45.0)
+    return scen([t0, t1], sensor, walls, w=40.0, h=40.0)
+
+
+PRUNING_SCENES = {
+    "bench-3000": lambda: bench_family(3000),
+    "bench-3001": lambda: bench_family(3001),
+    "touching-fields": touching_fields,
+    "tiny-view-circles": tiny_view_circles,
+    "touching-boxes": touching_boxes,
+    "collinear-walls": collinear_walls,
+}
+
+
+@pytest.mark.parametrize("name", list(PRUNING_SCENES))
+def test_pruned_pair_loops_match_unpruned(name, monkeypatch):
+    s = PRUNING_SCENES[name]()
+    want_found, got_found = [], []
+    want = unpruned_comprehensive(s, want_found)
+    for kernel, tag in ((piece_intersections, "cpf-x-cpf"), (piece_curve_intersections, "cpf-x-aov")):
+        def spy(*args, kernel=kernel, tag=tag):
+            pts = kernel(*args)
+            got_found.extend((pt, tag) for pt in pts)
+            return pts
+        monkeypatch.setattr(discretize, kernel.__name__, spy)
+    got = comprehensive_candidates(s)
+    # every kernel call that finds a point is made, in the same order
+    assert {tag for _, tag in want_found} == {"cpf-x-cpf", "cpf-x-aov"}
+    assert got_found == want_found
+    assert np.array(got.points).tobytes() == np.array(want.points).tobytes()
+    assert got.provenance == want.provenance
+    assert got.uncoverable == want.uncoverable
+
+
+def kept_pair(p, q, eps):
+    """Whether the pruning keeps piece pair (p, q), at the smallest extent."""
+    (bp, rp), (bq, rq) = discretize._piece_bounds([p]), discretize._piece_bounds([q])
+    ext = discretize._extent([(bp, rp), (bq, rq)], [])
+    grown = [discretize._grow_boxes(b, r, eps, ext) for b, r in ((bp, rp), (bq, rq))]
+    return bool(discretize._boxes_meet(*grown)[0, 0])
+
+
+def kept_ring(p, circle, eps):
+    """Whether the pruning keeps piece p against view circle `circle`."""
+    bp, rp = discretize._piece_bounds([p])
+    ring = np.array([(*circle.center, circle.radius)])
+    ext = discretize._extent([(bp, rp)], [ring])
+    return bool(discretize._reaches_ring(discretize._grow_boxes(bp, rp, eps, ext), ring, eps, ext)[0, 0])
+
+
+def arc_through(rng, circle, ang):
+    """An arc of `circle` whose sweep holds angle `ang`, or stops a hair short."""
+    before, after = rng.uniform(1e-9, 2.5), rng.uniform(1e-9, 2.5)
+    if rng.random() < 0.3:
+        before, after = rng.uniform(0.1, 2.0), -rng.choice([1e-12, 1e-9, 1e-7, 1e-5])
+    if rng.random() < 0.5:
+        return Arc(circle, ang - before, ang + after, True)
+    return Arc(circle, ang + after, ang - before, False)
+
+
+def near_contact(rng, eps):
+    """A piece and a piece or circle that touch, nearly touch or nearly miss,
+    where the kernels' tolerances decide."""
+    radii = [1.5 * eps, 1e-6, 1e-5, 1e-4, 1e-3, 0.05, 0.5, 2.0, 20.0, 300.0]
+    cx, cy = rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)
+    kind = rng.randrange(4)
+    if kind == 0:   # a segment ending k*eps beside or beyond a point of another
+        t, length = rng.uniform(0.0, 2.0 * math.pi), rng.choice([1e-3, 0.1, 1.0, 30.0])
+        a = Segment((cx, cy), (cx + length * math.cos(t), cy + length * math.sin(t)))
+        px, py = a.point_at(rng.choice([0.0, 1.0, rng.random()]))
+        k = rng.choice([0.0, 0.5, 1.0, 1.5, 1.9, 2.0, 2.1, 3.0]) * eps * rng.choice([1.0, -1.0])
+        off = t + rng.choice([math.pi / 2, 0.0])
+        px, py = px + k * math.cos(off), py + k * math.sin(off)
+        u = t + rng.choice([math.pi / 2, 0.0, math.pi, 1e-6, 0.3, rng.uniform(0.0, 2.0 * math.pi)])
+        m = rng.choice([1e-3, 1.0, 40.0])
+        return a, Segment((px, py), (px + m * math.cos(u), py + m * math.sin(u)))
+    r = rng.choice(radii)
+    circle = Circle((cx, cy), r)
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    if kind == 1:   # a segment near tangent to the circle at angle phi
+        bound = min(eps * max(r, 1.0) / r, math.sqrt(eps * max(r, 1.0)))
+        d = r + rng.choice([-1.0, -0.01, 0.0, 0.5, 0.9, 0.99, 0.999, 1.0, 1.5]) * bound
+        fx, fy = cx + d * math.cos(phi), cy + d * math.sin(phi)
+        tx, ty = -math.sin(phi), math.cos(phi)
+        l1 = rng.choice([0.0, 0.5 * eps, 1e-6, 1.0, 30.0]) * rng.choice([1.0, -1.0])
+        l2 = rng.choice([1e-6, 1.0, 30.0])
+        seg = Segment((fx - l1 * tx, fy - l1 * ty), (fx + l2 * tx, fy + l2 * ty))
+        return seg, (arc_through(rng, circle, phi) if rng.random() < 0.7 else circle)
+    if kind == 2:   # a segment starting k*eps from the circle
+        px, py = circle.point_at(phi)
+        k = rng.choice([0.0, 0.5, 1.0, 1.5]) * eps * rng.choice([1.0, -1.0])
+        u, m = rng.uniform(0.0, 2.0 * math.pi), rng.choice([1e-6, 1.0, 40.0])
+        seg = Segment((px + k * math.cos(u), py + k * math.sin(u)), (px + m * math.cos(u), py + m * math.sin(u)))
+        return seg, (arc_through(rng, circle, phi) if rng.random() < 0.7 else circle)
+    # two circles near external or internal tangency, or nested and nearly concentric
+    r2 = rng.choice(radii)
+    delta = rng.choice([-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0]) * eps
+    u = rng.random()
+    if u < 0.3:
+        d = r + r2 + delta
+    elif u < 0.6:
+        x = rng.choice([1.5, 2.0, 5.0, 50.0]) * eps
+        r2, d = r + x, x - rng.choice([0.1, 0.5, 0.9, 1.0]) * eps
+    else:
+        d = abs(r - r2) + delta
+        if d <= eps:
+            d = rng.choice([1.01, 2.0, 5.0]) * eps
+    other = Circle((cx + d * math.cos(phi), cy + d * math.sin(phi)), r2)
+    a1 = arc_through(rng, circle, phi + rng.choice([0.0, math.pi]))
+    a2 = arc_through(rng, other, phi + rng.choice([0.0, math.pi]))
+    return a1, (a2 if rng.random() < 0.7 else other)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-9 * math.hypot(100.0, 100.0)])
+def test_pruning_keeps_every_pair_the_kernels_meet(eps):
+    rng = random.Random(7)
+    met = 0
+    for _ in range(6000):
+        p, q = near_contact(rng, eps)
+        if isinstance(q, Circle):
+            pts, kept = piece_curve_intersections(p, q, eps), kept_ring(p, q, eps)
+        else:
+            pts, kept = piece_intersections(p, q, eps), kept_pair(p, q, eps)
+        assert kept or not pts, (p, q, pts)
+        met += bool(pts)
+    assert met > 2000
 
 
 # --- bcpf sampling --------------------------------------------------------------

@@ -218,6 +218,11 @@ def test_segment_segment_distance():
     assert segment_segment_distance(a, b) == pytest.approx(1.0)
     c = Segment((0.5, -1), (0.5, 1))
     assert segment_segment_distance(a, c) == 0.0
+    # two pieces of one slanted line, 7.28 m apart: their float orientations
+    # are rounding noise, which once reported a crossing
+    d = Segment((2.000000007770287, 2.999999972803996), (9.000000007770288, 4.999999972803995))
+    e = Segment((16.00000000777029, 6.999999972803996), (23.00000000777029, 8.999999972803996))
+    assert segment_segment_distance(d, e) == pytest.approx(math.dist(d.b, e.a))
 
 
 def test_point_arc_distance():

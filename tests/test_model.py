@@ -163,6 +163,51 @@ def test_validate_overlap_prefilter_matches_all_pairs(s):
         assert [str(e) for e in errors if e.entity.startswith("targets ")] == want
 
 
+def obstacle_on_target_errors(s):
+    """Reference: the obstacle-on-target check over every (target, edge) pair."""
+    eps = s.tol.eps_len
+    out = []
+    for t in s.targets:
+        for obs in s.obstacles:
+            for e in obs.edges():
+                if segment_segment_distance(t.segment, e) <= eps and not _touch_only_at_endpoints(t.segment, e, eps):
+                    msg = f"obstacle {obs.id}: lies on target {t.id} (not an endpoint contact)"
+                    if msg not in out:
+                        out.append(msg)
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(touching_layouts(), st.data())
+def test_validate_obstacle_on_target_prefilter_matches_all_pairs(s, data):
+    # some of the layout's segments become obstacle walls
+    walls = data.draw(st.lists(st.booleans(), min_size=len(s.targets), max_size=len(s.targets)))
+    targets = tuple(t for t, w in zip(s.targets, walls) if not w)
+    obstacles = tuple(Obstacle(k, (t.start, t.end)) for k, (t, w) in enumerate(zip(s.targets, walls)) if w)
+    s = Scenario(s.width, s.height, s.sensor, targets, obstacles)
+    want = obstacle_on_target_errors(s)
+    for budget in (model._PAIR_BUDGET, 3):
+        with mock.patch.object(model, "_PAIR_BUDGET", budget):
+            got = [str(e) for e in validate_scenario(s).errors if "lies on target" in str(e)]
+        assert sorted(got) == sorted(want)
+
+
+@pytest.mark.parametrize("chain,ok", [
+    (((10.5, 9.0), (10.5, 11.0)), False),           # crosses the target
+    (((9.0, 10.0), (10.5, 10.0)), False),           # collinear, overlapping it
+    (((10.2, 10.0 + 5e-8), (10.8, 10.0 + 5e-8)), False),   # parallel, within eps_len
+    (((10.5, 10.0), (10.5, 12.0)), False),          # starts on its interior
+    (((11.0, 10.0), (12.0, 11.0)), True),           # leaves from an endpoint
+    (((11.0, 10.0), (13.0, 10.0)), True),           # continues it from an endpoint
+    (((10.2, 10.0 + 1e-6), (10.8, 10.0 + 1e-6)), True),    # parallel, beyond eps_len
+    (((12.0, 12.0), (11.0, 10.0), (12.0, 9.0)), True),     # chain vertex on an endpoint
+])
+def test_validate_obstacle_on_target(chain, ok):
+    t = Target(0, (10.0, 10.0), (11.0, 10.0), (0.0, 1.0))
+    rep = validate_scenario(make_scenario([t], obstacles=[Obstacle(4, chain)]))
+    assert [str(e) for e in rep.errors] == ([] if ok else ["obstacle 4: lies on target 0 (not an endpoint contact)"])
+
+
 def test_validate_target_ids_within_int64():
     for tid in (2 ** 63, -(2 ** 63) - 1, 10 ** 20):
         rep = validate_scenario(make_scenario([Target(tid, (0, 0), (1, 0), (0, 1))]))
