@@ -170,6 +170,13 @@ def cmd_verify(args) -> int:
             print(f"target {check.target_id}: covered")
         else:
             print(f"target {check.target_id}: NOT COVERED ({','.join(check.failed_clauses())})")
+    covered = [c.margins for c in report.checks if c.ok]
+    if covered:
+        print(f"slack: range_slack_min={min(m['range_slack'] for m in covered):.6g} "
+              f"angular_slack_min={min(m['angular_slack'] for m in covered):.6g} "
+              f"facing_angle_max={max(m['facing_angle'] for m in covered):.6g}")
+    else:
+        print("slack: no covered targets")
     print(f"verified={'ok' if report.ok else 'FAILED'} "
           f"({sum(c.ok for c in report.checks)}/{len(report.checks)} targets)")
     return EXIT_OK if report.ok else EXIT_UNCOVERED

@@ -159,12 +159,7 @@ def comprehensive_candidates(s: Scenario) -> CandidateSet:
 #   - circle x circle, apart by delta <= eps (d > r1 + r2): on the line of
 #     centers, off each circle by at most delta;
 #   - circle x circle, nested by delta <= eps (d < |r1 - r2|): on the line of
-#     centers, off both circles by up to delta*(2*r2 + delta)/(2*d), which
-#     grows without bound as d shrinks.  No reach covers it, and none needs
-#     to: seen from both centers the point lies in one direction, where the
-#     two circles pass delta apart, and each arc keeps the point only if it
-#     runs within r*tol of that direction, so the grown boxes overlap (and
-#     an arc's grown box reaches a view circle's ring) anyway.
+#     centers, midway between the circles' nearest points, off each by delta/2.
 # - View circle: a kept point lies within `_off_circle` of it as well, so a
 #   piece is kept when its grown box meets the ring r - o .. r + o.
 # Rounding: every kernel quantity is formed from magnitudes <= ext, so a

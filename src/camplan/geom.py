@@ -282,9 +282,16 @@ def _circle_circle_intersections(c1: Circle, c2: Circle, eps: float) -> list[Poi
         return []
     if d < abs(c1.radius - c2.radius) - eps:
         return []
+    ux, uy = dx / d, dy / d
+    if d < abs(c1.radius - c2.radius):
+        # nested, at most eps apart: touch midway between the circles' nearest
+        # points on the line of centers (the chord formula below would put the
+        # point past r1 by about r1*gap/d, far off both circles for small d)
+        s = 1.0 if c1.radius > c2.radius else -1.0
+        a = (s * c1.radius + d + s * c2.radius) / 2.0
+        return [(c1.center[0] + a * ux, c1.center[1] + a * uy)]
     a = (d * d + c1.radius * c1.radius - c2.radius * c2.radius) / (2.0 * d)
     h2 = c1.radius * c1.radius - a * a
-    ux, uy = dx / d, dy / d
     mx = c1.center[0] + a * ux
     my = c1.center[1] + a * uy
     if h2 <= eps * eps * max(c1.radius, 1.0):

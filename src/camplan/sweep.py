@@ -2,8 +2,9 @@
 
 Given a candidate position, find which targets it could cover, enumerate every
 maximal subset that fits in one view cone, and derive the feasible
-viewing-direction window per subset; the configs of many points come out as
-one `model.ConfigTable`.  The clauses here are the array form of
+viewing-direction window per subset.  `sweep_points` does this for many points
+in two phases, pair passes over spatial tiles and subset passes per live-pair
+count, into one `model.ConfigTable`.  The clauses here are the array form of
 the scalar reference `fields.covers`; the solution verifier
 (`select.verify_solution`) calls that reference and never this module's kernel.
 """
@@ -66,9 +67,10 @@ def subset_window(cfg: CandidateConfig, ids, theta: float) -> tuple[float, float
 
 # --- vectorized batch sweep --------------------------------------------------
 
-# Points per tile's (point, target) range pass, and the element budget of one
-# padded (points, K, K) subset tensor or one (pairs, blockers) box test: a
-# chunk's temporaries stay at a few MB whatever the point count or K.
+# Points per tile of the (point, target) pair passes, and the element budget
+# of one (points, K, K) subset tensor or one (pair, blocker) expansion: the
+# temporaries stay at a few MB whatever the point count or K.  A tile's
+# (target, blocker) box test is not split; it is at most targets x blockers.
 _CHUNK = 128
 _BUDGET = 1 << 18
 
@@ -218,8 +220,6 @@ def _occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex) -> np.ndarray:
                           & (idx.by_lo - reach <= hi[1]) & (lo[1] <= idx.by_hi + reach))
     if near.size == 0 or tj.size == 0:
         return out
-    bx_lo, bx_hi, by_lo, by_hi = idx.bx_lo[near], idx.bx_hi[near], idx.by_lo[near], idx.by_hi[near]
-    owner = idx.owner[near]
     x, y = block[pi, 0], block[pi, 1]
     sx, sy, ex, ey = idx.sx[tj], idx.sy[tj], idx.ex[tj], idx.ey[tj]
     # bounding-box prefilter: only (pair, blocker) candidates whose sight
@@ -228,25 +228,37 @@ def _occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex) -> np.ndarray:
     tx_hi = np.maximum(np.maximum(sx, ex), x) + eps
     ty_lo = np.minimum(np.minimum(sy, ey), y) - eps
     ty_hi = np.maximum(np.maximum(sy, ey), y) + eps
-    own = idx.ids[tj]
-    step = max(1, _BUDGET // near.size)
+    # group the pairs by target; a group's box is the union of its pairs'
+    # boxes, so testing it keeps every blocker some pair's box test keeps
+    by_t = np.argsort(tj, kind="stable")
+    u, first = np.unique(tj[by_t], return_index=True)
+    group = np.searchsorted(u, tj)
+    cand = (
+        (np.minimum.reduceat(tx_lo[by_t], first)[:, None] <= idx.bx_hi[near])
+        & (idx.bx_lo[near] <= np.maximum.reduceat(tx_hi[by_t], first)[:, None])
+        & (np.minimum.reduceat(ty_lo[by_t], first)[:, None] <= idx.by_hi[near])
+        & (idx.by_lo[near] <= np.maximum.reduceat(ty_hi[by_t], first)[:, None])
+        & (idx.owner[near] != idx.ids[u][:, None])
+    )
+    g, k = np.nonzero(cand)   # group g's blockers are near[k[gptr[g]:gptr[g + 1]]]
+    gptr = np.searchsorted(g, np.arange(u.size + 1))
+    n_b = np.diff(gptr)[group]
+    step = max(1, _BUDGET // max(1, int(n_b.max())))
     for a in range(0, tj.size, step):
-        q = slice(a, a + step)
-        cand = (
-            (tx_lo[q, None] <= bx_hi) & (bx_lo <= tx_hi[q, None])
-            & (ty_lo[q, None] <= by_hi) & (by_lo <= ty_hi[q, None])
-            & (owner != own[q, None])
-        )
-        p, k = np.nonzero(cand)
-        p += a
-        b = near[k]
+        # each pair against its group's blockers only, and then by its own box
+        cnt = n_b[a:a + step]
+        p = np.repeat(np.arange(a, a + cnt.size), cnt)
+        b = near[k[np.repeat(gptr[group[a:a + step]] - (np.cumsum(cnt) - cnt), cnt) + np.arange(p.size)]]
+        keep = ((tx_lo[p] <= idx.bx_hi[b]) & (idx.bx_lo[b] <= tx_hi[p])
+                & (ty_lo[p] <= idx.by_hi[b]) & (idx.by_lo[b] <= ty_hi[p]))
+        p, b = p[keep], b[keep]
         hit = _blocks_triangle_np(x[p], y[p], sx[p], sy[p], ex[p], ey[p],
                                   idx.bax[b], idx.bay[b], idx.bbx[b], idx.bby[b], eps)
         out[p[hit]] = True
     return out
 
 
-def _maximal_rows(fits: np.ndarray, valid: np.ndarray) -> np.ndarray:
+def _maximal_rows(fits: np.ndarray) -> np.ndarray:
     """(G, K) mask of the anchors whose (G, K, K) fits row is a maximal subset:
     non-empty, the first anchor with that row, and strictly inside no other row.
     Rows are compared as packed uint64 words, so any K works."""
@@ -262,8 +274,8 @@ def _maximal_rows(fits: np.ndarray, valid: np.ndarray) -> np.ndarray:
         eq &= word[:, :, None] == word[:, None, :]
         sub &= (word[:, :, None] & ~word[:, None, :]) == 0
     dup = (eq & np.tri(K, k=-1, dtype=bool)).any(axis=2)
-    inside = (sub & ~eq & valid[:, None, :]).any(axis=2)
-    return valid & ~dup & ~inside & bits.any(axis=2)
+    inside = (sub & ~eq).any(axis=2)
+    return ~dup & ~inside & bits.any(axis=2)
 
 
 # Configs of a run of points: per config its point, vd_rep, vd_lo, vd_window
@@ -274,22 +286,14 @@ _NO_CONFIGS = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), np.zeros(0
                np.zeros(0), np.zeros(0), np.zeros(0))
 
 
-def _sweep_chunk(block: np.ndarray, idx: ScenarioIndex, number: np.ndarray) -> list[tuple]:
-    """Maximal co-coverable subsets at every point of the block, as a few array
-    passes over the block's coverable (point, target) pairs.  Returns parts
-    laid out as `_NO_CONFIGS`, point-major in block order with block row k
-    numbered number[k], members of a config in target-id order."""
-    C = block.shape[0]
+def _subsets(pts: np.ndarray, pi, tj, idx: ScenarioIndex) -> list[tuple]:
+    """Maximal co-coverable subsets at every point from its live pairs (sorted
+    by point, targets in index order), as (points, K, K) passes over the points
+    with K pairs.  Returns parts laid out as `_NO_CONFIGS`; a point's configs
+    come in one part in anchor order, members of a config in target-id order."""
     parts: list[tuple] = []
-    pi, tj = _cheap_pairs(block, idx)
-    live = ~_occluded(block, pi, tj, idx)
-    pi, tj = pi[live], tj[live]
-    if pi.size == 0:
-        return parts
-    x, y = block[pi, 0], block[pi, 1]
-
-    theta = idx.scenario.sensor.theta
-    eps_ang = idx.tol.eps_ang
+    x, y = pts[pi, 0], pts[pi, 1]
+    theta, eps_ang = idx.scenario.sensor.theta, idx.tol.eps_ang
     limit = theta + eps_ang
     b1 = np.arctan2(idx.sy[tj] - y, idx.sx[tj] - x)
     b2 = np.arctan2(idx.ey[tj] - y, idx.ex[tj] - x)
@@ -299,57 +303,44 @@ def _sweep_chunk(block: np.ndarray, idx: ScenarioIndex, number: np.ndarray) -> l
     mids = np.arctan2(idx.my[tj] - y, idx.mx[tj] - x) % TWO_PI
     tid = idx.ids[tj]
 
-    count = np.bincount(pi, minlength=C)
-    offset = np.concatenate(([0], np.cumsum(count)))
-    slot = np.arange(pi.size) - offset[pi]
-    K = int(count.max())
-    G = max(1, _BUDGET // (K * K))
-    for g0 in range(0, C, G):
-        g1 = min(g0 + G, C)
-        sel = slice(offset[g0], offset[g1])
-        if sel.start == sel.stop:
-            continue
-        gp, sp = pi[sel] - g0, slot[sel]
-        n_g = g1 - g0
-        # padded per-point tables; a padded member never fits (infinite width)
-        pair = np.zeros((n_g, K), dtype=np.int64)
-        pair[gp, sp] = np.arange(sel.start, sel.stop)
-        valid = np.zeros((n_g, K), dtype=bool)
-        valid[gp, sp] = True
-        lo_p = lo[pair]
-        wd_p = np.where(valid, width[pair], np.inf)
-        id_p = np.where(valid, tid[pair], np.iinfo(np.int64).max)
-
-        rel = np.remainder(lo_p[:, None, :] - lo_p[:, :, None], TWO_PI)   # [g, anchor, member]
-        fits = (rel + wd_p[:, None, :] <= limit) & valid[:, :, None]
-        gm, am = np.nonzero(_maximal_rows(fits, valid))
-        rows = fits[gm, am]
-        span = np.where(rows, rel[gm, am] + wd_p[gm], -np.inf).max(axis=1)
-        lo_a = lo_p[gm, am]
-        # re-verify angular containment at vd_rep (range/facing already hold)
-        cone_lo = lo_a + span / 2.0 - theta / 2.0
-        off = np.remainder(lo_p[gm] - cone_lo[:, None], TWO_PI)
-        off = np.where(off > TWO_PI - eps_ang, 0.0, off)
-        ok = (~rows | (off + wd_p[gm] <= limit)).all(axis=1)
-        gm, rows, span, lo_a = gm[ok], rows[ok], span[ok], lo_a[ok]
-        if gm.size == 0:
-            continue
-
-        # members of each config in target-id order, flattened config by config
-        order = np.argsort(id_p, axis=1, kind="stable")
-        r, c = np.nonzero(np.take_along_axis(rows, order[gm], axis=1))
-        q = pair[gm[r], order[gm[r], c]]
-        parts.append((
-            number[gm + g0],
-            _norm_angle_np(lo_a + span / 2.0),
-            _norm_angle_np(lo_a + span - theta / 2.0),
-            theta - span,
-            rows.sum(axis=1),
-            tj[q],
-            lo[q],
-            np.remainder(lo[q] + width[q], TWO_PI),
-            mids[q],
-        ))
+    count = np.bincount(pi, minlength=pts.shape[0])
+    offset = np.cumsum(count) - count   # each point's first pair
+    for K in np.unique(count[count > 0]).tolist():
+        bucket = np.flatnonzero(count == K)
+        G = max(1, _BUDGET // (K * K))
+        for g0 in range(0, bucket.size, G):
+            point = bucket[g0:g0 + G]
+            pair = offset[point, None] + np.arange(K)
+            lo_p, wd_p = lo[pair], width[pair]
+            rel = np.remainder(lo_p[:, None, :] - lo_p[:, :, None], TWO_PI)   # [g, anchor, member]
+            fits = rel + wd_p[:, None, :] <= limit
+            gm, am = np.nonzero(_maximal_rows(fits))
+            rows = fits[gm, am]
+            span = np.where(rows, rel[gm, am] + wd_p[gm], -np.inf).max(axis=1)
+            lo_a = lo_p[gm, am]
+            # re-verify angular containment at vd_rep (range/facing already hold)
+            cone_lo = lo_a + span / 2.0 - theta / 2.0
+            off = np.remainder(lo_p[gm] - cone_lo[:, None], TWO_PI)
+            off = np.where(off > TWO_PI - eps_ang, 0.0, off)
+            ok = (~rows | (off + wd_p[gm] <= limit)).all(axis=1)
+            gm, rows, span, lo_a = gm[ok], rows[ok], span[ok], lo_a[ok]
+            if gm.size == 0:
+                continue
+            # members of each config in target-id order, flattened config by config
+            order = np.argsort(tid[pair], axis=1, kind="stable")
+            r, c = np.nonzero(np.take_along_axis(rows, order[gm], axis=1))
+            q = pair[gm[r], order[gm[r], c]]
+            parts.append((
+                point[gm],
+                _norm_angle_np(lo_a + span / 2.0),
+                _norm_angle_np(lo_a + span - theta / 2.0),
+                theta - span,
+                rows.sum(axis=1),
+                tj[q],
+                lo[q],
+                np.remainder(lo[q] + width[q], TWO_PI),
+                mids[q],
+            ))
     return parts
 
 
@@ -401,16 +392,23 @@ def sweep_points(
     """Run the angular sweep at every point; groups parallel to `points`,
     config sources numbered from `start_index`.
 
-    Blocks of `chunk` points are taken in Z-order, so each block is a compact
-    tile that sees few targets and blockers; a point's configs do not depend
-    on its block, and a stable sort by point restores point-major order."""
+    The pair passes take blocks of `chunk` points in Z-order, compact tiles
+    that see few targets and blockers, and keep the live (point, target)
+    pairs; the subset passes take the points with K live pairs together.  A
+    point's configs depend on neither grouping, and a stable sort by point
+    restores point-major order."""
     idx = index if index is not None else ScenarioIndex(s)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     tiles = _z_order(pts)
-    parts = [_NO_CONFIGS]
+    pairs = [np.zeros((2, 0), dtype=np.int64)]
     for base in range(0, pts.shape[0], chunk):
         tile = tiles[base:base + chunk]
-        parts.extend(_sweep_chunk(pts[tile], idx, tile))
+        pi, tj = _cheap_pairs(pts[tile], idx)
+        live = ~_occluded(pts[tile], pi, tj, idx)
+        pairs.append(np.stack((tile[pi[live]], tj[live])))
+    pi, tj = np.concatenate(pairs, axis=1)
+    by_point = np.argsort(pi, kind="stable")
+    parts = [_NO_CONFIGS] + _subsets(pts, pi[by_point], tj[by_point], idx)
     point, vd_rep, vd_lo, vd_window, size, col, lo, hi, mids = map(np.concatenate, zip(*parts))
     del parts   # free the blocks' pieces before the reordered copies
     order = np.argsort(point, kind="stable")

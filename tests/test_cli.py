@@ -18,6 +18,7 @@ from camplan.cli import CSV_COLUMNS, _parse_algo_spec, main
 from camplan.geom import DegenerateError
 from camplan.model import CameraPlacement, Solution
 from camplan.scenario import parse_candidates, parse_scenario, parse_solution, serialize_solution
+from camplan.select import verify_solution
 
 
 def run(argv, capsys):
@@ -67,6 +68,35 @@ def test_verify_flags_displaced_camera(small_scenario, tmp_path, capsys):
     assert code == 1
     assert "NOT COVERED" in out
     assert "verified=FAILED" in out
+
+
+def test_verify_prints_the_extreme_slacks_of_covered_targets(small_scenario, tmp_path, capsys):
+    sol_path = tmp_path / "sol.json"
+    assert run(["solve", str(small_scenario), "--out", str(sol_path)], capsys)[0] == 0
+    s = parse_scenario(small_scenario.read_text())
+    sol = parse_solution(sol_path.read_text())
+    moved = Solution(placements=[CameraPlacement(position=(0.0, 0.0), vd=sol.placements[0].vd)] + sol.placements[1:],
+                     assignment=sol.assignment)
+    for solution in (sol, moved, Solution(placements=[], assignment={})):
+        sol_path.write_text(serialize_solution(solution))
+        code, out, _ = run(["verify", str(small_scenario), str(sol_path)], capsys)
+        report = verify_solution(s, solution)
+        covered = [c.margins for c in report.checks if c.ok]
+        lines = out.splitlines()
+        n_ok = len(covered)
+        assert lines[-1] == f"verified={'ok' if report.ok else 'FAILED'} ({n_ok}/{len(s.targets)} targets)"
+        assert code == (0 if report.ok else 1)
+        if not covered:
+            assert lines[-2] == "slack: no covered targets"
+            continue
+        fields = dict(item.split("=") for item in lines[-2].removeprefix("slack: ").split())
+        assert list(fields) == ["range_slack_min", "angular_slack_min", "facing_angle_max"]
+        assert float(fields["range_slack_min"]) == pytest.approx(min(m["range_slack"] for m in covered), rel=1e-5)
+        assert float(fields["angular_slack_min"]) == pytest.approx(min(m["angular_slack"] for m in covered), rel=1e-5)
+        assert float(fields["facing_angle_max"]) == pytest.approx(max(m["facing_angle"] for m in covered), rel=1e-5)
+        assert float(fields["range_slack_min"]) >= -s.tol.eps_len
+        assert float(fields["facing_angle_max"]) <= s.sensor.phi + s.tol.eps_ang
+    assert 0 < sum(c.ok for c in verify_solution(s, moved).checks) < len(s.targets)
 
 
 def test_verify_rejects_unknown_target_ids(small_scenario, tmp_path, capsys):

@@ -106,6 +106,24 @@ def test_intersect_tangent_circles_single_point():
     assert pts[0] == pytest.approx((1.0, 0.0))
 
 
+@pytest.mark.parametrize("turn", [0.0, 0.3, 2.0, 4.5])
+@pytest.mark.parametrize("r, dr, d", [(20.0, 2.0, 1.5), (20.0, 3.0, 2.2), (0.05, 2.5, 1.6), (3.0, -2.7, 1.9),
+                                      (50.0, 1000.4, 1000.0)])
+def test_intersect_nested_circles_near_internal_tangency(turn, r, dr, d):
+    # circles nested less than eps apart (radii differ by dr*eps, centers
+    # d*eps apart, 1 < d < |dr| < d + 1) touch once, at a point within eps
+    # of both
+    eps = 1.414e-7
+    c1 = Circle((10.0, 50.0), r)
+    c2 = Circle((10.0 + d * eps * math.cos(turn), 50.0 + d * eps * math.sin(turn)), r + dr * eps)
+    pts = intersect(c1, c2, eps)
+    assert len(pts) == 1
+    for c in (c1, c2):
+        assert abs(math.dist(pts[0], c.center) - c.radius) <= eps / 2.0
+    back = intersect(c2, c1, eps)
+    assert len(back) == 1 and math.dist(back[0], pts[0]) <= 1e-12
+
+
 segments = st.builds(
     Segment,
     st.tuples(st.floats(-10, 10), st.floats(-10, 10)),

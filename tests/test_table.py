@@ -1,12 +1,14 @@
 """The sweep's config table against the per-config objects it replaced.
 
 `oracle_sweep_chunk` is the sweep's block pass as it stood when it built one
-`CandidateConfig` per config, and `oracle_cheap_pairs` and `oracle_occluded`
-are its pair and blocker tests as they stood before the sweep ran in spatial
-tiles (each against every point of the block, not the block's box); all three
-are copied verbatim apart from their names.  The table's per-point views must
+`CandidateConfig` per config, with `oracle_maximal_rows` its padded maximal-row
+test, and `oracle_cheap_pairs` and `oracle_occluded` are its pair and blocker
+tests as they stood before the sweep ran in spatial tiles (each against every
+point of the block, not the block's box) and grouped pairs by target; all
+four are copied verbatim apart from their names.  The table's per-point views must
 equal the oracle's output field by field, and solving from the table must give
 the bytes that solving from its configs gives."""
+import dataclasses
 import math
 import random
 
@@ -23,7 +25,6 @@ from camplan.sweep import (
     ScenarioIndex,
     _BUDGET,
     _blocks_triangle_np,
-    _maximal_rows,
     _norm_angle_np,
     _seg_point_dist_np,
     sweep_points,
@@ -107,6 +108,26 @@ def oracle_occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex) -> np.ndarray
     return out
 
 
+def oracle_maximal_rows(fits: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """(G, K) mask of the anchors whose (G, K, K) fits row is a maximal subset:
+    non-empty, the first anchor with that row, and strictly inside no other row.
+    Rows are compared as packed uint64 words, so any K works."""
+    G, K, _ = fits.shape
+    W = -(-K // 64)
+    if W * 64 != K:
+        fits = np.concatenate([fits, np.zeros((G, K, W * 64 - K), dtype=bool)], axis=2)
+    bits = np.packbits(fits, axis=2, bitorder="little").view("<u8")
+    eq = np.ones((G, K, K), dtype=bool)
+    sub = np.ones((G, K, K), dtype=bool)   # sub[g, a, b]: row a within row b
+    for w in range(W):
+        word = bits[:, :, w]
+        eq &= word[:, :, None] == word[:, None, :]
+        sub &= (word[:, :, None] & ~word[:, None, :]) == 0
+    dup = (eq & np.tri(K, k=-1, dtype=bool)).any(axis=2)
+    inside = (sub & ~eq & valid[:, None, :]).any(axis=2)
+    return valid & ~dup & ~inside & bits.any(axis=2)
+
+
 def oracle_sweep_chunk(block: np.ndarray, idx: ScenarioIndex, source: int) -> list[list[CandidateConfig]]:
     """Maximal co-coverable subsets at every point of the block, as a few array
     passes over the block's coverable (point, target) pairs."""
@@ -154,7 +175,7 @@ def oracle_sweep_chunk(block: np.ndarray, idx: ScenarioIndex, source: int) -> li
 
         rel = np.remainder(lo_p[:, None, :] - lo_p[:, :, None], TWO_PI)   # [g, anchor, member]
         fits = (rel + wd_p[:, None, :] <= limit) & valid[:, :, None]
-        gm, am = np.nonzero(_maximal_rows(fits, valid))
+        gm, am = np.nonzero(oracle_maximal_rows(fits, valid))
         rows = fits[gm, am]
         span = np.where(rows, rel[gm, am] + wd_p[gm], -np.inf).max(axis=1)
         lo_a = lo_p[gm, am]
@@ -391,6 +412,99 @@ def test_tile_box_tests_keep_pairs_and_blockers_at_the_range_limit(seed):
     assert np.array_equal(hidden, oracle_occluded(block, pi, tj, idx))
     assert hidden.any() and not hidden.all()
     assert_groups_equal(sweep_points(points, s, chunk=7), oracle_sweep_points(points, s, chunk=7), s)
+
+
+# --- the two phases ------------------------------------------------------------------------
+
+def mixed_count_scene():
+    """The ring scene's 70 targets and two lone groups of one and two targets
+    far from it, with points at the ring's center and in front of each group."""
+    ring, ring_points = ring_scene()
+    lone = [Target(100, (19.0, 30.0), (21.0, 30.0), (0.0, -1.0)),
+            Target(101, (79.0, 30.0), (80.0, 30.0), (0.0, -1.0)),
+            Target(102, (80.5, 30.0), (81.5, 30.0), (0.0, -1.0))]
+    s = Scenario(100.0, 100.0, ring.sensor, ring.targets + tuple(lone))
+    rng = random.Random(4)
+    points = ring_points[:3] + [(20.0 + rng.uniform(-0.3, 0.3), 25.0 + rng.uniform(-0.3, 0.3)) for _ in range(4)]
+    points += [(79.0, 27.0), (81.0, 27.0), (80.25, 24.0), (80.3, 25.0)]
+    return s, points
+
+
+@pytest.mark.parametrize("budget", [_BUDGET, 1])
+def test_subset_passes_bucket_points_of_one_tile_by_pair_count(monkeypatch, budget):
+    s, points = mixed_count_scene()
+    want = oracle_sweep_points(points, s, chunk=len(points))
+    monkeypatch.setattr(sweep_module, "_BUDGET", budget)
+    groups = sweep_points(points, s, chunk=len(points))
+    assert_groups_equal(groups, want, s)
+    idx = ScenarioIndex(s)
+    pi, tj = sweep_module._cheap_pairs(np.array(points), idx)
+    live = ~sweep_module._occluded(np.array(points), pi, tj, idx)
+    count = np.bincount(pi[live], minlength=len(points))
+    assert count.max() > 64 and {1, 2} <= set(count.tolist())
+    assert all(len(g) > 0 for g in groups)
+
+
+def prefilter_scene():
+    """A tile of points before axis-aligned and slanted targets, one hiding
+    parts of another, and walls set against each target's group box (the
+    union of its pairs' sight-triangle boxes), by kind: along each box edge
+    and up to 2*eps_len either side of it, collinear with sight edges, and
+    from target endpoints into, along and away from sight triangles."""
+    sensor = SensorSpec(aov_deg=120.0, r_min=0.0, r_max=15.0)
+    targets = (Target(0, (19.0, 28.0), (21.0, 28.0), (0.0, -1.0)),
+               Target(1, (28.0, 21.0), (28.0, 19.0), (-1.0, 0.0)),
+               Target(2, (12.0, 26.0), (13.0, 27.0), (math.sqrt(0.5), -math.sqrt(0.5))),
+               Target(3, (18.5, 12.0), (19.5, 12.0), (0.0, 1.0)),
+               Target(4, (19.8, 24.0), (20.3, 24.0), (0.0, -1.0)))   # hides parts of target 0
+    base = Scenario(50.0, 50.0, sensor, targets)
+    eps = base.tol.eps_len
+    points = [(19.5 + 0.5 * i + 0.01 * j, 19.5 + 0.5 * j) for i in range(3) for j in range(3)]
+    points += [(20.0, 19.0), (19.0, 20.0), (28.0, 17.0)]
+    pi, tj = sweep_module._cheap_pairs(np.array(points), ScenarioIndex(base))
+    walls = {"box edges": [], "sight edges": [], "target endpoints": []}
+    for j in sorted(set(tj.tolist())):
+        t = targets[j]
+        apexes = [points[p] for p in pi[tj == j].tolist()]
+        xs = [x for x, _ in apexes] + [t.start[0], t.end[0]]
+        ys = [y for _, y in apexes] + [t.start[1], t.end[1]]
+        x_lo, x_hi, y_lo, y_hi = min(xs), max(xs), min(ys), max(ys)
+        for k in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0):
+            d = k * eps
+            walls["box edges"] += [((x_lo + d, y_lo), (x_lo + d, y_hi)), ((x_hi + d, y_lo), (x_hi + d, y_hi)),
+                                   ((x_lo, y_lo + d), (x_hi, y_lo + d)), ((x_lo, y_hi + d), (x_hi, y_hi + d))]
+        for a in apexes[::2]:
+            for end in (t.start, t.end):
+                walls["sight edges"].append((tuple(a[i] + 0.3 * (end[i] - a[i]) for i in range(2)),
+                                             tuple(a[i] + 0.6 * (end[i] - a[i]) for i in range(2))))
+        a = apexes[0]
+        inward = tuple((a[i] + t.end[i]) / 2.0 - t.start[i] for i in range(2))
+        walls["target endpoints"] += [(t.start, tuple(t.start[i] + f * inward[i] for i in range(2)))
+                                      for f in (0.2, -0.2)]
+        walls["target endpoints"].append((t.end, tuple(t.end[i] + 0.4 * (a[i] - t.end[i]) for i in range(2))))
+    return base, points, walls
+
+
+@pytest.mark.parametrize("budget", [_BUDGET, 1])
+def test_target_grouped_prefilter_equals_oracle_on_adversarial_blockers(monkeypatch, budget):
+    base, points, walls = prefilter_scene()
+    block = np.array(points)
+    monkeypatch.setattr(sweep_module, "_BUDGET", budget)
+    every = [Obstacle(k, w) for k, w in enumerate(w for kind in walls.values() for w in kind)]
+    for kind, chains in walls.items():
+        seen = set()
+        # each wall alone, then the kind's walls together
+        for obstacles in [[Obstacle(0, w)] for w in chains] + [[Obstacle(k, w) for k, w in enumerate(chains)]]:
+            idx = ScenarioIndex(dataclasses.replace(base, obstacles=tuple(obstacles)))
+            pi, tj = sweep_module._cheap_pairs(block, idx)
+            assert set(tj.tolist()) == set(range(5))
+            hidden = sweep_module._occluded(block, pi, tj, idx)
+            assert np.array_equal(hidden, oracle_occluded(block, pi, tj, idx)), (kind, obstacles)
+            seen.update(hidden.tolist())
+        assert seen == {False, True}, kind
+    s = dataclasses.replace(base, obstacles=tuple(every))
+    for chunk in (5, len(points)):
+        assert_groups_equal(sweep_points(points, s, chunk=chunk), oracle_sweep_points(points, s, chunk=chunk), s)
 
 
 def test_table_rejects_indices_outside_it():
