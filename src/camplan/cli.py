@@ -10,8 +10,7 @@ import argparse
 import csv
 import sys
 import time
-from dataclasses import dataclass
-from multiprocessing import Pool
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from .discretize import CandidateSet, bcpf_sample, comprehensive_candidates, grid_sample
@@ -106,6 +105,14 @@ def _sensor_from_args(args) -> SensorSpec:
     return SensorSpec(aov_deg=args.aov, r_min=args.r_min, r_max=args.r_max, phi_deg=args.phi)
 
 
+def _check_sensor(width: float, height: float, sensor: SensorSpec) -> None:
+    """Raise `ValidationFailure` when `solve` would reject every scenario of
+    this area and sensor."""
+    report = validate_scenario(Scenario(width, height, sensor, ()))
+    if not report.ok:
+        raise ValidationFailure(report)
+
+
 def _add_sensor_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--aov", type=float, default=100.0, help="angle of view, degrees")
     p.add_argument("--r-min", type=float, default=0.0, help="minimum viewing range, meters")
@@ -129,7 +136,9 @@ def cmd_generate(args) -> int:
         target_width=args.target_width, min_separation=args.min_sep,
         n_obstacles=args.obstacles, margin=args.margin, seed=args.seed,
     )
-    s = random_scenario(params, _sensor_from_args(args))
+    sensor = _sensor_from_args(args)
+    _check_sensor(args.width, args.height, sensor)
+    s = random_scenario(params, sensor)
     _write(args.out, serialize_scenario(s))
     return EXIT_OK
 
@@ -211,33 +220,26 @@ def _parse_algo_spec(spec: str) -> dict:
     raise ValueError(f"unknown algorithm spec {spec!r}")
 
 
-def _bench_cell(job: dict) -> list[dict]:
+def _bench_cell(params: GenParams, sensor: SensorSpec, spec: dict, seeds: list[int],
+                vd_mode: str) -> list[dict]:
     """One (axis value x algorithm) cell: a discarded warmup, then every seed."""
-    spec = job["spec"]
     rows = []
-    for k, seed in enumerate([job["seeds"][0], *job["seeds"]]):
-        warmup = k == 0
+    for k, seed in enumerate([seeds[0], *seeds]):
         base = {
-            "algo": spec["algo"], "seed": seed, "n": job["n"],
-            "aov_deg": job["aov"], "r_max": job["r_max"],
+            "algo": spec["algo"], "seed": seed, "n": params.n_targets,
+            "aov_deg": sensor.aov_deg, "r_max": sensor.r_max,
             "eps_a": spec["eps_a"],
-            "eps_r": (job["r_max"] if spec["eps_r"] is None and spec["algo"] == "bcpf"
+            "eps_r": (sensor.r_max if spec["eps_r"] is None and spec["algo"] == "bcpf"
                       else spec["eps_r"]),
             "grid_eps": spec["grid_eps"],
             "cameras": None, "runtime_ms": None, "candidates": None,
             "total_f1": None, "status": "ok",
         }
         try:
-            params = GenParams(
-                width=job["width"], height=job["height"], n_targets=job["n"],
-                target_width=job["target_width"], margin=job["margin"], seed=seed,
-            )
-            sensor = SensorSpec(aov_deg=job["aov"], r_min=job["r_min"],
-                                r_max=job["r_max"], phi_deg=job["phi"])
-            s = random_scenario(params, sensor)
+            s = random_scenario(replace(params, seed=seed), sensor)
             res = run_pipeline(s, spec["algo"], eps_a=spec["eps_a"] or 0.1,
                                eps_r=spec["eps_r"], grid_eps=spec["grid_eps"] or 2.0,
-                               vd_mode=job["vd_mode"])
+                               vd_mode=vd_mode)
             base["cameras"] = res.cameras
             base["runtime_ms"] = round(res.runtime_ms, 3)
             base["candidates"] = len(res.candidates)
@@ -248,7 +250,7 @@ def _bench_cell(job: dict) -> list[dict]:
             base["status"] = f"infeasible:{len(e.uncovered)}"
         except Exception as e:  # noqa: BLE001 - a cell failure must not kill the sweep
             base["status"] = f"error:{type(e).__name__}"
-        if not warmup:
+        if k > 0:
             rows.append(base)
     return rows
 
@@ -257,46 +259,36 @@ def cmd_bench(args) -> int:
     try:
         specs = [_parse_algo_spec(a) for a in args.algos.split(",") if a]
         values = [float(v) for v in args.values.split(",") if v]
+        if args.seeds < 1:
+            raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     except ValueError as e:
         print(f"bench spec error: {e}", file=sys.stderr)
         return EXIT_PARSE
     seeds = list(range(args.seeds))
-    jobs = []
+    params = GenParams(width=args.width, height=args.height, n_targets=args.n,
+                       target_width=args.target_width, margin=args.margin)
+    sensor = _sensor_from_args(args)
+    cells = []
     for value in values:
-        for spec in specs:
-            job = {
-                "spec": spec, "seeds": seeds, "vd_mode": args.vd_opt,
-                "n": args.n, "aov": args.aov, "r_max": args.r_max,
-                "r_min": args.r_min, "phi": args.phi,
-                "width": args.width, "height": args.height,
-                "target_width": args.target_width, "margin": args.margin,
-            }
-            if args.axis == "n":
-                job["n"] = int(value)
-            elif args.axis == "r_max":
-                job["r_max"] = value
-            else:
-                job["aov"] = value
-            jobs.append(job)
+        cell_params, cell_sensor = params, sensor
+        if args.axis == "n":
+            cell_params = replace(params, n_targets=int(value))
+        elif args.axis == "r_max":
+            cell_sensor = replace(sensor, r_max=value)
+        else:
+            cell_sensor = replace(sensor, aov_deg=value)
+        _check_sensor(args.width, args.height, cell_sensor)
+        cells.extend((cell_params, cell_sensor, spec) for spec in specs)
 
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="utf-8", newline="")
     try:
         writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
         out.flush()
-
-        def emit(rows):
-            for row in rows:
+        for cell_params, cell_sensor, spec in cells:
+            for row in _bench_cell(cell_params, cell_sensor, spec, seeds, args.vd_opt):
                 writer.writerow({k: ("" if v is None else v) for k, v in row.items()})
             out.flush()
-
-        if args.workers > 1:
-            with Pool(processes=args.workers) as pool:
-                for rows in pool.imap(_bench_cell, jobs):
-                    emit(rows)
-        else:
-            for job in jobs:
-                emit(_bench_cell(job))
     finally:
         if out is not sys.stdout:
             out.close()
@@ -369,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="keep segments this far from the area edges")
     _add_sensor_flags(p)
     p.add_argument("--vd-opt", choices=["none", "f1", "finf"], default="f1")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_bench)
 

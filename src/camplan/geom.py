@@ -15,7 +15,7 @@ Point = tuple[float, float]
 
 TWO_PI = 2.0 * math.pi
 
-# Absolute fallbacks; scene-scaled values come from model.Tolerance.
+# Absolute fallbacks; scene-scaled values come from `Tolerance` below.
 EPS = 1e-9
 EPS_ANG = 1e-12
 

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import Point, Segment, Tolerance, segment_segment_distance
+from .geom import Point, Segment, Tolerance, point_segment_distance, segment_segment_distance
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,8 +127,8 @@ class ConfigTable:
     Per config i: the `CandidateConfig` fields source, position (row of an
     (m, 2) array), vd_rep, vd_lo and vd_window.  Its members are entries
     ptr[i]:ptr[i + 1] of the member arrays: target id (`covered`), the
-    target's column in the scenario's target list (`col`, -1 for an id the
-    scenario lacks), interval_lo, interval_hi and mid_bearings.
+    target's column in the scenario's target list (`col`), interval_lo,
+    interval_hi and mid_bearings.
     `table[i]` builds config i as a `CandidateConfig`.
     """
 
@@ -172,9 +172,12 @@ class ConfigTable:
     @classmethod
     def from_configs(cls, configs, targets) -> "ConfigTable":
         """The table of a sequence of `CandidateConfig`s, with member columns
-        taken from the order of `targets`."""
+        taken from the order of `targets`; every covered id must be a target's."""
         column = {t.id: k for k, t in enumerate(targets)}
         covered = [tid for cfg in configs for tid in cfg.covered]
+        stray = sorted(set(covered) - column.keys())
+        if stray:
+            raise ValueError(f"configs cover target ids the scenario lacks: {stray}")
 
         def per_config(name):
             return np.array([getattr(cfg, name) for cfg in configs], dtype=float)
@@ -190,7 +193,7 @@ class ConfigTable:
             vd_window=per_config("vd_window"),
             ptr=np.cumsum([0] + [len(cfg.covered) for cfg in configs], dtype=np.int64),
             covered=np.array(covered, dtype=np.int64),
-            col=np.array([column.get(tid, -1) for tid in covered], dtype=np.int64),
+            col=np.array([column[tid] for tid in covered], dtype=np.int64),
             interval_lo=per_member("interval_lo"),
             interval_hi=per_member("interval_hi"),
             mid_bearings=per_member("mid_bearings"),
@@ -350,7 +353,5 @@ def _touch_only_at_endpoints(s1: Segment, s2: Segment, eps: float) -> bool:
     # contact must be confined to the shared endpoint(s): interiors stay apart
     mid1 = s1.midpoint()
     mid2 = s2.midpoint()
-    from .geom import point_segment_distance
-
     return point_segment_distance(mid1, s2) > eps and point_segment_distance(mid2, s1) > eps
 

@@ -229,7 +229,7 @@ def serialize_scenario(s: Scenario) -> str:
     })
 
 
-def parse_scenario(text: str, validate: bool = True) -> Scenario:
+def parse_scenario(text: str) -> Scenario:
     doc = _loads(text)
     area = _field(doc, "area", "$")
     sensor_doc = _field(doc, "sensor", "$")
@@ -264,10 +264,9 @@ def parse_scenario(text: str, validate: bool = True) -> Scenario:
         targets=tuple(targets),
         obstacles=tuple(obstacles),
     )
-    if validate:
-        report = validate_scenario(s)
-        if not report.ok:
-            raise ValidationFailure(report)
+    report = validate_scenario(s)
+    if not report.ok:
+        raise ValidationFailure(report)
     return s
 
 

@@ -20,13 +20,13 @@ class InfeasibleError(Exception):
         super().__init__(f"no candidate configuration covers targets {list(self.uncovered)}")
 
 
-def _subset_f1(cfg: CandidateConfig, ids, theta: float) -> float:
-    """Minimum total deviation achievable for `ids` within their vd window."""
-    lo, window = subset_window(cfg, ids, theta)
-    wanted = set(ids)
-    mids = [b for tid, b in zip(cfg.covered, cfg.mid_bearings) if tid in wanted]
-    alpha = optimal_vd(mids, lo, window, "f1")
-    return sum(abs(wrap_pi(b - alpha)) for b in mids)
+def _aim(cfg: CandidateConfig, open_ids: set, theta: float, mode: str) -> tuple[float, float]:
+    """Deviation-minimizing direction for the members of cfg in `open_ids`,
+    within their vd window, and their total deviation from it."""
+    lo, window = subset_window(cfg, [tid for tid in cfg.covered if tid in open_ids], theta)
+    mids = [b for tid, b in zip(cfg.covered, cfg.mid_bearings) if tid in open_ids]
+    alpha = optimal_vd(mids, lo, window, mode)
+    return alpha, sum(abs(wrap_pi(b - alpha)) for b in mids)
 
 
 def greedy_cover(configs: ConfigTable | Sequence[CandidateConfig], s: Scenario,
@@ -56,8 +56,7 @@ def greedy_cover(configs: ConfigTable | Sequence[CandidateConfig], s: Scenario,
     # sorted: the configs covering target column k are rows[ptr[k]:ptr[k + 1]]
     cols = table.col
     owner = np.repeat(np.arange(m), np.diff(table.ptr))
-    known = cols >= 0
-    key = np.sort(cols[known] * m + owner[known])
+    key = np.sort(cols * m + owner)
     key = key[np.diff(key, prepend=-1) != 0]
     rows = key % m
     ptr = np.searchsorted(key, np.arange(n + 1) * m)
@@ -76,8 +75,7 @@ def greedy_cover(configs: ConfigTable | Sequence[CandidateConfig], s: Scenario,
         tied = np.flatnonzero(gains == best_gain)
         if tied.size > 1:
             for i in tied[np.isnan(score[tied])].tolist():
-                cfg = table[i]
-                score[i] = _subset_f1(cfg, [tid for tid in cfg.covered if tid in open_ids], theta)
+                score[i] = _aim(table[i], open_ids, theta, "f1")[1]
             pick = int(tied[np.argmin(score[tied])])
         else:
             pick = int(tied[0])
@@ -85,11 +83,7 @@ def greedy_cover(configs: ConfigTable | Sequence[CandidateConfig], s: Scenario,
         cfg = table[pick]
         start, stop = table.ptr[pick:pick + 2].tolist()
         fresh = [(tid, k) for tid, k in zip(cfg.covered, cols[start:stop].tolist()) if tid in open_ids]
-        new_ids = [tid for tid, _ in fresh]
-        lo, window = subset_window(cfg, new_ids, theta)
-        wanted = set(new_ids)
-        mids = [b for tid, b in zip(cfg.covered, cfg.mid_bearings) if tid in wanted]
-        alpha = cfg.vd_rep if vd_mode == "none" else optimal_vd(mids, lo, window, vd_mode)
+        alpha = cfg.vd_rep if vd_mode == "none" else _aim(cfg, open_ids, theta, vd_mode)[0]
         index = len(placements)
         placements.append(CameraPlacement(cfg.position, norm_angle(alpha)))
         for tid, k in fresh:

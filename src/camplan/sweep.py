@@ -382,27 +382,21 @@ def _z_order(pts: np.ndarray) -> np.ndarray:
     return np.argsort(q[:, 0] | (q[:, 1] << np.uint64(1)), kind="stable")
 
 
-def sweep_points(
-    points,
-    s: Scenario,
-    index: ScenarioIndex | None = None,
-    start_index: int = 0,
-    chunk: int = _CHUNK,
-) -> PointGroups:
+def sweep_points(points, s: Scenario) -> PointGroups:
     """Run the angular sweep at every point; groups parallel to `points`,
-    config sources numbered from `start_index`.
+    each config's source the index of its point.
 
-    The pair passes take blocks of `chunk` points in Z-order, compact tiles
+    The pair passes take blocks of `_CHUNK` points in Z-order, compact tiles
     that see few targets and blockers, and keep the live (point, target)
     pairs; the subset passes take the points with K live pairs together.  A
     point's configs depend on neither grouping, and a stable sort by point
     restores point-major order."""
-    idx = index if index is not None else ScenarioIndex(s)
+    idx = ScenarioIndex(s)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     tiles = _z_order(pts)
     pairs = [np.zeros((2, 0), dtype=np.int64)]
-    for base in range(0, pts.shape[0], chunk):
-        tile = tiles[base:base + chunk]
+    for base in range(0, pts.shape[0], _CHUNK):
+        tile = tiles[base:base + _CHUNK]
         pi, tj = _cheap_pairs(pts[tile], idx)
         live = ~_occluded(pts[tile], pi, tj, idx)
         pairs.append(np.stack((tile[pi[live]], tj[live])))
@@ -419,7 +413,7 @@ def sweep_points(
     point = point[order]
     col = col[member]
     table = ConfigTable(
-        source=point + start_index,
+        source=point,
         position=pts[point],
         vd_rep=vd_rep[order],
         vd_lo=vd_lo[order],
@@ -434,6 +428,6 @@ def sweep_points(
     return PointGroups(table, np.searchsorted(point, np.arange(pts.shape[0] + 1)))
 
 
-def sweep(x: Point, s: Scenario, index: ScenarioIndex | None = None) -> list[CandidateConfig]:
+def sweep(x: Point, s: Scenario) -> list[CandidateConfig]:
     """Maximal simultaneously coverable target subsets at x with their vd windows."""
-    return sweep_points([x], s, index)[0]
+    return sweep_points([x], s)[0]

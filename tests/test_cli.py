@@ -344,11 +344,27 @@ def test_bench_repeats_identically_modulo_runtime(tmp_path, capsys):
     assert strip_runtime(a) == strip_runtime(b)
 
 
-def test_bench_worker_pool_preserves_row_order(tmp_path, capsys):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run(BENCH_ARGS + ["--out", str(a)], capsys)[0] == 0
-    assert run(BENCH_ARGS + ["--workers", "2", "--out", str(b)], capsys)[0] == 0
-    assert strip_runtime(a) == strip_runtime(b)
+def test_bench_rejects_fewer_than_one_seed(tmp_path, capsys):
+    out = tmp_path / "b.csv"
+    code, _, err = run(["bench", "--axis", "n", "--values", "3", "--algos", "grid:10",
+                        "--seeds", "0", "--out", str(out)], capsys)
+    assert code == 2
+    assert "bench spec error" in err and "--seeds" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["generate", "--aov", "400", "--r-max", "-2"],
+    ["bench", "--axis", "aov", "--values", "400", "--algos", "grid:10", "--seeds", "1"],
+    ["bench", "--axis", "r_max", "--values=-5", "--algos", "grid:10", "--seeds", "1"],
+    ["bench", "--axis", "n", "--values", "3", "--algos", "grid:10", "--seeds", "1", "--phi", "0"],
+])
+def test_generate_and_bench_reject_an_invalid_sensor_before_writing(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    code, stdout, err = run(command + ["--out", str(out)], capsys)
+    assert code == 3
+    assert "validation error" in err and "sensor" in err
+    assert not out.exists() and stdout == ""
 
 
 def test_target_id_beyond_int64_is_a_validation_error(tmp_path, capsys):

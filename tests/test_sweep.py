@@ -438,7 +438,8 @@ def occluded_scene(rng, n):
     return scen(s.targets, s.sensor, obstacles, w=20.0, h=20.0)
 
 
-def test_sweep_points_matches_brute_force_at_every_point():
+def test_sweep_points_matches_brute_force_at_every_point(monkeypatch):
+    monkeypatch.setattr(sweep_module, "_CHUNK", 37)
     rng = random.Random(2024)
     for trial in range(6):
         s = occluded_scene(rng, rng.randint(3, 8))
@@ -448,7 +449,7 @@ def test_sweep_points_matches_brute_force_at_every_point():
                 d = rng.uniform(0.3, 2.8)
                 pts.append((t.midpoint[0] + t.normal[0] * d + rng.uniform(-1, 1),
                             t.midpoint[1] + t.normal[1] * d + rng.uniform(-1, 1)))
-        groups = sweep_points(pts, s, chunk=37)
+        groups = sweep_points(pts, s)
         assert len(groups) == len(pts)
         for k, (x, group) in enumerate(zip(pts, groups)):
             assert all(c.source == k and c.position == x for c in group)
@@ -485,13 +486,14 @@ def test_sweep_points_independent_of_chunking(monkeypatch):
     ring = ring_scene(aov=30.0, center=(10.0, 10.0))
     pts = [(rng.uniform(0, 20), rng.uniform(0, 20)) for _ in range(300)]
     for scene, points in ((s, pts), (ring, [(10.0, 10.0), (10.3, 9.8)] + pts[:40])):
-        whole = sweep_points(points, scene, chunk=len(points))
+        monkeypatch.setattr(sweep_module, "_CHUNK", len(points))
+        whole = sweep_points(points, scene)
         assert sum(map(len, whole)) > 0
         for chunk in (1, 7, 128):
-            assert sweep_points(points, scene, chunk=chunk) == whole
+            monkeypatch.setattr(sweep_module, "_CHUNK", chunk)
+            assert sweep_points(points, scene) == whole
         # one point per subset batch and one pair per occlusion batch
         monkeypatch.setattr(sweep_module, "_BUDGET", 1)
-        assert sweep_points(points, scene, chunk=50) == whole
+        monkeypatch.setattr(sweep_module, "_CHUNK", 50)
+        assert sweep_points(points, scene) == whole
         monkeypatch.undo()
-        shifted = sweep_points(points, scene, start_index=1000)
-        assert [[c.source - 1000 for c in g] for g in shifted] == [[c.source for c in g] for g in whole]

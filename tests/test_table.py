@@ -22,6 +22,7 @@ from camplan.scenario import GenParams, random_scenario, serialize_solution
 from camplan.select import greedy_cover
 from camplan.sweep import (
     TWO_PI,
+    PointGroups,
     ScenarioIndex,
     _BUDGET,
     _blocks_triangle_np,
@@ -219,6 +220,12 @@ def oracle_sweep_chunk(block: np.ndarray, idx: ScenarioIndex, source: int) -> li
     return groups
 
 
+def sweep_in_tiles(monkeypatch, points, s: Scenario, chunk: int) -> PointGroups:
+    """`sweep_points` with pair-pass tiles of `chunk` points."""
+    monkeypatch.setattr(sweep_module, "_CHUNK", chunk)
+    return sweep_points(points, s)
+
+
 def oracle_sweep_points(points, s: Scenario, chunk: int = 128) -> list[list[CandidateConfig]]:
     idx = ScenarioIndex(s)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
@@ -305,12 +312,12 @@ def assert_groups_equal(groups, want, s):
 
 @pytest.mark.parametrize("name", sorted(SCENES))
 @pytest.mark.parametrize("chunk", [1, 7, 128])
-def test_table_views_equal_oracle_configs(name, chunk):
+def test_table_views_equal_oracle_configs(name, chunk, monkeypatch):
     s, points = SCENES[name]()
     if chunk == 1:
         points = points[:300]   # one point per block: keep it quick
     want = oracle_sweep_points(points, s, chunk=chunk)
-    groups = sweep_points(points, s, chunk=chunk)
+    groups = sweep_in_tiles(monkeypatch, points, s, chunk)
     assert sum(map(len, want)) > 0
     assert_groups_equal(groups, want, s)
     if name == "more than 64 targets at a point":
@@ -348,23 +355,23 @@ def special_point_sets():
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 128])
-def test_tiled_sweep_equals_oracle_on_special_point_sets(chunk):
+def test_tiled_sweep_equals_oracle_on_special_point_sets(chunk, monkeypatch):
     s, sets = special_point_sets()
     for name, points in sets.items():
         want = oracle_sweep_points(points, s, chunk=chunk)
-        groups = sweep_points(points, s, chunk=chunk)
+        groups = sweep_in_tiles(monkeypatch, points, s, chunk)
         assert_groups_equal(groups, want, s)
         if name in ("identical points", "points outside the area", "clustered and scattered"):
             assert sum(map(len, want)) > 0, name
 
 
 @pytest.mark.parametrize("name", ["bcpf-400-r10 family", "occluded", "more than 64 targets at a point"])
-def test_tiled_sweep_follows_a_permutation_of_its_points(name):
+def test_tiled_sweep_follows_a_permutation_of_its_points(name, monkeypatch):
     s, points = SCENES[name]()
-    groups = sweep_points(points, s, chunk=32)
+    groups = sweep_in_tiles(monkeypatch, points, s, 32)
     perm = list(range(len(points)))
     random.Random(9).shuffle(perm)
-    shuffled = sweep_points([points[k] for k in perm], s, chunk=32)
+    shuffled = sweep_in_tiles(monkeypatch, [points[k] for k in perm], s, 32)
     assert len(shuffled) == len(groups)
     for k, p in enumerate(perm):
         assert [cfg._replace(source=0) for cfg in shuffled[k]] == [cfg._replace(source=0) for cfg in groups[p]]
@@ -400,7 +407,7 @@ def range_limit_scene(seed):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_tile_box_tests_keep_pairs_and_blockers_at_the_range_limit(seed):
+def test_tile_box_tests_keep_pairs_and_blockers_at_the_range_limit(seed, monkeypatch):
     s, points = range_limit_scene(seed)
     idx = ScenarioIndex(s)
     block = np.array(points)
@@ -411,7 +418,7 @@ def test_tile_box_tests_keep_pairs_and_blockers_at_the_range_limit(seed):
     hidden = sweep_module._occluded(block, pi, tj, idx)
     assert np.array_equal(hidden, oracle_occluded(block, pi, tj, idx))
     assert hidden.any() and not hidden.all()
-    assert_groups_equal(sweep_points(points, s, chunk=7), oracle_sweep_points(points, s, chunk=7), s)
+    assert_groups_equal(sweep_in_tiles(monkeypatch, points, s, 7), oracle_sweep_points(points, s, chunk=7), s)
 
 
 # --- the two phases ------------------------------------------------------------------------
@@ -435,7 +442,7 @@ def test_subset_passes_bucket_points_of_one_tile_by_pair_count(monkeypatch, budg
     s, points = mixed_count_scene()
     want = oracle_sweep_points(points, s, chunk=len(points))
     monkeypatch.setattr(sweep_module, "_BUDGET", budget)
-    groups = sweep_points(points, s, chunk=len(points))
+    groups = sweep_in_tiles(monkeypatch, points, s, len(points))
     assert_groups_equal(groups, want, s)
     idx = ScenarioIndex(s)
     pi, tj = sweep_module._cheap_pairs(np.array(points), idx)
@@ -504,7 +511,7 @@ def test_target_grouped_prefilter_equals_oracle_on_adversarial_blockers(monkeypa
         assert seen == {False, True}, kind
     s = dataclasses.replace(base, obstacles=tuple(every))
     for chunk in (5, len(points)):
-        assert_groups_equal(sweep_points(points, s, chunk=chunk), oracle_sweep_points(points, s, chunk=chunk), s)
+        assert_groups_equal(sweep_in_tiles(monkeypatch, points, s, chunk), oracle_sweep_points(points, s, chunk=chunk), s)
 
 
 def test_table_rejects_indices_outside_it():
@@ -518,16 +525,26 @@ def test_table_rejects_indices_outside_it():
     assert len(sweep_points([], s)) == 0
 
 
+def test_table_from_configs_rejects_ids_the_scenario_lacks():
+    s, points = ring_scene()
+    cfg = sweep_points(points, s).table[0]
+    stray = cfg._replace(covered=cfg.covered[:-1] + (999,))
+    with pytest.raises(ValueError, match="999"):
+        ConfigTable.from_configs([cfg, stray], s.targets)
+    with pytest.raises(ValueError, match="999"):
+        greedy_cover([stray], s)
+
+
 def test_table_invariants():
     s, points = bench_family(40, 30.0, 0, "bcpf", 1)
-    groups = sweep_points(points, s, start_index=5)
+    groups = sweep_points(points, s)
     table = groups.table
     sizes = np.diff(table.ptr)
     assert table.ptr[0] == 0 and (sizes > 0).all() and table.ptr[-1] == len(table.covered)
     # point-major configs, members in target-id order within each config
     assert (np.diff(table.source) >= 0).all()
-    assert np.array_equal(np.diff(groups.ptr), np.bincount(table.source - 5, minlength=len(points)))
+    assert np.array_equal(np.diff(groups.ptr), np.bincount(table.source, minlength=len(points)))
     owner = np.repeat(np.arange(len(table)), sizes)
     same = owner[1:] == owner[:-1]
     assert (np.diff(table.covered)[same] > 0).all()
-    assert np.array_equal(table.position, np.asarray(points)[table.source - 5])
+    assert np.array_equal(table.position, np.asarray(points)[table.source])
