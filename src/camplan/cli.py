@@ -21,6 +21,7 @@ from .scenario import (
     PackingError,
     ParseError,
     ValidationFailure,
+    check_params,
     parse_scenario,
     parse_solution,
     random_scenario,
@@ -261,6 +262,8 @@ def cmd_bench(args) -> int:
         values = [float(v) for v in args.values.split(",") if v]
         if args.seeds < 1:
             raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+        if args.axis == "n" and not all(v.is_integer() for v in values):
+            raise ValueError(f"target counts must be whole numbers, got {args.values}")
     except ValueError as e:
         print(f"bench spec error: {e}", file=sys.stderr)
         return EXIT_PARSE
@@ -277,6 +280,7 @@ def cmd_bench(args) -> int:
             cell_sensor = replace(sensor, r_max=value)
         else:
             cell_sensor = replace(sensor, aov_deg=value)
+        check_params(cell_params)
         _check_sensor(args.width, args.height, cell_sensor)
         cells.extend((cell_params, cell_sensor, spec) for spec in specs)
 

@@ -7,15 +7,17 @@ each target's basic placement field, and a uniform grid over the area.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .fields import aov_pair, covers, cpf, field_tolerance
-from .geom import DegenerateError, Piece, Point, Segment, piece_curve_intersections, piece_intersections
+from .geom import TWO_PI, DegenerateError, Piece, Point, Segment, piece_intersections
 from .model import Scenario, Target
-from .sweep import ScenarioIndex, clause_slacks
+from .sweep import ScenarioIndex, _norm_angle_np, clause_verdicts
 
 _TAG_RANK = {"cpf-critical": 0, "cpf-x-cpf": 1, "cpf-x-aov": 2, "bcpf-sample": 3, "grid": 4}
 
@@ -100,32 +102,41 @@ def comprehensive_candidates(s: Scenario) -> CandidateSet:
             tagged.append((v, "cpf-critical"))
 
     pieces: dict[int, list[Piece]] = {tid: list(reg.pieces()) for tid, reg in regions.items()}
+    table = _piece_table([pc for pcs in pieces.values() for pc in pcs])
+    first = dict(zip(pieces, np.cumsum([0] + [len(pcs) for pcs in pieces.values()]).tolist()))
+    bounds = {tid: (table.box[k:k + len(pieces[tid])], table.radius[k:k + len(pieces[tid])])
+              for tid, k in first.items()}
     pairs = _interacting_pairs(s)
     views = [_pair_view_circles(s.targets[i], s.targets[j], s.sensor.theta)
              if s.sensor.theta < math.pi else [] for i, j in pairs]
-    rings: dict[int, list[tuple[float, float, float]]] = {tid: [] for tid in pieces}
+    # a target's view circles as rows (x, y, r, number of the call group in
+    # the view-circle loop's order: pair, circle, then the pair's targets)
+    rings: dict[int, list[tuple[float, ...]]] = {tid: [] for tid in pieces}
+    group = itertools.count()
     for (i, j), view in zip(pairs, views):
-        for tid in (s.targets[i].id, s.targets[j].id):
-            rings[tid] += [(*c.center, c.radius) for c in view]
-    rings_xyr = {tid: np.array(rows, dtype=float).reshape(-1, 3) for tid, rows in rings.items()}
-    bounds = {tid: _piece_bounds(pcs) for tid, pcs in pieces.items()}
+        for c in view:
+            for tid in (s.targets[i].id, s.targets[j].id):
+                rings[tid].append((*c.center, c.radius, next(group)))
+    rings_xyr = {tid: np.array(rows, dtype=float).reshape(-1, 4) for tid, rows in rings.items()}
     ext = _extent(bounds.values(), rings_xyr.values())
     reach = {tid: _grow_boxes(box, radius, eps, ext) for tid, (box, radius) in bounds.items()}
-    # one row per view circle a target's pieces meet, taken in the loop's order
-    near = {tid: iter(_reaches_ring(reach[tid], rings_xyr[tid], eps, ext)) for tid in pieces}
-    for (i, j), view in zip(pairs, views):
+    for i, j in pairs:
         ti, tj = s.targets[i], s.targets[j]
         for a, b in np.argwhere(_boxes_meet(reach[ti.id], reach[tj.id])).tolist():
             for pt in piece_intersections(pieces[ti.id][a], pieces[tj.id][b], eps):
                 tagged.append((pt, "cpf-x-cpf"))
-        for circle in view:
-            for tid in (ti.id, tj.id):
-                for a in np.flatnonzero(next(near[tid])).tolist():
-                    for pt in piece_curve_intersections(pieces[tid][a], circle, eps):
-                        tagged.append((pt, "cpf-x-aov"))
+    # a call (ring row, piece) for each piece whose box meets the ring, in
+    # the loop's order: by call group, then piece
+    calls = [np.zeros((0, 5))]
+    for tid in pieces:
+        row, a = np.nonzero(_reaches_ring(reach[tid], rings_xyr[tid], eps, ext))
+        calls.append(np.column_stack((rings_xyr[tid][row], first[tid] + a)))
+    calls = np.concatenate(calls)
+    calls = calls[np.lexsort((calls[:, 4], calls[:, 3]))]
+    found = _view_circle_points(table, calls[:, 4].astype(np.int64), calls[:, :3], eps)[1]
 
-    xy = _clamp_to_area(np.array([p for p, _ in tagged], dtype=float).reshape(-1, 2), s)
-    rank = np.array([_TAG_RANK[tag] for _, tag in tagged], dtype=np.int64)
+    xy = _clamp_to_area(np.concatenate([np.array([p for p, _ in tagged], dtype=float).reshape(-1, 2), found]), s)
+    rank = np.array([_TAG_RANK[tag] for _, tag in tagged] + [_TAG_RANK["cpf-x-aov"]] * len(found), dtype=np.int64)
     del tagged, regions, pieces   # free the fields before the merge
     kept = _dedupe(xy, rank, eps)
     tags = list(_TAG_RANK)   # in rank order
@@ -169,25 +180,124 @@ def comprehensive_candidates(s: Scenario) -> CandidateSet:
 _ULP = float(np.finfo(float).eps)
 
 
-def _piece_bounds(pieces: list[Piece]) -> tuple[np.ndarray, np.ndarray]:
-    """(m, 4) bounding boxes (x_lo, y_lo, x_hi, y_hi) of the pieces and their
-    radii, NaN for segments.  An arc's box holds its ends and each axis
-    extreme inside its sweep."""
-    box = np.empty((len(pieces), 4))
-    radius = np.full(len(pieces), np.nan)
-    for k, pc in enumerate(pieces):
+class _PieceTable(NamedTuple):
+    """Field pieces as rows; NaN in the columns of the other kind of piece."""
+    box: np.ndarray      # (m, 4) bounding boxes x_lo, y_lo, x_hi, y_hi
+    radius: np.ndarray   # arc radius, NaN for a segment
+    seg: np.ndarray      # (m, 4) segment ends ax, ay, bx, by
+    arc: np.ndarray      # (m, 5) arc center x, y, start, sweep, 1.0 if ccw else 0.0
+
+
+def _piece_table(pieces: list[Piece]) -> _PieceTable:
+    """The pieces' table in one pass.  An arc's box holds its ends and each
+    axis extreme inside its sweep."""
+    rows = []
+    for pc in pieces:
         if isinstance(pc, Segment):
             ends = [pc.a, pc.b]
+            geo = (math.nan, *pc.a, *pc.b) + (math.nan,) * 5
         else:
             (cx, cy), r = pc.circle.center, pc.circle.radius
-            radius[k] = r
             ends = [pc.start_point(), pc.end_point()] + [
                 (cx + r * ux, cy + r * uy)
                 for q, (ux, uy) in enumerate(((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)))
                 if pc.angle_inside(q * math.pi / 2.0)]
+            geo = (r,) + (math.nan,) * 4 + (cx, cy, pc.start, pc.sweep(), float(pc.ccw))
         xs, ys = zip(*ends)
-        box[k] = (min(xs), min(ys), max(xs), max(ys))
-    return box, radius
+        rows.append((min(xs), min(ys), max(xs), max(ys), *geo))
+    tab = np.array(rows, dtype=float).reshape(-1, 14)
+    return _PieceTable(tab[:, :4], tab[:, 4], tab[:, 5:9], tab[:, 9:])
+
+
+def _math(f, *cols: np.ndarray) -> np.ndarray:
+    """f (a math function) of the columns, element by element."""
+    return np.fromiter(map(f, *(c.tolist() for c in cols)), dtype=float, count=len(cols[0]))
+
+
+def _view_circle_points(tab: _PieceTable, piece: np.ndarray, ring: np.ndarray,
+                        eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """The points the scalar piece x circle kernel (`geom.intersect`, then
+    `geom._on_piece`) finds for each call k, table row piece[k] against the
+    circle ring[k] = (x, y, r): (k of each point, (m, 2) points), call by call
+    in sorted order.  Each branch is numpy arithmetic in the scalar operation
+    order, so every coordinate and test equals the scalar one; hypot and
+    atan2, which numpy may round differently, are math's."""
+    n = len(piece)
+    pts = np.zeros((n, 2, 2))   # [call, slot, x/y]: up to two points a call
+    ok = np.zeros((n, 2), dtype=bool)
+    cx, cy, r = ring[:, 0], ring[:, 1], ring[:, 2]
+    arc = ~np.isnan(tab.radius[piece])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # segment x circle (`_seg_circle_intersections`)
+        k = np.flatnonzero(~arc)
+        ax, ay, bx, by = tab.seg[piece[k]].T
+        vx, vy, vr = cx[k], cy[k], r[k]
+        dx, dy = bx - ax, by - ay
+        fx, fy = ax - vx, ay - vy
+        A = dx * dx + dy * dy
+        B = 2.0 * (fx * dx + fy * dy)
+        C = fx * fx + fy * fy - vr * vr
+        disc = B * B - 4.0 * A * C
+        tol = eps / np.sqrt(A)
+        sq = np.sqrt(disc)
+        graze = (disc < 0.0) & (disc > -4.0 * A * eps * np.maximum(vr, 1.0))
+        ts = (np.where(disc < 0.0, -B / (2.0 * A), (-B - sq) / (2.0 * A)), (-B + sq) / (2.0 * A))
+        for slot, t, live in ((0, ts[0], (disc >= 0.0) | graze), (1, ts[1], disc >= 0.0)):
+            ok[k, slot] = live & (A != 0.0) & (-tol <= t) & (t <= 1.0 + tol)
+            t = np.where(0.0 > t, 0.0, t)   # min(max(t, 0.0), 1.0)
+            t = np.where(1.0 < t, 1.0, t)
+            pts[k, slot] = np.stack((ax + t * dx, ay + t * dy), axis=1)
+        two = k[ok[k].all(axis=1)]
+        gap = pts[two, 0] - pts[two, 1]
+        ok[two, 1] = _math(math.hypot, gap[:, 0], gap[:, 1]) > eps
+
+        # circle x circle (`_circle_circle_intersections`), the pair in
+        # `intersect`'s canonical order
+        k = np.flatnonzero(arc)
+        own = np.stack((*tab.arc[piece[k], :2].T, tab.radius[piece[k]]))
+        view = ring[k].T
+        (px, py, pr), (vx, vy, vr) = own, view
+        swap = (vx < px) | ((vx == px) & ((vy < py) | ((vy == py) & (vr < pr))))
+        (x1, y1, r1), (x2, y2, r2) = np.where(swap, view, own), np.where(swap, own, view)
+        dx, dy = x2 - x1, y2 - y1
+        d = _math(math.hypot, dx, dy)
+        hit = (d > eps) & (d <= r1 + r2 + eps) & (d >= np.abs(r1 - r2) - eps)
+        ux, uy = dx / d, dy / d
+        nested = d < np.abs(r1 - r2)
+        s = np.where(r1 > r2, 1.0, -1.0)
+        a = np.where(nested, (s * r1 + d + s * r2) / 2.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d))
+        h2 = r1 * r1 - a * a
+        mx, my = x1 + a * ux, y1 + a * uy
+        one = nested | (h2 <= eps * eps * np.maximum(r1, 1.0))
+        h = np.sqrt(h2)
+        pts[k, 0] = np.stack((np.where(one, mx, mx - h * uy), np.where(one, my, my + h * ux)), axis=1)
+        pts[k, 1] = np.stack((mx + h * uy, my - h * ux), axis=1)
+        ok[k, 0], ok[k, 1] = hit, hit & ~one
+
+    # sorted(): the second point first when it is lexicographically smaller
+    flip = ok.all(axis=1) & ((pts[:, 1, 0] < pts[:, 0, 0])
+                             | ((pts[:, 1, 0] == pts[:, 0, 0]) & (pts[:, 1, 1] < pts[:, 0, 1])))
+    pts[flip] = pts[flip, ::-1]
+
+    # `_on_piece`: within 2 eps of a segment, or within the arc's sweep
+    call, slot = np.nonzero(ok)
+    p, xy, arc = piece[call], pts[call, slot], arc[call]
+    on = np.zeros(len(call), dtype=bool)
+    k = np.flatnonzero(~arc)   # a segment with a point is not of zero length
+    ax, ay, bx, by = tab.seg[p[k]].T
+    px, py = xy[k, 0], xy[k, 1]
+    dx, dy = bx - ax, by - ay
+    t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
+    t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
+    on[k] = _math(math.hypot, px - (ax + t * dx), py - (ay + t * dy)) <= 2.0 * eps
+    k = np.flatnonzero(arc)
+    pcx, pcy, start, sweep, ccw = tab.arc[p[k]].T
+    px, py = xy[k, 0] - pcx, xy[k, 1] - pcy
+    ang = _math(math.atan2, py, px)
+    tol = 2.0 * eps / np.maximum(tab.radius[p[k]], eps)
+    off = _norm_angle_np(np.where(ccw == 1.0, ang - start, start - ang))
+    on[k] = ((px != 0.0) | (py != 0.0)) & ((off <= sweep + tol) | (off >= TWO_PI - tol))
+    return call[on], xy[on]
 
 
 def _extent(bounds, rings) -> float:
@@ -270,7 +380,7 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
     inward by eps_r while the radius stays >= max(r_min, width).
 
     All fans are built at once as arrays, in target, fan, ring order.  The
-    array clauses of `sweep.clause_slacks` decide membership where every
+    array clauses of `sweep.clause_verdicts` decide membership where every
     slack clears a rounding margin; `covers` decides the few samples within
     it, so the samples are those `covers` accepts.
     """
@@ -323,14 +433,8 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
 
     tj = ray_t[ray]
     eps_ang = np.array([tol.eps_ang for tol in tols])
-    lengths, angles = clause_slacks(x, y, tj, idx, eps_len[tj], eps_ang[tj])
-    # np.hypot and np.arctan2 may differ from math's in the last bits, far
-    # below these margins (thousands of ulps): a slack within one is left to covers
-    margins = [1e-3 * eps_len[tj]] * len(lengths) + [1e-12] * len(angles)
-    slacks = lengths + angles
-    fails = np.logical_or.reduce([slack < -m for slack, m in zip(slacks, margins)])
-    keep = np.logical_and.reduce([slack > m for slack, m in zip(slacks, margins)])
-    for k in np.flatnonzero(~fails & ~keep).tolist():
+    keep, unsure = clause_verdicts(x, y, idx.cols(tj), sensor, eps_len[tj], eps_ang[tj])
+    for k in np.flatnonzero(unsure).tolist():
         keep[k] = covers(ts[tj[k]], (float(x[k]), float(y[k])), sensor, tols[tj[k]])
     xy = _clamp_to_area(np.stack([x[keep], y[keep]], axis=1), s)
     kept = _dedupe(xy, np.full(len(xy), _TAG_RANK["bcpf-sample"]), s.tol.eps_len)

@@ -38,6 +38,7 @@ from .geom import (
     wrap_pi,
 )
 from .model import Scenario, SensorSpec, Target
+from .sweep import _blocks_triangle_np, clause_verdicts
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,9 +303,26 @@ def _region(t: Target, sensor: SensorSpec, blockers: list[Segment]) -> Region:
         seg for seg in blockers
         if orientation(seg.a, seg.b, t.start) * orientation(seg.a, seg.b, t.end) >= 0]
     curves += occlusion_fan(t, blockers, d, tol.eps_len)
-
-    def inside(p: Point) -> bool:
-        return covers(t, p, sensor, tol) and not any(
-            segment_blocks_triangle(seg, p, t.segment, 0.0) for seg in blockers)
-
+    inside = _field_inside(t, sensor, tol, blockers)
     return region_from_curves(curves, inside, offset=offset, snap=snap, eps=snap)
+
+
+def _field_inside(t: Target, sensor: SensorSpec, tol: Tolerance, blockers: list[Segment]):
+    """Membership of (m, 2) points in the exact field: `covers` at tol (its
+    array clauses where they clear the rounding margins), and no blocker in
+    the open sight triangle at zero tolerance, one pass over every (covered
+    point, blocker) pair."""
+    (sx, sy), (ex, ey) = t.start, t.end
+    ends = np.array([(*seg.a, *seg.b) for seg in blockers], dtype=float).reshape(-1, 4).T
+
+    def inside(p: np.ndarray) -> np.ndarray:
+        x, y = p[:, 0], p[:, 1]
+        keep, unsure = clause_verdicts(x, y, (sx, sy, ex, ey, *t.normal), sensor, tol.eps_len, tol.eps_ang)
+        for k in np.flatnonzero(unsure).tolist():
+            keep[k] = covers(t, (float(x[k]), float(y[k])), sensor, tol)
+        k = np.flatnonzero(keep)
+        ax, ay = (np.broadcast_to(c[k, None], (len(k), len(blockers))) for c in (x, y))
+        keep[k] = ~_blocks_triangle_np(ax, ay, sx, sy, ex, ey, *ends, 0.0).any(axis=1)
+        return keep
+
+    return inside

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
+import numpy as np
+
 Point = tuple[float, float]
 
 TWO_PI = 2.0 * math.pi
@@ -216,18 +218,6 @@ def _segments_properly_cross(s1: Segment, s2: Segment) -> bool:
             and (orientation(s1.a, s1.b, s2.a) > 0) != (orientation(s1.a, s1.b, s2.b) > 0))
 
 
-def point_piece_distance(p: Point, piece: Piece) -> float:
-    if isinstance(piece, Segment):
-        return point_segment_distance(p, piece)
-    c = piece.circle
-    d = math.hypot(p[0] - c.center[0], p[1] - c.center[1])
-    if d > 0.0:
-        ang = math.atan2(p[1] - c.center[1], p[0] - c.center[0])
-        if piece.angle_inside(ang):
-            return abs(d - c.radius)
-    return min(math.dist(p, piece.start_point()), math.dist(p, piece.end_point()))
-
-
 # ---------------------------------------------------------------------------
 # intersections
 
@@ -367,15 +357,6 @@ def piece_intersections(p1: Piece, p2: Piece, eps: float = EPS) -> list[Point]:
     return [pt for pt in res if _on_piece(pt, p1, eps) and _on_piece(pt, p2, eps)]
 
 
-def piece_curve_intersections(piece: Piece, curve: Curve, eps: float = EPS) -> list[Point]:
-    """Intersections of a boundary piece with an unbounded curve."""
-    base = piece if isinstance(piece, Segment) else piece.circle
-    res = intersect(base, curve, eps)
-    if res is OVERLAP:
-        return []
-    return [pt for pt in res if _on_piece(pt, piece, eps)]
-
-
 def _on_piece(pt: Point, piece: Piece, eps: float) -> bool:
     if isinstance(piece, Segment):
         return point_segment_distance(pt, piece) <= 2.0 * eps
@@ -457,12 +438,9 @@ def segment_blocks_triangle(blocker: Segment, apex: Point, base: Segment, eps: f
 
 @dataclass
 class Region:
-    """Area bounded by loops of segment/arc pieces.
-
-    Membership uses even-odd ray casting over all loops and is boundary
-    inclusive, so holes and multiple connected components need no special
-    bookkeeping beyond the loop list.
-    """
+    """Area bounded by loops of segment/arc pieces, each oriented with the
+    area on its left; holes and several connected components are just more
+    loops."""
 
     loops: list[list[Piece]]
 
@@ -479,96 +457,6 @@ class Region:
 
     def is_empty(self) -> bool:
         return not self.loops
-
-    def boundary_distance(self, p: Point) -> float:
-        return min((point_piece_distance(p, pc) for pc in self.pieces()), default=math.inf)
-
-    def contains(self, p: Point, eps: float = EPS) -> bool:
-        if not self.loops:
-            return False
-        if self.boundary_distance(p) <= eps:
-            return True
-        return self._crossings_parity(p, eps)
-
-    def _crossings_parity(self, p: Point, eps: float) -> bool:
-        # Deterministic ray directions; retry on grazing hits.
-        for k in range(24):
-            ang = 0.5871 + k * 0.83727
-            ok, inside = self._cast(p, ang, eps)
-            if ok:
-                return inside
-        return inside  # pragma: no cover - last attempt used regardless
-
-    def _cast(self, p: Point, ang: float, eps: float) -> tuple[bool, bool]:
-        ux, uy = math.cos(ang), math.sin(ang)
-        count = 0
-        for piece in self.pieces():
-            if isinstance(piece, Segment):
-                hits, suspicious = _ray_segment(p, ux, uy, piece, eps)
-            else:
-                hits, suspicious = _ray_arc(p, ux, uy, piece, eps)
-            if suspicious:
-                return False, False
-            count += hits
-        return True, (count % 2) == 1
-
-
-def _ray_segment(p: Point, ux: float, uy: float, seg: Segment, eps: float) -> tuple[int, bool]:
-    ax, ay = seg.a
-    dx, dy = seg.b[0] - ax, seg.b[1] - ay
-    den = ux * dy - uy * dx
-    L = math.hypot(dx, dy)
-    if abs(den) <= 1e-12 * max(L, 1.0):
-        # parallel: suspicious only if the segment is close to the ray line
-        if point_segment_distance(seg.a, Segment(p, (p[0] + ux * 1e9, p[1] + uy * 1e9))) < 10 * eps or \
-           point_segment_distance(seg.b, Segment(p, (p[0] + ux * 1e9, p[1] + uy * 1e9))) < 10 * eps:
-            return 0, True
-        return 0, False
-    wx, wy = ax - p[0], ay - p[1]
-    t = (wx * dy - wy * dx) / den          # distance along ray
-    s = (wx * uy - wy * ux) / den          # parameter along segment
-    if t <= 0.0:
-        if t > -eps and -0.1 <= s <= 1.1:
-            return 0, True
-        return 0, False
-    tol = eps / max(L, eps)
-    if -tol < s < tol or 1.0 - tol < s < 1.0 + tol:
-        return 0, True  # endpoint graze
-    if 0.0 < s < 1.0:
-        return 1, False
-    return 0, False
-
-
-def _ray_arc(p: Point, ux: float, uy: float, arc: Arc, eps: float) -> tuple[int, bool]:
-    c = arc.circle
-    fx, fy = p[0] - c.center[0], p[1] - c.center[1]
-    B = 2.0 * (fx * ux + fy * uy)
-    C = fx * fx + fy * fy - c.radius * c.radius
-    disc = B * B - 4.0 * C
-    if disc < 0.0:
-        if disc > -8.0 * eps * max(c.radius, 1.0):
-            return 0, True  # near tangency
-        return 0, False
-    sq = math.sqrt(disc)
-    if sq <= math.sqrt(8.0 * eps * max(c.radius, 1.0)):
-        return 0, True  # tangential hit
-    count = 0
-    ang_tol = 4.0 * eps / max(c.radius, eps)
-    for t in ((-B - sq) / 2.0, (-B + sq) / 2.0):
-        if t <= 0.0:
-            if t > -eps:
-                return 0, True
-            continue
-        hx = p[0] + t * ux
-        hy = p[1] + t * uy
-        ang = math.atan2(hy - c.center[1], hx - c.center[0])
-        off = norm_angle(ang - arc.start) if arc.ccw else norm_angle(arc.start - ang)
-        sweep = arc.sweep()
-        if off <= ang_tol or abs(off - sweep) <= ang_tol or off >= TWO_PI - ang_tol:
-            return 0, True  # arc endpoint graze
-        if off < sweep:
-            count += 1
-    return count, False
 
 
 def loop_bbox_diameter(loop: Sequence[Piece]) -> float:
@@ -595,7 +483,7 @@ def _piece_sample_points(piece: Piece) -> list[Point]:
 
 def region_from_curves(
     curves: Iterable[Curve],
-    inside: Callable[[Point], bool],
+    inside: Callable[[np.ndarray], np.ndarray],
     *,
     offset: float,
     snap: float,
@@ -608,6 +496,7 @@ def region_from_curves(
     across it (sampled `offset` away on each side), oriented with the inside on
     the left; kept pieces are chained into loops with endpoints snapped to
     `snap`.  Loops smaller than 10x snap across are discarded as slivers.
+    `inside` takes every probe at once, an (m, 2) array, and returns m bools.
     """
     curves = _dedupe_curves(list(curves), snap)
     cuts: list[list[float]] = [[] for _ in curves]
@@ -631,12 +520,7 @@ def region_from_curves(
         pieces.extend(_split_curve(curve, ts, eps))
     pieces = _dedupe_pieces(pieces, snap)
 
-    kept: list[Piece] = []
-    for piece in pieces:
-        oriented = _classify_piece(piece, inside, offset)
-        if oriented is not None:
-            kept.append(oriented)
-
+    kept = [pc for pc in _classify_pieces(pieces, inside, offset) if pc is not None]
     loops = _chain_loops(kept, snap)
     loops = [lp for lp in loops if loop_bbox_diameter(lp) >= 10.0 * snap]
     return Region(loops)
@@ -708,26 +592,29 @@ def _piece_point_tangent(piece: Piece, frac: float) -> tuple[Point, Point]:
     return p, (tx, ty)
 
 
-def _classify_piece(piece: Piece, inside: Callable[[Point], bool], offset: float) -> Piece | None:
-    # Vote at three stations: a real boundary piece separates inside from
-    # outside all along its length, while pieces crossed by sub-offset features
-    # give mixed answers and are rejected rather than kept on a lucky midpoint.
-    votes = 0
-    for frac in (0.25, 0.5, 0.75):
+def _classify_pieces(pieces: list[Piece], inside: Callable[[np.ndarray], np.ndarray],
+                     offset: float) -> list[Piece | None]:
+    """Each piece oriented with the inside on its left, or None.  A piece votes
+    at three stations, with one `inside` call for all: a real boundary piece
+    separates inside from outside all along its length, while pieces crossed
+    by sub-offset features give mixed answers and are rejected."""
+    probes: list[Point] = []
+    live = []
+    for k, piece in enumerate(pieces):
         try:
-            p, (tx, ty) = _piece_point_tangent(piece, frac)
+            frames = [_piece_point_tangent(piece, frac) for frac in (0.25, 0.5, 0.75)]
         except DegenerateError:
-            return None
-        nx, ny = -ty, tx  # left of travel
-        left = inside((p[0] + offset * nx, p[1] + offset * ny))
-        right = inside((p[0] - offset * nx, p[1] - offset * ny))
-        if left != right:
-            votes += 1 if left else -1
-    if votes >= 2:
-        return piece
-    if votes <= -2:
-        return _reverse_piece(piece)
-    return None
+            continue
+        live.append(k)
+        for p, (tx, ty) in frames:
+            nx, ny = -ty, tx  # left of travel
+            probes += [(p[0] + offset * nx, p[1] + offset * ny), (p[0] - offset * nx, p[1] - offset * ny)]
+    side = np.asarray(inside(np.array(probes, dtype=float).reshape(-1, 2)), dtype=bool).reshape(-1, 3, 2)
+    votes = (side[..., 0].astype(int) - side[..., 1]).sum(axis=1).tolist()
+    out: list[Piece | None] = [None] * len(pieces)
+    for k, v in zip(live, votes):
+        out[k] = pieces[k] if v >= 2 else (_reverse_piece(pieces[k]) if v <= -2 else None)
+    return out
 
 
 def _reverse_piece(piece: Piece) -> Piece:

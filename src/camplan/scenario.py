@@ -50,14 +50,9 @@ class GenParams:
         return self.target_width if self.min_separation is None else self.min_separation
 
 
-def random_scenario(p: GenParams, sensor: SensorSpec) -> Scenario:
-    """Targets uniform in position and orientation, rejection-sampled so that
-    no two placed segments come closer than the separation gap.
-
-    Obstacles, when requested, are free-standing walls one target-width long,
-    packed under the same gap rule.  A positive margin keeps every segment away
-    from the area edges, where cell-centred viewpoint grids cannot reach.
-    """
+def check_params(p: GenParams) -> None:
+    """Raise ValueError (PackingError when too dense) for parameters that
+    `random_scenario` rejects whatever the seed."""
     if p.width <= 0 or p.height <= 0 or p.target_width <= 0 or p.n_targets < 0:
         raise ValueError("generation parameters must be positive")
     if p.separation < 0:
@@ -75,6 +70,16 @@ def random_scenario(p: GenParams, sensor: SensorSpec) -> Scenario:
             f"segments x {footprint:.3g} m^2 exceeds the {free_w:g}x{free_h:g} placeable area"
         )
 
+
+def random_scenario(p: GenParams, sensor: SensorSpec) -> Scenario:
+    """Targets uniform in position and orientation, rejection-sampled so that
+    no two placed segments come closer than the separation gap.
+
+    Obstacles, when requested, are free-standing walls one target-width long,
+    packed under the same gap rule.  A positive margin keeps every segment away
+    from the area edges, where cell-centred viewpoint grids cannot reach.
+    """
+    check_params(p)
     rng = random.Random(p.seed)
     half = p.target_width / 2.0
     placed: list[Segment] = []

@@ -6,10 +6,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import norm_angle, wrap_pi
+from .geom import norm_angle
 from .model import CameraPlacement, CandidateConfig, ConfigTable, Scenario, Solution
 from .fields import BlockerPool, covers, interacting_blockers
-from .sweep import optimal_vd, subset_window
+from .sweep import _norm_angle_np, _wrap_pi_np
 
 
 class InfeasibleError(Exception):
@@ -20,13 +20,45 @@ class InfeasibleError(Exception):
         super().__init__(f"no candidate configuration covers targets {list(self.uncovered)}")
 
 
-def _aim(cfg: CandidateConfig, open_ids: set, theta: float, mode: str) -> tuple[float, float]:
-    """Deviation-minimizing direction for the members of cfg in `open_ids`,
-    within their vd window, and their total deviation from it."""
-    lo, window = subset_window(cfg, [tid for tid in cfg.covered if tid in open_ids], theta)
-    mids = [b for tid, b in zip(cfg.covered, cfg.mid_bearings) if tid in open_ids]
-    alpha = optimal_vd(mids, lo, window, mode)
-    return alpha, sum(abs(wrap_pi(b - alpha)) for b in mids)
+def _aim(table: ConfigTable, rows: np.ndarray, open_col: np.ndarray, theta: float,
+         mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Per config in rows (each with a member whose column open_col marks
+    open): the deviation-minimizing direction for its open members within
+    their vd window, by mode f1 (median bearing) or finf (midpoint of the
+    extremes), and their total deviation from it.  One pass over all the
+    configs, in the arithmetic of the scalar window and direction rules."""
+    if mode not in ("f1", "finf"):
+        raise ValueError(f"unknown vd optimization mode {mode!r}")
+    cnt = table.ptr[rows + 1] - table.ptr[rows]
+    owner = np.repeat(np.arange(rows.size), cnt)
+    member = np.repeat(table.ptr[rows] - (np.cumsum(cnt) - cnt), cnt) + np.arange(owner.size)
+    live = open_col[table.col[member]]
+    owner, member = owner[live], member[live]
+    first = np.searchsorted(owner, np.arange(rows.size))
+    k = np.diff(np.append(first, owner.size))
+    lo, hi, mid = table.interval_lo[member], table.interval_hi[member], table.mid_bearings[member]
+    vd_rep = table.vd_rep[rows]
+    # the window the open members leave: every interval sits within theta
+    # of vd_rep, so relative to it the window is linear
+    r = _wrap_pi_np(lo - vd_rep[owner])
+    w_lo = np.maximum.reduceat(r + _norm_angle_np(hi - lo), first) - theta / 2.0
+    w_hi = np.minimum.reduceat(r, first) + theta / 2.0
+    window = np.where(0.0 > w_hi - w_lo, 0.0, w_hi - w_lo)
+    # the bearings sorted around the window's center; the median pair (one
+    # bearing twice for an odd count) or the extremes, averaged and clamped
+    center = _norm_angle_np(vd_rep + w_lo) + window / 2.0
+    rel = _wrap_pi_np(mid - center[owner])
+    rel = rel[np.lexsort((rel, owner))]
+    a, b = (first, first + k - 1) if mode == "finf" else (first + (k - 1) // 2, first + k // 2)
+    best = (rel[a] + rel[b]) / 2.0
+    half = window / 2.0
+    best = np.where(-half > best, -half, best)
+    alpha = _norm_angle_np(center + np.where(half < best, half, best))
+    # the deviations summed member by member in member order: a running sum
+    # along each zero-padded row adds in that order, where a reduction may not
+    dev = np.zeros((rows.size, int(k.max(initial=1))))
+    dev[owner, np.arange(owner.size) - first[owner]] = np.abs(_wrap_pi_np(mid - alpha[owner]))
+    return alpha, np.cumsum(dev, axis=1)[:, -1]
 
 
 def greedy_cover(configs: ConfigTable | Sequence[CandidateConfig], s: Scenario,
@@ -40,8 +72,10 @@ def greedy_cover(configs: ConfigTable | Sequence[CandidateConfig], s: Scenario,
     Gains stay exact without recounting: covering a target takes one off the
     gain of each config covering it, found through an inverse index built from
     the table's member columns. A tie-break score depends only on the config's
-    uncovered members, so it is cached until one of them is covered. Only the
-    configs scored in a tie or picked are built as `CandidateConfig` views.
+    uncovered members, so it is cached, with the f1 direction it was taken
+    at, until one of them is covered; a round scores all its uncached tied
+    configs in one `_aim` pass. Only the picked configs are built as
+    `CandidateConfig` views.
     """
     table = configs if isinstance(configs, ConfigTable) else ConfigTable.from_configs(configs, s.targets)
     ids = [t.id for t in s.targets]
@@ -61,9 +95,11 @@ def greedy_cover(configs: ConfigTable | Sequence[CandidateConfig], s: Scenario,
     rows = key % m
     ptr = np.searchsorted(key, np.arange(n + 1) * m)
     gains = np.bincount(rows, minlength=m)
-    score = np.full(m, np.nan)   # cached tie-break scores, NaN until computed
+    score = np.full(m, np.nan)   # cached tie-break scores, NaN until computed,
+    aim = np.full(m, np.nan)     # and the f1 directions they were taken at
 
-    open_ids = set(ids)   # targets not yet covered
+    open_ids = set(ids)   # targets not yet covered, and their columns
+    open_col = np.ones(n, dtype=bool)
     placements: list[CameraPlacement] = []
     assignment: dict[int, int] = {}
     selected: list[int] = []
@@ -73,17 +109,17 @@ def greedy_cover(configs: ConfigTable | Sequence[CandidateConfig], s: Scenario,
         if best_gain == 0:
             raise InfeasibleError(open_ids)
         tied = np.flatnonzero(gains == best_gain)
-        if tied.size > 1:
-            for i in tied[np.isnan(score[tied])].tolist():
-                score[i] = _aim(table[i], open_ids, theta, "f1")[1]
-            pick = int(tied[np.argmin(score[tied])])
-        else:
-            pick = int(tied[0])
+        todo = tied[np.isnan(score[tied])]   # a lone config too: its f1 aim is its direction
+        aim[todo], score[todo] = _aim(table, todo, open_col, theta, "f1")
+        pick = int(tied[np.argmin(score[tied])])
 
         cfg = table[pick]
         start, stop = table.ptr[pick:pick + 2].tolist()
         fresh = [(tid, k) for tid, k in zip(cfg.covered, cols[start:stop].tolist()) if tid in open_ids]
-        alpha = cfg.vd_rep if vd_mode == "none" else _aim(cfg, open_ids, theta, vd_mode)[0]
+        if vd_mode in ("none", "f1"):
+            alpha = cfg.vd_rep if vd_mode == "none" else float(aim[pick])
+        else:
+            alpha = float(_aim(table, np.array([pick]), open_col, theta, vd_mode)[0][0])
         index = len(placements)
         placements.append(CameraPlacement(cfg.position, norm_angle(alpha)))
         for tid, k in fresh:
@@ -92,6 +128,7 @@ def greedy_cover(configs: ConfigTable | Sequence[CandidateConfig], s: Scenario,
                 gains[holders] -= 1
                 score[holders] = np.nan
                 open_ids.remove(tid)
+                open_col[k] = False
             assignment[tid] = index
         selected.append(pick)
 

@@ -21,57 +21,13 @@ from .model import CandidateConfig, ConfigTable, Scenario
 TWO_PI = 2.0 * math.pi
 
 
-# --- viewing-direction optimization ----------------------------------------
-
-def optimal_vd(mid_bearings, vd_lo: float, vd_window: float, mode: str = "f1") -> float:
-    """Deviation-minimizing direction within [vd_lo, vd_lo + vd_window].
-
-    f1: circular median of the midpoint bearings (even count: midpoint of the
-    median pair), clamped to the window.  finf: circular midpoint of the two
-    extreme bearings, clamped.
-    """
-    center = vd_lo + vd_window / 2.0
-    if len(mid_bearings) == 0:
-        return norm_angle(center)
-    rel = sorted(wrap_pi(b - center) for b in mid_bearings)
-    k = len(rel)
-    if mode == "f1":
-        best = rel[k // 2] if k % 2 else (rel[k // 2 - 1] + rel[k // 2]) / 2.0
-    elif mode == "finf":
-        best = (rel[0] + rel[-1]) / 2.0
-    else:
-        raise ValueError(f"unknown vd optimization mode {mode!r}")
-    half = vd_window / 2.0
-    best = min(max(best, -half), half)
-    return norm_angle(center + best)
-
-
-def subset_window(cfg: CandidateConfig, ids, theta: float) -> tuple[float, float]:
-    """Feasible vd window when only `ids` (a subset of cfg.covered) must stay covered."""
-    wanted = set(ids)
-    rel_lo = []
-    rel_hi = []
-    for tid, lo, hi in zip(cfg.covered, cfg.interval_lo, cfg.interval_hi):
-        if tid not in wanted:
-            continue
-        # all covered intervals sit within theta of vd_rep, so this is linear
-        r = wrap_pi(lo - cfg.vd_rep)
-        rel_lo.append(r)
-        rel_hi.append(r + norm_angle(hi - lo))
-    if not rel_lo:
-        return cfg.vd_lo, cfg.vd_window
-    w_lo = max(rel_hi) - theta / 2.0
-    w_hi = min(rel_lo) + theta / 2.0
-    return norm_angle(cfg.vd_rep + w_lo), max(w_hi - w_lo, 0.0)
-
-
 # --- vectorized batch sweep --------------------------------------------------
 
 # Points per tile of the (point, target) pair passes, and the element budget
 # of one (points, K, K) subset tensor or one (pair, blocker) expansion: the
 # temporaries stay at a few MB whatever the point count or K.  A tile's
 # (target, blocker) box test is not split; it is at most targets x blockers.
-_CHUNK = 128
+_CHUNK = 512
 _BUDGET = 1 << 18
 
 
@@ -102,6 +58,10 @@ class ScenarioIndex:
         self.by_lo = np.minimum(self.bay, self.bby)
         self.by_hi = np.maximum(self.bay, self.bby)
 
+    def cols(self, tj):
+        """Target columns (sx, sy, ex, ey, nx, ny) at indices tj, for `clause_slacks`."""
+        return self.sx[tj], self.sy[tj], self.ex[tj], self.ey[tj], self.nx[tj], self.ny[tj]
+
 
 def _seg_point_dist_np(px, py, ax, ay, bx, by):
     dx, dy = bx - ax, by - ay
@@ -118,39 +78,62 @@ def _norm_angle_np(a):
     return np.where(r >= TWO_PI, 0.0, r)
 
 
-def clause_slacks(x, y, tj, idx: ScenarioIndex, eps_len, eps_ang):
-    """Slacks of the coverage clauses that need neither a viewing direction nor
-    occlusion, for camera (x[k], y[k]) and target column tj[k]: both endpoints
-    farther than eps_len and within r_max, outside the r_min band (given
-    r_min > 0), the midpoint farther than eps_len; the facing angle and, given
-    theta < pi, the subtended angle.
+def _wrap_pi_np(a):
+    """Elementwise geom.wrap_pi."""
+    r = np.fmod(a, TWO_PI)
+    return np.where(r <= -math.pi, r + TWO_PI, np.where(r > math.pi, r - TWO_PI, r))
 
-    Returns (length slacks, angle slacks), two lists of per-pair arrays, one
-    array per clause; a pair passes every clause exactly when all its slacks
-    are >= 0.  eps_len and eps_ang are scalars or per-pair arrays."""
-    s = idx.scenario.sensor
-    sx, sy, ex, ey = idx.sx[tj], idx.sy[tj], idx.ex[tj], idx.ey[tj]
+
+def clause_slacks(x, y, cols, sensor, eps_len, eps_ang):
+    """Slacks of the coverage clauses that need neither a viewing direction nor
+    occlusion, for camera (x[k], y[k]) and the target whose columns
+    (sx, sy, ex, ey, nx, ny) are entry k of `cols` (see `ScenarioIndex.cols`;
+    scalars serve one target): both endpoints farther than eps_len and within
+    r_max, outside the r_min band (given r_min > 0), the midpoint farther than
+    eps_len; the facing angle and, given theta < pi, the subtended angle.
+
+    Returns (length slacks, angle slacks), two lists of per-camera arrays, one
+    array per clause; a camera passes every clause exactly when all its slacks
+    are >= 0.  eps_len and eps_ang are scalars or per-camera arrays."""
+    sx, sy, ex, ey, nx, ny = cols
     d_s = np.hypot(sx - x, sy - y)
     d_e = np.hypot(ex - x, ey - y)
-    vmx = x - idx.mx[tj]
-    vmy = y - idx.my[tj]
+    vmx = x - (sx + ex) / 2.0
+    vmy = y - (sy + ey) / 2.0
     # a strict clause d > eps is the closed clause d >= the next float above eps
     above = np.nextafter(eps_len, np.inf)
-    lengths = [d_s - above, d_e - above, (s.r_max + eps_len) - np.maximum(d_s, d_e),
+    lengths = [d_s - above, d_e - above, (sensor.r_max + eps_len) - np.maximum(d_s, d_e),
                np.hypot(vmx, vmy) - above]
-    if s.r_min > 0.0:
-        lengths.append(_seg_point_dist_np(x, y, sx, sy, ex, ey) - (s.r_min - eps_len))
-    nx, ny = idx.nx[tj], idx.ny[tj]
+    if sensor.r_min > 0.0:
+        lengths.append(_seg_point_dist_np(x, y, sx, sy, ex, ey) - (sensor.r_min - eps_len))
     fcross = np.abs(nx * vmy - ny * vmx)
     fdot = nx * vmx + ny * vmy
-    angles = [(s.phi + eps_ang) - np.arctan2(fcross, fdot)]
-    if s.theta < math.pi:
+    angles = [(sensor.phi + eps_ang) - np.arctan2(fcross, fdot)]
+    if sensor.theta < math.pi:
         vsx, vsy = sx - x, sy - y
         vex, vey = ex - x, ey - y
         cross = np.abs(vsx * vey - vsy * vex)
         dot = vsx * vex + vsy * vey
-        angles.append((s.theta + eps_ang) - np.arctan2(cross, dot))
+        angles.append((sensor.theta + eps_ang) - np.arctan2(cross, dot))
     return lengths, angles
+
+
+# np.hypot and np.arctan2 may differ from math's in the last bits, far below
+# these margins (eps_len units, radians): a slack within one is left to `covers`.
+_LEN_MARGIN = 1e-3
+_ANG_MARGIN = 1e-12
+
+
+def clause_verdicts(x, y, cols, sensor, eps_len, eps_ang):
+    """(holds, unsure): per camera, whether every `clause_slacks` clause holds
+    with a slack beyond the margins above, and whether some slack lies within
+    them and none fails beyond them.  A camera that is neither fails; an unsure
+    one needs `fields.covers` (without vd or scenario) to decide."""
+    lengths, angles = clause_slacks(x, y, cols, sensor, eps_len, eps_ang)
+    margins = [_LEN_MARGIN * eps_len] * len(lengths) + [_ANG_MARGIN] * len(angles)
+    fails = np.logical_or.reduce([slack < -m for slack, m in zip(lengths + angles, margins)])
+    holds = np.logical_and.reduce([slack > m for slack, m in zip(lengths + angles, margins)])
+    return holds, ~fails & ~holds
 
 
 def _cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
@@ -169,7 +152,8 @@ def _cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
     dmy = idx.my[near] - block[:, 1:2]
     pi, k = np.nonzero(dmx * dmx + dmy * dmy <= reach * reach)
     tj = near[k]
-    lengths, angles = clause_slacks(block[pi, 0], block[pi, 1], tj, idx, eps_len, idx.tol.eps_ang)
+    lengths, angles = clause_slacks(block[pi, 0], block[pi, 1], idx.cols(tj), idx.scenario.sensor,
+                                    eps_len, idx.tol.eps_ang)
     keep = np.logical_and.reduce([slack >= 0.0 for slack in lengths + angles])
     return pi[keep], tj[keep]
 

@@ -1,0 +1,235 @@
+"""Scalar reference code that only tests use.
+
+- region membership by even-odd ray casting, and point-to-piece distance;
+- the per-piece vote that `geom.region_from_curves` makes in one batch;
+- the piece x curve kernel that `discretize` runs as one array pass over
+  all view-circle calls;
+- greedy's window, direction and deviation rules, which `select._aim`
+  applies to many configs at once.
+
+Each batched form is the scalar code here, run as array passes.
+"""
+import math
+from typing import Callable
+
+import numpy as np
+
+from camplan.geom import (
+    EPS,
+    OVERLAP,
+    TWO_PI,
+    Arc,
+    Curve,
+    DegenerateError,
+    Piece,
+    Point,
+    Region,
+    Segment,
+    _on_piece,
+    _piece_point_tangent,
+    _reverse_piece,
+    intersect,
+    norm_angle,
+    point_segment_distance,
+    wrap_pi,
+)
+from camplan.model import CandidateConfig
+
+
+def batched(inside: Callable[[Point], bool]) -> Callable[[np.ndarray], np.ndarray]:
+    """A scalar membership test as the batch predicate `region_from_curves` takes."""
+    return lambda probes: np.array([inside(tuple(p)) for p in probes.tolist()], dtype=bool)
+
+
+# --- region membership ----------------------------------------------------
+
+def point_piece_distance(p: Point, piece: Piece) -> float:
+    if isinstance(piece, Segment):
+        return point_segment_distance(p, piece)
+    c = piece.circle
+    d = math.hypot(p[0] - c.center[0], p[1] - c.center[1])
+    if d > 0.0:
+        ang = math.atan2(p[1] - c.center[1], p[0] - c.center[0])
+        if piece.angle_inside(ang):
+            return abs(d - c.radius)
+    return min(math.dist(p, piece.start_point()), math.dist(p, piece.end_point()))
+
+
+def boundary_distance(region: Region, p: Point) -> float:
+    return min((point_piece_distance(p, pc) for pc in region.pieces()), default=math.inf)
+
+
+def contains(region: Region, p: Point, eps: float = EPS) -> bool:
+    if not region.loops:
+        return False
+    if boundary_distance(region, p) <= eps:
+        return True
+    return _crossings_parity(region, p, eps)
+
+
+def _crossings_parity(region: Region, p: Point, eps: float) -> bool:
+    # Deterministic ray directions; retry on grazing hits.
+    for k in range(24):
+        ang = 0.5871 + k * 0.83727
+        ok, inside = _cast(region, p, ang, eps)
+        if ok:
+            return inside
+    return inside  # pragma: no cover - last attempt used regardless
+
+
+def _cast(region: Region, p: Point, ang: float, eps: float) -> tuple[bool, bool]:
+    ux, uy = math.cos(ang), math.sin(ang)
+    count = 0
+    for piece in region.pieces():
+        if isinstance(piece, Segment):
+            hits, suspicious = _ray_segment(p, ux, uy, piece, eps)
+        else:
+            hits, suspicious = _ray_arc(p, ux, uy, piece, eps)
+        if suspicious:
+            return False, False
+        count += hits
+    return True, (count % 2) == 1
+
+
+def _ray_segment(p: Point, ux: float, uy: float, seg: Segment, eps: float) -> tuple[int, bool]:
+    ax, ay = seg.a
+    dx, dy = seg.b[0] - ax, seg.b[1] - ay
+    den = ux * dy - uy * dx
+    L = math.hypot(dx, dy)
+    if abs(den) <= 1e-12 * max(L, 1.0):
+        # parallel: suspicious only if the segment is close to the ray line
+        if point_segment_distance(seg.a, Segment(p, (p[0] + ux * 1e9, p[1] + uy * 1e9))) < 10 * eps or \
+           point_segment_distance(seg.b, Segment(p, (p[0] + ux * 1e9, p[1] + uy * 1e9))) < 10 * eps:
+            return 0, True
+        return 0, False
+    wx, wy = ax - p[0], ay - p[1]
+    t = (wx * dy - wy * dx) / den          # distance along ray
+    s = (wx * uy - wy * ux) / den          # parameter along segment
+    if t <= 0.0:
+        if t > -eps and -0.1 <= s <= 1.1:
+            return 0, True
+        return 0, False
+    tol = eps / max(L, eps)
+    if -tol < s < tol or 1.0 - tol < s < 1.0 + tol:
+        return 0, True  # endpoint graze
+    if 0.0 < s < 1.0:
+        return 1, False
+    return 0, False
+
+
+def _ray_arc(p: Point, ux: float, uy: float, arc: Arc, eps: float) -> tuple[int, bool]:
+    c = arc.circle
+    fx, fy = p[0] - c.center[0], p[1] - c.center[1]
+    B = 2.0 * (fx * ux + fy * uy)
+    C = fx * fx + fy * fy - c.radius * c.radius
+    disc = B * B - 4.0 * C
+    if disc < 0.0:
+        if disc > -8.0 * eps * max(c.radius, 1.0):
+            return 0, True  # near tangency
+        return 0, False
+    sq = math.sqrt(disc)
+    if sq <= math.sqrt(8.0 * eps * max(c.radius, 1.0)):
+        return 0, True  # tangential hit
+    count = 0
+    ang_tol = 4.0 * eps / max(c.radius, eps)
+    for t in ((-B - sq) / 2.0, (-B + sq) / 2.0):
+        if t <= 0.0:
+            if t > -eps:
+                return 0, True
+            continue
+        hx = p[0] + t * ux
+        hy = p[1] + t * uy
+        ang = math.atan2(hy - c.center[1], hx - c.center[0])
+        off = norm_angle(ang - arc.start) if arc.ccw else norm_angle(arc.start - ang)
+        sweep = arc.sweep()
+        if off <= ang_tol or abs(off - sweep) <= ang_tol or off >= TWO_PI - ang_tol:
+            return 0, True  # arc endpoint graze
+        if off < sweep:
+            count += 1
+    return count, False
+
+
+# --- per-piece kernels ----------------------------------------------------
+
+def _classify_piece(piece: Piece, inside: Callable[[Point], bool], offset: float) -> Piece | None:
+    # Vote at three stations: a real boundary piece separates inside from
+    # outside all along its length, while pieces crossed by sub-offset features
+    # give mixed answers and are rejected rather than kept on a lucky midpoint.
+    votes = 0
+    for frac in (0.25, 0.5, 0.75):
+        try:
+            p, (tx, ty) = _piece_point_tangent(piece, frac)
+        except DegenerateError:
+            return None
+        nx, ny = -ty, tx  # left of travel
+        left = inside((p[0] + offset * nx, p[1] + offset * ny))
+        right = inside((p[0] - offset * nx, p[1] - offset * ny))
+        if left != right:
+            votes += 1 if left else -1
+    if votes >= 2:
+        return piece
+    if votes <= -2:
+        return _reverse_piece(piece)
+    return None
+
+
+def piece_curve_intersections(piece: Piece, curve: Curve, eps: float = EPS) -> list[Point]:
+    """Intersections of a boundary piece with an unbounded curve."""
+    base = piece if isinstance(piece, Segment) else piece.circle
+    res = intersect(base, curve, eps)
+    if res is OVERLAP:
+        return []
+    return [pt for pt in res if _on_piece(pt, piece, eps)]
+
+
+# --- greedy's viewing direction -------------------------------------------
+
+def optimal_vd(mid_bearings, vd_lo: float, vd_window: float, mode: str = "f1") -> float:
+    """Deviation-minimizing direction within [vd_lo, vd_lo + vd_window].
+
+    f1: circular median of the midpoint bearings (even count: midpoint of the
+    median pair), clamped to the window.  finf: circular midpoint of the two
+    extreme bearings, clamped.
+    """
+    center = vd_lo + vd_window / 2.0
+    if len(mid_bearings) == 0:
+        return norm_angle(center)
+    rel = sorted(wrap_pi(b - center) for b in mid_bearings)
+    k = len(rel)
+    if mode == "f1":
+        best = rel[k // 2] if k % 2 else (rel[k // 2 - 1] + rel[k // 2]) / 2.0
+    elif mode == "finf":
+        best = (rel[0] + rel[-1]) / 2.0
+    else:
+        raise ValueError(f"unknown vd optimization mode {mode!r}")
+    half = vd_window / 2.0
+    best = min(max(best, -half), half)
+    return norm_angle(center + best)
+
+
+def subset_window(cfg: CandidateConfig, ids, theta: float) -> tuple[float, float]:
+    """Feasible vd window when only `ids` (a subset of cfg.covered) must stay covered."""
+    wanted = set(ids)
+    rel_lo = []
+    rel_hi = []
+    for tid, lo, hi in zip(cfg.covered, cfg.interval_lo, cfg.interval_hi):
+        if tid not in wanted:
+            continue
+        # all covered intervals sit within theta of vd_rep, so this is linear
+        r = wrap_pi(lo - cfg.vd_rep)
+        rel_lo.append(r)
+        rel_hi.append(r + norm_angle(hi - lo))
+    if not rel_lo:
+        return cfg.vd_lo, cfg.vd_window
+    w_lo = max(rel_hi) - theta / 2.0
+    w_hi = min(rel_lo) + theta / 2.0
+    return norm_angle(cfg.vd_rep + w_lo), max(w_hi - w_lo, 0.0)
+
+
+def _aim(cfg: CandidateConfig, open_ids: set, theta: float, mode: str) -> tuple[float, float]:
+    """Deviation-minimizing direction for the members of cfg in `open_ids`,
+    within their vd window, and their total deviation from it."""
+    lo, window = subset_window(cfg, [tid for tid in cfg.covered if tid in open_ids], theta)
+    mids = [b for tid, b in zip(cfg.covered, cfg.mid_bearings) if tid in open_ids]
+    alpha = optimal_vd(mids, lo, window, mode)
+    return alpha, sum(abs(wrap_pi(b - alpha)) for b in mids)

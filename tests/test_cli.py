@@ -367,6 +367,33 @@ def test_generate_and_bench_reject_an_invalid_sensor_before_writing(tmp_path, ca
     assert not out.exists() and stdout == ""
 
 
+@pytest.mark.parametrize("command", [
+    ["bench", "--axis", "n", "--values=-1", "--algos", "grid:10", "--seeds", "1"],
+    ["bench", "--axis", "n", "--values", "3,-1", "--algos", "grid:10", "--seeds", "1"],
+    ["bench", "--axis", "n", "--values", "3", "--algos", "grid:10", "--seeds", "1", "--target-width", "0"],
+    ["bench", "--axis", "r_max", "--values", "8", "--algos", "grid:10", "--seeds", "1", "--margin", "60"],
+    ["bench", "--axis", "n", "--values", "3,5000", "--algos", "grid:10", "--seeds", "1"],
+])
+def test_bench_rejects_invalid_generation_parameters_before_writing(tmp_path, capsys, command):
+    # as generate does for the same values, checked for every axis value
+    # before the first row
+    out = tmp_path / "out"
+    code, stdout, err = run(command + ["--out", str(out)], capsys)
+    assert code == 3
+    assert "invalid input" in err
+    assert not out.exists() and stdout == ""
+
+
+@pytest.mark.parametrize("values", ["2.7", "3,2.5", "inf", "nan"])
+def test_bench_rejects_a_fractional_target_count(tmp_path, capsys, values):
+    out = tmp_path / "out"
+    code, stdout, err = run(["bench", "--axis", "n", "--values", values, "--algos", "grid:10",
+                             "--seeds", "1", "--out", str(out)], capsys)
+    assert code == 2
+    assert "bench spec error" in err and "whole numbers" in err
+    assert not out.exists() and stdout == ""
+
+
 def test_target_id_beyond_int64_is_a_validation_error(tmp_path, capsys):
     doc = tmp_path / "scn.json"
     doc.write_text(

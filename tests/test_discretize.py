@@ -18,11 +18,13 @@ from camplan.discretize import (
     grid_sample,
 )
 from camplan.fields import bcpf, cpf
-from camplan.geom import Arc, Circle, Segment, piece_curve_intersections, piece_intersections
+from camplan.geom import Arc, Circle, Segment, piece_intersections
 from camplan.model import Obstacle, Scenario, SensorSpec, Target
 from camplan.scenario import GenParams, random_scenario
 from camplan.select import greedy_cover
 from camplan.sweep import sweep_points
+
+from oracles import contains, piece_curve_intersections
 
 
 def scen(targets, sensor, obstacles=(), w=100.0, h=100.0):
@@ -221,16 +223,27 @@ def test_pruned_pair_loops_match_unpruned(name, monkeypatch):
     s = PRUNING_SCENES[name]()
     want_found, got_found = [], []
     want = unpruned_comprehensive(s, want_found)
-    for kernel, tag in ((piece_intersections, "cpf-x-cpf"), (piece_curve_intersections, "cpf-x-aov")):
-        def spy(*args, kernel=kernel, tag=tag):
-            pts = kernel(*args)
-            got_found.extend((pt, tag) for pt in pts)
-            return pts
-        monkeypatch.setattr(discretize, kernel.__name__, spy)
+    view_points = discretize._view_circle_points
+
+    def spy_pairs(*args):
+        pts = piece_intersections(*args)
+        got_found.extend((pt, "cpf-x-cpf") for pt in pts)
+        return pts
+
+    def spy_views(*args):
+        call, pts = view_points(*args)
+        got_found.extend((tuple(pt), "cpf-x-aov") for pt in pts.tolist())
+        return call, pts
+
+    monkeypatch.setattr(discretize, "piece_intersections", spy_pairs)
+    monkeypatch.setattr(discretize, "_view_circle_points", spy_views)
     got = comprehensive_candidates(s)
-    # every kernel call that finds a point is made, in the same order
+    # every kernel call that finds a point is made, in the same order; the
+    # view-circle calls run as one batch after the piece pairs, so only the
+    # interleaving of the two tags differs
     assert {tag for _, tag in want_found} == {"cpf-x-cpf", "cpf-x-aov"}
-    assert got_found == want_found
+    for tag in ("cpf-x-cpf", "cpf-x-aov"):
+        assert [pt for pt, g in got_found if g == tag] == [pt for pt, g in want_found if g == tag]
     assert np.array(got.points).tobytes() == np.array(want.points).tobytes()
     assert got.provenance == want.provenance
     assert got.uncoverable == want.uncoverable
@@ -238,18 +251,18 @@ def test_pruned_pair_loops_match_unpruned(name, monkeypatch):
 
 def kept_pair(p, q, eps):
     """Whether the pruning keeps piece pair (p, q), at the smallest extent."""
-    (bp, rp), (bq, rq) = discretize._piece_bounds([p]), discretize._piece_bounds([q])
-    ext = discretize._extent([(bp, rp), (bq, rq)], [])
-    grown = [discretize._grow_boxes(b, r, eps, ext) for b, r in ((bp, rp), (bq, rq))]
+    tp, tq = discretize._piece_table([p]), discretize._piece_table([q])
+    ext = discretize._extent([(tp.box, tp.radius), (tq.box, tq.radius)], [])
+    grown = [discretize._grow_boxes(tab.box, tab.radius, eps, ext) for tab in (tp, tq)]
     return bool(discretize._boxes_meet(*grown)[0, 0])
 
 
 def kept_ring(p, circle, eps):
     """Whether the pruning keeps piece p against view circle `circle`."""
-    bp, rp = discretize._piece_bounds([p])
+    tab = discretize._piece_table([p])
     ring = np.array([(*circle.center, circle.radius)])
-    ext = discretize._extent([(bp, rp)], [ring])
-    return bool(discretize._reaches_ring(discretize._grow_boxes(bp, rp, eps, ext), ring, eps, ext)[0, 0])
+    ext = discretize._extent([(tab.box, tab.radius)], [ring])
+    return bool(discretize._reaches_ring(discretize._grow_boxes(tab.box, tab.radius, eps, ext), ring, eps, ext)[0, 0])
 
 
 def arc_through(rng, circle, ang):
@@ -330,6 +343,95 @@ def test_pruning_keeps_every_pair_the_kernels_meet(eps):
     assert met > 2000
 
 
+# --- comprehensive: the batched view-circle kernel against the scalar one -------
+
+def assert_kernel_matches(calls, eps):
+    """The batched kernel over (piece, circle) calls finds, call by call, the
+    points `piece_curve_intersections` does, bit for bit.  Returns how many
+    calls found a point."""
+    tab = discretize._piece_table([p for p, _ in calls])
+    ring = np.array([(*c.center, c.radius) for _, c in calls], dtype=float).reshape(-1, 3)
+    call, xy = discretize._view_circle_points(tab, np.arange(len(calls)), ring, eps)
+    got = [[] for _ in calls]
+    for k, pt in zip(call.tolist(), xy.tolist()):
+        got[k].append(pt)
+    for (p, c), pts in zip(calls, got):
+        want = piece_curve_intersections(p, c, eps)
+        assert np.array(pts).reshape(-1, 2).tobytes() == np.array(want).reshape(-1, 2).tobytes(), (p, c, pts, want)
+    return sum(map(bool, got))
+
+
+def as_calls(p, q):
+    """The (piece, circle) calls a near-contact pair gives: each piece
+    against the other's circle."""
+    calls = [(p, q)] if isinstance(q, Circle) else []
+    for a, b in ((p, q), (q, p)):
+        if isinstance(a, (Segment, Arc)) and isinstance(b, Arc):
+            calls.append((a, b.circle))
+    return calls
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-9 * math.hypot(100.0, 100.0)])
+def test_view_circle_kernel_matches_scalar_on_near_contacts(eps):
+    rng = random.Random(11)
+    calls = [c for _ in range(6000) for c in as_calls(*near_contact(rng, eps))]
+    assert len(calls) > 5000
+    assert assert_kernel_matches(calls, eps) > 2500
+
+
+def test_view_circle_kernel_matches_scalar_on_adversarial_calls():
+    eps = 1e-9 * math.hypot(100.0, 100.0)
+    unit = Circle((0.0, 0.0), 1.0)
+    calls = [
+        # identical circles and centers within eps (OVERLAP or nothing)
+        (Arc(unit, 0.0, 2.0), unit), (Arc(unit, 2.0, 0.0, False), Circle((0.5 * eps, 0.0), 1.0)),
+        (Arc(unit, 0.0, 2.0), Circle((0.0, 0.5 * eps), 1.0 + 0.5 * eps)),
+        # zero-length segments, on and off the circle
+        (Segment((1.0, 0.0), (1.0, 0.0)), unit), (Segment((0.3, 0.2), (0.3, 0.2)), unit),
+        # -0.0 coordinates: ends, centers, crossings on the axes
+        (Segment((-0.0, -2.0), (-0.0, 2.0)), unit), (Segment((0.0, -2.0), (-0.0, 2.0)), Circle((-0.0, -0.0), 1.0)),
+        (Segment((-2.0, -0.0), (2.0, -0.0)), Circle((-0.0, 0.0), 1.0)),
+        (Segment((-1.0, -0.0), (1.0, 0.0)), Circle((0.0, -0.0), 1.0)),
+        (Arc(Circle((-0.0, -0.0), 1.0), -1.0, 1.0), Circle((1.0, -0.0), 1.0)),
+        (Arc(Circle((1.0, -0.0), 1.0), 2.0, 4.0), Circle((-0.0, 0.0), 1.0)),
+        (Arc(Circle((-0.0, 1.0), 1.0), 4.0, 5.5), Circle((-0.0, -1.0), 1.0)),
+    ]
+    for r, r2 in ((1.0, 2.0), (0.05, 20.0), (300.0, 2.0)):
+        for k in (-1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5):
+            for ang in (0.0, math.pi / 2, math.pi, 2.0, 5.0):
+                u = (math.cos(ang), math.sin(ang))
+                c = Circle((10.0, 20.0), r)
+                for d in (abs(r2 - r) + k * eps, r + r2 + k * eps):   # nested or apart within eps
+                    other = Circle((10.0 + d * u[0], 20.0 + d * u[1]), r2)
+                    calls += [(Arc(c, ang - 1.0, ang + 1.0), other), (Arc(other, ang + 2.0, ang - 2.0, False), c),
+                              (Arc(c, ang + math.pi - 1.0, ang + math.pi + 1.0), other)]
+                # segments near tangent to the circle at ang, ending at the touch point or past it
+                foot = (10.0 + (r + k * eps) * u[0], 20.0 + (r + k * eps) * u[1])
+                tx, ty = -u[1], u[0]
+                for back, ahead in ((1.0, 1.0), (0.0, 1.0), (1.0, 0.0), (eps, 2.0)):
+                    calls.append((Segment((foot[0] - back * tx, foot[1] - back * ty),
+                                          (foot[0] + ahead * tx, foot[1] + ahead * ty)), c))
+    # arcs whose sweep crosses angle 0, both ways, met near their ends
+    for start, end, ccw in ((-0.3, 0.4, True), (0.4, -0.3, False), (6.0, 0.5, True), (0.5, 6.0, False),
+                            (-1e-12, 1e-12, True), (2 * math.pi - 1e-9, 1e-9, True)):
+        for ang in (start, end, 0.0, -1e-13, 1e-13, math.pi):
+            p = unit.point_at(ang)
+            calls += [(Arc(unit, start, end, ccw), Circle((p[0] + 0.5, p[1]), 0.5 + k * eps))
+                      for k in (-1.0, 0.0, 1.0)]
+    assert assert_kernel_matches(calls, eps) > len(calls) // 3
+
+
+def test_view_circle_kernel_matches_scalar_on_tiny_view_circles():
+    # every field piece of the scene against every view circle of every pair
+    s = tiny_view_circles()
+    fields = {t.id: list(cpf(t, s).pieces()) for t in s.targets}
+    calls = []
+    for i, j in _interacting_pairs(s):
+        for circle in _pair_view_circles(s.targets[i], s.targets[j], s.sensor.theta):
+            calls += [(p, circle) for tid in (s.targets[i].id, s.targets[j].id) for p in fields[tid]]
+    assert assert_kernel_matches(calls, s.tol.eps_len) > 100
+
+
 # --- bcpf sampling --------------------------------------------------------------
 
 def test_bcpf_sample_single_ring():
@@ -340,7 +442,7 @@ def test_bcpf_sample_single_ring():
     assert len(cs) == 31
     reg = bcpf(t, SENSOR_20)
     for p in cs.points:
-        assert reg.contains(p)
+        assert contains(reg, p)
     # at most one sample per fan direction
     assert len(cs) <= int(2.0 * SENSOR_20.phi / 0.1)
 

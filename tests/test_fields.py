@@ -2,12 +2,16 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import camplan.fields as fields_module
+import camplan.geom as geom_module
+import camplan.sweep as sweep_module
 from camplan.fields import (
     aov_pair,
     bcpf,
+    bcpf_boundary_curves,
     covers,
     cpf,
     field_tolerance,
@@ -15,9 +19,11 @@ from camplan.fields import (
     occlusion_excluded,
     subtended_angle,
 )
-from camplan.geom import Arc, Segment, segment_blocks_triangle
+from camplan.geom import Arc, Circle, Segment, segment_blocks_triangle
 from camplan.model import Obstacle, Scenario, SensorSpec, Target
 from camplan.scenario import GenParams, random_scenario
+
+from oracles import _classify_piece, boundary_distance, contains
 
 
 def scen(targets, sensor, obstacles=(), w=100.0, h=100.0):
@@ -129,9 +135,9 @@ def test_bcpf_piece_count():
 
 def test_bcpf_membership_examples():
     reg = bcpf(T0, SENSOR_2)
-    assert reg.contains((0.5, 1.5))
-    assert not reg.contains((0.5, -0.5))
-    assert not reg.contains((0.5, 0.1))  # chord seen at about 157 deg > 100 deg
+    assert contains(reg, (0.5, 1.5))
+    assert not contains(reg, (0.5, -0.5))
+    assert not contains(reg, (0.5, 0.1))  # chord seen at about 157 deg > 100 deg
 
 
 def test_bcpf_rejects_positive_r_min():
@@ -149,9 +155,9 @@ def test_bcpf_mirror_symmetry():
     for _ in range(300):
         p = (rng.uniform(-2.5, 3.5), rng.uniform(-1.0, 3.0))
         q = (1.0 - p[0], p[1])
-        if reg.boundary_distance(p) < 1e-6 or reg.boundary_distance(q) < 1e-6:
+        if boundary_distance(reg, p) < 1e-6 or boundary_distance(reg, q) < 1e-6:
             continue
-        assert reg.contains(p) == reg.contains(q)
+        assert contains(reg, p) == contains(reg, q)
 
 
 def test_bcpf_within_reach_disk():
@@ -163,7 +169,7 @@ def test_bcpf_within_reach_disk():
     rng = random.Random(3)
     for _ in range(500):
         p = (rng.uniform(-3, 4), rng.uniform(-3, 4))
-        if reg.contains(p):
+        if contains(reg, p):
             assert math.dist(p, m) <= bound
 
 
@@ -174,9 +180,9 @@ def test_bcpf_agrees_with_predicate():
     checked = 0
     for _ in range(4000):
         p = (rng.uniform(-2.5, 3.5), rng.uniform(-2.5, 3.5))
-        if reg.boundary_distance(p) <= band:
+        if boundary_distance(reg, p) <= band:
             continue
-        assert reg.contains(p) == bcpf_contains(T0, SENSOR_2, p)
+        assert contains(reg, p) == bcpf_contains(T0, SENSOR_2, p)
         checked += 1
     assert checked > 3500
 
@@ -216,17 +222,17 @@ def test_cpf_isolated_equals_bcpf():
     rng = random.Random(5)
     for _ in range(300):
         p = (rng.uniform(-2.5, 3.5), rng.uniform(-1.0, 3.0))
-        if reg_c.boundary_distance(p) < 1e-6:
+        if boundary_distance(reg_c, p) < 1e-6:
             continue
-        assert reg_c.contains(p) == reg_b.contains(p)
+        assert contains(reg_c, p) == contains(reg_b, p)
 
 
 def test_cpf_occluder_example():
     occ = Obstacle(0, ((0.25, 1.0), (0.75, 1.0)))
     s = scen([T0], SENSOR_2, [occ])
     reg = cpf(T0, s)
-    assert not reg.contains((0.5, 1.8))
-    assert reg.contains((1.9, 0.5))
+    assert not contains(reg, (0.5, 1.8))
+    assert contains(reg, (1.9, 0.5))
 
 
 def test_cpf_agrees_with_predicate():
@@ -239,9 +245,9 @@ def test_cpf_agrees_with_predicate():
     checked = 0
     for _ in range(10000):
         p = (rng.uniform(-2.5, 3.5), rng.uniform(-2.5, 3.5))
-        if reg.boundary_distance(p) <= band:
+        if boundary_distance(reg, p) <= band:
             continue
-        if reg.contains(p) != cpf_contains(T0, s, p):
+        if contains(reg, p) != cpf_contains(T0, s, p):
             disagreements += 1
         checked += 1
     assert checked > 9000
@@ -256,10 +262,10 @@ def test_cpf_two_components():
     s = scen([t], SENSOR_2, [wall], w=40.0, h=40.0)
     reg = cpf(t, s)
     assert len(reg.loops) == 2
-    assert reg.contains((9.5, 10.1))      # left sliver: sight to far end passes under wall
-    assert reg.contains((11.5, 10.1))     # right sliver, mirrored
-    assert not reg.contains((9.5, 10.3))  # sight line to far end hits the wall
-    assert not reg.contains((10.5, 11.0))  # straight ahead: wall in the way
+    assert contains(reg, (9.5, 10.1))      # left sliver: sight to far end passes under wall
+    assert contains(reg, (11.5, 10.1))     # right sliver, mirrored
+    assert not contains(reg, (9.5, 10.3))  # sight line to far end hits the wall
+    assert not contains(reg, (10.5, 11.0))  # straight ahead: wall in the way
 
 
 def test_frontal_fan_half_plane_case():
@@ -289,7 +295,7 @@ def test_cpf_survives_radial_occluder():
     for _ in range(400):
         p = (rng.uniform(-21.0, 22.0), rng.uniform(0.0, 21.0))
         if cpf_contains(t, s, p, blockers=blockers):
-            assert reg.contains(p)
+            assert contains(reg, p)
             checked += 1
     assert checked > 100
 
@@ -309,11 +315,11 @@ def test_cpf_radial_occluder_keeps_fat_shadows_exact():
     # deep behind the wall: excluded both by predicate and by the region
     p = (0.5, 12.0)
     assert not cpf_contains(t, s, p)
-    assert not reg.contains(p)
+    assert not contains(reg, p)
     # in front of the wall and clear of the needle: covered
     q = (1.8, 2.5)
     assert cpf_contains(t, s, q)
-    assert reg.contains(q)
+    assert contains(reg, q)
 
 
 def walled_scenes():
@@ -375,9 +381,9 @@ def test_cpf_matches_exact_occlusion_on_walled_scenes():
             m = t.midpoint
             for _ in range(400):
                 p = (m[0] + rng.uniform(-reach, reach), m[1] + rng.uniform(-reach, reach))
-                if reg.boundary_distance(p) <= 1e-6:
+                if boundary_distance(reg, p) <= 1e-6:
                     continue
-                if reg.contains(p) != exact_contains(t, s, p, blockers):
+                if contains(reg, p) != exact_contains(t, s, p, blockers):
                     bad.append((k, t.id, p))
                     break
     assert not bad, f"{len(bad)} targets disagree with exact occlusion, first: {bad[:3]}"
@@ -400,7 +406,7 @@ def test_cpf_builds_once_and_agrees_on_its_probe_fan(monkeypatch):
         assert len(builds) - before == 1, f"target {t.id}: {len(builds) - before} builds"
         blockers = interacting_blockers(t, s)
         for q in probe_fan(t, s.sensor):
-            if reg.boundary_distance(q) > 1e-6 and reg.contains(q) != exact_contains(t, s, q, blockers):
+            if boundary_distance(reg, q) > 1e-6 and contains(reg, q) != exact_contains(t, s, q, blockers):
                 bad.append((t.id, q))
     assert not bad, f"{len(bad)} probes disagree, first: {bad[:3]}"
 
@@ -427,7 +433,90 @@ def test_cpf_keeps_every_covered_point_beside_edge_on_walls():
             exact = abs(h) < 1e-8 or abs(h) > 1e-4
             for _ in range(300):
                 p = place(rng.uniform(-9.0, 10.0), rng.uniform(-9.0, 9.0))
-                if reg.boundary_distance(p) <= 1e-6:
+                if boundary_distance(reg, p) <= 1e-6:
                     continue
                 covered = exact_contains(t, s, p, blockers)
-                assert reg.contains(p) == covered or (not exact and not covered), (deg, h, p)
+                assert contains(reg, p) == covered or (not exact and not covered), (deg, h, p)
+
+
+# --- batched field classification against the scalar vote ---------------------
+
+def scalar_inside(t, sensor, tol, blockers):
+    """Membership in the exact field, one point at a time."""
+    return lambda p: covers(t, p, sensor, tol) and not any(
+        segment_blocks_triangle(seg, p, t.segment, 0.0) for seg in blockers)
+
+
+def counting_covers(monkeypatch):
+    """Count the `covers` calls the batch predicate falls back to."""
+    calls = []
+    real = fields_module.covers
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fields_module, "covers", spy)
+    return calls
+
+
+@pytest.mark.parametrize("band", ["default", "wide"])
+def test_batched_classifier_matches_the_scalar_vote(monkeypatch, band):
+    # every piece of every field, voted once in a batch and once piece by
+    # piece with the scalar predicate; a wide margin band sends many probes
+    # to the scalar fallback
+    if band == "wide":
+        monkeypatch.setattr(sweep_module, "_LEN_MARGIN", 1e5)
+        monkeypatch.setattr(sweep_module, "_ANG_MARGIN", 1e-3)
+    fallbacks = counting_covers(monkeypatch)
+    made, checked = [], []
+    make, classify = fields_module._field_inside, geom_module._classify_pieces
+
+    def spy_make(t, sensor, tol, blockers):
+        made.append(scalar_inside(t, sensor, tol, blockers))
+        return make(t, sensor, tol, blockers)
+
+    def spy_classify(pieces, inside, offset):
+        got = classify(pieces, inside, offset)
+        want = [_classify_piece(pc, made[-1], offset) for pc in pieces]
+        assert got == want
+        checked.append(sum(pc is not None for pc in got))
+        return got
+
+    monkeypatch.setattr(fields_module, "_field_inside", spy_make)
+    monkeypatch.setattr(geom_module, "_classify_pieces", spy_classify)
+    for t, s in [(t, s) for s in walled_scenes() for t in s.targets] + radial_scenes():
+        cpf(t, s)
+    assert len(checked) == len(made) and sum(checked) > 2000
+    if band == "wide":
+        assert len(fallbacks) > 5000
+
+
+def test_batched_field_membership_matches_covers_in_the_margin_band(monkeypatch):
+    # points on each clause boundary (range circles, view-angle circles,
+    # facing edges, eps_len around the ends and the midpoint) and a few ulps
+    # either side: the slacks there fall inside the rounding margins
+    fallbacks = counting_covers(monkeypatch)
+    sensors = [SensorSpec(aov_deg=100.0, r_min=0.0, r_max=20.0, phi_deg=90.0),
+               SensorSpec(aov_deg=60.0, r_min=0.0, r_max=8.0, phi_deg=45.0)]
+    wall = [Segment((10.2, 11.0), (10.9, 12.5))]
+    for sensor in sensors:
+        for t in (Target(0, (10.0, 10.0), (11.0, 10.0), (0.0, 1.0)),
+                  Target(1, (3.0, -2.0), (3.6, -1.2), (-0.8, 0.6))):
+            tol = field_tolerance(t, sensor)
+            pts = []
+            for c in bcpf_boundary_curves(t, sensor):
+                for k in range(60):
+                    pts.append(c.point_at(k * math.tau / 60) if isinstance(c, Circle) else c.point_at(k / 60))
+            for q in (t.start, t.end, t.midpoint):
+                pts += [(q[0] + tol.eps_len * math.cos(a), q[1] + tol.eps_len * math.sin(a))
+                        for a in np.linspace(0.0, math.tau, 24)]
+            probes = [(math.nextafter(x, x + dx), math.nextafter(y, y + dy))
+                      for x, y in pts for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))]
+            for blockers in ([], wall):
+                inside = fields_module._field_inside(t, sensor, tol, blockers)
+                got = inside(np.array(probes)).tolist()
+                want = [scalar_inside(t, sensor, tol, blockers)(p) for p in probes]
+                assert got == want
+                assert 0 < sum(got) < len(got)
+    assert len(fallbacks) > 1000

@@ -1,5 +1,6 @@
 """Geometry kernel tests: frozen examples plus randomized properties."""
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from camplan.geom import (
     EPS,
+    _classify_pieces,
     OVERLAP,
     Arc,
     Circle,
@@ -18,13 +20,14 @@ from camplan.geom import (
     bearing,
     intersect,
     norm_angle,
-    point_piece_distance,
     point_segment_distance,
     region_from_curves,
     segment_blocks_triangle,
     segment_segment_distance,
     wrap_pi,
 )
+
+from oracles import _classify_piece, batched, contains, point_piece_distance
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -168,21 +171,21 @@ def unit_disk() -> Region:
 
 def test_unit_disk_contains():
     d = unit_disk()
-    assert d.contains((0.0, 0.0))
-    assert d.contains((1.0, 0.0))  # boundary point, inclusive
-    assert not d.contains((2.0, 0.0))
+    assert contains(d, (0.0, 0.0))
+    assert contains(d, (1.0, 0.0))  # boundary point, inclusive
+    assert not contains(d, (2.0, 0.0))
 
 
 def test_unit_disk_contains_near_boundary():
     d = unit_disk()
-    assert d.contains((0.0, -0.999999))
-    assert not d.contains((0.0, -1.001))
+    assert contains(d, (0.0, -0.999999))
+    assert not contains(d, (0.0, -1.001))
 
 
 def test_region_vertices_contained():
     d = unit_disk()
     for v in d.vertices():
-        assert d.contains(v)
+        assert contains(d, v)
 
 
 # --- blocking -------------------------------------------------------------
@@ -278,13 +281,13 @@ def test_region_from_curves_square():
     def inside(p):
         return 0 <= p[0] <= 1 and 0 <= p[1] <= 1
 
-    reg = region_from_curves(lines, inside, offset=1e-7, snap=1e-9)
+    reg = region_from_curves(lines, batched(inside), offset=1e-7, snap=1e-9)
     assert len(reg.loops) == 1
     assert len(reg.loops[0]) == 4
     assert loop_signed_area(reg.loops[0]) == pytest.approx(1.0, abs=1e-9)
-    assert reg.contains((0.5, 0.5))
-    assert reg.contains((0.0, 0.0))
-    assert not reg.contains((1.2, 0.5))
+    assert contains(reg, (0.5, 0.5))
+    assert contains(reg, (0.0, 0.0))
+    assert not contains(reg, (1.2, 0.5))
 
 
 def test_region_from_curves_disk():
@@ -293,11 +296,11 @@ def test_region_from_curves_disk():
     def inside(p):
         return math.hypot(*p) <= 1.0
 
-    reg = region_from_curves([circle], inside, offset=1e-7, snap=1e-9)
+    reg = region_from_curves([circle], batched(inside), offset=1e-7, snap=1e-9)
     assert len(reg.loops) == 1
     assert loop_signed_area(reg.loops[0]) == pytest.approx(math.pi, abs=1e-6)
     for v in reg.vertices():
-        assert reg.contains(v)
+        assert contains(reg, v)
 
 
 def test_region_from_curves_lens():
@@ -307,15 +310,44 @@ def test_region_from_curves_lens():
     def inside(p):
         return math.dist(p, c1.center) <= 1.0 and math.dist(p, c2.center) <= 1.0
 
-    reg = region_from_curves([c1, c2], inside, offset=1e-7, snap=1e-9)
+    reg = region_from_curves([c1, c2], batched(inside), offset=1e-7, snap=1e-9)
     assert len(reg.loops) == 1
     assert len(reg.loops[0]) == 2
     # lens area: 2 r^2 (gamma - sin gamma cos gamma) with half-angle gamma=pi/3
     gamma = math.pi / 3
     expect = 2 * (gamma - math.sin(gamma) * math.cos(gamma))
     assert loop_signed_area(reg.loops[0]) == pytest.approx(expect, rel=1e-9)
-    assert reg.contains((0.5, 0.0))
-    assert not reg.contains((-0.5, 0.0))
+    assert contains(reg, (0.5, 0.0))
+    assert not contains(reg, (-0.5, 0.0))
+
+
+def test_batched_piece_vote_matches_the_scalar_vote():
+    # predicates whose boundary leaves a piece part way along, so its three
+    # stations vote anywhere from -3 to 3, and degenerate pieces that cannot
+    rng = random.Random(3)
+    for _ in range(200):
+        c = Circle((rng.uniform(-2, 2), rng.uniform(-2, 2)), rng.uniform(0.5, 3.0))
+        a = (rng.uniform(-3, 3), rng.uniform(-3, 3))
+        pieces = [Segment(a, (rng.uniform(-3, 3), rng.uniform(-3, 3))), Segment(a, a),
+                  Arc(c, rng.uniform(0, 6.3), rng.uniform(0, 6.3), rng.random() < 0.5)]
+        ux, uy = math.cos(rng.uniform(0, 6.3)), math.sin(rng.uniform(0, 6.3))
+        cut = sorted(rng.uniform(-3, 3) for _ in range(2))
+        for piece in pieces:
+            if isinstance(piece, Segment):
+                (ax, ay), (bx, by) = piece.a, piece.b
+
+                def side(p, ax=ax, ay=ay, bx=bx, by=by):
+                    return (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0.0
+            else:
+                def side(p, c=piece.circle):
+                    return math.dist(p, c.center) < c.radius
+
+            def inside(p, side=side):
+                f = ux * p[0] + uy * p[1]
+                return side(p) if f < cut[0] else (not side(p) if f < cut[1] else False)
+
+            offset = 1e-7
+            assert _classify_pieces([piece], batched(inside), offset) == [_classify_piece(piece, inside, offset)]
 
 
 def test_tolerance_for_diameter():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camplan.cli import run_pipeline
@@ -12,15 +12,19 @@ from camplan.geom import norm_angle, wrap_pi
 from camplan.model import (
     CameraPlacement,
     CandidateConfig,
+    ConfigTable,
     Scenario,
     SensorSpec,
     Solution,
     Target,
 )
 from camplan.scenario import GenParams, random_scenario, serialize_solution
-from camplan.select import InfeasibleError, greedy_cover, verify_solution
+from camplan.select import InfeasibleError, _aim, greedy_cover, verify_solution
 from camplan.fields import covers
-from camplan.sweep import optimal_vd, subset_window, sweep_points
+from camplan.sweep import sweep_points
+
+from oracles import _aim as scalar_aim
+from oracles import optimal_vd, subset_window
 
 THETA = math.radians(100.0)
 
@@ -358,6 +362,60 @@ def test_greedy_matches_dense_oracle_on_tie_heavy_sets(instance, vd_mode):
     got = _solve_or_uncovered(greedy_cover, configs, s, vd_mode)
     want = _solve_or_uncovered(oracle_greedy_cover, configs, s, vd_mode)
     assert got == want
+
+
+def assert_aims_match(table, s, open_col):
+    """The batched `_aim` over every config with an open member equals the
+    scalar one, direction and deviation, bit for bit, in both modes.
+    Returns how many configs were aimed."""
+    open_ids = {t.id for t, live in zip(s.targets, open_col) if live}
+    rows = np.flatnonzero([open_col[table.col[a:b]].any() for a, b in zip(table.ptr[:-1], table.ptr[1:])])
+    if rows.size == 0:
+        return 0
+    for mode in ("f1", "finf"):
+        want = np.array([scalar_aim(table[i], open_ids, s.sensor.theta, mode) for i in rows.tolist()])
+        alpha, score = _aim(table, rows, open_col, s.sensor.theta, mode)
+        assert alpha.tobytes() == want[:, 0].tobytes() and score.tobytes() == want[:, 1].tobytes()
+    return rows.size
+
+
+def test_batched_aim_rejects_an_unknown_mode():
+    table = ConfigTable.from_configs([mk_cfg([0], [0.1])], dummy_targets([0]))
+    with pytest.raises(ValueError, match="unknown vd optimization mode"):
+        _aim(table, np.array([0]), np.ones(1, dtype=bool), THETA, "median")
+
+
+@pytest.mark.parametrize("algo, n, r_max, obstacles", [("bcpf", 40, 30.0, 0), ("comprehensive", 8, 20.0, 6)])
+def test_batched_aim_matches_the_scalar_one(algo, n, r_max, obstacles):
+    # real tables, with every target open down to a tenth of them
+    rng = np.random.default_rng(5)
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=r_max, phi_deg=90.0)
+    checked = 0
+    for seed in range(2):
+        s = random_scenario(GenParams(n_targets=n, n_obstacles=obstacles, margin=3.0, seed=seed), sensor)
+        cs = bcpf_sample(s, 0.1, r_max) if algo == "bcpf" else comprehensive_candidates(s)
+        table = sweep_points(cs.points, s).table
+        for frac in (1.0, 0.6, 0.3, 0.1):
+            checked += assert_aims_match(table, s, rng.random(n) < frac)
+    assert checked > 2000
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.lists(st.integers(0, 15), min_size=1, max_size=16, unique=True),
+                          st.lists(st.floats(-math.pi, math.pi), min_size=16, max_size=16),
+                          st.floats(0.0, 0.8)), min_size=1, max_size=6),
+       st.lists(st.booleans(), min_size=16, max_size=16))
+@example([(list(range(16)), [0.1 * k - 0.77 for k in range(16)], 0.3)], [True] * 16)
+def test_batched_aim_matches_the_scalar_one_on_synthetic_configs(rows, open_flags):
+    # bearings all round the circle, windows from a point to most of theta,
+    # even and odd open counts, and more open members than a numpy sum adds
+    # one by one
+    configs = []
+    for covered, bearings, spread in rows:
+        mids = [norm_angle(b) for b in bearings[:len(covered)]]
+        configs.append(mk_cfg(covered, mids, lo=[b - spread for b in mids], hi=[b + spread for b in mids]))
+    s = scen(dummy_targets(range(16)))
+    assert_aims_match(ConfigTable.from_configs(configs, s.targets), s, np.array(open_flags))
 
 
 @pytest.mark.parametrize("family", [
