@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .discretize import CandidateSet, bcpf_sample, comprehensive_candidates, grid_sample
+from .discretize import CandidateSet, bcpf_sample, check_steps, comprehensive_candidates, grid_sample, grid_shape
 from .geom import DegenerateError, bearing, wrap_pi
 from .model import Scenario, SensorSpec, Solution, validate_scenario
 from .scenario import (
@@ -221,6 +221,11 @@ def _parse_algo_spec(spec: str) -> dict:
     raise ValueError(f"unknown algorithm spec {spec!r}")
 
 
+def _spec_steps(spec: dict) -> dict:
+    """The sampling steps an algorithm spec names."""
+    return {name: step for name, step in spec.items() if name != "algo" and step is not None}
+
+
 def _bench_cell(params: GenParams, sensor: SensorSpec, spec: dict, seeds: list[int],
                 vd_mode: str) -> list[dict]:
     """One (axis value x algorithm) cell: a discarded warmup, then every seed."""
@@ -238,9 +243,7 @@ def _bench_cell(params: GenParams, sensor: SensorSpec, spec: dict, seeds: list[i
         }
         try:
             s = random_scenario(replace(params, seed=seed), sensor)
-            res = run_pipeline(s, spec["algo"], eps_a=spec["eps_a"] or 0.1,
-                               eps_r=spec["eps_r"], grid_eps=spec["grid_eps"] or 2.0,
-                               vd_mode=vd_mode)
+            res = run_pipeline(s, spec["algo"], vd_mode=vd_mode, **_spec_steps(spec))
             base["cameras"] = res.cameras
             base["runtime_ms"] = round(res.runtime_ms, 3)
             base["candidates"] = len(res.candidates)
@@ -267,6 +270,10 @@ def cmd_bench(args) -> int:
     except ValueError as e:
         print(f"bench spec error: {e}", file=sys.stderr)
         return EXIT_PARSE
+    for spec in specs:   # a step every cell would refuse exits before the first row
+        check_steps(**_spec_steps(spec))
+        if spec["algo"] == "grid":
+            grid_shape(args.width, args.height, spec["grid_eps"])
     seeds = list(range(args.seeds))
     params = GenParams(width=args.width, height=args.height, n_targets=args.n,
                        target_width=args.target_width, margin=args.margin)

@@ -384,8 +384,7 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
     slack clears a rounding margin; `covers` decides the few samples within
     it, so the samples are those `covers` accepts.
     """
-    if eps_a <= 0.0 or eps_r <= 0.0:
-        raise ValueError("sampling steps must be positive")
+    check_steps(eps_a=eps_a, eps_r=eps_r)
     sensor = s.sensor
     ts = s.targets
     steps = int(2.0 * sensor.phi / eps_a)
@@ -442,22 +441,29 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
                         params={"algo": "bcpf", "eps_a": eps_a, "eps_r": eps_r})
 
 
-def grid_sample(s: Scenario, grid_eps: float) -> CandidateSet:
-    """Centers of a uniform grid of grid_eps x grid_eps cells over the area."""
-    if grid_eps <= 0.0:
-        raise ValueError("grid step must be positive")
-    if grid_eps > min(s.width, s.height):
+def check_steps(**steps: float) -> None:
+    """Refuse sampling steps that are not finite and positive (ValueError)."""
+    for name, step in steps.items():
+        if not (math.isfinite(step) and step > 0.0):
+            raise ValueError(f"{name} must be finite and positive, got {step:g}")
+
+
+def grid_shape(width: float, height: float, grid_eps: float) -> tuple[int, int]:
+    """Columns and rows of the grid_eps grid over a width x height area."""
+    check_steps(grid_eps=grid_eps)
+    if grid_eps > min(width, height):
         raise ValueError("grid step exceeds the area")
     # counts capped above the bound stay finite and keep the product above it
     cap = MAX_GRID_POINTS + 1.0
-    nx = math.floor(min(s.width / grid_eps + 1e-9, cap))
-    ny = math.floor(min(s.height / grid_eps + 1e-9, cap))
+    nx = math.floor(min(width / grid_eps + 1e-9, cap))
+    ny = math.floor(min(height / grid_eps + 1e-9, cap))
     if nx * ny > MAX_GRID_POINTS:
         raise ValueError(f"a {grid_eps:g} grid step puts more than {MAX_GRID_POINTS} points in the area")
-    points = [
-        ((i + 0.5) * grid_eps, (j + 0.5) * grid_eps)
-        for j in range(ny)
-        for i in range(nx)
-    ]
-    tags = ["grid"] * len(points)
-    return CandidateSet(points, tags, params={"algo": "grid", "grid_eps": grid_eps})
+    return nx, ny
+
+
+def grid_sample(s: Scenario, grid_eps: float) -> CandidateSet:
+    """Centers of a uniform grid of grid_eps x grid_eps cells over the area."""
+    nx, ny = grid_shape(s.width, s.height, grid_eps)
+    points = [((i + 0.5) * grid_eps, (j + 0.5) * grid_eps) for j in range(ny) for i in range(nx)]
+    return CandidateSet(points, ["grid"] * len(points), params={"algo": "grid", "grid_eps": grid_eps})

@@ -111,35 +111,22 @@ def covers(
     - occlusion, only given a scenario: no other segment enters the sight
       triangle, at the scenario's tolerance.
 
-    Without `report` it returns at the first failing clause.  Given a
-    (clauses, margins) pair of dicts it evaluates every clause and records
-    each verdict and slack in the order range, facing, view_angle, occlusion.
+    Each clause is evaluated once.  Given a (clauses, margins) pair of dicts
+    it records each verdict and slack in the order range, facing, view_angle,
+    occlusion; without one, occlusion, the one costly clause, is skipped once
+    another clause fails.
     """
     eps, eps_ang = tol.eps_len, tol.eps_ang
-    r_max, r_min = sensor.r_max, sensor.r_min
-    full = report is not None
-    if full:
-        clauses, margins = report
+    r_max = sensor.r_max
     d_s = math.dist(x, t.start)
     d_e = math.dist(x, t.end)
-    inner = point_segment_distance(x, t.segment) - r_min if full or r_min > 0.0 else 0.0
+    inner = point_segment_distance(x, t.segment) - sensor.r_min
     in_range = d_s > eps and d_e > eps and r_max - d_s >= -eps and r_max - d_e >= -eps and inner >= -eps
-    if full:
-        margins["range_slack"] = r_max - max(d_s, d_e)
-        margins["inner_slack"] = inner
-        clauses["range"] = in_range
-    elif not in_range:
-        return False
 
     vx = x[0] - (t.start[0] + t.end[0]) / 2.0
     vy = x[1] - (t.start[1] + t.end[1]) / 2.0
     facing_angle = angle_between(t.normal, (vx, vy)) if math.hypot(vx, vy) > eps else math.pi
     facing = facing_angle <= sensor.phi + eps_ang
-    if full:
-        margins["facing_angle"] = facing_angle
-        clauses["facing"] = facing
-    elif not facing:
-        return False
 
     theta = sensor.theta
     if vd is None:
@@ -156,17 +143,19 @@ def covers(
                 spread = math.pi
             slack = theta / 2.0 - spread
         view = in_range and slack >= -eps_ang
-        if full:
+    ok = in_range and facing and view
+    if report is not None:
+        clauses, margins = report
+        clauses.update(range=in_range, facing=facing, view_angle=view)
+        margins.update(range_slack=r_max - max(d_s, d_e), inner_slack=inner, facing_angle=facing_angle)
+        if vd is not None:
             margins["angular_slack"] = slack
-    if full:
-        clauses["view_angle"] = view
-    elif not view:
-        return False
-
-    visible = scenario is None or not occlusion_excluded(t, x, scenario, blockers)
-    if full and scenario is not None:
+    if scenario is None or (report is None and not ok):
+        return ok
+    visible = not occlusion_excluded(t, x, scenario, blockers)
+    if report is not None:
         clauses["occlusion"] = visible
-    return in_range and facing and view and visible
+    return ok and visible
 
 
 def bcpf_boundary_curves(t: Target, sensor: SensorSpec) -> list[Curve]:
@@ -232,12 +221,8 @@ def occlusion_excluded(
     """Whether any other segment blocks the sight triangle from x to the target."""
     if blockers is None:
         blockers = interacting_blockers(t, scenario)
-    eps = scenario.tol.eps_len
-    base = t.segment
-    for seg, _ in blockers:
-        if segment_blocks_triangle(seg, x, base, eps):
-            return True
-    return False
+    eps, base = scenario.tol.eps_len, t.segment
+    return any(segment_blocks_triangle(seg, x, base, eps) for seg, _ in blockers)
 
 
 def occlusion_fan(t: Target, occluders: list[Segment], reach: float, eps: float) -> list[Segment]:

@@ -169,36 +169,6 @@ class ConfigTable:
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
                    for f in fields(self))
 
-    @classmethod
-    def from_configs(cls, configs, targets) -> "ConfigTable":
-        """The table of a sequence of `CandidateConfig`s, with member columns
-        taken from the order of `targets`; every covered id must be a target's."""
-        column = {t.id: k for k, t in enumerate(targets)}
-        covered = [tid for cfg in configs for tid in cfg.covered]
-        stray = sorted(set(covered) - column.keys())
-        if stray:
-            raise ValueError(f"configs cover target ids the scenario lacks: {stray}")
-
-        def per_config(name):
-            return np.array([getattr(cfg, name) for cfg in configs], dtype=float)
-
-        def per_member(name):
-            return np.array([v for cfg in configs for v in getattr(cfg, name)], dtype=float)
-
-        return cls(
-            source=np.array([cfg.source for cfg in configs], dtype=np.int64),
-            position=per_config("position").reshape(-1, 2),
-            vd_rep=per_config("vd_rep"),
-            vd_lo=per_config("vd_lo"),
-            vd_window=per_config("vd_window"),
-            ptr=np.cumsum([0] + [len(cfg.covered) for cfg in configs], dtype=np.int64),
-            covered=np.array(covered, dtype=np.int64),
-            col=np.array([column[tid] for tid in covered], dtype=np.int64),
-            interval_lo=per_member("interval_lo"),
-            interval_hi=per_member("interval_hi"),
-            mid_bearings=per_member("mid_bearings"),
-        )
-
 
 @dataclass
 class Solution:

@@ -1,13 +1,12 @@
 """Greedy set-cover over candidate configurations and solution verification."""
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .geom import norm_angle
-from .model import CameraPlacement, CandidateConfig, ConfigTable, Scenario, Solution
+from .model import CameraPlacement, ConfigTable, Scenario, Solution
 from .fields import BlockerPool, covers, interacting_blockers
 from .sweep import _norm_angle_np, _wrap_pi_np
 
@@ -61,8 +60,7 @@ def _aim(table: ConfigTable, rows: np.ndarray, open_col: np.ndarray, theta: floa
     return alpha, np.cumsum(dev, axis=1)[:, -1]
 
 
-def greedy_cover(configs: ConfigTable | Sequence[CandidateConfig], s: Scenario,
-                 vd_mode: str = "f1") -> Solution:
+def greedy_cover(table: ConfigTable, s: Scenario, vd_mode: str = "f1") -> Solution:
     """Pick configs by maximum new coverage; break ties by minimum achievable
     total deviation over the newly covered targets, then by lowest config index.
 
@@ -74,12 +72,9 @@ def greedy_cover(configs: ConfigTable | Sequence[CandidateConfig], s: Scenario,
     the table's member columns. A tie-break score depends only on the config's
     uncovered members, so it is cached, with the f1 direction it was taken
     at, until one of them is covered; a round scores all its uncached tied
-    configs in one `_aim` pass. Only the picked configs are built as
-    `CandidateConfig` views.
+    configs in one `_aim` pass.
     """
-    table = configs if isinstance(configs, ConfigTable) else ConfigTable.from_configs(configs, s.targets)
-    ids = [t.id for t in s.targets]
-    n = len(ids)
+    n = len(s.targets)
     theta = s.sensor.theta
 
     if n == 0:
@@ -88,9 +83,8 @@ def greedy_cover(configs: ConfigTable | Sequence[CandidateConfig], s: Scenario,
     m = len(table)
     # (config, column) pairs as keys column * m + config, deduplicated and
     # sorted: the configs covering target column k are rows[ptr[k]:ptr[k + 1]]
-    cols = table.col
     owner = np.repeat(np.arange(m), np.diff(table.ptr))
-    key = np.sort(cols * m + owner)
+    key = np.sort(table.col * m + owner)
     key = key[np.diff(key, prepend=-1) != 0]
     rows = key % m
     ptr = np.searchsorted(key, np.arange(n + 1) * m)
@@ -98,38 +92,35 @@ def greedy_cover(configs: ConfigTable | Sequence[CandidateConfig], s: Scenario,
     score = np.full(m, np.nan)   # cached tie-break scores, NaN until computed,
     aim = np.full(m, np.nan)     # and the f1 directions they were taken at
 
-    open_ids = set(ids)   # targets not yet covered, and their columns
-    open_col = np.ones(n, dtype=bool)
+    open_col = np.ones(n, dtype=bool)   # target columns not yet covered
     placements: list[CameraPlacement] = []
     assignment: dict[int, int] = {}
     selected: list[int] = []
 
-    while open_ids:
+    while open_col.any():
         best_gain = gains.max(initial=0)
         if best_gain == 0:
-            raise InfeasibleError(open_ids)
+            raise InfeasibleError(s.targets[k].id for k in np.flatnonzero(open_col).tolist())
         tied = np.flatnonzero(gains == best_gain)
         todo = tied[np.isnan(score[tied])]   # a lone config too: its f1 aim is its direction
         aim[todo], score[todo] = _aim(table, todo, open_col, theta, "f1")
         pick = int(tied[np.argmin(score[tied])])
 
-        cfg = table[pick]
-        start, stop = table.ptr[pick:pick + 2].tolist()
-        fresh = [(tid, k) for tid, k in zip(cfg.covered, cols[start:stop].tolist()) if tid in open_ids]
         if vd_mode in ("none", "f1"):
-            alpha = cfg.vd_rep if vd_mode == "none" else float(aim[pick])
+            alpha = float((table.vd_rep if vd_mode == "none" else aim)[pick])
         else:
             alpha = float(_aim(table, np.array([pick]), open_col, theta, vd_mode)[0][0])
         index = len(placements)
-        placements.append(CameraPlacement(cfg.position, norm_angle(alpha)))
-        for tid, k in fresh:
-            if tid in open_ids:
+        placements.append(CameraPlacement(tuple(table.position[pick].tolist()), norm_angle(alpha)))
+        start, stop = table.ptr[pick:pick + 2].tolist()
+        # a member listed twice is covered at its first entry
+        for tid, k in zip(table.covered[start:stop].tolist(), table.col[start:stop].tolist()):
+            if open_col[k]:
                 holders = rows[ptr[k]:ptr[k + 1]]
                 gains[holders] -= 1
                 score[holders] = np.nan
-                open_ids.remove(tid)
                 open_col[k] = False
-            assignment[tid] = index
+                assignment[tid] = index
         selected.append(pick)
 
     return Solution(

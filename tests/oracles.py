@@ -5,7 +5,9 @@
 - the piece x curve kernel that `discretize` runs as one array pass over
   all view-circle calls;
 - greedy's window, direction and deviation rules, which `select._aim`
-  applies to many configs at once.
+  applies to many configs at once;
+- the config table of a list of `CandidateConfig`s, which tests hand to
+  `select.greedy_cover` in place of the table the sweep emits.
 
 Each batched form is the scalar code here, run as array passes.
 """
@@ -33,7 +35,7 @@ from camplan.geom import (
     point_segment_distance,
     wrap_pi,
 )
-from camplan.model import CandidateConfig
+from camplan.model import CandidateConfig, ConfigTable
 
 
 def batched(inside: Callable[[Point], bool]) -> Callable[[np.ndarray], np.ndarray]:
@@ -233,3 +235,35 @@ def _aim(cfg: CandidateConfig, open_ids: set, theta: float, mode: str) -> tuple[
     mids = [b for tid, b in zip(cfg.covered, cfg.mid_bearings) if tid in open_ids]
     alpha = optimal_vd(mids, lo, window, mode)
     return alpha, sum(abs(wrap_pi(b - alpha)) for b in mids)
+
+
+# --- config tables ----------------------------------------------------------
+
+def from_configs(configs, targets) -> ConfigTable:
+    """The table of a sequence of `CandidateConfig`s, with member columns
+    taken from the order of `targets`; every covered id must be a target's."""
+    column = {t.id: k for k, t in enumerate(targets)}
+    covered = [tid for cfg in configs for tid in cfg.covered]
+    stray = sorted(set(covered) - column.keys())
+    if stray:
+        raise ValueError(f"configs cover target ids the scenario lacks: {stray}")
+
+    def per_config(name):
+        return np.array([getattr(cfg, name) for cfg in configs], dtype=float)
+
+    def per_member(name):
+        return np.array([v for cfg in configs for v in getattr(cfg, name)], dtype=float)
+
+    return ConfigTable(
+        source=np.array([cfg.source for cfg in configs], dtype=np.int64),
+        position=per_config("position").reshape(-1, 2),
+        vd_rep=per_config("vd_rep"),
+        vd_lo=per_config("vd_lo"),
+        vd_window=per_config("vd_window"),
+        ptr=np.cumsum([0] + [len(cfg.covered) for cfg in configs], dtype=np.int64),
+        covered=np.array(covered, dtype=np.int64),
+        col=np.array([column[tid] for tid in covered], dtype=np.int64),
+        interval_lo=per_member("interval_lo"),
+        interval_hi=per_member("interval_hi"),
+        mid_bearings=per_member("mid_bearings"),
+    )

@@ -394,6 +394,54 @@ def test_bench_rejects_a_fractional_target_count(tmp_path, capsys, values):
     assert not out.exists() and stdout == ""
 
 
+@pytest.mark.parametrize("spec", ["grid:0", "grid:-2", "grid:500", "grid:nan", "bcpf:0", "bcpf:nan",
+                                  "bcpf:inf", "bcpf:0.1:0", "bcpf:0.1:nan"])
+def test_bench_rejects_a_step_every_cell_would_refuse_before_writing(tmp_path, capsys, spec):
+    # as solve does for the same step; grid:500 exceeds the 30 m area
+    out = tmp_path / "out"
+    code, stdout, err = run(["bench", "--axis", "n", "--values", "3", "--algos", f"grid:6,{spec}",
+                             "--seeds", "1", "--width", "30", "--height", "30", "--out", str(out)], capsys)
+    assert code == 3
+    assert "invalid input" in err
+    assert not out.exists() and stdout == ""
+
+
+def test_bench_rows_record_the_steps_they_ran(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    args = ["bench", "--axis", "n", "--values", "3", "--algos", "grid:7.5,bcpf:0.3:2,bcpf:0.25",
+            "--seeds", "2", "--width", "30", "--height", "30", "--margin", "3", "--r-max", "8"]
+    assert run(args + ["--out", str(out)], capsys)[0] == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 6
+    for row in rows:
+        doc = tmp_path / "scn.json"
+        assert main(["generate", "--n", "3", "--width", "30", "--height", "30", "--margin", "3",
+                     "--r-max", "8", "--seed", row["seed"], "--out", str(doc)]) == 0
+        steps = {"grid": ["--grid-eps", row["grid_eps"]],
+                 "bcpf": ["--eps-a", row["eps_a"], "--eps-r", row["eps_r"]]}[row["algo"]]
+        code, stdout, _ = run(["solve", str(doc), "--algo", row["algo"], *steps], capsys)
+        assert code == 0
+        assert f"cameras={row['cameras']} " in stdout and f" candidates={row['candidates']} " in stdout
+
+
+@pytest.mark.parametrize("command", ["solve", "candidates"])
+@pytest.mark.parametrize("flags", [
+    ["--eps-r", "nan"], ["--eps-r", "inf"], ["--eps-r", "0"],
+    ["--eps-a", "nan"], ["--eps-a", "inf"], ["--eps-a", "-0.1"],
+    ["--algo", "grid", "--grid-eps", "nan"], ["--algo", "grid", "--grid-eps", "inf"],
+    ["--algo", "grid", "--grid-eps", "0"],
+])
+def test_a_step_that_is_not_finite_and_positive_is_invalid_input(small_scenario, tmp_path, capsys,
+                                                                   command, flags):
+    # a NaN radial step used to end the ring walk after one ring, and an
+    # infinite angular step to build no fans at all
+    out = tmp_path / "out.json"
+    code, stdout, err = run([command, str(small_scenario), *flags, "--out", str(out)], capsys)
+    assert code == 3
+    assert "invalid input" in err and "must be finite and positive" in err
+    assert not out.exists() and stdout == ""
+
+
 def test_target_id_beyond_int64_is_a_validation_error(tmp_path, capsys):
     doc = tmp_path / "scn.json"
     doc.write_text(

@@ -389,6 +389,35 @@ def test_wide_cone_blind_spot_fails_view_angle():
     assert select._check_target(t, CameraPlacement(x, 0.0), narrow).failed_clauses() == ["view_angle"]
 
 
+# --- the report against the verdict ----------------------------------------------------
+
+@given(scenes(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_covers_report_binds_its_verdict(s, data):
+    # one verdict with or without a report, and it is the conjunction of the
+    # clauses the report records, in its fixed key order; each clause agrees
+    # with the slack recorded for it
+    sensor = s.sensor
+    for p in probes(data.draw, s):
+        for t in s.targets:
+            tol = data.draw(st.sampled_from([s.tol, field_tolerance(t, sensor)]))
+            for vd in [None, *view_directions(data.draw, p, t, sensor.theta)]:
+                for scenario in (None, s):
+                    clauses, margins = {}, {}
+                    got = covers(t, p, sensor, tol, vd=vd, scenario=scenario, report=(clauses, margins))
+                    assert covers(t, p, sensor, tol, vd=vd, scenario=scenario) == got, (t, p, vd)
+                    assert got == all(clauses.values()), (t, p, vd, clauses)
+                    assert list(clauses) == ["range", "facing", "view_angle"] + ["occlusion"] * (scenario is s)
+                    assert list(margins) == ["range_slack", "inner_slack", "facing_angle"] + [
+                        "angular_slack"] * (vd is not None)
+                    apart = min(math.dist(p, t.start), math.dist(p, t.end)) > tol.eps_len
+                    assert clauses["range"] == (apart and margins["range_slack"] >= -tol.eps_len
+                                                and margins["inner_slack"] >= -tol.eps_len), (t, p, margins)
+                    assert clauses["facing"] == (margins["facing_angle"] <= sensor.phi + tol.eps_ang), (t, p)
+                    if vd is not None:
+                        assert clauses["view_angle"] == (margins["angular_slack"] >= -tol.eps_ang), (t, p, vd)
+
+
 # --- blocker selection against the plain scan it replaced ----------------------------
 
 def plain_interacting_blockers(t: Target, scenario: Scenario) -> list:

@@ -24,7 +24,7 @@ from camplan.scenario import GenParams, random_scenario
 from camplan.select import greedy_cover
 from camplan.sweep import sweep_points
 
-from oracles import contains, piece_curve_intersections
+from oracles import contains, from_configs, piece_curve_intersections
 
 
 def scen(targets, sensor, obstacles=(), w=100.0, h=100.0):
@@ -92,7 +92,7 @@ def test_comprehensive_pair_covers_both_with_one_camera():
     cs = comprehensive_candidates(s)
     assert len(cs) > 10
     configs = [c for lst in sweep_points(cs.points, s) for c in lst]
-    sol = greedy_cover(configs, s)
+    sol = greedy_cover(from_configs(configs, s.targets), s)
     assert len(sol.placements) == 1
     assert set(sol.assignment) == {0, 1}
 

@@ -12,7 +12,6 @@ from camplan.geom import norm_angle, wrap_pi
 from camplan.model import (
     CameraPlacement,
     CandidateConfig,
-    ConfigTable,
     Scenario,
     SensorSpec,
     Solution,
@@ -24,7 +23,7 @@ from camplan.fields import covers
 from camplan.sweep import sweep_points
 
 from oracles import _aim as scalar_aim
-from oracles import optimal_vd, subset_window
+from oracles import from_configs, optimal_vd, subset_window
 
 THETA = math.radians(100.0)
 
@@ -69,7 +68,7 @@ def test_greedy_textbook_trace():
         mk_cfg((2, 3), (0.1, 0.2), pos=(2.0, 0.0)),
         mk_cfg((3,), (0.2,), pos=(3.0, 0.0)),
     ]
-    sol = greedy_cover(configs, s)
+    sol = greedy_cover(from_configs(configs, s.targets), s)
     assert len(sol.placements) == 2
     assert sol.meta["selected_configs"] == [0, 1]
     assert sol.assignment == {1: 0, 2: 0, 3: 1}
@@ -78,7 +77,7 @@ def test_greedy_textbook_trace():
 
 
 def test_greedy_empty_scenario():
-    sol = greedy_cover([], scen([]))
+    sol = greedy_cover(from_configs([], []), scen([]))
     assert sol.placements == []
     assert sol.assignment == {}
 
@@ -92,7 +91,7 @@ def test_greedy_deviation_tie_break():
     b = mk_cfg((1,), (w_lo - 0.1,), lo=(span_lo,), hi=(span_hi,), pos=(2.0, 0.0))
     s = scen(dummy_targets([1]))
 
-    sol = greedy_cover([a, b], s)
+    sol = greedy_cover(from_configs([a, b], s.targets), s)
     assert sol.meta["selected_configs"] == [1]
     assert sol.placements[0].position == (2.0, 0.0)
     # vd clamps to the window edge nearest the midpoint bearing
@@ -102,7 +101,7 @@ def test_greedy_deviation_tie_break():
 def test_greedy_index_tie_break():
     s = scen(dummy_targets([1]))
     configs = [mk_cfg((1,), (0.2,), pos=(2.0, 0.0)), mk_cfg((1,), (0.4,), pos=(1.0, 0.0))]
-    sol = greedy_cover(configs, s)
+    sol = greedy_cover(from_configs(configs, s.targets), s)
     assert sol.meta["selected_configs"] == [0]
 
 
@@ -110,14 +109,14 @@ def test_greedy_infeasible_lists_uncovered():
     s = scen(dummy_targets([1, 2, 3]))
     configs = [mk_cfg((1,), (0.0,))]
     with pytest.raises(InfeasibleError) as err:
-        greedy_cover(configs, s)
+        greedy_cover(from_configs(configs, s.targets), s)
     assert err.value.uncovered == (2, 3)
 
 
 def test_greedy_vd_mode_none_keeps_representative():
     s = scen(dummy_targets([1]))
     cfg = mk_cfg((1,), (0.3,), lo=(0.0,), hi=(math.radians(80.0),))
-    sol = greedy_cover([cfg], s, vd_mode="none")
+    sol = greedy_cover(from_configs([cfg], s.targets), s, vd_mode="none")
     assert math.isclose(sol.placements[0].vd, cfg.vd_rep, abs_tol=1e-12)
 
 
@@ -229,7 +228,7 @@ def test_greedy_is_deterministic():
     cs = comprehensive_candidates(s)
     table = sweep_points(cs.points, s).table
     first = greedy_cover(table, s)
-    second = greedy_cover(list(table), s)
+    second = greedy_cover(from_configs(list(table), s.targets), s)
     assert serialize_solution(first) == serialize_solution(second)
 
 
@@ -359,7 +358,7 @@ def tie_heavy_instances(draw):
 @given(tie_heavy_instances(), st.sampled_from(["none", "f1", "finf"]))
 def test_greedy_matches_dense_oracle_on_tie_heavy_sets(instance, vd_mode):
     s, configs = instance
-    got = _solve_or_uncovered(greedy_cover, configs, s, vd_mode)
+    got = _solve_or_uncovered(greedy_cover, from_configs(configs, s.targets), s, vd_mode)
     want = _solve_or_uncovered(oracle_greedy_cover, configs, s, vd_mode)
     assert got == want
 
@@ -380,7 +379,7 @@ def assert_aims_match(table, s, open_col):
 
 
 def test_batched_aim_rejects_an_unknown_mode():
-    table = ConfigTable.from_configs([mk_cfg([0], [0.1])], dummy_targets([0]))
+    table = from_configs([mk_cfg([0], [0.1])], dummy_targets([0]))
     with pytest.raises(ValueError, match="unknown vd optimization mode"):
         _aim(table, np.array([0]), np.ones(1, dtype=bool), THETA, "median")
 
@@ -415,7 +414,7 @@ def test_batched_aim_matches_the_scalar_one_on_synthetic_configs(rows, open_flag
         mids = [norm_angle(b) for b in bearings[:len(covered)]]
         configs.append(mk_cfg(covered, mids, lo=[b - spread for b in mids], hi=[b + spread for b in mids]))
     s = scen(dummy_targets(range(16)))
-    assert_aims_match(ConfigTable.from_configs(configs, s.targets), s, np.array(open_flags))
+    assert_aims_match(from_configs(configs, s.targets), s, np.array(open_flags))
 
 
 @pytest.mark.parametrize("family", [
@@ -436,5 +435,5 @@ def test_greedy_solution_bytes_match_dense_oracle(family):
         for vd_mode in ("f1", "none", "finf"):
             want = serialize_solution(oracle_greedy_cover(configs, s, vd_mode))
             assert serialize_solution(greedy_cover(groups.table, s, vd_mode)) == want
-            assert serialize_solution(greedy_cover(configs, s, vd_mode)) == want
+            assert serialize_solution(greedy_cover(from_configs(configs, s.targets), s, vd_mode)) == want
             assert serialize_solution(run_pipeline(s, family["algo"], vd_mode=vd_mode).solution) == want

@@ -17,7 +17,7 @@ import pytest
 
 from camplan import sweep as sweep_module
 from camplan.cli import build_candidates, run_pipeline
-from camplan.model import CandidateConfig, ConfigTable, Obstacle, Scenario, SensorSpec, Target
+from camplan.model import CandidateConfig, Obstacle, Scenario, SensorSpec, Target
 from camplan.scenario import GenParams, random_scenario, serialize_solution
 from camplan.select import greedy_cover
 from camplan.sweep import (
@@ -30,6 +30,8 @@ from camplan.sweep import (
     _seg_point_dist_np,
     sweep_points,
 )
+
+from oracles import from_configs
 
 
 def oracle_cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
@@ -329,10 +331,10 @@ def test_table_solves_to_the_bytes_of_its_configs(name):
     s, points = SCENES[name]()
     configs = [cfg for group in oracle_sweep_points(points, s) for cfg in group]
     table = sweep_points(points, s).table
-    assert table == ConfigTable.from_configs(configs, s.targets)
+    assert table == from_configs(configs, s.targets)
     algo = "comprehensive" if "comprehensive" in name else name.split("-")[0]
     for mode in ("f1", "none", "finf"):
-        want = serialize_solution(greedy_cover(configs, s, vd_mode=mode))
+        want = serialize_solution(greedy_cover(from_configs(configs, s.targets), s, vd_mode=mode))
         assert serialize_solution(greedy_cover(table, s, vd_mode=mode)) == want
         assert serialize_solution(run_pipeline(s, algo, grid_eps=4.0, vd_mode=mode).solution) == want
 
@@ -530,9 +532,9 @@ def test_table_from_configs_rejects_ids_the_scenario_lacks():
     cfg = sweep_points(points, s).table[0]
     stray = cfg._replace(covered=cfg.covered[:-1] + (999,))
     with pytest.raises(ValueError, match="999"):
-        ConfigTable.from_configs([cfg, stray], s.targets)
+        from_configs([cfg, stray], s.targets)
     with pytest.raises(ValueError, match="999"):
-        greedy_cover([stray], s)
+        greedy_cover(from_configs([stray], s.targets), s)
 
 
 def test_table_invariants():
