@@ -13,7 +13,8 @@ import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .discretize import CandidateSet, bcpf_sample, check_steps, comprehensive_candidates, grid_sample, grid_shape
+from .discretize import (CandidateSet, bcpf_sample, check_steps, comprehensive_candidates, fan_steps, grid_sample,
+                         grid_shape)
 from .geom import DegenerateError, bearing, wrap_pi
 from .model import Scenario, SensorSpec, Solution, validate_scenario
 from .scenario import (
@@ -289,6 +290,9 @@ def cmd_bench(args) -> int:
             cell_sensor = replace(sensor, aov_deg=value)
         check_params(cell_params)
         _check_sensor(args.width, args.height, cell_sensor)
+        for spec in specs:
+            if spec["algo"] == "bcpf":
+                fan_steps(cell_sensor.phi, spec["eps_a"])
         cells.extend((cell_params, cell_sensor, spec) for spec in specs)
 
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="utf-8", newline="")

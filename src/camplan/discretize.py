@@ -10,14 +10,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .fields import aov_pair, covers, cpf, field_tolerance
-from .geom import TWO_PI, DegenerateError, Piece, Point, Segment, piece_intersections
+from .geom import CurveTable, DegenerateError, Piece, Point, Segment, circle_table, curve_table, intersections
 from .model import Scenario, Target
-from .sweep import ScenarioIndex, _norm_angle_np, clause_verdicts
+from .sweep import ScenarioIndex, clause_verdicts
 
 _TAG_RANK = {"cpf-critical": 0, "cpf-x-cpf": 1, "cpf-x-aov": 2, "bcpf-sample": 3, "grid": 4}
 
@@ -96,15 +95,11 @@ def comprehensive_candidates(s: Scenario) -> CandidateSet:
     regions = {t.id: cpf(t, s) for t in s.targets}
     uncoverable = tuple(t.id for t in s.targets if regions[t.id].is_empty())
 
-    tagged: list[tuple[Point, str]] = []
-    for reg in regions.values():
-        for v in reg.vertices():
-            tagged.append((v, "cpf-critical"))
-
     pieces: dict[int, list[Piece]] = {tid: list(reg.pieces()) for tid, reg in regions.items()}
-    table = _piece_table([pc for pcs in pieces.values() for pc in pcs])
+    flat = [pc for pcs in pieces.values() for pc in pcs]
+    table, box = curve_table(flat, pieces=True), _piece_boxes(flat)
     first = dict(zip(pieces, np.cumsum([0] + [len(pcs) for pcs in pieces.values()]).tolist()))
-    bounds = {tid: (table.box[k:k + len(pieces[tid])], table.radius[k:k + len(pieces[tid])])
+    bounds = {tid: (box[k:k + len(pieces[tid])], table.circle[k:k + len(pieces[tid]), 2])
               for tid, k in first.items()}
     pairs = _interacting_pairs(s)
     views = [_pair_view_circles(s.targets[i], s.targets[j], s.sensor.theta)
@@ -120,42 +115,51 @@ def comprehensive_candidates(s: Scenario) -> CandidateSet:
     rings_xyr = {tid: np.array(rows, dtype=float).reshape(-1, 4) for tid, rows in rings.items()}
     ext = _extent(bounds.values(), rings_xyr.values())
     reach = {tid: _grow_boxes(box, radius, eps, ext) for tid, (box, radius) in bounds.items()}
+    # calls (piece, piece) for the pairs' pieces whose boxes meet, in the
+    # pair loop's order: by pair, then piece of the one, piece of the other
+    ia, ib = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
     for i, j in pairs:
         ti, tj = s.targets[i], s.targets[j]
-        for a, b in np.argwhere(_boxes_meet(reach[ti.id], reach[tj.id])).tolist():
-            for pt in piece_intersections(pieces[ti.id][a], pieces[tj.id][b], eps):
-                tagged.append((pt, "cpf-x-cpf"))
-    # a call (ring row, piece) for each piece whose box meets the ring, in
-    # the loop's order: by call group, then piece
-    calls = [np.zeros((0, 5))]
+        a, b = np.nonzero(_boxes_meet(reach[ti.id], reach[tj.id]))
+        ia.append(first[ti.id] + a)
+        ib.append(first[tj.id] + b)
+    crossings = sum(map(len, ia))
+    # then a call (piece, view circle) for each piece whose box meets the
+    # circle's ring, in the view-circle loop's order: by call group, then piece
+    ring = [np.zeros((0, 5))]
     for tid in pieces:
         row, a = np.nonzero(_reaches_ring(reach[tid], rings_xyr[tid], eps, ext))
-        calls.append(np.column_stack((rings_xyr[tid][row], first[tid] + a)))
-    calls = np.concatenate(calls)
-    calls = calls[np.lexsort((calls[:, 4], calls[:, 3]))]
-    found = _view_circle_points(table, calls[:, 4].astype(np.int64), calls[:, :3], eps)[1]
+        ring.append(np.column_stack((rings_xyr[tid][row], first[tid] + a)))
+    ring = np.concatenate(ring)
+    ring = ring[np.lexsort((ring[:, 4], ring[:, 3]))]
+    ia.append(ring[:, 4].astype(np.int64))
+    ib.append(len(flat) + np.arange(len(ring)))
+    other = CurveTable(*map(np.concatenate, zip(table, circle_table(ring[:, :3]))))
+    call, found, _ = intersections(table, np.concatenate(ia), other, np.concatenate(ib), eps)
 
-    xy = _clamp_to_area(np.concatenate([np.array([p for p, _ in tagged], dtype=float).reshape(-1, 2), found]), s)
-    rank = np.array([_TAG_RANK[tag] for _, tag in tagged] + [_TAG_RANK["cpf-x-aov"]] * len(found), dtype=np.int64)
-    del tagged, regions, pieces   # free the fields before the merge
+    verts = [v for reg in regions.values() for v in reg.vertices()]
+    xy = _clamp_to_area(np.concatenate([np.array(verts, dtype=float).reshape(-1, 2), found]), s)
+    rank = np.concatenate([np.full(len(verts), _TAG_RANK["cpf-critical"]),
+                           np.where(call < crossings, _TAG_RANK["cpf-x-cpf"], _TAG_RANK["cpf-x-aov"])])
+    del regions, pieces, flat   # free the fields before the merge
     kept = _dedupe(xy, rank, eps)
     tags = list(_TAG_RANK)   # in rank order
     return CandidateSet([tuple(p) for p in xy[kept].tolist()], [tags[r] for r in rank[kept].tolist()],
                         params={"algo": "comprehensive"}, uncoverable=uncoverable)
 
 
-# The pair loops above skip a pair only when no point the exact kernels keep
-# can exist, so every call that runs is one the unpruned loops make, in their
+# The calls above skip a pair only when no point the kernel keeps can exist,
+# so every call that runs is one the unpruned pair loops make, in their
 # order, and the candidates are the same.  A pair of pieces is kept when
 # their bounding boxes, each grown by the piece's reach, overlap: a kept
 # point lies within reach of both pieces, so both grown boxes hold it.
 #
-# Reach, from the acceptance rules of `geom.intersect` and `geom._on_piece`:
-# - Segment: `_on_piece` keeps a point within 2*eps of it.
-# - Arc of radius r: `_on_piece` checks only the angle, within
+# Reach, from the acceptance rules of `geom.intersections`:
+# - Segment piece: a point is kept within 2*eps of it.
+# - Arc of radius r: only the angle is checked, within
 #   tol = 2*eps/max(r, eps) of the sweep, so a kept point o off the circle
 #   lies within o + (r + o)*tol of the arc.  `_off_circle` bounds o over the
-#   branches of `intersect` that can return the point, with
+#   rules that can return the point, with
 #   rho = eps*max(r, 1) + eps^2*ext (plus rounding):
 #   - segment x circle, roots: on the circle, then moved up to eps along the
 #     segment when its parameter is clamped;
@@ -180,129 +184,27 @@ def comprehensive_candidates(s: Scenario) -> CandidateSet:
 _ULP = float(np.finfo(float).eps)
 
 
-class _PieceTable(NamedTuple):
-    """Field pieces as rows; NaN in the columns of the other kind of piece."""
-    box: np.ndarray      # (m, 4) bounding boxes x_lo, y_lo, x_hi, y_hi
-    radius: np.ndarray   # arc radius, NaN for a segment
-    seg: np.ndarray      # (m, 4) segment ends ax, ay, bx, by
-    arc: np.ndarray      # (m, 5) arc center x, y, start, sweep, 1.0 if ccw else 0.0
-
-
-def _piece_table(pieces: list[Piece]) -> _PieceTable:
-    """The pieces' table in one pass.  An arc's box holds its ends and each
-    axis extreme inside its sweep."""
+def _piece_boxes(pieces: list[Piece]) -> np.ndarray:
+    """(m, 4) bounding boxes x_lo, y_lo, x_hi, y_hi of the pieces.  An arc's
+    box holds its ends and each axis extreme inside its sweep."""
     rows = []
     for pc in pieces:
         if isinstance(pc, Segment):
             ends = [pc.a, pc.b]
-            geo = (math.nan, *pc.a, *pc.b) + (math.nan,) * 5
         else:
             (cx, cy), r = pc.circle.center, pc.circle.radius
             ends = [pc.start_point(), pc.end_point()] + [
                 (cx + r * ux, cy + r * uy)
                 for q, (ux, uy) in enumerate(((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)))
                 if pc.angle_inside(q * math.pi / 2.0)]
-            geo = (r,) + (math.nan,) * 4 + (cx, cy, pc.start, pc.sweep(), float(pc.ccw))
         xs, ys = zip(*ends)
-        rows.append((min(xs), min(ys), max(xs), max(ys), *geo))
-    tab = np.array(rows, dtype=float).reshape(-1, 14)
-    return _PieceTable(tab[:, :4], tab[:, 4], tab[:, 5:9], tab[:, 9:])
-
-
-def _math(f, *cols: np.ndarray) -> np.ndarray:
-    """f (a math function) of the columns, element by element."""
-    return np.fromiter(map(f, *(c.tolist() for c in cols)), dtype=float, count=len(cols[0]))
-
-
-def _view_circle_points(tab: _PieceTable, piece: np.ndarray, ring: np.ndarray,
-                        eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """The points the scalar piece x circle kernel (`geom.intersect`, then
-    `geom._on_piece`) finds for each call k, table row piece[k] against the
-    circle ring[k] = (x, y, r): (k of each point, (m, 2) points), call by call
-    in sorted order.  Each branch is numpy arithmetic in the scalar operation
-    order, so every coordinate and test equals the scalar one; hypot and
-    atan2, which numpy may round differently, are math's."""
-    n = len(piece)
-    pts = np.zeros((n, 2, 2))   # [call, slot, x/y]: up to two points a call
-    ok = np.zeros((n, 2), dtype=bool)
-    cx, cy, r = ring[:, 0], ring[:, 1], ring[:, 2]
-    arc = ~np.isnan(tab.radius[piece])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        # segment x circle (`_seg_circle_intersections`)
-        k = np.flatnonzero(~arc)
-        ax, ay, bx, by = tab.seg[piece[k]].T
-        vx, vy, vr = cx[k], cy[k], r[k]
-        dx, dy = bx - ax, by - ay
-        fx, fy = ax - vx, ay - vy
-        A = dx * dx + dy * dy
-        B = 2.0 * (fx * dx + fy * dy)
-        C = fx * fx + fy * fy - vr * vr
-        disc = B * B - 4.0 * A * C
-        tol = eps / np.sqrt(A)
-        sq = np.sqrt(disc)
-        graze = (disc < 0.0) & (disc > -4.0 * A * eps * np.maximum(vr, 1.0))
-        ts = (np.where(disc < 0.0, -B / (2.0 * A), (-B - sq) / (2.0 * A)), (-B + sq) / (2.0 * A))
-        for slot, t, live in ((0, ts[0], (disc >= 0.0) | graze), (1, ts[1], disc >= 0.0)):
-            ok[k, slot] = live & (A != 0.0) & (-tol <= t) & (t <= 1.0 + tol)
-            t = np.where(0.0 > t, 0.0, t)   # min(max(t, 0.0), 1.0)
-            t = np.where(1.0 < t, 1.0, t)
-            pts[k, slot] = np.stack((ax + t * dx, ay + t * dy), axis=1)
-        two = k[ok[k].all(axis=1)]
-        gap = pts[two, 0] - pts[two, 1]
-        ok[two, 1] = _math(math.hypot, gap[:, 0], gap[:, 1]) > eps
-
-        # circle x circle (`_circle_circle_intersections`), the pair in
-        # `intersect`'s canonical order
-        k = np.flatnonzero(arc)
-        own = np.stack((*tab.arc[piece[k], :2].T, tab.radius[piece[k]]))
-        view = ring[k].T
-        (px, py, pr), (vx, vy, vr) = own, view
-        swap = (vx < px) | ((vx == px) & ((vy < py) | ((vy == py) & (vr < pr))))
-        (x1, y1, r1), (x2, y2, r2) = np.where(swap, view, own), np.where(swap, own, view)
-        dx, dy = x2 - x1, y2 - y1
-        d = _math(math.hypot, dx, dy)
-        hit = (d > eps) & (d <= r1 + r2 + eps) & (d >= np.abs(r1 - r2) - eps)
-        ux, uy = dx / d, dy / d
-        nested = d < np.abs(r1 - r2)
-        s = np.where(r1 > r2, 1.0, -1.0)
-        a = np.where(nested, (s * r1 + d + s * r2) / 2.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d))
-        h2 = r1 * r1 - a * a
-        mx, my = x1 + a * ux, y1 + a * uy
-        one = nested | (h2 <= eps * eps * np.maximum(r1, 1.0))
-        h = np.sqrt(h2)
-        pts[k, 0] = np.stack((np.where(one, mx, mx - h * uy), np.where(one, my, my + h * ux)), axis=1)
-        pts[k, 1] = np.stack((mx + h * uy, my - h * ux), axis=1)
-        ok[k, 0], ok[k, 1] = hit, hit & ~one
-
-    # sorted(): the second point first when it is lexicographically smaller
-    flip = ok.all(axis=1) & ((pts[:, 1, 0] < pts[:, 0, 0])
-                             | ((pts[:, 1, 0] == pts[:, 0, 0]) & (pts[:, 1, 1] < pts[:, 0, 1])))
-    pts[flip] = pts[flip, ::-1]
-
-    # `_on_piece`: within 2 eps of a segment, or within the arc's sweep
-    call, slot = np.nonzero(ok)
-    p, xy, arc = piece[call], pts[call, slot], arc[call]
-    on = np.zeros(len(call), dtype=bool)
-    k = np.flatnonzero(~arc)   # a segment with a point is not of zero length
-    ax, ay, bx, by = tab.seg[p[k]].T
-    px, py = xy[k, 0], xy[k, 1]
-    dx, dy = bx - ax, by - ay
-    t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
-    t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
-    on[k] = _math(math.hypot, px - (ax + t * dx), py - (ay + t * dy)) <= 2.0 * eps
-    k = np.flatnonzero(arc)
-    pcx, pcy, start, sweep, ccw = tab.arc[p[k]].T
-    px, py = xy[k, 0] - pcx, xy[k, 1] - pcy
-    ang = _math(math.atan2, py, px)
-    tol = 2.0 * eps / np.maximum(tab.radius[p[k]], eps)
-    off = _norm_angle_np(np.where(ccw == 1.0, ang - start, start - ang))
-    on[k] = ((px != 0.0) | (py != 0.0)) & ((off <= sweep + tol) | (off >= TWO_PI - tol))
-    return call[on], xy[on]
+        rows.append((min(xs), min(ys), max(xs), max(ys)))
+    return np.array(rows, dtype=float).reshape(-1, 4)
 
 
 def _extent(bounds, rings) -> float:
     """Largest magnitude the kernels meet, at least 1: a piece coordinate or
-    an arc's center coordinate plus its radius, over `_piece_bounds` results,
+    an arc's center coordinate plus its radius, over (box, radius) pairs,
     or a view circle's, over (k, 3) arrays of rows (x, y, r)."""
     ext = 1.0
     for box, radius in bounds:
@@ -384,10 +286,10 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
     slack clears a rounding margin; `covers` decides the few samples within
     it, so the samples are those `covers` accepts.
     """
-    check_steps(eps_a=eps_a, eps_r=eps_r)
     sensor = s.sensor
+    steps = fan_steps(sensor.phi, eps_a)
+    check_steps(eps_r=eps_r)
     ts = s.targets
-    steps = int(2.0 * sensor.phi / eps_a)
     psi = [-sensor.phi + (i + 0.5) * eps_a for i in range(steps)]
     tols = [field_tolerance(t, sensor) for t in ts]
     eps_len = np.array([tol.eps_len for tol in tols])
@@ -446,6 +348,16 @@ def check_steps(**steps: float) -> None:
     for name, step in steps.items():
         if not (math.isfinite(step) and step > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {step:g}")
+
+
+def fan_steps(phi: float, eps_a: float) -> int:
+    """Fan directions an eps_a step puts across a facing cone of half-width
+    phi; a step wider than the cone is refused (ValueError)."""
+    check_steps(eps_a=eps_a)
+    steps = int(2.0 * phi / eps_a)
+    if steps == 0:
+        raise ValueError(f"a {eps_a:g} rad angular step exceeds the {2.0 * phi:g} rad facing cone")
+    return steps
 
 
 def grid_shape(width: float, height: float, grid_eps: float) -> tuple[int, int]:

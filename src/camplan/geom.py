@@ -1,15 +1,22 @@
 """Planar geometry kernel: angles, segments, circles, arcs and boundary regions.
 
 Everything downstream (placement fields, sweeps, the verifier) sits on the
-predicates in this module.  All comparisons are tolerance based; there is no
-exact arithmetic.  Containment is boundary inclusive throughout.
+predicates in this module.  Comparisons are tolerance based; only
+`orientation` falls back to exact rationals.  Containment is boundary
+inclusive throughout.
+
+Curves meet in one place: `intersections`, a batched kernel over tables of
+segments, circles and arcs (`curve_table`).  A field's arrangement
+(`region_from_curves`) cuts its curves with one call over all their pairs,
+and comprehensive candidate generation finds every field x field and
+field x view-circle crossing of a scene with one call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -38,19 +45,6 @@ class Tolerance:
         return Tolerance(eps_len=1e-9 * max(diameter, 1.0))
 
 
-class _Overlap:
-    """Marker for collinear-segment / identical-circle intersection results."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "OVERLAP"
-
-
-#: Returned by intersect() when the inputs overlap along a continuum.
-OVERLAP = _Overlap()
-
-
 # ---------------------------------------------------------------------------
 # angles
 
@@ -63,6 +57,13 @@ def norm_angle(a: float) -> float:
     if r >= TWO_PI:
         r = 0.0
     return r
+
+
+def _norm_angle_np(a):
+    """Elementwise norm_angle."""
+    r = np.fmod(a, TWO_PI)
+    r = np.where(r < 0.0, r + TWO_PI, r)
+    return np.where(r >= TWO_PI, 0.0, r)
 
 
 def wrap_pi(a: float) -> float:
@@ -222,151 +223,211 @@ def _segments_properly_cross(s1: Segment, s2: Segment) -> bool:
 # intersections
 
 
-def _seg_seg_intersections(s1: Segment, s2: Segment, eps: float) -> list[Point] | _Overlap:
-    p, r = s1.a, (s1.b[0] - s1.a[0], s1.b[1] - s1.a[1])
-    q, s = s2.a, (s2.b[0] - s2.a[0], s2.b[1] - s2.a[1])
-    rxs = r[0] * s[1] - r[1] * s[0]
-    qp = (q[0] - p[0], q[1] - p[1])
-    qpxr = qp[0] * r[1] - qp[1] * r[0]
-    len1 = math.hypot(*r)
-    len2 = math.hypot(*s)
-    scale = max(len1, len2, 1.0)
-    if abs(rxs) <= eps * scale * scale:
-        # parallel; collinear overlap reported as degenerate
-        if abs(qpxr) > eps * scale:
-            return []
-        # collinear: overlap iff projections intersect in more than a point
-        if len1 <= eps or len2 <= eps:
-            return []
-        ux, uy = r[0] / len1, r[1] / len1
-        t0 = (q[0] - p[0]) * ux + (q[1] - p[1]) * uy
-        t1 = t0 + (s[0] * ux + s[1] * uy)
-        lo, hi = min(t0, t1), max(t0, t1)
-        lo = max(lo, 0.0)
-        hi = min(hi, len1)
-        if hi - lo > eps:
-            return OVERLAP
-        if hi - lo >= -eps:
-            t = (lo + hi) / 2.0
-            return [(p[0] + t * ux, p[1] + t * uy)]
-        return []
-    t = (qp[0] * s[1] - qp[1] * s[0]) / rxs
+class CurveTable(NamedTuple):
+    """Segments, full circles and arcs as rows, NaN in the columns a row's
+    kind lacks.  A piece (an arc, or a segment of a field boundary) keeps
+    only the points that lie on it; a curve (a full circle, or a segment of
+    an arrangement) keeps every point the rules find."""
+
+    seg: np.ndarray      # (m, 4) segment ends ax, ay, bx, by
+    length: np.ndarray   # segment length, math.hypot of b - a
+    circle: np.ndarray   # (m, 3) center x, y and radius of a circle or an arc
+    arc: np.ndarray      # (m, 3) arc start, sweep, 1.0 if ccw else 0.0
+    piece: np.ndarray    # whether the row is a piece
+
+
+def curve_table(curves: Iterable[Segment | Circle | Arc], pieces: bool = False) -> CurveTable:
+    """The rows of `curves`; its segments are pieces when `pieces` is true."""
+    nan = (math.nan,) * 6
+    rows = []
+    for c in curves:
+        if isinstance(c, Segment):
+            rows.append((*c.a, *c.b, math.hypot(c.b[0] - c.a[0], c.b[1] - c.a[1]), *nan, pieces))
+        elif isinstance(c, Circle):
+            rows.append(nan[:5] + (*c.center, c.radius) + nan[:3] + (False,))
+        else:
+            rows.append(nan[:5] + (*c.circle.center, c.circle.radius, c.start, c.sweep(), float(c.ccw), True))
+    tab = np.array(rows, dtype=float).reshape(-1, 12)
+    return CurveTable(tab[:, :4], tab[:, 4], tab[:, 5:8], tab[:, 8:11], tab[:, 11] == 1.0)
+
+
+def circle_table(xyr: np.ndarray) -> CurveTable:
+    """Full circles, given as (m, 3) rows (x, y, r)."""
+    nan = np.full((len(xyr), 4), math.nan)
+    return CurveTable(nan, nan[:, 0], xyr, nan[:, :3], np.zeros(len(xyr), dtype=bool))
+
+
+def intersections(a: CurveTable, ia: np.ndarray, b: CurveTable, ib: np.ndarray,
+                  eps: float = EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where row ia[k] of `a` meets row ib[k] of `b`, for every call k:
+    (the call of each point, the (m, 2) points, which calls overlap).
+
+    Points come call by call, each call's in sorted() order, and a point is
+    kept only when it lies on each operand that is a piece: within 2*eps of
+    a segment, or within an arc's sweep.  Collinear segments that share more
+    than eps, and circles coincident within eps, overlap along a continuum
+    and find no point; tangencies find one.  A pair of segments, or of
+    circles, is taken in tuple order of its rows, so a call finds the same
+    points either way round.  Each rule is numpy arithmetic in the order of
+    its scalar statement (kept as the reference in `tests/oracles.py`), with
+    `math.hypot` and `math.atan2` wherever they feed a coordinate or a test,
+    so a call's points do not depend on the calls batched with it."""
+    n = len(ia)
+    pts = np.zeros((n, 2, 2))   # [call, slot, x/y]: up to two points a call
+    ok = np.zeros((n, 2), dtype=bool)
+    overlap = np.zeros(n, dtype=bool)
+    seg_a, seg_b = np.isnan(a.circle[ia, 2]), np.isnan(b.circle[ib, 2])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k = np.flatnonzero(seg_a & seg_b)
+        u, v, lu, lv = a.seg[ia[k]], b.seg[ib[k]], a.length[ia[k]], b.length[ib[k]]
+        swap = _lex_less(v, u)
+        pts[k, 0], ok[k, 0], overlap[k] = _seg_seg(
+            np.where(swap[:, None], v, u), np.where(swap, lv, lu),
+            np.where(swap[:, None], u, v), np.where(swap, lu, lv), eps)
+
+        k = np.flatnonzero(seg_a != seg_b)   # the segment first, either way round
+        first = seg_a[k, None]
+        pts[k], ok[k] = _seg_circle(np.where(first, a.seg[ia[k]], b.seg[ib[k]]),
+                                    np.where(first, b.circle[ib[k]], a.circle[ia[k]]), eps)
+
+        k = np.flatnonzero(~seg_a & ~seg_b)
+        u, v = a.circle[ia[k]], b.circle[ib[k]]
+        swap = _lex_less(v, u)[:, None]
+        pts[k], ok[k], overlap[k] = _circle_circle(np.where(swap, v, u), np.where(swap, u, v), eps)
+
+    # sorted(): the second point first when it is lexicographically smaller
+    flip = ok.all(axis=1) & _lex_less(pts[:, 1], pts[:, 0])
+    pts[flip] = pts[flip, ::-1]
+    call, slot = np.nonzero(ok)
+    xy = pts[call, slot]
+    on = _on_pieces(a, ia[call], xy, eps) & _on_pieces(b, ib[call], xy, eps)
+    return call[on], xy[on], overlap
+
+
+def _lex_less(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Whether each row of u comes before the row of v in tuple order: the
+    first column where they differ decides."""
+    rows, col = np.arange(len(u)), (u != v).argmax(axis=1)
+    return u[rows, col] < v[rows, col]
+
+
+def _math(f, *cols: np.ndarray) -> np.ndarray:
+    """f (a math function) of the columns, element by element."""
+    return np.fromiter(map(f, *(c.tolist() for c in cols)), dtype=float, count=len(cols[0]))
+
+
+def _seg_seg(s1, len1, s2, len2, eps):
+    """Segments s1 x s2, rows (ax, ay, bx, by) of lengths len1 and len2:
+    (point, found, overlap).  Segments parallel within eps meet where they
+    are collinear and touch; otherwise the point lies on s1 at its clamped
+    parameter."""
+    (px, py, p2x, p2y), (qx, qy, q2x, q2y) = s1.T, s2.T
+    rx, ry, sx, sy = p2x - px, p2y - py, q2x - qx, q2y - qy
+    rxs = rx * sy - ry * sx
+    qpx, qpy = qx - px, qy - py
+    qpxr = qpx * ry - qpy * rx
+    scale = np.maximum(np.maximum(len1, len2), 1.0)
+    parallel = np.abs(rxs) <= eps * scale * scale
+    # collinear: overlap iff the projections on s1 share more than eps
+    collinear = parallel & (np.abs(qpxr) <= eps * scale) & (len1 > eps) & (len2 > eps)
+    ux, uy = rx / len1, ry / len1
+    t0 = qpx * ux + qpy * uy
+    t1 = t0 + (sx * ux + sy * uy)
+    lo, hi = np.where(t1 < t0, t1, t0), np.where(t1 > t0, t1, t0)   # min, max
+    lo, hi = np.where(0.0 > lo, 0.0, lo), np.where(len1 < hi, len1, hi)
+    overlap = collinear & (hi - lo > eps)
+    touch = collinear & ~overlap & (hi - lo >= -eps)
+    mid = (lo + hi) / 2.0
+    t = (qpx * sy - qpy * sx) / rxs
     u = qpxr / rxs
-    tol1 = eps / max(len1, eps)
-    tol2 = eps / max(len2, eps)
-    if -tol1 <= t <= 1.0 + tol1 and -tol2 <= u <= 1.0 + tol2:
-        t = min(max(t, 0.0), 1.0)
-        return [s1.point_at(t)]
-    return []
+    tol1 = eps / np.where(eps > len1, eps, len1)
+    tol2 = eps / np.where(eps > len2, eps, len2)
+    cross = ~parallel & (-tol1 <= t) & (t <= 1.0 + tol1) & (-tol2 <= u) & (u <= 1.0 + tol2)
+    t = np.where(0.0 > t, 0.0, t)   # min(max(t, 0.0), 1.0)
+    t = np.where(1.0 < t, 1.0, t)
+    xy = np.stack((np.where(touch, px + mid * ux, px + t * rx), np.where(touch, py + mid * uy, py + t * ry)), axis=1)
+    return xy, touch | cross, overlap
 
 
-def _circle_circle_intersections(c1: Circle, c2: Circle, eps: float) -> list[Point] | _Overlap:
-    dx = c2.center[0] - c1.center[0]
-    dy = c2.center[1] - c1.center[1]
-    d = math.hypot(dx, dy)
-    if d <= eps and abs(c1.radius - c2.radius) <= eps:
-        return OVERLAP
-    if d <= eps:
-        return []
-    if d > c1.radius + c2.radius + eps:
-        return []
-    if d < abs(c1.radius - c2.radius) - eps:
-        return []
-    ux, uy = dx / d, dy / d
-    if d < abs(c1.radius - c2.radius):
-        # nested, at most eps apart: touch midway between the circles' nearest
-        # points on the line of centers (the chord formula below would put the
-        # point past r1 by about r1*gap/d, far off both circles for small d)
-        s = 1.0 if c1.radius > c2.radius else -1.0
-        a = (s * c1.radius + d + s * c2.radius) / 2.0
-        return [(c1.center[0] + a * ux, c1.center[1] + a * uy)]
-    a = (d * d + c1.radius * c1.radius - c2.radius * c2.radius) / (2.0 * d)
-    h2 = c1.radius * c1.radius - a * a
-    mx = c1.center[0] + a * ux
-    my = c1.center[1] + a * uy
-    if h2 <= eps * eps * max(c1.radius, 1.0):
-        return [(mx, my)]  # tangency: single touch point
-    h = math.sqrt(max(h2, 0.0))
-    return [(mx - h * uy, my + h * ux), (mx + h * uy, my - h * ux)]
-
-
-def _seg_circle_intersections(seg: Segment, c: Circle, eps: float) -> list[Point]:
-    ax, ay = seg.a
-    dx, dy = seg.b[0] - ax, seg.b[1] - ay
-    fx, fy = ax - c.center[0], ay - c.center[1]
+def _seg_circle(seg, circle, eps):
+    """Segments x circles, rows (ax, ay, bx, by) and (x, y, r): (points,
+    found), two slots each.  A discriminant negative by less than
+    4*A*eps*max(r, 1) grazes the circle once; clamped parameters move a
+    point onto the segment; a second root within eps of the first is
+    dropped."""
+    ax, ay, bx, by = seg.T
+    vx, vy, vr = circle.T
+    dx, dy = bx - ax, by - ay
+    fx, fy = ax - vx, ay - vy
     A = dx * dx + dy * dy
-    if A == 0.0:
-        return []
     B = 2.0 * (fx * dx + fy * dy)
-    C = fx * fx + fy * fy - c.radius * c.radius
+    C = fx * fx + fy * fy - vr * vr
     disc = B * B - 4.0 * A * C
-    L = math.sqrt(A)
-    tol = eps / L
-    if disc < 0.0:
-        # allow near tangency
-        if disc > -4.0 * A * eps * max(c.radius, 1.0):
-            t = -B / (2.0 * A)
-            if -tol <= t <= 1.0 + tol:
-                return [seg.point_at(min(max(t, 0.0), 1.0))]
-        return []
-    sq = math.sqrt(disc)
-    ts = [(-B - sq) / (2.0 * A), (-B + sq) / (2.0 * A)]
-    out: list[Point] = []
-    for t in ts:
-        if -tol <= t <= 1.0 + tol:
-            out.append(seg.point_at(min(max(t, 0.0), 1.0)))
-    if len(out) == 2 and math.dist(out[0], out[1]) <= eps:
-        out = out[:1]
-    return out
+    tol = (eps / np.sqrt(A))[:, None]
+    sq = np.sqrt(disc)
+    graze = (disc < 0.0) & (disc > -4.0 * A * eps * np.maximum(vr, 1.0))
+    t = np.stack((np.where(disc < 0.0, -B / (2.0 * A), (-B - sq) / (2.0 * A)), (-B + sq) / (2.0 * A)), axis=1)
+    ok = np.stack(((disc >= 0.0) | graze, disc >= 0.0), axis=1) & (A != 0.0)[:, None] & (-tol <= t) & (t <= 1.0 + tol)
+    t = np.where(0.0 > t, 0.0, t)   # min(max(t, 0.0), 1.0)
+    t = np.where(1.0 < t, 1.0, t)
+    pts = np.stack((ax[:, None] + t * dx[:, None], ay[:, None] + t * dy[:, None]), axis=2)
+    two = np.flatnonzero(ok.all(axis=1))
+    gap = pts[two, 0] - pts[two, 1]
+    ok[two, 1] = _math(math.hypot, gap[:, 0], gap[:, 1]) > eps
+    return pts, ok
 
 
-def intersect(a: Curve, b: Curve, eps: float = EPS) -> list[Point] | _Overlap:
-    """Intersection points of two primitives, sorted lexicographically (x, then y).
-
-    Collinear segment overlap and identical circles return OVERLAP instead of a
-    point list so callers can handle the degeneracy explicitly.  Tangencies
-    return a single point.
-    """
-    if isinstance(a, Segment) and isinstance(b, Segment):
-        # canonical argument order makes the result bit-identical under swap
-        if (b.a, b.b) < (a.a, a.b):
-            a, b = b, a
-        res = _seg_seg_intersections(a, b, eps)
-    elif isinstance(a, Circle) and isinstance(b, Circle):
-        if (b.center, b.radius) < (a.center, a.radius):
-            a, b = b, a
-        res = _circle_circle_intersections(a, b, eps)
-    elif isinstance(a, Segment) and isinstance(b, Circle):
-        res = _seg_circle_intersections(a, b, eps)
-    elif isinstance(a, Circle) and isinstance(b, Segment):
-        res = _seg_circle_intersections(b, a, eps)
-    else:  # pragma: no cover
-        raise TypeError(f"unsupported intersection: {type(a)} x {type(b)}")
-    if res is OVERLAP:
-        return OVERLAP
-    return sorted(res)
-
-
-def piece_intersections(p1: Piece, p2: Piece, eps: float = EPS) -> list[Point]:
-    """Intersection points of two boundary pieces (arcs restricted to their sweep)."""
-    c1 = p1 if isinstance(p1, Segment) else p1.circle
-    c2 = p2 if isinstance(p2, Segment) else p2.circle
-    res = intersect(c1, c2, eps)
-    if res is OVERLAP:
-        return []
-    return [pt for pt in res if _on_piece(pt, p1, eps) and _on_piece(pt, p2, eps)]
+def _circle_circle(c1, c2, eps):
+    """Circles c1 x c2, rows (x, y, r): (points, found, overlap), two slots
+    each.  Circles apart or nested by at most eps touch once; so do circles
+    whose common chord is within eps of a point."""
+    n = len(c1)
+    pts = np.zeros((n, 2, 2))
+    (x1, y1, r1), (x2, y2, r2) = c1.T, c2.T
+    dx, dy = x2 - x1, y2 - y1
+    d = _math(math.hypot, dx, dy)
+    overlap = (d <= eps) & (np.abs(r1 - r2) <= eps)
+    hit = (d > eps) & (d <= r1 + r2 + eps) & (d >= np.abs(r1 - r2) - eps)
+    ux, uy = dx / d, dy / d
+    # nested, at most eps apart: touch midway between the circles' nearest
+    # points on the line of centers (the chord formula would put the point
+    # past r1 by about r1*gap/d, far off both circles for small d)
+    nested = d < np.abs(r1 - r2)
+    s = np.where(r1 > r2, 1.0, -1.0)
+    a = np.where(nested, (s * r1 + d + s * r2) / 2.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d))
+    h2 = r1 * r1 - a * a
+    mx, my = x1 + a * ux, y1 + a * uy
+    one = nested | (h2 <= eps * eps * np.maximum(r1, 1.0))
+    h = np.sqrt(h2)
+    pts[:, 0] = np.stack((np.where(one, mx, mx - h * uy), np.where(one, my, my + h * ux)), axis=1)
+    pts[:, 1] = np.stack((mx + h * uy, my - h * ux), axis=1)
+    return pts, np.stack((hit, hit & ~one), axis=1), overlap
 
 
-def _on_piece(pt: Point, piece: Piece, eps: float) -> bool:
-    if isinstance(piece, Segment):
-        return point_segment_distance(pt, piece) <= 2.0 * eps
-    c = piece.circle
-    d = math.hypot(pt[0] - c.center[0], pt[1] - c.center[1])
-    if d == 0.0:
-        return False
-    ang = math.atan2(pt[1] - c.center[1], pt[0] - c.center[0])
-    tol = 2.0 * eps / max(c.radius, eps)
-    return piece.angle_inside(ang, tol)
+def _on_pieces(tab: CurveTable, row: np.ndarray, xy: np.ndarray, eps: float) -> np.ndarray:
+    """Whether each point xy[k] lies on row[k] of `tab`: within 2*eps of a
+    segment piece, or at a bearing within 2*eps/max(r, eps) of an arc's
+    sweep from its center; always for a curve."""
+    piece = tab.piece[row]
+    on = ~piece
+    if on.all():
+        return on
+    seg = np.isnan(tab.circle[row, 2])
+    k = np.flatnonzero(piece & seg)   # a segment with a point is not of zero length
+    ax, ay, bx, by = tab.seg[row[k]].T
+    px, py = xy[k, 0], xy[k, 1]
+    dx, dy = bx - ax, by - ay
+    t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
+    t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
+    on[k] = _math(math.hypot, px - (ax + t * dx), py - (ay + t * dy)) <= 2.0 * eps
+    k = np.flatnonzero(piece & ~seg)
+    (cx, cy, r), (start, sweep, ccw) = tab.circle[row[k]].T, tab.arc[row[k]].T
+    px, py = xy[k, 0] - cx, xy[k, 1] - cy
+    ang = _math(math.atan2, py, px)
+    tol = 2.0 * eps / np.maximum(r, eps)
+    off = _norm_angle_np(np.where(ccw == 1.0, ang - start, start - ang))
+    on[k] = ((px != 0.0) | (py != 0.0)) & ((off <= sweep + tol) | (off >= TWO_PI - tol))
+    return on
 
 
 def orientation(p: Point, q: Point, r: Point) -> int:
@@ -499,21 +560,7 @@ def region_from_curves(
     `inside` takes every probe at once, an (m, 2) array, and returns m bools.
     """
     curves = _dedupe_curves(list(curves), snap)
-    cuts: list[list[float]] = [[] for _ in curves]
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            res = intersect(curves[i], curves[j], eps)
-            if res is OVERLAP:
-                # split each at the other's endpoints for a clean arrangement
-                assert isinstance(curves[i], Segment) and isinstance(curves[j], Segment)
-                for pt in (curves[j].a, curves[j].b):
-                    cuts[i].append(_curve_param(curves[i], pt))
-                for pt in (curves[i].a, curves[i].b):
-                    cuts[j].append(_curve_param(curves[j], pt))
-                continue
-            for pt in res:
-                cuts[i].append(_curve_param(curves[i], pt))
-                cuts[j].append(_curve_param(curves[j], pt))
+    cuts = _cuts(curves, eps)
 
     pieces: list[Piece] = []
     for curve, ts in zip(curves, cuts):
@@ -524,6 +571,30 @@ def region_from_curves(
     loops = _chain_loops(kept, snap)
     loops = [lp for lp in loops if loop_bbox_diameter(lp) >= 10.0 * snap]
     return Region(loops)
+
+
+def _cuts(curves: list[Curve], eps: float) -> list[list[float]]:
+    """Where each curve is cut, as parameters: at its crossings with every
+    other curve and, where two segments overlap, at the other's ends.  Pairs
+    i < j run as one batch; their cuts are taken in pair order."""
+    i, j = np.triu_indices(len(curves), 1)
+    table = curve_table(curves)
+    call, xy, overlap = intersections(table, i, table, j, eps)
+    hits = list(zip(call.tolist(), xy.tolist())) + [(k, None) for k in np.flatnonzero(overlap).tolist()]
+    hits.sort(key=lambda hit: hit[0])
+    i, j = i.tolist(), j.tolist()
+    cuts: list[list[float]] = [[] for _ in curves]
+    for k, pt in hits:
+        a, b = curves[i[k]], curves[j[k]]
+        if pt is None:
+            # split each at the other's endpoints for a clean arrangement
+            assert isinstance(a, Segment) and isinstance(b, Segment)
+            cuts[i[k]] += [_curve_param(a, b.a), _curve_param(a, b.b)]
+            cuts[j[k]] += [_curve_param(b, a.a), _curve_param(b, a.b)]
+        else:
+            cuts[i[k]].append(_curve_param(a, pt))
+            cuts[j[k]].append(_curve_param(b, pt))
+    return cuts
 
 
 def _curve_param(curve: Curve, pt: Point) -> float:

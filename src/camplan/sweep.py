@@ -15,7 +15,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .geom import Point, norm_angle, wrap_pi
+from .geom import Point, _norm_angle_np, norm_angle, wrap_pi
 from .model import CandidateConfig, ConfigTable, Scenario
 
 TWO_PI = 2.0 * math.pi
@@ -69,13 +69,6 @@ def _seg_point_dist_np(px, py, ax, ay, bx, by):
     t = np.where(L2 > 0.0, ((px - ax) * dx + (py - ay) * dy) / np.where(L2 > 0, L2, 1.0), 0.0)
     t = np.clip(t, 0.0, 1.0)
     return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
-
-
-def _norm_angle_np(a):
-    """Elementwise geom.norm_angle."""
-    r = np.fmod(a, TWO_PI)
-    r = np.where(r < 0.0, r + TWO_PI, r)
-    return np.where(r >= TWO_PI, 0.0, r)
 
 
 def _wrap_pi_np(a):

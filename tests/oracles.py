@@ -2,8 +2,10 @@
 
 - region membership by even-odd ray casting, and point-to-piece distance;
 - the per-piece vote that `geom.region_from_curves` makes in one batch;
-- the piece x curve kernel that `discretize` runs as one array pass over
-  all view-circle calls;
+- the intersection rules of two curves or pieces (`intersect`,
+  `piece_intersections`, `piece_curve_intersections`) and the arrangement's
+  pair loop over them (`pairwise_cuts`), which `geom.intersections` runs as
+  one array pass over every call;
 - greedy's window, direction and deviation rules, which `select._aim`
   applies to many configs at once;
 - the config table of a list of `CandidateConfig`s, which tests hand to
@@ -18,19 +20,18 @@ import numpy as np
 
 from camplan.geom import (
     EPS,
-    OVERLAP,
     TWO_PI,
     Arc,
+    Circle,
     Curve,
     DegenerateError,
     Piece,
     Point,
     Region,
     Segment,
-    _on_piece,
+    _curve_param,
     _piece_point_tangent,
     _reverse_piece,
-    intersect,
     norm_angle,
     point_segment_distance,
     wrap_pi,
@@ -173,6 +174,188 @@ def _classify_piece(piece: Piece, inside: Callable[[Point], bool], offset: float
     if votes <= -2:
         return _reverse_piece(piece)
     return None
+
+
+# --- intersections --------------------------------------------------------
+
+class _Overlap:
+    """Marker for collinear-segment / identical-circle intersection results."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:  # pragma: no cover
+        return "OVERLAP"
+
+
+#: Returned by intersect() when the inputs overlap along a continuum.
+OVERLAP = _Overlap()
+
+
+def _seg_seg_intersections(s1: Segment, s2: Segment, eps: float) -> list[Point] | _Overlap:
+    p, r = s1.a, (s1.b[0] - s1.a[0], s1.b[1] - s1.a[1])
+    q, s = s2.a, (s2.b[0] - s2.a[0], s2.b[1] - s2.a[1])
+    rxs = r[0] * s[1] - r[1] * s[0]
+    qp = (q[0] - p[0], q[1] - p[1])
+    qpxr = qp[0] * r[1] - qp[1] * r[0]
+    len1 = math.hypot(*r)
+    len2 = math.hypot(*s)
+    scale = max(len1, len2, 1.0)
+    if abs(rxs) <= eps * scale * scale:
+        # parallel; collinear overlap reported as degenerate
+        if abs(qpxr) > eps * scale:
+            return []
+        # collinear: overlap iff projections intersect in more than a point
+        if len1 <= eps or len2 <= eps:
+            return []
+        ux, uy = r[0] / len1, r[1] / len1
+        t0 = (q[0] - p[0]) * ux + (q[1] - p[1]) * uy
+        t1 = t0 + (s[0] * ux + s[1] * uy)
+        lo, hi = min(t0, t1), max(t0, t1)
+        lo = max(lo, 0.0)
+        hi = min(hi, len1)
+        if hi - lo > eps:
+            return OVERLAP
+        if hi - lo >= -eps:
+            t = (lo + hi) / 2.0
+            return [(p[0] + t * ux, p[1] + t * uy)]
+        return []
+    t = (qp[0] * s[1] - qp[1] * s[0]) / rxs
+    u = qpxr / rxs
+    tol1 = eps / max(len1, eps)
+    tol2 = eps / max(len2, eps)
+    if -tol1 <= t <= 1.0 + tol1 and -tol2 <= u <= 1.0 + tol2:
+        t = min(max(t, 0.0), 1.0)
+        return [s1.point_at(t)]
+    return []
+
+
+def _circle_circle_intersections(c1: Circle, c2: Circle, eps: float) -> list[Point] | _Overlap:
+    dx = c2.center[0] - c1.center[0]
+    dy = c2.center[1] - c1.center[1]
+    d = math.hypot(dx, dy)
+    if d <= eps and abs(c1.radius - c2.radius) <= eps:
+        return OVERLAP
+    if d <= eps:
+        return []
+    if d > c1.radius + c2.radius + eps:
+        return []
+    if d < abs(c1.radius - c2.radius) - eps:
+        return []
+    ux, uy = dx / d, dy / d
+    if d < abs(c1.radius - c2.radius):
+        # nested, at most eps apart: touch midway between the circles' nearest
+        # points on the line of centers (the chord formula below would put the
+        # point past r1 by about r1*gap/d, far off both circles for small d)
+        s = 1.0 if c1.radius > c2.radius else -1.0
+        a = (s * c1.radius + d + s * c2.radius) / 2.0
+        return [(c1.center[0] + a * ux, c1.center[1] + a * uy)]
+    a = (d * d + c1.radius * c1.radius - c2.radius * c2.radius) / (2.0 * d)
+    h2 = c1.radius * c1.radius - a * a
+    mx = c1.center[0] + a * ux
+    my = c1.center[1] + a * uy
+    if h2 <= eps * eps * max(c1.radius, 1.0):
+        return [(mx, my)]  # tangency: single touch point
+    h = math.sqrt(max(h2, 0.0))
+    return [(mx - h * uy, my + h * ux), (mx + h * uy, my - h * ux)]
+
+
+def _seg_circle_intersections(seg: Segment, c: Circle, eps: float) -> list[Point]:
+    ax, ay = seg.a
+    dx, dy = seg.b[0] - ax, seg.b[1] - ay
+    fx, fy = ax - c.center[0], ay - c.center[1]
+    A = dx * dx + dy * dy
+    if A == 0.0:
+        return []
+    B = 2.0 * (fx * dx + fy * dy)
+    C = fx * fx + fy * fy - c.radius * c.radius
+    disc = B * B - 4.0 * A * C
+    L = math.sqrt(A)
+    tol = eps / L
+    if disc < 0.0:
+        # allow near tangency
+        if disc > -4.0 * A * eps * max(c.radius, 1.0):
+            t = -B / (2.0 * A)
+            if -tol <= t <= 1.0 + tol:
+                return [seg.point_at(min(max(t, 0.0), 1.0))]
+        return []
+    sq = math.sqrt(disc)
+    ts = [(-B - sq) / (2.0 * A), (-B + sq) / (2.0 * A)]
+    out: list[Point] = []
+    for t in ts:
+        if -tol <= t <= 1.0 + tol:
+            out.append(seg.point_at(min(max(t, 0.0), 1.0)))
+    if len(out) == 2 and math.dist(out[0], out[1]) <= eps:
+        out = out[:1]
+    return out
+
+
+def intersect(a: Curve, b: Curve, eps: float = EPS) -> list[Point] | _Overlap:
+    """Intersection points of two primitives, sorted lexicographically (x, then y).
+
+    Collinear segment overlap and identical circles return OVERLAP instead of a
+    point list so callers can handle the degeneracy explicitly.  Tangencies
+    return a single point.
+    """
+    if isinstance(a, Segment) and isinstance(b, Segment):
+        # canonical argument order makes the result bit-identical under swap
+        if (b.a, b.b) < (a.a, a.b):
+            a, b = b, a
+        res = _seg_seg_intersections(a, b, eps)
+    elif isinstance(a, Circle) and isinstance(b, Circle):
+        if (b.center, b.radius) < (a.center, a.radius):
+            a, b = b, a
+        res = _circle_circle_intersections(a, b, eps)
+    elif isinstance(a, Segment) and isinstance(b, Circle):
+        res = _seg_circle_intersections(a, b, eps)
+    elif isinstance(a, Circle) and isinstance(b, Segment):
+        res = _seg_circle_intersections(b, a, eps)
+    else:  # pragma: no cover
+        raise TypeError(f"unsupported intersection: {type(a)} x {type(b)}")
+    if res is OVERLAP:
+        return OVERLAP
+    return sorted(res)
+
+
+def piece_intersections(p1: Piece, p2: Piece, eps: float = EPS) -> list[Point]:
+    """Intersection points of two boundary pieces (arcs restricted to their sweep)."""
+    c1 = p1 if isinstance(p1, Segment) else p1.circle
+    c2 = p2 if isinstance(p2, Segment) else p2.circle
+    res = intersect(c1, c2, eps)
+    if res is OVERLAP:
+        return []
+    return [pt for pt in res if _on_piece(pt, p1, eps) and _on_piece(pt, p2, eps)]
+
+
+def _on_piece(pt: Point, piece: Piece, eps: float) -> bool:
+    if isinstance(piece, Segment):
+        return point_segment_distance(pt, piece) <= 2.0 * eps
+    c = piece.circle
+    d = math.hypot(pt[0] - c.center[0], pt[1] - c.center[1])
+    if d == 0.0:
+        return False
+    ang = math.atan2(pt[1] - c.center[1], pt[0] - c.center[0])
+    tol = 2.0 * eps / max(c.radius, eps)
+    return piece.angle_inside(ang, tol)
+
+
+def pairwise_cuts(curves: list[Curve], eps: float) -> list[list[float]]:
+    """`geom._cuts` as the pair loop over `intersect`."""
+    cuts: list[list[float]] = [[] for _ in curves]
+    for i in range(len(curves)):
+        for j in range(i + 1, len(curves)):
+            res = intersect(curves[i], curves[j], eps)
+            if res is OVERLAP:
+                # split each at the other's endpoints for a clean arrangement
+                assert isinstance(curves[i], Segment) and isinstance(curves[j], Segment)
+                for pt in (curves[j].a, curves[j].b):
+                    cuts[i].append(_curve_param(curves[i], pt))
+                for pt in (curves[i].a, curves[i].b):
+                    cuts[j].append(_curve_param(curves[j], pt))
+                continue
+            for pt in res:
+                cuts[i].append(_curve_param(curves[i], pt))
+                cuts[j].append(_curve_param(curves[j], pt))
+    return cuts
 
 
 def piece_curve_intersections(piece: Piece, curve: Curve, eps: float = EPS) -> list[Point]:

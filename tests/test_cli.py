@@ -395,9 +395,10 @@ def test_bench_rejects_a_fractional_target_count(tmp_path, capsys, values):
 
 
 @pytest.mark.parametrize("spec", ["grid:0", "grid:-2", "grid:500", "grid:nan", "bcpf:0", "bcpf:nan",
-                                  "bcpf:inf", "bcpf:0.1:0", "bcpf:0.1:nan"])
+                                  "bcpf:inf", "bcpf:0.1:0", "bcpf:0.1:nan", "bcpf:4"])
 def test_bench_rejects_a_step_every_cell_would_refuse_before_writing(tmp_path, capsys, spec):
-    # as solve does for the same step; grid:500 exceeds the 30 m area
+    # as solve does for the same step; grid:500 exceeds the 30 m area, and
+    # bcpf:4 the 180 deg facing cone
     out = tmp_path / "out"
     code, stdout, err = run(["bench", "--axis", "n", "--values", "3", "--algos", f"grid:6,{spec}",
                              "--seeds", "1", "--width", "30", "--height", "30", "--out", str(out)], capsys)
@@ -440,6 +441,20 @@ def test_a_step_that_is_not_finite_and_positive_is_invalid_input(small_scenario,
     assert code == 3
     assert "invalid input" in err and "must be finite and positive" in err
     assert not out.exists() and stdout == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "candidates"])
+def test_an_angular_step_wider_than_the_facing_cone_is_invalid_input(small_scenario, tmp_path, capsys, command):
+    # a 4 rad step fits no fan in the 180 deg cone: the sampler would build no
+    # candidate and blame the scene (exit 4, infeasible)
+    out = tmp_path / "out.json"
+    code, stdout, err = run([command, str(small_scenario), "--eps-a", "4", "--out", str(out)], capsys)
+    assert code == 3
+    assert "invalid input" in err and "exceeds the 3.14159 rad facing cone" in err
+    assert not out.exists() and stdout == ""
+    # a step as wide as the cone still puts one fan in it
+    code, stdout, _ = run([command, str(small_scenario), "--eps-a", str(math.pi), "--out", str(out)], capsys)
+    assert code == 0 and out.exists()
 
 
 def test_target_id_beyond_int64_is_a_validation_error(tmp_path, capsys):

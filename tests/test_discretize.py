@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import camplan.discretize as discretize
+import camplan.geom as geom
 from camplan.discretize import (
     _TAG_RANK,
     CandidateSet,
@@ -18,13 +19,14 @@ from camplan.discretize import (
     grid_sample,
 )
 from camplan.fields import bcpf, cpf
-from camplan.geom import Arc, Circle, Segment, piece_intersections
+from camplan.geom import Arc, Circle, Segment, curve_table
 from camplan.model import Obstacle, Scenario, SensorSpec, Target
 from camplan.scenario import GenParams, random_scenario
 from camplan.select import greedy_cover
 from camplan.sweep import sweep_points
 
-from oracles import contains, from_configs, piece_curve_intersections
+from oracles import (OVERLAP, contains, from_configs, intersect, pairwise_cuts, piece_curve_intersections,
+                     piece_intersections)
 
 
 def scen(targets, sensor, obstacles=(), w=100.0, h=100.0):
@@ -223,24 +225,23 @@ def test_pruned_pair_loops_match_unpruned(name, monkeypatch):
     s = PRUNING_SCENES[name]()
     want_found, got_found = [], []
     want = unpruned_comprehensive(s, want_found)
-    view_points = discretize._view_circle_points
+    kernel, batches = discretize.intersections, []
 
-    def spy_pairs(*args):
-        pts = piece_intersections(*args)
-        got_found.extend((pt, "cpf-x-cpf") for pt in pts)
-        return pts
+    def spy(a, ia, b, ib, eps):
+        call, xy, overlap = kernel(a, ia, b, ib, eps)
+        # a call against a piece is a field crossing, one against a full
+        # circle a view-circle crossing
+        batches.append(len(ia))
+        got_found.extend((tuple(pt), "cpf-x-cpf" if piece else "cpf-x-aov")
+                         for pt, piece in zip(xy.tolist(), b.piece[ib[call]].tolist()))
+        return call, xy, overlap
 
-    def spy_views(*args):
-        call, pts = view_points(*args)
-        got_found.extend((tuple(pt), "cpf-x-aov") for pt in pts.tolist())
-        return call, pts
-
-    monkeypatch.setattr(discretize, "piece_intersections", spy_pairs)
-    monkeypatch.setattr(discretize, "_view_circle_points", spy_views)
+    monkeypatch.setattr(discretize, "intersections", spy)
     got = comprehensive_candidates(s)
-    # every kernel call that finds a point is made, in the same order; the
-    # view-circle calls run as one batch after the piece pairs, so only the
-    # interleaving of the two tags differs
+    # one batch makes every kernel call that finds a point, in the same order;
+    # the view-circle calls follow the piece pairs, so only the interleaving
+    # of the two tags differs
+    assert len(batches) == 1
     assert {tag for _, tag in want_found} == {"cpf-x-cpf", "cpf-x-aov"}
     for tag in ("cpf-x-cpf", "cpf-x-aov"):
         assert [pt for pt, g in got_found if g == tag] == [pt for pt, g in want_found if g == tag]
@@ -249,20 +250,35 @@ def test_pruned_pair_loops_match_unpruned(name, monkeypatch):
     assert got.uncoverable == want.uncoverable
 
 
+@pytest.mark.parametrize("name", list(PRUNING_SCENES))
+def test_fields_match_the_scalar_pair_loop(name, monkeypatch):
+    # every field, piece for piece; all but the bench scenes have segments
+    # that overlap along a stretch
+    s = PRUNING_SCENES[name]()
+    got = [repr(cpf(t, s).loops) for t in s.targets]
+    monkeypatch.setattr(geom, "_cuts", pairwise_cuts)
+    assert [repr(cpf(t, s).loops) for t in s.targets] == got
+
+
+def piece_bounds(p):
+    """(box, radius) of piece p, as the pruning sees it."""
+    return discretize._piece_boxes([p]), curve_table([p], pieces=True).circle[:, 2]
+
+
 def kept_pair(p, q, eps):
     """Whether the pruning keeps piece pair (p, q), at the smallest extent."""
-    tp, tq = discretize._piece_table([p]), discretize._piece_table([q])
-    ext = discretize._extent([(tp.box, tp.radius), (tq.box, tq.radius)], [])
-    grown = [discretize._grow_boxes(tab.box, tab.radius, eps, ext) for tab in (tp, tq)]
+    bp, bq = piece_bounds(p), piece_bounds(q)
+    ext = discretize._extent([bp, bq], [])
+    grown = [discretize._grow_boxes(box, radius, eps, ext) for box, radius in (bp, bq)]
     return bool(discretize._boxes_meet(*grown)[0, 0])
 
 
 def kept_ring(p, circle, eps):
     """Whether the pruning keeps piece p against view circle `circle`."""
-    tab = discretize._piece_table([p])
+    box, radius = piece_bounds(p)
     ring = np.array([(*circle.center, circle.radius)])
-    ext = discretize._extent([(tab.box, tab.radius)], [ring])
-    return bool(discretize._reaches_ring(discretize._grow_boxes(tab.box, tab.radius, eps, ext), ring, eps, ext)[0, 0])
+    ext = discretize._extent([(box, radius)], [ring])
+    return bool(discretize._reaches_ring(discretize._grow_boxes(box, radius, eps, ext), ring, eps, ext)[0, 0])
 
 
 def arc_through(rng, circle, ang):
@@ -281,6 +297,8 @@ def near_contact(rng, eps):
     radii = [1.5 * eps, 1e-6, 1e-5, 1e-4, 1e-3, 0.05, 0.5, 2.0, 20.0, 300.0]
     cx, cy = rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0)
     kind = rng.randrange(4)
+    if kind == 0 and rng.random() < 0.5:
+        return segment_pair(rng, cx, cy, eps)
     if kind == 0:   # a segment ending k*eps beside or beyond a point of another
         t, length = rng.uniform(0.0, 2.0 * math.pi), rng.choice([1e-3, 0.1, 1.0, 30.0])
         a = Segment((cx, cy), (cx + length * math.cos(t), cy + length * math.sin(t)))
@@ -328,6 +346,44 @@ def near_contact(rng, eps):
     return a1, (a2 if rng.random() < 0.7 else other)
 
 
+def segment_pair(rng, cx, cy, eps):
+    """Two segments, either way round, where the parallel, collinear and
+    clamping rules decide: collinear and overlapping, collinear and touching
+    at one end, sharing an end, a T-junction within eps, or a 1 mm segment
+    crossing a 40 m one at 2 mrad (parallel by the threshold, which scales
+    with the longer segment)."""
+    t = rng.uniform(0.0, 2.0 * math.pi)
+    ux, uy = math.cos(t), math.sin(t)
+    length = rng.choice([1e-3, 0.1, 1.0, 40.0])
+    a = Segment((cx, cy), (cx + length * ux, cy + length * uy))
+    k = rng.choice([0.0, 0.5, 1.0, 1.5, 3.0]) * eps * rng.choice([1.0, -1.0])
+    case = rng.randrange(5)
+    if case == 0:   # collinear, sharing a stretch or all of the shorter
+        s0, s1 = sorted(rng.uniform(-0.5, 1.5) * length for _ in range(2))
+        b = Segment((cx + s0 * ux, cy + s0 * uy), (cx + s1 * ux, cy + s1 * uy))
+    elif case == 1:   # collinear, ending k*eps from a's end
+        s0, s1 = length + k, length + k + rng.choice([1e-3, 1.0, 40.0])
+        b = Segment((cx + s0 * ux, cy + s0 * uy), (cx + s1 * ux, cy + s1 * uy))
+    elif case == 2:   # an end in common, at any angle or nearly parallel
+        u = t + rng.choice([1e-9, 1e-6, 1e-3, 0.5, math.pi / 2, math.pi - 1e-6, rng.uniform(0.0, 2.0 * math.pi)])
+        m = rng.choice([1e-3, 1.0, 40.0])
+        end = rng.choice([a.a, a.b])
+        b = Segment(end, (end[0] + m * math.cos(u), end[1] + m * math.sin(u)))
+    elif case == 3:   # a T-junction: b ends k*eps short of or past a's inside
+        px, py = a.point_at(rng.random())
+        u = t + rng.choice([math.pi / 2, 0.3, 2.0])
+        m = rng.choice([1e-3, 1.0, 40.0])
+        b = Segment((px + k * math.cos(u), py + k * math.sin(u)),
+                    (px + m * math.cos(u), py + m * math.sin(u)))
+    else:   # 1 mm crossing 40 m at its middle, at 2 mrad or wider
+        a = Segment((cx, cy), (cx + 40.0 * ux, cy + 40.0 * uy))
+        u = t + rng.choice([2e-3, -2e-3, 0.2])
+        mx, my = a.point_at(0.5)
+        h = 0.5e-3
+        b = Segment((mx - h * math.cos(u), my - h * math.sin(u)), (mx + h * math.cos(u), my + h * math.sin(u)))
+    return (a, b) if rng.random() < 0.5 else (b, a)
+
+
 @pytest.mark.parametrize("eps", [1e-9, 1e-9 * math.hypot(100.0, 100.0)])
 def test_pruning_keeps_every_pair_the_kernels_meet(eps):
     rng = random.Random(7)
@@ -343,22 +399,26 @@ def test_pruning_keeps_every_pair_the_kernels_meet(eps):
     assert met > 2000
 
 
-# --- comprehensive: the batched view-circle kernel against the scalar one -------
+# --- comprehensive: the batched kernel against the scalar one -------------------
 
 def assert_kernel_matches(calls, eps):
-    """The batched kernel over (piece, circle) calls finds, call by call, the
-    points `piece_curve_intersections` does, bit for bit.  Returns how many
-    calls found a point."""
-    tab = discretize._piece_table([p for p, _ in calls])
-    ring = np.array([(*c.center, c.radius) for _, c in calls], dtype=float).reshape(-1, 3)
-    call, xy = discretize._view_circle_points(tab, np.arange(len(calls)), ring, eps)
+    """The batched kernel over (piece, piece or circle) calls finds, call by
+    call, the points `piece_intersections` or `piece_curve_intersections`
+    does, bit for bit, and flags the calls whose curves `intersect` finds
+    overlapping.  Returns how many calls found a point, and how many
+    overlapped."""
+    a = curve_table([p for p, _ in calls], pieces=True)
+    b = curve_table([q for _, q in calls], pieces=True)
+    call, xy, overlap = geom.intersections(a, np.arange(len(calls)), b, np.arange(len(calls)), eps)
     got = [[] for _ in calls]
     for k, pt in zip(call.tolist(), xy.tolist()):
         got[k].append(pt)
-    for (p, c), pts in zip(calls, got):
-        want = piece_curve_intersections(p, c, eps)
-        assert np.array(pts).reshape(-1, 2).tobytes() == np.array(want).reshape(-1, 2).tobytes(), (p, c, pts, want)
-    return sum(map(bool, got))
+    for (p, q), pts, flag in zip(calls, got, overlap.tolist()):
+        want = piece_curve_intersections(p, q, eps) if isinstance(q, Circle) else piece_intersections(p, q, eps)
+        assert np.array(pts).reshape(-1, 2).tobytes() == np.array(want).reshape(-1, 2).tobytes(), (p, q, pts, want)
+        curves = [c.circle if isinstance(c, Arc) else c for c in (p, q)]
+        assert flag == (intersect(*curves, eps) is OVERLAP), (p, q)
+    return sum(map(bool, got)), int(overlap.sum())
 
 
 def as_calls(p, q):
@@ -372,11 +432,22 @@ def as_calls(p, q):
 
 
 @pytest.mark.parametrize("eps", [1e-9, 1e-9 * math.hypot(100.0, 100.0)])
+def test_kernel_matches_scalar_on_near_contact_piece_pairs(eps):
+    # both argument orders of every pair of pieces
+    rng = random.Random(13)
+    pairs = [near_contact(rng, eps) for _ in range(6000)]
+    calls = [c for p, q in pairs if not isinstance(q, Circle) for c in ((p, q), (q, p))]
+    assert sum(isinstance(p, Segment) and isinstance(q, Segment) for p, q in calls) > 1000
+    found, overlapped = assert_kernel_matches(calls, eps)
+    assert found > len(calls) // 3 and overlapped > 100
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-9 * math.hypot(100.0, 100.0)])
 def test_view_circle_kernel_matches_scalar_on_near_contacts(eps):
     rng = random.Random(11)
     calls = [c for _ in range(6000) for c in as_calls(*near_contact(rng, eps))]
     assert len(calls) > 5000
-    assert assert_kernel_matches(calls, eps) > 2500
+    assert assert_kernel_matches(calls, eps)[0] > 2500
 
 
 def test_view_circle_kernel_matches_scalar_on_adversarial_calls():
@@ -418,7 +489,7 @@ def test_view_circle_kernel_matches_scalar_on_adversarial_calls():
             p = unit.point_at(ang)
             calls += [(Arc(unit, start, end, ccw), Circle((p[0] + 0.5, p[1]), 0.5 + k * eps))
                       for k in (-1.0, 0.0, 1.0)]
-    assert assert_kernel_matches(calls, eps) > len(calls) // 3
+    assert assert_kernel_matches(calls, eps)[0] > len(calls) // 3
 
 
 def test_view_circle_kernel_matches_scalar_on_tiny_view_circles():
@@ -429,7 +500,7 @@ def test_view_circle_kernel_matches_scalar_on_tiny_view_circles():
     for i, j in _interacting_pairs(s):
         for circle in _pair_view_circles(s.targets[i], s.targets[j], s.sensor.theta):
             calls += [(p, circle) for tid in (s.targets[i].id, s.targets[j].id) for p in fields[tid]]
-    assert assert_kernel_matches(calls, s.tol.eps_len) > 100
+    assert assert_kernel_matches(calls, s.tol.eps_len)[0] > 100
 
 
 # --- bcpf sampling --------------------------------------------------------------
@@ -499,6 +570,8 @@ def test_bcpf_sample_rejects_bad_steps():
         bcpf_sample(s, 0.0, 1.0)
     with pytest.raises(ValueError):
         bcpf_sample(s, 0.1, -1.0)
+    with pytest.raises(ValueError, match="exceeds the 3.14159 rad facing cone"):
+        bcpf_sample(s, 4.0, 1.0)
 
 
 # --- grid -----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from camplan.geom import (
     EPS,
     _classify_pieces,
-    OVERLAP,
     Arc,
     Circle,
     DegenerateError,
@@ -18,7 +18,8 @@ from camplan.geom import (
     Tolerance,
     angle_between,
     bearing,
-    intersect,
+    curve_table,
+    intersections,
     norm_angle,
     point_segment_distance,
     region_from_curves,
@@ -27,7 +28,7 @@ from camplan.geom import (
     wrap_pi,
 )
 
-from oracles import _classify_piece, batched, contains, point_piece_distance
+from oracles import OVERLAP, _classify_piece, batched, contains, intersect, point_piece_distance
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -67,44 +68,55 @@ def test_angle_between_basics():
 
 # --- intersect ------------------------------------------------------------
 
+def checked(a, b, eps=EPS):
+    """The reference `intersect(a, b)`, once the batched kernel has found the
+    same points bit for bit, or the same overlap."""
+    want = intersect(a, b, eps)
+    tab = curve_table([a, b])
+    call, xy, overlap = intersections(tab, np.array([0]), tab, np.array([1]), eps)
+    assert overlap.tolist() == [want is OVERLAP]
+    assert xy.tobytes() == np.array([] if want is OVERLAP else want, dtype=float).reshape(-1, 2).tobytes()
+    return want
+
+
 def test_intersect_axes_cross():
     a = Segment((0, -1), (0, 1))
     b = Segment((-1, 0), (1, 0))
-    assert intersect(a, b) == [(0.0, 0.0)]
+    assert checked(a, b) == [(0.0, 0.0)]
 
 
 def test_intersect_unit_circles():
     c1 = Circle((0, 0), 1.0)
     c2 = Circle((1, 0), 1.0)
-    pts = intersect(c1, c2)
+    pts = checked(c1, c2)
     assert len(pts) == 2
     assert pts[0] == pytest.approx((0.5, -SQRT3_2))
     assert pts[1] == pytest.approx((0.5, SQRT3_2))
 
 
 def test_intersect_disjoint():
-    assert intersect(Segment((2, 0), (3, 0)), Circle((0, 0), 1.0)) == []
+    assert checked(Segment((2, 0), (3, 0)), Circle((0, 0), 1.0)) == []
 
 
 def test_intersect_collinear_overlap_flagged():
     a = Segment((0, 0), (2, 0))
     b = Segment((1, 0), (3, 0))
-    assert intersect(a, b) is OVERLAP
+    assert checked(a, b) is OVERLAP
 
 
 def test_intersect_identical_circles_flagged():
     c = Circle((3, 4), 2.0)
-    assert intersect(c, Circle((3, 4), 2.0)) is OVERLAP
+    assert checked(c, Circle((3, 4), 2.0)) is OVERLAP
 
 
 def test_intersect_collinear_touch_is_point():
     a = Segment((0, 0), (1, 0))
     b = Segment((1, 0), (2, 0))
-    assert intersect(a, b) == [(1.0, 0.0)]
+    assert checked(a, b) == [(1.0, 0.0)]
 
 
 def test_intersect_tangent_circles_single_point():
-    pts = intersect(Circle((0, 0), 1.0), Circle((2, 0), 1.0))
+    pts = checked(Circle((0, 0), 1.0), Circle((2, 0), 1.0))
     assert len(pts) == 1
     assert pts[0] == pytest.approx((1.0, 0.0))
 
@@ -119,11 +131,11 @@ def test_intersect_nested_circles_near_internal_tangency(turn, r, dr, d):
     eps = 1.414e-7
     c1 = Circle((10.0, 50.0), r)
     c2 = Circle((10.0 + d * eps * math.cos(turn), 50.0 + d * eps * math.sin(turn)), r + dr * eps)
-    pts = intersect(c1, c2, eps)
+    pts = checked(c1, c2, eps)
     assert len(pts) == 1
     for c in (c1, c2):
         assert abs(math.dist(pts[0], c.center) - c.radius) <= eps / 2.0
-    back = intersect(c2, c1, eps)
+    back = checked(c2, c1, eps)
     assert len(back) == 1 and math.dist(back[0], pts[0]) <= 1e-12
 
 
@@ -151,8 +163,8 @@ def _dist_to_curve(p, curve):
 @given(curves, curves)
 @settings(max_examples=200)
 def test_intersect_symmetric_and_on_both(a, b):
-    r1 = intersect(a, b)
-    r2 = intersect(b, a)
+    r1 = checked(a, b)
+    r2 = checked(b, a)
     if r1 is OVERLAP or r2 is OVERLAP:
         assert r1 is r2
         return
