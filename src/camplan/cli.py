@@ -292,7 +292,7 @@ def cmd_bench(args) -> int:
         _check_sensor(args.width, args.height, cell_sensor)
         for spec in specs:
             if spec["algo"] == "bcpf":
-                fan_steps(cell_sensor.phi, spec["eps_a"])
+                fan_steps(cell_sensor.phi, spec["eps_a"], cell_params.n_targets)
         cells.extend((cell_params, cell_sensor, spec) for spec in specs)
 
     out = sys.stdout if args.out in (None, "-") else open(args.out, "w", encoding="utf-8", newline="")

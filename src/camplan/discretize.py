@@ -287,7 +287,7 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
     it, so the samples are those `covers` accepts.
     """
     sensor = s.sensor
-    steps = fan_steps(sensor.phi, eps_a)
+    steps = fan_steps(sensor.phi, eps_a, len(s.targets))
     check_steps(eps_r=eps_r)
     ts = s.targets
     psi = [-sensor.phi + (i + 0.5) * eps_a for i in range(steps)]
@@ -350,14 +350,19 @@ def check_steps(**steps: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {step:g}")
 
 
-def fan_steps(phi: float, eps_a: float) -> int:
+def fan_steps(phi: float, eps_a: float, n_targets: int) -> int:
     """Fan directions an eps_a step puts across a facing cone of half-width
-    phi; a step wider than the cone is refused (ValueError)."""
+    phi.  Refused (ValueError): a step wider than the cone, and a step whose
+    fans over n_targets targets (one, if there are none) would hold more than
+    MAX_GRID_POINTS rays, including one too small for its count to be finite."""
     check_steps(eps_a=eps_a)
-    steps = int(2.0 * phi / eps_a)
-    if steps == 0:
+    count = 2.0 * phi / eps_a
+    if count < 1.0:
         raise ValueError(f"a {eps_a:g} rad angular step exceeds the {2.0 * phi:g} rad facing cone")
-    return steps
+    if not math.isfinite(count) or max(n_targets, 1) * int(count) > MAX_GRID_POINTS:
+        raise ValueError(f"a {eps_a:g} rad angular step puts more than {MAX_GRID_POINTS} rays "
+                         f"in the fans of {n_targets} targets")
+    return int(count)
 
 
 def grid_shape(width: float, height: float, grid_eps: float) -> tuple[int, int]:

@@ -66,6 +66,17 @@ def _norm_angle_np(a):
     return np.where(r >= TWO_PI, 0.0, r)
 
 
+def _mod_2pi_np(a, turns: int = 2):
+    """np.remainder(a, TWO_PI) bit for bit on [-2pi * turns, 2pi * turns),
+    turns 1 or 2, by compare-and-add: moving [2pi, 4pi) and [-4pi, -2pi) by
+    2pi is exact, as fmod is; adding 2pi to [-2pi, 0) rounds as remainder
+    does (tiny negatives to 2pi); adding 0.0 makes -0.0 +0.0."""
+    if turns > 1:
+        a = a - (a >= TWO_PI) * TWO_PI
+        a = a + (a < 0.0) * TWO_PI
+    return a + (a < 0.0) * TWO_PI
+
+
 def wrap_pi(a: float) -> float:
     """Wrap to (-pi, pi]."""
     r = math.fmod(a, TWO_PI)
@@ -74,6 +85,12 @@ def wrap_pi(a: float) -> float:
     elif r > math.pi:
         r -= TWO_PI
     return r
+
+
+def _wrap_pi_np(a):
+    """Elementwise wrap_pi."""
+    r = np.fmod(a, TWO_PI)
+    return np.where(r <= -math.pi, r + TWO_PI, np.where(r > math.pi, r - TWO_PI, r))
 
 
 def bearing(p: Point, q: Point, eps: float = EPS) -> float:

@@ -5,10 +5,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import _norm_angle_np, norm_angle
+from .geom import _norm_angle_np, _wrap_pi_np, norm_angle
 from .model import CameraPlacement, ConfigTable, Scenario, Solution
 from .fields import BlockerPool, covers, interacting_blockers
-from .sweep import _wrap_pi_np
 
 
 class InfeasibleError(Exception):

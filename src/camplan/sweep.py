@@ -4,9 +4,15 @@ Given a candidate position, find which targets it could cover, enumerate every
 maximal subset that fits in one view cone, and derive the feasible
 viewing-direction window per subset.  `sweep_points` does this for many points
 in two phases, pair passes over spatial tiles and subset passes per live-pair
-count, into one `model.ConfigTable`.  The clauses here are the array form of
-the scalar reference `fields.covers`; the solution verifier
-(`select.verify_solution`) calls that reference and never this module's kernel.
+count, into one `model.ConfigTable`.  The pair passes test the facing clause
+first and the other clauses only where it holds; occlusion groups a tile's
+pairs by target and by the side of its line their apex is on, drops blockers
+at the group's box and target plane and then at each pair's box and sight
+planes, in the exact clip's own arithmetic, and clips only what is left.  The
+subset passes wrap angles by compare-and-add (`geom._mod_2pi_np`), bit for
+bit `np.remainder`.  The clauses here are the array form of the scalar
+reference `fields.covers`; the solution verifier (`select.verify_solution`)
+calls that reference and never this module's kernel.
 """
 from __future__ import annotations
 
@@ -15,10 +21,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .geom import Point, _norm_angle_np, norm_angle, wrap_pi
+from .geom import TWO_PI, Point, _mod_2pi_np, _norm_angle_np
 from .model import CandidateConfig, ConfigTable, Scenario
-
-TWO_PI = 2.0 * math.pi
 
 
 # --- vectorized batch sweep --------------------------------------------------
@@ -26,7 +30,7 @@ TWO_PI = 2.0 * math.pi
 # Points per tile of the (point, target) pair passes, and the element budget
 # of one (points, K, K) subset tensor or one (pair, blocker) expansion: the
 # temporaries stay at a few MB whatever the point count or K.  A tile's
-# (target, blocker) box test is not split; it is at most targets x blockers.
+# (pair group, blocker) test is not split; it is at most 2 x targets x blockers.
 _CHUNK = 512
 _BUDGET = 1 << 18
 
@@ -71,19 +75,14 @@ def _seg_point_dist_np(px, py, ax, ay, bx, by):
     return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
-def _wrap_pi_np(a):
-    """Elementwise geom.wrap_pi."""
-    r = np.fmod(a, TWO_PI)
-    return np.where(r <= -math.pi, r + TWO_PI, np.where(r > math.pi, r - TWO_PI, r))
-
-
-def clause_slacks(x, y, cols, sensor, eps_len, eps_ang):
+def clause_slacks(x, y, cols, sensor, eps_len, eps_ang, facing=True):
     """Slacks of the coverage clauses that need neither a viewing direction nor
     occlusion, for camera (x[k], y[k]) and the target whose columns
     (sx, sy, ex, ey, nx, ny) are entry k of `cols` (see `ScenarioIndex.cols`;
     scalars serve one target): both endpoints farther than eps_len and within
     r_max, outside the r_min band (given r_min > 0), the midpoint farther than
-    eps_len; the facing angle and, given theta < pi, the subtended angle.
+    eps_len; the facing angle (unless `facing` is false) and, given theta < pi,
+    the subtended angle.
 
     Returns (length slacks, angle slacks), two lists of per-camera arrays, one
     array per clause; a camera passes every clause exactly when all its slacks
@@ -99,9 +98,7 @@ def clause_slacks(x, y, cols, sensor, eps_len, eps_ang):
                np.hypot(vmx, vmy) - above]
     if sensor.r_min > 0.0:
         lengths.append(_seg_point_dist_np(x, y, sx, sy, ex, ey) - (sensor.r_min - eps_len))
-    fcross = np.abs(nx * vmy - ny * vmx)
-    fdot = nx * vmx + ny * vmy
-    angles = [(sensor.phi + eps_ang) - np.arctan2(fcross, fdot)]
+    angles = [_facing_slack(vmx, vmy, nx, ny, sensor, eps_ang)] if facing else []
     if sensor.theta < math.pi:
         vsx, vsy = sx - x, sy - y
         vex, vey = ex - x, ey - y
@@ -109,6 +106,12 @@ def clause_slacks(x, y, cols, sensor, eps_len, eps_ang):
         dot = vsx * vex + vsy * vey
         angles.append((sensor.theta + eps_ang) - np.arctan2(cross, dot))
     return lengths, angles
+
+
+def _facing_slack(vmx, vmy, nx, ny, sensor, eps_ang):
+    """Slack of the facing clause for a camera offset (vmx, vmy) from the
+    midpoint of a target with normal (nx, ny)."""
+    return (sensor.phi + eps_ang) - np.arctan2(np.abs(nx * vmy - ny * vmx), nx * vmx + ny * vmy)
 
 
 # np.hypot and np.arctan2 may differ from math's in the last bits, far below
@@ -132,11 +135,11 @@ def clause_verdicts(x, y, cols, sensor, eps_len, eps_ang):
 def _cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
     """(point, target) index pairs passing the `clause_slacks` clauses at the
     scene tolerance, point-major with targets in index order."""
-    eps_len = idx.tol.eps_len
+    sensor, eps_len = idx.scenario.sensor, idx.tol.eps_len
     # the range clause puts both endpoints, so the midpoint too, within
     # r_max + eps_len: a squared distance with slack picks the candidates,
     # among the targets whose midpoints lie that near the block's box
-    reach = (idx.scenario.sensor.r_max + 2.0 * eps_len) * (1.0 + 1e-12)
+    reach = (sensor.r_max + 2.0 * eps_len) * (1.0 + 1e-12)
     pad = reach * (1.0 + 1e-9)
     lo, hi = block.min(axis=0), block.max(axis=0)
     near = np.flatnonzero((idx.mx - lo[0] >= -pad) & (idx.mx - hi[0] <= pad)
@@ -145,8 +148,12 @@ def _cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
     dmy = idx.my[near] - block[:, 1:2]
     pi, k = np.nonzero(dmx * dmx + dmy * dmy <= reach * reach)
     tj = near[k]
-    lengths, angles = clause_slacks(block[pi, 0], block[pi, 1], idx.cols(tj), idx.scenario.sensor,
-                                    eps_len, idx.tol.eps_ang)
+    # the facing clause fails for about half the candidates, so it goes first
+    x, y = block[pi, 0], block[pi, 1]
+    f = np.flatnonzero(_facing_slack(x - idx.mx[tj], y - idx.my[tj], idx.nx[tj], idx.ny[tj], sensor,
+                                     idx.tol.eps_ang) >= 0.0)
+    pi, tj = pi[f], tj[f]
+    lengths, angles = clause_slacks(x[f], y[f], idx.cols(tj), sensor, eps_len, idx.tol.eps_ang, facing=False)
     keep = np.logical_and.reduce([slack >= 0.0 for slack in lengths + angles])
     return pi[keep], tj[keep]
 
@@ -195,89 +202,116 @@ def _occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex) -> np.ndarray:
     lo, hi = block.min(axis=0), block.max(axis=0)
     near = np.flatnonzero((idx.bx_lo - reach <= hi[0]) & (lo[0] <= idx.bx_hi + reach)
                           & (idx.by_lo - reach <= hi[1]) & (lo[1] <= idx.by_hi + reach))
-    if near.size == 0 or tj.size == 0:
-        return out
     x, y = block[pi, 0], block[pi, 1]
     sx, sy, ex, ey = idx.sx[tj], idx.sy[tj], idx.ex[tj], idx.ey[tj]
+    # the clip's winding sign: a sliver triangle (sign 0) is never blocked
+    sgn = np.sign((sx - x) * (ey - y) - (sy - y) * (ex - x))
+    live = np.flatnonzero(sgn != 0.0)
+    if near.size == 0 or live.size == 0:
+        return out
+    x, y, sx, sy, ex, ey, sgn = (v[live] for v in (x, y, sx, sy, ex, ey, sgn))
     # bounding-box prefilter: only (pair, blocker) candidates whose sight
     # triangle and blocker boxes overlap need the exact clip
     tx_lo = np.minimum(np.minimum(sx, ex), x) - eps
     tx_hi = np.maximum(np.maximum(sx, ex), x) + eps
     ty_lo = np.minimum(np.minimum(sy, ey), y) - eps
     ty_hi = np.maximum(np.maximum(sy, ey), y) + eps
-    # group the pairs by target; a group's box is the union of its pairs'
-    # boxes, so testing it keeps every blocker some pair's box test keeps
-    by_t = np.argsort(tj, kind="stable")
-    u, first = np.unique(tj[by_t], return_index=True)
-    group = np.searchsorted(u, tj)
+    # group the pairs by target and by the side of its line their apex is on;
+    # a group's box is the union of its pairs' boxes, so testing it keeps
+    # every blocker some pair's box test keeps
+    key = 2 * tj[live] + (sgn > 0.0)
+    by_k = np.argsort(key, kind="stable")
+    u, first = np.unique(key[by_k], return_index=True)
+    group = np.searchsorted(u, key)
+    t, side = u[:, None] >> 1, np.where(u & 1, 1.0, -1.0)[:, None]
+    # a group's pairs share the clip's plane through the target, from s to e,
+    # so a blocker wholly behind it drops out for the whole group
+    n1x, n1y = side * (idx.sy[t] - idx.ey[t]), side * (idx.ex[t] - idx.sx[t])
     cand = (
-        (np.minimum.reduceat(tx_lo[by_t], first)[:, None] <= idx.bx_hi[near])
-        & (idx.bx_lo[near] <= np.maximum.reduceat(tx_hi[by_t], first)[:, None])
-        & (np.minimum.reduceat(ty_lo[by_t], first)[:, None] <= idx.by_hi[near])
-        & (idx.by_lo[near] <= np.maximum.reduceat(ty_hi[by_t], first)[:, None])
-        & (idx.owner[near] != idx.ids[u][:, None])
+        (np.minimum.reduceat(tx_lo[by_k], first)[:, None] <= idx.bx_hi[near])
+        & (idx.bx_lo[near] <= np.maximum.reduceat(tx_hi[by_k], first)[:, None])
+        & (np.minimum.reduceat(ty_lo[by_k], first)[:, None] <= idx.by_hi[near])
+        & (idx.by_lo[near] <= np.maximum.reduceat(ty_hi[by_k], first)[:, None])
+        & (idx.owner[near] != idx.ids[t])
+        & _meets_plane(idx.sx[t], idx.sy[t], n1x, n1y, near, idx)
     )
-    g, k = np.nonzero(cand)   # group g's blockers are near[k[gptr[g]:gptr[g + 1]]]
+    g, k = np.nonzero(cand)
+    blockers = near[k]   # group g's blockers are blockers[gptr[g]:gptr[g + 1]]
     gptr = np.searchsorted(g, np.arange(u.size + 1))
     n_b = np.diff(gptr)[group]
+    # the clip's planes through the apex, from the apex to s and from e to it
+    n0x, n0y = sgn * (y - sy), sgn * (sx - x)
+    n2x, n2y = sgn * (ey - y), sgn * (x - ex)
     step = max(1, _BUDGET // max(1, int(n_b.max())))
-    for a in range(0, tj.size, step):
-        # each pair against its group's blockers only, and then by its own box
+    for a in range(0, live.size, step):
+        # each pair against its group's blockers only, then by its own box
+        # and its own planes
         cnt = n_b[a:a + step]
         p = np.repeat(np.arange(a, a + cnt.size), cnt)
-        b = near[k[np.repeat(gptr[group[a:a + step]] - (np.cumsum(cnt) - cnt), cnt) + np.arange(p.size)]]
+        b = blockers[np.repeat(gptr[group[a:a + step]] - (np.cumsum(cnt) - cnt), cnt) + np.arange(p.size)]
         keep = ((tx_lo[p] <= idx.bx_hi[b]) & (idx.bx_lo[b] <= tx_hi[p])
                 & (ty_lo[p] <= idx.by_hi[b]) & (idx.by_lo[b] <= ty_hi[p]))
         p, b = p[keep], b[keep]
+        keep = (_meets_plane(x[p], y[p], n0x[p], n0y[p], b, idx)
+                & _meets_plane(ex[p], ey[p], n2x[p], n2y[p], b, idx))
+        p, b = p[keep], b[keep]
         hit = _blocks_triangle_np(x[p], y[p], sx[p], sy[p], ex[p], ey[p],
                                   idx.bax[b], idx.bay[b], idx.bbx[b], idx.bby[b], eps)
-        out[p[hit]] = True
+        out[live[p[hit]]] = True
     return out
+
+
+def _meets_plane(ux, uy, nx, ny, b, idx: ScenarioIndex) -> np.ndarray:
+    """Blocker b has an end on the inner side of the plane through (ux, uy)
+    with normal (nx, ny), in `_blocks_triangle_np`'s own arithmetic: where
+    this is false, the clip rejects the blocker at that plane."""
+    return ((nx * (idx.bax[b] - ux) + ny * (idx.bay[b] - uy) >= 0.0)
+            | (nx * (idx.bbx[b] - ux) + ny * (idx.bby[b] - uy) >= 0.0))
 
 
 def _maximal_rows(fits: np.ndarray) -> np.ndarray:
     """(G, K) mask of the anchors whose (G, K, K) fits row is a maximal subset:
     non-empty, the first anchor with that row, and strictly inside no other row.
-    Rows are compared as packed uint64 words, so any K works."""
-    G, K, _ = fits.shape
-    W = -(-K // 64)
-    if W * 64 != K:
-        fits = np.concatenate([fits, np.zeros((G, K, W * 64 - K), dtype=bool)], axis=2)
-    bits = np.packbits(fits, axis=2, bitorder="little").view("<u8")
-    eq = np.ones((G, K, K), dtype=bool)
-    sub = np.ones((G, K, K), dtype=bool)   # sub[g, a, b]: row a within row b
-    for w in range(W):
+    Rows are compared as packed words of the fewest bytes (1, 2, 4 or 8) that
+    hold K bits, or as several 8-byte words, so any K works."""
+    K = fits.shape[1]
+    nb = -(-K // 8)
+    size = min(8, 1 << (nb - 1).bit_length())
+    W = -(-nb // size)
+    bits = np.zeros(fits.shape[:2] + (W * size,), dtype=np.uint8)
+    bits[:, :, :nb] = np.packbits(fits, axis=2, bitorder="little")
+    bits = bits.view(f"<u{size}")
+    word = bits[:, :, 0]
+    neq = word[:, :, None] != word[:, None, :]
+    sub = (word[:, :, None] & ~word[:, None, :]) == 0   # sub[g, a, b]: row a within row b
+    for w in range(1, W):
         word = bits[:, :, w]
-        eq &= word[:, :, None] == word[:, None, :]
+        neq |= word[:, :, None] != word[:, None, :]
         sub &= (word[:, :, None] & ~word[:, None, :]) == 0
-    dup = (eq & np.tri(K, k=-1, dtype=bool)).any(axis=2)
-    inside = (sub & ~eq).any(axis=2)
-    return ~dup & ~inside & bits.any(axis=2)
+    # a row within an earlier anchor's row, or strictly within a later one's
+    earlier = np.tri(K, k=-1, dtype=bool)   # earlier[a, b]: b < a
+    return ~(sub & (neq | earlier)).any(axis=2) & bits.any(axis=2)
 
 
-# Configs of a run of points: per config its point, vd_rep, vd_lo, vd_window
-# and member count; per member its target column, interval_lo, interval_hi
-# and mid bearing.
-_NO_CONFIGS = (np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), np.zeros(0),
-               np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
-               np.zeros(0), np.zeros(0), np.zeros(0))
-
-
-def _subsets(pts: np.ndarray, pi, tj, idx: ScenarioIndex) -> list[tuple]:
+def _subsets(pts: np.ndarray, pi, tj, idx: ScenarioIndex):
     """Maximal co-coverable subsets at every point from its live pairs (sorted
     by point, targets in index order), as (points, K, K) passes over the points
-    with K pairs.  Returns parts laid out as `_NO_CONFIGS`; a point's configs
-    come in one part in anchor order, members of a config in target-id order."""
-    parts: list[tuple] = []
+    with K pairs.  Returns two tuples: per config its point, vd_rep, vd_lo,
+    vd_window and member count, then per member its pair (an index into pi
+    and tj); and per pair its interval_lo, interval_hi and mid bearing.  A
+    point's configs come in one pass in anchor order, members of a config in
+    target-id order."""
+    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), np.zeros(0),
+              np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
     x, y = pts[pi, 0], pts[pi, 1]
     theta, eps_ang = idx.scenario.sensor.theta, idx.tol.eps_ang
     limit = theta + eps_ang
     b1 = np.arctan2(idx.sy[tj] - y, idx.sx[tj] - x)
     b2 = np.arctan2(idx.ey[tj] - y, idx.ex[tj] - x)
-    diff = np.remainder(b2 - b1 + math.pi, TWO_PI) - math.pi
-    lo = np.where(diff >= 0.0, b1, b2) % TWO_PI
+    diff = _mod_2pi_np(b2 - b1 + math.pi) - math.pi
+    lo = _mod_2pi_np(np.where(diff >= 0.0, b1, b2), turns=1)
     width = np.abs(diff)
-    mids = np.arctan2(idx.my[tj] - y, idx.mx[tj] - x) % TWO_PI
+    mids = _mod_2pi_np(np.arctan2(idx.my[tj] - y, idx.mx[tj] - x), turns=1)
     tid = idx.ids[tj]
 
     count = np.bincount(pi, minlength=pts.shape[0])
@@ -288,37 +322,34 @@ def _subsets(pts: np.ndarray, pi, tj, idx: ScenarioIndex) -> list[tuple]:
         for g0 in range(0, bucket.size, G):
             point = bucket[g0:g0 + G]
             pair = offset[point, None] + np.arange(K)
-            lo_p, wd_p = lo[pair], width[pair]
-            rel = np.remainder(lo_p[:, None, :] - lo_p[:, :, None], TWO_PI)   # [g, anchor, member]
-            fits = rel + wd_p[:, None, :] <= limit
+            # anchors run in pair order, members in target-id order: a row's
+            # set does not depend on its column order, and its members come
+            # out in the order the table keeps them
+            mem = np.take_along_axis(pair, np.argsort(tid[pair], axis=1, kind="stable"), axis=1)
+            lo_p, lo_m, wd_m = lo[pair], lo[mem], width[mem]
+            # [g, anchor, member]: how far past the anchor's lo the member ends
+            reach = _mod_2pi_np(lo_m[:, None, :] - lo_p[:, :, None], turns=1) + wd_m[:, None, :]
+            fits = reach <= limit
             gm, am = np.nonzero(_maximal_rows(fits))
             rows = fits[gm, am]
-            span = np.where(rows, rel[gm, am] + wd_p[gm], -np.inf).max(axis=1)
+            span = np.where(rows, reach[gm, am], -np.inf).max(axis=1)
             lo_a = lo_p[gm, am]
             # re-verify angular containment at vd_rep (range/facing already hold)
             cone_lo = lo_a + span / 2.0 - theta / 2.0
-            off = np.remainder(lo_p[gm] - cone_lo[:, None], TWO_PI)
+            off = _mod_2pi_np(lo_m[gm] - cone_lo[:, None])
             off = np.where(off > TWO_PI - eps_ang, 0.0, off)
-            ok = (~rows | (off + wd_p[gm] <= limit)).all(axis=1)
+            ok = (~rows | (off + wd_m[gm] <= limit)).all(axis=1)
             gm, rows, span, lo_a = gm[ok], rows[ok], span[ok], lo_a[ok]
-            if gm.size == 0:
-                continue
-            # members of each config in target-id order, flattened config by config
-            order = np.argsort(tid[pair], axis=1, kind="stable")
-            r, c = np.nonzero(np.take_along_axis(rows, order[gm], axis=1))
-            q = pair[gm[r], order[gm[r], c]]
+            r, c = np.nonzero(rows)
             parts.append((
                 point[gm],
                 _norm_angle_np(lo_a + span / 2.0),
                 _norm_angle_np(lo_a + span - theta / 2.0),
                 theta - span,
                 rows.sum(axis=1),
-                tj[q],
-                lo[q],
-                np.remainder(lo[q] + width[q], TWO_PI),
-                mids[q],
+                mem[gm[r], c],
             ))
-    return parts
+    return tuple(map(np.concatenate, zip(*parts))), (lo, _mod_2pi_np(lo + width), mids)
 
 
 class PointGroups(Sequence):
@@ -379,16 +410,15 @@ def sweep_points(points, s: Scenario) -> PointGroups:
         pairs.append(np.stack((tile[pi[live]], tj[live])))
     pi, tj = np.concatenate(pairs, axis=1)
     by_point = np.argsort(pi, kind="stable")
-    parts = [_NO_CONFIGS] + _subsets(pts, pi[by_point], tj[by_point], idx)
-    point, vd_rep, vd_lo, vd_window, size, col, lo, hi, mids = map(np.concatenate, zip(*parts))
-    del parts   # free the blocks' pieces before the reordered copies
+    tj = tj[by_point]
+    (point, vd_rep, vd_lo, vd_window, size, q), (lo, hi, mids) = _subsets(pts, pi[by_point], tj, idx)
     order = np.argsort(point, kind="stable")
     first = (np.cumsum(size) - size)[order]   # each config's first member as emitted
     size = size[order]
     ptr = np.concatenate(([0], np.cumsum(size)))
-    member = np.repeat(first - ptr[:-1], size) + np.arange(ptr[-1])
+    q = q[np.repeat(first - ptr[:-1], size) + np.arange(ptr[-1])]
     point = point[order]
-    col = col[member]
+    col = tj[q]
     table = ConfigTable(
         source=point,
         position=pts[point],
@@ -398,9 +428,9 @@ def sweep_points(points, s: Scenario) -> PointGroups:
         ptr=ptr,
         covered=idx.ids[col],
         col=col,
-        interval_lo=lo[member],
-        interval_hi=hi[member],
-        mid_bearings=mids[member],
+        interval_lo=lo[q],
+        interval_hi=hi[q],
+        mid_bearings=mids[q],
     )
     return PointGroups(table, np.searchsorted(point, np.arange(pts.shape[0] + 1)))
 

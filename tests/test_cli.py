@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from camplan import cli
 from camplan.cli import CSV_COLUMNS, _parse_algo_spec, main
+from camplan.discretize import MAX_GRID_POINTS
 from camplan.geom import DegenerateError
 from camplan.model import CameraPlacement, Solution
 from camplan.scenario import parse_candidates, parse_scenario, parse_solution, serialize_solution
@@ -395,15 +396,27 @@ def test_bench_rejects_a_fractional_target_count(tmp_path, capsys, values):
 
 
 @pytest.mark.parametrize("spec", ["grid:0", "grid:-2", "grid:500", "grid:nan", "bcpf:0", "bcpf:nan",
-                                  "bcpf:inf", "bcpf:0.1:0", "bcpf:0.1:nan", "bcpf:4"])
+                                  "bcpf:inf", "bcpf:0.1:0", "bcpf:0.1:nan", "bcpf:4", "bcpf:1e-320",
+                                  f"bcpf:{math.pi / (MAX_GRID_POINTS // 3 + 1.5)!r}"])
 def test_bench_rejects_a_step_every_cell_would_refuse_before_writing(tmp_path, capsys, spec):
-    # as solve does for the same step; grid:500 exceeds the 30 m area, and
-    # bcpf:4 the 180 deg facing cone
+    # as solve does for the same step; grid:500 exceeds the 30 m area,
+    # bcpf:4 the 180 deg facing cone, and the last two the ray bound for 3
+    # targets
     out = tmp_path / "out"
     code, stdout, err = run(["bench", "--axis", "n", "--values", "3", "--algos", f"grid:6,{spec}",
                              "--seeds", "1", "--width", "30", "--height", "30", "--out", str(out)], capsys)
     assert code == 3
     assert "invalid input" in err
+    assert not out.exists() and stdout == ""
+
+
+def test_bench_rejects_a_step_past_the_ray_bound_of_one_cell_before_writing(tmp_path, capsys):
+    # 250000 fan steps make 750000 rays for 3 targets and 1250000 for 5
+    out = tmp_path / "out"
+    code, stdout, err = run(["bench", "--axis", "n", "--values", "3,5", "--algos", f"bcpf:{math.pi / 250000.5!r}",
+                             "--seeds", "1", "--width", "30", "--height", "30", "--out", str(out)], capsys)
+    assert code == 3
+    assert "invalid input" in err and "in the fans of 5 targets" in err
     assert not out.exists() and stdout == ""
 
 
@@ -455,6 +468,23 @@ def test_an_angular_step_wider_than_the_facing_cone_is_invalid_input(small_scena
     # a step as wide as the cone still puts one fan in it
     code, stdout, _ = run([command, str(small_scenario), "--eps-a", str(math.pi), "--out", str(out)], capsys)
     assert code == 0 and out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "candidates"])
+def test_an_angular_step_beyond_the_ray_bound_is_invalid_input(small_scenario, tmp_path, capsys, command):
+    # 1e-320 rad used to overflow the fan count (exit 1, OverflowError); a
+    # step just past the bound would build more than MAX_GRID_POINTS rays
+    # before any sample is counted.  Both are refused before any ray exists.
+    s = parse_scenario(small_scenario.read_text())
+    past = 2.0 * s.sensor.phi / (MAX_GRID_POINTS // len(s.targets) + 1.5)
+    out = tmp_path / "out.json"
+    for eps_a in ("1e-320", repr(past)):
+        t0 = time.perf_counter()
+        code, stdout, err = run([command, str(small_scenario), "--eps-a", eps_a, "--out", str(out)], capsys)
+        assert code == 3, eps_a
+        assert "invalid input" in err and "more than 1000000 rays in the fans of 4 targets" in err
+        assert not out.exists() and stdout == ""
+        assert time.perf_counter() - t0 < 10.0
 
 
 def test_target_id_beyond_int64_is_a_validation_error(tmp_path, capsys):

@@ -16,6 +16,7 @@ from camplan.discretize import (
     _pair_view_circles,
     bcpf_sample,
     comprehensive_candidates,
+    fan_steps,
     grid_sample,
 )
 from camplan.fields import bcpf, cpf
@@ -572,6 +573,26 @@ def test_bcpf_sample_rejects_bad_steps():
         bcpf_sample(s, 0.1, -1.0)
     with pytest.raises(ValueError, match="exceeds the 3.14159 rad facing cone"):
         bcpf_sample(s, 4.0, 1.0)
+    with pytest.raises(ValueError, match="more than 1000000 rays in the fans of 1 targets"):
+        bcpf_sample(s, 1e-320, 1.0)
+
+
+def test_fan_steps_bound_the_rays_of_all_fans():
+    # counted, never built: a step at the bound still passes, one just past
+    # it does not, and a step too small for a finite count is refused
+    bound = discretize.MAX_GRID_POINTS
+    for n in (1, 3, 7, 1000):
+        at = math.pi / (bound // n + 0.5)
+        assert fan_steps(math.pi / 2.0, at, n) == bound // n
+        with pytest.raises(ValueError, match=f"more than {bound} rays in the fans of {n} targets"):
+            fan_steps(math.pi / 2.0, math.pi / (bound // n + 1.5), n)
+    for eps_a in (1e-320, 5e-324, 1e-300):
+        with pytest.raises(ValueError, match="rays"):
+            fan_steps(math.pi / 2.0, eps_a, 10)
+    # no targets: the fan count alone is bounded
+    with pytest.raises(ValueError, match="in the fans of 0 targets"):
+        fan_steps(math.pi / 2.0, 1e-300, 0)
+    assert fan_steps(math.pi / 2.0, 0.1, 0) == 31
 
 
 # --- grid -----------------------------------------------------------------------

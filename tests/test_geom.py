@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from camplan.geom import (
     EPS,
+    TWO_PI,
     _classify_pieces,
+    _mod_2pi_np,
     Arc,
     Circle,
     DegenerateError,
@@ -58,6 +60,48 @@ def test_norm_angle_range(a):
 def test_wrap_pi_range(a):
     v = wrap_pi(a)
     assert -math.pi < v <= math.pi
+
+
+# the sweep's calls of _mod_2pi_np: turns, and the range its input can take
+MOD_2PI_SITES = {
+    "bearing difference + pi": (2, -math.pi, 3.0 * math.pi),
+    "lo and mid bearings": (1, -math.pi, math.pi),
+    "lo of members less lo of anchor": (1, -TWO_PI, TWO_PI),
+    "cone re-check offset": (2, -TWO_PI - 1e-12, 3.0 * math.pi),
+    "interval_hi": (2, 0.0, 3.0 * math.pi),
+}
+
+
+def mod_2pi_specials(turns):
+    """+-0, +-pi, +-2pi, +-4pi and their neighbours, tiny negatives and
+    subnormals, within the [-2pi * turns, 2pi * turns) the wrap is exact on."""
+    base = [0.0, math.pi, TWO_PI, 2.0 * TWO_PI]
+    vals = [v for b in base for v in (b, -b)]
+    vals += [math.nextafter(v, d) for v in vals for d in (-math.inf, math.inf)]
+    vals += [-1e-17, 5e-324, -5e-324]
+    return np.array([v for v in vals if -TWO_PI * turns <= v < TWO_PI * turns])
+
+
+@pytest.mark.parametrize("site", sorted(MOD_2PI_SITES))
+def test_mod_2pi_equals_remainder_bit_for_bit(site):
+    turns, lo, hi = MOD_2PI_SITES[site]
+    rng = np.random.default_rng(sorted(MOD_2PI_SITES).index(site))
+    a = np.concatenate([rng.uniform(lo, hi, 200_000), mod_2pi_specials(turns),
+                        # differences of angles, as the sweep forms them
+                        rng.uniform(0.0, TWO_PI, 50_000) - rng.uniform(0.0, TWO_PI, 50_000)])
+    a = a[(lo <= a) & (a <= hi)]
+    got, want = _mod_2pi_np(a, turns=turns), np.remainder(a, TWO_PI)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), a[got.view(np.int64) != want.view(np.int64)]
+
+
+@pytest.mark.parametrize("turns", [1, 2])
+def test_mod_2pi_edge_cases(turns):
+    # -0.0 and -2pi give +0.0, tiny negatives round up to 2pi
+    assert _mod_2pi_np(np.array([-0.0]), turns=turns).view(np.int64)[0] == 0
+    assert _mod_2pi_np(np.array([-TWO_PI]), turns=turns).view(np.int64)[0] == 0
+    assert _mod_2pi_np(np.array([-1e-17, -5e-324]), turns=turns).tolist() == [TWO_PI, TWO_PI]
+    if turns == 2:
+        assert _mod_2pi_np(np.array([TWO_PI, -2.0 * TWO_PI]), turns=2).tolist() == [0.0, 0.0]
 
 
 def test_angle_between_basics():

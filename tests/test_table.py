@@ -11,6 +11,7 @@ the bytes that solving from its configs gives."""
 import dataclasses
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from camplan.sweep import (
     ScenarioIndex,
     _BUDGET,
     _blocks_triangle_np,
+    _mod_2pi_np,
     _norm_angle_np,
     _seg_point_dist_np,
     sweep_points,
@@ -339,6 +341,23 @@ def test_table_solves_to_the_bytes_of_its_configs(name):
         assert serialize_solution(run_pipeline(s, algo, grid_eps=4.0, vd_mode=mode).solution) == want
 
 
+@pytest.mark.parametrize("name", ["bcpf-140-r30 family", "occluded", "more than 64 targets at a point"])
+def test_sweep_wraps_angles_only_where_the_wrap_is_exact(name, monkeypatch):
+    # _mod_2pi_np equals np.remainder on [-2pi * turns, 2pi * turns) only
+    # (tests/test_geom.py); every call of the sweep stays inside it
+    s, points = SCENES[name]()
+    seen = set()
+
+    def checked(a, turns=2):
+        assert ((-TWO_PI * turns <= a) & (a < TWO_PI * turns)).all(), turns
+        seen.update((turns, end) for end, reached in (("< 0", a < 0.0), (">= 2pi", a >= TWO_PI)) if reached.any())
+        return _mod_2pi_np(a, turns=turns)
+
+    monkeypatch.setattr(sweep_module, "_mod_2pi_np", checked)
+    assert_groups_equal(sweep_points(points, s), oracle_sweep_points(points, s), s)
+    assert {(1, "< 0"), (2, "< 0"), (2, ">= 2pi")} <= seen
+
+
 # --- spatial tiles ------------------------------------------------------------------------
 
 def special_point_sets():
@@ -514,6 +533,102 @@ def test_target_grouped_prefilter_equals_oracle_on_adversarial_blockers(monkeypa
     s = dataclasses.replace(base, obstacles=tuple(every))
     for chunk in (5, len(points)):
         assert_groups_equal(sweep_in_tiles(monkeypatch, points, s, chunk), oracle_sweep_points(points, s, chunk=chunk), s)
+
+
+def line_scene(phi_deg):
+    """A horizontal and a slanted target seen from a grid of points on both
+    sides of their lines (a facing cone wider than 90 deg sees both sides)
+    and from points exactly on those lines (sight triangles of sign 0), with
+    walls parallel to each target on its line, up to 2*eps_len either side of
+    it and 1 cm and 0.3 m in front of and behind it, and collinear walls
+    beside its ends."""
+    sensor = SensorSpec(aov_deg=120.0, r_min=0.0, r_max=15.0, phi_deg=phi_deg)
+    r = math.sqrt(0.5)
+    targets = (Target(0, (20.0, 20.0), (22.0, 20.0), (0.0, 1.0)),
+               Target(1, (30.0, 24.0), (31.0, 25.0), (-r, r)))
+    base = Scenario(50.0, 50.0, sensor, targets)
+    eps = base.tol.eps_len
+    points = [(14.0 + 1.5 * i, 12.0 + 1.5 * j) for i in range(17) for j in range(14)]
+    points += [(16.0, 20.0), (18.5, 20.0), (25.0, 20.0), (27.0, 20.0),   # on target 0's line
+               (27.0, 21.0), (28.0, 22.0), (33.0, 27.0), (34.5, 28.5)]   # on target 1's line
+    walls = []
+    for t in targets:
+        (sx, sy), (ex, ey), (nx, ny) = t.start, t.end, t.normal
+        ux, uy = ex - sx, ey - sy
+        for d in (0.0, eps / 2.0, -eps / 2.0, eps, -eps, 2.0 * eps, -2.0 * eps, 0.01, -0.01, 0.3, -0.3):
+            if d:   # spanning the target, offset along its normal
+                walls.append(((sx - 0.5 * ux + d * nx, sy - 0.5 * uy + d * ny),
+                              (ex + 0.5 * ux + d * nx, ey + 0.5 * uy + d * ny)))
+            else:   # on its line, beside either end
+                walls += [((ex + 0.2 * ux, ey + 0.2 * uy), (ex + 1.5 * ux, ey + 1.5 * uy)),
+                          ((sx - 1.5 * ux, sy - 1.5 * uy), (sx - 0.2 * ux, sy - 0.2 * uy))]
+    return base, points, walls
+
+
+@pytest.mark.parametrize("budget", [_BUDGET, 1])
+@pytest.mark.parametrize("phi_deg", [135.0, 180.0])
+def test_side_grouped_occlusion_equals_oracle_about_target_lines(monkeypatch, budget, phi_deg):
+    base, points, walls = line_scene(phi_deg)
+    block = np.array(points)
+    monkeypatch.setattr(sweep_module, "_BUDGET", budget)
+    idx = ScenarioIndex(base)
+    pi, tj = sweep_module._cheap_pairs(block, idx)
+    sx, sy, ex, ey = idx.sx[tj], idx.sy[tj], idx.ex[tj], idx.ey[tj]
+    x, y = block[pi, 0], block[pi, 1]
+    sgn = np.sign((sx - x) * (ey - y) - (sy - y) * (ex - x))
+    for j in range(2):   # each target is seen from both sides of its line and from on it
+        assert set(sgn[tj == j].tolist()) == {-1.0, 0.0, 1.0}, j
+    clipped = []
+
+    def clip(ax, ay, sx, sy, ex, ey, *blocker):
+        clipped.append(np.sign((sx - ax) * (ey - ay) - (sy - ay) * (ex - ax)))
+        return _blocks_triangle_np(ax, ay, sx, sy, ex, ey, *blocker)
+
+    monkeypatch.setattr(sweep_module, "_blocks_triangle_np", clip)
+    seen = set()
+    # each wall alone, then all of them together
+    for obstacles in [[Obstacle(0, w)] for w in walls] + [[Obstacle(k, w) for k, w in enumerate(walls)]]:
+        idx = ScenarioIndex(dataclasses.replace(base, obstacles=tuple(obstacles)))
+        assert np.array_equal(sweep_module._cheap_pairs(block, idx)[0], pi)
+        hidden = sweep_module._occluded(block, pi, tj, idx)
+        assert np.array_equal(hidden, oracle_occluded(block, pi, tj, idx)), obstacles
+        seen.update(zip(tj[hidden].tolist(), sgn[hidden].tolist()))
+    # walls in front of each target hide some of its pairs on both sides, and
+    # no sliver sight triangle reaches the clip
+    assert {(0, -1.0), (0, 1.0), (1, -1.0), (1, 1.0)} <= seen
+    assert 0.0 not in set(np.concatenate(clipped).tolist())
+    s = dataclasses.replace(base, obstacles=tuple(Obstacle(k, w) for k, w in enumerate(walls)))
+    assert_groups_equal(sweep_in_tiles(monkeypatch, points, s, 64), oracle_sweep_points(points, s, chunk=64), s)
+
+
+def test_plane_tests_reject_only_what_the_clip_rejects():
+    # walls along the edges of sight triangles, a few ulps either side, and
+    # no tolerance in the clip to hide a rounding difference: where the
+    # prefilter's plane test puts a wall wholly outside one edge plane, the
+    # clip rejects it too
+    rng = np.random.default_rng(1)
+    n = 100_000
+    sx, sy, ex, ey = 30.1, 24.3, 31.7, 25.9
+    ax = rng.uniform(25.0, 30.0, n)
+    ay = ax - 5.8 + rng.uniform(1.0, 5.0, n)
+    sgn = np.sign((sx - ax) * (ey - ay) - (sy - ay) * (ex - ax))
+    assert (sgn != 0.0).all()
+    vx, vy = (ax, np.full(n, sx), np.full(n, ex)), (ay, np.full(n, sy), np.full(n, ey))
+    # the clip's planes: through vertex i, normal sgn * (u_y - v_y, v_x - u_x) toward vertex i + 1
+    planes = [(vx[i], vy[i], sgn * (vy[i] - vy[(i + 1) % 3]), sgn * (vx[(i + 1) % 3] - vx[i])) for i in range(3)]
+    edge = rng.integers(0, 3, n)
+    ux, uy, nx, ny = (np.choose(edge, [pl[c] for pl in planes]) for c in range(4))
+    wx = np.choose(edge, [vx[(i + 1) % 3] - vx[i] for i in range(3)])
+    wy = np.choose(edge, [vy[(i + 1) % 3] - vy[i] for i in range(3)])
+    f1, f2, k = rng.uniform(0.05, 0.45, n), rng.uniform(0.55, 0.95, n), rng.uniform(-30.0, 30.0, n) * 1e-15
+    walls = SimpleNamespace(bax=ux + f1 * wx + k * nx, bay=uy + f1 * wy + k * ny,
+                            bbx=ux + f2 * wx + k * nx, bby=uy + f2 * wy + k * ny)
+    b = np.arange(n)
+    meets = np.logical_and.reduce([sweep_module._meets_plane(*pl, b, walls) for pl in planes])
+    hit = _blocks_triangle_np(ax, ay, np.full(n, sx), np.full(n, sy), np.full(n, ex), np.full(n, ey),
+                              walls.bax, walls.bay, walls.bbx, walls.bby, 0.0)
+    assert not (hit & ~meets).any()
+    assert hit.any() and (~meets).any()
 
 
 def test_table_rejects_indices_outside_it():
