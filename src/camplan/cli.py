@@ -254,7 +254,9 @@ def _bench_cell(params: GenParams, sensor: SensorSpec, spec: dict, seeds: list[i
         except InfeasibleError as e:
             base["status"] = f"infeasible:{len(e.uncovered)}"
         except Exception as e:  # noqa: BLE001 - a cell failure must not kill the sweep
-            base["status"] = f"error:{type(e).__name__}"
+            # input this scene refuses, on which `solve` exits 3, or a fault
+            refused = isinstance(e, ValueError) and not isinstance(e, DegenerateError)
+            base["status"] = f"{'invalid' if refused else 'error'}:{type(e).__name__}"
         if k > 0:
             rows.append(base)
     return rows
@@ -360,8 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="parameter sweep to CSV",
         description="Runs every (axis value x algorithm x seed) cell and appends rows "
                     "incrementally. CSV columns: " + ", ".join(CSV_COLUMNS) + ". "
-                    "Rows with a non-ok status carry the failure tag; runtime_ms covers "
-                    "candidate generation, sweep and selection only.",
+                    "A row's status is ok, verify-failed, infeasible:N (N targets no "
+                    "candidate covers), invalid:NAME (this scene refuses the cell's input, "
+                    "as solve does with exit 3) or error:NAME (any other failure); "
+                    "runtime_ms covers candidate generation, sweep and selection only.",
     )
     p.add_argument("--axis", choices=["n", "r_max", "aov"], required=True)
     p.add_argument("--values", required=True, help="comma-separated axis values")

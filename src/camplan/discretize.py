@@ -7,14 +7,14 @@ each target's basic placement field, and a uniform grid over the area.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fields import aov_pair, covers, cpf, field_tolerance
-from .geom import CurveTable, DegenerateError, Piece, Point, Segment, circle_table, curve_table, intersections
+from .geom import (CurveTable, DegenerateError, Piece, Point, Segment, box_pairs, circle_table, curve_table,
+                   intersections)
 from .model import Scenario, Target
 from .sweep import ScenarioIndex, clause_verdicts
 
@@ -92,52 +92,46 @@ def comprehensive_candidates(s: Scenario) -> CandidateSet:
     if any(t.width > s.sensor.r_max / 2.0 + s.tol.eps_len for t in s.targets):
         raise ValueError("comprehensive candidates require target width <= r_max/2")
     eps = s.tol.eps_len
-    regions = {t.id: cpf(t, s) for t in s.targets}
-    uncoverable = tuple(t.id for t in s.targets if regions[t.id].is_empty())
+    regions = [cpf(t, s) for t in s.targets]
+    uncoverable = tuple(t.id for t, reg in zip(s.targets, regions) if reg.is_empty())
 
-    pieces: dict[int, list[Piece]] = {tid: list(reg.pieces()) for tid, reg in regions.items()}
-    flat = [pc for pcs in pieces.values() for pc in pcs]
+    pieces = [list(reg.pieces()) for reg in regions]
+    flat = [pc for pcs in pieces for pc in pcs]
     table, box = curve_table(flat, pieces=True), _piece_boxes(flat)
-    first = dict(zip(pieces, np.cumsum([0] + [len(pcs) for pcs in pieces.values()]).tolist()))
-    bounds = {tid: (box[k:k + len(pieces[tid])], table.circle[k:k + len(pieces[tid]), 2])
-              for tid, k in first.items()}
+    # pieces first[k]:first[k + 1] of `flat` are those of target k
+    first = np.cumsum([0] + [len(pcs) for pcs in pieces])
+    owner = np.repeat(np.arange(len(pieces)), np.diff(first))
     pairs = _interacting_pairs(s)
-    views = [_pair_view_circles(s.targets[i], s.targets[j], s.sensor.theta)
-             if s.sensor.theta < math.pi else [] for i, j in pairs]
-    # a target's view circles as rows (x, y, r, number of the call group in
-    # the view-circle loop's order: pair, circle, then the pair's targets)
-    rings: dict[int, list[tuple[float, ...]]] = {tid: [] for tid in pieces}
-    group = itertools.count()
-    for (i, j), view in zip(pairs, views):
-        for c in view:
-            for tid in (s.targets[i].id, s.targets[j].id):
-                rings[tid].append((*c.center, c.radius, next(group)))
-    rings_xyr = {tid: np.array(rows, dtype=float).reshape(-1, 4) for tid, rows in rings.items()}
-    ext = _extent(bounds.values(), rings_xyr.values())
-    reach = {tid: _grow_boxes(box, radius, eps, ext) for tid, (box, radius) in bounds.items()}
-    # calls (piece, piece) for the pairs' pieces whose boxes meet, in the
-    # pair loop's order: by pair, then piece of the one, piece of the other
-    ia, ib = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for i, j in pairs:
-        ti, tj = s.targets[i], s.targets[j]
-        a, b = np.nonzero(_boxes_meet(reach[ti.id], reach[tj.id]))
-        ia.append(first[ti.id] + a)
-        ib.append(first[tj.id] + b)
-    crossings = sum(map(len, ia))
-    # then a call (piece, view circle) for each piece whose box meets the
-    # circle's ring, in the view-circle loop's order: by call group, then piece
-    ring = [np.zeros((0, 5))]
-    for tid in pieces:
-        row, a = np.nonzero(_reaches_ring(reach[tid], rings_xyr[tid], eps, ext))
-        ring.append(np.column_stack((rings_xyr[tid][row], first[tid] + a)))
+    # view circles as rows (x, y, r, target), one per call group of the
+    # view-circle loop, in its order: pair, circle, then the pair's targets
+    rings = np.array([(*c.center, c.radius, k) for i, j in pairs if s.sensor.theta < math.pi
+                      for c in _pair_view_circles(s.targets[i], s.targets[j], s.sensor.theta)
+                      for k in (i, j)], dtype=float).reshape(-1, 4)
+    ext = _extent(box, table.circle[:, 2], rings[:, :3])
+    reach = _grow_boxes(box, table.circle[:, 2], eps, ext)
+    # calls (piece, piece) for the pairs' pieces whose grown boxes meet, in
+    # the pair loop's order: by pair, then piece of the one, piece of the
+    # other (box_pairs lists them in that order within each pair)
+    a, b = box_pairs(reach[:, :2], reach[:, 2:])
+    key = owner[a] * s.n + owner[b]
+    met = np.flatnonzero(np.isin(key, [i * s.n + j for i, j in pairs]))
+    met = met[np.argsort(key[met], kind="stable")]
+    crossings = len(met)
+    # then a call (piece, view circle) for each piece of the circle's target
+    # whose grown box meets the circle's ring, by call group, then piece
+    ring = [np.zeros((0, 2), dtype=np.int64)]   # rows (view circle, piece)
+    for k in range(s.n):
+        mine = np.flatnonzero(rings[:, 3] == k)
+        row, a_k = np.nonzero(_reaches_ring(reach[first[k]:first[k + 1]], rings[mine, :3], eps, ext))
+        ring.append(np.column_stack((mine[row], first[k] + a_k)))
     ring = np.concatenate(ring)
-    ring = ring[np.lexsort((ring[:, 4], ring[:, 3]))]
-    ia.append(ring[:, 4].astype(np.int64))
-    ib.append(len(flat) + np.arange(len(ring)))
-    other = CurveTable(*map(np.concatenate, zip(table, circle_table(ring[:, :3]))))
-    call, found, _ = intersections(table, np.concatenate(ia), other, np.concatenate(ib), eps)
+    row, piece = ring[np.lexsort((ring[:, 1], ring[:, 0]))].T
+    ia = np.concatenate([a[met], piece])
+    ib = np.concatenate([b[met], len(flat) + np.arange(len(piece))])
+    other = CurveTable(*map(np.concatenate, zip(table, circle_table(rings[row, :3]))))
+    call, found, _ = intersections(table, ia, other, ib, eps)
 
-    verts = [v for reg in regions.values() for v in reg.vertices()]
+    verts = [v for reg in regions for v in reg.vertices()]
     xy = _clamp_to_area(np.concatenate([np.array(verts, dtype=float).reshape(-1, 2), found]), s)
     rank = np.concatenate([np.full(len(verts), _TAG_RANK["cpf-critical"]),
                            np.where(call < crossings, _TAG_RANK["cpf-x-cpf"], _TAG_RANK["cpf-x-aov"])])
@@ -202,16 +196,13 @@ def _piece_boxes(pieces: list[Piece]) -> np.ndarray:
     return np.array(rows, dtype=float).reshape(-1, 4)
 
 
-def _extent(bounds, rings) -> float:
-    """Largest magnitude the kernels meet, at least 1: a piece coordinate or
-    an arc's center coordinate plus its radius, over (box, radius) pairs,
-    or a view circle's, over (k, 3) arrays of rows (x, y, r)."""
-    ext = 1.0
-    for box, radius in bounds:
-        ext = max(ext, float(np.abs(box).max(initial=0.0)) + 2.0 * float(np.nan_to_num(radius).max(initial=0.0)))
-    for xyr in rings:
-        ext = max(ext, float((np.abs(xyr[:, :2]).max(axis=1, initial=0.0) + xyr[:, 2]).max(initial=0.0)))
-    return ext
+def _extent(box: np.ndarray, radius: np.ndarray, rings: np.ndarray) -> float:
+    """Largest magnitude the kernels meet, at least 1: a piece coordinate plus
+    twice the largest arc radius (NaN for a segment) bounds an arc's center
+    coordinate plus its radius; a view circle's, a row (x, y, r) of rings."""
+    piece = float(np.abs(box).max(initial=0.0)) + 2.0 * float(np.nan_to_num(radius).max(initial=0.0))
+    view = float((np.abs(rings[:, :2]).max(axis=1, initial=0.0) + rings[:, 2]).max(initial=0.0))
+    return max(1.0, piece, view)
 
 
 def _off_circle(r: np.ndarray, eps: float, ext: float) -> np.ndarray:
@@ -232,11 +223,6 @@ def _grow_boxes(box: np.ndarray, radius: np.ndarray, eps: float, ext: float) -> 
     return np.concatenate([box[:, :2] - grow[:, None], box[:, 2:] + grow[:, None]], axis=1)
 
 
-def _boxes_meet(box_i: np.ndarray, box_j: np.ndarray) -> np.ndarray:
-    """(m_i, m_j) mask of the box pairs that overlap, edges included."""
-    return ((box_i[:, None, :2] <= box_j[None, :, 2:]) & (box_j[None, :, :2] <= box_i[:, None, 2:])).all(axis=2)
-
-
 def _reaches_ring(box: np.ndarray, rings: np.ndarray, eps: float, ext: float) -> np.ndarray:
     """(k, m) mask of the boxes that meet ring k: the points within
     `_off_circle` of circle k, a row (x, y, r) of `rings`."""
@@ -249,14 +235,19 @@ def _reaches_ring(box: np.ndarray, rings: np.ndarray, eps: float, ext: float) ->
 
 
 def _interacting_pairs(s: Scenario) -> list[tuple[int, int]]:
-    """Index pairs whose placement fields could touch (others cannot intersect)."""
+    """Index pairs (i < j, in row-major order) whose placement fields could
+    touch, midpoints within 2 r_max plus both widths (others cannot meet)."""
+    eps = s.tol.eps_len
+    mids = np.array([t.midpoint for t in s.targets], dtype=float).reshape(-1, 2)
+    # boxes about the midpoints, each grown by its half of the reach and
+    # padded for rounding, keep every pair the exact test below accepts
+    grow = np.array([s.sensor.r_max + t.width + eps for t in s.targets])[:, None]
     out = []
-    for i in range(s.n):
-        for j in range(i + 1, s.n):
-            ti, tj = s.targets[i], s.targets[j]
-            reach = 2.0 * s.sensor.r_max + ti.width + tj.width
-            if math.dist(ti.midpoint, tj.midpoint) <= reach + s.tol.eps_len:
-                out.append((i, j))
+    for i, j in zip(*(a.tolist() for a in box_pairs(mids - grow, mids + grow))):
+        ti, tj = s.targets[i], s.targets[j]
+        reach = 2.0 * s.sensor.r_max + ti.width + tj.width
+        if math.dist(ti.midpoint, tj.midpoint) <= reach + s.tol.eps_len:
+            out.append((i, j))
     return out
 
 

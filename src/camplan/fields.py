@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -31,10 +32,12 @@ from .geom import (
     Tolerance,
     angle_between,
     bearing,
+    box_pairs,
     orientation,
     region_from_curves,
     point_segment_distance,
     segment_blocks_triangle,
+    segment_boxes,
     wrap_pi,
 )
 from .model import Scenario, SensorSpec, Target
@@ -180,35 +183,23 @@ def bcpf(t: Target, sensor: SensorSpec) -> Region:
 
 # --- occlusion -------------------------------------------------------------
 
-class BlockerPool:
-    """A scenario's sight-blocking segments, listed once, with the bounding
-    boxes that `interacting_blockers` prefilters on."""
-
-    def __init__(self, scenario: Scenario):
-        self.items = scenario.blockers()
-        ends = np.array([(*seg.a, *seg.b) for seg, _ in self.items], dtype=float).reshape(-1, 4)
-        self.lo = np.minimum(ends[:, :2], ends[:, 2:])
-        self.hi = np.maximum(ends[:, :2], ends[:, 2:])
-
-
-def interacting_blockers(t: Target, scenario: Scenario,
-                         pool: BlockerPool | None = None) -> list[tuple[Segment, int]]:
-    """Blocking segments close enough to matter for this target's field, in
-    the order of `Scenario.blockers`.  Pass the scenario's `pool` when asking
-    for many targets."""
-    if pool is None:
-        pool = BlockerPool(scenario)
-    m = t.midpoint
-    reach = scenario.sensor.r_max + t.width + scenario.tol.eps_len
-    # a segment is no nearer than its bounding box: the box distance, padded
-    # for rounding, keeps every blocker the exact test below can accept
-    gap = np.maximum(np.maximum(pool.lo - m, m - pool.hi), 0.0)
-    near = np.hypot(gap[:, 0], gap[:, 1]) <= reach + scenario.tol.eps_len
-    out = []
-    for k in np.flatnonzero(near).tolist():
-        seg, owner = pool.items[k]
-        if owner != t.id and point_segment_distance(m, seg) <= reach:
-            out.append((seg, owner))
+def interacting_blockers(targets: Sequence[Target], scenario: Scenario) -> list[list[tuple[Segment, int]]]:
+    """For each of the targets, the blocking segments close enough to matter
+    for its field, in the order of `Scenario.blockers`."""
+    items = scenario.blockers()
+    eps = scenario.tol.eps_len
+    mids = [t.midpoint for t in targets]
+    reach = [scenario.sensor.r_max + t.width + eps for t in targets]
+    # a segment is no nearer than its bounding box: midpoint boxes grown by
+    # the reach, padded for rounding, keep every blocker the exact test accepts
+    m = np.array(mids, dtype=float).reshape(-1, 2)
+    grow = np.array(reach)[:, None] + eps
+    near = box_pairs(m - grow, m + grow, *segment_boxes([seg for seg, _ in items], 0.0))
+    out: list[list[tuple[Segment, int]]] = [[] for _ in targets]
+    for i, k in zip(*(a.tolist() for a in near)):
+        seg, owner = items[k]
+        if owner != targets[i].id and point_segment_distance(mids[i], seg) <= reach[i]:
+            out[i].append((seg, owner))
     return out
 
 
@@ -220,7 +211,7 @@ def occlusion_excluded(
 ) -> bool:
     """Whether any other segment blocks the sight triangle from x to the target."""
     if blockers is None:
-        blockers = interacting_blockers(t, scenario)
+        blockers = interacting_blockers([t], scenario)[0]
     eps, base = scenario.tol.eps_len, t.segment
     return any(segment_blocks_triangle(seg, x, base, eps) for seg, _ in blockers)
 
@@ -268,7 +259,7 @@ def cpf(t: Target, scenario: Scenario) -> Region:
     that line too thin for the offset to resolve: it is left out, and its
     sliver stays inside the region.
     """
-    return _region(t, scenario.sensor, [seg for seg, _ in interacting_blockers(t, scenario)])
+    return _region(t, scenario.sensor, [seg for seg, _ in interacting_blockers([t], scenario)[0]])
 
 
 def _region(t: Target, sensor: SensorSpec, blockers: list[Segment]) -> Region:

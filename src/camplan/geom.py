@@ -236,6 +236,40 @@ def _segments_properly_cross(s1: Segment, s2: Segment) -> bool:
             and (orientation(s1.a, s1.b, s2.a) > 0) != (orientation(s1.a, s1.b, s2.b) > 0))
 
 
+# Elements of one (rows, columns) block of the overlap test in `box_pairs`.
+_PAIR_BUDGET = 1 << 20
+
+
+def segment_boxes(segments: Iterable[Segment], pad: float) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper corners, (m, 2) each, of the segments' bounding boxes
+    grown by pad."""
+    xy = np.array([(*seg.a, *seg.b) for seg in segments], dtype=float).reshape(-1, 4)
+    return np.minimum(xy[:, :2], xy[:, 2:]) - pad, np.maximum(xy[:, :2], xy[:, 2:]) + pad
+
+
+def box_pairs(lo: np.ndarray, hi: np.ndarray, lo_b: np.ndarray | None = None,
+              hi_b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (i, j), in row-major order, of the pairs of boxes that
+    overlap, edges included: box i of (lo, hi) with box j of (lo_b, hi_b),
+    or with box j > i of (lo, hi) when no second set is given.  Boxes are
+    rows of (m, 2) lower and upper corners."""
+    one = lo_b is None
+    if one:
+        lo_b, hi_b = lo, hi
+    step = max(1, _PAIR_BUDGET // max(len(lo_b), 1))
+    ia, ib = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for a in range(0, len(lo), step):
+        r = slice(a, a + step)
+        near = ((lo[r, None, 0] <= hi_b[:, 0]) & (lo_b[:, 0] <= hi[r, None, 0])
+                & (lo[r, None, 1] <= hi_b[:, 1]) & (lo_b[:, 1] <= hi[r, None, 1]))
+        if one:
+            near = np.triu(near, k=a + 1)
+        i, j = np.nonzero(near)
+        ia.append(i + a)
+        ib.append(j)
+    return np.concatenate(ia), np.concatenate(ib)
+
+
 # ---------------------------------------------------------------------------
 # intersections
 

@@ -7,7 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import Point, Segment, Tolerance, point_segment_distance, segment_segment_distance
+from .geom import (Point, Segment, Tolerance, box_pairs, point_segment_distance, segment_boxes,
+                   segment_segment_distance)
 
 
 @dataclass(frozen=True, slots=True)
@@ -250,8 +251,10 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         if w > sensor.r_max / 2.0 + tol.eps_len:
             warn(ValidationIssue(name, f"width {w:.6g} > r_max/2 (narrow-target assumption broken)"))
 
-    segments = [t.segment for t in s.targets]
-    for i, j in _box_pairs(segments, 2.0 * tol.eps_len):
+    # segments within eps_len of each other have overlapping boxes grown by pad
+    pad = 2.0 * tol.eps_len
+    lo, hi = segment_boxes([t.segment for t in s.targets], pad)
+    for i, j in zip(*(a.tolist() for a in box_pairs(lo, hi))):
         ti, tj = s.targets[i], s.targets[j]
         if segment_segment_distance(ti.segment, tj.segment) <= tol.eps_len:
             if not _touch_only_at_endpoints(ti.segment, tj.segment, tol.eps_len):
@@ -277,7 +280,8 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     # an obstacle edge may meet a target only at endpoints, as targets meet
     edges = [(obs.id, e) for obs in s.obstacles for e in obs.edges()]
     on_target: dict[tuple[int, int], None] = {}
-    for i, k in _box_pairs(segments, 2.0 * tol.eps_len, [e for _, e in edges]):
+    near = box_pairs(lo, hi, *segment_boxes([e for _, e in edges], pad))
+    for i, k in zip(*(a.tolist() for a in near)):
         t, (oid, e) = s.targets[i], edges[k]
         if segment_segment_distance(t.segment, e) <= tol.eps_len:
             if not _touch_only_at_endpoints(t.segment, e, tol.eps_len):
@@ -285,31 +289,6 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     for oid, tid in on_target:
         err(ValidationIssue(f"obstacle {oid}", f"lies on target {tid} (not an endpoint contact)"))
     return rep
-
-
-# Elements of one (rows, n) box-overlap block in the target pair prefilter.
-_PAIR_BUDGET = 1 << 20
-
-
-def _box_pairs(first: list[Segment], pad: float, second: list[Segment] | None = None):
-    """Index pairs (i, j) in row-major order whose bounding boxes, each grown
-    by `pad`, overlap: the only pairs that can come within 2·pad.  Pairs join
-    first[i] to second[j], or first[i] to first[j] with i < j when `second`
-    is None."""
-    lo, hi = _boxes(first, pad)
-    lo_b, hi_b = (lo, hi) if second is None else _boxes(second, pad)
-    step = max(1, _PAIR_BUDGET // max(len(lo_b), 1))
-    for a in range(0, len(lo), step):
-        near = ((lo[a:a + step, None] <= hi_b) & (lo_b <= hi[a:a + step, None])).all(axis=2)
-        if second is None:
-            near = np.triu(near, k=a + 1)
-        i, j = np.nonzero(near)
-        yield from zip((i + a).tolist(), j.tolist())
-
-
-def _boxes(segments: list[Segment], pad: float) -> tuple[np.ndarray, np.ndarray]:
-    xy = np.array([(*seg.a, *seg.b) for seg in segments], dtype=float).reshape(-1, 4)
-    return np.minimum(xy[:, :2], xy[:, 2:]) - pad, np.maximum(xy[:, :2], xy[:, 2:]) + pad
 
 
 def _touch_only_at_endpoints(s1: Segment, s2: Segment, eps: float) -> bool:

@@ -7,7 +7,7 @@ import numpy as np
 
 from .geom import _norm_angle_np, _wrap_pi_np, norm_angle
 from .model import CameraPlacement, ConfigTable, Scenario, Solution
-from .fields import BlockerPool, covers, interacting_blockers
+from .fields import covers, interacting_blockers
 
 
 class InfeasibleError(Exception):
@@ -157,22 +157,21 @@ class VerificationReport:
 
 def verify_solution(s: Scenario, sol: Solution) -> VerificationReport:
     """Re-check every target against its assigned placement from first principles."""
-    pool = BlockerPool(s)
     checks = []
-    for t in s.targets:
+    for t, blockers in zip(s.targets, interacting_blockers(s.targets, s)):
         idx = sol.assignment.get(t.id)
         if idx is None or not (0 <= idx < len(sol.placements)):
             checks.append(TargetCheck(t.id, False, {"assigned": False}, {}))
             continue
         cam = sol.placements[idx]
-        checks.append(_check_target(t, cam, s, pool))
+        checks.append(_check_target(t, cam, s, blockers))
     return VerificationReport(checks)
 
 
-def _check_target(t, cam: CameraPlacement, s: Scenario, pool: BlockerPool | None = None) -> TargetCheck:
+def _check_target(t, cam: CameraPlacement, s: Scenario, blockers=None) -> TargetCheck:
     tol = s.tol
     clauses = {"in_area": s.in_area(cam.position, tol.eps_len)}
     margins: dict = {}
     covers(t, cam.position, s.sensor, tol, vd=cam.vd, scenario=s,
-           blockers=interacting_blockers(t, s, pool), report=(clauses, margins))
+           blockers=blockers, report=(clauses, margins))
     return TargetCheck(t.id, all(clauses.values()), clauses, margins)

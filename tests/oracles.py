@@ -9,7 +9,9 @@
 - greedy's window, direction and deviation rules, which `select._aim`
   applies to many configs at once;
 - the config table of a list of `CandidateConfig`s, which tests hand to
-  `select.greedy_cover` in place of the table the sweep emits.
+  `select.greedy_cover` in place of the table the sweep emits;
+- the target pairs whose fields can meet, over every pair, which
+  `discretize._interacting_pairs` prefilters with `geom.box_pairs`.
 
 Each batched form is the scalar code here, run as array passes.
 """
@@ -36,7 +38,7 @@ from camplan.geom import (
     point_segment_distance,
     wrap_pi,
 )
-from camplan.model import CandidateConfig, ConfigTable
+from camplan.model import CandidateConfig, ConfigTable, Scenario
 
 
 def batched(inside: Callable[[Point], bool]) -> Callable[[np.ndarray], np.ndarray]:
@@ -365,6 +367,20 @@ def piece_curve_intersections(piece: Piece, curve: Curve, eps: float = EPS) -> l
     if res is OVERLAP:
         return []
     return [pt for pt in res if _on_piece(pt, piece, eps)]
+
+
+# --- target pairs whose fields can meet ------------------------------------
+
+def interacting_pairs(s: Scenario) -> list[tuple[int, int]]:
+    """Index pairs whose placement fields could touch (others cannot intersect)."""
+    out = []
+    for i in range(s.n):
+        for j in range(i + 1, s.n):
+            ti, tj = s.targets[i], s.targets[j]
+            reach = 2.0 * s.sensor.r_max + ti.width + tj.width
+            if math.dist(ti.midpoint, tj.midpoint) <= reach + s.tol.eps_len:
+                out.append((i, j))
+    return out
 
 
 # --- greedy's viewing direction -------------------------------------------

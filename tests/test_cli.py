@@ -420,6 +420,24 @@ def test_bench_rejects_a_step_past_the_ray_bound_of_one_cell_before_writing(tmp_
     assert not out.exists() and stdout == ""
 
 
+def test_bench_marks_a_step_one_scene_refuses_invalid(tmp_path, capsys, monkeypatch):
+    # the radial step passes the up-front check, but the sample count depends
+    # on the scene: its rows say invalid, as solve exits 3, and bench exits 0
+    out = tmp_path / "out.csv"
+    argv = ["bench", "--axis", "n", "--values", "3", "--algos", "bcpf:0.1:1e-9", "--seeds", "1",
+            "--width", "30", "--height", "30", "--r-max", "8", "--out", str(out)]
+    assert run(argv, capsys)[0] == 0
+    assert [r["status"] for r in csv.DictReader(out.open())] == ["invalid:ValueError"]
+
+    # a geometric construction that degenerates stays an error
+    def degenerate(*args, **kwargs):
+        raise DegenerateError("bearing undefined for coincident points")
+
+    monkeypatch.setattr(cli, "run_pipeline", degenerate)
+    assert run(argv, capsys)[0] == 0
+    assert [r["status"] for r in csv.DictReader(out.open())] == ["error:DegenerateError"]
+
+
 def test_bench_rows_record_the_steps_they_ran(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     args = ["bench", "--axis", "n", "--values", "3", "--algos", "grid:7.5,bcpf:0.3:2,bcpf:0.25",

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from camplan import select, sweep
 from camplan.fields import (
-    BlockerPool,
     aov_pair,
     covers,
     field_tolerance,
@@ -276,7 +275,7 @@ def test_field_membership_matches_old_predicates(s, data):
             if near(p, t, ftol.eps_len) or on_range_threshold(p, t, sensor, ftol.eps_len):
                 continue
             assert covers(t, p, sensor, ftol) == bcpf_contains(t, sensor, p, ftol), (t, p)
-            blockers = interacting_blockers(t, s)
+            blockers = interacting_blockers([t], s)[0]
             assert (covers(t, p, sensor, ftol, scenario=s, blockers=blockers)
                     == cpf_contains(t, s, p, ftol, blockers)), (t, p)
             assert covers(t, p, sensor, ftol, scenario=s) == cpf_contains(t, s, p, ftol), (t, p)
@@ -454,23 +453,18 @@ def reach_ring(s: Scenario) -> Scenario:
 @settings(max_examples=150, deadline=None)
 def test_interacting_blockers_match_plain_scan(s):
     for scene in (s, reach_ring(s)):
-        pool = BlockerPool(scene)
-        for t in scene.targets:
-            want = plain_interacting_blockers(t, scene)
-            assert interacting_blockers(t, scene) == want
-            assert interacting_blockers(t, scene, pool) == want
+        want = [plain_interacting_blockers(t, scene) for t in scene.targets]
+        assert interacting_blockers(scene.targets, scene) == want
+        assert [interacting_blockers([t], scene)[0] for t in scene.targets] == want
 
 
 def test_interacting_blockers_match_plain_scan_on_bench_scenes():
     sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=10.0, phi_deg=90.0)
     for seed in range(3):
         s = random_scenario(GenParams(n_targets=120, n_obstacles=30, margin=3.0, seed=seed), sensor)
-        pool = BlockerPool(s)
-        selected = 0
-        for t in s.targets:
-            want = plain_interacting_blockers(t, s)
-            assert interacting_blockers(t, s, pool) == want
-            selected += len(want)
+        want = [plain_interacting_blockers(t, s) for t in s.targets]
+        assert interacting_blockers(s.targets, s) == want
+        selected = sum(map(len, want))
         # the selection keeps some blockers and drops others
         assert 0 < selected < len(s.targets) * (len(s.blockers()) - 1)
 

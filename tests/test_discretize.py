@@ -26,8 +26,8 @@ from camplan.scenario import GenParams, random_scenario
 from camplan.select import greedy_cover
 from camplan.sweep import sweep_points
 
-from oracles import (OVERLAP, contains, from_configs, intersect, pairwise_cuts, piece_curve_intersections,
-                     piece_intersections)
+from oracles import (OVERLAP, contains, from_configs, interacting_pairs, intersect, pairwise_cuts,
+                     piece_curve_intersections, piece_intersections)
 
 
 def scen(targets, sensor, obstacles=(), w=100.0, h=100.0):
@@ -120,7 +120,7 @@ def unpruned_comprehensive(s, found=None):
             tagged.append((v, "cpf-critical"))
 
     pieces = {tid: list(reg.pieces()) for tid, reg in regions.items()}
-    pairs = _interacting_pairs(s)
+    pairs = interacting_pairs(s)
     for i, j in pairs:
         ti, tj = s.targets[i], s.targets[j]
         for pi in pieces[ti.id]:
@@ -150,9 +150,9 @@ def facing_left(tid, a, b):
     return Target(tid, a, b, ((a[1] - b[1]) / L, (b[0] - a[0]) / L))
 
 
-def bench_family(seed):
-    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=20.0, phi_deg=90.0)
-    return random_scenario(GenParams(width=100.0, height=100.0, n_targets=25, n_obstacles=25,
+def bench_family(seed, n=25, r_max=20.0, n_obstacles=25):
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=r_max, phi_deg=90.0)
+    return random_scenario(GenParams(width=100.0, height=100.0, n_targets=n, n_obstacles=n_obstacles,
                                      margin=3.0, seed=seed), sensor)
 
 
@@ -261,24 +261,62 @@ def test_fields_match_the_scalar_pair_loop(name, monkeypatch):
     assert [repr(cpf(t, s).loops) for t in s.targets] == got
 
 
+def reach_ring_pairs(r_max):
+    """A target and 24 more around it, each midpoint within a few ulps of the
+    pair's reach, on either side of it."""
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=r_max, phi_deg=90.0)
+    side, w = 6.0 * r_max, 0.1 * r_max
+    cx = cy = side / 2.0
+    ts = [facing_left(0, (cx - w / 2.0, cy), (cx + w / 2.0, cy))]
+    reach = 2.0 * r_max + 2.0 * w + scen([], sensor, w=side, h=side).tol.eps_len
+    for k in range(24):
+        ux, uy = math.cos(2.0 * math.pi * k / 24), math.sin(2.0 * math.pi * k / 24)
+        d = reach + (k % 5 - 2) * 2e-16 * reach
+        mx, my = cx + d * ux, cy + d * uy
+        ts.append(facing_left(k + 1, (mx - w / 2.0 * uy, my + w / 2.0 * ux), (mx + w / 2.0 * uy, my - w / 2.0 * ux)))
+    return scen(ts, sensor, w=side, h=side)
+
+
+PAIR_SCENES = {
+    "bcpf-140-r30": lambda: bench_family(3000, n=140, r_max=30.0, n_obstacles=0),
+    "bcpf-400-r10": lambda: bench_family(3000, n=400, r_max=10.0, n_obstacles=0),
+    "bench-3000": lambda: bench_family(3000),
+    "bench-7000": lambda: bench_family(7000),
+    "reach-ring-0.5": lambda: reach_ring_pairs(0.5),
+    "reach-ring-20": lambda: reach_ring_pairs(20.0),
+    "reach-ring-3e4": lambda: reach_ring_pairs(3e4),
+}
+
+
+@pytest.mark.parametrize("name", list(PAIR_SCENES))
+def test_interacting_pairs_match_every_pair(name):
+    s = PAIR_SCENES[name]()
+    want = interacting_pairs(s)
+    assert _interacting_pairs(s) == want
+    if name.startswith("reach-ring"):   # the first target's pairs fall on both sides of its reach
+        assert 0 < sum((0, k) in want for k in range(1, 25)) < 24
+    else:
+        assert 0 < len(want) < s.n * (s.n - 1) // 2
+
+
 def piece_bounds(p):
     """(box, radius) of piece p, as the pruning sees it."""
     return discretize._piece_boxes([p]), curve_table([p], pieces=True).circle[:, 2]
 
 
 def kept_pair(p, q, eps):
-    """Whether the pruning keeps piece pair (p, q), at the smallest extent."""
-    bp, bq = piece_bounds(p), piece_bounds(q)
-    ext = discretize._extent([bp, bq], [])
-    grown = [discretize._grow_boxes(box, radius, eps, ext) for box, radius in (bp, bq)]
-    return bool(discretize._boxes_meet(*grown)[0, 0])
+    """Whether the pruning keeps piece pair (p, q), at the two pieces' extent."""
+    (bp, rp), (bq, rq) = piece_bounds(p), piece_bounds(q)
+    box, radius = np.concatenate([bp, bq]), np.concatenate([rp, rq])
+    grown = discretize._grow_boxes(box, radius, eps, discretize._extent(box, radius, np.zeros((0, 3))))
+    return len(geom.box_pairs(grown[:, :2], grown[:, 2:])[0]) == 1
 
 
 def kept_ring(p, circle, eps):
     """Whether the pruning keeps piece p against view circle `circle`."""
     box, radius = piece_bounds(p)
     ring = np.array([(*circle.center, circle.radius)])
-    ext = discretize._extent([(box, radius)], [ring])
+    ext = discretize._extent(box, radius, ring)
     return bool(discretize._reaches_ring(discretize._grow_boxes(box, radius, eps, ext), ring, eps, ext)[0, 0])
 
 

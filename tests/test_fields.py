@@ -206,7 +206,7 @@ def test_interacting_blockers_filter():
     far = Obstacle(0, ((60.0, 60.0), (61.0, 60.0)))
     near = Obstacle(1, ((0.25, 1.0), (0.75, 1.0)))
     s = scen([T0], SENSOR_2, [far, near])
-    segs = interacting_blockers(T0, s)
+    (segs,) = interacting_blockers([T0], s)
     assert len(segs) == 1
     assert segs[0][0].a == (0.25, 1.0)
 
@@ -289,7 +289,7 @@ def test_cpf_survives_radial_occluder():
 
     reg = cpf(t, s)
     assert len(reg.loops) >= 1
-    blockers = interacting_blockers(t, s)
+    blockers = interacting_blockers([t], s)[0]
     rng = random.Random(4)
     checked = 0
     for _ in range(400):
@@ -376,7 +376,7 @@ def test_cpf_matches_exact_occlusion_on_walled_scenes():
         rng = random.Random(k)
         for t in s.targets:
             reg = cpf(t, s)
-            blockers = interacting_blockers(t, s)
+            blockers = interacting_blockers([t], s)[0]
             reach = s.sensor.r_max + t.width
             m = t.midpoint
             for _ in range(400):
@@ -404,7 +404,7 @@ def test_cpf_builds_once_and_agrees_on_its_probe_fan(monkeypatch):
         before = len(builds)
         reg = cpf(t, s)
         assert len(builds) - before == 1, f"target {t.id}: {len(builds) - before} builds"
-        blockers = interacting_blockers(t, s)
+        blockers = interacting_blockers([t], s)[0]
         for q in probe_fan(t, s.sensor):
             if boundary_distance(reg, q) > 1e-6 and contains(reg, q) != exact_contains(t, s, q, blockers):
                 bad.append((t.id, q))
@@ -429,7 +429,7 @@ def test_cpf_keeps_every_covered_point_beside_edge_on_walls():
             wall = Obstacle(0, (place(1.5, h), place(6.0, h)))
             s = scen([t], sensor, [wall], w=60.0, h=60.0)
             reg = cpf(t, s)
-            blockers = interacting_blockers(t, s)
+            blockers = interacting_blockers([t], s)[0]
             exact = abs(h) < 1e-8 or abs(h) > 1e-4
             for _ in range(300):
                 p = place(rng.uniform(-9.0, 10.0), rng.uniform(-9.0, 9.0))

@@ -1,12 +1,14 @@
 """Geometry kernel tests: frozen examples plus randomized properties."""
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from camplan import geom
 from camplan.geom import (
     EPS,
     TWO_PI,
@@ -20,12 +22,14 @@ from camplan.geom import (
     Tolerance,
     angle_between,
     bearing,
+    box_pairs,
     curve_table,
     intersections,
     norm_angle,
     point_segment_distance,
     region_from_curves,
     segment_blocks_triangle,
+    segment_boxes,
     segment_segment_distance,
     wrap_pi,
 )
@@ -300,6 +304,38 @@ def test_segment_segment_distance():
     d = Segment((2.000000007770287, 2.999999972803996), (9.000000007770288, 4.999999972803995))
     e = Segment((16.00000000777029, 6.999999972803996), (23.00000000777029, 8.999999972803996))
     assert segment_segment_distance(d, e) == pytest.approx(math.dist(d.b, e.a))
+
+
+# lattice segments: boxes that touch along an edge or at a corner, and boxes
+# of zero extent (axis-parallel segments and points)
+lattice_segments = st.lists(st.tuples(*[st.tuples(st.integers(0, 6), st.integers(0, 6))] * 2).map(
+    lambda ends: Segment(*[(float(x), float(y)) for x, y in ends])), max_size=12)
+
+
+def all_box_pairs(lo, hi, lo_b, hi_b, one):
+    """Reference: every (i, j) pair tested, j > i over one set."""
+    return [(i, j) for i in range(len(lo)) for j in range(len(lo_b)) if (j > i or not one)
+            and all(lo[i][d] <= hi_b[j][d] and lo_b[j][d] <= hi[i][d] for d in (0, 1))]
+
+
+@given(lattice_segments, st.none() | lattice_segments, st.sampled_from([0.0, 0.5]))
+@example([], None, 0.0)
+@example([], [Segment((1.0, 1.0), (1.0, 3.0))], 0.0)
+@example([Segment((1.0, 1.0), (1.0, 3.0))], [], 0.5)
+@settings(max_examples=300)
+def test_box_pairs_match_all_pairs(first, second, pad):
+    lo, hi = segment_boxes(first, pad)
+    assert lo.tolist() == [[min(s.a[d], s.b[d]) - pad for d in (0, 1)] for s in first]
+    assert hi.tolist() == [[max(s.a[d], s.b[d]) + pad for d in (0, 1)] for s in first]
+    lo_b, hi_b = (lo, hi) if second is None else segment_boxes(second, pad)
+    want = all_box_pairs(lo.tolist(), hi.tolist(), lo_b.tolist(), hi_b.tolist(), second is None)
+    # one block, a row a block (a budget of 1, and one below a row), and
+    # blocks of two rows
+    for budget in (geom._PAIR_BUDGET, 1, max(len(lo_b) - 1, 1), 2 * len(lo_b) + 1):
+        with mock.patch.object(geom, "_PAIR_BUDGET", budget):
+            i, j = box_pairs(lo, hi) if second is None else box_pairs(lo, hi, lo_b, hi_b)
+        assert i.dtype == j.dtype == np.int64
+        assert list(zip(i.tolist(), j.tolist())) == want
 
 
 def test_point_arc_distance():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camplan import model
+from camplan import geom
 from camplan.fields import covers
 from camplan.geom import Tolerance, segment_segment_distance
 from camplan.model import (
@@ -157,8 +157,8 @@ def touching_layouts(draw):
 @given(touching_layouts())
 def test_validate_overlap_prefilter_matches_all_pairs(s):
     want = all_pairs_overlaps(s)
-    for budget in (model._PAIR_BUDGET, 7):   # one block, and blocks of a row or less
-        with mock.patch.object(model, "_PAIR_BUDGET", budget):
+    for budget in (geom._PAIR_BUDGET, 7):   # one block, and blocks of a row or less
+        with mock.patch.object(geom, "_PAIR_BUDGET", budget):
             errors = validate_scenario(s).errors
         assert [str(e) for e in errors if e.entity.startswith("targets ")] == want
 
@@ -186,8 +186,8 @@ def test_validate_obstacle_on_target_prefilter_matches_all_pairs(s, data):
     obstacles = tuple(Obstacle(k, (t.start, t.end)) for k, (t, w) in enumerate(zip(s.targets, walls)) if w)
     s = Scenario(s.width, s.height, s.sensor, targets, obstacles)
     want = obstacle_on_target_errors(s)
-    for budget in (model._PAIR_BUDGET, 3):
-        with mock.patch.object(model, "_PAIR_BUDGET", budget):
+    for budget in (geom._PAIR_BUDGET, 3):
+        with mock.patch.object(geom, "_PAIR_BUDGET", budget):
             got = [str(e) for e in validate_scenario(s).errors if "lies on target" in str(e)]
         assert sorted(got) == sorted(want)
 
