@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .discretize import CandidateSet
-from .geom import Segment, segment_segment_distance
+from .geom import Segment, Tolerance, segment_segment_distance
 from .model import (
     CameraPlacement,
     Obstacle,
@@ -53,8 +53,13 @@ class GenParams:
 def check_params(p: GenParams) -> None:
     """Raise ValueError (PackingError when too dense) for parameters that
     `random_scenario` rejects whatever the seed."""
-    if p.width <= 0 or p.height <= 0 or p.target_width <= 0 or p.n_targets < 0:
+    for name in ("width", "height", "target_width", "min_separation", "margin"):
+        if not math.isfinite(getattr(p, name) or 0.0):
+            raise ValueError(f"{name} must be finite, got {getattr(p, name)}")
+    if p.width <= 0 or p.height <= 0 or p.target_width <= 0:
         raise ValueError("generation parameters must be positive")
+    if p.n_targets < 0 or p.n_obstacles < 0:
+        raise ValueError("n_targets and n_obstacles must be >= 0")
     if p.separation < 0:
         raise ValueError("min_separation must be >= 0")
     if p.margin < 0:
@@ -78,11 +83,18 @@ def random_scenario(p: GenParams, sensor: SensorSpec) -> Scenario:
     Obstacles, when requested, are free-standing walls one target-width long,
     packed under the same gap rule.  A positive margin keeps every segment away
     from the area edges, where cell-centred viewpoint grids cannot reach.
+
+    A draw is tested only against segments whose drawn midpoints share its cell
+    or one of the eight around it (side w + gap + 2 eps_len, w = target_width),
+    so generation is linear in n.  The cut is exact: length-w segments whose
+    midpoints lie over w + gap apart are over gap apart, and the scene's eps_len
+    exceeds the rounding of endpoints and distances at every admitted area size.
     """
     check_params(p)
     rng = random.Random(p.seed)
     half = p.target_width / 2.0
-    placed: list[Segment] = []
+    cell = p.target_width + p.separation + 2.0 * Tolerance.for_diameter(math.hypot(p.width, p.height)).eps_len
+    grid: dict[tuple[int, int], list[Segment]] = {}
     rejects = 0
 
     def sample_segment() -> tuple:
@@ -95,15 +107,18 @@ def random_scenario(p: GenParams, sensor: SensorSpec) -> Scenario:
             start = (mx - half * dx, my - half * dy)
             end = (mx + half * dx, my + half * dy)
             seg = Segment(start, end)
+            cx, cy = math.floor(mx / cell), math.floor(my / cell)
             ok = (
                 p.margin <= min(start[0], end[0])
                 and max(start[0], end[0]) <= p.width - p.margin
                 and p.margin <= min(start[1], end[1])
                 and max(start[1], end[1]) <= p.height - p.margin
-                and all(segment_segment_distance(seg, q) >= p.separation for q in placed)
+                and all(segment_segment_distance(seg, q) >= p.separation
+                        for i in (cx - 1, cx, cx + 1) for j in (cy - 1, cy, cy + 1)
+                        for q in grid.get((i, j), ()))
             )
             if ok:
-                placed.append(seg)
+                grid.setdefault((cx, cy), []).append(seg)
                 return start, end, (-dy, dx)
             rejects += 1
             if rejects >= MAX_REJECTS:

@@ -11,15 +11,19 @@
 - the config table of a list of `CandidateConfig`s, which tests hand to
   `select.greedy_cover` in place of the table the sweep emits;
 - the target pairs whose fields can meet, over every pair, which
-  `discretize._interacting_pairs` prefilters with `geom.box_pairs`.
+  `discretize._interacting_pairs` prefilters with `geom.box_pairs`;
+- scenario generation that tests each draw against every placed segment,
+  which `scenario.random_scenario` cuts to the neighbouring grid cells.
 
 Each batched form is the scalar code here, run as array passes.
 """
 import math
+import random
 from typing import Callable
 
 import numpy as np
 
+import camplan.scenario as scenario
 from camplan.geom import (
     EPS,
     TWO_PI,
@@ -36,9 +40,10 @@ from camplan.geom import (
     _reverse_piece,
     norm_angle,
     point_segment_distance,
+    segment_segment_distance,
     wrap_pi,
 )
-from camplan.model import CandidateConfig, ConfigTable, Scenario
+from camplan.model import CandidateConfig, ConfigTable, Obstacle, Scenario, SensorSpec, Target
 
 
 def batched(inside: Callable[[Point], bool]) -> Callable[[np.ndarray], np.ndarray]:
@@ -381,6 +386,54 @@ def interacting_pairs(s: Scenario) -> list[tuple[int, int]]:
             if math.dist(ti.midpoint, tj.midpoint) <= reach + s.tol.eps_len:
                 out.append((i, j))
     return out
+
+
+# --- scenario generation ----------------------------------------------------
+
+def all_pairs_scenario(p: scenario.GenParams, sensor: SensorSpec) -> Scenario:
+    """`scenario.random_scenario` with each draw distance-tested against every
+    segment placed so far; it reads `scenario.MAX_REJECTS` when it runs."""
+    scenario.check_params(p)
+    rng = random.Random(p.seed)
+    half = p.target_width / 2.0
+    placed: list[Segment] = []
+    rejects = 0
+
+    def sample_segment() -> tuple:
+        nonlocal rejects
+        while True:
+            mx = rng.uniform(0.0, p.width)
+            my = rng.uniform(0.0, p.height)
+            omega = rng.uniform(0.0, math.tau)
+            dx, dy = math.cos(omega), math.sin(omega)
+            start = (mx - half * dx, my - half * dy)
+            end = (mx + half * dx, my + half * dy)
+            seg = Segment(start, end)
+            ok = (
+                p.margin <= min(start[0], end[0])
+                and max(start[0], end[0]) <= p.width - p.margin
+                and p.margin <= min(start[1], end[1])
+                and max(start[1], end[1]) <= p.height - p.margin
+                and all(segment_segment_distance(seg, q) >= p.separation for q in placed)
+            )
+            if ok:
+                placed.append(seg)
+                return start, end, (-dy, dx)
+            rejects += 1
+            if rejects >= scenario.MAX_REJECTS:
+                raise scenario.PackingError(
+                    f"packing failed after {scenario.MAX_REJECTS} rejected attempts")
+
+    targets = []
+    for i in range(p.n_targets):
+        start, end, normal = sample_segment()
+        targets.append(Target(id=i, start=start, end=end, normal=normal))
+    obstacles = []
+    for i in range(p.n_obstacles):
+        start, end, _ = sample_segment()
+        obstacles.append(Obstacle(id=i, chain=(start, end)))
+    return Scenario(width=float(p.width), height=float(p.height), sensor=sensor,
+                    targets=tuple(targets), obstacles=tuple(obstacles))
 
 
 # --- greedy's viewing direction -------------------------------------------

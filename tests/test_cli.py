@@ -195,6 +195,21 @@ def test_generate_rejects_infeasible_packing(tmp_path, capsys):
     assert "invalid input" in err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--target-width", "nan"], "target_width must be finite"),
+    (["--margin", "nan"], "margin must be finite"),
+    (["--min-sep", "nan"], "min_separation must be finite"),
+    (["--min-sep", "inf"], "min_separation must be finite"),
+    (["--obstacles", "-3"], "n_obstacles must be >= 0"),
+])
+def test_generate_refuses_non_finite_or_negative_parameters(tmp_path, capsys, flags, named):
+    out = tmp_path / "x.json"
+    code, _, err = run(["generate", "--n", "3", *flags, "--out", str(out)], capsys)
+    assert code == 3
+    assert "invalid input" in err and named in err
+    assert not out.exists()
+
+
 def test_grid_dead_band_is_infeasible(tmp_path, capsys):
     # wall-hugging target facing the nearest edge: every interior grid point
     # sits behind it, so the grid algorithm has nothing to offer

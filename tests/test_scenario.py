@@ -1,6 +1,7 @@
 """Generator and file-format tests."""
 import json
 import math
+import random
 
 import pytest
 from scipy import stats
@@ -13,6 +14,7 @@ from camplan.scenario import (
     PackingError,
     ParseError,
     ValidationFailure,
+    check_params,
     parse_candidates,
     parse_scenario,
     parse_solution,
@@ -21,6 +23,8 @@ from camplan.scenario import (
     serialize_scenario,
     serialize_solution,
 )
+
+from oracles import all_pairs_scenario
 
 SENSOR = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=30.0, phi_deg=90.0)
 
@@ -80,6 +84,117 @@ def test_packing_stall_reports_attempts(monkeypatch):
             GenParams(width=10.0, height=10.0, n_targets=8, min_separation=2.5, seed=0),
             SENSOR,
         )
+
+
+def _document_or_error(generate, p: GenParams, sensor: SensorSpec) -> str:
+    try:
+        return serialize_scenario(generate(p, sensor))
+    except PackingError as e:
+        return f"PackingError: {e}"
+
+
+# The bench families (100 x 100 m, margin 3), dense small areas where most
+# draws are rejected, gaps of 0 and of 2.5 target widths (a cell wider than
+# 2w), obstacles, margins and a target width other than 1.
+_DIFFERENTIAL = [
+    *(GenParams(n_targets=n, n_obstacles=k, margin=3.0, seed=seed)
+      for n, k in ((140, 0), (400, 0), (25, 25)) for seed in range(4)),
+    *(GenParams(width=12.0, height=12.0, n_targets=n, seed=seed)
+      for n in (30, 34) for seed in range(3)),
+    GenParams(width=12.0, height=12.0, n_targets=20, n_obstacles=10, margin=0.5, seed=1),
+    GenParams(width=30.0, height=30.0, n_targets=60, min_separation=0.0, seed=2),
+    GenParams(width=40.0, height=40.0, n_targets=40, min_separation=2.5, seed=3),
+    GenParams(width=50.0, height=20.0, n_targets=30, n_obstacles=20, margin=2.0,
+              target_width=0.7, min_separation=1.3, seed=4),
+    GenParams(width=1e6, height=1e6, n_targets=50, target_width=1e4, seed=5),
+    GenParams(width=1e-3, height=1e-3, n_targets=10, target_width=1e-5, seed=6),
+]
+
+
+@pytest.mark.parametrize("p", _DIFFERENTIAL)
+def test_generation_matches_the_all_pairs_scan(p):
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=10.0, phi_deg=90.0)
+    got = _document_or_error(random_scenario, p, sensor)
+    assert not got.startswith("PackingError")
+    assert got == _document_or_error(all_pairs_scenario, p, sensor)
+
+
+def test_packing_stall_matches_the_all_pairs_scan(monkeypatch):
+    draws = 0
+    uniform = random.Random.uniform
+
+    def counted(self, a, b):
+        nonlocal draws
+        draws += 1
+        return uniform(self, a, b)
+
+    monkeypatch.setattr(random.Random, "uniform", counted)
+    p = GenParams(width=12.0, height=12.0, n_targets=34, seed=2)
+    stalls = 0
+    for limit in (1, 5, 20, 60, 1000):
+        monkeypatch.setattr(scenario, "MAX_REJECTS", limit)
+        seen = []
+        for generate in (random_scenario, all_pairs_scenario):
+            draws = 0
+            seen.append((_document_or_error(generate, p, SENSOR), draws))
+        assert seen[0] == seen[1]
+        stalls += seen[0][0].startswith("PackingError")
+    assert 0 < stalls < 5
+
+
+def test_the_cell_pad_keeps_a_pair_that_rounding_rejects(monkeypatch):
+    # Collinear unit segments with a gap of 0.7389124772227574: their drawn
+    # midpoints lie in cells 0 and 2 of side w + gap, yet their rounded
+    # distance is one ulp below the gap, so the all-pairs scan rejects the
+    # second draw and places the third.
+    draws = [1.738912477222757, 50.0, 0.0, 3.4778249544455146, 50.0, 0.0, 80.0, 80.0, 0.0]
+    p = GenParams(n_targets=2, min_separation=0.7389124772227574)
+    docs = []
+    for generate in (random_scenario, all_pairs_scenario):
+        script = iter(draws)
+        monkeypatch.setattr(random.Random, "uniform", lambda self, a, b: next(script))
+        s = generate(p, SENSOR)
+        assert s.targets[1].midpoint == (80.0, 80.0)
+        docs.append(serialize_scenario(s))
+    assert docs[0] == docs[1]
+
+
+def test_separation_tests_stay_local(monkeypatch):
+    calls = draws = 0
+    distance = scenario.segment_segment_distance
+    segment = scenario.Segment
+
+    def counted_distance(a, b):
+        nonlocal calls
+        calls += 1
+        return distance(a, b)
+
+    def counted_segment(a, b):
+        nonlocal draws
+        draws += 1
+        return segment(a, b)
+
+    monkeypatch.setattr(scenario, "segment_segment_distance", counted_distance)
+    monkeypatch.setattr(scenario, "Segment", counted_segment)
+    random_scenario(GenParams(n_targets=1000, margin=3.0, seed=0), SENSOR)
+    # the all-pairs scan tests each draw against every placed segment, about
+    # 800,000 calls here
+    assert draws >= 1000
+    assert calls <= 5 * draws
+
+
+@pytest.mark.parametrize("field", ["width", "height", "target_width", "min_separation", "margin"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_generation_parameters_are_refused(field, value):
+    p = GenParams(n_targets=3, **{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        check_params(p)
+
+
+def test_negative_counts_are_refused():
+    for p in (GenParams(n_targets=-1), GenParams(n_targets=3, n_obstacles=-3)):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            random_scenario(p, SENSOR)
 
 
 def test_obstacle_generation():
