@@ -324,8 +324,7 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
     y = my[ray] + r * uy[ray]
 
     tj = ray_t[ray]
-    eps_ang = np.array([tol.eps_ang for tol in tols])
-    keep, unsure = clause_verdicts(x, y, idx.cols(tj), sensor, eps_len[tj], eps_ang[tj])
+    keep, unsure = clause_verdicts(x, y, idx.cols(tj), sensor, eps_len[tj])
     for k in np.flatnonzero(unsure).tolist():
         keep[k] = covers(ts[tj[k]], (float(x[k]), float(y[k])), sensor, tols[tj[k]])
     xy = _clamp_to_area(np.stack([x[keep], y[keep]], axis=1), s)

@@ -26,6 +26,7 @@ from .geom import (
     Circle,
     Curve,
     DegenerateError,
+    EPS_ANG,
     Point,
     Region,
     Segment,
@@ -119,7 +120,7 @@ def covers(
     occlusion; without one, occlusion, the one costly clause, is skipped once
     another clause fails.
     """
-    eps, eps_ang = tol.eps_len, tol.eps_ang
+    eps = tol.eps_len
     r_max = sensor.r_max
     d_s = math.dist(x, t.start)
     d_e = math.dist(x, t.end)
@@ -129,11 +130,11 @@ def covers(
     vx = x[0] - (t.start[0] + t.end[0]) / 2.0
     vy = x[1] - (t.start[1] + t.end[1]) / 2.0
     facing_angle = angle_between(t.normal, (vx, vy)) if math.hypot(vx, vy) > eps else math.pi
-    facing = facing_angle <= sensor.phi + eps_ang
+    facing = facing_angle <= sensor.phi + EPS_ANG
 
     theta = sensor.theta
     if vd is None:
-        view = in_range and (theta >= math.pi or subtended_angle(t, x) <= theta + eps_ang)
+        view = in_range and (theta >= math.pi or subtended_angle(t, x) <= theta + EPS_ANG)
     else:
         slack = -math.pi   # bearings are defined once the range clause holds
         if in_range:
@@ -145,7 +146,7 @@ def covers(
                 # endpoints', here through vd + pi: a wide cone's blind spot
                 spread = math.pi
             slack = theta / 2.0 - spread
-        view = in_range and slack >= -eps_ang
+        view = in_range and slack >= -EPS_ANG
     ok = in_range and facing and view
     if report is not None:
         clauses, margins = report
@@ -280,7 +281,7 @@ def _region(t: Target, sensor: SensorSpec, blockers: list[Segment]) -> Region:
         if orientation(seg.a, seg.b, t.start) * orientation(seg.a, seg.b, t.end) >= 0]
     curves += occlusion_fan(t, blockers, d, tol.eps_len)
     inside = _field_inside(t, sensor, tol, blockers)
-    return region_from_curves(curves, inside, offset=offset, snap=snap, eps=snap)
+    return region_from_curves(curves, inside, offset=offset, snap=snap)
 
 
 def _field_inside(t: Target, sensor: SensorSpec, tol: Tolerance, blockers: list[Segment]):
@@ -293,7 +294,7 @@ def _field_inside(t: Target, sensor: SensorSpec, tol: Tolerance, blockers: list[
 
     def inside(p: np.ndarray) -> np.ndarray:
         x, y = p[:, 0], p[:, 1]
-        keep, unsure = clause_verdicts(x, y, (sx, sy, ex, ey, *t.normal), sensor, tol.eps_len, tol.eps_ang)
+        keep, unsure = clause_verdicts(x, y, (sx, sy, ex, ey, *t.normal), sensor, tol.eps_len)
         for k in np.flatnonzero(unsure).tolist():
             keep[k] = covers(t, (float(x[k]), float(y[k])), sensor, tol)
         k = np.flatnonzero(keep)

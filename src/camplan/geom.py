@@ -24,7 +24,8 @@ Point = tuple[float, float]
 
 TWO_PI = 2.0 * math.pi
 
-# Absolute fallbacks; scene-scaled values come from `Tolerance` below.
+# The absolute length fallback (scene-scaled lengths come from `Tolerance`
+# below) and the one angular tolerance, in radians.
 EPS = 1e-9
 EPS_ANG = 1e-12
 
@@ -35,10 +36,9 @@ class DegenerateError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class Tolerance:
-    """Scene-scaled comparison tolerances used by every predicate."""
+    """Scene-scaled length tolerance used by every predicate."""
 
     eps_len: float
-    eps_ang: float = EPS_ANG
 
     @staticmethod
     def for_diameter(diameter: float) -> "Tolerance":
@@ -599,23 +599,22 @@ def region_from_curves(
     *,
     offset: float,
     snap: float,
-    eps: float = EPS,
 ) -> Region:
     """Extract the boundary of {p : inside(p)} from a set of candidate curves.
 
     The true region boundary must be covered by the given curves.  Curves are
-    split at mutual intersections; a sub-piece is kept iff `inside` disagrees
-    across it (sampled `offset` away on each side), oriented with the inside on
-    the left; kept pieces are chained into loops with endpoints snapped to
-    `snap`.  Loops smaller than 10x snap across are discarded as slivers.
+    split at mutual intersections found at tolerance `snap`; a sub-piece is
+    kept iff `inside` disagrees across it (sampled `offset` away on each side),
+    oriented with the inside on the left; kept pieces are chained into loops
+    with endpoints snapped to `snap`.  Loops smaller than 10x snap across are discarded as slivers.
     `inside` takes every probe at once, an (m, 2) array, and returns m bools.
     """
     curves = _dedupe_curves(list(curves), snap)
-    cuts = _cuts(curves, eps)
+    cuts = _cuts(curves, snap)
 
     pieces: list[Piece] = []
     for curve, ts in zip(curves, cuts):
-        pieces.extend(_split_curve(curve, ts, eps))
+        pieces.extend(_split_curve(curve, ts, snap))
     pieces = _dedupe_pieces(pieces, snap)
 
     kept = [pc for pc in _classify_pieces(pieces, inside, offset) if pc is not None]

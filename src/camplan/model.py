@@ -2,13 +2,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .geom import (Point, Segment, Tolerance, box_pairs, point_segment_distance, segment_boxes,
-                   segment_segment_distance)
+from .geom import (EPS_ANG, Point, Segment, Tolerance, box_pairs, point_segment_distance,
+                   segment_boxes, segment_segment_distance)
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,12 +164,6 @@ class ConfigTable:
             tuple(self.mid_bearings[a:b].tolist()),
         )
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConfigTable):
-            return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
-                   for f in fields(self))
-
 
 @dataclass
 class Solution:
@@ -225,7 +219,7 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         err(ValidationIssue("sensor", f"r_min {sensor.r_min} >= r_max {sensor.r_max}"))
     if sensor.r_max > MAX_LENGTH:
         err(ValidationIssue("sensor", f"r_max beyond {MAX_LENGTH:g}"))
-    if not (0.0 < sensor.phi <= math.pi / 2.0 + tol.eps_ang):
+    if not (0.0 < sensor.phi <= math.pi / 2.0 + EPS_ANG):
         err(ValidationIssue("sensor", f"phi {sensor.phi_deg} deg outside (0, 90]"))
 
     seen_ids: set[int] = set()

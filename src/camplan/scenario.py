@@ -185,9 +185,18 @@ def _document(obj: dict) -> str:
 
 def _loads(text: str):
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from None
+
+
+def _object(pairs: list) -> dict:
+    """A JSON object; a repeated key, of which json keeps only the last, is refused."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ParseError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return obj
 
 
 def _field(obj, key, path: str):
@@ -327,7 +336,10 @@ def parse_solution(text: str) -> Solution:
         try:
             tid = int(key)
         except ValueError:
-            raise ParseError(f"$.assignment: target id {key!r} is not an integer") from None
+            tid = None
+        # canonical decimal only: "01", "1_0" and " 7" would alias other ids
+        if tid is None or str(tid) != key:
+            raise ParseError(f"$.assignment: target id {key!r} is not a canonical decimal integer")
         assignment[tid] = _integer(idx, f"$.assignment[{key}]")
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
@@ -344,22 +356,3 @@ def serialize_candidates(cs: CandidateSet) -> str:
         "params": dict(cs.params),
         "uncoverable": list(cs.uncoverable),
     })
-
-
-def parse_candidates(text: str) -> CandidateSet:
-    doc = _loads(text)
-    points = [_point(q, f"$.points[{k}]") for k, q in enumerate(_array(doc.get("points", []), "$.points"))]
-    prov = _array(doc.get("provenance", []), "$.provenance")
-    if len(prov) != len(points):
-        raise ParseError("$.provenance: length does not match points")
-    for k, tag in enumerate(prov):
-        if not isinstance(tag, str):
-            raise ParseError(f"$.provenance[{k}]: expected a string")
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise ParseError("$.params: expected an object")
-    unc = tuple(
-        _integer(v, f"$.uncoverable[{k}]")
-        for k, v in enumerate(_array(doc.get("uncoverable", []), "$.uncoverable"))
-    )
-    return CandidateSet(points=points, provenance=list(prov), params=params, uncoverable=unc)

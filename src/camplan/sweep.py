@@ -21,7 +21,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .geom import TWO_PI, Point, _mod_2pi_np, _norm_angle_np
+from .geom import EPS_ANG, TWO_PI, _mod_2pi_np, _norm_angle_np
 from .model import CandidateConfig, ConfigTable, Scenario
 
 
@@ -75,19 +75,18 @@ def _seg_point_dist_np(px, py, ax, ay, bx, by):
     return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
-def clause_slacks(x, y, cols, sensor, eps_len, eps_ang, facing=True):
+def clause_slacks(x, y, cols, sensor, eps_len):
     """Slacks of the coverage clauses that need neither a viewing direction nor
-    occlusion, for camera (x[k], y[k]) and the target whose columns
-    (sx, sy, ex, ey, nx, ny) are entry k of `cols` (see `ScenarioIndex.cols`;
-    scalars serve one target): both endpoints farther than eps_len and within
-    r_max, outside the r_min band (given r_min > 0), the midpoint farther than
-    eps_len; the facing angle (unless `facing` is false) and, given theta < pi,
-    the subtended angle.
+    occlusion, facing aside (`_facing_slack`), for camera (x[k], y[k]) and the
+    target whose columns (sx, sy, ex, ey, nx, ny) are entry k of `cols` (see
+    `ScenarioIndex.cols`; scalars serve one target): both endpoints farther
+    than eps_len and within r_max, outside the r_min band (given r_min > 0),
+    the midpoint farther than eps_len; given theta < pi, the subtended angle.
 
     Returns (length slacks, angle slacks), two lists of per-camera arrays, one
-    array per clause; a camera passes every clause exactly when all its slacks
-    are >= 0.  eps_len and eps_ang are scalars or per-camera arrays."""
-    sx, sy, ex, ey, nx, ny = cols
+    array per clause; a camera passes these clauses exactly when all its
+    slacks are >= 0.  eps_len is a scalar or a per-camera array."""
+    sx, sy, ex, ey = cols[:4]
     d_s = np.hypot(sx - x, sy - y)
     d_e = np.hypot(ex - x, ey - y)
     vmx = x - (sx + ex) / 2.0
@@ -98,20 +97,20 @@ def clause_slacks(x, y, cols, sensor, eps_len, eps_ang, facing=True):
                np.hypot(vmx, vmy) - above]
     if sensor.r_min > 0.0:
         lengths.append(_seg_point_dist_np(x, y, sx, sy, ex, ey) - (sensor.r_min - eps_len))
-    angles = [_facing_slack(vmx, vmy, nx, ny, sensor, eps_ang)] if facing else []
+    angles = []
     if sensor.theta < math.pi:
         vsx, vsy = sx - x, sy - y
         vex, vey = ex - x, ey - y
         cross = np.abs(vsx * vey - vsy * vex)
         dot = vsx * vex + vsy * vey
-        angles.append((sensor.theta + eps_ang) - np.arctan2(cross, dot))
+        angles.append((sensor.theta + EPS_ANG) - np.arctan2(cross, dot))
     return lengths, angles
 
 
-def _facing_slack(vmx, vmy, nx, ny, sensor, eps_ang):
+def _facing_slack(vmx, vmy, nx, ny, sensor):
     """Slack of the facing clause for a camera offset (vmx, vmy) from the
     midpoint of a target with normal (nx, ny)."""
-    return (sensor.phi + eps_ang) - np.arctan2(np.abs(nx * vmy - ny * vmx), nx * vmx + ny * vmy)
+    return (sensor.phi + EPS_ANG) - np.arctan2(np.abs(nx * vmy - ny * vmx), nx * vmx + ny * vmy)
 
 
 # np.hypot and np.arctan2 may differ from math's in the last bits, far below
@@ -120,12 +119,15 @@ _LEN_MARGIN = 1e-3
 _ANG_MARGIN = 1e-12
 
 
-def clause_verdicts(x, y, cols, sensor, eps_len, eps_ang):
-    """(holds, unsure): per camera, whether every `clause_slacks` clause holds
-    with a slack beyond the margins above, and whether some slack lies within
-    them and none fails beyond them.  A camera that is neither fails; an unsure
-    one needs `fields.covers` (without vd or scenario) to decide."""
-    lengths, angles = clause_slacks(x, y, cols, sensor, eps_len, eps_ang)
+def clause_verdicts(x, y, cols, sensor, eps_len):
+    """(holds, unsure): per camera, whether every `clause_slacks` clause and
+    the facing clause hold with a slack beyond the margins above, and whether
+    some slack lies within them and none fails beyond them.  A camera that is
+    neither fails; an unsure one needs `fields.covers` (without vd or scenario)
+    to decide."""
+    sx, sy, ex, ey, nx, ny = cols
+    lengths, angles = clause_slacks(x, y, cols, sensor, eps_len)
+    angles.append(_facing_slack(x - (sx + ex) / 2.0, y - (sy + ey) / 2.0, nx, ny, sensor))
     margins = [_LEN_MARGIN * eps_len] * len(lengths) + [_ANG_MARGIN] * len(angles)
     fails = np.logical_or.reduce([slack < -m for slack, m in zip(lengths + angles, margins)])
     holds = np.logical_and.reduce([slack > m for slack, m in zip(lengths + angles, margins)])
@@ -133,8 +135,8 @@ def clause_verdicts(x, y, cols, sensor, eps_len, eps_ang):
 
 
 def _cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
-    """(point, target) index pairs passing the `clause_slacks` clauses at the
-    scene tolerance, point-major with targets in index order."""
+    """(point, target) index pairs passing the facing and `clause_slacks`
+    clauses at the scene tolerance, point-major with targets in index order."""
     sensor, eps_len = idx.scenario.sensor, idx.tol.eps_len
     # the range clause puts both endpoints, so the midpoint too, within
     # r_max + eps_len: a squared distance with slack picks the candidates,
@@ -150,10 +152,9 @@ def _cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
     tj = near[k]
     # the facing clause fails for about half the candidates, so it goes first
     x, y = block[pi, 0], block[pi, 1]
-    f = np.flatnonzero(_facing_slack(x - idx.mx[tj], y - idx.my[tj], idx.nx[tj], idx.ny[tj], sensor,
-                                     idx.tol.eps_ang) >= 0.0)
+    f = np.flatnonzero(_facing_slack(x - idx.mx[tj], y - idx.my[tj], idx.nx[tj], idx.ny[tj], sensor) >= 0.0)
     pi, tj = pi[f], tj[f]
-    lengths, angles = clause_slacks(x[f], y[f], idx.cols(tj), sensor, eps_len, idx.tol.eps_ang, facing=False)
+    lengths, angles = clause_slacks(x[f], y[f], idx.cols(tj), sensor, eps_len)
     keep = np.logical_and.reduce([slack >= 0.0 for slack in lengths + angles])
     return pi[keep], tj[keep]
 
@@ -304,8 +305,8 @@ def _subsets(pts: np.ndarray, pi, tj, idx: ScenarioIndex):
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), np.zeros(0),
               np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
     x, y = pts[pi, 0], pts[pi, 1]
-    theta, eps_ang = idx.scenario.sensor.theta, idx.tol.eps_ang
-    limit = theta + eps_ang
+    theta = idx.scenario.sensor.theta
+    limit = theta + EPS_ANG
     b1 = np.arctan2(idx.sy[tj] - y, idx.sx[tj] - x)
     b2 = np.arctan2(idx.ey[tj] - y, idx.ex[tj] - x)
     diff = _mod_2pi_np(b2 - b1 + math.pi) - math.pi
@@ -337,7 +338,7 @@ def _subsets(pts: np.ndarray, pi, tj, idx: ScenarioIndex):
             # re-verify angular containment at vd_rep (range/facing already hold)
             cone_lo = lo_a + span / 2.0 - theta / 2.0
             off = _mod_2pi_np(lo_m[gm] - cone_lo[:, None])
-            off = np.where(off > TWO_PI - eps_ang, 0.0, off)
+            off = np.where(off > TWO_PI - EPS_ANG, 0.0, off)
             ok = (~rows | (off + wd_m[gm] <= limit)).all(axis=1)
             gm, rows, span, lo_a = gm[ok], rows[ok], span[ok], lo_a[ok]
             r, c = np.nonzero(rows)
@@ -368,11 +369,6 @@ class PointGroups(Sequence):
     def __getitem__(self, k: int) -> list[CandidateConfig]:
         k = range(len(self))[k]
         return [self.table[i] for i in range(self.ptr[k], self.ptr[k + 1])]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PointGroups):
-            return NotImplemented
-        return np.array_equal(self.ptr, other.ptr) and self.table == other.table
 
 
 def _z_order(pts: np.ndarray) -> np.ndarray:
@@ -433,8 +429,3 @@ def sweep_points(points, s: Scenario) -> PointGroups:
         mid_bearings=mids[q],
     )
     return PointGroups(table, np.searchsorted(point, np.arange(pts.shape[0] + 1)))
-
-
-def sweep(x: Point, s: Scenario) -> list[CandidateConfig]:
-    """Maximal simultaneously coverable target subsets at x with their vd windows."""
-    return sweep_points([x], s)[0]

@@ -9,7 +9,8 @@
 - greedy's window, direction and deviation rules, which `select._aim`
   applies to many configs at once;
 - the config table of a list of `CandidateConfig`s, which tests hand to
-  `select.greedy_cover` in place of the table the sweep emits;
+  `select.greedy_cover` in place of the table the sweep emits, and array
+  equality of config tables and of the sweep's point groups;
 - the target pairs whose fields can meet, over every pair, which
   `discretize._interacting_pairs` prefilters with `geom.box_pairs`;
 - scenario generation that tests each draw against every placed segment,
@@ -17,6 +18,7 @@
 
 Each batched form is the scalar code here, run as array passes.
 """
+import dataclasses
 import math
 import random
 from typing import Callable
@@ -519,3 +521,13 @@ def from_configs(configs, targets) -> ConfigTable:
         interval_hi=per_member("interval_hi"),
         mid_bearings=per_member("mid_bearings"),
     )
+
+
+def tables_equal(a: ConfigTable, b: ConfigTable) -> bool:
+    """Every array of table a equals the same array of table b."""
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(ConfigTable))
+
+
+def groups_equal(a, b) -> bool:
+    """Two `sweep_points` results split equal tables at equal points."""
+    return np.array_equal(a.ptr, b.ptr) and tables_equal(a.table, b.table)

@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 from camplan import cli
 from camplan.cli import CSV_COLUMNS, _parse_algo_spec, main
 from camplan.discretize import MAX_GRID_POINTS
-from camplan.geom import DegenerateError
+from camplan.geom import EPS_ANG, DegenerateError
 from camplan.model import CameraPlacement, Solution
-from camplan.scenario import parse_candidates, parse_scenario, parse_solution, serialize_solution
+from camplan.scenario import parse_scenario, parse_solution, serialize_solution
 from camplan.select import verify_solution
 
 
@@ -96,7 +96,7 @@ def test_verify_prints_the_extreme_slacks_of_covered_targets(small_scenario, tmp
         assert float(fields["angular_slack_min"]) == pytest.approx(min(m["angular_slack"] for m in covered), rel=1e-5)
         assert float(fields["facing_angle_max"]) == pytest.approx(max(m["facing_angle"] for m in covered), rel=1e-5)
         assert float(fields["range_slack_min"]) >= -s.tol.eps_len
-        assert float(fields["facing_angle_max"]) <= s.sensor.phi + s.tol.eps_ang
+        assert float(fields["facing_angle_max"]) <= s.sensor.phi + EPS_ANG
     assert 0 < sum(c.ok for c in verify_solution(s, moved).checks) < len(s.targets)
 
 
@@ -120,6 +120,29 @@ def test_verify_rejects_missing_placement_index(small_scenario, tmp_path, capsys
     code, _, err = run(["verify", str(small_scenario), str(sol_path)], capsys)
     assert code == 2
     assert "missing placements" in err
+
+
+def test_verify_refuses_an_assignment_key_that_is_not_a_canonical_id(small_scenario, tmp_path, capsys):
+    sol_path = tmp_path / "sol.json"
+    assert run(["solve", str(small_scenario), "--out", str(sol_path)], capsys)[0] == 0
+    text = sol_path.read_text()
+    assert '"0": ' in text
+    sol_path.write_text(text.replace('"0": ', '"01": ', 1))
+    code, _, err = run(["verify", str(small_scenario), str(sol_path)], capsys)
+    assert code == 2
+    assert "parse error" in err and "canonical" in err
+
+
+def test_verify_refuses_a_repeated_key(small_scenario, tmp_path, capsys):
+    sol_path = tmp_path / "sol.json"
+    assert run(["solve", str(small_scenario), "--out", str(sol_path)], capsys)[0] == 0
+    text = sol_path.read_text()
+    assert '"0": ' in text
+    # json alone would keep the last "0" and verify the solution as written
+    sol_path.write_text(text.replace('"assignment": {', '"assignment": {"0": 99,', 1))
+    code, _, err = run(["verify", str(small_scenario), str(sol_path)], capsys)
+    assert code == 2
+    assert "repeated key '0'" in err
 
 
 def test_malformed_json_is_a_parse_error(tmp_path, capsys):
@@ -300,9 +323,9 @@ def test_candidates_dump_round_trip(small_scenario, tmp_path, capsys):
          "--out", str(dump)], capsys)
     assert code == 0
     assert "candidates=9" in out
-    cs = parse_candidates(dump.read_text())
-    assert len(cs.points) == 9
-    assert len(cs.provenance) == 9
+    doc = json.loads(dump.read_text())
+    assert len(doc["points"]) == 9
+    assert doc["provenance"] == ["grid"] * 9
 
 
 def test_algo_spec_parsing():

@@ -16,6 +16,7 @@ from camplan.fields import (
     occlusion_excluded,
 )
 from camplan.geom import (
+    EPS_ANG,
     Point,
     Segment,
     Tolerance,
@@ -64,9 +65,9 @@ def bcpf_contains(t: Target, sensor: SensorSpec, p: Point, tol: Tolerance | None
     if sensor.r_min > 0.0 and point_segment_distance(p, t.segment) < sensor.r_min - tol.eps_len:
         return False
     theta = sensor.theta
-    if theta < math.pi and subtended_angle(t, p) > theta + tol.eps_ang:
+    if theta < math.pi and subtended_angle(t, p) > theta + EPS_ANG:
         return False
-    return facing(t, p, sensor.phi, tol.eps_ang)
+    return facing(t, p, sensor.phi, EPS_ANG)
 
 
 def cpf_contains(
@@ -93,9 +94,9 @@ def coverable(x: Point, t: Target, s: Scenario, blockers=None) -> bool:
         return False
     if sensor.r_min > 0.0 and point_segment_distance(x, t.segment) < sensor.r_min - tol.eps_len:
         return False
-    if sensor.theta < math.pi and subtended_angle(t, x) > sensor.theta + tol.eps_ang:
+    if sensor.theta < math.pi and subtended_angle(t, x) > sensor.theta + EPS_ANG:
         return False
-    if not facing(t, x, sensor.phi, tol.eps_ang):
+    if not facing(t, x, sensor.phi, EPS_ANG):
         return False
     return not occlusion_excluded(t, x, s, blockers)
 
@@ -106,7 +107,7 @@ def is_fully_covered(t: Target, cam: CameraPlacement, s: Scenario) -> bool:
     if not coverable(cam.position, t, s):
         return False
     theta = s.sensor.theta
-    eps = s.tol.eps_ang
+    eps = EPS_ANG
     cone_lo = cam.vd - theta / 2.0
     for endpoint in (t.start, t.end):
         off = norm_angle(bearing(cam.position, endpoint) - cone_lo)
@@ -142,12 +143,12 @@ def _check_target(t, cam: CameraPlacement, s: Scenario) -> TargetCheck:
         facing_angle = math.atan2(abs(t.normal[0] * vy - t.normal[1] * vx),
                                   t.normal[0] * vx + t.normal[1] * vy)
     margins["facing_angle"] = facing_angle
-    clauses["facing"] = facing_angle <= sensor.phi + tol.eps_ang
+    clauses["facing"] = facing_angle <= sensor.phi + EPS_ANG
 
     if clauses["range"]:
         spread = max(abs(wrap_pi(bearing(x, e) - cam.vd)) for e in (t.start, t.end))
         margins["angular_slack"] = sensor.theta / 2.0 - spread
-        clauses["view_angle"] = margins["angular_slack"] >= -tol.eps_ang
+        clauses["view_angle"] = margins["angular_slack"] >= -EPS_ANG
     else:
         margins["angular_slack"] = -math.pi
         clauses["view_angle"] = False
@@ -291,7 +292,7 @@ def test_scene_tolerance_verdicts_match_old_predicates(s, data):
                 continue
             clauses: dict = {}
             covers(t, p, sensor, tol, report=(clauses, {}))
-            assert clauses["facing"] == facing(t, p, sensor.phi, tol.eps_ang), (t, p)
+            assert clauses["facing"] == facing(t, p, sensor.phi, EPS_ANG), (t, p)
             if on_range_threshold(p, t, sensor, tol.eps_len):
                 continue
             assert covers(t, p, sensor, tol, scenario=s) == coverable(p, t, s), (t, p)
@@ -412,9 +413,9 @@ def test_covers_report_binds_its_verdict(s, data):
                     apart = min(math.dist(p, t.start), math.dist(p, t.end)) > tol.eps_len
                     assert clauses["range"] == (apart and margins["range_slack"] >= -tol.eps_len
                                                 and margins["inner_slack"] >= -tol.eps_len), (t, p, margins)
-                    assert clauses["facing"] == (margins["facing_angle"] <= sensor.phi + tol.eps_ang), (t, p)
+                    assert clauses["facing"] == (margins["facing_angle"] <= sensor.phi + EPS_ANG), (t, p)
                     if vd is not None:
-                        assert clauses["view_angle"] == (margins["angular_slack"] >= -tol.eps_ang), (t, p, vd)
+                        assert clauses["view_angle"] == (margins["angular_slack"] >= -EPS_ANG), (t, p, vd)
 
 
 # --- blocker selection against the plain scan it replaced ----------------------------
@@ -473,18 +474,18 @@ def test_interacting_blockers_match_plain_scan_on_bench_scenes():
 
 def near_a_threshold(p: Point, t: Target, s: Scenario) -> bool:
     """Some clause quantity within 1e-9 of its threshold."""
-    sensor, eps, eps_ang = s.sensor, s.tol.eps_len, s.tol.eps_ang
+    sensor, eps = s.sensor, s.tol.eps_len
     d_s, d_e = math.dist(p, t.start), math.dist(p, t.end)
     m = t.midpoint
     v = (p[0] - m[0], p[1] - m[1])
     gaps = [d_s - eps, d_e - eps, sensor.r_max + eps - d_s, sensor.r_max + eps - d_e,
             math.hypot(*v) - eps]
     if math.hypot(*v) > 0.0:
-        gaps.append(sensor.phi + eps_ang - angle_between(t.normal, v))
+        gaps.append(sensor.phi + EPS_ANG - angle_between(t.normal, v))
     if sensor.r_min > 0.0:
         gaps.append(point_segment_distance(p, t.segment) - (sensor.r_min - eps))
     if sensor.theta < math.pi and min(d_s, d_e) > 0.0:
-        gaps.append(sensor.theta + eps_ang - subtended_angle(t, p))
+        gaps.append(sensor.theta + EPS_ANG - subtended_angle(t, p))
     return any(abs(g) < 1e-9 for g in gaps)
 
 

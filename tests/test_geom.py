@@ -445,6 +445,6 @@ def test_batched_piece_vote_matches_the_scalar_vote():
 def test_tolerance_for_diameter():
     t = Tolerance.for_diameter(141.4)
     assert t.eps_len == pytest.approx(1.414e-7)
-    assert t.eps_ang == 1e-12
+    assert geom.EPS_ANG == 1e-12
     small = Tolerance.for_diameter(0.0)
     assert small.eps_len == pytest.approx(1e-9)

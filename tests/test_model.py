@@ -262,7 +262,7 @@ def facing(t, p, phi):
     """The facing clause of the coverage reference at p, with an angle tolerance of 1e-12."""
     clauses: dict = {}
     covers(t, p, SensorSpec(aov_deg=180.0, r_min=0.0, r_max=100.0, phi_deg=math.degrees(phi)),
-           Tolerance(eps_len=1e-9, eps_ang=1e-12), report=(clauses, {}))
+           Tolerance(eps_len=1e-9), report=(clauses, {}))
     return clauses["facing"]
 
 

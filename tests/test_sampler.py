@@ -14,7 +14,7 @@ from camplan import discretize
 from camplan.cli import build_candidates
 from camplan.discretize import _TAG_RANK, CandidateSet, _dedupe, bcpf_sample
 from camplan.fields import covers, field_tolerance, subtended_angle
-from camplan.geom import Point
+from camplan.geom import EPS_ANG, Point
 from camplan.model import Scenario, SensorSpec, Target
 from camplan.scenario import GenParams, random_scenario
 from camplan.sweep import ScenarioIndex, _cheap_pairs
@@ -178,7 +178,7 @@ def test_bcpf_sample_borderline_samples_go_to_covers(monkeypatch):
     t = Target(0, (20.0, 20.0), (21.0, 20.0), (0.0, 1.0))
     wide = Scenario(40.0, 40.0, SensorSpec(aov_deg=170.0, r_min=0.0, r_max=5.0), (t,))
     p = min(bcpf_sample(wide, 0.1, 0.7).points, key=lambda q: math.dist(q, t.midpoint))
-    limit = subtended_angle(t, p) - wide.tol.eps_ang
+    limit = subtended_angle(t, p) - EPS_ANG
     calls = []
 
     def counting(*args, **kwargs):

@@ -15,7 +15,6 @@ from camplan.scenario import (
     ParseError,
     ValidationFailure,
     check_params,
-    parse_candidates,
     parse_scenario,
     parse_solution,
     random_scenario,
@@ -306,6 +305,36 @@ def test_solution_parse_rejects_bad_assignment():
         parse_solution('{"placements": [], "assignment": {"x7": 0}}')
 
 
+@pytest.mark.parametrize("key", ["01", "1_0", " +7 ", "+7", "7 ", "-0", "0x1", "１", "²", "", "1" * 5000])
+def test_solution_parse_refuses_a_key_that_is_not_a_canonical_id(key):
+    # int() reads most of these, and a "1" beside "01" would be merged with it
+    with pytest.raises(ParseError, match="canonical"):
+        parse_solution(json.dumps({"placements": [], "assignment": {"1": 0, key: 1}}))
+
+
+def test_solution_parse_keeps_canonical_ids():
+    doc = {"placements": [], "assignment": {"0": 0, "10": 1, "-7": 2, str(1 << 63): 3}}
+    assert parse_solution(json.dumps(doc)).assignment == {0: 0, 10: 1, -7: 2, 1 << 63: 3}
+
+
+@pytest.mark.parametrize("text", [
+    '{"placements": [], "assignment": {"1": 0, "1": 1}}',
+    '{"placements": [], "placements": [], "assignment": {}}',
+    '{"placements": [{"position": [0, 0], "vd_deg": 0, "vd_deg": 90}], "assignment": {}}',
+    '{"placements": [], "assignment": {}, "meta": {"a": {"b": 1, "b": 1}}}',
+])
+def test_solution_parse_refuses_a_repeated_key(text):
+    with pytest.raises(ParseError, match="repeated key"):
+        parse_solution(text)
+
+
+def test_scenario_parse_refuses_a_repeated_key():
+    text = serialize_scenario(random_scenario(GenParams(n_targets=2, seed=1), SENSOR))
+    assert '"r_max": 30' in text
+    with pytest.raises(ParseError, match="repeated key 'r_max'"):
+        parse_scenario(text.replace('"r_max": 30', '"r_max": 30, "r_max": 1', 1))
+
+
 # --- candidate dumps ---------------------------------------------------------------
 
 def test_candidates_round_trip():
@@ -315,13 +344,10 @@ def test_candidates_round_trip():
         params={"algo": "grid", "grid_eps": 5.0},
         uncoverable=(2,),
     )
-    back = parse_candidates(serialize_candidates(cs))
-    assert back.points == cs.points
-    assert back.provenance == cs.provenance
-    assert back.params == cs.params
-    assert back.uncoverable == cs.uncoverable
-
-
-def test_candidates_length_mismatch():
-    with pytest.raises(ParseError, match="provenance"):
-        parse_candidates('{"points": [[0, 0]], "provenance": []}')
+    back = json.loads(serialize_candidates(cs))
+    assert back == {
+        "points": [[1.5, 2.5], [3.0, 4.0]],
+        "provenance": ["grid", "grid"],
+        "params": {"algo": "grid", "grid_eps": 5.0},
+        "uncoverable": [2],
+    }

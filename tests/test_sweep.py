@@ -12,11 +12,11 @@ import camplan
 import camplan.sweep as sweep_module
 from camplan.cli import solution_f1
 from camplan.fields import covers
-from camplan.geom import Segment, bearing, norm_angle, segment_blocks_triangle, wrap_pi
+from camplan.geom import EPS_ANG, Segment, bearing, norm_angle, segment_blocks_triangle, wrap_pi
 from camplan.model import CameraPlacement, Obstacle, Scenario, SensorSpec, Solution, Target
-from camplan.sweep import sweep, sweep_points
+from camplan.sweep import sweep_points
 
-from oracles import boundary_distance, contains, optimal_vd, subset_window
+from oracles import boundary_distance, contains, groups_equal, optimal_vd, subset_window
 
 DEG = math.pi / 180.0
 SENSOR = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=2.0, phi_deg=90.0)
@@ -137,14 +137,14 @@ def test_interval_order_and_width():
 # --- sweep ----------------------------------------------------------------------
 
 def test_sweep_empty():
-    assert sweep((50.0, 50.0), scen([T0])) == []
+    assert sweep_points([(50.0, 50.0)], scen([T0]))[0] == []
 
 
 def test_sweep_two_targets_one_window():
     t1 = arc_target(1, 10.0, 20.0)
     t2 = arc_target(2, 30.0, 40.0)
     s = scen([t1, t2])
-    cfgs = sweep((0.0, 0.0), s)
+    cfgs = sweep_points([(0.0, 0.0)], s)[0]
     assert len(cfgs) == 1
     cfg = cfgs[0]
     assert cfg.covered == (1, 2)
@@ -157,7 +157,7 @@ def test_sweep_far_apart_targets_two_windows():
     t1 = arc_target(1, 0.0, 20.0)
     t2 = arc_target(2, 170.0, 190.0)
     s = scen([t1, t2])
-    cfgs = sweep((0.0, 0.0), s)
+    cfgs = sweep_points([(0.0, 0.0)], s)[0]
     assert len(cfgs) == 2
     assert sorted(c.covered for c in cfgs) == [(1,), (2,)]
 
@@ -165,7 +165,7 @@ def test_sweep_far_apart_targets_two_windows():
 def test_sweep_wraparound():
     t1 = arc_target(1, 350.0, 355.0)
     t2 = arc_target(2, 5.0, 10.0)
-    cfgs = sweep((0.0, 0.0), scen([t1, t2]))
+    cfgs = sweep_points([(0.0, 0.0)], scen([t1, t2]))[0]
     assert len(cfgs) == 1
     assert cfgs[0].covered == (1, 2)
 
@@ -174,7 +174,7 @@ def test_sweep_soundness_examples():
     t1 = arc_target(1, 10.0, 20.0)
     t2 = arc_target(2, 30.0, 40.0)
     s = scen([t1, t2])
-    for cfg in sweep((0.0, 0.0), s):
+    for cfg in sweep_points([(0.0, 0.0)], s)[0]:
         for tid in cfg.covered:
             t = next(x for x in s.targets if x.id == tid)
             assert is_fully_covered(t, CameraPlacement(cfg.position, cfg.vd_rep), s)
@@ -216,7 +216,7 @@ def cfg_optimal_vd(cfg, mode="f1"):
 def test_optimize_vd_single_target_zero_deviation():
     t1 = arc_target(1, 10.0, 20.0)
     s = scen([t1])
-    (cfg,) = sweep((0.0, 0.0), s)
+    (cfg,) = sweep_points([(0.0, 0.0)], s)[0]
     alpha = cfg_optimal_vd(cfg)
     assert f1_at(cfg, alpha) == pytest.approx(0.0, abs=1e-9)
     assert alpha == pytest.approx(15 * DEG, abs=1e-9)
@@ -243,7 +243,7 @@ def brute_force_maximal(x, s):
     """Oracle: maximal co-coverable subsets by exhaustive subset enumeration."""
     cov = [t for t in s.targets if coverable(x, t, s)]
     theta = s.sensor.theta
-    eps = s.tol.eps_ang
+    eps = EPS_ANG
     ivals = {t.id: target_interval(x, t) for t in cov}
 
     def fits(sub):
@@ -274,7 +274,7 @@ def test_sweep_matches_brute_force():
     for trial in range(40):
         s = random_scene(rng, rng.randint(1, 8))
         x = (rng.uniform(0, 20), rng.uniform(0, 20))
-        got = {frozenset(c.covered) for c in sweep(x, s)}
+        got = {frozenset(c.covered) for c in sweep_points([x], s)[0]}
         want = brute_force_maximal(x, s)
         assert got == want, f"trial {trial} at {x}"
 
@@ -289,7 +289,7 @@ def test_sweep_soundness_random():
         d = rng.uniform(0.3, 2.8)
         jx, jy = rng.uniform(-1, 1), rng.uniform(-1, 1)
         x = (t.midpoint[0] + t.normal[0] * d + jx, t.midpoint[1] + t.normal[1] * d + jy)
-        for cfg in sweep(x, s):
+        for cfg in sweep_points([x], s)[0]:
             alpha = cfg_optimal_vd(cfg)
             for tid in cfg.covered:
                 t = next(t for t in s.targets if t.id == tid)
@@ -304,7 +304,7 @@ def test_f1_grid_optimality():
     for _ in range(25):
         s = random_scene(rng, rng.randint(2, 6))
         x = (rng.uniform(0, 20), rng.uniform(0, 20))
-        for cfg in sweep(x, s):
+        for cfg in sweep_points([x], s)[0]:
             alpha = cfg_optimal_vd(cfg)
             best = f1_at(cfg, alpha)
             steps = max(int(cfg.vd_window / 0.001), 1)
@@ -318,7 +318,7 @@ def test_optimal_vd_rotation_equivariant():
     t1 = arc_target(1, 10.0, 20.0)
     t2 = arc_target(2, 50.0, 60.0)
     s = scen([t1, t2])
-    (cfg,) = sweep((0.0, 0.0), s)
+    (cfg,) = sweep_points([(0.0, 0.0)], s)[0]
     base = cfg_optimal_vd(cfg)
     for _ in range(10):
         rot = rng.uniform(0, 2 * math.pi)
@@ -328,7 +328,7 @@ def test_optimal_vd_rotation_equivariant():
             return (c * p[0] - sn * p[1], c * p[1] + sn * p[0])
 
         ts = [Target(t.id, mv(t.start), mv(t.end), mv(t.normal)) for t in (t1, t2)]
-        (cfg2,) = sweep((0.0, 0.0), scen(ts))
+        (cfg2,) = sweep_points([(0.0, 0.0)], scen(ts))[0]
         alpha2 = cfg_optimal_vd(cfg2)
         assert wrap_pi(alpha2 - base - rot) == pytest.approx(0.0, abs=1e-9)
 
@@ -337,7 +337,7 @@ def test_subset_window_widens():
     t1 = arc_target(1, 10.0, 20.0)
     t2 = arc_target(2, 30.0, 40.0)
     s = scen([t1, t2])
-    (cfg,) = sweep((0.0, 0.0), s)
+    (cfg,) = sweep_points([(0.0, 0.0)], s)[0]
     lo, window = subset_window(cfg, [1], s.sensor.theta)
     assert window > cfg.vd_window
     # window for just t1: [20 - 50, 10 + 50] degrees
@@ -360,8 +360,6 @@ def test_verifier_against_region_membership():
 
 def test_sweep_module_is_not_shadowed():
     assert camplan.sweep is sweep_module
-    assert callable(camplan.sweep.sweep)
-    assert camplan.sweep.sweep((50.0, 50.0), scen([T0])) == []
 
 
 # --- batched kernel against the scalar references -----------------------------------
@@ -408,7 +406,7 @@ def levelwise_maximal(x, s):
     """Oracle for many coverable targets: every feasible subset, grown one
     target at a time (a subset of a feasible set is feasible), then the maximal ones."""
     cov = [t for t in s.targets if coverable(x, t, s)]
-    limit = s.sensor.theta + s.tol.eps_ang
+    limit = s.sensor.theta + EPS_ANG
     ivals = {t.id: target_interval(x, t) for t in cov}
 
     def fits(sub):
@@ -493,9 +491,9 @@ def test_sweep_points_independent_of_chunking(monkeypatch):
         assert sum(map(len, whole)) > 0
         for chunk in (1, 7, 128):
             monkeypatch.setattr(sweep_module, "_CHUNK", chunk)
-            assert sweep_points(points, scene) == whole
+            assert groups_equal(sweep_points(points, scene), whole)
         # one point per subset batch and one pair per occlusion batch
         monkeypatch.setattr(sweep_module, "_BUDGET", 1)
         monkeypatch.setattr(sweep_module, "_CHUNK", 50)
-        assert sweep_points(points, scene) == whole
+        assert groups_equal(sweep_points(points, scene), whole)
         monkeypatch.undo()

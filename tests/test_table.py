@@ -18,6 +18,7 @@ import pytest
 
 from camplan import sweep as sweep_module
 from camplan.cli import build_candidates, run_pipeline
+from camplan.geom import EPS_ANG
 from camplan.model import CandidateConfig, Obstacle, Scenario, SensorSpec, Target
 from camplan.scenario import GenParams, random_scenario, serialize_solution
 from camplan.select import greedy_cover
@@ -33,7 +34,7 @@ from camplan.sweep import (
     sweep_points,
 )
 
-from oracles import from_configs
+from oracles import from_configs, tables_equal
 
 
 def oracle_cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
@@ -41,7 +42,6 @@ def oracle_cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
     facing clauses, point-major with targets in index order."""
     s = idx.scenario.sensor
     eps_len = idx.tol.eps_len
-    eps_ang = idx.tol.eps_ang
     # the range clause puts both endpoints, so the midpoint too, within
     # r_max + eps_len: a squared distance with slack picks the candidates
     reach = (s.r_max + 2.0 * eps_len) * (1.0 + 1e-12)
@@ -61,13 +61,13 @@ def oracle_cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
         vex, vey = ex - x, ey - y
         cross = np.abs(vsx * vey - vsy * vex)
         dot = vsx * vex + vsy * vey
-        keep &= np.arctan2(cross, dot) <= s.theta + eps_ang
+        keep &= np.arctan2(cross, dot) <= s.theta + EPS_ANG
     nx, ny = idx.nx[tj], idx.ny[tj]
     vmx = x - idx.mx[tj]
     vmy = y - idx.my[tj]
     fcross = np.abs(nx * vmy - ny * vmx)
     fdot = nx * vmx + ny * vmy
-    keep &= np.arctan2(fcross, fdot) <= s.phi + eps_ang
+    keep &= np.arctan2(fcross, fdot) <= s.phi + EPS_ANG
     keep &= np.hypot(vmx, vmy) > eps_len
     return pi[keep], tj[keep]
 
@@ -146,8 +146,7 @@ def oracle_sweep_chunk(block: np.ndarray, idx: ScenarioIndex, source: int) -> li
     x, y = block[pi, 0], block[pi, 1]
 
     theta = idx.scenario.sensor.theta
-    eps_ang = idx.tol.eps_ang
-    limit = theta + eps_ang
+    limit = theta + EPS_ANG
     b1 = np.arctan2(idx.sy[tj] - y, idx.sx[tj] - x)
     b2 = np.arctan2(idx.ey[tj] - y, idx.ex[tj] - x)
     diff = np.remainder(b2 - b1 + math.pi, TWO_PI) - math.pi
@@ -187,7 +186,7 @@ def oracle_sweep_chunk(block: np.ndarray, idx: ScenarioIndex, source: int) -> li
         # re-verify angular containment at vd_rep (range/facing already hold)
         cone_lo = lo_a + span / 2.0 - theta / 2.0
         off = np.remainder(lo_p[gm] - cone_lo[:, None], TWO_PI)
-        off = np.where(off > TWO_PI - eps_ang, 0.0, off)
+        off = np.where(off > TWO_PI - EPS_ANG, 0.0, off)
         ok = (~rows | (off + wd_p[gm] <= limit)).all(axis=1)
         gm, rows, span, lo_a = gm[ok], rows[ok], span[ok], lo_a[ok]
         if gm.size == 0:
@@ -333,7 +332,7 @@ def test_table_solves_to_the_bytes_of_its_configs(name):
     s, points = SCENES[name]()
     configs = [cfg for group in oracle_sweep_points(points, s) for cfg in group]
     table = sweep_points(points, s).table
-    assert table == from_configs(configs, s.targets)
+    assert tables_equal(table, from_configs(configs, s.targets))
     algo = "comprehensive" if "comprehensive" in name else name.split("-")[0]
     for mode in ("f1", "none", "finf"):
         want = serialize_solution(greedy_cover(from_configs(configs, s.targets), s, vd_mode=mode))
