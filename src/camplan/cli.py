@@ -40,6 +40,8 @@ EXIT_VALIDATION = 3
 EXIT_INFEASIBLE = 4
 EXIT_SELFCHECK = 5
 
+EPS_A, GRID_EPS = 0.1, 2.0   # default bcpf angular step (radians) and grid spacing (meters)
+
 CSV_COLUMNS = [
     "algo", "seed", "n", "aov_deg", "r_max", "eps_a", "eps_r", "grid_eps",
     "cameras", "runtime_ms", "candidates", "total_f1", "status",
@@ -69,8 +71,8 @@ def build_candidates(s: Scenario, algo: str, eps_a: float, eps_r: float | None,
     raise ValueError(f"unknown algorithm {algo!r}")
 
 
-def run_pipeline(s: Scenario, algo: str, *, eps_a: float = 0.1, eps_r: float | None = None,
-                 grid_eps: float = 2.0, vd_mode: str = "f1") -> SolveResult:
+def run_pipeline(s: Scenario, algo: str, *, eps_a: float = EPS_A, eps_r: float | None = None,
+                 grid_eps: float = GRID_EPS, vd_mode: str = "f1") -> SolveResult:
     """Candidate generation, angular sweep, greedy selection. The reported
     runtime covers exactly these three stages."""
     t0 = time.perf_counter()
@@ -124,10 +126,10 @@ def _add_sensor_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_algo_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--algo", choices=["comprehensive", "bcpf", "grid"], default="bcpf")
-    p.add_argument("--eps-a", type=float, default=0.1, help="bcpf angular step, radians")
+    p.add_argument("--eps-a", type=float, default=EPS_A, help="bcpf angular step, radians")
     p.add_argument("--eps-r", type=float, default=None,
                    help="bcpf radial step, meters (default: r_max, one outer ring)")
-    p.add_argument("--grid-eps", type=float, default=2.0, help="grid spacing, meters")
+    p.add_argument("--grid-eps", type=float, default=GRID_EPS, help="grid spacing, meters")
 
 
 # --- subcommands ----------------------------------------------------------------
@@ -213,12 +215,12 @@ def _parse_algo_spec(spec: str) -> dict:
             raise ValueError(f"comprehensive takes no parameters: {spec!r}")
         return {"algo": name, "eps_a": None, "eps_r": None, "grid_eps": None}
     if name == "bcpf":
-        eps_a = float(parts[1]) if len(parts) > 1 else 0.1
+        eps_a = float(parts[1]) if len(parts) > 1 else EPS_A
         eps_r = float(parts[2]) if len(parts) > 2 else None
         return {"algo": name, "eps_a": eps_a, "eps_r": eps_r, "grid_eps": None}
     if name == "grid":
         return {"algo": name, "eps_a": None, "eps_r": None,
-                "grid_eps": float(parts[1]) if len(parts) > 1 else 2.0}
+                "grid_eps": float(parts[1]) if len(parts) > 1 else GRID_EPS}
     raise ValueError(f"unknown algorithm spec {spec!r}")
 
 

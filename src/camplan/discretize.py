@@ -15,7 +15,7 @@ import numpy as np
 from .fields import aov_pair, covers, cpf, field_tolerance
 from .geom import (CurveTable, DegenerateError, Piece, Point, Segment, box_pairs, circle_table, curve_table,
                    intersections)
-from .model import Scenario, Target
+from .model import MAX_LENGTH, Scenario, Target
 from .sweep import ScenarioIndex, clause_verdicts
 
 _TAG_RANK = {"cpf-critical": 0, "cpf-x-cpf": 1, "cpf-x-aov": 2, "bcpf-sample": 3, "grid": 4}
@@ -89,9 +89,16 @@ def comprehensive_candidates(s: Scenario) -> CandidateSet:
     comment after this function)."""
     if s.sensor.r_min > 0.0:
         raise ValueError("comprehensive candidates require r_min = 0")
-    if any(t.width > s.sensor.r_max / 2.0 + s.tol.eps_len for t in s.targets):
+    if any(t.width > s.sensor.r_max / 2.0 + s.eps_len for t in s.targets):
         raise ValueError("comprehensive candidates require target width <= r_max/2")
-    eps = s.tol.eps_len
+    # the longest chord a view circle is drawn on: a target's own, or one joining
+    # ends across a pair whose midpoints lie within 2 r_max plus both widths
+    theta = s.sensor.theta
+    chord = 2.0 * s.sensor.r_max + 3.0 * max((t.width for t in s.targets), default=0.0)
+    if theta < math.pi and chord / (2.0 * math.sin(theta)) > MAX_LENGTH:
+        raise ValueError(f"a {s.sensor.aov_deg:g} deg angle of view puts view-angle circles "
+                         f"beyond {MAX_LENGTH:g}")
+    eps = s.eps_len
     regions = [cpf(t, s) for t in s.targets]
     uncoverable = tuple(t.id for t, reg in zip(s.targets, regions) if reg.is_empty())
 
@@ -237,7 +244,7 @@ def _reaches_ring(box: np.ndarray, rings: np.ndarray, eps: float, ext: float) ->
 def _interacting_pairs(s: Scenario) -> list[tuple[int, int]]:
     """Index pairs (i < j, in row-major order) whose placement fields could
     touch, midpoints within 2 r_max plus both widths (others cannot meet)."""
-    eps = s.tol.eps_len
+    eps = s.eps_len
     mids = np.array([t.midpoint for t in s.targets], dtype=float).reshape(-1, 2)
     # boxes about the midpoints, each grown by its half of the reach and
     # padded for rounding, keep every pair the exact test below accepts
@@ -246,7 +253,7 @@ def _interacting_pairs(s: Scenario) -> list[tuple[int, int]]:
     for i, j in zip(*(a.tolist() for a in box_pairs(mids - grow, mids + grow))):
         ti, tj = s.targets[i], s.targets[j]
         reach = 2.0 * s.sensor.r_max + ti.width + tj.width
-        if math.dist(ti.midpoint, tj.midpoint) <= reach + s.tol.eps_len:
+        if math.dist(ti.midpoint, tj.midpoint) <= reach + eps:
             out.append((i, j))
     return out
 
@@ -282,8 +289,7 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
     check_steps(eps_r=eps_r)
     ts = s.targets
     psi = [-sensor.phi + (i + 0.5) * eps_a for i in range(steps)]
-    tols = [field_tolerance(t, sensor) for t in ts]
-    eps_len = np.array([tol.eps_len for tol in tols])
+    eps = [field_tolerance(t, sensor) for t in ts]
     idx = ScenarioIndex(s)
     # one ray per (target, fan step), target-major
     base = np.array([math.atan2(t.normal[1], t.normal[0]) for t in ts])
@@ -303,7 +309,7 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
         outer = np.where(disc < 0.0, -np.inf, np.where(reach < outer, reach, outer))
     # rings by repeated subtraction, which rounds as a walk inward does and
     # outer - k * eps_r does not
-    floor = np.array([max(sensor.r_min, t.width) - tol.eps_len for t, tol in zip(ts, tols)])[ray_t]
+    floor = np.array([max(sensor.r_min, t.width) - e for t, e in zip(ts, eps)])[ray_t]
     rays, radii = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     live = np.flatnonzero(outer >= floor)
     # counted before any ring is built: a step below half an ulp of the
@@ -324,11 +330,11 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
     y = my[ray] + r * uy[ray]
 
     tj = ray_t[ray]
-    keep, unsure = clause_verdicts(x, y, idx.cols(tj), sensor, eps_len[tj])
+    keep, unsure = clause_verdicts(x, y, idx.cols(tj), sensor, np.array(eps)[tj])
     for k in np.flatnonzero(unsure).tolist():
-        keep[k] = covers(ts[tj[k]], (float(x[k]), float(y[k])), sensor, tols[tj[k]])
+        keep[k] = covers(ts[tj[k]], (float(x[k]), float(y[k])), sensor, eps[tj[k]])
     xy = _clamp_to_area(np.stack([x[keep], y[keep]], axis=1), s)
-    kept = _dedupe(xy, np.full(len(xy), _TAG_RANK["bcpf-sample"]), s.tol.eps_len)
+    kept = _dedupe(xy, np.full(len(xy), _TAG_RANK["bcpf-sample"]), s.eps_len)
     return CandidateSet([tuple(p) for p in xy[kept].tolist()], ["bcpf-sample"] * len(kept),
                         params={"algo": "bcpf", "eps_a": eps_a, "eps_r": eps_r})
 

@@ -1,9 +1,11 @@
 """Placement-field construction and the scalar coverage model.
 
 `covers` is the one scalar reference for whether a camera covers a target:
-range, facing, view angle and occlusion.  Field membership, the polar sampler
-and the solution verifier (`select.verify_solution`) all call it; the sweep's
-batched kernel is its array form and never calls it, so the verifier stays
+range, facing, view angle and, given a blocker list, occlusion, all at one
+float tolerance.  Field membership and the polar sampler call it at
+`field_tolerance`; the solution verifier (`select.verify_solution`) at the
+scene's, with each target's `interacting_blockers`.  The sweep's batched
+kernel is its array form and never calls it, so the verifier stays
 independent of the sweep.
 
 For one target, the set of camera positions that can fully cover it is cut out
@@ -30,13 +32,13 @@ from .geom import (
     Point,
     Region,
     Segment,
-    Tolerance,
     angle_between,
     bearing,
     box_pairs,
     orientation,
     region_from_curves,
     point_segment_distance,
+    scaled_eps,
     segment_blocks_triangle,
     segment_boxes,
     wrap_pi,
@@ -89,38 +91,36 @@ def subtended_angle(t: Target, p: Point) -> float:
     return angle_between(u, v)
 
 
-def field_tolerance(t: Target, sensor: SensorSpec) -> Tolerance:
-    return Tolerance.for_diameter(2.0 * (sensor.r_max + t.width))
+def field_tolerance(t: Target, sensor: SensorSpec) -> float:
+    return scaled_eps(2.0 * (sensor.r_max + t.width))
 
 
 def covers(
     t: Target,
     x: Point,
     sensor: SensorSpec,
-    tol: Tolerance,
+    eps: float,
     vd: float | None = None,
-    scenario: Scenario | None = None,
-    blockers: list[tuple[Segment, int]] | None = None,
+    blockers: list[Segment] | None = None,
     report: tuple[dict, dict] | None = None,
 ) -> bool:
     """Whether a camera at x covers target t whole: the scalar coverage model.
 
-    - range: both endpoints farther than eps_len and within r_max, and the
+    - range: both endpoints farther than eps and within r_max, and the
       target outside the r_min band;
-    - facing: x farther than eps_len from the midpoint and within phi of the
+    - facing: x farther than eps from the midpoint and within phi of the
       target's normal;
     - view_angle: given vd, both endpoint bearings within theta/2 of vd and,
       for theta > pi, the bearings between them clear of the blind spot
       around vd + pi; without vd, the target subtends at most theta;
-    - occlusion, only given a scenario: no other segment enters the sight
-      triangle, at the scenario's tolerance.
+    - occlusion, only given a blocker list: none of its segments enters the
+      sight triangle, at eps.
 
     Each clause is evaluated once.  Given a (clauses, margins) pair of dicts
     it records each verdict and slack in the order range, facing, view_angle,
     occlusion; without one, occlusion, the one costly clause, is skipped once
     another clause fails.
     """
-    eps = tol.eps_len
     r_max = sensor.r_max
     d_s = math.dist(x, t.start)
     d_e = math.dist(x, t.end)
@@ -154,9 +154,9 @@ def covers(
         margins.update(range_slack=r_max - max(d_s, d_e), inner_slack=inner, facing_angle=facing_angle)
         if vd is not None:
             margins["angular_slack"] = slack
-    if scenario is None or (report is None and not ok):
+    if blockers is None or (report is None and not ok):
         return ok
-    visible = not occlusion_excluded(t, x, scenario, blockers)
+    visible = not occlusion_excluded(t, x, blockers, eps)
     if report is not None:
         clauses["occlusion"] = visible
     return ok and visible
@@ -184,11 +184,11 @@ def bcpf(t: Target, sensor: SensorSpec) -> Region:
 
 # --- occlusion -------------------------------------------------------------
 
-def interacting_blockers(targets: Sequence[Target], scenario: Scenario) -> list[list[tuple[Segment, int]]]:
-    """For each of the targets, the blocking segments close enough to matter
-    for its field, in the order of `Scenario.blockers`."""
+def interacting_blockers(targets: Sequence[Target], scenario: Scenario) -> list[list[Segment]]:
+    """For each of the targets, the other blocking segments close enough to
+    matter for its field, in the order of `Scenario.blockers`."""
     items = scenario.blockers()
-    eps = scenario.tol.eps_len
+    eps = scenario.eps_len
     mids = [t.midpoint for t in targets]
     reach = [scenario.sensor.r_max + t.width + eps for t in targets]
     # a segment is no nearer than its bounding box: midpoint boxes grown by
@@ -196,25 +196,19 @@ def interacting_blockers(targets: Sequence[Target], scenario: Scenario) -> list[
     m = np.array(mids, dtype=float).reshape(-1, 2)
     grow = np.array(reach)[:, None] + eps
     near = box_pairs(m - grow, m + grow, *segment_boxes([seg for seg, _ in items], 0.0))
-    out: list[list[tuple[Segment, int]]] = [[] for _ in targets]
+    out: list[list[Segment]] = [[] for _ in targets]
     for i, k in zip(*(a.tolist() for a in near)):
         seg, owner = items[k]
         if owner != targets[i].id and point_segment_distance(mids[i], seg) <= reach[i]:
-            out[i].append((seg, owner))
+            out[i].append(seg)
     return out
 
 
-def occlusion_excluded(
-    t: Target,
-    x: Point,
-    scenario: Scenario,
-    blockers: list[tuple[Segment, int]] | None = None,
-) -> bool:
-    """Whether any other segment blocks the sight triangle from x to the target."""
-    if blockers is None:
-        blockers = interacting_blockers([t], scenario)[0]
-    eps, base = scenario.tol.eps_len, t.segment
-    return any(segment_blocks_triangle(seg, x, base, eps) for seg, _ in blockers)
+def occlusion_excluded(t: Target, x: Point, blockers: list[Segment], eps: float) -> bool:
+    """Whether any of the blockers enters the sight triangle from x to the
+    target, at eps."""
+    base = t.segment
+    return any(segment_blocks_triangle(seg, x, base, eps) for seg in blockers)
 
 
 def occlusion_fan(t: Target, occluders: list[Segment], reach: float, eps: float) -> list[Segment]:
@@ -260,7 +254,7 @@ def cpf(t: Target, scenario: Scenario) -> Region:
     that line too thin for the offset to resolve: it is left out, and its
     sliver stays inside the region.
     """
-    return _region(t, scenario.sensor, [seg for seg, _ in interacting_blockers([t], scenario)[0]])
+    return _region(t, scenario.sensor, interacting_blockers([t], scenario)[0])
 
 
 def _region(t: Target, sensor: SensorSpec, blockers: list[Segment]) -> Region:
@@ -268,7 +262,7 @@ def _region(t: Target, sensor: SensorSpec, blockers: list[Segment]) -> Region:
         raise ValueError("region construction supports r_min = 0 only; use covers")
     d = 2.0 * (sensor.r_max + t.width)
     offset, snap = 1e-7 * d, 1e-9 * d  # classification offset, vertex snap
-    tol = field_tolerance(t, sensor)
+    eps = field_tolerance(t, sensor)
     (sx, sy), (ex, ey) = t.start, t.end
     # leave out blockers with an end a hair beside the target's line (see cpf)
     blockers = [seg for seg in blockers if not any(
@@ -279,13 +273,13 @@ def _region(t: Target, sensor: SensorSpec, blockers: list[Segment]) -> Region:
     curves = bcpf_boundary_curves(t, sensor) + [
         seg for seg in blockers
         if orientation(seg.a, seg.b, t.start) * orientation(seg.a, seg.b, t.end) >= 0]
-    curves += occlusion_fan(t, blockers, d, tol.eps_len)
-    inside = _field_inside(t, sensor, tol, blockers)
+    curves += occlusion_fan(t, blockers, d, eps)
+    inside = _field_inside(t, sensor, eps, blockers)
     return region_from_curves(curves, inside, offset=offset, snap=snap)
 
 
-def _field_inside(t: Target, sensor: SensorSpec, tol: Tolerance, blockers: list[Segment]):
-    """Membership of (m, 2) points in the exact field: `covers` at tol (its
+def _field_inside(t: Target, sensor: SensorSpec, eps: float, blockers: list[Segment]):
+    """Membership of (m, 2) points in the exact field: `covers` at eps (its
     array clauses where they clear the rounding margins), and no blocker in
     the open sight triangle at zero tolerance, one pass over every (covered
     point, blocker) pair."""
@@ -294,9 +288,9 @@ def _field_inside(t: Target, sensor: SensorSpec, tol: Tolerance, blockers: list[
 
     def inside(p: np.ndarray) -> np.ndarray:
         x, y = p[:, 0], p[:, 1]
-        keep, unsure = clause_verdicts(x, y, (sx, sy, ex, ey, *t.normal), sensor, tol.eps_len)
+        keep, unsure = clause_verdicts(x, y, (sx, sy, ex, ey, *t.normal), sensor, eps)
         for k in np.flatnonzero(unsure).tolist():
-            keep[k] = covers(t, (float(x[k]), float(y[k])), sensor, tol)
+            keep[k] = covers(t, (float(x[k]), float(y[k])), sensor, eps)
         k = np.flatnonzero(keep)
         ax, ay = (np.broadcast_to(c[k, None], (len(k), len(blockers))) for c in (x, y))
         keep[k] = ~_blocks_triangle_np(ax, ay, sx, sy, ex, ey, *ends, 0.0).any(axis=1)

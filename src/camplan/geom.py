@@ -24,7 +24,7 @@ Point = tuple[float, float]
 
 TWO_PI = 2.0 * math.pi
 
-# The absolute length fallback (scene-scaled lengths come from `Tolerance`
+# The absolute length fallback (scene-scaled lengths come from `scaled_eps`
 # below) and the one angular tolerance, in radians.
 EPS = 1e-9
 EPS_ANG = 1e-12
@@ -34,15 +34,9 @@ class DegenerateError(ValueError):
     """Raised when an operation has no meaningful answer (coincident points etc.)."""
 
 
-@dataclass(frozen=True, slots=True)
-class Tolerance:
-    """Scene-scaled length tolerance used by every predicate."""
-
-    eps_len: float
-
-    @staticmethod
-    def for_diameter(diameter: float) -> "Tolerance":
-        return Tolerance(eps_len=1e-9 * max(diameter, 1.0))
+def scaled_eps(diameter: float) -> float:
+    """The length tolerance at a diameter: a scene's, or a placement field's."""
+    return 1e-9 * max(diameter, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +303,7 @@ def circle_table(xyr: np.ndarray) -> CurveTable:
 
 
 def intersections(a: CurveTable, ia: np.ndarray, b: CurveTable, ib: np.ndarray,
-                  eps: float = EPS) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where row ia[k] of `a` meets row ib[k] of `b`, for every call k:
     (the call of each point, the (m, 2) points, which calls overlap).
 
@@ -498,7 +492,7 @@ def orientation(p: Point, q: Point, r: Point) -> int:
 # occlusion predicate
 
 
-def segment_blocks_triangle(blocker: Segment, apex: Point, base: Segment, eps: float = EPS) -> bool:
+def segment_blocks_triangle(blocker: Segment, apex: Point, base: Segment, eps: float) -> bool:
     """Whether `blocker` enters the open triangle (apex, base.a, base.b).
 
     Touching the boundary only (shared endpoints, grazing along an edge) does

@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .geom import (EPS_ANG, Point, Segment, Tolerance, box_pairs, point_segment_distance,
+from .geom import (EPS_ANG, Point, Segment, box_pairs, point_segment_distance, scaled_eps,
                    segment_boxes, segment_segment_distance)
 
 
@@ -81,8 +81,8 @@ class Scenario:
         return math.hypot(self.width, self.height)
 
     @property
-    def tol(self) -> Tolerance:
-        return Tolerance.for_diameter(self.diameter)
+    def eps_len(self) -> float:
+        return scaled_eps(self.diameter)
 
     def blockers(self) -> list[tuple[Segment, int]]:
         """All sight-blocking segments with owning target id (-1 for obstacles)."""
@@ -201,7 +201,7 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     rep = ValidationReport()
     err = rep.errors.append
     warn = rep.warnings.append
-    tol = s.tol
+    eps = s.eps_len
 
     if not (s.width > 0 and s.height > 0):
         err(ValidationIssue("area", f"non-positive area {s.width}x{s.height}"))
@@ -231,7 +231,7 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         if not -(1 << 63) <= t.id < 1 << 63:
             err(ValidationIssue(name, "id outside the signed 64-bit range"))
         w = t.width
-        if w <= tol.eps_len:
+        if w <= eps:
             err(ValidationIssue(name, "zero-width target"))
             continue
         nlen = math.hypot(*t.normal)
@@ -240,18 +240,18 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         d = ((t.end[0] - t.start[0]) / w, (t.end[1] - t.start[1]) / w)
         if abs(d[0] * t.normal[0] + d[1] * t.normal[1]) > 1e-9:
             err(ValidationIssue(name, "normal not perpendicular to segment"))
-        if not (s.in_area(t.start, tol.eps_len) and s.in_area(t.end, tol.eps_len)):
+        if not (s.in_area(t.start, eps) and s.in_area(t.end, eps)):
             err(ValidationIssue(name, "outside area"))
-        if w > sensor.r_max / 2.0 + tol.eps_len:
+        if w > sensor.r_max / 2.0 + eps:
             warn(ValidationIssue(name, f"width {w:.6g} > r_max/2 (narrow-target assumption broken)"))
 
     # segments within eps_len of each other have overlapping boxes grown by pad
-    pad = 2.0 * tol.eps_len
+    pad = 2.0 * eps
     lo, hi = segment_boxes([t.segment for t in s.targets], pad)
     for i, j in zip(*(a.tolist() for a in box_pairs(lo, hi))):
         ti, tj = s.targets[i], s.targets[j]
-        if segment_segment_distance(ti.segment, tj.segment) <= tol.eps_len:
-            if not _touch_only_at_endpoints(ti.segment, tj.segment, tol.eps_len):
+        if segment_segment_distance(ti.segment, tj.segment) <= eps:
+            if not _touch_only_at_endpoints(ti.segment, tj.segment, eps):
                 err(ValidationIssue(f"targets {ti.id},{tj.id}", "overlap (not an endpoint contact)"))
 
     seen_obstacle_ids: set[int] = set()
@@ -264,10 +264,10 @@ def validate_scenario(s: Scenario) -> ValidationReport:
             err(ValidationIssue(name, "chain needs at least 2 points"))
             continue
         for k, (a, b) in enumerate(zip(obs.chain, obs.chain[1:])):
-            if math.dist(a, b) <= tol.eps_len:
+            if math.dist(a, b) <= eps:
                 err(ValidationIssue(name, f"degenerate edge {k}"))
         for p in obs.chain:
-            if not s.in_area(p, tol.eps_len):
+            if not s.in_area(p, eps):
                 err(ValidationIssue(name, "outside area"))
                 break
 
@@ -277,8 +277,8 @@ def validate_scenario(s: Scenario) -> ValidationReport:
     near = box_pairs(lo, hi, *segment_boxes([e for _, e in edges], pad))
     for i, k in zip(*(a.tolist() for a in near)):
         t, (oid, e) = s.targets[i], edges[k]
-        if segment_segment_distance(t.segment, e) <= tol.eps_len:
-            if not _touch_only_at_endpoints(t.segment, e, tol.eps_len):
+        if segment_segment_distance(t.segment, e) <= eps:
+            if not _touch_only_at_endpoints(t.segment, e, eps):
                 on_target[(oid, t.id)] = None
     for oid, tid in on_target:
         err(ValidationIssue(f"obstacle {oid}", f"lies on target {tid} (not an endpoint contact)"))

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .discretize import CandidateSet
-from .geom import Segment, Tolerance, segment_segment_distance
+from .geom import Segment, scaled_eps, segment_segment_distance
 from .model import (
     CameraPlacement,
     Obstacle,
@@ -93,7 +93,7 @@ def random_scenario(p: GenParams, sensor: SensorSpec) -> Scenario:
     check_params(p)
     rng = random.Random(p.seed)
     half = p.target_width / 2.0
-    cell = p.target_width + p.separation + 2.0 * Tolerance.for_diameter(math.hypot(p.width, p.height)).eps_len
+    cell = p.target_width + p.separation + 2.0 * scaled_eps(math.hypot(p.width, p.height))
     grid: dict[tuple[int, int], list[Segment]] = {}
     rejects = 0
 
@@ -321,6 +321,8 @@ def serialize_solution(sol: Solution) -> str:
 
 def parse_solution(text: str) -> Solution:
     doc = _loads(text)
+    if not isinstance(doc, dict):
+        raise ParseError("$: expected an object")
     placements = []
     for k, cd in enumerate(_array(doc.get("placements", []), "$.placements")):
         path = f"$.placements[{k}]"

@@ -1,11 +1,12 @@
-"""Greedy set-cover over candidate configurations and solution verification."""
+"""Greedy set-cover over candidate configurations, and solution verification
+by `fields.covers` at the scene tolerance with each target's blockers."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import _norm_angle_np, _wrap_pi_np, norm_angle
+from .geom import Segment, _norm_angle_np, _wrap_pi_np, norm_angle
 from .model import CameraPlacement, ConfigTable, Scenario, Solution
 from .fields import covers, interacting_blockers
 
@@ -168,10 +169,9 @@ def verify_solution(s: Scenario, sol: Solution) -> VerificationReport:
     return VerificationReport(checks)
 
 
-def _check_target(t, cam: CameraPlacement, s: Scenario, blockers=None) -> TargetCheck:
-    tol = s.tol
-    clauses = {"in_area": s.in_area(cam.position, tol.eps_len)}
+def _check_target(t, cam: CameraPlacement, s: Scenario, blockers: list[Segment]) -> TargetCheck:
+    eps = s.eps_len
+    clauses = {"in_area": s.in_area(cam.position, eps)}
     margins: dict = {}
-    covers(t, cam.position, s.sensor, tol, vd=cam.vd, scenario=s,
-           blockers=blockers, report=(clauses, margins))
+    covers(t, cam.position, s.sensor, eps, vd=cam.vd, blockers=blockers, report=(clauses, margins))
     return TargetCheck(t.id, all(clauses.values()), clauses, margins)

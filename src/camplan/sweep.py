@@ -40,7 +40,7 @@ class ScenarioIndex:
 
     def __init__(self, s: Scenario):
         self.scenario = s
-        self.tol = s.tol
+        self.eps_len = s.eps_len
         ts = s.targets
         self.ids = np.array([t.id for t in ts], dtype=np.int64)
         self.sx = np.array([t.start[0] for t in ts])
@@ -137,7 +137,7 @@ def clause_verdicts(x, y, cols, sensor, eps_len):
 def _cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
     """(point, target) index pairs passing the facing and `clause_slacks`
     clauses at the scene tolerance, point-major with targets in index order."""
-    sensor, eps_len = idx.scenario.sensor, idx.tol.eps_len
+    sensor, eps_len = idx.scenario.sensor, idx.eps_len
     # the range clause puts both endpoints, so the midpoint too, within
     # r_max + eps_len: a squared distance with slack picks the candidates,
     # among the targets whose midpoints lie that near the block's box
@@ -196,7 +196,7 @@ def _occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex) -> np.ndarray:
     """Per pair: some blocker other than the target itself enters the open
     sight triangle from point pi of the block to target tj."""
     out = np.zeros(tj.size, dtype=bool)
-    eps = idx.tol.eps_len
+    eps = idx.eps_len
     # a blocker entering a sight triangle comes within r_max + eps_len of its
     # apex, so the block tests only the blockers whose boxes reach its box
     reach = idx.scenario.sensor.r_max + 3.0 * eps

@@ -385,7 +385,7 @@ def interacting_pairs(s: Scenario) -> list[tuple[int, int]]:
         for j in range(i + 1, s.n):
             ti, tj = s.targets[i], s.targets[j]
             reach = 2.0 * s.sensor.r_max + ti.width + tj.width
-            if math.dist(ti.midpoint, tj.midpoint) <= reach + s.tol.eps_len:
+            if math.dist(ti.midpoint, tj.midpoint) <= reach + s.eps_len:
                 out.append((i, j))
     return out
 

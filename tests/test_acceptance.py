@@ -17,7 +17,8 @@ import pytest
 from scipy.stats import spearmanr
 
 from camplan.cli import CSV_COLUMNS, main, run_pipeline
-from camplan.fields import aov_pair, bcpf, covers, cpf, field_tolerance
+from camplan.fields import (aov_pair, bcpf, covers, cpf, field_tolerance, interacting_blockers,
+                            occlusion_excluded)
 from camplan.geom import Segment
 from camplan.model import Obstacle, Scenario, SensorSpec, Target
 from camplan.scenario import GenParams, random_scenario
@@ -205,12 +206,15 @@ def test_view_circle_closed_forms_region_shape_and_predicate_agreement():
     rng = random.Random(20)
     for k, s in enumerate(scenes):
         reg = cpf(t, s)
+        (blockers,) = interacting_blockers([t], s)
         disagreements = 0
         for _ in range(10_000):
             p = (rng.uniform(28.0, 72.0), rng.uniform(28.0, 72.0))
             if boundary_distance(reg, p) <= 1e-6:
                 continue
-            if contains(reg, p) != covers(t, p, s.sensor, field_tolerance(t, s.sensor), scenario=s):
+            covered = (covers(t, p, s.sensor, field_tolerance(t, s.sensor))
+                       and not occlusion_excluded(t, p, blockers, s.eps_len))
+            if contains(reg, p) != covered:
                 disagreements += 1
         assert disagreements == 0, f"scene {k}: {disagreements} region/predicate mismatches"
 

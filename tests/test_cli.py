@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from camplan import cli
+from camplan import cli, discretize
 from camplan.cli import CSV_COLUMNS, _parse_algo_spec, main
 from camplan.discretize import MAX_GRID_POINTS
 from camplan.geom import EPS_ANG, DegenerateError
@@ -95,7 +95,7 @@ def test_verify_prints_the_extreme_slacks_of_covered_targets(small_scenario, tmp
         assert float(fields["range_slack_min"]) == pytest.approx(min(m["range_slack"] for m in covered), rel=1e-5)
         assert float(fields["angular_slack_min"]) == pytest.approx(min(m["angular_slack"] for m in covered), rel=1e-5)
         assert float(fields["facing_angle_max"]) == pytest.approx(max(m["facing_angle"] for m in covered), rel=1e-5)
-        assert float(fields["range_slack_min"]) >= -s.tol.eps_len
+        assert float(fields["range_slack_min"]) >= -s.eps_len
         assert float(fields["facing_angle_max"]) <= s.sensor.phi + EPS_ANG
     assert 0 < sum(c.ok for c in verify_solution(s, moved).checks) < len(s.targets)
 
@@ -143,6 +143,15 @@ def test_verify_refuses_a_repeated_key(small_scenario, tmp_path, capsys):
     code, _, err = run(["verify", str(small_scenario), str(sol_path)], capsys)
     assert code == 2
     assert "repeated key '0'" in err
+
+
+@pytest.mark.parametrize("text", ["[]", "null", "1", '"x"'])
+def test_verify_refuses_a_solution_that_is_not_an_object(small_scenario, tmp_path, capsys, text):
+    sol_path = tmp_path / "sol.json"
+    sol_path.write_text(text)
+    code, _, err = run(["verify", str(small_scenario), str(sol_path)], capsys)
+    assert code == 2
+    assert "parse error: $: expected an object" in err
 
 
 def test_malformed_json_is_a_parse_error(tmp_path, capsys):
@@ -474,6 +483,46 @@ def test_bench_marks_a_step_one_scene_refuses_invalid(tmp_path, capsys, monkeypa
     monkeypatch.setattr(cli, "run_pipeline", degenerate)
     assert run(argv, capsys)[0] == 0
     assert [r["status"] for r in csv.DictReader(out.open())] == ["error:DegenerateError"]
+
+
+TINY_AOV_SCENE = ["--n", "4", "--width", "30", "--height", "30", "--margin", "2", "--r-max", "8"]
+
+
+@pytest.mark.parametrize("aov", ["1e-300", "1e-200"])
+def test_a_tiny_angle_of_view_is_invalid_input_on_the_comprehensive_path(tmp_path, capsys, aov):
+    # its view-angle circles, of radius chord / (2 sin theta), would lie
+    # beyond every length the model admits, or overflow
+    scn = tmp_path / "scn.json"
+    assert run(["generate", *TINY_AOV_SCENE, "--aov", aov, "--out", str(scn)], capsys)[0] == 0
+    code, out, err = run(["solve", str(scn), "--algo", "comprehensive"], capsys)
+    assert code == 3
+    assert f"invalid input: a {float(aov):g} deg angle of view" in err and out == ""
+
+
+def test_bench_marks_a_tiny_angle_of_view_invalid_on_the_comprehensive_path(tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    argv = ["bench", "--axis", "aov", "--values", "1e-300", "--algos", "comprehensive", "--seeds", "1",
+            *TINY_AOV_SCENE, "--out", str(out)]
+    assert run(argv, capsys)[0] == 0
+    assert [r["status"] for r in csv.DictReader(out.open())] == ["invalid:ValueError"]
+
+
+def test_the_tiny_angle_refusal_leaves_a_common_angle_unchanged(tmp_path, capsys, monkeypatch):
+    # at 100 deg the refusal passes, and the candidates and solution are the
+    # bytes they are with the length bound lifted
+    scn = tmp_path / "scn.json"
+    assert run(["generate", *TINY_AOV_SCENE, "--obstacles", "2", "--aov", "100", "--out", str(scn)],
+               capsys)[0] == 0
+
+    def outputs(tag):
+        cand, sol = tmp_path / f"cand-{tag}.json", tmp_path / f"sol-{tag}.json"
+        assert run(["candidates", str(scn), "--algo", "comprehensive", "--out", str(cand)], capsys)[0] == 0
+        assert run(["solve", str(scn), "--algo", "comprehensive", "--out", str(sol)], capsys)[0] == 0
+        return cand.read_bytes(), sol.read_bytes()
+
+    bounded = outputs("bounded")
+    monkeypatch.setattr(discretize, "MAX_LENGTH", math.inf)
+    assert outputs("lifted") == bounded
 
 
 def test_bench_rows_record_the_steps_they_ran(tmp_path, capsys):

@@ -19,7 +19,6 @@ from camplan.geom import (
     EPS_ANG,
     Point,
     Segment,
-    Tolerance,
     angle_between,
     bearing,
     norm_angle,
@@ -54,15 +53,15 @@ def facing(t: Target, p: Point, phi: float, eps_ang: float = 1e-12) -> bool:
     return angle_between(t.normal, v) <= phi + eps_ang
 
 
-def bcpf_contains(t: Target, sensor: SensorSpec, p: Point, tol: Tolerance | None = None) -> bool:
+def bcpf_contains(t: Target, sensor: SensorSpec, p: Point, eps: float | None = None) -> bool:
     """Range + view-angle + facing predicate; the exact membership test for bcpf()."""
-    if tol is None:
-        tol = field_tolerance(t, sensor)
-    if math.dist(p, t.start) > sensor.r_max + tol.eps_len:
+    if eps is None:
+        eps = field_tolerance(t, sensor)
+    if math.dist(p, t.start) > sensor.r_max + eps:
         return False
-    if math.dist(p, t.end) > sensor.r_max + tol.eps_len:
+    if math.dist(p, t.end) > sensor.r_max + eps:
         return False
-    if sensor.r_min > 0.0 and point_segment_distance(p, t.segment) < sensor.r_min - tol.eps_len:
+    if sensor.r_min > 0.0 and point_segment_distance(p, t.segment) < sensor.r_min - eps:
         return False
     theta = sensor.theta
     if theta < math.pi and subtended_angle(t, p) > theta + EPS_ANG:
@@ -74,37 +73,37 @@ def cpf_contains(
     t: Target,
     scenario: Scenario,
     p: Point,
-    tol: Tolerance | None = None,
-    blockers: list[tuple[Segment, int]] | None = None,
+    eps: float,
+    blockers: list[Segment],
 ) -> bool:
-    if not bcpf_contains(t, scenario.sensor, p, tol):
+    if not bcpf_contains(t, scenario.sensor, p, eps):
         return False
-    return not occlusion_excluded(t, p, scenario, blockers)
+    return not occlusion_excluded(t, p, blockers, scenario.eps_len)
 
 
-def coverable(x: Point, t: Target, s: Scenario, blockers=None) -> bool:
+def coverable(x: Point, t: Target, s: Scenario, blockers: list[Segment]) -> bool:
     """Whether some viewing direction at x would fully cover t."""
-    tol = s.tol
+    eps = s.eps_len
     sensor = s.sensor
     d_s = math.dist(x, t.start)
     d_e = math.dist(x, t.end)
-    if d_s <= tol.eps_len or d_e <= tol.eps_len:
+    if d_s <= eps or d_e <= eps:
         return False
-    if max(d_s, d_e) > sensor.r_max + tol.eps_len:
+    if max(d_s, d_e) > sensor.r_max + eps:
         return False
-    if sensor.r_min > 0.0 and point_segment_distance(x, t.segment) < sensor.r_min - tol.eps_len:
+    if sensor.r_min > 0.0 and point_segment_distance(x, t.segment) < sensor.r_min - eps:
         return False
     if sensor.theta < math.pi and subtended_angle(t, x) > sensor.theta + EPS_ANG:
         return False
     if not facing(t, x, sensor.phi, EPS_ANG):
         return False
-    return not occlusion_excluded(t, x, s, blockers)
+    return not occlusion_excluded(t, x, blockers, eps)
 
 
-def is_fully_covered(t: Target, cam: CameraPlacement, s: Scenario) -> bool:
+def is_fully_covered(t: Target, cam: CameraPlacement, s: Scenario, blockers: list[Segment]) -> bool:
     """The solution verifier: coverable at cam.position and the whole target
     inside the view cone [vd - theta/2, vd + theta/2] (inclusive)."""
-    if not coverable(cam.position, t, s):
+    if not coverable(cam.position, t, s, blockers):
         return False
     theta = s.sensor.theta
     eps = EPS_ANG
@@ -116,14 +115,14 @@ def is_fully_covered(t: Target, cam: CameraPlacement, s: Scenario) -> bool:
     return True
 
 
-def _check_target(t, cam: CameraPlacement, s: Scenario) -> TargetCheck:
-    tol = s.tol
+def _check_target(t, cam: CameraPlacement, s: Scenario, blockers: list[Segment]) -> TargetCheck:
+    eps = s.eps_len
     sensor = s.sensor
     x = cam.position
     clauses: dict = {}
     margins: dict = {}
 
-    clauses["in_area"] = s.in_area(x, tol.eps_len)
+    clauses["in_area"] = s.in_area(x, eps)
 
     d_s = math.dist(x, t.start)
     d_e = math.dist(x, t.end)
@@ -131,9 +130,9 @@ def _check_target(t, cam: CameraPlacement, s: Scenario) -> TargetCheck:
     seg_d = point_segment_distance(x, t.segment)
     margins["inner_slack"] = seg_d - sensor.r_min
     clauses["range"] = (
-        min(d_s, d_e) > tol.eps_len
-        and margins["range_slack"] >= -tol.eps_len
-        and margins["inner_slack"] >= -tol.eps_len
+        min(d_s, d_e) > eps
+        and margins["range_slack"] >= -eps
+        and margins["inner_slack"] >= -eps
     )
 
     vx, vy = x[0] - t.midpoint[0], x[1] - t.midpoint[1]
@@ -153,7 +152,7 @@ def _check_target(t, cam: CameraPlacement, s: Scenario) -> TargetCheck:
         margins["angular_slack"] = -math.pi
         clauses["view_angle"] = False
 
-    clauses["occlusion"] = not occlusion_excluded(t, x, s)
+    clauses["occlusion"] = not occlusion_excluded(t, x, blockers, eps)
 
     return TargetCheck(t.id, all(clauses.values()), clauses, margins)
 
@@ -223,16 +222,16 @@ def probes(draw, s: Scenario) -> list:
         base = math.atan2(t.normal[1], t.normal[0])
         for e in (t.start, t.end, m):
             pts.append(e)
-            for eps in (s.tol.eps_len, field_tolerance(t, sensor).eps_len):
+            for eps in (s.eps_len, field_tolerance(t, sensor)):
                 ang = draw(angle)
                 k = draw(st.sampled_from([0.5, 2.0, 1e3]))
                 pts.append((e[0] + k * eps * math.cos(ang), e[1] + k * eps * math.sin(ang)))
         for e in (t.start, t.end):
             ang = draw(angle)
-            r = sensor.r_max + s.tol.eps_len * draw(st.sampled_from([0.0, 1.0, 0.5, 1.5]))
+            r = sensor.r_max + s.eps_len * draw(st.sampled_from([0.0, 1.0, 0.5, 1.5]))
             pts.append((e[0] + r * math.cos(ang), e[1] + r * math.sin(ang)))
         if sensor.r_min > 0.0:
-            r = sensor.r_min + s.tol.eps_len * draw(st.sampled_from([0.0, -1.0, -0.5, -1.5]))
+            r = sensor.r_min + s.eps_len * draw(st.sampled_from([0.0, -1.0, -0.5, -1.5]))
             pts.append((m[0] + r * t.normal[0], m[1] + r * t.normal[1]))
         if sensor.theta < math.pi:
             for circle in aov_pair(t.segment, sensor.theta).circles:
@@ -272,30 +271,30 @@ def test_field_membership_matches_old_predicates(s, data):
     sensor = s.sensor
     for p in probes(data.draw, s):
         for t in s.targets:
-            ftol = field_tolerance(t, sensor)
-            if near(p, t, ftol.eps_len) or on_range_threshold(p, t, sensor, ftol.eps_len):
+            feps = field_tolerance(t, sensor)
+            if near(p, t, feps) or on_range_threshold(p, t, sensor, feps):
                 continue
-            assert covers(t, p, sensor, ftol) == bcpf_contains(t, sensor, p, ftol), (t, p)
+            assert covers(t, p, sensor, feps) == bcpf_contains(t, sensor, p, feps), (t, p)
             blockers = interacting_blockers([t], s)[0]
-            assert (covers(t, p, sensor, ftol, scenario=s, blockers=blockers)
-                    == cpf_contains(t, s, p, ftol, blockers)), (t, p)
-            assert covers(t, p, sensor, ftol, scenario=s) == cpf_contains(t, s, p, ftol), (t, p)
+            assert (covers(t, p, sensor, feps) and not occlusion_excluded(t, p, blockers, s.eps_len)
+                    ) == cpf_contains(t, s, p, feps, blockers), (t, p)
 
 
 @given(scenes(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_scene_tolerance_verdicts_match_old_predicates(s, data):
-    sensor, tol = s.sensor, s.tol
+    sensor, eps = s.sensor, s.eps_len
+    targets = list(zip(s.targets, interacting_blockers(s.targets, s)))
     for p in probes(data.draw, s):
-        for t in s.targets:
-            if near(p, t, tol.eps_len):
+        for t, blockers in targets:
+            if near(p, t, eps):
                 continue
             clauses: dict = {}
-            covers(t, p, sensor, tol, report=(clauses, {}))
+            covers(t, p, sensor, eps, report=(clauses, {}))
             assert clauses["facing"] == facing(t, p, sensor.phi, EPS_ANG), (t, p)
-            if on_range_threshold(p, t, sensor, tol.eps_len):
+            if on_range_threshold(p, t, sensor, eps):
                 continue
-            assert covers(t, p, sensor, tol, scenario=s) == coverable(p, t, s), (t, p)
+            assert covers(t, p, sensor, eps, blockers=blockers) == coverable(p, t, s, blockers), (t, p)
 
 
 def view_directions(draw, p: Point, t: Target, theta: float) -> list:
@@ -336,15 +335,16 @@ def crosses_blind_spot(p: Point, t: Target, vd: float, theta: float) -> bool:
 @given(scenes(), st.data())
 @settings(max_examples=75, deadline=None)
 def test_verifier_matches_old_verifiers(s, data):
-    sensor, tol = s.sensor, s.tol
+    sensor, eps = s.sensor, s.eps_len
+    targets = list(zip(s.targets, interacting_blockers(s.targets, s)))
     for p in probes(data.draw, s):
-        for t in s.targets:
-            if near(p, t, tol.eps_len):
+        for t, blockers in targets:
+            if near(p, t, eps):
                 continue
             for vd in view_directions(data.draw, p, t, sensor.theta):
                 cam = CameraPlacement(p, vd)
-                got = select._check_target(t, cam, s)
-                want = _check_target(t, cam, s)
+                got = select._check_target(t, cam, s, blockers)
+                want = _check_target(t, cam, s, blockers)
                 blind = want.clauses["range"] and crosses_blind_spot(p, t, vd, sensor.theta)
                 if blind:
                     want.clauses["view_angle"] = False
@@ -356,9 +356,10 @@ def test_verifier_matches_old_verifiers(s, data):
                 # lower edge, the verifier by a wrap_pi spread around vd: compared
                 # only outside a 1e-9 rad band around the cone edge
                 if blind:
-                    assert not covers(t, p, sensor, tol, vd=vd, scenario=s), (t, cam)
-                elif not on_range_threshold(p, t, sensor, tol.eps_len) and not on_cone_edge(p, t, vd, sensor.theta):
-                    assert covers(t, p, sensor, tol, vd=vd, scenario=s) == is_fully_covered(t, cam, s), (t, cam)
+                    assert not covers(t, p, sensor, eps, vd=vd, blockers=blockers), (t, cam)
+                elif not on_range_threshold(p, t, sensor, eps) and not on_cone_edge(p, t, vd, sensor.theta):
+                    assert covers(t, p, sensor, eps, vd=vd, blockers=blockers) == is_fully_covered(
+                        t, cam, s, blockers), (t, cam)
 
 
 def blind_spot_case(aov_deg=300.0):
@@ -375,18 +376,20 @@ def blind_spot_case(aov_deg=300.0):
 
 def test_wide_cone_blind_spot_fails_view_angle():
     s, t, x = blind_spot_case()
-    check = select._check_target(t, CameraPlacement(x, 0.0), s)
+    (blockers,) = interacting_blockers([t], s)
+    check = select._check_target(t, CameraPlacement(x, 0.0), s, blockers)
     assert check.failed_clauses() == ["view_angle"]
     assert check.margins["angular_slack"] == pytest.approx(math.radians(150.0 - 180.0))
-    assert not covers(t, x, s.sensor, s.tol, vd=0.0, scenario=s)
-    assert is_fully_covered(t, CameraPlacement(x, 0.0), s)   # the endpoint-only verdict
+    assert not covers(t, x, s.sensor, s.eps_len, vd=0.0, blockers=blockers)
+    assert is_fully_covered(t, CameraPlacement(x, 0.0), s, blockers)   # the endpoint-only verdict
     # turned toward the target, or with the blind spot elsewhere, it is covered
     for vd in (math.pi, math.radians(90.0), math.radians(270.0)):
-        assert covers(t, x, s.sensor, s.tol, vd=vd, scenario=s)
+        assert covers(t, x, s.sensor, s.eps_len, vd=vd, blockers=blockers)
     # a cone of pi or less keeps the endpoint test: 140 and 220 degrees are
     # not both within 90 of vd 0
     narrow, t, x = blind_spot_case(aov_deg=180.0)
-    assert select._check_target(t, CameraPlacement(x, 0.0), narrow).failed_clauses() == ["view_angle"]
+    check = select._check_target(t, CameraPlacement(x, 0.0), narrow, interacting_blockers([t], narrow)[0])
+    assert check.failed_clauses() == ["view_angle"]
 
 
 # --- the report against the verdict ----------------------------------------------------
@@ -400,19 +403,20 @@ def test_covers_report_binds_its_verdict(s, data):
     sensor = s.sensor
     for p in probes(data.draw, s):
         for t in s.targets:
-            tol = data.draw(st.sampled_from([s.tol, field_tolerance(t, sensor)]))
+            eps = data.draw(st.sampled_from([s.eps_len, field_tolerance(t, sensor)]))
             for vd in [None, *view_directions(data.draw, p, t, sensor.theta)]:
-                for scenario in (None, s):
+                for blockers in (None, interacting_blockers([t], s)[0]):
                     clauses, margins = {}, {}
-                    got = covers(t, p, sensor, tol, vd=vd, scenario=scenario, report=(clauses, margins))
-                    assert covers(t, p, sensor, tol, vd=vd, scenario=scenario) == got, (t, p, vd)
+                    got = covers(t, p, sensor, eps, vd=vd, blockers=blockers, report=(clauses, margins))
+                    assert covers(t, p, sensor, eps, vd=vd, blockers=blockers) == got, (t, p, vd)
                     assert got == all(clauses.values()), (t, p, vd, clauses)
-                    assert list(clauses) == ["range", "facing", "view_angle"] + ["occlusion"] * (scenario is s)
+                    occluded = blockers is not None
+                    assert list(clauses) == ["range", "facing", "view_angle"] + ["occlusion"] * occluded
                     assert list(margins) == ["range_slack", "inner_slack", "facing_angle"] + [
                         "angular_slack"] * (vd is not None)
-                    apart = min(math.dist(p, t.start), math.dist(p, t.end)) > tol.eps_len
-                    assert clauses["range"] == (apart and margins["range_slack"] >= -tol.eps_len
-                                                and margins["inner_slack"] >= -tol.eps_len), (t, p, margins)
+                    apart = min(math.dist(p, t.start), math.dist(p, t.end)) > eps
+                    assert clauses["range"] == (apart and margins["range_slack"] >= -eps
+                                                and margins["inner_slack"] >= -eps), (t, p, margins)
                     assert clauses["facing"] == (margins["facing_angle"] <= sensor.phi + EPS_ANG), (t, p)
                     if vd is not None:
                         assert clauses["view_angle"] == (margins["angular_slack"] >= -EPS_ANG), (t, p, vd)
@@ -423,13 +427,13 @@ def test_covers_report_binds_its_verdict(s, data):
 def plain_interacting_blockers(t: Target, scenario: Scenario) -> list:
     """Blocking segments close enough to matter for this target's field."""
     m = t.midpoint
-    reach = scenario.sensor.r_max + t.width + scenario.tol.eps_len
+    reach = scenario.sensor.r_max + t.width + scenario.eps_len
     out = []
     for seg, owner in scenario.blockers():
         if owner == t.id:
             continue
         if point_segment_distance(m, seg) <= reach:
-            out.append((seg, owner))
+            out.append(seg)
     return out
 
 
@@ -438,7 +442,7 @@ def reach_ring(s: Scenario) -> Scenario:
     within a few ulps of the selection distance, on either side of it."""
     t = s.targets[0]
     m = t.midpoint
-    reach = s.sensor.r_max + t.width + s.tol.eps_len
+    reach = s.sensor.r_max + t.width + s.eps_len
     walls = []
     for k in range(24):
         ang = 2.0 * math.pi * k / 24
@@ -470,11 +474,33 @@ def test_interacting_blockers_match_plain_scan_on_bench_scenes():
         assert 0 < selected < len(s.targets) * (len(s.blockers()) - 1)
 
 
+def test_interacting_blockers_keep_a_wall_only_rounding_brings_within_reach():
+    # a wall across the target's axis, beyond the midpoint box grown by the
+    # reach alone by a few ulps of its coordinate (far finer than the ulp of
+    # the reach), where the distance to the midpoint rounds to the reach
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=8.0, phi_deg=90.0)
+    t = Target(0, (9.0, 20.0), (10.0, 20.0), (0.0, 1.0))
+    s = Scenario(30.0, 30.0, sensor, (t,))
+    m = t.midpoint
+    reach = sensor.r_max + t.width + s.eps_len
+    edge = float(np.array(m[0]) - np.array(reach))   # the unpadded box's low x edge
+    x = edge
+    for _ in range(64):
+        x = math.nextafter(x, -math.inf)
+        wall = Segment((x, m[1] - 0.3), (x, m[1] + 0.3))
+        if point_segment_distance(m, wall) <= reach:
+            break
+    assert x < edge and point_segment_distance(m, wall) <= reach
+    scene = Scenario(s.width, s.height, sensor, (t,), (Obstacle(0, (wall.a, wall.b)),))
+    assert plain_interacting_blockers(t, scene) == [wall]
+    assert interacting_blockers([t], scene) == [[wall]]
+
+
 # --- the sweep's batched kernel against the reference ---------------------------------
 
 def near_a_threshold(p: Point, t: Target, s: Scenario) -> bool:
     """Some clause quantity within 1e-9 of its threshold."""
-    sensor, eps = s.sensor, s.tol.eps_len
+    sensor, eps = s.sensor, s.eps_len
     d_s, d_e = math.dist(p, t.start), math.dist(p, t.end)
     m = t.midpoint
     v = (p[0] - m[0], p[1] - m[1])
@@ -499,10 +525,11 @@ def test_kernel_pairs_match_reference(s, data):
     live = ~sweep._occluded(block, pi, tj, idx)
     got = set(zip(pi[live].tolist(), tj[live].tolist()))
     checked = 0
+    blockers = interacting_blockers(s.targets, s)
     for i, p in enumerate(pts):
         for j, t in enumerate(s.targets):
             if near_a_threshold(p, t, s):
                 continue
             checked += 1
-            assert ((i, j) in got) == covers(t, p, s.sensor, s.tol, scenario=s), (t, p)
+            assert ((i, j) in got) == covers(t, p, s.sensor, s.eps_len, blockers=blockers[j]), (t, p)
     assert checked > 0

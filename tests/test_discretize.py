@@ -108,9 +108,9 @@ def unpruned_comprehensive(s, found=None):
     kernel result, tagged, to `found`."""
     if s.sensor.r_min > 0.0:
         raise ValueError("comprehensive candidates require r_min = 0")
-    if any(t.width > s.sensor.r_max / 2.0 + s.tol.eps_len for t in s.targets):
+    if any(t.width > s.sensor.r_max / 2.0 + s.eps_len for t in s.targets):
         raise ValueError("comprehensive candidates require target width <= r_max/2")
-    eps = s.tol.eps_len
+    eps = s.eps_len
     regions = {t.id: cpf(t, s) for t in s.targets}
     uncoverable = tuple(t.id for t in s.targets if regions[t.id].is_empty())
 
@@ -182,7 +182,7 @@ def touching_boxes():
     """Collinear targets 3 m apart: the field pieces along their line span
     [-1, 2] m around each target, so they touch end to end, or miss by a few
     ulps or a fraction of eps; likewise up a column."""
-    eps = scen([], SENSOR_2, w=60.0, h=60.0).tol.eps_len
+    eps = scen([], SENSOR_2, w=60.0, h=60.0).eps_len
     ts = []
     for k, shift in enumerate((0.0, 2.0, -2.0, 0.5, 1.5, 3.0)):
         y0 = 5.0 + 5.0 * k
@@ -268,7 +268,7 @@ def reach_ring_pairs(r_max):
     side, w = 6.0 * r_max, 0.1 * r_max
     cx = cy = side / 2.0
     ts = [facing_left(0, (cx - w / 2.0, cy), (cx + w / 2.0, cy))]
-    reach = 2.0 * r_max + 2.0 * w + scen([], sensor, w=side, h=side).tol.eps_len
+    reach = 2.0 * r_max + 2.0 * w + scen([], sensor, w=side, h=side).eps_len
     for k in range(24):
         ux, uy = math.cos(2.0 * math.pi * k / 24), math.sin(2.0 * math.pi * k / 24)
         d = reach + (k % 5 - 2) * 2e-16 * reach
@@ -539,7 +539,7 @@ def test_view_circle_kernel_matches_scalar_on_tiny_view_circles():
     for i, j in _interacting_pairs(s):
         for circle in _pair_view_circles(s.targets[i], s.targets[j], s.sensor.theta):
             calls += [(p, circle) for tid in (s.targets[i].id, s.targets[j].id) for p in fields[tid]]
-    assert assert_kernel_matches(calls, s.tol.eps_len)[0] > 100
+    assert assert_kernel_matches(calls, s.eps_len)[0] > 100
 
 
 # --- bcpf sampling --------------------------------------------------------------

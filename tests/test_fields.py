@@ -35,16 +35,18 @@ def bcpf_contains(t, sensor, p):
     return covers(t, p, sensor, field_tolerance(t, sensor))
 
 
-def cpf_contains(t, s, p, blockers=None):
-    """Membership in the full field, as cpf classifies it."""
-    return covers(t, p, s.sensor, field_tolerance(t, s.sensor), scenario=s, blockers=blockers)
+def cpf_contains(t, s, p, blockers):
+    """Membership in the full field, as cpf classifies it: the clauses at the
+    field tolerance, occlusion by the target's blockers at the scene's."""
+    return (covers(t, p, s.sensor, field_tolerance(t, s.sensor))
+            and not occlusion_excluded(t, p, blockers, s.eps_len))
 
 
 def exact_contains(t, s, p, blockers):
     """Membership in the exact occluded field: bcpf membership and no
     interacting blocker entering the open sight triangle at zero tolerance."""
     return bcpf_contains(t, s.sensor, p) and not any(
-        segment_blocks_triangle(seg, p, t.segment, 0.0) for seg, _ in blockers)
+        segment_blocks_triangle(seg, p, t.segment, 0.0) for seg in blockers)
 
 
 def frontal_fan(region, origin, normal):
@@ -192,14 +194,17 @@ def test_bcpf_agrees_with_predicate():
 def test_occlusion_examples():
     occ = Obstacle(0, ((0.25, 1.0), (0.75, 1.0)))
     s = scen([T0], SENSOR_2, [occ])
-    assert occlusion_excluded(T0, (0.5, 2.0), s)
-    assert not occlusion_excluded(T0, (0.5, 0.5), s)
+    (blockers,) = interacting_blockers([T0], s)
+    assert occlusion_excluded(T0, (0.5, 2.0), blockers, s.eps_len)
+    assert not occlusion_excluded(T0, (0.5, 0.5), blockers, s.eps_len)
 
 
 def test_occlusion_shared_endpoint():
     t2 = Target(1, (1.0, 0.0), (2.0, 0.0), (0.0, 1.0))
     s = scen([T0, t2], SENSOR_2)
-    assert not occlusion_excluded(T0, (0.5, 1.0), s)
+    (blockers,) = interacting_blockers([T0], s)
+    assert blockers == [t2.segment]
+    assert not occlusion_excluded(T0, (0.5, 1.0), blockers, s.eps_len)
 
 
 def test_interacting_blockers_filter():
@@ -207,8 +212,7 @@ def test_interacting_blockers_filter():
     near = Obstacle(1, ((0.25, 1.0), (0.75, 1.0)))
     s = scen([T0], SENSOR_2, [far, near])
     (segs,) = interacting_blockers([T0], s)
-    assert len(segs) == 1
-    assert segs[0][0].a == (0.25, 1.0)
+    assert segs == [near.edges()[0]]
 
 
 # --- cpf --------------------------------------------------------------------
@@ -239,6 +243,7 @@ def test_cpf_agrees_with_predicate():
     occ = Obstacle(0, ((0.25, 1.0), (0.75, 1.0)))
     s = scen([T0], SENSOR_2, [occ])
     reg = cpf(T0, s)
+    (blockers,) = interacting_blockers([T0], s)
     rng = random.Random(13)
     band = 1e-6
     disagreements = 0
@@ -247,7 +252,7 @@ def test_cpf_agrees_with_predicate():
         p = (rng.uniform(-2.5, 3.5), rng.uniform(-2.5, 3.5))
         if boundary_distance(reg, p) <= band:
             continue
-        if contains(reg, p) != cpf_contains(T0, s, p):
+        if contains(reg, p) != cpf_contains(T0, s, p, blockers):
             disagreements += 1
         checked += 1
     assert checked > 9000
@@ -294,7 +299,7 @@ def test_cpf_survives_radial_occluder():
     checked = 0
     for _ in range(400):
         p = (rng.uniform(-21.0, 22.0), rng.uniform(0.0, 21.0))
-        if cpf_contains(t, s, p, blockers=blockers):
+        if cpf_contains(t, s, p, blockers):
             assert contains(reg, p)
             checked += 1
     assert checked > 100
@@ -312,13 +317,14 @@ def test_cpf_radial_occluder_keeps_fat_shadows_exact():
     s = scen([t, blk], sensor, [wall], w=60.0, h=60.0)
 
     reg = cpf(t, s)
+    (blockers,) = interacting_blockers([t], s)
     # deep behind the wall: excluded both by predicate and by the region
     p = (0.5, 12.0)
-    assert not cpf_contains(t, s, p)
+    assert not cpf_contains(t, s, p, blockers)
     assert not contains(reg, p)
     # in front of the wall and clear of the needle: covered
     q = (1.8, 2.5)
-    assert cpf_contains(t, s, q)
+    assert cpf_contains(t, s, q, blockers)
     assert contains(reg, q)
 
 
@@ -441,9 +447,9 @@ def test_cpf_keeps_every_covered_point_beside_edge_on_walls():
 
 # --- batched field classification against the scalar vote ---------------------
 
-def scalar_inside(t, sensor, tol, blockers):
+def scalar_inside(t, sensor, eps, blockers):
     """Membership in the exact field, one point at a time."""
-    return lambda p: covers(t, p, sensor, tol) and not any(
+    return lambda p: covers(t, p, sensor, eps) and not any(
         segment_blocks_triangle(seg, p, t.segment, 0.0) for seg in blockers)
 
 
@@ -472,9 +478,9 @@ def test_batched_classifier_matches_the_scalar_vote(monkeypatch, band):
     made, checked = [], []
     make, classify = fields_module._field_inside, geom_module._classify_pieces
 
-    def spy_make(t, sensor, tol, blockers):
-        made.append(scalar_inside(t, sensor, tol, blockers))
-        return make(t, sensor, tol, blockers)
+    def spy_make(t, sensor, eps, blockers):
+        made.append(scalar_inside(t, sensor, eps, blockers))
+        return make(t, sensor, eps, blockers)
 
     def spy_classify(pieces, inside, offset):
         got = classify(pieces, inside, offset)
@@ -503,20 +509,20 @@ def test_batched_field_membership_matches_covers_in_the_margin_band(monkeypatch)
     for sensor in sensors:
         for t in (Target(0, (10.0, 10.0), (11.0, 10.0), (0.0, 1.0)),
                   Target(1, (3.0, -2.0), (3.6, -1.2), (-0.8, 0.6))):
-            tol = field_tolerance(t, sensor)
+            eps = field_tolerance(t, sensor)
             pts = []
             for c in bcpf_boundary_curves(t, sensor):
                 for k in range(60):
                     pts.append(c.point_at(k * math.tau / 60) if isinstance(c, Circle) else c.point_at(k / 60))
             for q in (t.start, t.end, t.midpoint):
-                pts += [(q[0] + tol.eps_len * math.cos(a), q[1] + tol.eps_len * math.sin(a))
+                pts += [(q[0] + eps * math.cos(a), q[1] + eps * math.sin(a))
                         for a in np.linspace(0.0, math.tau, 24)]
             probes = [(math.nextafter(x, x + dx), math.nextafter(y, y + dy))
                       for x, y in pts for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))]
             for blockers in ([], wall):
-                inside = fields_module._field_inside(t, sensor, tol, blockers)
+                inside = fields_module._field_inside(t, sensor, eps, blockers)
                 got = inside(np.array(probes)).tolist()
-                want = [scalar_inside(t, sensor, tol, blockers)(p) for p in probes]
+                want = [scalar_inside(t, sensor, eps, blockers)(p) for p in probes]
                 assert got == want
                 assert 0 < sum(got) < len(got)
     assert len(fallbacks) > 1000

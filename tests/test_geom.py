@@ -19,7 +19,6 @@ from camplan.geom import (
     DegenerateError,
     Region,
     Segment,
-    Tolerance,
     angle_between,
     bearing,
     box_pairs,
@@ -28,6 +27,7 @@ from camplan.geom import (
     norm_angle,
     point_segment_distance,
     region_from_curves,
+    scaled_eps,
     segment_blocks_triangle,
     segment_boxes,
     segment_segment_distance,
@@ -252,35 +252,35 @@ def test_region_vertices_contained():
 
 def test_blocks_triangle_inside():
     blocker = Segment((0.25, 1), (0.75, 1))
-    assert segment_blocks_triangle(blocker, (0.5, 2), Segment((0, 0), (1, 0)))
+    assert segment_blocks_triangle(blocker, (0.5, 2), Segment((0, 0), (1, 0)), EPS)
 
 
 def test_blocks_triangle_outside():
     blocker = Segment((0.25, 1), (0.75, 1))
-    assert not segment_blocks_triangle(blocker, (2, 0.5), Segment((0, 0), (1, 0)))
+    assert not segment_blocks_triangle(blocker, (2, 0.5), Segment((0, 0), (1, 0)), EPS)
 
 
 def test_blocks_triangle_shared_endpoint():
     blocker = Segment((1, 0), (2, 1))
-    assert not segment_blocks_triangle(blocker, (0.5, 2), Segment((0, 0), (1, 0)))
+    assert not segment_blocks_triangle(blocker, (0.5, 2), Segment((0, 0), (1, 0)), EPS)
 
 
 def test_blocks_triangle_crossing():
     blocker = Segment((-1, 0.5), (2, 0.5))
-    assert segment_blocks_triangle(blocker, (0.5, 2), Segment((0, 0), (1, 0)))
+    assert segment_blocks_triangle(blocker, (0.5, 2), Segment((0, 0), (1, 0)), EPS)
 
 
 def test_blocks_triangle_degenerate_apex_on_base():
     blocker = Segment((0.25, 1), (0.75, 1))
-    assert not segment_blocks_triangle(blocker, (0.5, 0.0), Segment((0, 0), (1, 0)))
+    assert not segment_blocks_triangle(blocker, (0.5, 0.0), Segment((0, 0), (1, 0)), EPS)
 
 
 @given(segments, st.tuples(st.floats(-10, 10), st.floats(-10, 10)), segments)
 @settings(max_examples=200)
 def test_blocks_triangle_base_swap_invariant(blocker, apex, base):
     flipped = Segment(base.b, base.a)
-    assert segment_blocks_triangle(blocker, apex, base) == segment_blocks_triangle(
-        blocker, apex, flipped
+    assert segment_blocks_triangle(blocker, apex, base, EPS) == segment_blocks_triangle(
+        blocker, apex, flipped, EPS
     )
 
 
@@ -443,8 +443,6 @@ def test_batched_piece_vote_matches_the_scalar_vote():
 
 
 def test_tolerance_for_diameter():
-    t = Tolerance.for_diameter(141.4)
-    assert t.eps_len == pytest.approx(1.414e-7)
+    assert scaled_eps(141.4) == pytest.approx(1.414e-7)
     assert geom.EPS_ANG == 1e-12
-    small = Tolerance.for_diameter(0.0)
-    assert small.eps_len == pytest.approx(1e-9)
+    assert scaled_eps(0.0) == pytest.approx(1e-9)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from camplan import geom
 from camplan.fields import covers
-from camplan.geom import Tolerance, segment_segment_distance
+from camplan.geom import segment_segment_distance
 from camplan.model import (
     Obstacle,
     Scenario,
@@ -110,7 +110,7 @@ def test_validate_crossing_targets_rejected():
 
 def all_pairs_overlaps(s):
     """Reference: the target-overlap check over every pair, in (i, j) order."""
-    eps = s.tol.eps_len
+    eps = s.eps_len
     out = []
     for i in range(len(s.targets)):
         for j in range(i + 1, len(s.targets)):
@@ -133,7 +133,7 @@ def touching_layouts(draw):
     T-junctions, collinear overlaps, zero-width targets) plus copies of earlier
     ones shifted across or along themselves by a few eps_len."""
     w = 10.0
-    eps = Scenario(w, w, SENSOR, ()).tol.eps_len
+    eps = Scenario(w, w, SENSOR, ()).eps_len
     lattice = st.tuples(st.integers(0, 10), st.integers(0, 10)).map(lambda p: (float(p[0]), float(p[1])))
     segs = []
     for _ in range(draw(st.integers(0, 14))):
@@ -165,7 +165,7 @@ def test_validate_overlap_prefilter_matches_all_pairs(s):
 
 def obstacle_on_target_errors(s):
     """Reference: the obstacle-on-target check over every (target, edge) pair."""
-    eps = s.tol.eps_len
+    eps = s.eps_len
     out = []
     for t in s.targets:
         for obs in s.obstacles:
@@ -262,7 +262,7 @@ def facing(t, p, phi):
     """The facing clause of the coverage reference at p, with an angle tolerance of 1e-12."""
     clauses: dict = {}
     covers(t, p, SensorSpec(aov_deg=180.0, r_min=0.0, r_max=100.0, phi_deg=math.degrees(phi)),
-           Tolerance(eps_len=1e-9), report=(clauses, {}))
+           1e-9, report=(clauses, {}))
     return clauses["facing"]
 
 

@@ -67,7 +67,7 @@ def oracle_bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
     sensor = s.sensor
     tagged: list[tuple[Point, str]] = []
     for t in s.targets:
-        tol = field_tolerance(t, sensor)
+        eps = field_tolerance(t, sensor)
         mx, my = t.midpoint
         base = math.atan2(t.normal[1], t.normal[0])
         half_w2 = (t.width / 2.0) ** 2
@@ -85,13 +85,13 @@ def oracle_bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
                     break
                 outer = min(outer, c + math.sqrt(disc))
             r = outer
-            while r >= r_floor - tol.eps_len:
+            while r >= r_floor - eps:
                 p = (mx + r * ux, my + r * uy)
-                if covers(t, p, sensor, tol):
+                if covers(t, p, sensor, eps):
                     tagged.append((p, "bcpf-sample"))
                 r -= eps_r
     tagged = [(oracle_clamp_to_area(p, s), "bcpf-sample") for p, _ in tagged]
-    points, tags = oracle_dedupe(tagged, s.tol.eps_len)
+    points, tags = oracle_dedupe(tagged, s.eps_len)
     return CandidateSet(points, tags, params={"algo": "bcpf", "eps_a": eps_a, "eps_r": eps_r})
 
 
@@ -326,14 +326,14 @@ def test_clause_slacks_keep_strict_clauses_strict():
     # the range or facing clause, in the sweep kernel as in covers
     t = Target(0, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
     s = Scenario(100.0, 100.0, SensorSpec(aov_deg=200.0, r_min=0.0, r_max=5.0), (t,))
-    eps = s.tol.eps_len
+    eps = s.eps_len
     idx = ScenarioIndex(s)
     for p in ((-eps, 0.0), (0.5, eps)):
         assert min(math.dist(p, t.start), math.dist(p, t.end), math.dist(p, t.midpoint)) == eps
-        assert not covers(t, p, s.sensor, s.tol)
+        assert not covers(t, p, s.sensor, eps)
         pi, _ = _cheap_pairs(np.array([p]), idx)
         assert pi.size == 0, p
     # a hair farther out both accept
     p = (0.5, math.nextafter(eps, 1.0) * 2.0)
-    assert covers(t, p, s.sensor, s.tol)
+    assert covers(t, p, s.sensor, eps)
     assert _cheap_pairs(np.array([p]), idx)[0].size == 1

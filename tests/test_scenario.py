@@ -312,6 +312,12 @@ def test_solution_parse_refuses_a_key_that_is_not_a_canonical_id(key):
         parse_solution(json.dumps({"placements": [], "assignment": {"1": 0, key: 1}}))
 
 
+@pytest.mark.parametrize("text", ["[]", "null", "1", '"x"'])
+def test_solution_parse_refuses_a_document_that_is_not_an_object(text):
+    with pytest.raises(ParseError, match=r"^\$: expected an object$"):
+        parse_solution(text)
+
+
 def test_solution_parse_keeps_canonical_ids():
     doc = {"placements": [], "assignment": {"0": 0, "10": 1, "-7": 2, str(1 << 63): 3}}
     assert parse_solution(json.dumps(doc)).assignment == {0: 0, 10: 1, -7: 2, 1 << 63: 3}

@@ -19,7 +19,7 @@ from camplan.model import (
 )
 from camplan.scenario import GenParams, random_scenario, serialize_solution
 from camplan.select import InfeasibleError, _aim, greedy_cover, verify_solution
-from camplan.fields import covers
+from camplan.fields import covers, interacting_blockers
 from camplan.sweep import sweep_points
 
 from oracles import _aim as scalar_aim
@@ -150,7 +150,8 @@ def test_verify_matches_scalar_coverage():
     report = verify_solution(s, sol)
     cams = [sol.placements[sol.assignment[t.id]] for t in s.targets]
     covered = all(
-        covers(t, cam.position, s.sensor, s.tol, vd=cam.vd, scenario=s) for t, cam in zip(s.targets, cams)
+        covers(t, cam.position, s.sensor, s.eps_len, vd=cam.vd, blockers=blockers)
+        for t, cam, blockers in zip(s.targets, cams, interacting_blockers(s.targets, s))
     )
     assert report.ok == covered
 

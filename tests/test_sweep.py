@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import camplan
 import camplan.sweep as sweep_module
 from camplan.cli import solution_f1
-from camplan.fields import covers
+from camplan.fields import covers, interacting_blockers
 from camplan.geom import EPS_ANG, Segment, bearing, norm_angle, segment_blocks_triangle, wrap_pi
 from camplan.model import CameraPlacement, Obstacle, Scenario, SensorSpec, Solution, Target
 from camplan.sweep import sweep_points
@@ -41,12 +41,12 @@ def arc_target(tid, ang_lo_deg, ang_hi_deg, dist=1.0, center=(0.0, 0.0)):
 
 def coverable(x, t, s):
     """The coverage reference with no viewing direction fixed, at the scene tolerance."""
-    return covers(t, x, s.sensor, s.tol, scenario=s)
+    return covers(t, x, s.sensor, s.eps_len, blockers=interacting_blockers([t], s)[0])
 
 
 def is_fully_covered(t, cam, s):
     """The coverage reference for one placement, as the solution verifier calls it."""
-    return covers(t, cam.position, s.sensor, s.tol, vd=cam.vd, scenario=s)
+    return covers(t, cam.position, s.sensor, s.eps_len, vd=cam.vd, blockers=interacting_blockers([t], s)[0])
 
 
 def target_interval(x, t):

@@ -41,7 +41,7 @@ def oracle_cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
     """(point, target) index pairs passing the range, r_min, subtended-angle and
     facing clauses, point-major with targets in index order."""
     s = idx.scenario.sensor
-    eps_len = idx.tol.eps_len
+    eps_len = idx.eps_len
     # the range clause puts both endpoints, so the midpoint too, within
     # r_max + eps_len: a squared distance with slack picks the candidates
     reach = (s.r_max + 2.0 * eps_len) * (1.0 + 1e-12)
@@ -76,7 +76,7 @@ def oracle_occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex) -> np.ndarray
     """Per pair: some blocker other than the target itself enters the open
     sight triangle from point pi of the block to target tj."""
     out = np.zeros(tj.size, dtype=bool)
-    eps = idx.tol.eps_len
+    eps = idx.eps_len
     # a blocker entering a sight triangle comes within r_max + eps_len of its
     # apex, so the block tests only the blockers whose boxes reach one of its points
     reach = idx.scenario.sensor.r_max + 3.0 * eps
@@ -485,7 +485,7 @@ def prefilter_scene():
                Target(3, (18.5, 12.0), (19.5, 12.0), (0.0, 1.0)),
                Target(4, (19.8, 24.0), (20.3, 24.0), (0.0, -1.0)))   # hides parts of target 0
     base = Scenario(50.0, 50.0, sensor, targets)
-    eps = base.tol.eps_len
+    eps = base.eps_len
     points = [(19.5 + 0.5 * i + 0.01 * j, 19.5 + 0.5 * j) for i in range(3) for j in range(3)]
     points += [(20.0, 19.0), (19.0, 20.0), (28.0, 17.0)]
     pi, tj = sweep_module._cheap_pairs(np.array(points), ScenarioIndex(base))
@@ -546,7 +546,7 @@ def line_scene(phi_deg):
     targets = (Target(0, (20.0, 20.0), (22.0, 20.0), (0.0, 1.0)),
                Target(1, (30.0, 24.0), (31.0, 25.0), (-r, r)))
     base = Scenario(50.0, 50.0, sensor, targets)
-    eps = base.tol.eps_len
+    eps = base.eps_len
     points = [(14.0 + 1.5 * i, 12.0 + 1.5 * j) for i in range(17) for j in range(14)]
     points += [(16.0, 20.0), (18.5, 20.0), (25.0, 20.0), (27.0, 20.0),   # on target 0's line
                (27.0, 21.0), (28.0, 22.0), (33.0, 27.0), (34.5, 28.5)]   # on target 1's line
