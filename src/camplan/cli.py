@@ -208,20 +208,16 @@ def cmd_candidates(args) -> int:
 
 def _parse_algo_spec(spec: str) -> dict:
     """'bcpf:0.1', 'bcpf:0.1:5', 'grid:2' or 'comprehensive'."""
-    parts = spec.split(":")
-    name = parts[0]
-    if name == "comprehensive":
-        if len(parts) > 1:
-            raise ValueError(f"comprehensive takes no parameters: {spec!r}")
-        return {"algo": name, "eps_a": None, "eps_r": None, "grid_eps": None}
-    if name == "bcpf":
-        eps_a = float(parts[1]) if len(parts) > 1 else EPS_A
-        eps_r = float(parts[2]) if len(parts) > 2 else None
-        return {"algo": name, "eps_a": eps_a, "eps_r": eps_r, "grid_eps": None}
-    if name == "grid":
-        return {"algo": name, "eps_a": None, "eps_r": None,
-                "grid_eps": float(parts[1]) if len(parts) > 1 else GRID_EPS}
-    raise ValueError(f"unknown algorithm spec {spec!r}")
+    name, *fields = spec.split(":")
+    # each algorithm's fields, in spec order, with their defaults
+    steps = {"comprehensive": {}, "bcpf": {"eps_a": EPS_A, "eps_r": None}, "grid": {"grid_eps": GRID_EPS}}.get(name)
+    if steps is None:
+        raise ValueError(f"unknown algorithm spec {spec!r}")
+    if len(fields) > len(steps):
+        raise ValueError(f"{name} takes at most {len(steps)} parameters: {spec!r}")
+    out = {"algo": name, "eps_a": None, "eps_r": None, "grid_eps": None, **steps}
+    out.update(zip(steps, map(float, fields)))
+    return out
 
 
 def _spec_steps(spec: dict) -> dict:

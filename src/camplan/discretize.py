@@ -3,7 +3,9 @@
 Three schemes with very different cost/quality trade-offs: the comprehensive
 set (field boundary vertices and field/field and field/view-circle
 intersections, complete for joint-coverage configurations), polar sampling of
-each target's basic placement field, and a uniform grid over the area.
+each target's basic placement field, and a uniform grid over the area.  The
+first two build on `fields` alone: its regions and its membership rule
+`covers_np`.
 """
 from __future__ import annotations
 
@@ -12,11 +14,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import aov_pair, covers, cpf, field_tolerance
+from .fields import aov_pair, covers_np, field_tolerance, interacting_blockers, region
 from .geom import (CurveTable, DegenerateError, Piece, Point, Segment, box_pairs, circle_table, curve_table,
                    intersections)
 from .model import MAX_LENGTH, Scenario, Target
-from .sweep import ScenarioIndex, clause_verdicts
 
 _TAG_RANK = {"cpf-critical": 0, "cpf-x-cpf": 1, "cpf-x-aov": 2, "bcpf-sample": 3, "grid": 4}
 
@@ -99,7 +100,7 @@ def comprehensive_candidates(s: Scenario) -> CandidateSet:
         raise ValueError(f"a {s.sensor.aov_deg:g} deg angle of view puts view-angle circles "
                          f"beyond {MAX_LENGTH:g}")
     eps = s.eps_len
-    regions = [cpf(t, s) for t in s.targets]
+    regions = [region(t, s.sensor, b) for t, b in zip(s.targets, interacting_blockers(s.targets, s))]
     uncoverable = tuple(t.id for t, reg in zip(s.targets, regions) if reg.is_empty())
 
     pieces = [list(reg.pieces()) for reg in regions]
@@ -264,10 +265,9 @@ def _pair_view_circles(ti: Target, tj: Target, theta: float):
     for a in (ti.start, ti.end):
         for b in (tj.start, tj.end):
             try:
-                pair = aov_pair(Segment(a, b), theta)
+                circles.extend(aov_pair(Segment(a, b), theta))
             except DegenerateError:
                 continue  # shared endpoint: no chord
-            circles.extend(pair.circles)
     return circles
 
 
@@ -279,30 +279,28 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
     boundary (max endpoint distance exactly r_max) and further samples step
     inward by eps_r while the radius stays >= max(r_min, width).
 
-    All fans are built at once as arrays, in target, fan, ring order.  The
-    array clauses of `sweep.clause_verdicts` decide membership where every
-    slack clears a rounding margin; `covers` decides the few samples within
-    it, so the samples are those `covers` accepts.
+    All fans are built at once as arrays, in target, fan, ring order, and
+    `fields.covers_np` keeps the samples `covers` accepts.
     """
     sensor = s.sensor
     steps = fan_steps(sensor.phi, eps_a, len(s.targets))
     check_steps(eps_r=eps_r)
     ts = s.targets
     psi = [-sensor.phi + (i + 0.5) * eps_a for i in range(steps)]
-    eps = [field_tolerance(t, sensor) for t in ts]
-    idx = ScenarioIndex(s)
+    eps = np.array([field_tolerance(t, sensor) for t in ts])
+    sx, sy, ex, ey = np.array([(*t.start, *t.end) for t in ts], dtype=float).reshape(-1, 4).T
     # one ray per (target, fan step), target-major
     base = np.array([math.atan2(t.normal[1], t.normal[0]) for t in ts])
     angle = (base[:, None] + np.array(psi)).ravel().tolist()
     ux = np.array([math.cos(a) for a in angle])
     uy = np.array([math.sin(a) for a in angle])
     ray_t = np.repeat(np.arange(len(ts)), steps)
-    mx, my = idx.mx[ray_t], idx.my[ray_t]
+    mx, my = ((sx + ex) / 2.0)[ray_t], ((sy + ey) / 2.0)[ray_t]
     half_w2 = np.array([(t.width / 2.0) ** 2 for t in ts])[ray_t]
     rr = sensor.r_max * sensor.r_max
     outer = np.full(ray_t.size, np.inf)
-    for ex, ey in ((idx.sx, idx.sy), (idx.ex, idx.ey)):
-        c = ux * (ex[ray_t] - mx) + uy * (ey[ray_t] - my)
+    for qx, qy in ((sx, sy), (ex, ey)):
+        c = ux * (qx[ray_t] - mx) + uy * (qy[ray_t] - my)
         disc = c * c + rr - half_w2
         reach = c + np.sqrt(np.where(disc < 0.0, 0.0, disc))
         # r_max shorter than the endpoint offset: no reach
@@ -330,9 +328,7 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
     y = my[ray] + r * uy[ray]
 
     tj = ray_t[ray]
-    keep, unsure = clause_verdicts(x, y, idx.cols(tj), sensor, np.array(eps)[tj])
-    for k in np.flatnonzero(unsure).tolist():
-        keep[k] = covers(ts[tj[k]], (float(x[k]), float(y[k])), sensor, eps[tj[k]])
+    keep = covers_np(x, y, ts, tj, sensor, eps[tj])
     xy = _clamp_to_area(np.stack([x[keep], y[keep]], axis=1), s)
     kept = _dedupe(xy, np.full(len(xy), _TAG_RANK["bcpf-sample"]), s.eps_len)
     return CandidateSet([tuple(p) for p in xy[kept].tolist()], ["bcpf-sample"] * len(kept),

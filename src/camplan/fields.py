@@ -1,12 +1,15 @@
-"""Placement-field construction and the scalar coverage model.
+"""Placement-field construction and the coverage model.
 
 `covers` is the one scalar reference for whether a camera covers a target:
 range, facing, view angle and, given a blocker list, occlusion, all at one
-float tolerance.  Field membership and the polar sampler call it at
-`field_tolerance`; the solution verifier (`select.verify_solution`) at the
-scene's, with each target's `interacting_blockers`.  The sweep's batched
-kernel is its array form and never calls it, so the verifier stays
-independent of the sweep.
+float tolerance.  Its array form sits beside it: `clause_slacks` and
+`_facing_slack`, which the sweep evaluates over (point, target) pairs, and
+`covers_np`, which decides by them where every slack clears a rounding margin
+and by `covers` where one does not.  Field membership and the polar sampler
+call `covers_np` at `field_tolerance`; the solution verifier
+(`select.verify_solution`) calls `covers` at the scene's, with each target's
+`interacting_blockers`, and never the array form, so it stays independent of
+the sweep.
 
 For one target, the set of camera positions that can fully cover it is cut out
 of the plane by four constraint families: range to both endpoints, the maximum
@@ -19,7 +22,6 @@ cpf).  `covers` is always the final authority.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,6 +34,7 @@ from .geom import (
     Point,
     Region,
     Segment,
+    _blocks_triangle_np,
     angle_between,
     bearing,
     box_pairs,
@@ -44,29 +47,13 @@ from .geom import (
     wrap_pi,
 )
 from .model import Scenario, SensorSpec, Target
-from .sweep import _blocks_triangle_np, clause_verdicts
 
 
-@dataclass(frozen=True, slots=True)
-class AovCirclePair:
-    """The two circles seeing a chord at a fixed inscribed angle.
-
-    c_plus bounds the view-angle limit on the chord's +normal side (its arc on
-    that side subtends exactly theta), c_minus on the other side.  For
-    theta > pi/2 each circle's center sits on the side opposite its arc.
-    """
-
-    chord: Segment
-    theta: float
-    c_plus: Circle
-    c_minus: Circle
-
-    @property
-    def circles(self) -> tuple[Circle, Circle]:
-        return (self.c_plus, self.c_minus)
-
-
-def aov_pair(chord: Segment, theta: float) -> AovCirclePair:
+def aov_pair(chord: Segment, theta: float) -> tuple[Circle, Circle]:
+    """The two circles (c_plus, c_minus) seeing a chord at inscribed angle
+    theta.  c_plus bounds the view-angle limit on the chord's +normal side
+    (its arc on that side subtends exactly theta), c_minus on the other side.
+    For theta > pi/2 each circle's center sits on the side opposite its arc."""
     if not 0.0 < theta < math.pi:
         raise ValueError(f"inscribed angle must be in (0, pi), got {theta}")
     length = chord.length()
@@ -77,9 +64,7 @@ def aov_pair(chord: Segment, theta: float) -> AovCirclePair:
     dx, dy = chord.direction()
     nx, ny = -dy, dx
     off = radius * math.cos(theta)  # signed: flips sides for obtuse theta
-    c_plus = Circle((mx + nx * off, my + ny * off), radius)
-    c_minus = Circle((mx - nx * off, my - ny * off), radius)
-    return AovCirclePair(chord, theta, c_plus, c_minus)
+    return Circle((mx + nx * off, my + ny * off), radius), Circle((mx - nx * off, my - ny * off), radius)
 
 
 def subtended_angle(t: Target, p: Point) -> float:
@@ -162,12 +147,84 @@ def covers(
     return ok and visible
 
 
+# --- the array form -----------------------------------------------------------
+
+def _seg_point_dist_np(px, py, ax, ay, bx, by):
+    dx, dy = bx - ax, by - ay
+    L2 = dx * dx + dy * dy
+    t = np.where(L2 > 0.0, ((px - ax) * dx + (py - ay) * dy) / np.where(L2 > 0, L2, 1.0), 0.0)
+    t = np.clip(t, 0.0, 1.0)
+    return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
+
+
+def clause_slacks(x, y, cols, sensor, eps_len):
+    """Slacks of the coverage clauses that need neither a viewing direction nor
+    occlusion, facing aside (`_facing_slack`), for camera (x[k], y[k]) and the
+    target whose columns (sx, sy, ex, ey, nx, ny) are entry k of `cols`
+    (scalars serve one target): both endpoints farther than eps_len and within
+    r_max, outside the r_min band (given r_min > 0), the midpoint farther than
+    eps_len; given theta < pi, the subtended angle.
+
+    Returns (length slacks, angle slacks), two lists of per-camera arrays, one
+    array per clause; a camera passes these clauses exactly when all its
+    slacks are >= 0.  eps_len is a scalar or a per-camera array."""
+    sx, sy, ex, ey = cols[:4]
+    d_s = np.hypot(sx - x, sy - y)
+    d_e = np.hypot(ex - x, ey - y)
+    vmx = x - (sx + ex) / 2.0
+    vmy = y - (sy + ey) / 2.0
+    # a strict clause d > eps is the closed clause d >= the next float above eps
+    above = np.nextafter(eps_len, np.inf)
+    lengths = [d_s - above, d_e - above, (sensor.r_max + eps_len) - np.maximum(d_s, d_e),
+               np.hypot(vmx, vmy) - above]
+    if sensor.r_min > 0.0:
+        lengths.append(_seg_point_dist_np(x, y, sx, sy, ex, ey) - (sensor.r_min - eps_len))
+    angles = []
+    if sensor.theta < math.pi:
+        vsx, vsy = sx - x, sy - y
+        vex, vey = ex - x, ey - y
+        cross = np.abs(vsx * vey - vsy * vex)
+        dot = vsx * vex + vsy * vey
+        angles.append((sensor.theta + EPS_ANG) - np.arctan2(cross, dot))
+    return lengths, angles
+
+
+def _facing_slack(vmx, vmy, nx, ny, sensor):
+    """Slack of the facing clause for a camera offset (vmx, vmy) from the
+    midpoint of a target with normal (nx, ny)."""
+    return (sensor.phi + EPS_ANG) - np.arctan2(np.abs(nx * vmy - ny * vmx), nx * vmx + ny * vmy)
+
+
+# np.hypot and np.arctan2 may differ from math's in the last bits, far below
+# these margins (eps_len units, radians): a slack within one is left to `covers`.
+_LEN_MARGIN = 1e-3
+_ANG_MARGIN = 1e-12
+
+
+def covers_np(x, y, targets: Sequence[Target], tj, sensor: SensorSpec, eps) -> np.ndarray:
+    """Per camera k, `covers(targets[tj[k]], (x[k], y[k]), sensor, eps)`
+    without vd or blockers; eps is a scalar or a per-camera array.  The array
+    clauses decide the cameras whose every slack clears the margins above,
+    `covers` the few with a slack within them."""
+    cols = np.array([(*t.start, *t.end, *t.normal) for t in targets], dtype=float).reshape(-1, 6)[tj].T
+    sx, sy, ex, ey, nx, ny = cols
+    lengths, angles = clause_slacks(x, y, cols, sensor, eps)
+    angles.append(_facing_slack(x - (sx + ex) / 2.0, y - (sy + ey) / 2.0, nx, ny, sensor))
+    slacks = lengths + angles
+    margins = [_LEN_MARGIN * eps] * len(lengths) + [_ANG_MARGIN] * len(angles)
+    fails = np.logical_or.reduce([slack < -m for slack, m in zip(slacks, margins)])
+    holds = np.logical_and.reduce([slack > m for slack, m in zip(slacks, margins)])
+    eps = np.broadcast_to(eps, holds.shape)
+    for k in np.flatnonzero(~fails & ~holds).tolist():
+        holds[k] = covers(targets[tj[k]], (float(x[k]), float(y[k])), sensor, float(eps[k]))
+    return holds
+
+
 def bcpf_boundary_curves(t: Target, sensor: SensorSpec) -> list[Curve]:
     """All curves the region boundary can lie on (superset; classification prunes)."""
     curves: list[Curve] = [Circle(t.start, sensor.r_max), Circle(t.end, sensor.r_max)]
     if sensor.theta < math.pi:
-        pair = aov_pair(t.segment, sensor.theta)
-        curves.extend(pair.circles)
+        curves.extend(aov_pair(t.segment, sensor.theta))
     m = t.midpoint
     base = math.atan2(t.normal[1], t.normal[0])
     reach = 2.0 * (sensor.r_max + t.width)
@@ -179,27 +236,31 @@ def bcpf_boundary_curves(t: Target, sensor: SensorSpec) -> list[Curve]:
 
 def bcpf(t: Target, sensor: SensorSpec) -> Region:
     """Placement region ignoring occlusion.  Exact construction needs r_min = 0."""
-    return _region(t, sensor, [])
+    return region(t, sensor, [])
 
 
 # --- occlusion -------------------------------------------------------------
 
 def interacting_blockers(targets: Sequence[Target], scenario: Scenario) -> list[list[Segment]]:
     """For each of the targets, the other blocking segments close enough to
-    matter for its field, in the order of `Scenario.blockers`."""
+    matter for its field, in the order of `Scenario.blockers`.  A target's own
+    segment is the blocker at its position in `scenario.targets`, whatever
+    its id."""
     items = scenario.blockers()
     eps = scenario.eps_len
+    position = {t: k for k, t in enumerate(scenario.targets)}
+    own = [position.get(t, -1) for t in targets]
     mids = [t.midpoint for t in targets]
     reach = [scenario.sensor.r_max + t.width + eps for t in targets]
     # a segment is no nearer than its bounding box: midpoint boxes grown by
     # the reach, padded for rounding, keep every blocker the exact test accepts
     m = np.array(mids, dtype=float).reshape(-1, 2)
     grow = np.array(reach)[:, None] + eps
-    near = box_pairs(m - grow, m + grow, *segment_boxes([seg for seg, _ in items], 0.0))
+    near = box_pairs(m - grow, m + grow, *segment_boxes(items, 0.0))
     out: list[list[Segment]] = [[] for _ in targets]
     for i, k in zip(*(a.tolist() for a in near)):
-        seg, owner = items[k]
-        if owner != targets[i].id and point_segment_distance(mids[i], seg) <= reach[i]:
+        seg = items[k]
+        if k != own[i] and point_segment_distance(mids[i], seg) <= reach[i]:
             out[i].append(seg)
     return out
 
@@ -254,10 +315,11 @@ def cpf(t: Target, scenario: Scenario) -> Region:
     that line too thin for the offset to resolve: it is left out, and its
     sliver stays inside the region.
     """
-    return _region(t, scenario.sensor, interacting_blockers([t], scenario)[0])
+    return region(t, scenario.sensor, interacting_blockers([t], scenario)[0])
 
 
-def _region(t: Target, sensor: SensorSpec, blockers: list[Segment]) -> Region:
+def region(t: Target, sensor: SensorSpec, blockers: list[Segment]) -> Region:
+    """The field of t among these blockers, as `cpf` builds it."""
     if sensor.r_min > 0.0:
         raise ValueError("region construction supports r_min = 0 only; use covers")
     d = 2.0 * (sensor.r_max + t.width)
@@ -279,18 +341,15 @@ def _region(t: Target, sensor: SensorSpec, blockers: list[Segment]) -> Region:
 
 
 def _field_inside(t: Target, sensor: SensorSpec, eps: float, blockers: list[Segment]):
-    """Membership of (m, 2) points in the exact field: `covers` at eps (its
-    array clauses where they clear the rounding margins), and no blocker in
-    the open sight triangle at zero tolerance, one pass over every (covered
-    point, blocker) pair."""
+    """Membership of (m, 2) points in the exact field: `covers_np` at eps, and
+    no blocker in the open sight triangle at zero tolerance, one pass over
+    every (covered point, blocker) pair."""
     (sx, sy), (ex, ey) = t.start, t.end
     ends = np.array([(*seg.a, *seg.b) for seg in blockers], dtype=float).reshape(-1, 4).T
 
     def inside(p: np.ndarray) -> np.ndarray:
         x, y = p[:, 0], p[:, 1]
-        keep, unsure = clause_verdicts(x, y, (sx, sy, ex, ey, *t.normal), sensor, eps)
-        for k in np.flatnonzero(unsure).tolist():
-            keep[k] = covers(t, (float(x[k]), float(y[k])), sensor, eps)
+        keep = covers_np(x, y, [t], np.zeros(len(p), dtype=np.int64), sensor, eps)
         k = np.flatnonzero(keep)
         ax, ay = (np.broadcast_to(c[k, None], (len(k), len(blockers))) for c in (x, y))
         keep[k] = ~_blocks_triangle_np(ax, ay, sx, sy, ex, ey, *ends, 0.0).any(axis=1)

@@ -538,6 +538,39 @@ def segment_blocks_triangle(blocker: Segment, apex: Point, base: Segment, eps: f
     return True
 
 
+def _blocks_triangle_np(ax, ay, sx, sy, ex, ey, bax, bay, bbx, bby, eps):
+    """Elementwise segment_blocks_triangle: blocker (ba, bb) enters the open
+    triangle (apex, s, e)."""
+    cross = (sx - ax) * (ey - ay) - (sy - ay) * (ex - ax)
+    sgn = np.sign(cross)
+    # degenerate slivers never block
+    out = sgn != 0.0
+    vx = (ax, sx, ex)
+    vy = (ay, sy, ey)
+    lo = np.zeros(out.shape)
+    hi = np.ones(out.shape)
+    planes = []
+    for i in range(3):
+        ux, uy = vx[i], vy[i]
+        nx = sgn * (uy - vy[(i + 1) % 3])
+        ny = sgn * (vx[(i + 1) % 3] - ux)
+        planes.append((ux, uy, nx, ny, np.hypot(nx, ny)))
+        dp = nx * (bax - ux) + ny * (bay - uy)
+        dq = nx * (bbx - ux) + ny * (bby - uy)
+        out &= (dp >= 0.0) | (dq >= 0.0)
+        den = dp - dq
+        at = dp / np.where(den != 0.0, den, 1.0)
+        lo = np.where((dp < 0.0) & (dq >= 0.0), np.maximum(lo, at), lo)
+        hi = np.where((dq < 0.0) & (dp >= 0.0), np.minimum(hi, at), hi)
+    out &= hi - lo > 1e-12
+    sm = (lo + hi) / 2.0
+    mx = bax + sm * (bbx - bax)
+    my = bay + sm * (bby - bay)
+    for ux, uy, nx, ny, nlen in planes:
+        out &= nx * (mx - ux) + ny * (my - uy) > eps * nlen
+    return out
+
+
 # ---------------------------------------------------------------------------
 # regions
 

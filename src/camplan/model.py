@@ -84,12 +84,10 @@ class Scenario:
     def eps_len(self) -> float:
         return scaled_eps(self.diameter)
 
-    def blockers(self) -> list[tuple[Segment, int]]:
-        """All sight-blocking segments with owning target id (-1 for obstacles)."""
-        out: list[tuple[Segment, int]] = [(t.segment, t.id) for t in self.targets]
-        for obs in self.obstacles:
-            out.extend((e, -1) for e in obs.edges())
-        return out
+    def blockers(self) -> list[Segment]:
+        """All sight-blocking segments: the targets' own, the k-th target's
+        k-th, then every obstacle edge."""
+        return [t.segment for t in self.targets] + [e for obs in self.obstacles for e in obs.edges()]
 
     def in_area(self, p: Point, slack: float = 0.0) -> bool:
         return -slack <= p[0] <= self.width + slack and -slack <= p[1] <= self.height + slack

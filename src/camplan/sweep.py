@@ -10,9 +10,10 @@ pairs by target and by the side of its line their apex is on, drops blockers
 at the group's box and target plane and then at each pair's box and sight
 planes, in the exact clip's own arithmetic, and clips only what is left.  The
 subset passes wrap angles by compare-and-add (`geom._mod_2pi_np`), bit for
-bit `np.remainder`.  The clauses here are the array form of the scalar
-reference `fields.covers`; the solution verifier (`select.verify_solution`)
-calls that reference and never this module's kernel.
+bit `np.remainder`.  The clauses come from `fields`, beside the scalar
+reference `fields.covers` they are the array form of, and the clip from
+`geom`; the solution verifier (`select.verify_solution`) calls `covers` and
+never this module.
 """
 from __future__ import annotations
 
@@ -21,7 +22,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .geom import EPS_ANG, TWO_PI, _mod_2pi_np, _norm_angle_np
+from .fields import _facing_slack, clause_slacks
+from .geom import EPS_ANG, TWO_PI, _blocks_triangle_np, _mod_2pi_np, _norm_angle_np
 from .model import CandidateConfig, ConfigTable, Scenario
 
 
@@ -36,7 +38,8 @@ _BUDGET = 1 << 18
 
 
 class ScenarioIndex:
-    """Flat numpy snapshot of a scenario for the batch sweep."""
+    """Flat numpy snapshot of a scenario for the batch sweep; blockers in the
+    order of `Scenario.blockers`, so blocker k < n is target k's own."""
 
     def __init__(self, s: Scenario):
         self.scenario = s
@@ -52,11 +55,10 @@ class ScenarioIndex:
         self.mx = (self.sx + self.ex) / 2.0
         self.my = (self.sy + self.ey) / 2.0
         blockers = s.blockers()
-        self.bax = np.array([b.a[0] for b, _ in blockers])
-        self.bay = np.array([b.a[1] for b, _ in blockers])
-        self.bbx = np.array([b.b[0] for b, _ in blockers])
-        self.bby = np.array([b.b[1] for b, _ in blockers])
-        self.owner = np.array([o for _, o in blockers], dtype=np.int64)
+        self.bax = np.array([b.a[0] for b in blockers])
+        self.bay = np.array([b.a[1] for b in blockers])
+        self.bbx = np.array([b.b[0] for b in blockers])
+        self.bby = np.array([b.b[1] for b in blockers])
         self.bx_lo = np.minimum(self.bax, self.bbx)
         self.bx_hi = np.maximum(self.bax, self.bbx)
         self.by_lo = np.minimum(self.bay, self.bby)
@@ -65,73 +67,6 @@ class ScenarioIndex:
     def cols(self, tj):
         """Target columns (sx, sy, ex, ey, nx, ny) at indices tj, for `clause_slacks`."""
         return self.sx[tj], self.sy[tj], self.ex[tj], self.ey[tj], self.nx[tj], self.ny[tj]
-
-
-def _seg_point_dist_np(px, py, ax, ay, bx, by):
-    dx, dy = bx - ax, by - ay
-    L2 = dx * dx + dy * dy
-    t = np.where(L2 > 0.0, ((px - ax) * dx + (py - ay) * dy) / np.where(L2 > 0, L2, 1.0), 0.0)
-    t = np.clip(t, 0.0, 1.0)
-    return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
-
-
-def clause_slacks(x, y, cols, sensor, eps_len):
-    """Slacks of the coverage clauses that need neither a viewing direction nor
-    occlusion, facing aside (`_facing_slack`), for camera (x[k], y[k]) and the
-    target whose columns (sx, sy, ex, ey, nx, ny) are entry k of `cols` (see
-    `ScenarioIndex.cols`; scalars serve one target): both endpoints farther
-    than eps_len and within r_max, outside the r_min band (given r_min > 0),
-    the midpoint farther than eps_len; given theta < pi, the subtended angle.
-
-    Returns (length slacks, angle slacks), two lists of per-camera arrays, one
-    array per clause; a camera passes these clauses exactly when all its
-    slacks are >= 0.  eps_len is a scalar or a per-camera array."""
-    sx, sy, ex, ey = cols[:4]
-    d_s = np.hypot(sx - x, sy - y)
-    d_e = np.hypot(ex - x, ey - y)
-    vmx = x - (sx + ex) / 2.0
-    vmy = y - (sy + ey) / 2.0
-    # a strict clause d > eps is the closed clause d >= the next float above eps
-    above = np.nextafter(eps_len, np.inf)
-    lengths = [d_s - above, d_e - above, (sensor.r_max + eps_len) - np.maximum(d_s, d_e),
-               np.hypot(vmx, vmy) - above]
-    if sensor.r_min > 0.0:
-        lengths.append(_seg_point_dist_np(x, y, sx, sy, ex, ey) - (sensor.r_min - eps_len))
-    angles = []
-    if sensor.theta < math.pi:
-        vsx, vsy = sx - x, sy - y
-        vex, vey = ex - x, ey - y
-        cross = np.abs(vsx * vey - vsy * vex)
-        dot = vsx * vex + vsy * vey
-        angles.append((sensor.theta + EPS_ANG) - np.arctan2(cross, dot))
-    return lengths, angles
-
-
-def _facing_slack(vmx, vmy, nx, ny, sensor):
-    """Slack of the facing clause for a camera offset (vmx, vmy) from the
-    midpoint of a target with normal (nx, ny)."""
-    return (sensor.phi + EPS_ANG) - np.arctan2(np.abs(nx * vmy - ny * vmx), nx * vmx + ny * vmy)
-
-
-# np.hypot and np.arctan2 may differ from math's in the last bits, far below
-# these margins (eps_len units, radians): a slack within one is left to `covers`.
-_LEN_MARGIN = 1e-3
-_ANG_MARGIN = 1e-12
-
-
-def clause_verdicts(x, y, cols, sensor, eps_len):
-    """(holds, unsure): per camera, whether every `clause_slacks` clause and
-    the facing clause hold with a slack beyond the margins above, and whether
-    some slack lies within them and none fails beyond them.  A camera that is
-    neither fails; an unsure one needs `fields.covers` (without vd or scenario)
-    to decide."""
-    sx, sy, ex, ey, nx, ny = cols
-    lengths, angles = clause_slacks(x, y, cols, sensor, eps_len)
-    angles.append(_facing_slack(x - (sx + ex) / 2.0, y - (sy + ey) / 2.0, nx, ny, sensor))
-    margins = [_LEN_MARGIN * eps_len] * len(lengths) + [_ANG_MARGIN] * len(angles)
-    fails = np.logical_or.reduce([slack < -m for slack, m in zip(lengths + angles, margins)])
-    holds = np.logical_and.reduce([slack > m for slack, m in zip(lengths + angles, margins)])
-    return holds, ~fails & ~holds
 
 
 def _cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
@@ -157,39 +92,6 @@ def _cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
     lengths, angles = clause_slacks(x[f], y[f], idx.cols(tj), sensor, eps_len)
     keep = np.logical_and.reduce([slack >= 0.0 for slack in lengths + angles])
     return pi[keep], tj[keep]
-
-
-def _blocks_triangle_np(ax, ay, sx, sy, ex, ey, bax, bay, bbx, bby, eps):
-    """Elementwise geom.segment_blocks_triangle: blocker (ba, bb) enters the
-    open triangle (apex, s, e)."""
-    cross = (sx - ax) * (ey - ay) - (sy - ay) * (ex - ax)
-    sgn = np.sign(cross)
-    # degenerate slivers never block
-    out = sgn != 0.0
-    vx = (ax, sx, ex)
-    vy = (ay, sy, ey)
-    lo = np.zeros(out.shape)
-    hi = np.ones(out.shape)
-    planes = []
-    for i in range(3):
-        ux, uy = vx[i], vy[i]
-        nx = sgn * (uy - vy[(i + 1) % 3])
-        ny = sgn * (vx[(i + 1) % 3] - ux)
-        planes.append((ux, uy, nx, ny, np.hypot(nx, ny)))
-        dp = nx * (bax - ux) + ny * (bay - uy)
-        dq = nx * (bbx - ux) + ny * (bby - uy)
-        out &= (dp >= 0.0) | (dq >= 0.0)
-        den = dp - dq
-        at = dp / np.where(den != 0.0, den, 1.0)
-        lo = np.where((dp < 0.0) & (dq >= 0.0), np.maximum(lo, at), lo)
-        hi = np.where((dq < 0.0) & (dp >= 0.0), np.minimum(hi, at), hi)
-    out &= hi - lo > 1e-12
-    sm = (lo + hi) / 2.0
-    mx = bax + sm * (bbx - bax)
-    my = bay + sm * (bby - bay)
-    for ux, uy, nx, ny, nlen in planes:
-        out &= nx * (mx - ux) + ny * (my - uy) > eps * nlen
-    return out
 
 
 def _occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex) -> np.ndarray:
@@ -226,14 +128,15 @@ def _occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex) -> np.ndarray:
     group = np.searchsorted(u, key)
     t, side = u[:, None] >> 1, np.where(u & 1, 1.0, -1.0)[:, None]
     # a group's pairs share the clip's plane through the target, from s to e,
-    # so a blocker wholly behind it drops out for the whole group
+    # so a blocker wholly behind it drops out for the whole group; the
+    # target's own segment is blocker t
     n1x, n1y = side * (idx.sy[t] - idx.ey[t]), side * (idx.ex[t] - idx.sx[t])
     cand = (
         (np.minimum.reduceat(tx_lo[by_k], first)[:, None] <= idx.bx_hi[near])
         & (idx.bx_lo[near] <= np.maximum.reduceat(tx_hi[by_k], first)[:, None])
         & (np.minimum.reduceat(ty_lo[by_k], first)[:, None] <= idx.by_hi[near])
         & (idx.by_lo[near] <= np.maximum.reduceat(ty_hi[by_k], first)[:, None])
-        & (idx.owner[near] != idx.ids[t])
+        & (near != t)
         & _meets_plane(idx.sx[t], idx.sy[t], n1x, n1y, near, idx)
     )
     g, k = np.nonzero(cand)

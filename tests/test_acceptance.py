@@ -110,18 +110,20 @@ def test_wider_aov_never_needs_more_cameras_and_keeps_runtime_flat():
 
 
 def test_camera_count_and_runtime_trend_with_target_count_and_range():
-    def axis_means(values, make):
-        cams, times = [], []
-        for v in values:
-            cs, ts = [], []
-            for seed in range(10):
-                c, t, ok = solved(make(v, seed), "bcpf")
-                assert ok, f"axis value {v} seed {seed}: coverage failed"
-                cs.append(c)
-                ts.append(t)
-            cams.append(statistics.mean(cs))
-            times.append(statistics.mean(ts))
-        return cams, times
+    def axis_means(values, make, repeats=3):
+        # the axis values take turns within each seed, so a swing in host
+        # speed falls on all of them alike, and a scene's runtime is the
+        # fastest of a few solves, the one a busy host slowed least
+        cams = {v: [] for v in values}
+        times = {v: [] for v in values}
+        for seed in range(10):
+            for v in values:
+                s = make(v, seed)
+                runs = [solved(s, "bcpf") for _ in range(repeats)]
+                assert all(ok for _, _, ok in runs), f"axis value {v} seed {seed}: coverage failed"
+                cams[v].append(runs[0][0])
+                times[v].append(min(t for _, t, _ in runs))
+        return [statistics.mean(cams[v]) for v in values], [statistics.mean(times[v]) for v in values]
 
     ns = (10, 40, 70, 100, 140)
     cams_n, times_n = axis_means(ns, lambda n, seed: scene(n, seed, r_max=30.0))
@@ -183,14 +185,14 @@ def test_view_circle_closed_forms_region_shape_and_predicate_agreement():
     # circle seeing a chord of length 2 under 60 degrees: radius 2/sqrt(3),
     # center offset 1/sqrt(3) from the chord midpoint
     chord = Segment((0.0, 0.0), (2.0, 0.0))
-    acute = aov_pair(chord, math.pi / 3.0)
-    assert acute.c_plus.radius == pytest.approx(1.1547005383792515, abs=1e-9)
-    assert acute.c_plus.center == pytest.approx((1.0, 0.5773502691896258), abs=1e-9)
-    assert acute.c_minus.center == pytest.approx((1.0, -0.5773502691896258), abs=1e-9)
-    obtuse = aov_pair(chord, 2.0 * math.pi / 3.0)
-    assert obtuse.c_plus.radius == pytest.approx(1.1547005383792515, abs=1e-9)
+    acute_plus, acute_minus = aov_pair(chord, math.pi / 3.0)
+    assert acute_plus.radius == pytest.approx(1.1547005383792515, abs=1e-9)
+    assert acute_plus.center == pytest.approx((1.0, 0.5773502691896258), abs=1e-9)
+    assert acute_minus.center == pytest.approx((1.0, -0.5773502691896258), abs=1e-9)
+    obtuse_plus, _ = aov_pair(chord, 2.0 * math.pi / 3.0)
+    assert obtuse_plus.radius == pytest.approx(1.1547005383792515, abs=1e-9)
     # obtuse viewing angle: the bounding arc crosses to the other side
-    assert obtuse.c_plus.center == pytest.approx((1.0, -0.5773502691896258), abs=1e-9)
+    assert obtuse_plus.center == pytest.approx((1.0, -0.5773502691896258), abs=1e-9)
 
     t = Target(0, (50.0, 50.0), (51.0, 50.0), (0.0, 1.0))
     wide = SensorSpec(aov_deg=120.0, r_min=0.0, r_max=10.0, phi_deg=90.0)

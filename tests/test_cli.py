@@ -356,6 +356,16 @@ def test_bench_rejects_bad_algo_spec(tmp_path, capsys):
     assert "bench spec error" in err
 
 
+
+@pytest.mark.parametrize("spec", ["grid:6:99", "bcpf:0.3:8:1", "comprehensive:1", "grid:6:"])
+def test_bench_refuses_a_spec_with_more_fields_than_its_algorithm_takes(tmp_path, capsys, spec):
+    out = tmp_path / "b.csv"
+    code, _, err = run(["bench", "--axis", "n", "--values", "2", "--algos", f"bcpf:0.3:8,{spec}",
+                        "--out", str(out)], capsys)
+    assert code == 2
+    assert "bench spec error" in err and spec in err
+    assert not out.exists()
+
 BENCH_ARGS = [
     "bench", "--axis", "n", "--values", "2,3", "--algos", "grid:6,bcpf:0.3",
     "--seeds", "2", "--width", "30", "--height", "30", "--margin", "3",

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from camplan import select, sweep
+from camplan.cli import build_candidates, run_pipeline
 from camplan.fields import (
     aov_pair,
     covers,
@@ -234,7 +235,7 @@ def probes(draw, s: Scenario) -> list:
             r = sensor.r_min + s.eps_len * draw(st.sampled_from([0.0, -1.0, -0.5, -1.5]))
             pts.append((m[0] + r * t.normal[0], m[1] + r * t.normal[1]))
         if sensor.theta < math.pi:
-            for circle in aov_pair(t.segment, sensor.theta).circles:
+            for circle in aov_pair(t.segment, sensor.theta):
                 pts.append(circle.point_at(draw(angle)))
         for sign in (1.0, -1.0):
             ang = base + sign * sensor.phi + draw(st.sampled_from([0.0, 1e-8, -1e-8]))
@@ -429,8 +430,8 @@ def plain_interacting_blockers(t: Target, scenario: Scenario) -> list:
     m = t.midpoint
     reach = scenario.sensor.r_max + t.width + scenario.eps_len
     out = []
-    for seg, owner in scenario.blockers():
-        if owner == t.id:
+    for k, seg in enumerate(scenario.blockers()):
+        if k < scenario.n and scenario.targets[k] == t:
             continue
         if point_segment_distance(m, seg) <= reach:
             out.append(seg)
@@ -494,6 +495,52 @@ def test_interacting_blockers_keep_a_wall_only_rounding_brings_within_reach():
     scene = Scenario(s.width, s.height, sensor, (t,), (Obstacle(0, (wall.a, wall.b)),))
     assert plain_interacting_blockers(t, scene) == [wall]
     assert interacting_blockers([t], scene) == [[wall]]
+
+
+# --- target ids play no part in occlusion -----------------------------------------
+
+def relabelled(s: Scenario, first: int) -> Scenario:
+    """s with target k's id first + k: same order, so the same tie-breaks."""
+    targets = tuple(Target(first + k, t.start, t.end, t.normal) for k, t in enumerate(s.targets))
+    return Scenario(s.width, s.height, s.sensor, targets, s.obstacles)
+
+
+def walled_id_scenes() -> list[Scenario]:
+    # a target boxed in by a wall chain open only behind it: a camera must
+    # sit inside the box, so the polar samples, all outside it, see the
+    # target only if the wall is ignored
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=10.0, phi_deg=90.0)
+    boxed = Scenario(10.0, 10.0, sensor, (Target(0, (4.5, 5.0), (5.5, 5.0), (0.0, 1.0)),),
+                     (Obstacle(0, ((4.0, 4.9), (4.0, 5.3), (6.0, 5.3), (6.0, 4.9))),))
+    near = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=8.0, phi_deg=90.0)
+    return [boxed] + [random_scenario(GenParams(width=20.0, height=20.0, n_targets=n, n_obstacles=n,
+                                                margin=1.5, seed=seed), near)
+                      for seed, n in ((1, 3), (2, 5), (3, 6))]
+
+
+def plan(s: Scenario, algo: str):
+    """Candidates, placements, assignment by target position and verifier
+    verdicts, with every target id left out."""
+    cs = build_candidates(s, algo, 0.1, None, 0.5)
+    uncoverable = [[t.id for t in s.targets].index(tid) for tid in cs.uncoverable]
+    try:
+        sol = run_pipeline(s, algo, grid_eps=0.5).solution
+    except select.InfeasibleError:
+        return cs.points, cs.provenance, uncoverable, None
+    checks = [(c.ok, c.clauses, c.margins) for c in select.verify_solution(s, sol).checks]
+    placed = [sol.assignment.get(t.id) for t in s.targets]
+    return cs.points, cs.provenance, uncoverable, (sol.placements, placed, checks)
+
+
+@pytest.mark.parametrize("algo", ["comprehensive", "bcpf", "grid"])
+def test_target_ids_do_not_affect_occlusion(algo):
+    # ids -n..-1 and -2**63.. keep the targets' order; -1 is also the tag an
+    # obstacle edge once carried, and the wall must still occlude that target
+    for s in walled_id_scenes():
+        want = plan(s, algo)
+        for first in (-s.n, -2 ** 63):
+            assert plan(relabelled(s, first), algo) == want, (algo, first)
+    assert plan(relabelled(walled_id_scenes()[0], -1), "bcpf")[3] is None
 
 
 # --- the sweep's batched kernel against the reference ---------------------------------

@@ -7,7 +7,6 @@ import pytest
 
 import camplan.fields as fields_module
 import camplan.geom as geom_module
-import camplan.sweep as sweep_module
 from camplan.fields import (
     aov_pair,
     bcpf,
@@ -80,25 +79,25 @@ UNIT_CHORD = Segment((0.0, 0.0), (1.0, 0.0))
 # --- aov_pair ---------------------------------------------------------------
 
 def test_aov_pair_right_angle():
-    pair = aov_pair(UNIT_CHORD, math.pi / 2)
-    assert pair.c_plus.radius == pytest.approx(0.5)
-    assert pair.c_plus.center == pytest.approx((0.5, 0.0), abs=1e-15)
-    assert pair.c_minus.center == pytest.approx((0.5, 0.0), abs=1e-15)
+    c_plus, c_minus = aov_pair(UNIT_CHORD, math.pi / 2)
+    assert c_plus.radius == pytest.approx(0.5)
+    assert c_plus.center == pytest.approx((0.5, 0.0), abs=1e-15)
+    assert c_minus.center == pytest.approx((0.5, 0.0), abs=1e-15)
 
 
 def test_aov_pair_acute():
-    pair = aov_pair(UNIT_CHORD, math.pi / 3)
-    assert pair.c_plus.radius == pytest.approx(1 / math.sqrt(3))
-    assert pair.c_plus.center == pytest.approx((0.5, 0.288675), abs=1e-6)
-    assert pair.c_minus.center == pytest.approx((0.5, -0.288675), abs=1e-6)
+    c_plus, c_minus = aov_pair(UNIT_CHORD, math.pi / 3)
+    assert c_plus.radius == pytest.approx(1 / math.sqrt(3))
+    assert c_plus.center == pytest.approx((0.5, 0.288675), abs=1e-6)
+    assert c_minus.center == pytest.approx((0.5, -0.288675), abs=1e-6)
 
 
 def test_aov_pair_obtuse():
-    pair = aov_pair(UNIT_CHORD, 2 * math.pi / 3)
-    assert pair.c_plus.radius == pytest.approx(1 / math.sqrt(3))
+    c_plus, c_minus = aov_pair(UNIT_CHORD, 2 * math.pi / 3)
+    assert c_plus.radius == pytest.approx(1 / math.sqrt(3))
     # obtuse angle: each circle's center lies opposite its arc
-    assert pair.c_plus.center == pytest.approx((0.5, -0.288675), abs=1e-6)
-    assert pair.c_minus.center == pytest.approx((0.5, 0.288675), abs=1e-6)
+    assert c_plus.center == pytest.approx((0.5, -0.288675), abs=1e-6)
+    assert c_minus.center == pytest.approx((0.5, 0.288675), abs=1e-6)
 
 
 def test_aov_pair_rejects_reflex():
@@ -109,9 +108,9 @@ def test_aov_pair_rejects_reflex():
 def test_aov_pair_inscribed_angle_property():
     t = Target(0, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
     for theta in (0.3, math.pi / 2 - 0.1, math.pi / 2, 2.0, 2.8):
-        pair = aov_pair(UNIT_CHORD, theta)
+        c_plus, c_minus = aov_pair(UNIT_CHORD, theta)
         for ang in [k * 0.31 for k in range(21)]:
-            for circle, side in ((pair.c_plus, 1.0), (pair.c_minus, -1.0)):
+            for circle, side in ((c_plus, 1.0), (c_minus, -1.0)):
                 p = circle.point_at(ang)
                 if p[1] * side < 1e-3:  # keep to this circle's own side, off the chord
                     continue
@@ -472,8 +471,8 @@ def test_batched_classifier_matches_the_scalar_vote(monkeypatch, band):
     # piece with the scalar predicate; a wide margin band sends many probes
     # to the scalar fallback
     if band == "wide":
-        monkeypatch.setattr(sweep_module, "_LEN_MARGIN", 1e5)
-        monkeypatch.setattr(sweep_module, "_ANG_MARGIN", 1e-3)
+        monkeypatch.setattr(fields_module, "_LEN_MARGIN", 1e5)
+        monkeypatch.setattr(fields_module, "_ANG_MARGIN", 1e-3)
     fallbacks = counting_covers(monkeypatch)
     made, checked = [], []
     make, classify = fields_module._field_inside, geom_module._classify_pieces

@@ -10,7 +10,7 @@ import random
 import numpy as np
 import pytest
 
-from camplan import discretize
+from camplan import discretize, fields
 from camplan.cli import build_candidates
 from camplan.discretize import _TAG_RANK, CandidateSet, _dedupe, bcpf_sample
 from camplan.fields import covers, field_tolerance, subtended_angle
@@ -185,7 +185,7 @@ def test_bcpf_sample_borderline_samples_go_to_covers(monkeypatch):
         calls.append(args[1])
         return covers(*args, **kwargs)
 
-    monkeypatch.setattr(discretize, "covers", counting)
+    monkeypatch.setattr(fields, "covers", counting)
     for k in range(-3, 4):
         theta = limit
         for _ in range(abs(k)):

@@ -5,7 +5,9 @@
 test, and `oracle_cheap_pairs` and `oracle_occluded` are its pair and blocker
 tests as they stood before the sweep ran in spatial tiles (each against every
 point of the block, not the block's box) and grouped pairs by target; all
-four are copied verbatim apart from their names.  The table's per-point views must
+four are copied verbatim apart from their names, and from `oracle_occluded`
+finding a target's own segment by its position, as the blocker list now
+carries no owner ids.  The table's per-point views must
 equal the oracle's output field by field, and solving from the table must give
 the bytes that solving from its configs gives."""
 import dataclasses
@@ -30,9 +32,9 @@ from camplan.sweep import (
     _blocks_triangle_np,
     _mod_2pi_np,
     _norm_angle_np,
-    _seg_point_dist_np,
     sweep_points,
 )
+from camplan.fields import _seg_point_dist_np
 
 from oracles import from_configs, tables_equal
 
@@ -86,7 +88,7 @@ def oracle_occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex) -> np.ndarray
     if near.size == 0 or tj.size == 0:
         return out
     bx_lo, bx_hi, by_lo, by_hi = idx.bx_lo[near], idx.bx_hi[near], idx.by_lo[near], idx.by_hi[near]
-    owner = idx.owner[near]
+    owner = near   # blocker k < n is target k's own segment
     x, y = block[pi, 0], block[pi, 1]
     sx, sy, ex, ey = idx.sx[tj], idx.sy[tj], idx.ex[tj], idx.ey[tj]
     # bounding-box prefilter: only (pair, blocker) candidates whose sight
@@ -95,7 +97,7 @@ def oracle_occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex) -> np.ndarray
     tx_hi = np.maximum(np.maximum(sx, ex), x) + eps
     ty_lo = np.minimum(np.minimum(sy, ey), y) - eps
     ty_hi = np.maximum(np.maximum(sy, ey), y) + eps
-    own = idx.ids[tj]
+    own = tj
     step = max(1, _BUDGET // near.size)
     for a in range(0, tj.size, step):
         q = slice(a, a + step)
