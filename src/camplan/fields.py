@@ -8,8 +8,8 @@ float tolerance.  Its array form sits beside it: `clause_slacks` and
 and by `covers` where one does not.  Field membership and the polar sampler
 call `covers_np` at `field_tolerance`; the solution verifier
 (`select.verify_solution`) calls `covers` at the scene's, with each target's
-`interacting_blockers`, and never the array form, so it stays independent of
-the sweep.
+`interacting_blockers` within its sight triangle's box, and never the array
+form, so it stays independent of the sweep.
 
 For one target, the set of camera positions that can fully cover it is cut out
 of the plane by four constraint families: range to both endpoints, the maximum
@@ -241,11 +241,14 @@ def bcpf(t: Target, sensor: SensorSpec) -> Region:
 
 # --- occlusion -------------------------------------------------------------
 
-def interacting_blockers(targets: Sequence[Target], scenario: Scenario) -> list[list[Segment]]:
+def interacting_blockers(targets: Sequence[Target], scenario: Scenario,
+                         within: tuple[np.ndarray, np.ndarray] | None = None) -> list[list[Segment]]:
     """For each of the targets, the other blocking segments close enough to
     matter for its field, in the order of `Scenario.blockers`.  A target's own
     segment is the blocker at its position in `scenario.targets`, whatever
-    its id."""
+    its id.  Given within, (m, 2) lower and upper corners of one box per
+    target, a list keeps only the blockers whose boxes also meet that box:
+    an order-preserving subset of the list without it."""
     items = scenario.blockers()
     eps = scenario.eps_len
     position = {t: k for k, t in enumerate(scenario.targets)}
@@ -256,7 +259,10 @@ def interacting_blockers(targets: Sequence[Target], scenario: Scenario) -> list[
     # the reach, padded for rounding, keep every blocker the exact test accepts
     m = np.array(mids, dtype=float).reshape(-1, 2)
     grow = np.array(reach)[:, None] + eps
-    near = box_pairs(m - grow, m + grow, *segment_boxes(items, 0.0))
+    lo, hi = m - grow, m + grow
+    if within is not None:
+        lo, hi = np.maximum(lo, within[0]), np.minimum(hi, within[1])
+    near = box_pairs(lo, hi, *segment_boxes(items, 0.0))
     out: list[list[Segment]] = [[] for _ in targets]
     for i, k in zip(*(a.tolist() for a in near)):
         seg = items[k]

@@ -1,5 +1,6 @@
 """Greedy set-cover over candidate configurations, and solution verification
-by `fields.covers` at the scene tolerance with each target's blockers."""
+by `fields.covers` at the scene tolerance with the blockers near each
+target's sight triangle."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -157,16 +158,22 @@ class VerificationReport:
 
 
 def verify_solution(s: Scenario, sol: Solution) -> VerificationReport:
-    """Re-check every target against its assigned placement from first principles."""
-    checks = []
-    for t, blockers in zip(s.targets, interacting_blockers(s.targets, s)):
-        idx = sol.assignment.get(t.id)
-        if idx is None or not (0 <= idx < len(sol.placements)):
-            checks.append(TargetCheck(t.id, False, {"assigned": False}, {}))
-            continue
-        cam = sol.placements[idx]
-        checks.append(_check_target(t, cam, s, blockers))
-    return VerificationReport(checks)
+    """Re-check every target against its assigned placement from first principles.
+
+    An assigned target's blockers are its `interacting_blockers` within the
+    box of its sight triangle grown by eps_len, all found in one query: the
+    clip accepts a blocker only through a point more than eps_len inside
+    the triangle, so the blockers left out cannot change a verdict."""
+    n = len(sol.placements)
+    cams = [sol.placements[i] if i is not None and 0 <= i < n else None
+            for i in (sol.assignment.get(t.id) for t in s.targets)]
+    assigned = [(t, cam) for t, cam in zip(s.targets, cams) if cam is not None]
+    tri = np.array([(cam.position, t.start, t.end) for t, cam in assigned], dtype=float).reshape(-1, 3, 2)
+    box = (tri.min(axis=1) - s.eps_len, tri.max(axis=1) + s.eps_len)
+    found = iter(interacting_blockers([t for t, _ in assigned], s, box))
+    return VerificationReport([
+        TargetCheck(t.id, False, {"assigned": False}, {}) if cam is None
+        else _check_target(t, cam, s, next(found)) for t, cam in zip(s.targets, cams)])
 
 
 def _check_target(t, cam: CameraPlacement, s: Scenario, blockers: list[Segment]) -> TargetCheck:

@@ -10,10 +10,12 @@ pairs by target and by the side of its line their apex is on, drops blockers
 at the group's box and target plane and then at each pair's box and sight
 planes, in the exact clip's own arithmetic, and clips only what is left.  The
 subset passes wrap angles by compare-and-add (`geom._mod_2pi_np`), bit for
-bit `np.remainder`.  The clauses come from `fields`, beside the scalar
-reference `fields.covers` they are the array form of, and the clip from
-`geom`; the solution verifier (`select.verify_solution`) calls `covers` and
-never this module.
+bit `np.remainder`, and re-check a config's cone at its vd_rep only where
+its span lies within 1e-9 of theta: elsewhere that check cannot fail.  The
+clauses come from `fields`, beside the scalar reference `fields.covers` they
+are the array form of, and the clip from `geom`; the solution verifier
+(`select.verify_solution`) calls `covers`, with the blockers near each sight
+triangle, and never this module.
 """
 from __future__ import annotations
 
@@ -238,12 +240,19 @@ def _subsets(pts: np.ndarray, pi, tj, idx: ScenarioIndex):
             rows = fits[gm, am]
             span = np.where(rows, reach[gm, am], -np.inf).max(axis=1)
             lo_a = lo_p[gm, am]
-            # re-verify angular containment at vd_rep (range/facing already hold)
-            cone_lo = lo_a + span / 2.0 - theta / 2.0
-            off = _mod_2pi_np(lo_m[gm] - cone_lo[:, None])
+            # re-verify angular containment at vd_rep (range/facing already
+            # hold) where span is near the limit.  A member's offset from
+            # cone_lo is its offset r from lo_a plus (theta - span) / 2, with
+            # r + width <= span, so with span <= theta - d the offset needs no
+            # wrap and offset + width <= (theta + span) / 2 <= theta - d / 2,
+            # give or take about 1e-14 of rounding: the check cannot fail.
+            near = np.flatnonzero(span > theta - 1e-9)
+            cone_lo = lo_a[near] + span[near] / 2.0 - theta / 2.0
+            off = _mod_2pi_np(lo_m[gm[near]] - cone_lo[:, None])
             off = np.where(off > TWO_PI - EPS_ANG, 0.0, off)
-            ok = (~rows | (off + wd_m[gm] <= limit)).all(axis=1)
-            gm, rows, span, lo_a = gm[ok], rows[ok], span[ok], lo_a[ok]
+            bad = near[(rows[near] & (off + wd_m[gm[near]] > limit)).any(axis=1)]
+            if bad.size:
+                gm, rows, span, lo_a = (np.delete(v, bad, axis=0) for v in (gm, rows, span, lo_a))
             r, c = np.nonzero(rows)
             parts.append((
                 point[gm],

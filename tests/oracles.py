@@ -14,7 +14,9 @@
 - the target pairs whose fields can meet, over every pair, which
   `discretize._interacting_pairs` prefilters with `geom.box_pairs`;
 - scenario generation that tests each draw against every placed segment,
-  which `scenario.random_scenario` cuts to the neighbouring grid cells.
+  which `scenario.random_scenario` cuts to the neighbouring grid cells;
+- the sweep's subset pass with its cone re-check on every config, which
+  `sweep._subsets` runs only on the configs whose span is near the limit.
 
 Each batched form is the scalar code here, run as array passes.
 """
@@ -28,6 +30,7 @@ import numpy as np
 import camplan.scenario as scenario
 from camplan.geom import (
     EPS,
+    EPS_ANG,
     TWO_PI,
     Arc,
     Circle,
@@ -38,6 +41,8 @@ from camplan.geom import (
     Region,
     Segment,
     _curve_param,
+    _mod_2pi_np,
+    _norm_angle_np,
     _piece_point_tangent,
     _reverse_piece,
     norm_angle,
@@ -46,6 +51,7 @@ from camplan.geom import (
     wrap_pi,
 )
 from camplan.model import CandidateConfig, ConfigTable, Obstacle, Scenario, SensorSpec, Target
+from camplan.sweep import _BUDGET, _maximal_rows
 
 
 def batched(inside: Callable[[Point], bool]) -> Callable[[np.ndarray], np.ndarray]:
@@ -531,3 +537,58 @@ def tables_equal(a: ConfigTable, b: ConfigTable) -> bool:
 def groups_equal(a, b) -> bool:
     """Two `sweep_points` results split equal tables at equal points."""
     return np.array_equal(a.ptr, b.ptr) and tables_equal(a.table, b.table)
+
+
+# --- the subset pass ----------------------------------------------------------
+
+def dense_recheck_subsets(pts: np.ndarray, pi, tj, idx):
+    """`sweep._subsets` with the cone re-check run on every config."""
+    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), np.zeros(0),
+              np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
+    x, y = pts[pi, 0], pts[pi, 1]
+    theta = idx.scenario.sensor.theta
+    limit = theta + EPS_ANG
+    b1 = np.arctan2(idx.sy[tj] - y, idx.sx[tj] - x)
+    b2 = np.arctan2(idx.ey[tj] - y, idx.ex[tj] - x)
+    diff = _mod_2pi_np(b2 - b1 + math.pi) - math.pi
+    lo = _mod_2pi_np(np.where(diff >= 0.0, b1, b2), turns=1)
+    width = np.abs(diff)
+    mids = _mod_2pi_np(np.arctan2(idx.my[tj] - y, idx.mx[tj] - x), turns=1)
+    tid = idx.ids[tj]
+
+    count = np.bincount(pi, minlength=pts.shape[0])
+    offset = np.cumsum(count) - count   # each point's first pair
+    for K in np.unique(count[count > 0]).tolist():
+        bucket = np.flatnonzero(count == K)
+        G = max(1, _BUDGET // (K * K))
+        for g0 in range(0, bucket.size, G):
+            point = bucket[g0:g0 + G]
+            pair = offset[point, None] + np.arange(K)
+            # anchors run in pair order, members in target-id order: a row's
+            # set does not depend on its column order, and its members come
+            # out in the order the table keeps them
+            mem = np.take_along_axis(pair, np.argsort(tid[pair], axis=1, kind="stable"), axis=1)
+            lo_p, lo_m, wd_m = lo[pair], lo[mem], width[mem]
+            # [g, anchor, member]: how far past the anchor's lo the member ends
+            reach = _mod_2pi_np(lo_m[:, None, :] - lo_p[:, :, None], turns=1) + wd_m[:, None, :]
+            fits = reach <= limit
+            gm, am = np.nonzero(_maximal_rows(fits))
+            rows = fits[gm, am]
+            span = np.where(rows, reach[gm, am], -np.inf).max(axis=1)
+            lo_a = lo_p[gm, am]
+            # re-verify angular containment at vd_rep (range/facing already hold)
+            cone_lo = lo_a + span / 2.0 - theta / 2.0
+            off = _mod_2pi_np(lo_m[gm] - cone_lo[:, None])
+            off = np.where(off > TWO_PI - EPS_ANG, 0.0, off)
+            ok = (~rows | (off + wd_m[gm] <= limit)).all(axis=1)
+            gm, rows, span, lo_a = gm[ok], rows[ok], span[ok], lo_a[ok]
+            r, c = np.nonzero(rows)
+            parts.append((
+                point[gm],
+                _norm_angle_np(lo_a + span / 2.0),
+                _norm_angle_np(lo_a + span - theta / 2.0),
+                theta - span,
+                rows.sum(axis=1),
+                mem[gm[r], c],
+            ))
+    return tuple(map(np.concatenate, zip(*parts))), (lo, _mod_2pi_np(lo + width), mids)

@@ -169,14 +169,16 @@ def test_polar_sampling_beats_fine_grid_on_large_scenarios():
 
 
 def test_polar_sampling_runs_an_order_of_magnitude_faster_than_critical_points():
+    # the two arms take turns within each seed, so a swing in host speed
+    # falls on both alike, and a scene's runtime is the fastest of three
+    # solves, the one a busy host slowed least
     comp_t, samp_t = [], []
     for seed in range(15):
         s = scene(25, seed)
-        _, tc, c_ok = solved(s, "comprehensive")
-        _, tb, b_ok = solved(s, "bcpf")
-        assert c_ok and b_ok, f"seed {seed}: coverage failed"
-        comp_t.append(tc)
-        samp_t.append(tb)
+        runs = [solved(s, algo) for _ in range(3) for algo in ("comprehensive", "bcpf")]
+        assert all(ok for _, _, ok in runs), f"seed {seed}: coverage failed"
+        comp_t.append(min(t for _, t, _ in runs[0::2]))
+        samp_t.append(min(t for _, t, _ in runs[1::2]))
     ratio = statistics.median(comp_t) / statistics.median(samp_t)
     assert ratio >= 10.0, f"median runtime ratio {ratio:.1f}x below 10x"
 

@@ -1,5 +1,6 @@
 """Greedy selection and solution verification tests."""
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ from hypothesis import strategies as st
 
 from camplan.cli import run_pipeline
 from camplan.discretize import bcpf_sample, comprehensive_candidates
-from camplan.geom import norm_angle, wrap_pi
+from camplan.geom import Segment, norm_angle, wrap_pi
 from camplan.model import (
     CameraPlacement,
     CandidateConfig,
+    Obstacle,
     Scenario,
     SensorSpec,
     Solution,
@@ -192,6 +194,115 @@ def test_verify_missing_assignment():
     report = verify_solution(s, Solution(placements=[], assignment={}, meta={}))
     assert not report.ok
     assert report.checks[0].clauses == {"assigned": False}
+
+
+def per_target_report(s, sol):
+    """verify_solution's checks as the scalar model gives them with each
+    target's full `interacting_blockers` list."""
+    out = []
+    for t, blockers in zip(s.targets, interacting_blockers(s.targets, s)):
+        idx = sol.assignment.get(t.id)
+        if idx is None or not 0 <= idx < len(sol.placements):
+            out.append((t.id, False, [("assigned", False)], []))
+            continue
+        cam = sol.placements[idx]
+        clauses = {"in_area": s.in_area(cam.position, s.eps_len)}
+        margins = {}
+        ok = covers(t, cam.position, s.sensor, s.eps_len, vd=cam.vd, blockers=blockers, report=(clauses, margins))
+        out.append((t.id, ok and clauses["in_area"], list(clauses.items()), list(margins.items())))
+    return out
+
+
+def report_of(s, sol):
+    return [(c.target_id, c.ok, list(c.clauses.items()), list(c.margins.items()))
+            for c in verify_solution(s, sol).checks]
+
+
+def shaken(sol, rng, r_max):
+    """The plan with every camera moved a few meters, or out of range, and
+    turned a little; some targets unassigned or sent to a missing camera."""
+    cams = []
+    for cam in sol.placements:
+        r = rng.choice((0.2, 1.0, 3.0, 3.0 * r_max))
+        a = rng.uniform(0.0, 2.0 * math.pi)
+        cams.append(CameraPlacement((cam.position[0] + r * math.cos(a), cam.position[1] + r * math.sin(a)),
+                                    cam.vd + rng.uniform(-0.3, 0.3)))
+    assignment = {}
+    for tid, idx in sol.assignment.items():
+        u = rng.random()
+        if u >= 0.1:
+            assignment[tid] = idx
+        elif u >= 0.05:
+            assignment[tid] = rng.choice((-1, len(cams)))
+    return Solution(cams, assignment, {})
+
+
+def test_verify_matches_full_blocker_lists_among_walls():
+    rng = random.Random(31)
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=10.0, phi_deg=90.0)
+    seen = {"occluded": 0, "out_of_range": 0, "unassigned": 0, "covered": 0}
+    for seed in range(8):
+        s = random_scenario(GenParams(width=40.0, height=40.0, n_targets=12, n_obstacles=12,
+                                      margin=2.0, seed=seed), sensor)
+        try:
+            sol = run_pipeline(s, "bcpf").solution
+        except InfeasibleError:
+            cams = [CameraPlacement((t.midpoint[0] + 4.0 * t.normal[0], t.midpoint[1] + 4.0 * t.normal[1]),
+                                    math.atan2(-t.normal[1], -t.normal[0])) for t in s.targets]
+            sol = Solution(cams, {t.id: k for k, t in enumerate(s.targets)}, {})
+        for plan in [sol] + [shaken(sol, rng, sensor.r_max) for _ in range(6)]:
+            want = per_target_report(s, plan)
+            assert report_of(s, plan) == want, seed
+            for _, ok, clauses, _ in want:
+                clauses = dict(clauses)
+                seen["covered"] += ok
+                seen["unassigned"] += "assigned" in clauses
+                seen["occluded"] += clauses.get("occlusion") is False
+                seen["out_of_range"] += clauses.get("range") is False
+    assert min(seen.values()) > 0, seen
+
+
+def test_verify_matches_full_blocker_lists_in_edge_cases():
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=10.0, phi_deg=90.0)
+    twin_a = Target(0, (10.0, 10.0), (11.0, 10.0), (0.0, 1.0))
+    twin_b = Target(1, (10.0, 10.0), (11.0, 10.0), (0.0, 1.0))
+    lone = Target(-1, (20.0, 10.0), (21.0, 10.0), (0.0, 1.0))
+    same = Target(2, (30.0, 10.0), (31.0, 10.0), (0.0, 1.0))
+    wall = Obstacle(0, ((20.2, 12.0), (20.8, 12.0)))
+    gate = Obstacle(1, ((12.0, 9.0), (12.0, 11.0)))
+    s = Scenario(40.0, 30.0, sensor, (twin_a, twin_b, lone, same, same), (wall, gate))
+    for cams in (
+        [(10.5, 13.0), (10.5, 13.0), (20.5, 14.0), (30.5, 12.0)],
+        # on the target's line, behind the gate: a zero-area sight triangle
+        [(13.0, 10.0), (9.0, 10.0), (22.0, 10.0), (33.0, 10.0)],
+        # out of range, and behind the wall
+        [(10.5, 25.0), (10.0, 20.5), (20.5, 13.0), (30.5, 29.0)],
+    ):
+        placements = [CameraPlacement(c, math.pi * 1.5) for c in cams]
+        sol = Solution(placements, {0: 0, 1: 1, -1: 2, 2: 3}, {})
+        assert report_of(s, sol) == per_target_report(s, sol)
+    # the wall sees target -1 blocked from (20.5, 14): ids do not exempt it
+    sol = Solution([CameraPlacement((20.5, 14.0), math.pi * 1.5)], {-1: 0}, {})
+    assert verify_solution(s, sol).checks[2].clauses["occlusion"] is False
+
+
+def test_verify_keeps_a_wall_whose_box_only_touches_the_sight_box():
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=10.0, phi_deg=90.0)
+    t = Target(0, (10.0, 10.0), (11.0, 10.0), (0.0, 1.0))
+    cam = (10.5, 14.0)
+    eps = Scenario(40.0, 30.0, sensor, (t,)).eps_len
+    x_edge, y_edge = 11.0 + eps, 14.0 + eps   # the grown sight box's right and top edges
+    tri = np.array([[cam, t.start, t.end]])
+    within = (tri.min(axis=1) - eps, tri.max(axis=1) + eps)
+    for x, y in ((x_edge, 12.0), (np.nextafter(x_edge, np.inf), 12.0), (10.5, y_edge),
+                 (10.5, np.nextafter(y_edge, np.inf))):
+        wall = Obstacle(0, ((x, y), (x + 1.0, y + 1.0)))
+        s = Scenario(40.0, 30.0, sensor, (t,), (wall,))
+        touching = x == x_edge or y == y_edge
+        assert interacting_blockers([t], s, within) == [[Segment(*wall.chain)] if touching else []]
+        for vd in (math.pi * 1.5, 0.0):
+            sol = Solution([CameraPlacement(cam, vd)], {0: 0}, {})
+            assert report_of(s, sol) == per_target_report(s, sol)
 
 
 # --- pipeline invariants ------------------------------------------------------

@@ -2,6 +2,7 @@
 import itertools
 import math
 import random
+import types
 
 import numpy as np
 import pytest
@@ -9,14 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import camplan
+import camplan.geom as geom
 import camplan.sweep as sweep_module
 from camplan.cli import solution_f1
+from camplan.discretize import comprehensive_candidates
 from camplan.fields import covers, interacting_blockers
 from camplan.geom import EPS_ANG, Segment, bearing, norm_angle, segment_blocks_triangle, wrap_pi
 from camplan.model import CameraPlacement, Obstacle, Scenario, SensorSpec, Solution, Target
+from camplan.scenario import GenParams, random_scenario
 from camplan.sweep import sweep_points
 
-from oracles import boundary_distance, contains, groups_equal, optimal_vd, subset_window
+import oracles
+from oracles import boundary_distance, contains, dense_recheck_subsets, groups_equal, optimal_vd, subset_window
 
 DEG = math.pi / 180.0
 SENSOR = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=2.0, phi_deg=90.0)
@@ -497,3 +502,116 @@ def test_sweep_points_independent_of_chunking(monkeypatch):
         monkeypatch.setattr(sweep_module, "_CHUNK", 50)
         assert groups_equal(sweep_points(points, scene), whole)
         monkeypatch.undo()
+
+
+# --- the cone re-check ----------------------------------------------------------
+
+def fan(rng, n_points, k, base, spread):
+    """n_points points 10 m apart, each with k chords around it whose near
+    ends lie at bearings from base to base + spread: the points, their
+    (point, target) pairs and the target columns."""
+    pts = np.column_stack((10.0 * np.arange(n_points), np.zeros(n_points)))
+    cols = []
+    for p in range(n_points):
+        for _ in range(k):
+            a1 = base + rng.uniform(0.0, spread)
+            a2 = a1 + rng.uniform(0.01, 0.9)
+            d = rng.uniform(0.5, 3.0)
+            cols.append((pts[p, 0] + d * math.cos(a1), d * math.sin(a1), pts[p, 0] + d * math.cos(a2), d * math.sin(a2)))
+    return pts, np.repeat(np.arange(n_points), k), np.arange(n_points * k), np.array(cols).T
+
+
+def fan_index(cols, theta, ids):
+    """The columns `_subsets` reads, with an exact theta."""
+    sx, sy, ex, ey = cols
+    sensor = types.SimpleNamespace(theta=theta)
+    return types.SimpleNamespace(scenario=types.SimpleNamespace(sensor=sensor), sx=sx, sy=sy, ex=ex, ey=ey,
+                                 mx=(sx + ex) / 2.0, my=(sy + ey) / 2.0, ids=ids)
+
+
+def ulps_around(x, n=3):
+    out = [x]
+    for direction in (np.inf, -np.inf):
+        v = x
+        for _ in range(n):
+            v = float(np.nextafter(v, direction))
+            out.append(v)
+    return out
+
+
+def near_limit_thetas(pts, pi, cols, nominal):
+    """Thetas that put a config's span, the widest reach of a member from its
+    anchor as `_subsets` computes it, exactly at theta, at theta - 1e-9 (where
+    the re-check starts) and at the fit limit theta + EPS_ANG, and a few ulps
+    either side of each."""
+    sx, sy, ex, ey = cols
+    x, y = pts[pi, 0], pts[pi, 1]
+    b1, b2 = np.arctan2(sy - y, sx - x), np.arctan2(ey - y, ex - x)
+    diff = geom._mod_2pi_np(b2 - b1 + math.pi) - math.pi
+    lo = geom._mod_2pi_np(np.where(diff >= 0.0, b1, b2), turns=1)
+    reach = geom._mod_2pi_np(lo[None, :] - lo[:, None], turns=1) + np.abs(diff)[None, :]
+    spans = reach[pi[:, None] == pi[None, :]]
+    span = float(spans[np.argmin(np.abs(spans - nominal))])
+    return [t for theta in (span, span + 1e-9, span - EPS_ANG) for t in ulps_around(theta)]
+
+
+def same_subsets(got, want) -> bool:
+    return all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got[0] + got[1], want[0] + want[1]))
+
+
+@pytest.mark.parametrize("aov", [30.0, 100.0, 200.0, 300.0])
+@pytest.mark.parametrize("wraps", [False, True])
+def test_subsets_match_dense_recheck_near_the_limit(aov, wraps):
+    rng = random.Random(int(aov) + wraps)
+    nominal = math.radians(aov)
+    near = 0
+    for trial in range(12):
+        # wrapping fans straddle bearing 0, where lo runs past 2 pi
+        base = 2.0 * math.pi - nominal / 2.0 if wraps else rng.uniform(0.0, 2.0 * math.pi)
+        pts, pi, tj, cols = fan(rng, 12, rng.randint(2, 6), base, 1.2 * nominal)
+        ids = np.array(rng.sample(range(1000), tj.size), dtype=np.int64)
+        for theta in near_limit_thetas(pts, pi, cols, nominal):
+            idx = fan_index(cols, theta, ids)
+            want = dense_recheck_subsets(pts, pi, tj, idx)
+            assert same_subsets(sweep_module._subsets(pts, pi, tj, idx), want), (trial, theta)
+            near += int((want[0][3] < 1e-9).sum())
+    assert near > 0
+
+
+def test_subsets_match_dense_recheck_where_it_rejects(monkeypatch):
+    # without the wrap clamp, the re-check puts an anchor a hair before
+    # cone_lo near 2 pi and rejects its config: both forms reject the same
+    rng = random.Random(5)
+    pts, pi, tj, cols = fan(rng, 12, 4, 1.0, 2.0)
+    ids = np.arange(tj.size, dtype=np.int64)
+    cases = [fan_index(cols, theta, ids) for theta in near_limit_thetas(pts, pi, cols, 1.7)]
+    kept = [sweep_module._subsets(pts, pi, tj, idx)[0][0].size for idx in cases]
+    monkeypatch.setattr(sweep_module, "TWO_PI", math.inf)
+    monkeypatch.setattr(oracles, "TWO_PI", math.inf)
+    rejected = 0
+    for idx, n_kept in zip(cases, kept):
+        want = dense_recheck_subsets(pts, pi, tj, idx)
+        assert same_subsets(sweep_module._subsets(pts, pi, tj, idx), want)
+        rejected += n_kept - want[0][0].size
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("seed", [3, 7])
+def test_subsets_match_dense_recheck_on_comprehensive_bench_scenes(seed, monkeypatch):
+    passes, near = [], 0
+    real = sweep_module._subsets
+
+    def both(*args):
+        got = real(*args)
+        assert same_subsets(got, dense_recheck_subsets(*args))
+        passes.append(got[0][0].size)
+        return got
+
+    monkeypatch.setattr(sweep_module, "_subsets", both)
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=20.0, phi_deg=90.0)
+    for k in range(30):
+        s = random_scenario(GenParams(width=100.0, height=100.0, n_targets=25, n_obstacles=25,
+                                      margin=3.0, seed=1000 * seed + k), sensor)
+        table = sweep_points(comprehensive_candidates(s).points, s).table
+        near += int((table.vd_window < 1e-9).sum())
+    assert len(passes) == 30 and near > 0
