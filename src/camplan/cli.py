@@ -94,8 +94,12 @@ def solution_f1(s: Scenario, sol: Solution) -> float:
 
 # --- shared plumbing ---------------------------------------------------------
 
-def _read_scenario(path: str) -> Scenario:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+def _read_text(path: str) -> str:
+    """The UTF-8 text of a file the command reads; any failure is a ParseError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        raise ParseError(f"cannot read {path}: {getattr(e, 'strerror', None) or e}") from e
 
 
 def _write(path: str | None, text: str) -> None:
@@ -148,7 +152,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    s = _read_scenario(args.scenario)
+    s = parse_scenario(_read_text(args.scenario))
     res = run_pipeline(s, args.algo, eps_a=args.eps_a, eps_r=args.eps_r,
                        grid_eps=args.grid_eps, vd_mode=args.vd_opt)
     report = verify_solution(s, res.solution)
@@ -166,8 +170,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    s = _read_scenario(args.scenario)
-    sol = parse_solution(Path(args.solution).read_text(encoding="utf-8"))
+    s = parse_scenario(_read_text(args.scenario))
+    sol = parse_solution(_read_text(args.solution))
     known = {t.id for t in s.targets}
     stray = sorted(set(sol.assignment) - known)
     if stray:
@@ -196,7 +200,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_candidates(args) -> int:
-    s = _read_scenario(args.scenario)
+    s = parse_scenario(_read_text(args.scenario))
     cs = build_candidates(s, args.algo, args.eps_a, args.eps_r, args.grid_eps)
     print(f"candidates={len(cs)} uncoverable={list(cs.uncoverable)}")
     if args.out:
@@ -388,8 +392,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as e:
-        print(f"cannot read {e.filename}", file=sys.stderr)
+    except OSError as e:   # `_read_text` turns read failures into ParseError
+        print(f"cannot write {e.filename}: {e.strerror}", file=sys.stderr)
         return EXIT_PARSE
     except ParseError as e:
         print(f"parse error: {e}", file=sys.stderr)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import aov_pair, covers_np, field_tolerance, interacting_blockers, region
+from .fields import aov_pair, covers_np, field_tolerance, interacting_blockers, region, target_columns
 from .geom import (CurveTable, DegenerateError, Piece, Point, Segment, box_pairs, circle_table, curve_table,
                    intersections)
 from .model import MAX_LENGTH, Scenario, Target
@@ -288,14 +288,15 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
     ts = s.targets
     psi = [-sensor.phi + (i + 0.5) * eps_a for i in range(steps)]
     eps = np.array([field_tolerance(t, sensor) for t in ts])
-    sx, sy, ex, ey = np.array([(*t.start, *t.end) for t in ts], dtype=float).reshape(-1, 4).T
+    cols = target_columns(ts)
+    sx, sy, ex, ey = cols[:4]
     # one ray per (target, fan step), target-major
     base = np.array([math.atan2(t.normal[1], t.normal[0]) for t in ts])
     angle = (base[:, None] + np.array(psi)).ravel().tolist()
     ux = np.array([math.cos(a) for a in angle])
     uy = np.array([math.sin(a) for a in angle])
     ray_t = np.repeat(np.arange(len(ts)), steps)
-    mx, my = ((sx + ex) / 2.0)[ray_t], ((sy + ey) / 2.0)[ray_t]
+    mx, my = cols[6][ray_t], cols[7][ray_t]
     half_w2 = np.array([(t.width / 2.0) ** 2 for t in ts])[ray_t]
     rr = sensor.r_max * sensor.r_max
     outer = np.full(ray_t.size, np.inf)
@@ -328,7 +329,7 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
     y = my[ray] + r * uy[ray]
 
     tj = ray_t[ray]
-    keep = covers_np(x, y, ts, tj, sensor, eps[tj])
+    keep = covers_np(x, y, ts, cols, tj, sensor, eps[tj])
     xy = _clamp_to_area(np.stack([x[keep], y[keep]], axis=1), s)
     kept = _dedupe(xy, np.full(len(xy), _TAG_RANK["bcpf-sample"]), s.eps_len)
     return CandidateSet([tuple(p) for p in xy[kept].tolist()], ["bcpf-sample"] * len(kept),

@@ -2,11 +2,12 @@
 
 `covers` is the one scalar reference for whether a camera covers a target:
 range, facing, view angle and, given a blocker list, occlusion, all at one
-float tolerance.  Its array form sits beside it: `clause_slacks` and
-`_facing_slack`, which the sweep evaluates over (point, target) pairs, and
-`covers_np`, which decides by them where every slack clears a rounding margin
-and by `covers` where one does not.  Field membership and the polar sampler
-call `covers_np` at `field_tolerance`; the solution verifier
+float tolerance.  Its array form sits beside it: `covers_np`, the clauses
+that need no viewing direction over many (camera, target) pairs, decided by
+their slacks where every slack clears a rounding margin and by `covers` where
+one does not, on the columns `target_columns` builds.  The sweep's pair pass
+calls it at the scene's tolerance, field membership and the polar sampler at
+`field_tolerance`; the solution verifier
 (`select.verify_solution`) calls `covers` at the scene's, with each target's
 `interacting_blockers` within its sight triangle's box, and never the array
 form, so it stays independent of the sweep.
@@ -157,67 +158,54 @@ def _seg_point_dist_np(px, py, ax, ay, bx, by):
     return np.hypot(px - (ax + t * dx), py - (ay + t * dy))
 
 
-def clause_slacks(x, y, cols, sensor, eps_len):
-    """Slacks of the coverage clauses that need neither a viewing direction nor
-    occlusion, facing aside (`_facing_slack`), for camera (x[k], y[k]) and the
-    target whose columns (sx, sy, ex, ey, nx, ny) are entry k of `cols`
-    (scalars serve one target): both endpoints farther than eps_len and within
-    r_max, outside the r_min band (given r_min > 0), the midpoint farther than
-    eps_len; given theta < pi, the subtended angle.
+def target_columns(targets: Sequence[Target]) -> np.ndarray:
+    """The (8, n) columns sx, sy, ex, ey, nx, ny, mx, my of the targets, for
+    `covers_np`; the midpoint is (s + e) / 2 in array arithmetic."""
+    c = np.array([(*t.start, *t.end, *t.normal) for t in targets], dtype=float).reshape(-1, 6).T
+    return np.concatenate((c, (c[0:2] + c[2:4]) / 2.0))
 
-    Returns (length slacks, angle slacks), two lists of per-camera arrays, one
-    array per clause; a camera passes these clauses exactly when all its
-    slacks are >= 0.  eps_len is a scalar or a per-camera array."""
-    sx, sy, ex, ey = cols[:4]
+
+# np.hypot and np.arctan2 differ from math.dist and math.atan2 by about an
+# ulp, far below these margins (eps units, radians): a slack within one is
+# left to `covers`.  A point on a view-angle circle has the slack EPS_ANG,
+# outside the angle margin, so it is decided by the slacks.
+_LEN_MARGIN = 1e-3
+_ANG_MARGIN = 1e-13
+
+
+def covers_np(x, y, targets: Sequence[Target], cols: np.ndarray, tj, sensor: SensorSpec, eps) -> np.ndarray:
+    """Per camera k, `covers(targets[tj[k]], (x[k], y[k]), sensor, eps)`
+    without vd or blockers; cols are `target_columns(targets)`, eps a scalar
+    or a per-camera array.  Facing is tested first and the other clauses,
+    whose endpoint columns are gathered then, only where it can hold.  The
+    slacks decide every camera whose slacks all clear the margins above,
+    `covers` the few with a slack within them."""
+    out = np.zeros(len(tj), dtype=bool)
+    nx, ny, vmx, vmy = cols[4][tj], cols[5][tj], x - cols[6][tj], y - cols[7][tj]
+    facing = (sensor.phi + EPS_ANG) - np.arctan2(np.abs(nx * vmy - ny * vmx), nx * vmx + ny * vmy)
+    f = np.flatnonzero(facing >= -_ANG_MARGIN)
+    x, y, tj, vmx, vmy = x[f], y[f], tj[f], vmx[f], vmy[f]
+    eps = eps[f] if np.ndim(eps) else eps
+    sx, sy, ex, ey = (c[tj] for c in cols[:4])
     d_s = np.hypot(sx - x, sy - y)
     d_e = np.hypot(ex - x, ey - y)
-    vmx = x - (sx + ex) / 2.0
-    vmy = y - (sy + ey) / 2.0
     # a strict clause d > eps is the closed clause d >= the next float above eps
-    above = np.nextafter(eps_len, np.inf)
-    lengths = [d_s - above, d_e - above, (sensor.r_max + eps_len) - np.maximum(d_s, d_e),
-               np.hypot(vmx, vmy) - above]
+    above = np.nextafter(eps, np.inf)
+    lengths = [d_s - above, d_e - above, (sensor.r_max + eps) - np.maximum(d_s, d_e), np.hypot(vmx, vmy) - above]
     if sensor.r_min > 0.0:
-        lengths.append(_seg_point_dist_np(x, y, sx, sy, ex, ey) - (sensor.r_min - eps_len))
-    angles = []
+        lengths.append(_seg_point_dist_np(x, y, sx, sy, ex, ey) - (sensor.r_min - eps))
+    angles = [facing[f]]
     if sensor.theta < math.pi:
-        vsx, vsy = sx - x, sy - y
-        vex, vey = ex - x, ey - y
-        cross = np.abs(vsx * vey - vsy * vex)
-        dot = vsx * vex + vsy * vey
-        angles.append((sensor.theta + EPS_ANG) - np.arctan2(cross, dot))
-    return lengths, angles
-
-
-def _facing_slack(vmx, vmy, nx, ny, sensor):
-    """Slack of the facing clause for a camera offset (vmx, vmy) from the
-    midpoint of a target with normal (nx, ny)."""
-    return (sensor.phi + EPS_ANG) - np.arctan2(np.abs(nx * vmy - ny * vmx), nx * vmx + ny * vmy)
-
-
-# np.hypot and np.arctan2 may differ from math's in the last bits, far below
-# these margins (eps_len units, radians): a slack within one is left to `covers`.
-_LEN_MARGIN = 1e-3
-_ANG_MARGIN = 1e-12
-
-
-def covers_np(x, y, targets: Sequence[Target], tj, sensor: SensorSpec, eps) -> np.ndarray:
-    """Per camera k, `covers(targets[tj[k]], (x[k], y[k]), sensor, eps)`
-    without vd or blockers; eps is a scalar or a per-camera array.  The array
-    clauses decide the cameras whose every slack clears the margins above,
-    `covers` the few with a slack within them."""
-    cols = np.array([(*t.start, *t.end, *t.normal) for t in targets], dtype=float).reshape(-1, 6)[tj].T
-    sx, sy, ex, ey, nx, ny = cols
-    lengths, angles = clause_slacks(x, y, cols, sensor, eps)
-    angles.append(_facing_slack(x - (sx + ex) / 2.0, y - (sy + ey) / 2.0, nx, ny, sensor))
-    slacks = lengths + angles
-    margins = [_LEN_MARGIN * eps] * len(lengths) + [_ANG_MARGIN] * len(angles)
-    fails = np.logical_or.reduce([slack < -m for slack, m in zip(slacks, margins)])
-    holds = np.logical_and.reduce([slack > m for slack, m in zip(slacks, margins)])
+        vsx, vsy, vex, vey = sx - x, sy - y, ex - x, ey - y
+        angles.append((sensor.theta + EPS_ANG) - np.arctan2(np.abs(vsx * vey - vsy * vex), vsx * vex + vsy * vey))
+    margin = _LEN_MARGIN * eps
+    fails = np.logical_or.reduce([v < -margin for v in lengths] + [v < -_ANG_MARGIN for v in angles])
+    holds = np.logical_and.reduce([v > margin for v in lengths] + [v > _ANG_MARGIN for v in angles])
     eps = np.broadcast_to(eps, holds.shape)
     for k in np.flatnonzero(~fails & ~holds).tolist():
         holds[k] = covers(targets[tj[k]], (float(x[k]), float(y[k])), sensor, float(eps[k]))
-    return holds
+    out[f] = holds
+    return out
 
 
 def bcpf_boundary_curves(t: Target, sensor: SensorSpec) -> list[Curve]:
@@ -350,12 +338,13 @@ def _field_inside(t: Target, sensor: SensorSpec, eps: float, blockers: list[Segm
     """Membership of (m, 2) points in the exact field: `covers_np` at eps, and
     no blocker in the open sight triangle at zero tolerance, one pass over
     every (covered point, blocker) pair."""
+    cols = target_columns([t])
     (sx, sy), (ex, ey) = t.start, t.end
     ends = np.array([(*seg.a, *seg.b) for seg in blockers], dtype=float).reshape(-1, 4).T
 
     def inside(p: np.ndarray) -> np.ndarray:
         x, y = p[:, 0], p[:, 1]
-        keep = covers_np(x, y, [t], np.zeros(len(p), dtype=np.int64), sensor, eps)
+        keep = covers_np(x, y, [t], cols, np.zeros(len(p), dtype=np.int64), sensor, eps)
         k = np.flatnonzero(keep)
         ax, ay = (np.broadcast_to(c[k, None], (len(k), len(blockers))) for c in (x, y))
         keep[k] = ~_blocks_triangle_np(ax, ay, sx, sy, ex, ey, *ends, 0.0).any(axis=1)

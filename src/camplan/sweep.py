@@ -5,15 +5,16 @@ maximal subset that fits in one view cone, and derive the feasible
 viewing-direction window per subset.  `sweep_points` does this for many points
 in two phases, pair passes over spatial tiles and subset passes per live-pair
 count, into one `model.ConfigTable`.  The pair passes test the facing clause
-first and the other clauses only where it holds; occlusion groups a tile's
-pairs by target and by the side of its line their apex is on, drops blockers
-at the group's box and target plane and then at each pair's box and sight
-planes, in the exact clip's own arithmetic, and clips only what is left.  The
-subset passes wrap angles by compare-and-add (`geom._mod_2pi_np`), bit for
-bit `np.remainder`, and re-check a config's cone at its vd_rep only where
-its span lies within 1e-9 of theta: elsewhere that check cannot fail.  The
-clauses come from `fields`, beside the scalar reference `fields.covers` they
-are the array form of, and the clip from `geom`; the solution verifier
+first and the other clauses only where it can hold, all decided by
+`fields.covers_np`, so a pair is live exactly where the scalar reference
+`fields.covers` holds and no blocker clips its sight triangle.  Occlusion
+groups a tile's pairs by target and by the side of its line their apex is
+on, drops blockers at the group's box and target plane and then at each
+pair's box and sight planes, in the exact clip's own arithmetic, and clips
+only what is left (the clip comes from `geom`).  The subset passes wrap
+angles by compare-and-add (`geom._mod_2pi_np`), bit for bit `np.remainder`;
+a subset that fits in theta fits the cone centred on it, so no config is
+re-checked at its vd_rep.  The solution verifier
 (`select.verify_solution`) calls `covers`, with the blockers near each sight
 triangle, and never this module.
 """
@@ -24,8 +25,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .fields import _facing_slack, clause_slacks
-from .geom import EPS_ANG, TWO_PI, _blocks_triangle_np, _mod_2pi_np, _norm_angle_np
+from .fields import covers_np, target_columns
+from .geom import EPS_ANG, _blocks_triangle_np, _mod_2pi_np, _norm_angle_np
 from .model import CandidateConfig, ConfigTable, Scenario
 
 
@@ -48,14 +49,8 @@ class ScenarioIndex:
         self.eps_len = s.eps_len
         ts = s.targets
         self.ids = np.array([t.id for t in ts], dtype=np.int64)
-        self.sx = np.array([t.start[0] for t in ts])
-        self.sy = np.array([t.start[1] for t in ts])
-        self.ex = np.array([t.end[0] for t in ts])
-        self.ey = np.array([t.end[1] for t in ts])
-        self.nx = np.array([t.normal[0] for t in ts])
-        self.ny = np.array([t.normal[1] for t in ts])
-        self.mx = (self.sx + self.ex) / 2.0
-        self.my = (self.sy + self.ey) / 2.0
+        self.columns = target_columns(ts)   # for `covers_np`
+        self.sx, self.sy, self.ex, self.ey, self.nx, self.ny, self.mx, self.my = self.columns
         blockers = s.blockers()
         self.bax = np.array([b.a[0] for b in blockers])
         self.bay = np.array([b.a[1] for b in blockers])
@@ -66,14 +61,10 @@ class ScenarioIndex:
         self.by_lo = np.minimum(self.bay, self.bby)
         self.by_hi = np.maximum(self.bay, self.bby)
 
-    def cols(self, tj):
-        """Target columns (sx, sy, ex, ey, nx, ny) at indices tj, for `clause_slacks`."""
-        return self.sx[tj], self.sy[tj], self.ex[tj], self.ey[tj], self.nx[tj], self.ny[tj]
-
 
 def _cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
-    """(point, target) index pairs passing the facing and `clause_slacks`
-    clauses at the scene tolerance, point-major with targets in index order."""
+    """(point, target) index pairs that `fields.covers` covers at the scene
+    tolerance, by `fields.covers_np`, point-major with targets in index order."""
     sensor, eps_len = idx.scenario.sensor, idx.eps_len
     # the range clause puts both endpoints, so the midpoint too, within
     # r_max + eps_len: a squared distance with slack picks the candidates,
@@ -87,12 +78,7 @@ def _cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
     dmy = idx.my[near] - block[:, 1:2]
     pi, k = np.nonzero(dmx * dmx + dmy * dmy <= reach * reach)
     tj = near[k]
-    # the facing clause fails for about half the candidates, so it goes first
-    x, y = block[pi, 0], block[pi, 1]
-    f = np.flatnonzero(_facing_slack(x - idx.mx[tj], y - idx.my[tj], idx.nx[tj], idx.ny[tj], sensor) >= 0.0)
-    pi, tj = pi[f], tj[f]
-    lengths, angles = clause_slacks(x[f], y[f], idx.cols(tj), sensor, eps_len)
-    keep = np.logical_and.reduce([slack >= 0.0 for slack in lengths + angles])
+    keep = covers_np(block[pi, 0], block[pi, 1], idx.scenario.targets, idx.columns, tj, sensor, eps_len)
     return pi[keep], tj[keep]
 
 
@@ -240,19 +226,17 @@ def _subsets(pts: np.ndarray, pi, tj, idx: ScenarioIndex):
             rows = fits[gm, am]
             span = np.where(rows, reach[gm, am], -np.inf).max(axis=1)
             lo_a = lo_p[gm, am]
-            # re-verify angular containment at vd_rep (range/facing already
-            # hold) where span is near the limit.  A member's offset from
-            # cone_lo is its offset r from lo_a plus (theta - span) / 2, with
-            # r + width <= span, so with span <= theta - d the offset needs no
-            # wrap and offset + width <= (theta + span) / 2 <= theta - d / 2,
-            # give or take about 1e-14 of rounding: the check cannot fail.
-            near = np.flatnonzero(span > theta - 1e-9)
-            cone_lo = lo_a[near] + span[near] / 2.0 - theta / 2.0
-            off = _mod_2pi_np(lo_m[gm[near]] - cone_lo[:, None])
-            off = np.where(off > TWO_PI - EPS_ANG, 0.0, off)
-            bad = near[(rows[near] & (off + wd_m[gm[near]] > limit)).any(axis=1)]
-            if bad.size:
-                gm, rows, span, lo_a = (np.delete(v, bad, axis=0) for v in (gm, rows, span, lo_a))
+            # vd_rep centres a cone of width theta on the row's span, from
+            # cone_lo = lo_a + (span - theta) / 2, and every member lies in
+            # it (offsets from cone_lo wrapped to [0, 2 pi), one within
+            # EPS_ANG of 2 pi read as 0).  A member at offset r from lo_a
+            # has r + width <= span <= theta + EPS_ANG; its offset from
+            # cone_lo is r + (theta - span) / 2, so it ends at most
+            # (theta + span) / 2 <= theta + EPS_ANG / 2 past cone_lo.  Where
+            # r < (span - theta) / 2 <= EPS_ANG / 2, the offset wraps to
+            # within EPS_ANG of 2 pi and reads as 0, and the width alone,
+            # at most its reach, fits.  Rounding (about 1e-14) stays well
+            # inside the 5e-13 of room, so no config needs a cone check.
             r, c = np.nonzero(rows)
             parts.append((
                 point[gm],

@@ -15,8 +15,10 @@
   `discretize._interacting_pairs` prefilters with `geom.box_pairs`;
 - scenario generation that tests each draw against every placed segment,
   which `scenario.random_scenario` cuts to the neighbouring grid cells;
-- the sweep's subset pass with its cone re-check on every config, which
-  `sweep._subsets` runs only on the configs whose span is near the limit.
+- the sweep's subset pass with a cone re-check on every config, which
+  `sweep._subsets` leaves out: its comment argues the check cannot fail;
+- probe points on the boundaries of the coverage clauses (`clause_boundary_points`),
+  where the array clauses leave their verdicts to `fields.covers`.
 
 Each batched form is the scalar code here, run as array passes.
 """
@@ -50,6 +52,7 @@ from camplan.geom import (
     segment_segment_distance,
     wrap_pi,
 )
+from camplan.fields import aov_pair
 from camplan.model import CandidateConfig, ConfigTable, Obstacle, Scenario, SensorSpec, Target
 from camplan.sweep import _BUDGET, _maximal_rows
 
@@ -592,3 +595,55 @@ def dense_recheck_subsets(pts: np.ndarray, pi, tj, idx):
                 mem[gm[r], c],
             ))
     return tuple(map(np.concatenate, zip(*parts))), (lo, _mod_2pi_np(lo + width), mids)
+
+
+def angle_limit_points(t: Target, sensor: SensorSpec, n: int = 60) -> list[Point]:
+    """Points where the angle clauses of `covers` hold with no slack: on the
+    view-angle circles at theta + EPS_ANG and on the facing edges at
+    phi + EPS_ANG, n of each."""
+    pts = []
+    if sensor.theta < math.pi:
+        for c in aov_pair(t.segment, sensor.theta + EPS_ANG):
+            pts += [c.point_at(k * math.tau / n) for k in range(n)]
+    (mx, my), base = t.midpoint, math.atan2(t.normal[1], t.normal[0])
+    for a in (base + sensor.phi + EPS_ANG, base - sensor.phi - EPS_ANG):
+        pts += [(mx + r * math.cos(a), my + r * math.sin(a)) for r in np.linspace(0.05, sensor.r_max, n).tolist()]
+    return pts
+
+
+def clause_boundary_points(t: Target, sensor: SensorSpec, eps: float, n: int = 60) -> list[Point]:
+    """Points on every boundary of the clauses `covers(t, ., sensor, eps)`
+    tests without vd: the r_max and r_max + eps circles about the ends, the
+    view-angle circles at theta and the facing edges at phi, both also
+    EPS_ANG further out (`angle_limit_points`), the circles of radius eps
+    about the ends and the midpoint and, given r_min > 0, the stadium at
+    r_min - eps about the target; n points on each."""
+    circles = [Circle(q, r) for q in (t.start, t.end) for r in (sensor.r_max, sensor.r_max + eps)]
+    circles += [Circle(q, eps) for q in (t.start, t.end, t.midpoint)]
+    if sensor.theta < math.pi:
+        circles += aov_pair(t.segment, sensor.theta)
+    if sensor.r_min > 0.0:
+        circles += [Circle(q, sensor.r_min - eps) for q in (t.start, t.end)]
+    pts = [c.point_at(k * math.tau / n) for c in circles for k in range(n)]
+    (mx, my), base = t.midpoint, math.atan2(t.normal[1], t.normal[0])
+    for a in (base + sensor.phi, base - sensor.phi):
+        pts += [(mx + r * math.cos(a), my + r * math.sin(a)) for r in np.linspace(0.05, sensor.r_max, n).tolist()]
+    if sensor.r_min > 0.0:
+        (sx, sy), (ex, ey), (nx, ny) = t.start, t.end, t.normal
+        for side in (sensor.r_min - eps, eps - sensor.r_min):
+            pts += [(sx + u * (ex - sx) + side * nx, sy + u * (ey - sy) + side * ny)
+                    for u in np.linspace(0.0, 1.0, n).tolist()]
+    return pts + angle_limit_points(t, sensor, n)
+
+
+def ulp_neighbours(pts: list[Point], steps: int = 2) -> list[Point]:
+    """Each point and the points 1 to steps ulps from it along x and along y."""
+    out = []
+    for x, y in pts:
+        out.append((x, y))
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            px, py = x, y
+            for _ in range(steps):
+                px, py = math.nextafter(px, px + dx), math.nextafter(py, py + dy)
+                out.append((px, py))
+    return out

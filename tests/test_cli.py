@@ -168,6 +168,45 @@ def test_missing_file_is_a_parse_error(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_a_directory_is_a_parse_error(tmp_path, capsys):
+    code, _, err = run(["solve", str(tmp_path)], capsys)
+    assert code == 2
+    assert f"cannot read {tmp_path}: Is a directory" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "candidates"])
+def test_a_scenario_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, command):
+    bad = tmp_path / "latin.json"
+    bad.write_bytes('{"area": "\xe9"}'.encode("latin-1"))
+    code, _, err = run([command, str(bad)], capsys)
+    assert code == 2
+    assert f"cannot read {bad}" in err and "utf-8" in err
+
+
+def test_verify_refuses_an_unreadable_solution_as_a_parse_error(small_scenario, tmp_path, capsys):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b"\xff{}")
+    for path in (latin, tmp_path, tmp_path / "nope.json"):
+        code, _, err = run(["verify", str(small_scenario), str(path)], capsys)
+        assert code == 2
+        assert f"cannot read {path}" in err
+
+
+@pytest.mark.parametrize("command", ["generate", "solve", "candidates", "bench"])
+def test_an_output_path_that_cannot_be_written_is_a_parse_error(small_scenario, tmp_path, capsys, command):
+    out = tmp_path / "missing" / "out.txt"
+    argv = {
+        "generate": ["generate", "--n", "3", "--width", "30", "--height", "30"],
+        "solve": ["solve", str(small_scenario)],
+        "candidates": ["candidates", str(small_scenario)],
+        "bench": ["bench", "--axis", "n", "--values", "3", "--algos", "grid:6", "--seeds", "1",
+                  "--width", "30", "--height", "30"],
+    }[command]
+    code, _, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 2
+    assert f"cannot write {out}: No such file or directory" in err and "cannot read" not in err
+
+
 def test_invalid_scenario_is_a_validation_error(tmp_path, capsys):
     doc = tmp_path / "scn.json"
     doc.write_text(

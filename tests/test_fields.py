@@ -22,7 +22,7 @@ from camplan.geom import Arc, Circle, Segment, segment_blocks_triangle
 from camplan.model import Obstacle, Scenario, SensorSpec, Target
 from camplan.scenario import GenParams, random_scenario
 
-from oracles import _classify_piece, boundary_distance, contains
+from oracles import _classify_piece, angle_limit_points, boundary_distance, contains
 
 
 def scen(targets, sensor, obstacles=(), w=100.0, h=100.0):
@@ -497,10 +497,42 @@ def test_batched_classifier_matches_the_scalar_vote(monkeypatch, band):
         assert len(fallbacks) > 5000
 
 
+def gap_probe_vectors(rng, n):
+    """Random vectors at every scale from 1e-300 to 1e300, vectors near
+    either axis pointing either way (so angles near 0, pi/2 and pi), and
+    grids of subnormal, tiny and huge components."""
+    mag = 10.0 ** rng.uniform(-300.0, 300.0, n)
+    a = rng.uniform(-math.pi, math.pi, n)
+    out = [np.stack((mag * np.cos(a), mag * np.sin(a)), axis=1)]
+    k = 10.0 ** -rng.uniform(0.0, 17.0, n)
+    m = 10.0 ** rng.uniform(-20.0, 20.0, n)
+    for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+        out += [np.stack((sx * m, sy * m * k), axis=1), np.stack((sx * m * k, sy * m), axis=1)]
+    for c in ([0.0, 5e-324, 1e-310, 2.2e-308, 1e-300], [1e200, 1e300, 8.5e307]):
+        c = np.array(c + [-v for v in c])
+        out.append(np.stack(np.meshgrid(c, c), axis=-1).reshape(-1, 2))
+    return np.concatenate(out)
+
+
+def test_the_rounding_margins_dwarf_the_gaps_between_numpy_and_math():
+    # covers_np uses np.arctan2 and np.hypot where covers uses math.atan2
+    # and math.dist on the same inputs: each gap stays under 1/100 of its
+    # margin, the length one at the smallest tolerance a scene holding that
+    # distance can have (measured: 4.4e-16 rad, and 2.2e-4 of the margin)
+    v = gap_probe_vectors(np.random.default_rng(5), 20000)
+    pairs = v.tolist()
+    angle_gap = np.abs(np.arctan2(v[:, 1], v[:, 0]) - np.array([math.atan2(y, x) for x, y in pairs]))
+    assert angle_gap.max() < fields_module._ANG_MARGIN / 100.0
+    d = [math.dist((0.0, 0.0), p) for p in pairs]
+    margin = fields_module._LEN_MARGIN * np.array([geom_module.scaled_eps(x) for x in d])
+    assert (np.abs(np.hypot(v[:, 0], v[:, 1]) - np.array(d)) < margin / 100.0).all()
+
+
 def test_batched_field_membership_matches_covers_in_the_margin_band(monkeypatch):
     # points on each clause boundary (range circles, view-angle circles,
-    # facing edges, eps_len around the ends and the midpoint) and a few ulps
-    # either side: the slacks there fall inside the rounding margins
+    # facing edges, eps_len around the ends and the midpoint, and where the
+    # angle clauses hold with no slack, EPS_ANG past theta and phi) and an
+    # ulp either side: the slacks there fall inside the rounding margins
     fallbacks = counting_covers(monkeypatch)
     sensors = [SensorSpec(aov_deg=100.0, r_min=0.0, r_max=20.0, phi_deg=90.0),
                SensorSpec(aov_deg=60.0, r_min=0.0, r_max=8.0, phi_deg=45.0)]
@@ -516,6 +548,7 @@ def test_batched_field_membership_matches_covers_in_the_margin_band(monkeypatch)
             for q in (t.start, t.end, t.midpoint):
                 pts += [(q[0] + eps * math.cos(a), q[1] + eps * math.sin(a))
                         for a in np.linspace(0.0, math.tau, 24)]
+            pts += angle_limit_points(t, sensor)
             probes = [(math.nextafter(x, x + dx), math.nextafter(y, y + dy))
                       for x, y in pts for dx, dy in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))]
             for blockers in ([], wall):

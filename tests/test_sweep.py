@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import camplan
+import camplan.fields as fields_module
 import camplan.geom as geom
 import camplan.sweep as sweep_module
 from camplan.cli import solution_f1
@@ -20,8 +21,8 @@ from camplan.model import CameraPlacement, Obstacle, Scenario, SensorSpec, Solut
 from camplan.scenario import GenParams, random_scenario
 from camplan.sweep import sweep_points
 
-import oracles
-from oracles import boundary_distance, contains, dense_recheck_subsets, groups_equal, optimal_vd, subset_window
+from oracles import (boundary_distance, clause_boundary_points, contains, dense_recheck_subsets, groups_equal,
+                     optimal_vd, subset_window, ulp_neighbours)
 
 DEG = math.pi / 180.0
 SENSOR = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=2.0, phi_deg=90.0)
@@ -397,6 +398,31 @@ def blocker_triples(draw):
     return apex, Segment(a, b), Segment(p, q)
 
 
+@pytest.mark.parametrize("sensor", [SensorSpec(aov_deg=100.0, r_min=0.0, r_max=20.0, phi_deg=90.0),
+                                    SensorSpec(aov_deg=60.0, r_min=0.0, r_max=8.0, phi_deg=45.0),
+                                    SensorSpec(aov_deg=200.0, r_min=1.5, r_max=6.0, phi_deg=70.0)])
+def test_cheap_pairs_are_the_pairs_covers_accepts_on_clause_boundaries(sensor, monkeypatch):
+    # on each clause boundary at the scene tolerance and a few ulps either
+    # side, the sweep's pairs are exactly those covers accepts; the slacks
+    # there fall within the margins, so covers decides many of them
+    fallbacks = []
+    real = fields_module.covers
+
+    def spy(*args):
+        fallbacks.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(fields_module, "covers", spy)
+    targets = (Target(0, (10.0, 10.0), (11.0, 10.0), (0.0, 1.0)),
+               Target(1, (13.0, 8.0), (13.6, 8.8), (-0.8, 0.6)))
+    s = Scenario(40.0, 40.0, sensor, targets)
+    pts = ulp_neighbours([p for t in targets for p in clause_boundary_points(t, sensor, s.eps_len)])
+    pi, tj = sweep_module._cheap_pairs(np.array(pts), sweep_module.ScenarioIndex(s))
+    want = [(i, j) for i, p in enumerate(pts) for j, t in enumerate(targets) if real(t, p, sensor, s.eps_len)]
+    assert list(zip(pi.tolist(), tj.tolist())) == want
+    assert 0 < len(want) < len(pts) and len(fallbacks) > 500
+
+
 @given(st.lists(blocker_triples(), min_size=1, max_size=40), st.sampled_from([0.0, 1e-9, 1e-7]))
 @settings(max_examples=300, deadline=None)
 def test_batched_occlusion_matches_scalar_reference(triples, eps):
@@ -576,24 +602,6 @@ def test_subsets_match_dense_recheck_near_the_limit(aov, wraps):
             assert same_subsets(sweep_module._subsets(pts, pi, tj, idx), want), (trial, theta)
             near += int((want[0][3] < 1e-9).sum())
     assert near > 0
-
-
-def test_subsets_match_dense_recheck_where_it_rejects(monkeypatch):
-    # without the wrap clamp, the re-check puts an anchor a hair before
-    # cone_lo near 2 pi and rejects its config: both forms reject the same
-    rng = random.Random(5)
-    pts, pi, tj, cols = fan(rng, 12, 4, 1.0, 2.0)
-    ids = np.arange(tj.size, dtype=np.int64)
-    cases = [fan_index(cols, theta, ids) for theta in near_limit_thetas(pts, pi, cols, 1.7)]
-    kept = [sweep_module._subsets(pts, pi, tj, idx)[0][0].size for idx in cases]
-    monkeypatch.setattr(sweep_module, "TWO_PI", math.inf)
-    monkeypatch.setattr(oracles, "TWO_PI", math.inf)
-    rejected = 0
-    for idx, n_kept in zip(cases, kept):
-        want = dense_recheck_subsets(pts, pi, tj, idx)
-        assert same_subsets(sweep_module._subsets(pts, pi, tj, idx), want)
-        rejected += n_kept - want[0][0].size
-    assert rejected > 0
 
 
 @pytest.mark.parametrize("seed", [3, 7])

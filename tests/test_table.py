@@ -20,12 +20,11 @@ import pytest
 
 from camplan import sweep as sweep_module
 from camplan.cli import build_candidates, run_pipeline
-from camplan.geom import EPS_ANG
+from camplan.geom import EPS_ANG, TWO_PI
 from camplan.model import CandidateConfig, Obstacle, Scenario, SensorSpec, Target
 from camplan.scenario import GenParams, random_scenario, serialize_solution
 from camplan.select import greedy_cover
 from camplan.sweep import (
-    TWO_PI,
     PointGroups,
     ScenarioIndex,
     _BUDGET,
