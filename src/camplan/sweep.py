@@ -7,14 +7,13 @@ in two phases, pair passes over spatial tiles and subset passes per live-pair
 count, into one `model.ConfigTable`.  The pair passes test the facing clause
 first and the other clauses only where it can hold, all decided by
 `fields.covers_np`, so a pair is live exactly where the scalar reference
-`fields.covers` holds and no blocker clips its sight triangle.  Occlusion
-groups a tile's pairs by target and by the side of its line their apex is
-on, drops blockers at the group's box and target plane and then at each
-pair's box and sight planes, in the exact clip's own arithmetic, and clips
-only what is left (the clip comes from `geom`).  The subset passes wrap
-angles by compare-and-add (`geom._mod_2pi_np`), bit for bit `np.remainder`;
-a subset that fits in theta fits the cone centred on it, so no config is
-re-checked at its vd_rep.  The solution verifier
+`fields.covers` holds and no blocker clips its sight triangle.  A pair
+meets only the blockers whose shadow cones, bearing ranges built once per
+scene, hold its apex (`_occluded` shows that this drops no blocker the clip
+accepts); the clip's own plane tests and the clip (from `geom`) decide.  The
+subset passes wrap angles by compare-and-add (`geom._mod_2pi_np`), bit for
+bit `np.remainder`; a subset that fits in theta fits the cone centred on it,
+so no config is re-checked at its vd_rep.  The solution verifier
 (`select.verify_solution`) calls `covers`, with the blockers near each sight
 triangle, and never this module.
 """
@@ -26,16 +25,17 @@ from collections.abc import Sequence
 import numpy as np
 
 from .fields import covers_np, target_columns
-from .geom import EPS_ANG, _blocks_triangle_np, _mod_2pi_np, _norm_angle_np
+from .geom import (EPS_ANG, TWO_PI, _blocks_triangle_np, _mod_2pi_np, _norm_angle_np, _wrap_pi_np,
+                   box_pairs, segment_boxes)
 from .model import CandidateConfig, ConfigTable, Scenario
 
 
 # --- vectorized batch sweep --------------------------------------------------
 
 # Points per tile of the (point, target) pair passes, and the element budget
-# of one (points, K, K) subset tensor or one (pair, blocker) expansion: the
-# temporaries stay at a few MB whatever the point count or K.  A tile's
-# (pair group, blocker) test is not split; it is at most 2 x targets x blockers.
+# of one (points, K, K) subset tensor, one (pair, blocker) expansion or the
+# dozen arrays of _BUDGET // 8 pairs of an occlusion pass: the temporaries
+# stay at a few MB whatever the point count or K.
 _CHUNK = 512
 _BUDGET = 1 << 18
 
@@ -56,10 +56,30 @@ class ScenarioIndex:
         self.bay = np.array([b.a[1] for b in blockers])
         self.bbx = np.array([b.b[0] for b in blockers])
         self.bby = np.array([b.b[1] for b in blockers])
-        self.bx_lo = np.minimum(self.bax, self.bbx)
-        self.bx_hi = np.maximum(self.bax, self.bbx)
-        self.by_lo = np.minimum(self.bay, self.bby)
-        self.by_hi = np.maximum(self.bay, self.bby)
+
+
+def _shadow_cones(idx: ScenarioIndex):
+    """Shadow cones (see `_occluded`): cone c lets blocker b[c] hide target t[c]
+    only from apexes whose keys 8 t + bearing from s lie in [lo[c], hi[c]]; a
+    blocker that does comes within r_max + eps_len of the target."""
+    reach = idx.scenario.sensor.r_max + 3.0 * idx.eps_len
+    t, b = box_pairs(*segment_boxes([t.segment for t in idx.scenario.targets], reach),
+                     *segment_boxes(idx.scenario.blockers(), 0.0))
+    t, b = t[b != t], b[b != t]
+    # the bearings of the corners of b - t, as offsets in (-pi, pi] from the first's
+    sx, sy, ex, ey = idx.sx[t], idx.sy[t], idx.ex[t], idx.ey[t]
+    phi = np.arctan2(np.stack((idx.bay[b] - sy, idx.bay[b] - ey, idx.bby[b] - sy, idx.bby[b] - ey)),
+                     np.stack((idx.bax[b] - sx, idx.bax[b] - ex, idx.bbx[b] - sx, idx.bbx[b] - ex)))
+    rel = _wrap_pi_np(phi - phi[0])
+    lo, hi = rel.min(axis=0) - EPS_ANG, rel.max(axis=0) + EPS_ANG
+    # a hull of pi or more keeps all; a range past -pi or pi wraps to the other end
+    wide = hi - lo >= math.pi
+    lo, hi = np.where(wide, -4.0, phi[0] + lo), np.where(wide, 4.0, phi[0] + hi)
+    wrap = np.flatnonzero(~wide & ((lo < -math.pi) | (hi > math.pi)))
+    shift = np.where(lo[wrap] < -math.pi, TWO_PI, -TWO_PI)
+    t, b = np.concatenate((t, t[wrap])), np.concatenate((b, b[wrap]))
+    lo, hi = np.concatenate((lo, lo[wrap] + shift)), np.concatenate((hi, hi[wrap] + shift))
+    return t, b, 8.0 * t + lo, 8.0 * t + hi
 
 
 def _cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
@@ -82,74 +102,51 @@ def _cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
     return pi[keep], tj[keep]
 
 
-def _occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex) -> np.ndarray:
+def _occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex, cones) -> np.ndarray:
     """Per pair: some blocker other than the target itself enters the open
-    sight triangle from point pi of the block to target tj."""
+    sight triangle from point pi of the block to target tj.
+
+    A pair meets only the blockers whose shadow `cones` hold its apex.  If the
+    clip accepts blocker b for apex p and target t = (s, e), a point q of b
+    lies in the triangle (the clip keeps eps_len of room from each edge, over
+    the 1e-16 rounding of coordinates while triangles span under 1e6 scene
+    diameters): q = g p + a s + c e, g > 0, a + c + g = 1, so p - s =
+    (q - w) / g with w = (a + g) s + c e on t, in the cone spanned by b - t,
+    the parallelogram with corners b_a - s, b_a - e, b_b - s, b_b - e.
+    Their bearings span pi or more only where b touches or crosses t; then
+    all bearings are kept.  Bearings are taken from s, an input, not the
+    computed midpoint: each is within 2^-53 rad of exact, and atan2, offsets
+    and 2 pi shifts add a few ulps of 2 pi, under 1e-14 rad in all, against
+    the margin EPS_ANG = 1e-12 rad.  The key 8 t + bearing rounds
+    monotonically: at any n a bearing in a range keeps its key in it, and a
+    range, within 4 of 8 t, meets no other target's keys while 8 n < 2^51."""
+    cone_t, cone_b, cone_lo, cone_hi = cones
     out = np.zeros(tj.size, dtype=bool)
-    eps = idx.eps_len
-    # a blocker entering a sight triangle comes within r_max + eps_len of its
-    # apex, so the block tests only the blockers whose boxes reach its box
-    reach = idx.scenario.sensor.r_max + 3.0 * eps
-    lo, hi = block.min(axis=0), block.max(axis=0)
-    near = np.flatnonzero((idx.bx_lo - reach <= hi[0]) & (lo[0] <= idx.bx_hi + reach)
-                          & (idx.by_lo - reach <= hi[1]) & (lo[1] <= idx.by_hi + reach))
     x, y = block[pi, 0], block[pi, 1]
     sx, sy, ex, ey = idx.sx[tj], idx.sy[tj], idx.ex[tj], idx.ey[tj]
     # the clip's winding sign: a sliver triangle (sign 0) is never blocked
     sgn = np.sign((sx - x) * (ey - y) - (sy - y) * (ex - x))
     live = np.flatnonzero(sgn != 0.0)
-    if near.size == 0 or live.size == 0:
-        return out
-    x, y, sx, sy, ex, ey, sgn = (v[live] for v in (x, y, sx, sy, ex, ey, sgn))
-    # bounding-box prefilter: only (pair, blocker) candidates whose sight
-    # triangle and blocker boxes overlap need the exact clip
-    tx_lo = np.minimum(np.minimum(sx, ex), x) - eps
-    tx_hi = np.maximum(np.maximum(sx, ex), x) + eps
-    ty_lo = np.minimum(np.minimum(sy, ey), y) - eps
-    ty_hi = np.maximum(np.maximum(sy, ey), y) + eps
-    # group the pairs by target and by the side of its line their apex is on;
-    # a group's box is the union of its pairs' boxes, so testing it keeps
-    # every blocker some pair's box test keeps
-    key = 2 * tj[live] + (sgn > 0.0)
-    by_k = np.argsort(key, kind="stable")
-    u, first = np.unique(key[by_k], return_index=True)
-    group = np.searchsorted(u, key)
-    t, side = u[:, None] >> 1, np.where(u & 1, 1.0, -1.0)[:, None]
-    # a group's pairs share the clip's plane through the target, from s to e,
-    # so a blocker wholly behind it drops out for the whole group; the
-    # target's own segment is blocker t
-    n1x, n1y = side * (idx.sy[t] - idx.ey[t]), side * (idx.ex[t] - idx.sx[t])
-    cand = (
-        (np.minimum.reduceat(tx_lo[by_k], first)[:, None] <= idx.bx_hi[near])
-        & (idx.bx_lo[near] <= np.maximum.reduceat(tx_hi[by_k], first)[:, None])
-        & (np.minimum.reduceat(ty_lo[by_k], first)[:, None] <= idx.by_hi[near])
-        & (idx.by_lo[near] <= np.maximum.reduceat(ty_hi[by_k], first)[:, None])
-        & (near != t)
-        & _meets_plane(idx.sx[t], idx.sy[t], n1x, n1y, near, idx)
-    )
-    g, k = np.nonzero(cand)
-    blockers = near[k]   # group g's blockers are blockers[gptr[g]:gptr[g + 1]]
-    gptr = np.searchsorted(g, np.arange(u.size + 1))
-    n_b = np.diff(gptr)[group]
-    # the clip's planes through the apex, from the apex to s and from e to it
-    n0x, n0y = sgn * (y - sy), sgn * (sx - x)
-    n2x, n2y = sgn * (ey - y), sgn * (x - ex)
-    step = max(1, _BUDGET // max(1, int(n_b.max())))
-    for a in range(0, live.size, step):
-        # each pair against its group's blockers only, then by its own box
-        # and its own planes
-        cnt = n_b[a:a + step]
-        p = np.repeat(np.arange(a, a + cnt.size), cnt)
-        b = blockers[np.repeat(gptr[group[a:a + step]] - (np.cumsum(cnt) - cnt), cnt) + np.arange(p.size)]
-        keep = ((tx_lo[p] <= idx.bx_hi[b]) & (idx.bx_lo[b] <= tx_hi[p])
-                & (ty_lo[p] <= idx.by_hi[b]) & (idx.by_lo[b] <= ty_hi[p]))
-        p, b = p[keep], b[keep]
-        keep = (_meets_plane(x[p], y[p], n0x[p], n0y[p], b, idx)
-                & _meets_plane(ex[p], ey[p], n2x[p], n2y[p], b, idx))
+    key = 8.0 * tj[live] + np.arctan2(y[live] - sy[live], x[live] - sx[live])
+    by_key = np.argsort(key)
+    key, live = key[by_key], live[by_key]
+    # the cones of the targets present, and the run of keys each one holds
+    c = np.flatnonzero(np.bincount(tj[live], minlength=idx.sx.size)[cone_t])
+    first = np.searchsorted(key, cone_lo[c], side="left")
+    cnt = np.searchsorted(key, cone_hi[c], side="right") - first
+    end = np.cumsum(cnt)
+    for a in range(0, cnt.sum(), _BUDGET):
+        e = np.arange(a, min(a + _BUDGET, end[-1]))
+        r = np.searchsorted(end, e, side="right")
+        p, b = live[first[r] + e - (end[r] - cnt[r])], cone_b[c[r]]
+        # the clip's planes, through each vertex toward the next
+        vx, vy, sg = (x[p], sx[p], ex[p]), (y[p], sy[p], ey[p]), sgn[p]
+        keep = np.logical_and.reduce([_meets_plane(vx[i], vy[i], sg * (vy[i] - vy[(i + 1) % 3]),
+                                                   sg * (vx[(i + 1) % 3] - vx[i]), b, idx) for i in range(3)])
         p, b = p[keep], b[keep]
         hit = _blocks_triangle_np(x[p], y[p], sx[p], sy[p], ex[p], ey[p],
-                                  idx.bax[b], idx.bay[b], idx.bbx[b], idx.bby[b], eps)
-        out[live[p[hit]]] = True
+                                  idx.bax[b], idx.bay[b], idx.bbx[b], idx.bby[b], idx.eps_len)
+        out[p[hit]] = True
     return out
 
 
@@ -287,19 +284,22 @@ def sweep_points(points, s: Scenario) -> PointGroups:
     each config's source the index of its point.
 
     The pair passes take blocks of `_CHUNK` points in Z-order, compact tiles
-    that see few targets and blockers, and keep the live (point, target)
-    pairs; the subset passes take the points with K live pairs together.  A
-    point's configs depend on neither grouping, and a stable sort by point
-    restores point-major order."""
+    that see few targets, occlusion takes runs of whole tiles, and the subset
+    passes take the points with K live pairs together.  A point's configs
+    depend on none of these groupings; a stable sort restores point order."""
     idx = ScenarioIndex(s)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
-    tiles = _z_order(pts)
-    pairs = [np.zeros((2, 0), dtype=np.int64)]
+    tiles, cones = _z_order(pts), _shadow_cones(idx)
+    pairs, batch = [np.zeros((2, 0), dtype=np.int64)], []
     for base in range(0, pts.shape[0], _CHUNK):
         tile = tiles[base:base + _CHUNK]
         pi, tj = _cheap_pairs(pts[tile], idx)
-        live = ~_occluded(pts[tile], pi, tj, idx)
-        pairs.append(np.stack((tile[pi[live]], tj[live])))
+        batch.append(np.stack((tile[pi], tj)))
+        if sum(q.shape[1] for q in batch) >= _BUDGET // 8 or base + _CHUNK >= pts.shape[0]:
+            batch = np.concatenate(batch, axis=1)
+            pairs.append(batch[:, ~_occluded(pts, batch[0], batch[1], idx, cones)])
+            batch = []
+    del cones   # the subset passes hold the sweep's peak memory
     pi, tj = np.concatenate(pairs, axis=1)
     by_point = np.argsort(pi, kind="stable")
     tj = tj[by_point]

@@ -569,7 +569,7 @@ def test_kernel_pairs_match_reference(s, data):
     block = np.array(pts, dtype=float)
     idx = sweep.ScenarioIndex(s)
     pi, tj = sweep._cheap_pairs(block, idx)
-    live = ~sweep._occluded(block, pi, tj, idx)
+    live = ~sweep._occluded(block, pi, tj, idx, sweep._shadow_cones(idx))
     got = set(zip(pi[live].tolist(), tj[live].tolist()))
     checked = 0
     blockers = interacting_blockers(s.targets, s)

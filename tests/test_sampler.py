@@ -322,8 +322,10 @@ def test_comprehensive_candidates_merge_like_the_oracle(monkeypatch):
 
 
 def test_clause_slacks_keep_strict_clauses_strict():
-    # a camera exactly eps_len from an endpoint or from the midpoint fails
-    # the range or facing clause, in the sweep kernel as in covers
+    # named after the clause slacks since folded into `fields.covers_np`,
+    # which `_cheap_pairs` calls: this tests `covers_np`.  A camera exactly
+    # eps_len from an endpoint or from the midpoint fails the range or
+    # facing clause, in the sweep kernel as in covers
     t = Target(0, (0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
     s = Scenario(100.0, 100.0, SensorSpec(aov_deg=200.0, r_min=0.0, r_max=5.0), (t,))
     eps = s.eps_len

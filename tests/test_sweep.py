@@ -567,9 +567,9 @@ def ulps_around(x, n=3):
 
 def near_limit_thetas(pts, pi, cols, nominal):
     """Thetas that put a config's span, the widest reach of a member from its
-    anchor as `_subsets` computes it, exactly at theta, at theta - 1e-9 (where
-    the re-check starts) and at the fit limit theta + EPS_ANG, and a few ulps
-    either side of each."""
+    anchor as `_subsets` computes it, exactly at theta, at theta - 1e-9 (a
+    span just inside the limit) and at the fit limit theta + EPS_ANG, and a
+    few ulps either side of each."""
     sx, sy, ex, ey = cols
     x, y = pts[pi, 0], pts[pi, 1]
     b1, b2 = np.arctan2(sy - y, sx - x), np.arctan2(ey - y, ex - x)

@@ -7,7 +7,8 @@ tests as they stood before the sweep ran in spatial tiles (each against every
 point of the block, not the block's box) and grouped pairs by target; all
 four are copied verbatim apart from their names, and from `oracle_occluded`
 finding a target's own segment by its position, as the blocker list now
-carries no owner ids.  The table's per-point views must
+carries no owner ids, and taking the blocker boxes from the blocker ends,
+as the index no longer keeps them.  The table's per-point views must
 equal the oracle's output field by field, and solving from the table must give
 the bytes that solving from its configs gives."""
 import dataclasses
@@ -82,11 +83,13 @@ def oracle_occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex) -> np.ndarray
     # apex, so the block tests only the blockers whose boxes reach one of its points
     reach = idx.scenario.sensor.r_max + 3.0 * eps
     px, py = block[:, 0:1], block[:, 1:2]
-    near = np.flatnonzero(((idx.bx_lo - reach <= px) & (px <= idx.bx_hi + reach)
-                           & (idx.by_lo - reach <= py) & (py <= idx.by_hi + reach)).any(axis=0))
+    bx_lo, bx_hi = np.minimum(idx.bax, idx.bbx), np.maximum(idx.bax, idx.bbx)
+    by_lo, by_hi = np.minimum(idx.bay, idx.bby), np.maximum(idx.bay, idx.bby)
+    near = np.flatnonzero(((bx_lo - reach <= px) & (px <= bx_hi + reach)
+                           & (by_lo - reach <= py) & (py <= by_hi + reach)).any(axis=0))
     if near.size == 0 or tj.size == 0:
         return out
-    bx_lo, bx_hi, by_lo, by_hi = idx.bx_lo[near], idx.bx_hi[near], idx.by_lo[near], idx.by_hi[near]
+    bx_lo, bx_hi, by_lo, by_hi = bx_lo[near], bx_hi[near], by_lo[near], by_hi[near]
     owner = near   # blocker k < n is target k's own segment
     x, y = block[pi, 0], block[pi, 1]
     sx, sy, ex, ey = idx.sx[tj], idx.sy[tj], idx.ex[tj], idx.ey[tj]
@@ -405,8 +408,8 @@ def range_limit_scene(seed):
     point in directions on and near the axes, their midpoints from 5e-8 m
     past the range (within eps_len, so still in range) to 8 mm inside it;
     walls a few mm in front of some of them.  These
-    are the pairs and blockers that the tile's box tests keep only if their
-    reach is as wide as the per-point tests'."""
+    are the pairs that the tile's box test, and the blockers that the shadow
+    cone table, keep only if their reach is as wide as the per-point tests'."""
     rng = random.Random(seed)
     r_max, w = 10.0, 1e-3
     points = [(45.0 + rng.uniform(0.0, 2.0), 45.0 + rng.uniform(0.0, 2.0)) for _ in range(7)]
@@ -436,7 +439,7 @@ def test_tile_box_tests_keep_pairs_and_blockers_at_the_range_limit(seed, monkeyp
     want_pi, want_tj = oracle_cheap_pairs(block, idx)
     assert np.array_equal(pi, want_pi) and np.array_equal(tj, want_tj)
     assert len(set(tj.tolist())) == 16   # every target is seen from its tile
-    hidden = sweep_module._occluded(block, pi, tj, idx)
+    hidden = sweep_module._occluded(block, pi, tj, idx, sweep_module._shadow_cones(idx))
     assert np.array_equal(hidden, oracle_occluded(block, pi, tj, idx))
     assert hidden.any() and not hidden.all()
     assert_groups_equal(sweep_in_tiles(monkeypatch, points, s, 7), oracle_sweep_points(points, s, chunk=7), s)
@@ -467,7 +470,7 @@ def test_subset_passes_bucket_points_of_one_tile_by_pair_count(monkeypatch, budg
     assert_groups_equal(groups, want, s)
     idx = ScenarioIndex(s)
     pi, tj = sweep_module._cheap_pairs(np.array(points), idx)
-    live = ~sweep_module._occluded(np.array(points), pi, tj, idx)
+    live = ~sweep_module._occluded(np.array(points), pi, tj, idx, sweep_module._shadow_cones(idx))
     count = np.bincount(pi[live], minlength=len(points))
     assert count.max() > 64 and {1, 2} <= set(count.tolist())
     assert all(len(g) > 0 for g in groups)
@@ -475,10 +478,12 @@ def test_subset_passes_bucket_points_of_one_tile_by_pair_count(monkeypatch, budg
 
 def prefilter_scene():
     """A tile of points before axis-aligned and slanted targets, one hiding
-    parts of another, and walls set against each target's group box (the
-    union of its pairs' sight-triangle boxes), by kind: along each box edge
-    and up to 2*eps_len either side of it, collinear with sight edges, and
-    from target endpoints into, along and away from sight triangles."""
+    parts of another, and walls by kind: along each edge of the box that
+    holds a target's sight triangles from the tile, and up to 2*eps_len
+    either side of it; collinear with sight edges, so that a shadow cone's
+    range ends at the bearing of the apex whose edge it is; and from target
+    endpoints into, along and away from sight triangles, whose cones hold
+    bearings on both sides of the target's line."""
     sensor = SensorSpec(aov_deg=120.0, r_min=0.0, r_max=15.0)
     targets = (Target(0, (19.0, 28.0), (21.0, 28.0), (0.0, -1.0)),
                Target(1, (28.0, 21.0), (28.0, 19.0), (-1.0, 0.0)),
@@ -526,7 +531,7 @@ def test_target_grouped_prefilter_equals_oracle_on_adversarial_blockers(monkeypa
             idx = ScenarioIndex(dataclasses.replace(base, obstacles=tuple(obstacles)))
             pi, tj = sweep_module._cheap_pairs(block, idx)
             assert set(tj.tolist()) == set(range(5))
-            hidden = sweep_module._occluded(block, pi, tj, idx)
+            hidden = sweep_module._occluded(block, pi, tj, idx, sweep_module._shadow_cones(idx))
             assert np.array_equal(hidden, oracle_occluded(block, pi, tj, idx)), (kind, obstacles)
             seen.update(hidden.tolist())
         assert seen == {False, True}, kind
@@ -539,9 +544,10 @@ def line_scene(phi_deg):
     """A horizontal and a slanted target seen from a grid of points on both
     sides of their lines (a facing cone wider than 90 deg sees both sides)
     and from points exactly on those lines (sight triangles of sign 0), with
-    walls parallel to each target on its line, up to 2*eps_len either side of
-    it and 1 cm and 0.3 m in front of and behind it, and collinear walls
-    beside its ends."""
+    walls parallel to each target, spanning it, up to 2*eps_len either side
+    of its line and 1 cm and 0.3 m in front of and behind it, whose shadow
+    cones span nearly pi, and collinear walls beside its ends, whose cones
+    keep every bearing."""
     sensor = SensorSpec(aov_deg=120.0, r_min=0.0, r_max=15.0, phi_deg=phi_deg)
     r = math.sqrt(0.5)
     targets = (Target(0, (20.0, 20.0), (22.0, 20.0), (0.0, 1.0)),
@@ -590,7 +596,7 @@ def test_side_grouped_occlusion_equals_oracle_about_target_lines(monkeypatch, bu
     for obstacles in [[Obstacle(0, w)] for w in walls] + [[Obstacle(k, w) for k, w in enumerate(walls)]]:
         idx = ScenarioIndex(dataclasses.replace(base, obstacles=tuple(obstacles)))
         assert np.array_equal(sweep_module._cheap_pairs(block, idx)[0], pi)
-        hidden = sweep_module._occluded(block, pi, tj, idx)
+        hidden = sweep_module._occluded(block, pi, tj, idx, sweep_module._shadow_cones(idx))
         assert np.array_equal(hidden, oracle_occluded(block, pi, tj, idx)), obstacles
         seen.update(zip(tj[hidden].tolist(), sgn[hidden].tolist()))
     # walls in front of each target hide some of its pairs on both sides, and
@@ -629,6 +635,125 @@ def test_plane_tests_reject_only_what_the_clip_rejects():
                               walls.bax, walls.bay, walls.bbx, walls.bby, 0.0)
     assert not (hit & ~meets).any()
     assert hit.any() and (~meets).any()
+
+
+def cone_scene():
+    """Targets and walls set against the shadow cones, by kind: walls across
+    the +-pi bearing seam of apexes straight behind a target's start s
+    (apexes on the seam, one ulp off it, and at y = -0.0 against s at
+    y = 0.0, whose bearing is -pi); walls that cross, touch, share an
+    endpoint with or lie collinear with a target, and another target
+    sharing its end, whose cones keep every bearing; long walls within 1 cm
+    in front of and behind a target, whose cones span nearly pi; and walls
+    at and about the r_max + eps_len reach of a target's box, before apexes
+    at the range limit."""
+    sensor = SensorSpec(aov_deg=120.0, r_min=0.0, r_max=15.0)
+    r = math.sqrt(0.5)
+    targets = (Target(0, (30.0, 20.0), (30.0, 21.0), (-1.0, 0.0)),
+               Target(1, (60.0, 0.0), (60.0, 1.0), (-1.0, 0.0)),
+               Target(2, (20.0, 60.0), (22.0, 60.0), (0.0, -1.0)),
+               Target(3, (22.0, 60.0), (23.0, 59.0), (-r, -r)),
+               Target(4, (60.0, 60.0), (61.0, 60.0), (0.0, 1.0)),
+               Target(5, (80.0, 30.0), (80.0, 30.1), (1.0, 0.0)))
+    base = Scenario(100.0, 100.0, sensor, targets)
+    eps = base.eps_len
+    limit = 80.0 + math.sqrt(15.0 ** 2 - 0.05 ** 2)   # level with target 5's middle, 1e-4 m inside the reach
+    points = [(x, 20.0) for x in (18.0, 22.5, 27.0)]
+    points += [(22.5, math.nextafter(20.0, 21.0)), (22.5, math.nextafter(20.0, 19.0)), (24.0, 20.3), (24.0, 19.7)]
+    points += [(50.0, -0.0), (50.0, 0.0), (55.0, -0.0), (52.0, 0.4)]
+    points += [(17.0 + i, 50.0 + 1.5 * j) for i in range(9) for j in range(6)]
+    points += [(25.0, 60.0), (16.0, 60.0), (21.0, 59.9)]   # on target 2's line, and close to it
+    points += [(55.0 + 1.2 * i, 60.5 + 1.5 * j) for i in range(10) for j in range(6)]
+    points += [(60.5, 60.02), (63.0, 60.008)]
+    points += [(limit, 30.05), (94.99, 30.05), (94.9, 30.04), (90.0, 36.0)]
+    walls = {
+        "bearing seam": [((26.0, 19.8), (26.0, 20.2)), ((26.0, 20.05), (26.0, 20.4)), ((26.0, 19.5), (26.0, 19.95)),
+                         ((26.0, 20.0), (26.0, 20.3)), ((55.0, -0.3), (55.0, 0.3)), ((57.0, 0.0), (57.0, 0.4)),
+                         ((57.0, -0.4), (57.0, -0.0))],
+        "touching the target": [((21.0, 59.5), (21.0, 60.5)), ((21.0, 58.5), (21.0, 60.0)), ((21.0, 60.0), (21.0, 61.0)),
+                                ((20.5, 59.0), (21.5, 61.0)), ((20.0, 60.0), (20.6, 59.0)), ((20.0, 60.0), (19.0, 59.5)),
+                                ((20.0, 60.0), (19.5, 61.0)), ((22.0, 60.0), (21.4, 59.2)), ((22.0, 60.0), (23.0, 59.0)),
+                                ((22.5, 60.0), (25.0, 60.0)), ((17.0, 60.0), (19.5, 60.0)), ((22.0, 60.0), (24.0, 60.0)),
+                                ((18.0, 60.0), (20.0, 60.0)), ((21.0, 60.0), (23.0, 60.0)), ((19.0, 60.0), (23.0, 60.0))],
+        "long walls near a target": [((50.0, 60.01), (72.0, 60.01)), ((60.7, 60.005), (75.0, 60.005)),
+                                     ((50.0, 60.0005), (72.0, 60.0095)), ((50.0, 59.99), (72.0, 59.99)),
+                                     ((40.0, 60.01), (59.8, 60.01)), ((55.0, 60.0 + 2.0 * eps), (66.0, 60.0 + 2.0 * eps))],
+        "at the reach": [((95.0 + k * eps, 25.0), (95.0 + k * eps, 36.0)) for k in (0.0, 1.0, 2.0, 3.0, 4.0)]
+        + [((limit - 1e-4, 29.9), (limit - 1e-4, 30.2)), ((limit - 1e-3, 30.04), (limit + 1.0, 30.06)),
+           ((89.0, 37.0), (91.0, 35.0))],
+    }
+    return base, points, walls
+
+
+@pytest.mark.parametrize("budget", [_BUDGET, 1])
+def test_shadow_cones_equal_oracle_on_adversarial_blockers(monkeypatch, budget):
+    base, points, walls = cone_scene()
+    block = np.array(points)
+    monkeypatch.setattr(sweep_module, "_BUDGET", budget)
+    idx = ScenarioIndex(base)
+    pi, tj = sweep_module._cheap_pairs(block, idx)
+    assert set(tj.tolist()) == set(range(6))
+    # apexes straight behind s read a bearing of pi, or -pi from y = -0.0
+    seam = np.arctan2(block[pi, 1] - idx.sy[tj], block[pi, 0] - idx.sx[tj])
+    assert {math.pi, -math.pi} <= set(seam.tolist())
+    for kind, chains in walls.items():
+        seen = set()
+        # each wall alone, then the kind's walls together
+        for obstacles in [[Obstacle(0, w)] for w in chains] + [[Obstacle(k, w) for k, w in enumerate(chains)]]:
+            idx = ScenarioIndex(dataclasses.replace(base, obstacles=tuple(obstacles)))
+            assert np.array_equal(sweep_module._cheap_pairs(block, idx)[0], pi)
+            hidden = sweep_module._occluded(block, pi, tj, idx, sweep_module._shadow_cones(idx))
+            assert np.array_equal(hidden, oracle_occluded(block, pi, tj, idx)), (kind, obstacles)
+            seen.update(hidden.tolist())
+        assert seen == {False, True}, kind
+        # the bearing ranges of the walls' cones
+        t, b, lo, hi = sweep_module._shadow_cones(idx)
+        walled = b >= len(base.targets)
+        lo, hi = (lo - 8.0 * t)[walled], (hi - 8.0 * t)[walled]
+        if kind == "bearing seam":
+            assert (((lo < -math.pi) | (hi > math.pi)) & (hi - lo < math.pi)).any()
+        if kind == "touching the target":
+            assert (hi - lo == 8.0).any()
+        if kind == "long walls near a target":
+            assert ((hi - lo > 3.0) & (hi - lo < math.pi)).any()
+    s = dataclasses.replace(base, obstacles=tuple(Obstacle(k, w) for k, w in enumerate(
+        w for chains in walls.values() for w in chains)))
+    assert_groups_equal(sweep_in_tiles(monkeypatch, points, s, 16), oracle_sweep_points(points, s, chunk=16), s)
+
+
+@pytest.mark.parametrize("n, obstacles, r_max, step", [(25, 25, 5.0, 1), (25, 25, 20.0, 3), (25, 25, 60.0, 8),
+                                                       (400, 0, 10.0, 20)])
+def test_every_blocker_the_clip_accepts_reaches_the_clip(n, obstacles, r_max, step, monkeypatch):
+    # run the clip on every (pair, blocker) combination but a target and its
+    # own segment: the cone lookup must hand it every combination it accepts
+    s = random_scenario(GenParams(n_targets=n, n_obstacles=obstacles, margin=3.0, seed=n + int(r_max)),
+                        SensorSpec(aov_deg=100.0, r_min=0.0, r_max=r_max))
+    block = np.array(build_candidates(s, "bcpf", 0.1, None, 4.0).points[::step])
+    idx = ScenarioIndex(s)
+    pi, tj = sweep_module._cheap_pairs(block, idx)
+    reached = []
+
+    def clip(ax, ay, sx, sy, ex, ey, bax, bay, bbx, bby, eps):
+        reached.append(np.stack((ax, ay, sx, sy, bax, bay, bbx, bby), axis=1))
+        return _blocks_triangle_np(ax, ay, sx, sy, ex, ey, bax, bay, bbx, bby, eps)
+
+    monkeypatch.setattr(sweep_module, "_blocks_triangle_np", clip)
+    hidden = sweep_module._occluded(block, pi, tj, idx, sweep_module._shadow_cones(idx))
+    nb = idx.bax.size
+    accepted, every_hidden = [], np.zeros(pi.size, dtype=bool)
+    for a in range(0, pi.size, 100):
+        p, b = np.divmod(np.arange(a * nb, min(a + 100, pi.size) * nb), nb)
+        p, b = p[b != tj[p]], b[b != tj[p]]
+        x, y, t = block[pi[p], 0], block[pi[p], 1], tj[p]
+        hit = _blocks_triangle_np(x, y, idx.sx[t], idx.sy[t], idx.ex[t], idx.ey[t],
+                                  idx.bax[b], idx.bay[b], idx.bbx[b], idx.bby[b], idx.eps_len)
+        p, b, t = p[hit], b[hit], t[hit]
+        accepted.append(np.stack((block[pi[p], 0], block[pi[p], 1], idx.sx[t], idx.sy[t],
+                                  idx.bax[b], idx.bay[b], idx.bbx[b], idx.bby[b]), axis=1))
+        every_hidden[p] = True
+    accepted = set(map(tuple, np.concatenate(accepted).tolist()))
+    assert accepted and accepted <= set(map(tuple, np.concatenate(reached).tolist()))
+    assert np.array_equal(hidden, every_hidden)
 
 
 def test_table_rejects_indices_outside_it():
