@@ -87,14 +87,14 @@ def _wrap_pi_np(a):
     return np.where(r <= -math.pi, r + TWO_PI, np.where(r > math.pi, r - TWO_PI, r))
 
 
-def bearing(p: Point, q: Point, eps: float = EPS) -> float:
+def bearing(p: Point, q: Point) -> float:
     """Bearing of q as seen from p, in [0, 2*pi).
 
-    Raises DegenerateError when the points coincide within eps.
+    Raises DegenerateError when the points coincide within EPS.
     """
     dx = q[0] - p[0]
     dy = q[1] - p[1]
-    if math.hypot(dx, dy) <= eps:
+    if math.hypot(dx, dy) <= EPS:
         raise DegenerateError(f"bearing undefined for coincident points {p} and {q}")
     return norm_angle(math.atan2(dy, dx))
 

@@ -243,14 +243,22 @@ def validate_scenario(s: Scenario) -> ValidationReport:
         if w > sensor.r_max / 2.0 + eps:
             warn(ValidationIssue(name, f"width {w:.6g} > r_max/2 (narrow-target assumption broken)"))
 
-    # segments within eps_len of each other have overlapping boxes grown by pad
+    # segments within eps_len of each other have overlapping boxes grown by pad;
+    # blocker k < n is target k, an obstacle edge may touch one only at endpoints
     pad = 2.0 * eps
-    lo, hi = segment_boxes([t.segment for t in s.targets], pad)
-    for i, j in zip(*(a.tolist() for a in box_pairs(lo, hi))):
-        ti, tj = s.targets[i], s.targets[j]
-        if segment_segment_distance(ti.segment, tj.segment) <= eps:
-            if not _touch_only_at_endpoints(ti.segment, tj.segment, eps):
-                err(ValidationIssue(f"targets {ti.id},{tj.id}", "overlap (not an endpoint contact)"))
+    blockers, n = s.blockers(), s.n
+    owner = [obs.id for obs in s.obstacles for _ in obs.edges()]
+    near_i, near_k = box_pairs(*segment_boxes(blockers[:n], pad), *segment_boxes(blockers, pad))
+    later = near_k > near_i
+    on_target: dict[tuple[int, int], None] = {}
+    for i, k in zip(near_i[later].tolist(), near_k[later].tolist()):
+        a, b = blockers[i], blockers[k]
+        if segment_segment_distance(a, b) <= eps and not _touch_only_at_endpoints(a, b, eps):
+            if k < n:
+                err(ValidationIssue(f"targets {s.targets[i].id},{s.targets[k].id}",
+                                    "overlap (not an endpoint contact)"))
+            else:
+                on_target[(owner[k - n], s.targets[i].id)] = None
 
     seen_obstacle_ids: set[int] = set()
     for obs in s.obstacles:
@@ -269,15 +277,6 @@ def validate_scenario(s: Scenario) -> ValidationReport:
                 err(ValidationIssue(name, "outside area"))
                 break
 
-    # an obstacle edge may meet a target only at endpoints, as targets meet
-    edges = [(obs.id, e) for obs in s.obstacles for e in obs.edges()]
-    on_target: dict[tuple[int, int], None] = {}
-    near = box_pairs(lo, hi, *segment_boxes([e for _, e in edges], pad))
-    for i, k in zip(*(a.tolist() for a in near)):
-        t, (oid, e) = s.targets[i], edges[k]
-        if segment_segment_distance(t.segment, e) <= eps:
-            if not _touch_only_at_endpoints(t.segment, e, eps):
-                on_target[(oid, t.id)] = None
     for oid, tid in on_target:
         err(ValidationIssue(f"obstacle {oid}", f"lies on target {tid} (not an endpoint contact)"))
     return rep

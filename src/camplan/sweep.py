@@ -10,7 +10,7 @@ first and the other clauses only where it can hold, all decided by
 `fields.covers` holds and no blocker clips its sight triangle.  A pair
 meets only the blockers whose shadow cones, bearing ranges built once per
 scene, hold its apex (`_occluded` shows that this drops no blocker the clip
-accepts); the clip's own plane tests and the clip (from `geom`) decide.  The
+accepts), and the clip (`geom._blocks_triangle_np`) decides each one.  The
 subset passes wrap angles by compare-and-add (`geom._mod_2pi_np`), bit for
 bit `np.remainder`; a subset that fits in theta fits the cone centred on it,
 so no config is re-checked at its vd_rep.  The solution verifier
@@ -106,10 +106,11 @@ def _occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex, cones) -> np.ndarra
     """Per pair: some blocker other than the target itself enters the open
     sight triangle from point pi of the block to target tj.
 
-    A pair meets only the blockers whose shadow `cones` hold its apex.  If the
-    clip accepts blocker b for apex p and target t = (s, e), a point q of b
-    lies in the triangle (the clip keeps eps_len of room from each edge, over
-    the 1e-16 rounding of coordinates while triangles span under 1e6 scene
+    A pair hands the clip (`geom._blocks_triangle_np`) every blocker whose
+    shadow `cones` hold its apex, and only those.  If the clip accepts
+    blocker b for apex p and target t = (s, e), a point q of b lies in the
+    triangle (the clip keeps eps_len of room from each edge, over the 1e-16
+    rounding of coordinates while triangles span under 1e6 scene
     diameters): q = g p + a s + c e, g > 0, a + c + g = 1, so p - s =
     (q - w) / g with w = (a + g) s + c e on t, in the cone spanned by b - t,
     the parallelogram with corners b_a - s, b_a - e, b_b - s, b_b - e.
@@ -124,9 +125,8 @@ def _occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex, cones) -> np.ndarra
     out = np.zeros(tj.size, dtype=bool)
     x, y = block[pi, 0], block[pi, 1]
     sx, sy, ex, ey = idx.sx[tj], idx.sy[tj], idx.ex[tj], idx.ey[tj]
-    # the clip's winding sign: a sliver triangle (sign 0) is never blocked
-    sgn = np.sign((sx - x) * (ey - y) - (sy - y) * (ex - x))
-    live = np.flatnonzero(sgn != 0.0)
+    # the clip never blocks a sliver triangle (cross product, and winding sign, 0)
+    live = np.flatnonzero((sx - x) * (ey - y) - (sy - y) * (ex - x) != 0.0)
     key = 8.0 * tj[live] + np.arctan2(y[live] - sy[live], x[live] - sx[live])
     by_key = np.argsort(key)
     key, live = key[by_key], live[by_key]
@@ -139,23 +139,10 @@ def _occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex, cones) -> np.ndarra
         e = np.arange(a, min(a + _BUDGET, end[-1]))
         r = np.searchsorted(end, e, side="right")
         p, b = live[first[r] + e - (end[r] - cnt[r])], cone_b[c[r]]
-        # the clip's planes, through each vertex toward the next
-        vx, vy, sg = (x[p], sx[p], ex[p]), (y[p], sy[p], ey[p]), sgn[p]
-        keep = np.logical_and.reduce([_meets_plane(vx[i], vy[i], sg * (vy[i] - vy[(i + 1) % 3]),
-                                                   sg * (vx[(i + 1) % 3] - vx[i]), b, idx) for i in range(3)])
-        p, b = p[keep], b[keep]
         hit = _blocks_triangle_np(x[p], y[p], sx[p], sy[p], ex[p], ey[p],
                                   idx.bax[b], idx.bay[b], idx.bbx[b], idx.bby[b], idx.eps_len)
         out[p[hit]] = True
     return out
-
-
-def _meets_plane(ux, uy, nx, ny, b, idx: ScenarioIndex) -> np.ndarray:
-    """Blocker b has an end on the inner side of the plane through (ux, uy)
-    with normal (nx, ny), in `_blocks_triangle_np`'s own arithmetic: where
-    this is false, the clip rejects the blocker at that plane."""
-    return ((nx * (idx.bax[b] - ux) + ny * (idx.bay[b] - uy) >= 0.0)
-            | (nx * (idx.bbx[b] - ux) + ny * (idx.bby[b] - uy) >= 0.0))
 
 
 def _maximal_rows(fits: np.ndarray) -> np.ndarray:

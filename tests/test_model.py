@@ -208,6 +208,33 @@ def test_validate_obstacle_on_target(chain, ok):
     assert [str(e) for e in rep.errors] == ([] if ok else ["obstacle 4: lies on target 0 (not an endpoint contact)"])
 
 
+def test_validate_reports_every_error_in_order():
+    # target overlaps come after the per-target checks, obstacle-on-target
+    # contacts after the per-obstacle checks, each in (target, segment) order
+    targets = [
+        Target(0, (5.0, 5.0), (7.0, 5.0), (0.0, 1.0)),
+        Target(1, (6.0, 5.0), (8.0, 5.0), (0.0, 1.0)),   # collinear, overlapping target 0
+        Target(2, (10.0, 10.0), (12.0, 10.0), (0.0, 1.0)),
+        Target(3, (6.0, 4.0), (6.0, 6.0), (1.0, 0.0)),   # crosses target 0, meets target 1's start
+    ]
+    obstacles = [
+        Obstacle(7, ((10.5, 10.0), (11.5, 10.0))),   # along target 2
+        Obstacle(4, ((5.5, 4.0), (5.5, 6.0))),     # across target 0
+        Obstacle(4, ((50.0, 50.0), (50.0, 50.0), (51.0, 50.0))),   # an id again, a point edge
+    ]
+    rep = validate_scenario(make_scenario(targets, obstacles=obstacles))
+    assert [str(e) for e in rep.errors] == [
+        "targets 0,1: overlap (not an endpoint contact)",
+        "targets 0,3: overlap (not an endpoint contact)",
+        "targets 1,3: overlap (not an endpoint contact)",
+        "obstacle 4: duplicate id",
+        "obstacle 4: degenerate edge 0",
+        "obstacle 4: lies on target 0 (not an endpoint contact)",
+        "obstacle 7: lies on target 2 (not an endpoint contact)",
+    ]
+    assert rep.warnings == []
+
+
 def test_validate_target_ids_within_int64():
     for tid in (2 ** 63, -(2 ** 63) - 1, 10 ** 20):
         rep = validate_scenario(make_scenario([Target(tid, (0, 0), (1, 0), (0, 1))]))

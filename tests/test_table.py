@@ -609,9 +609,8 @@ def test_side_grouped_occlusion_equals_oracle_about_target_lines(monkeypatch, bu
 
 def test_plane_tests_reject_only_what_the_clip_rejects():
     # walls along the edges of sight triangles, a few ulps either side, and
-    # no tolerance in the clip to hide a rounding difference: where the
-    # prefilter's plane test puts a wall wholly outside one edge plane, the
-    # clip rejects it too
+    # no tolerance in the clip to hide a rounding difference: where a plane
+    # test puts a wall wholly outside one edge plane, the clip rejects it
     rng = np.random.default_rng(1)
     n = 100_000
     sx, sy, ex, ey = 30.1, 24.3, 31.7, 25.9
@@ -629,8 +628,10 @@ def test_plane_tests_reject_only_what_the_clip_rejects():
     f1, f2, k = rng.uniform(0.05, 0.45, n), rng.uniform(0.55, 0.95, n), rng.uniform(-30.0, 30.0, n) * 1e-15
     walls = SimpleNamespace(bax=ux + f1 * wx + k * nx, bay=uy + f1 * wy + k * ny,
                             bbx=ux + f2 * wx + k * nx, bby=uy + f2 * wy + k * ny)
-    b = np.arange(n)
-    meets = np.logical_and.reduce([sweep_module._meets_plane(*pl, b, walls) for pl in planes])
+    # a wall meets a plane where one of its ends lies on the plane's inner side
+    meets = np.logical_and.reduce([(px * (walls.bax - ox) + py * (walls.bay - oy) >= 0.0)
+                                   | (px * (walls.bbx - ox) + py * (walls.bby - oy) >= 0.0)
+                                   for ox, oy, px, py in planes])
     hit = _blocks_triangle_np(ax, ay, np.full(n, sx), np.full(n, sy), np.full(n, ex), np.full(n, ey),
                               walls.bax, walls.bay, walls.bbx, walls.bby, 0.0)
     assert not (hit & ~meets).any()
