@@ -69,12 +69,17 @@ def _dedupe(xy: np.ndarray, rank: np.ndarray, eps: float) -> np.ndarray:
     code = key[:, 0] * stride + key[:, 1]
     cells = np.sort(code)
     around = [dx * stride + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-    others = np.full(len(p), -1)   # points in the 3 x 3 cells around each, itself excluded
+    # the walk runs in x order, so its x cells are sorted: only a point with
+    # another in x cells k - 1 .. k + 1 can have one in its 3 x 3 cells
+    kx = key[:, 0]
+    walk = np.flatnonzero(np.searchsorted(kx, kx + 1, side="right") - np.searchsorted(kx, kx - 1) > 1)
+    at = code[walk]
+    others = np.full(len(walk), -1)   # points in the 3 x 3 cells around each, itself excluded
     for step in around:
-        others += np.searchsorted(cells, code + step, side="right") - np.searchsorted(cells, code + step)
+        others += np.searchsorted(cells, at + step, side="right") - np.searchsorted(cells, at + step)
     keep = np.ones(len(p), dtype=bool)
     kept: dict[int, list[list[float]]] = {}
-    walk = np.flatnonzero(others)
+    walk = walk[others > 0]
     for k, q, c in zip(walk.tolist(), p[walk].tolist(), code[walk].tolist()):
         if any(math.dist(q, r) <= eps for step in around for r in kept.get(c + step, ())):
             keep[k] = False

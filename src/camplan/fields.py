@@ -165,10 +165,13 @@ def target_columns(targets: Sequence[Target]) -> np.ndarray:
     return np.concatenate((c, (c[0:2] + c[2:4]) / 2.0))
 
 
-# np.hypot and np.arctan2 differ from math.dist and math.atan2 by about an
-# ulp, far below these margins (eps units, radians): a slack within one is
-# left to `covers`.  A point on a view-angle circle has the slack EPS_ANG,
-# outside the angle margin, so it is decided by the slacks.
+# np.sqrt(x*x + y*y) and np.arctan2 differ from math.dist and math.atan2 by
+# a few ulps, far below these margins (eps units, radians): a slack within
+# one is left to `covers`.  The lengths' components are differences of
+# coordinates validation bounds by MAX_LENGTH (1e100), so their squares
+# stay finite, and underflow moves a length by under 1e-150, far below the
+# 1e-12 floor of _LEN_MARGIN * eps.  A point on a view-angle circle has the
+# slack EPS_ANG, outside the angle margin, so it is decided by the slacks.
 _LEN_MARGIN = 1e-3
 _ANG_MARGIN = 1e-13
 
@@ -187,16 +190,16 @@ def covers_np(x, y, targets: Sequence[Target], cols: np.ndarray, tj, sensor: Sen
     x, y, tj, vmx, vmy = x[f], y[f], tj[f], vmx[f], vmy[f]
     eps = eps[f] if np.ndim(eps) else eps
     sx, sy, ex, ey = (c[tj] for c in cols[:4])
-    d_s = np.hypot(sx - x, sy - y)
-    d_e = np.hypot(ex - x, ey - y)
+    vsx, vsy, vex, vey = sx - x, sy - y, ex - x, ey - y
+    d_s = np.sqrt(vsx * vsx + vsy * vsy)
+    d_e = np.sqrt(vex * vex + vey * vey)
     # a strict clause d > eps is the closed clause d >= the next float above eps
     above = np.nextafter(eps, np.inf)
-    lengths = [d_s - above, d_e - above, (sensor.r_max + eps) - np.maximum(d_s, d_e), np.hypot(vmx, vmy) - above]
+    lengths = [d_s - above, d_e - above, (sensor.r_max + eps) - np.maximum(d_s, d_e), np.sqrt(vmx * vmx + vmy * vmy) - above]
     if sensor.r_min > 0.0:
         lengths.append(_seg_point_dist_np(x, y, sx, sy, ex, ey) - (sensor.r_min - eps))
     angles = [facing[f]]
     if sensor.theta < math.pi:
-        vsx, vsy, vex, vey = sx - x, sy - y, ex - x, ey - y
         angles.append((sensor.theta + EPS_ANG) - np.arctan2(np.abs(vsx * vey - vsy * vex), vsx * vex + vsy * vey))
     margin = _LEN_MARGIN * eps
     fails = np.logical_or.reduce([v < -margin for v in lengths] + [v < -_ANG_MARGIN for v in angles])

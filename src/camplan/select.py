@@ -70,10 +70,12 @@ def greedy_cover(table: ConfigTable, s: Scenario, vd_mode: str = "f1") -> Soluti
 
     Gains stay exact without recounting: covering a target takes one off the
     gain of each config covering it, found through an inverse index built from
-    the table's member columns. A tie-break score depends only on the config's
-    uncovered members, so it is cached, with the f1 direction it was taken
-    at, until one of them is covered; a round scores all its uncached tied
-    configs in one `_aim` pass.
+    the table's member columns. As gains only fall, the tie at the maximum
+    gain is kept across rounds, and all gains are rescanned only when it
+    empties. A tie-break score depends only on the config's uncovered
+    members, so it is cached, with the f1 direction it was taken at, until
+    one of them is covered; a round scores its uncached tied configs, if
+    any, in one `_aim` pass.
     """
     n = len(s.targets)
     theta = s.sensor.theta
@@ -98,13 +100,19 @@ def greedy_cover(table: ConfigTable, s: Scenario, vd_mode: str = "f1") -> Soluti
     assignment: dict[int, int] = {}
     selected: list[int] = []
 
+    tied, best_gain = np.zeros(0, dtype=np.int64), 0
     while open_col.any():
-        best_gain = gains.max(initial=0)
-        if best_gain == 0:
-            raise InfeasibleError(s.targets[k].id for k in np.flatnonzero(open_col).tolist())
-        tied = np.flatnonzero(gains == best_gain)
+        # gains only fall: while some of the last round's tie still holds
+        # best_gain, no config has more and every config at it is among them
+        tied = tied[gains[tied] == best_gain]
+        if not tied.size:
+            best_gain = gains.max(initial=0)
+            if best_gain == 0:
+                raise InfeasibleError(s.targets[k].id for k in np.flatnonzero(open_col).tolist())
+            tied = np.flatnonzero(gains == best_gain)
         todo = tied[np.isnan(score[tied])]   # a lone config too: its f1 aim is its direction
-        aim[todo], score[todo] = _aim(table, todo, open_col, theta, "f1")
+        if todo.size:
+            aim[todo], score[todo] = _aim(table, todo, open_col, theta, "f1")
         pick = int(tied[np.argmin(score[tied])])
 
         if vd_mode in ("none", "f1"):

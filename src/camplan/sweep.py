@@ -188,7 +188,10 @@ def _subsets(pts: np.ndarray, pi, tj, idx: ScenarioIndex):
     lo = _mod_2pi_np(np.where(diff >= 0.0, b1, b2), turns=1)
     width = np.abs(diff)
     mids = _mod_2pi_np(np.arctan2(idx.my[tj] - y, idx.mx[tj] - x), turns=1)
-    tid = idx.ids[tj]
+    # every point's pairs in target-id order, from one stable sort: the
+    # keys are already sorted where ids ascend with index
+    rank = np.argsort(np.argsort(idx.ids))
+    by_id = np.argsort(pi * idx.ids.size + rank[tj], kind="stable")
 
     count = np.bincount(pi, minlength=pts.shape[0])
     offset = np.cumsum(count) - count   # each point's first pair
@@ -201,7 +204,7 @@ def _subsets(pts: np.ndarray, pi, tj, idx: ScenarioIndex):
             # anchors run in pair order, members in target-id order: a row's
             # set does not depend on its column order, and its members come
             # out in the order the table keeps them
-            mem = np.take_along_axis(pair, np.argsort(tid[pair], axis=1, kind="stable"), axis=1)
+            mem = by_id[pair]
             lo_p, lo_m, wd_m = lo[pair], lo[mem], width[mem]
             # [g, anchor, member]: how far past the anchor's lo the member ends
             reach = _mod_2pi_np(lo_m[:, None, :] - lo_p[:, :, None], turns=1) + wd_m[:, None, :]

@@ -19,7 +19,7 @@ from camplan.fields import (
     subtended_angle,
 )
 from camplan.geom import Arc, Circle, Segment, segment_blocks_triangle
-from camplan.model import Obstacle, Scenario, SensorSpec, Target
+from camplan.model import MAX_LENGTH, Obstacle, Scenario, SensorSpec, Target
 from camplan.scenario import GenParams, random_scenario
 
 from oracles import _classify_piece, angle_limit_points, boundary_distance, contains
@@ -515,17 +515,23 @@ def gap_probe_vectors(rng, n):
 
 
 def test_the_rounding_margins_dwarf_the_gaps_between_numpy_and_math():
-    # covers_np uses np.arctan2 and np.hypot where covers uses math.atan2
-    # and math.dist on the same inputs: each gap stays under 1/100 of its
-    # margin, the length one at the smallest tolerance a scene holding that
-    # distance can have (measured: 4.4e-16 rad, and 2.2e-4 of the margin)
+    # covers_np uses np.arctan2 and np.sqrt(x*x + y*y) where covers uses
+    # math.atan2 and math.dist on the same inputs: each gap stays under 1/100
+    # of its margin, the length one at the smallest tolerance a scene holding
+    # that distance can have (measured: 4.4e-16 rad, and 2.2e-4 of the margin)
     v = gap_probe_vectors(np.random.default_rng(5), 20000)
-    pairs = v.tolist()
-    angle_gap = np.abs(np.arctan2(v[:, 1], v[:, 0]) - np.array([math.atan2(y, x) for x, y in pairs]))
+    angle_gap = np.abs(np.arctan2(v[:, 1], v[:, 0]) - np.array([math.atan2(y, x) for x, y in v.tolist()]))
     assert angle_gap.max() < fields_module._ANG_MARGIN / 100.0
-    d = [math.dist((0.0, 0.0), p) for p in pairs]
+    # a length's components are differences of coordinates within
+    # MAX_LENGTH: the probes a validated scene can produce, the subnormal
+    # and tiny grids among them, and vectors at the edge, +-2 MAX_LENGTH
+    edge = 2.0 * MAX_LENGTH
+    c = np.array([0.0, 5e-324, 1e-310, 2.2e-308, 1e-300, 1e-160, 1.0, MAX_LENGTH, edge])
+    c = np.concatenate((c, -c))
+    v = np.concatenate((v[(np.abs(v) <= edge).all(axis=1)], np.stack(np.meshgrid(c, c), axis=-1).reshape(-1, 2)))
+    d = [math.dist((0.0, 0.0), p) for p in v.tolist()]
     margin = fields_module._LEN_MARGIN * np.array([geom_module.scaled_eps(x) for x in d])
-    assert (np.abs(np.hypot(v[:, 0], v[:, 1]) - np.array(d)) < margin / 100.0).all()
+    assert (np.abs(np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]) - np.array(d)) < margin / 100.0).all()
 
 
 def test_batched_field_membership_matches_covers_in_the_margin_band(monkeypatch):

@@ -259,6 +259,15 @@ def test_dedupe_points_on_cell_boundaries():
                 tagged.append(((px, py), rng.choice(TAGS)))
         rng.shuffle(tagged)
         assert_merge_equals_oracle(tagged, EPS)
+    # a column in one x cell, 3 eps apart: each point has another in its x
+    # cells, and none in its 3 x 3 cells
+    column = [((7.5 * EPS, k * 3.0 * EPS), rng.choice(TAGS)) for k in range(12)]
+    assert_merge_equals_oracle(column, EPS)
+    assert len(merge(column, EPS)[0]) == 12
+    # points exactly one and two cells apart in x, level or 3 eps apart in y
+    for dy in (0.0, 3.0 * EPS):
+        row = [((i * EPS, 5.0 + i % 2 * dy), rng.choice(TAGS)) for i in (10, 11, 13, 15, 16, 18)]
+        assert_merge_equals_oracle(row, EPS)
 
 
 def test_dedupe_signed_zero_on_the_area_edge():
@@ -287,6 +296,11 @@ def test_dedupe_equal_positions_with_different_ranks():
         got_points, got_tags = merge(tagged, EPS)
         assert got_tags == [min((t for p, t in tagged if p == q), key=_TAG_RANK.get) for q in got_points]
         assert_merge_equals_oracle(tagged, EPS)
+    # runs of equal x with mixed ranks, some at equal y, some within eps
+    run = [((x, 2.0 + k * 0.6 * EPS), tag) for x in (1.0, 1.0 + 0.5 * EPS, 1.0 + 2.0 * EPS)
+           for k in (0, 0, 1, 3, 3, 7) for tag in rng.sample(TAGS, 2)]
+    rng.shuffle(run)
+    assert_merge_equals_oracle(run, EPS)
 
 
 def test_dedupe_random_clusters_and_empty_input():

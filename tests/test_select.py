@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import camplan.select as select_module
 from camplan.cli import run_pipeline
 from camplan.discretize import bcpf_sample, comprehensive_candidates
 from camplan.geom import Segment, norm_angle, wrap_pi
@@ -466,13 +467,44 @@ def tie_heavy_instances(draw):
     return scen(dummy_targets(order)), configs
 
 
+def _tie_that_empties(feasible):
+    """Configs 0 and 1 tie at gain 2 and 0 is picked; 1 keeps gain 1, or
+    none where it lists 0's targets, so the kept tie empties with a target
+    still open: the rescan finds a lower tie, or only a target no config
+    covers."""
+    cfgs = ([mk_cfg([0, 1], [0.0, 0.5]), mk_cfg([1, 2], [0.25, 0.75]), mk_cfg([3], [0.5])] if feasible
+            else [mk_cfg([0, 1], [0.0, 0.5]), mk_cfg([1, 0], [0.5, 0.0])])
+    return scen(dummy_targets([0, 1, 2, 3] if feasible else [0, 1, 2])), cfgs
+
+
 @settings(max_examples=300, deadline=None)
 @given(tie_heavy_instances(), st.sampled_from(["none", "f1", "finf"]))
+@example(_tie_that_empties(True), "f1")
+@example(_tie_that_empties(False), "f1")
 def test_greedy_matches_dense_oracle_on_tie_heavy_sets(instance, vd_mode):
     s, configs = instance
     got = _solve_or_uncovered(greedy_cover, from_configs(configs, s.targets), s, vd_mode)
     want = _solve_or_uncovered(oracle_greedy_cover, configs, s, vd_mode)
     assert got == want
+
+
+def test_greedy_scores_only_ties_that_hold_an_unscored_config(monkeypatch):
+    # many short-range targets: most rounds keep a tie scored in an earlier
+    # round, and those make no _aim pass
+    calls = []
+
+    def counting(table, rows, *args):
+        calls.append(len(rows))
+        return _aim(table, rows, *args)
+
+    monkeypatch.setattr(select_module, "_aim", counting)
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=10.0, phi_deg=90.0)
+    s = random_scenario(GenParams(n_targets=400, margin=3.0, seed=5), sensor)
+    groups = sweep_points(bcpf_sample(s, 0.1, s.sensor.r_max).points, s)
+    sol = greedy_cover(groups.table, s)
+    assert 0 < len(calls) < sol.meta["rounds"] and min(calls) > 0
+    want = oracle_greedy_cover([cfg for group in groups for cfg in group], s)
+    assert serialize_solution(sol) == serialize_solution(want)
 
 
 def assert_aims_match(table, s, open_col):
