@@ -5,7 +5,8 @@ set (field boundary vertices and field/field and field/view-circle
 intersections, complete for joint-coverage configurations), polar sampling of
 each target's basic placement field, and a uniform grid over the area.  The
 first two build on `fields` alone: its regions and its membership rule
-`covers_np`.
+`covers_np`.  Each returns its points as one float64 (m, 2) array, the form
+`sweep.sweep_points` reads.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import aov_pair, covers_np, field_tolerance, interacting_blockers, region, target_columns
-from .geom import (CurveTable, DegenerateError, Piece, Point, Segment, box_pairs, circle_table, curve_table,
+from .geom import (CurveTable, DegenerateError, Piece, Segment, box_pairs, circle_table, curve_table,
                    intersections)
 from .model import MAX_LENGTH, Scenario, Target
 
@@ -27,7 +28,7 @@ MAX_GRID_POINTS = 1_000_000
 
 @dataclass
 class CandidateSet:
-    points: list[Point]
+    points: np.ndarray   # float64 (m, 2), one row per candidate
     provenance: list[str]
     params: dict = field(default_factory=dict)
     uncoverable: tuple[int, ...] = ()
@@ -151,7 +152,7 @@ def comprehensive_candidates(s: Scenario) -> CandidateSet:
     del regions, pieces, flat   # free the fields before the merge
     kept = _dedupe(xy, rank, eps)
     tags = list(_TAG_RANK)   # in rank order
-    return CandidateSet([tuple(p) for p in xy[kept].tolist()], [tags[r] for r in rank[kept].tolist()],
+    return CandidateSet(xy[kept], [tags[r] for r in rank[kept].tolist()],
                         params={"algo": "comprehensive"}, uncoverable=uncoverable)
 
 
@@ -337,7 +338,7 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
     keep = covers_np(x, y, ts, cols, tj, sensor, eps[tj])
     xy = _clamp_to_area(np.stack([x[keep], y[keep]], axis=1), s)
     kept = _dedupe(xy, np.full(len(xy), _TAG_RANK["bcpf-sample"]), s.eps_len)
-    return CandidateSet([tuple(p) for p in xy[kept].tolist()], ["bcpf-sample"] * len(kept),
+    return CandidateSet(xy[kept], ["bcpf-sample"] * len(kept),
                         params={"algo": "bcpf", "eps_a": eps_a, "eps_r": eps_r})
 
 
@@ -380,5 +381,6 @@ def grid_shape(width: float, height: float, grid_eps: float) -> tuple[int, int]:
 def grid_sample(s: Scenario, grid_eps: float) -> CandidateSet:
     """Centers of a uniform grid of grid_eps x grid_eps cells over the area."""
     nx, ny = grid_shape(s.width, s.height, grid_eps)
-    points = [((i + 0.5) * grid_eps, (j + 0.5) * grid_eps) for j in range(ny) for i in range(nx)]
-    return CandidateSet(points, ["grid"] * len(points), params={"algo": "grid", "grid_eps": grid_eps})
+    x, y = np.meshgrid((np.arange(nx) + 0.5) * grid_eps, (np.arange(ny) + 0.5) * grid_eps)   # row by row
+    return CandidateSet(np.stack((x.ravel(), y.ravel()), axis=1), ["grid"] * x.size,
+                        params={"algo": "grid", "grid_eps": grid_eps})

@@ -653,12 +653,11 @@ def region_from_curves(
 def _cuts(curves: list[Curve], eps: float) -> list[list[float]]:
     """Where each curve is cut, as parameters: at its crossings with every
     other curve and, where two segments overlap, at the other's ends.  Pairs
-    i < j run as one batch; their cuts are taken in pair order."""
+    i < j run as one batch; each curve's cuts go unsorted to `_split_curve`."""
     i, j = np.triu_indices(len(curves), 1)
     table = curve_table(curves)
     call, xy, overlap = intersections(table, i, table, j, eps)
     hits = list(zip(call.tolist(), xy.tolist())) + [(k, None) for k in np.flatnonzero(overlap).tolist()]
-    hits.sort(key=lambda hit: hit[0])
     i, j = i.tolist(), j.tolist()
     cuts: list[list[float]] = [[] for _ in curves]
     for k, pt in hits:
@@ -686,17 +685,21 @@ def _curve_param(curve: Curve, pt: Point) -> float:
     return norm_angle(math.atan2(pt[1] - curve.center[1], pt[0] - curve.center[0]))
 
 
+def _merge_sorted(values: list[float], tol: float) -> list[float]:
+    """The distinct values in ascending order, less those within tol of the last one kept."""
+    merged: list[float] = []
+    for v in sorted(set(values)):
+        if not merged or v - merged[-1] > tol:
+            merged.append(v)
+    return merged
+
+
 def _split_curve(curve: Curve, ts: list[float], eps: float) -> list[Piece]:
     if isinstance(curve, Segment):
         L = curve.length()
         if L <= eps:
             return []
-        tol = max(eps / L, 1e-12)
-        params = sorted({0.0, 1.0, *ts})
-        merged = [params[0]]
-        for t in params[1:]:
-            if t - merged[-1] > tol:
-                merged.append(t)
+        merged = _merge_sorted([0.0, 1.0, *ts], max(eps / L, 1e-12))
         if merged[-1] < 1.0:
             merged[-1] = 1.0
         out: list[Piece] = []
@@ -705,11 +708,7 @@ def _split_curve(curve: Curve, ts: list[float], eps: float) -> list[Piece]:
         return out
     # circle
     tol = max(eps / max(curve.radius, eps), 1e-12)
-    angs = sorted({norm_angle(t) for t in ts})
-    merged_a: list[float] = []
-    for a in angs:
-        if not merged_a or a - merged_a[-1] > tol:
-            merged_a.append(a)
+    merged_a = _merge_sorted([norm_angle(t) for t in ts], tol)
     if len(merged_a) >= 2 and (TWO_PI - (merged_a[-1] - merged_a[0])) <= tol:
         merged_a.pop()
     if len(merged_a) == 0:
@@ -777,35 +776,36 @@ def _piece_endpoints(piece: Piece) -> tuple[Point, Point]:
     return piece.start_point(), piece.end_point()
 
 
-def _dedupe_curves(curves: list[Curve], snap: float) -> list[Curve]:
+def _first_by_key(items: list, snap: float, key: Callable) -> list:
+    """The items in order, each dropped when an earlier one's key(item)
+    numbers round to the same multiples of snap."""
+    q = max(snap, 1e-12)
     seen = set()
     out = []
-    q = max(snap, 1e-12)
-    for c in curves:
-        if isinstance(c, Segment):
-            pts = sorted([c.a, c.b])
-            key = ("s",) + tuple(round(v / q) for pt in pts for v in pt)
-        else:
-            key = ("c", round(c.center[0] / q), round(c.center[1] / q), round(c.radius / q))
-        if key not in seen:
-            seen.add(key)
-            out.append(c)
+    for item in items:
+        k = tuple(round(v / q) for v in key(item))
+        if k not in seen:
+            seen.add(k)
+            out.append(item)
     return out
+
+
+def _dedupe_curves(curves: list[Curve], snap: float) -> list[Curve]:
+    # a segment gives 4 numbers and a circle 3, so the two never share a key
+    def key(c: Curve) -> list[float]:
+        if isinstance(c, Segment):
+            return [v for pt in sorted([c.a, c.b]) for v in pt]
+        return [c.center[0], c.center[1], c.radius]
+
+    return _first_by_key(curves, snap, key)
 
 
 def _dedupe_pieces(pieces: list[Piece], snap: float) -> list[Piece]:
-    seen = set()
-    out = []
-    q = max(snap, 1e-12)
-    for pc in pieces:
+    def key(pc: Piece) -> list[float]:
         a, b = _piece_endpoints(pc)
-        m = pc.midpoint()
-        pts = sorted([a, b])
-        key = tuple(round(v / q) for pt in (pts[0], pts[1], m) for v in pt)
-        if key not in seen:
-            seen.add(key)
-            out.append(pc)
-    return out
+        return [v for pt in (*sorted([a, b]), pc.midpoint()) for v in pt]
+
+    return _first_by_key(pieces, snap, key)
 
 
 class _VertexIndex:

@@ -100,19 +100,18 @@ class CameraPlacement:
 
 
 class CandidateConfig(NamedTuple):
-    """One viewing-direction window at one candidate point.
+    """One maximal coverable subset at one candidate point.
 
-    vd window is stored as (vd_lo, vd_lo + window) with window >= 0; vd_rep is
-    its circular midpoint.  Interval and midpoint bearings of the covered
-    targets are kept so selection can re-optimize the direction later.
-    A `ConfigTable` holds configs as arrays and builds these as views.
+    vd_rep, the centre of the members' angular span, is a viewing direction
+    that covers them all.  Interval and midpoint bearings of the covered
+    targets are kept: they give the window of directions for any subset of
+    them, so selection can re-optimize the direction later.  A `ConfigTable`
+    holds configs as arrays and builds these as views.
     """
 
     source: int                 # candidate index in the CandidateSet
     position: Point
     vd_rep: float
-    vd_lo: float
-    vd_window: float
     covered: tuple[int, ...]    # target ids
     interval_lo: tuple[float, ...]
     interval_hi: tuple[float, ...]
@@ -124,18 +123,16 @@ class ConfigTable:
     """Candidate configs as one struct of arrays.
 
     Per config i: the `CandidateConfig` fields source, position (row of an
-    (m, 2) array), vd_rep, vd_lo and vd_window.  Its members are entries
-    ptr[i]:ptr[i + 1] of the member arrays: target id (`covered`), the
-    target's column in the scenario's target list (`col`), interval_lo,
-    interval_hi and mid_bearings.
+    (m, 2) array) and vd_rep.  Its members are entries ptr[i]:ptr[i + 1] of
+    the member arrays: target id (`covered`), the target's column in the
+    scenario's target list (`col`), interval_lo, interval_hi and
+    mid_bearings.
     `table[i]` builds config i as a `CandidateConfig`.
     """
 
     source: np.ndarray
     position: np.ndarray
     vd_rep: np.ndarray
-    vd_lo: np.ndarray
-    vd_window: np.ndarray
     ptr: np.ndarray
     covered: np.ndarray
     col: np.ndarray
@@ -154,8 +151,6 @@ class ConfigTable:
             int(self.source[i]),
             tuple(self.position[i].tolist()),
             float(self.vd_rep[i]),
-            float(self.vd_lo[i]),
-            float(self.vd_window[i]),
             tuple(self.covered[a:b].tolist()),
             tuple(self.interval_lo[a:b].tolist()),
             tuple(self.interval_hi[a:b].tolist()),

@@ -353,7 +353,7 @@ def parse_solution(text: str) -> Solution:
 
 def serialize_candidates(cs: CandidateSet) -> str:
     return _document({
-        "points": [list(q) for q in cs.points],
+        "points": cs.points.tolist(),
         "provenance": list(cs.provenance),
         "params": dict(cs.params),
         "uncoverable": list(cs.uncoverable),

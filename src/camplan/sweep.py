@@ -1,21 +1,22 @@
 """Angular sweep around candidate points.
 
 Given a candidate position, find which targets it could cover, enumerate every
-maximal subset that fits in one view cone, and derive the feasible
-viewing-direction window per subset.  `sweep_points` does this for many points
-in two phases, pair passes over spatial tiles and subset passes per live-pair
-count, into one `model.ConfigTable`.  The pair passes test the facing clause
-first and the other clauses only where it can hold, all decided by
-`fields.covers_np`, so a pair is live exactly where the scalar reference
-`fields.covers` holds and no blocker clips its sight triangle.  A pair
-meets only the blockers whose shadow cones, bearing ranges built once per
-scene, hold its apex (`_occluded` shows that this drops no blocker the clip
-accepts), and the clip (`geom._blocks_triangle_np`) decides each one.  The
-subset passes wrap angles by compare-and-add (`geom._mod_2pi_np`), bit for
-bit `np.remainder`; a subset that fits in theta fits the cone centred on it,
-so no config is re-checked at its vd_rep.  The solution verifier
-(`select.verify_solution`) calls `covers`, with the blockers near each sight
-triangle, and never this module.
+maximal subset that fits in one view cone, and centre a viewing direction
+(vd_rep) on each subset's span; the members' bearing intervals, kept beside
+it, give the window of directions for any part of the subset.  `sweep_points`
+does this for many points in two phases, pair passes over spatial tiles and
+subset passes per live-pair count, into one `model.ConfigTable`.  The pair
+passes test the facing clause first and the other clauses only where it can
+hold, all decided by `fields.covers_np`, so a pair is live exactly where the
+scalar reference `fields.covers` holds and no blocker clips its sight
+triangle.  A pair meets only the blockers whose shadow cones, bearing ranges
+built once per scene, hold its apex (`_occluded` shows that this drops no
+blocker the clip accepts), and the clip (`geom._blocks_triangle_np`) decides
+each one.  The subset passes wrap angles by compare-and-add
+(`geom._mod_2pi_np`), bit for bit `np.remainder`; a subset that fits in theta
+fits the cone centred on it, so no config is re-checked at its vd_rep.  The
+solution verifier (`select.verify_solution`) calls `covers`, with the blockers
+near each sight triangle, and never this module.
 """
 from __future__ import annotations
 
@@ -172,16 +173,15 @@ def _maximal_rows(fits: np.ndarray) -> np.ndarray:
 def _subsets(pts: np.ndarray, pi, tj, idx: ScenarioIndex):
     """Maximal co-coverable subsets at every point from its live pairs (sorted
     by point, targets in index order), as (points, K, K) passes over the points
-    with K pairs.  Returns two tuples: per config its point, vd_rep, vd_lo,
-    vd_window and member count, then per member its pair (an index into pi
-    and tj); and per pair its interval_lo, interval_hi and mid bearing.  A
-    point's configs come in one pass in anchor order, members of a config in
-    target-id order."""
-    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), np.zeros(0),
-              np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
+    with K pairs.  Returns two tuples: per config its point, vd_rep and
+    member count, then per member its pair (an index into pi and tj); and
+    per pair its interval_lo, interval_hi and mid bearing.  A point's configs
+    come in one pass in anchor order, members of a config in target-id
+    order."""
+    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64),
+              np.zeros(0, dtype=np.int64))]
     x, y = pts[pi, 0], pts[pi, 1]
-    theta = idx.scenario.sensor.theta
-    limit = theta + EPS_ANG
+    limit = idx.scenario.sensor.theta + EPS_ANG
     b1 = np.arctan2(idx.sy[tj] - y, idx.sx[tj] - x)
     b2 = np.arctan2(idx.ey[tj] - y, idx.ex[tj] - x)
     diff = _mod_2pi_np(b2 - b1 + math.pi) - math.pi
@@ -228,8 +228,6 @@ def _subsets(pts: np.ndarray, pi, tj, idx: ScenarioIndex):
             parts.append((
                 point[gm],
                 _norm_angle_np(lo_a + span / 2.0),
-                _norm_angle_np(lo_a + span - theta / 2.0),
-                theta - span,
                 rows.sum(axis=1),
                 mem[gm[r], c],
             ))
@@ -271,7 +269,9 @@ def _z_order(pts: np.ndarray) -> np.ndarray:
 
 def sweep_points(points, s: Scenario) -> PointGroups:
     """Run the angular sweep at every point; groups parallel to `points`,
-    each config's source the index of its point.
+    each config's source the index of its point.  `points` is a float64
+    (m, 2) array, as the candidate generators return, read as it is, or any
+    sequence of (x, y) pairs.
 
     The pair passes take blocks of `_CHUNK` points in Z-order, compact tiles
     that see few targets, occlusion takes runs of whole tiles, and the subset
@@ -293,7 +293,7 @@ def sweep_points(points, s: Scenario) -> PointGroups:
     pi, tj = np.concatenate(pairs, axis=1)
     by_point = np.argsort(pi, kind="stable")
     tj = tj[by_point]
-    (point, vd_rep, vd_lo, vd_window, size, q), (lo, hi, mids) = _subsets(pts, pi[by_point], tj, idx)
+    (point, vd_rep, size, q), (lo, hi, mids) = _subsets(pts, pi[by_point], tj, idx)
     order = np.argsort(point, kind="stable")
     first = (np.cumsum(size) - size)[order]   # each config's first member as emitted
     size = size[order]
@@ -305,8 +305,6 @@ def sweep_points(points, s: Scenario) -> PointGroups:
         source=point,
         position=pts[point],
         vd_rep=vd_rep[order],
-        vd_lo=vd_lo[order],
-        vd_window=vd_window[order],
         ptr=ptr,
         covered=idx.ids[col],
         col=col,

@@ -473,7 +473,8 @@ def optimal_vd(mid_bearings, vd_lo: float, vd_window: float, mode: str = "f1") -
 
 
 def subset_window(cfg: CandidateConfig, ids, theta: float) -> tuple[float, float]:
-    """Feasible vd window when only `ids` (a subset of cfg.covered) must stay covered."""
+    """Feasible vd window (start, width) when only `ids` (a non-empty subset
+    of cfg.covered) must stay covered."""
     wanted = set(ids)
     rel_lo = []
     rel_hi = []
@@ -484,8 +485,6 @@ def subset_window(cfg: CandidateConfig, ids, theta: float) -> tuple[float, float
         r = wrap_pi(lo - cfg.vd_rep)
         rel_lo.append(r)
         rel_hi.append(r + norm_angle(hi - lo))
-    if not rel_lo:
-        return cfg.vd_lo, cfg.vd_window
     w_lo = max(rel_hi) - theta / 2.0
     w_hi = min(rel_lo) + theta / 2.0
     return norm_angle(cfg.vd_rep + w_lo), max(w_hi - w_lo, 0.0)
@@ -521,8 +520,6 @@ def from_configs(configs, targets) -> ConfigTable:
         source=np.array([cfg.source for cfg in configs], dtype=np.int64),
         position=per_config("position").reshape(-1, 2),
         vd_rep=per_config("vd_rep"),
-        vd_lo=per_config("vd_lo"),
-        vd_window=per_config("vd_window"),
         ptr=np.cumsum([0] + [len(cfg.covered) for cfg in configs], dtype=np.int64),
         covered=np.array(covered, dtype=np.int64),
         col=np.array([column[tid] for tid in covered], dtype=np.int64),
@@ -546,8 +543,8 @@ def groups_equal(a, b) -> bool:
 
 def dense_recheck_subsets(pts: np.ndarray, pi, tj, idx):
     """`sweep._subsets` with the cone re-check run on every config."""
-    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0), np.zeros(0),
-              np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
+    parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64),
+              np.zeros(0, dtype=np.int64))]
     x, y = pts[pi, 0], pts[pi, 1]
     theta = idx.scenario.sensor.theta
     limit = theta + EPS_ANG
@@ -589,8 +586,6 @@ def dense_recheck_subsets(pts: np.ndarray, pi, tj, idx):
             parts.append((
                 point[gm],
                 _norm_angle_np(lo_a + span / 2.0),
-                _norm_angle_np(lo_a + span - theta / 2.0),
-                theta - span,
                 rows.sum(axis=1),
                 mem[gm[r], c],
             ))

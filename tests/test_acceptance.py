@@ -86,17 +86,26 @@ def test_critical_point_greedy_matches_dense_grid_oracle_among_walls():
     assert wins >= 38, f"critical points matched the dense grid in only {wins}/40 runs"
 
 
+def solved_in_turns(values, make, seeds, repeats=3):
+    """Per axis value, each seed's bcpf camera count and runtime. The values
+    take turns within each seed, so a swing in host speed falls on all of
+    them alike, and a scene's runtime is the fastest of `repeats` solves,
+    the one a busy host slowed least."""
+    cams = {v: [] for v in values}
+    times = {v: [] for v in values}
+    for seed in range(seeds):
+        for v in values:
+            s = make(v, seed)
+            runs = [solved(s, "bcpf") for _ in range(repeats)]
+            assert all(ok for _, _, ok in runs), f"axis value {v} seed {seed}: coverage failed"
+            cams[v].append(runs[0][0])
+            times[v].append(min(t for _, t, _ in runs))
+    return cams, times
+
+
 def test_wider_aov_never_needs_more_cameras_and_keeps_runtime_flat():
     aovs = (40.0, 60.0, 80.0, 100.0, 120.0, 140.0)
-    cams = {a: [] for a in aovs}
-    times = {a: [] for a in aovs}
-    for a in aovs:
-        for seed in range(20):
-            s = scene(80, seed, aov=a, r_max=30.0)
-            c, t, ok = solved(s, "bcpf")
-            assert ok, f"aov {a} seed {seed}: coverage failed"
-            cams[a].append(c)
-            times[a].append(t)
+    cams, times = solved_in_turns(aovs, lambda a, seed: scene(80, seed, aov=a, r_max=30.0), seeds=20)
     means = [statistics.mean(cams[a]) for a in aovs]
     ses = [statistics.stdev(cams[a]) / math.sqrt(len(cams[a])) for a in aovs]
     for i in range(len(aovs) - 1):
@@ -110,19 +119,8 @@ def test_wider_aov_never_needs_more_cameras_and_keeps_runtime_flat():
 
 
 def test_camera_count_and_runtime_trend_with_target_count_and_range():
-    def axis_means(values, make, repeats=3):
-        # the axis values take turns within each seed, so a swing in host
-        # speed falls on all of them alike, and a scene's runtime is the
-        # fastest of a few solves, the one a busy host slowed least
-        cams = {v: [] for v in values}
-        times = {v: [] for v in values}
-        for seed in range(10):
-            for v in values:
-                s = make(v, seed)
-                runs = [solved(s, "bcpf") for _ in range(repeats)]
-                assert all(ok for _, _, ok in runs), f"axis value {v} seed {seed}: coverage failed"
-                cams[v].append(runs[0][0])
-                times[v].append(min(t for _, t, _ in runs))
+    def axis_means(values, make):
+        cams, times = solved_in_turns(values, make, seeds=10)
         return [statistics.mean(cams[v]) for v in values], [statistics.mean(times[v]) for v in values]
 
     ns = (10, 40, 70, 100, 140)

@@ -526,10 +526,10 @@ def plan(s: Scenario, algo: str):
     try:
         sol = run_pipeline(s, algo, grid_eps=0.5).solution
     except select.InfeasibleError:
-        return cs.points, cs.provenance, uncoverable, None
+        return cs.points.tolist(), cs.provenance, uncoverable, None
     checks = [(c.ok, c.clauses, c.margins) for c in select.verify_solution(s, sol).checks]
     placed = [sol.assignment.get(t.id) for t in s.targets]
-    return cs.points, cs.provenance, uncoverable, (sol.placements, placed, checks)
+    return cs.points.tolist(), cs.provenance, uncoverable, (sol.placements, placed, checks)
 
 
 @pytest.mark.parametrize("algo", ["comprehensive", "bcpf", "grid"])

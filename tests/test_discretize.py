@@ -85,7 +85,7 @@ def test_comprehensive_candidates_in_area_and_sorted():
     t = Target(0, (0.5, 1.0), (1.5, 1.0), (0.0, 1.0))
     cs = comprehensive_candidates(scen([t], SENSOR_2, w=30.0, h=30.0))
     assert all(0.0 <= p[0] <= 30.0 and 0.0 <= p[1] <= 30.0 for p in cs.points)
-    assert cs.points == sorted(cs.points)
+    assert cs.points.tolist() == sorted(cs.points.tolist())
 
 
 def test_comprehensive_pair_covers_both_with_one_camera():
@@ -587,7 +587,7 @@ def test_bcpf_sample_deterministic():
     s = scen([t], SENSOR_20)
     a = bcpf_sample(s, 0.17, 3.0)
     b = bcpf_sample(s, 0.17, 3.0)
-    assert a.points == b.points
+    assert a.points.tobytes() == b.points.tobytes()
     assert a.provenance == b.provenance
 
 
@@ -633,6 +633,21 @@ def test_fan_steps_bound_the_rays_of_all_fans():
     assert fan_steps(math.pi / 2.0, 0.1, 0) == 31
 
 
+# --- the point array --------------------------------------------------------------
+
+@pytest.mark.parametrize("targets", [[Target(0, (49.5, 50.0), (50.5, 50.0), (0.0, 1.0))], []],
+                         ids=["one target", "no targets"])
+def test_generators_return_one_float64_point_array(targets):
+    # the form sweep_points reads as it is: C-contiguous float64 (m, 2), with
+    # m = 0 a (0, 2) array, and one provenance tag per row
+    s = scen(targets, SENSOR_20)
+    for cs in (comprehensive_candidates(s), bcpf_sample(s, 0.1, 5.0), grid_sample(s, 10.0)):
+        pts = cs.points
+        assert type(pts) is np.ndarray and pts.dtype == np.float64 and pts.flags.c_contiguous
+        assert pts.shape == (len(cs.provenance), 2)
+        assert len(pts) > 0 if targets or cs.params["algo"] == "grid" else pts.shape == (0, 2)
+
+
 # --- grid -----------------------------------------------------------------------
 
 def grid_scenario():
@@ -643,14 +658,14 @@ def test_grid_counts():
     assert len(grid_sample(grid_scenario(), 10.0)) == 100
     assert len(grid_sample(grid_scenario(), 2.0)) == 2500
     cs = grid_sample(grid_scenario(), 100.0)
-    assert cs.points == [(50.0, 50.0)]
+    assert cs.points.tolist() == [[50.0, 50.0]]
 
 
 def test_grid_independent_of_targets():
     t = Target(0, (5.0, 5.0), (6.0, 5.0), (0.0, 1.0))
     a = grid_sample(grid_scenario(), 10.0)
     b = grid_sample(scen([t], SENSOR_2), 10.0)
-    assert a.points == b.points
+    assert a.points.tobytes() == b.points.tobytes()
 
 
 def test_grid_rejects_bad_eps():

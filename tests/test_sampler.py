@@ -157,7 +157,7 @@ def test_bcpf_sample_equals_scalar_oracle(name, monkeypatch):
     want = oracle_bcpf_sample(s, eps_a, eps_r)
     assert len(want) > 0
     assert exact(got.points) == exact(want.points)
-    assert all(type(p) is tuple and type(p[0]) is float for p in got.points)
+    assert got.points.dtype == np.float64 and got.points.flags.c_contiguous
     assert got.provenance == want.provenance
     assert got.params == want.params and got.uncoverable == want.uncoverable
     if name == "fans past the area edge":
@@ -168,7 +168,7 @@ def test_bcpf_sample_equals_scalar_oracle(name, monkeypatch):
 def test_bcpf_sample_without_targets():
     s = Scenario(10.0, 10.0, SensorSpec(aov_deg=100.0, r_min=0.0, r_max=3.0), ())
     got = bcpf_sample(s, 0.1, 1.0)
-    assert got.points == [] and got.provenance == []
+    assert got.points.shape == (0, 2) and got.provenance == []
 
 
 def test_bcpf_sample_borderline_samples_go_to_covers(monkeypatch):
@@ -177,7 +177,7 @@ def test_bcpf_sample_borderline_samples_go_to_covers(monkeypatch):
     # within the rounding margin, so covers must decide it
     t = Target(0, (20.0, 20.0), (21.0, 20.0), (0.0, 1.0))
     wide = Scenario(40.0, 40.0, SensorSpec(aov_deg=170.0, r_min=0.0, r_max=5.0), (t,))
-    p = min(bcpf_sample(wide, 0.1, 0.7).points, key=lambda q: math.dist(q, t.midpoint))
+    p = tuple(min(bcpf_sample(wide, 0.1, 0.7).points.tolist(), key=lambda q: math.dist(q, t.midpoint)))
     limit = subtended_angle(t, p) - EPS_ANG
     calls = []
 

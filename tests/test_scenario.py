@@ -3,6 +3,7 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 from scipy import stats
 
@@ -344,15 +345,20 @@ def test_scenario_parse_refuses_a_repeated_key():
 # --- candidate dumps ---------------------------------------------------------------
 
 def test_candidates_round_trip():
+    # points as the generators return them: one float64 (m, 2) array; a
+    # coordinate of -0.0 keeps its sign and one needing 17 digits keeps them
     cs = CandidateSet(
-        points=[(1.5, 2.5), (3.0, 4.0)],
+        points=np.array([[1.5, -0.0], [0.30000000000000004, 4.0]]),
         provenance=["grid", "grid"],
         params={"algo": "grid", "grid_eps": 5.0},
         uncoverable=(2,),
     )
-    back = json.loads(serialize_candidates(cs))
-    assert back == {
-        "points": [[1.5, 2.5], [3.0, 4.0]],
+    text = serialize_candidates(cs)
+    assert text == ('{\n  "points": [\n    [1.5, -0],\n    [0.30000000000000004, 4]\n  ],\n'
+                    '  "provenance": ["grid", "grid"],\n  "params": {\n    "algo": "grid",\n'
+                    '    "grid_eps": 5\n  },\n  "uncoverable": [2]\n}\n')
+    assert json.loads(text) == {
+        "points": [[1.5, 0.0], [0.30000000000000004, 4.0]],
         "provenance": ["grid", "grid"],
         "params": {"algo": "grid", "grid_eps": 5.0},
         "uncoverable": [2],

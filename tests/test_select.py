@@ -42,7 +42,7 @@ def dummy_targets(ids):
 
 
 def mk_cfg(covered, mids, lo=None, hi=None, pos=(0.0, 0.0)):
-    """Synthetic config; vd window derived from the claimed intervals."""
+    """Synthetic config; vd_rep centred on the window the claimed intervals leave."""
     covered = tuple(covered)
     mids = tuple(float(b) for b in mids)
     lo = mids if lo is None else tuple(float(b) for b in lo)
@@ -53,8 +53,6 @@ def mk_cfg(covered, mids, lo=None, hi=None, pos=(0.0, 0.0)):
         source=0,
         position=pos,
         vd_rep=(w_lo + w_hi) / 2.0,
-        vd_lo=w_lo,
-        vd_window=w_hi - w_lo,
         covered=covered,
         interval_lo=lo,
         interval_hi=hi,

@@ -154,8 +154,9 @@ def test_sweep_two_targets_one_window():
     assert len(cfgs) == 1
     cfg = cfgs[0]
     assert cfg.covered == (1, 2)
-    assert norm_angle(cfg.vd_lo) == pytest.approx(norm_angle(-10 * DEG), abs=1e-9)
-    assert cfg.vd_window == pytest.approx(70 * DEG, abs=1e-9)
+    lo, window = subset_window(cfg, cfg.covered, s.sensor.theta)
+    assert norm_angle(lo) == pytest.approx(norm_angle(-10 * DEG), abs=1e-9)
+    assert window == pytest.approx(70 * DEG, abs=1e-9)
     assert cfg.vd_rep == pytest.approx(25 * DEG, abs=1e-9)
 
 
@@ -215,15 +216,15 @@ def f1_at(cfg, alpha):
     return sum(abs(wrap_pi(b - alpha)) for b in cfg.mid_bearings)
 
 
-def cfg_optimal_vd(cfg, mode="f1"):
-    return optimal_vd(cfg.mid_bearings, cfg.vd_lo, cfg.vd_window, mode)
+def cfg_optimal_vd(cfg, theta, mode="f1"):
+    return optimal_vd(cfg.mid_bearings, *subset_window(cfg, cfg.covered, theta), mode)
 
 
 def test_optimize_vd_single_target_zero_deviation():
     t1 = arc_target(1, 10.0, 20.0)
     s = scen([t1])
     (cfg,) = sweep_points([(0.0, 0.0)], s)[0]
-    alpha = cfg_optimal_vd(cfg)
+    alpha = cfg_optimal_vd(cfg, s.sensor.theta)
     assert f1_at(cfg, alpha) == pytest.approx(0.0, abs=1e-9)
     assert alpha == pytest.approx(15 * DEG, abs=1e-9)
 
@@ -296,7 +297,7 @@ def test_sweep_soundness_random():
         jx, jy = rng.uniform(-1, 1), rng.uniform(-1, 1)
         x = (t.midpoint[0] + t.normal[0] * d + jx, t.midpoint[1] + t.normal[1] * d + jy)
         for cfg in sweep_points([x], s)[0]:
-            alpha = cfg_optimal_vd(cfg)
+            alpha = cfg_optimal_vd(cfg, s.sensor.theta)
             for tid in cfg.covered:
                 t = next(t for t in s.targets if t.id == tid)
                 assert is_fully_covered(t, CameraPlacement(cfg.position, cfg.vd_rep), s)
@@ -311,11 +312,12 @@ def test_f1_grid_optimality():
         s = random_scene(rng, rng.randint(2, 6))
         x = (rng.uniform(0, 20), rng.uniform(0, 20))
         for cfg in sweep_points([x], s)[0]:
-            alpha = cfg_optimal_vd(cfg)
+            lo, window = subset_window(cfg, cfg.covered, s.sensor.theta)
+            alpha = optimal_vd(cfg.mid_bearings, lo, window)
             best = f1_at(cfg, alpha)
-            steps = max(int(cfg.vd_window / 0.001), 1)
+            steps = max(int(window / 0.001), 1)
             for k in range(steps + 1):
-                a = cfg.vd_lo + cfg.vd_window * k / steps
+                a = lo + window * k / steps
                 assert f1_at(cfg, norm_angle(a)) >= best - 1e-6
 
 
@@ -325,7 +327,7 @@ def test_optimal_vd_rotation_equivariant():
     t2 = arc_target(2, 50.0, 60.0)
     s = scen([t1, t2])
     (cfg,) = sweep_points([(0.0, 0.0)], s)[0]
-    base = cfg_optimal_vd(cfg)
+    base = cfg_optimal_vd(cfg, s.sensor.theta)
     for _ in range(10):
         rot = rng.uniform(0, 2 * math.pi)
         c, sn = math.cos(rot), math.sin(rot)
@@ -334,8 +336,9 @@ def test_optimal_vd_rotation_equivariant():
             return (c * p[0] - sn * p[1], c * p[1] + sn * p[0])
 
         ts = [Target(t.id, mv(t.start), mv(t.end), mv(t.normal)) for t in (t1, t2)]
-        (cfg2,) = sweep_points([(0.0, 0.0)], scen(ts))[0]
-        alpha2 = cfg_optimal_vd(cfg2)
+        s2 = scen(ts)
+        (cfg2,) = sweep_points([(0.0, 0.0)], s2)[0]
+        alpha2 = cfg_optimal_vd(cfg2, s2.sensor.theta)
         assert wrap_pi(alpha2 - base - rot) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -345,7 +348,7 @@ def test_subset_window_widens():
     s = scen([t1, t2])
     (cfg,) = sweep_points([(0.0, 0.0)], s)[0]
     lo, window = subset_window(cfg, [1], s.sensor.theta)
-    assert window > cfg.vd_window
+    assert window > subset_window(cfg, cfg.covered, s.sensor.theta)[1]
     # window for just t1: [20 - 50, 10 + 50] degrees
     assert norm_angle(lo) == pytest.approx(norm_angle(-30 * DEG), abs=1e-9)
     assert window == pytest.approx(90 * DEG, abs=1e-9)
@@ -585,6 +588,18 @@ def same_subsets(got, want) -> bool:
     return all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got[0] + got[1], want[0] + want[1]))
 
 
+def window_widths(subsets, theta):
+    """Each config's window over all its members, by `oracles.subset_window`,
+    from a `_subsets` result (members stand in for target ids)."""
+    (_, vd_rep, size, q), (lo, hi, _) = subsets
+    widths = []
+    for rep, m in zip(vd_rep.tolist(), np.split(q, np.cumsum(size)[:-1])):
+        cfg = types.SimpleNamespace(covered=m.tolist(), interval_lo=lo[m].tolist(), interval_hi=hi[m].tolist(),
+                                    vd_rep=rep)
+        widths.append(subset_window(cfg, cfg.covered, theta)[1])
+    return np.array(widths)
+
+
 @pytest.mark.parametrize("aov", [30.0, 100.0, 200.0, 300.0])
 @pytest.mark.parametrize("wraps", [False, True])
 def test_subsets_match_dense_recheck_near_the_limit(aov, wraps):
@@ -600,7 +615,7 @@ def test_subsets_match_dense_recheck_near_the_limit(aov, wraps):
             idx = fan_index(cols, theta, ids)
             want = dense_recheck_subsets(pts, pi, tj, idx)
             assert same_subsets(sweep_module._subsets(pts, pi, tj, idx), want), (trial, theta)
-            near += int((want[0][3] < 1e-9).sum())
+            near += int((window_widths(want, theta) < 1e-9).sum())
     assert near > 0
 
 
@@ -620,6 +635,6 @@ def test_subsets_match_dense_recheck_on_comprehensive_bench_scenes(seed, monkeyp
     for k in range(30):
         s = random_scenario(GenParams(width=100.0, height=100.0, n_targets=25, n_obstacles=25,
                                       margin=3.0, seed=1000 * seed + k), sensor)
-        table = sweep_points(comprehensive_candidates(s).points, s).table
-        near += int((table.vd_window < 1e-9).sum())
+        groups = sweep_points(comprehensive_candidates(s).points, s)
+        near += sum(subset_window(cfg, cfg.covered, s.sensor.theta)[1] < 1e-9 for group in groups for cfg in group)
     assert len(passes) == 30 and near > 0

@@ -7,8 +7,9 @@ tests as they stood before the sweep ran in spatial tiles (each against every
 point of the block, not the block's box) and grouped pairs by target; all
 four are copied verbatim apart from their names, and from `oracle_occluded`
 finding a target's own segment by its position, as the blocker list now
-carries no owner ids, and taking the blocker boxes from the blocker ends,
-as the index no longer keeps them.  The table's per-point views must
+carries no owner ids, taking the blocker boxes from the blocker ends,
+as the index no longer keeps them, and from `oracle_sweep_chunk` storing
+no direction window, as configs no longer carry one.  The table's per-point views must
 equal the oracle's output field by field, and solving from the table must give
 the bytes that solving from its configs gives."""
 import dataclasses
@@ -195,8 +196,6 @@ def oracle_sweep_chunk(block: np.ndarray, idx: ScenarioIndex, source: int) -> li
         gm, rows, span, lo_a = gm[ok], rows[ok], span[ok], lo_a[ok]
         if gm.size == 0:
             continue
-        vd_window = theta - span
-        vd_lo = _norm_angle_np(lo_a + span - theta / 2.0)
         vd_rep = _norm_angle_np(lo_a + span / 2.0)
 
         # members of each config in target-id order, flattened config by config
@@ -210,14 +209,11 @@ def oracle_sweep_chunk(block: np.ndarray, idx: ScenarioIndex, source: int) -> li
         hi_l = np.remainder(lo[q] + width[q], TWO_PI).tolist()
         mid_l = mids[q].tolist()
         a = 0
-        for g, b, rep, vlo, win in zip((gm + g0).tolist(), ends.tolist(), vd_rep.tolist(),
-                                       vd_lo.tolist(), vd_window.tolist()):
+        for g, b, rep in zip((gm + g0).tolist(), ends.tolist(), vd_rep.tolist()):
             groups[g].append(CandidateConfig(
                 source=source + g,
                 position=pos[g],
                 vd_rep=rep,
-                vd_lo=vlo,
-                vd_window=win,
                 covered=tuple(ids_l[a:b]),
                 interval_lo=tuple(lo_l[a:b]),
                 interval_hi=tuple(hi_l[a:b]),
@@ -374,7 +370,7 @@ def special_point_sets():
         "points outside the area": [(rng.uniform(-40.0, 140.0), rng.choice((-1e-9, -3.0, 100.0 + 1e-9, 104.0)))
                                     for _ in range(150)] + [(-0.0, 50.0), (0.0, -0.0), (100.0, 100.0)],
         "clustered and scattered": [(near[0] + rng.gauss(0.0, 0.3), near[1] + rng.gauss(0.0, 0.3))
-                                    for _ in range(150)] + points[::17],
+                                    for _ in range(150)] + points[::17].tolist(),
     }
 
 
