@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import aov_pair, covers_np, field_tolerance, interacting_blockers, region, target_columns
+from .fields import aov_pair, covers_np, field_tolerance, interacting_blockers, regions, target_columns
 from .geom import (CurveTable, DegenerateError, Piece, Segment, box_pairs, circle_table, curve_table,
                    intersections)
 from .model import MAX_LENGTH, Scenario, Target
@@ -106,10 +106,10 @@ def comprehensive_candidates(s: Scenario) -> CandidateSet:
         raise ValueError(f"a {s.sensor.aov_deg:g} deg angle of view puts view-angle circles "
                          f"beyond {MAX_LENGTH:g}")
     eps = s.eps_len
-    regions = [region(t, s.sensor, b) for t, b in zip(s.targets, interacting_blockers(s.targets, s))]
-    uncoverable = tuple(t.id for t, reg in zip(s.targets, regions) if reg.is_empty())
+    built = regions(s.targets, s.sensor, interacting_blockers(s.targets, s))
+    uncoverable = tuple(t.id for t, reg in zip(s.targets, built) if reg.is_empty())
 
-    pieces = [list(reg.pieces()) for reg in regions]
+    pieces = [list(reg.pieces()) for reg in built]
     flat = [pc for pcs in pieces for pc in pcs]
     table, box = curve_table(flat, pieces=True), _piece_boxes(flat)
     # pieces first[k]:first[k + 1] of `flat` are those of target k
@@ -145,11 +145,11 @@ def comprehensive_candidates(s: Scenario) -> CandidateSet:
     other = CurveTable(*map(np.concatenate, zip(table, circle_table(rings[row, :3]))))
     call, found, _ = intersections(table, ia, other, ib, eps)
 
-    verts = [v for reg in regions for v in reg.vertices()]
+    verts = [v for reg in built for v in reg.vertices()]
     xy = _clamp_to_area(np.concatenate([np.array(verts, dtype=float).reshape(-1, 2), found]), s)
     rank = np.concatenate([np.full(len(verts), _TAG_RANK["cpf-critical"]),
                            np.where(call < crossings, _TAG_RANK["cpf-x-cpf"], _TAG_RANK["cpf-x-aov"])])
-    del regions, pieces, flat   # free the fields before the merge
+    del built, pieces, flat   # free the fields before the merge
     kept = _dedupe(xy, rank, eps)
     tags = list(_TAG_RANK)   # in rank order
     return CandidateSet(xy[kept], [tags[r] for r in rank[kept].tolist()],

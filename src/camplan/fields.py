@@ -41,6 +41,7 @@ from .geom import (
     box_pairs,
     orientation,
     region_from_curves,
+    regions_from_curves,
     point_segment_distance,
     scaled_eps,
     segment_blocks_triangle,
@@ -317,6 +318,18 @@ def cpf(t: Target, scenario: Scenario) -> Region:
 
 def region(t: Target, sensor: SensorSpec, blockers: list[Segment]) -> Region:
     """The field of t among these blockers, as `cpf` builds it."""
+    curves, inside, offset, snap = _field(t, sensor, blockers)
+    return region_from_curves(curves, inside, offset=offset, snap=snap)
+
+
+def regions(targets: Sequence[Target], sensor: SensorSpec, blocker_lists: Sequence[list[Segment]]) -> list[Region]:
+    """`region` of each target among its blockers, built in one pass over the
+    pieces of every field (`geom.regions_from_curves`)."""
+    return regions_from_curves([_field(t, sensor, b) for t, b in zip(targets, blocker_lists)])
+
+
+def _field(t: Target, sensor: SensorSpec, blockers: list[Segment]):
+    """(curves, inside, offset, snap) of t's field among these blockers."""
     if sensor.r_min > 0.0:
         raise ValueError("region construction supports r_min = 0 only; use covers")
     d = 2.0 * (sensor.r_max + t.width)
@@ -333,8 +346,7 @@ def region(t: Target, sensor: SensorSpec, blockers: list[Segment]) -> Region:
         seg for seg in blockers
         if orientation(seg.a, seg.b, t.start) * orientation(seg.a, seg.b, t.end) >= 0]
     curves += occlusion_fan(t, blockers, d, eps)
-    inside = _field_inside(t, sensor, eps, blockers)
-    return region_from_curves(curves, inside, offset=offset, snap=snap)
+    return curves, _field_inside(t, sensor, eps, blockers), offset, snap
 
 
 def _field_inside(t: Target, sensor: SensorSpec, eps: float, blockers: list[Segment]):

@@ -6,10 +6,13 @@ predicates in this module.  Comparisons are tolerance based; only
 inclusive throughout.
 
 Curves meet in one place: `intersections`, a batched kernel over tables of
-segments, circles and arcs (`curve_table`).  A field's arrangement
-(`region_from_curves`) cuts its curves with one call over all their pairs,
-and comprehensive candidate generation finds every field x field and
-field x view-circle crossing of a scene with one call.
+segments, circles and arcs (`curve_table`).  The fields of a scene are built
+in one array pass over all their pieces (`regions_from_curves`): it splits
+the curves at their cuts, dedupes the pieces, sets out the probes and counts
+the votes for every field at once, while each field keeps one
+`intersections` call over all its curve pairs and one `inside` call for its
+probes.  Comprehensive candidate generation then finds every field x field
+and field x view-circle crossing of a scene with one more call.
 """
 from __future__ import annotations
 
@@ -617,7 +620,9 @@ def _piece_sample_points(piece: Piece) -> list[Point]:
 
 
 # ---------------------------------------------------------------------------
-# boundary arrangement: build a Region from candidate curves + a membership test
+# boundary arrangement: build Regions from candidate curves + membership tests
+
+Field = tuple[Iterable[Curve], Callable[[np.ndarray], np.ndarray], float, float]
 
 
 def region_from_curves(
@@ -635,139 +640,248 @@ def region_from_curves(
     oriented with the inside on the left; kept pieces are chained into loops
     with endpoints snapped to `snap`.  Loops smaller than 10x snap across are discarded as slivers.
     `inside` takes every probe at once, an (m, 2) array, and returns m bools.
+    The one-field call of `regions_from_curves`.
     """
-    curves = _dedupe_curves(list(curves), snap)
-    cuts = _cuts(curves, snap)
-
-    pieces: list[Piece] = []
-    for curve, ts in zip(curves, cuts):
-        pieces.extend(_split_curve(curve, ts, snap))
-    pieces = _dedupe_pieces(pieces, snap)
-
-    kept = [pc for pc in _classify_pieces(pieces, inside, offset) if pc is not None]
-    loops = _chain_loops(kept, snap)
-    loops = [lp for lp in loops if loop_bbox_diameter(lp) >= 10.0 * snap]
-    return Region(loops)
+    return regions_from_curves([(curves, inside, offset, snap)])[0]
 
 
-def _cuts(curves: list[Curve], eps: float) -> list[list[float]]:
-    """Where each curve is cut, as parameters: at its crossings with every
-    other curve and, where two segments overlap, at the other's ends.  Pairs
-    i < j run as one batch; each curve's cuts go unsorted to `_split_curve`."""
-    i, j = np.triu_indices(len(curves), 1)
-    table = curve_table(curves)
-    call, xy, overlap = intersections(table, i, table, j, eps)
-    hits = list(zip(call.tolist(), xy.tolist())) + [(k, None) for k in np.flatnonzero(overlap).tolist()]
-    i, j = i.tolist(), j.tolist()
-    cuts: list[list[float]] = [[] for _ in curves]
-    for k, pt in hits:
-        a, b = curves[i[k]], curves[j[k]]
-        if pt is None:
-            # split each at the other's endpoints for a clean arrangement
-            assert isinstance(a, Segment) and isinstance(b, Segment)
-            cuts[i[k]] += [_curve_param(a, b.a), _curve_param(a, b.b)]
-            cuts[j[k]] += [_curve_param(b, a.a), _curve_param(b, a.b)]
-        else:
-            cuts[i[k]].append(_curve_param(a, pt))
-            cuts[j[k]].append(_curve_param(b, pt))
-    return cuts
-
-
-def _curve_param(curve: Curve, pt: Point) -> float:
-    if isinstance(curve, Segment):
-        dx = curve.b[0] - curve.a[0]
-        dy = curve.b[1] - curve.a[1]
-        L2 = dx * dx + dy * dy
-        if L2 == 0.0:
-            return 0.0
-        t = ((pt[0] - curve.a[0]) * dx + (pt[1] - curve.a[1]) * dy) / L2
-        return min(max(t, 0.0), 1.0)
-    return norm_angle(math.atan2(pt[1] - curve.center[1], pt[0] - curve.center[0]))
-
-
-def _merge_sorted(values: list[float], tol: float) -> list[float]:
-    """The distinct values in ascending order, less those within tol of the last one kept."""
-    merged: list[float] = []
-    for v in sorted(set(values)):
-        if not merged or v - merged[-1] > tol:
-            merged.append(v)
-    return merged
-
-
-def _split_curve(curve: Curve, ts: list[float], eps: float) -> list[Piece]:
-    if isinstance(curve, Segment):
-        L = curve.length()
-        if L <= eps:
-            return []
-        merged = _merge_sorted([0.0, 1.0, *ts], max(eps / L, 1e-12))
-        if merged[-1] < 1.0:
-            merged[-1] = 1.0
-        out: list[Piece] = []
-        for t0, t1 in zip(merged, merged[1:]):
-            out.append(Segment(curve.point_at(t0), curve.point_at(t1)))
-        return out
-    # circle
-    tol = max(eps / max(curve.radius, eps), 1e-12)
-    merged_a = _merge_sorted([norm_angle(t) for t in ts], tol)
-    if len(merged_a) >= 2 and (TWO_PI - (merged_a[-1] - merged_a[0])) <= tol:
-        merged_a.pop()
-    if len(merged_a) == 0:
-        merged_a = [0.0, math.pi]
-    elif len(merged_a) == 1:
-        merged_a.append(norm_angle(merged_a[0] + math.pi))
-        merged_a.sort()
+def regions_from_curves(fields: Sequence[Field]) -> list[Region]:
+    """`region_from_curves` of each field (curves, inside, offset, snap),
+    built in one array pass over the pieces of every field: cut parameters,
+    the split at merged cuts, piece ends and probe frames, the piece dedupe
+    and the votes.  Each field makes its own one `intersections` call
+    (`_cuts`) and its own one `inside` call, on its slice of the probes;
+    `Segment`s and `Arc`s are made only for the pieces kept, and chained
+    into loops field by field."""
     out = []
-    n = len(merged_a)
-    for i in range(n):
-        a0 = merged_a[i]
-        a1 = merged_a[(i + 1) % n]
-        out.append(Arc(curve, a0, a1, ccw=True))
+    for kept, (_, _, _, snap) in zip(_classified_pieces(fields), fields):
+        loops = _chain_loops(kept, snap)
+        out.append(Region([lp for lp in loops if loop_bbox_diameter(lp) >= 10.0 * snap]))
     return out
 
 
-def _piece_point_tangent(piece: Piece, frac: float) -> tuple[Point, Point]:
-    """(point, unit tangent in travel direction) at fraction frac of the piece."""
-    if isinstance(piece, Segment):
-        return piece.point_at(frac), piece.direction()
-    sw = piece.sweep()
-    ang = piece.start + frac * sw if piece.ccw else piece.start - frac * sw
-    p = piece.circle.point_at(ang)
-    cx, cy = piece.circle.center
-    rx, ry = p[0] - cx, p[1] - cy
-    r = math.hypot(rx, ry)
-    tx, ty = (-ry / r, rx / r) if piece.ccw else (ry / r, -rx / r)
-    return p, (tx, ty)
+def _classified_pieces(fields: Sequence[Field]) -> list[list[Piece]]:
+    """Per field, the pieces its vote keeps, in piece order, each oriented
+    with the inside on its left.  Every step repeats the scalar piece loops
+    (kept in `tests/oracles.py`) in their arithmetic, with `math` cos, sin,
+    hypot and atan2, so a field's pieces do not depend on the fields built
+    with it."""
+    curves = [_dedupe_curves(list(cs), snap) for cs, _, _, snap in fields]
+    first = np.cumsum([0] + [len(cs) for cs in curves])
+    curves = [c for cs in curves for c in cs]
+    table = curve_table(curves)
+    cut, t = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
+    for (_, _, _, eps), lo, hi in zip(fields, first.tolist(), first[1:].tolist()):
+        c, ts = _cuts(CurveTable(*(col[lo:hi] for col in table)), eps)
+        cut.append(np.asarray(c, dtype=np.int64) + lo)
+        t.append(np.asarray(ts, dtype=float))
+    snap, offset = (np.array([f[k] for f in fields], dtype=float) for k in (3, 2))
+    owner = np.repeat(np.arange(len(fields)), np.diff(first))   # the field of each curve
+    curve, t0, t1 = _split(table, snap[owner], np.concatenate(cut), np.concatenate(t))
+    field = owner[curve]
 
+    seg = np.isnan(table.circle[curve, 2])
+    ends, mid, sweep = _piece_ends(table, curve, t0, t1)
+    length = np.full(len(curve), math.nan)
+    length[seg] = _math(math.hypot, ends[seg, 2] - ends[seg, 0], ends[seg, 3] - ends[seg, 1])
+    # a segment with coincident ends has no direction and never votes
+    live = np.flatnonzero(~_duplicates(ends, mid, field, np.maximum(snap, 1e-12)) & (length != 0.0))
+    curve, seg, ends, t0, t1, field = curve[live], seg[live], ends[live], t0[live], t1[live], field[live]
+    probes = _probes(table.circle[curve], seg, ends, length[live], t0, sweep[live], offset[field])
 
-def _classify_pieces(pieces: list[Piece], inside: Callable[[np.ndarray], np.ndarray],
-                     offset: float) -> list[Piece | None]:
-    """Each piece oriented with the inside on its left, or None.  A piece votes
-    at three stations, with one `inside` call for all: a real boundary piece
-    separates inside from outside all along its length, while pieces crossed
-    by sub-offset features give mixed answers and are rejected."""
-    probes: list[Point] = []
-    live = []
-    for k, piece in enumerate(pieces):
-        try:
-            frames = [_piece_point_tangent(piece, frac) for frac in (0.25, 0.5, 0.75)]
-        except DegenerateError:
-            continue
-        live.append(k)
-        for p, (tx, ty) in frames:
-            nx, ny = -ty, tx  # left of travel
-            probes += [(p[0] + offset * nx, p[1] + offset * ny), (p[0] - offset * nx, p[1] - offset * ny)]
-    side = np.asarray(inside(np.array(probes, dtype=float).reshape(-1, 2)), dtype=bool).reshape(-1, 3, 2)
-    votes = (side[..., 0].astype(int) - side[..., 1]).sum(axis=1).tolist()
-    out: list[Piece | None] = [None] * len(pieces)
-    for k, v in zip(live, votes):
-        out[k] = pieces[k] if v >= 2 else (_reverse_piece(pieces[k]) if v <= -2 else None)
+    at = np.searchsorted(field, np.arange(len(fields) + 1)) * 6
+    side = np.empty(len(probes), dtype=bool)
+    for (_, inside, _, _), lo, hi in zip(fields, at.tolist(), at[1:].tolist()):
+        side[lo:hi] = np.asarray(inside(probes[lo:hi]), dtype=bool)
+    side = side.reshape(-1, 3, 2)
+    votes = (side[..., 0].astype(int) - side[..., 1]).sum(axis=1)
+
+    out: list[list[Piece]] = [[] for _ in fields]
+    k = np.flatnonzero(np.abs(votes) >= 2)
+    for f, c, s, fwd, (x0, y0, x1, y1), a0, a1 in zip(field[k].tolist(), curve[k].tolist(), seg[k].tolist(),
+                                                     (votes[k] > 0).tolist(), ends[k].tolist(), t0[k].tolist(),
+                                                     t1[k].tolist()):
+        if s:
+            out[f].append(Segment((x0, y0), (x1, y1)) if fwd else Segment((x1, y1), (x0, y0)))
+        else:
+            out[f].append(Arc(curves[c], a0, a1, True) if fwd else Arc(curves[c], a1, a0, False))
     return out
 
 
-def _reverse_piece(piece: Piece) -> Piece:
-    if isinstance(piece, Segment):
-        return Segment(piece.b, piece.a)
-    return Arc(piece.circle, piece.end, piece.start, ccw=not piece.ccw)
+def _piece_ends(table: CurveTable, curve: np.ndarray, t0: np.ndarray, t1: np.ndarray):
+    """Pieces (curve, t0, t1) of the table's curves, each a segment from
+    point_at(t0) to point_at(t1) or a counter-clockwise arc from angle t0 to
+    t1: their (m, 4) ends x0, y0, x1, y1, (m, 2) midpoints and, NaN for a
+    segment, sweeps."""
+    ends, mid, sweep = np.empty((len(curve), 4)), np.empty((len(curve), 2)), np.full(len(curve), math.nan)
+    seg = np.isnan(table.circle[curve, 2])
+    k = np.flatnonzero(seg)
+    ax, ay, bx, by = table.seg[curve[k]].T
+    dx, dy = bx - ax, by - ay
+    ends[k] = np.stack((ax + t0[k] * dx, ay + t0[k] * dy, ax + t1[k] * dx, ay + t1[k] * dy), axis=1)
+    mid[k] = (ends[k, :2] + ends[k, 2:]) / 2.0
+    k = np.flatnonzero(~seg)
+    cx, cy, r = table.circle[curve[k]].T
+    sw = _norm_angle_np(t1[k] - t0[k])
+    sweep[k] = np.where(sw == 0.0, TWO_PI, sw)
+    ends[k] = np.stack(_circle_points(cx, cy, r, t0[k]) + _circle_points(cx, cy, r, t1[k]), axis=1)
+    mid[k] = np.stack(_circle_points(cx, cy, r, t0[k] + sweep[k] / 2.0), axis=1)
+    return ends, mid, sweep
+
+
+def _duplicates(ends: np.ndarray, mid: np.ndarray, field: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Whether each piece repeats an earlier piece of its field: the same
+    ends, in tuple order, and midpoint, rounded to multiples of the field's
+    q, as `_first_by_key` rounds them."""
+    swap = _lex_less(ends[:, 2:], ends[:, :2])[:, None]
+    key = np.concatenate((np.where(swap, ends[:, 2:], ends[:, :2]), np.where(swap, ends[:, :2], ends[:, 2:]), mid),
+                         axis=1)
+    # np.rint rounds half to even, as round() does; adding 0.0 makes -0.0
+    # +0.0, which round() does not tell apart
+    key = np.rint(key / q[field, None]) + 0.0
+    order = np.lexsort((*key.T[::-1], field))
+    dup = np.zeros(len(field), dtype=bool)
+    dup[order[1:]] = (field[order[1:]] == field[order[:-1]]) & (key[order[1:]] == key[order[:-1]]).all(axis=1)
+    return dup
+
+
+def _probes(circle: np.ndarray, seg: np.ndarray, ends: np.ndarray, length: np.ndarray, t0: np.ndarray,
+            sweep: np.ndarray, offset: np.ndarray) -> np.ndarray:
+    """The six probes of each piece, offset to the left and the right of it
+    at its three stations: (6m, 2), piece by piece, station by station, left
+    first."""
+    px, py, nx, ny = (np.empty((len(seg), 3)) for _ in range(4))
+    frac = np.array((0.25, 0.5, 0.75))   # the stations, as fractions of the length or sweep
+    k = np.flatnonzero(seg)
+    (ax, ay, bx, by), L = ends[k].T, length[k, None]
+    dx, dy = (bx - ax)[:, None], (by - ay)[:, None]
+    px[k], py[k] = ax[:, None] + frac * dx, ay[:, None] + frac * dy
+    nx[k], ny[k] = -(dy / L), dx / L
+    k = np.flatnonzero(~seg)
+    cx, cy, r = (np.repeat(col, 3) for col in circle[k].T)
+    x, y = _circle_points(cx, cy, r, (t0[k, None] + frac * sweep[k, None]).ravel())
+    rx, ry = x - cx, y - cy
+    rr = _math(math.hypot, rx, ry)
+    px[k], py[k] = x.reshape(-1, 3), y.reshape(-1, 3)
+    nx[k], ny[k] = -(rx / rr).reshape(-1, 3), -(ry / rr).reshape(-1, 3)
+    off = offset[:, None]
+    left = np.stack((px + off * nx, py + off * ny), axis=2)
+    right = np.stack((px - off * nx, py - off * ny), axis=2)
+    return np.stack((left, right), axis=2).reshape(-1, 2)
+
+
+def _circle_points(cx, cy, r, ang) -> tuple[np.ndarray, np.ndarray]:
+    """Elementwise `Circle.point_at`, with math.cos and math.sin."""
+    return cx + r * _math(math.cos, ang), cy + r * _math(math.sin, ang)
+
+
+def _cuts(table: CurveTable, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Where the table's curves are cut, as (curve, parameter) per cut: at
+    their crossings with every other curve and, where two segments overlap,
+    at the other's ends.  Pairs i < j run as one batch; each curve's cuts
+    come in the order of its pairs, unsorted."""
+    i, j = np.triu_indices(len(table.seg), 1)
+    call, xy, overlap = intersections(table, i, table, j, eps)
+    k = np.flatnonzero(overlap)
+    # a crossing cuts i, then j; an overlap cuts i twice, at j's ends, then j
+    # twice, at i's
+    curve = np.concatenate((np.stack((i[call], j[call]), axis=1).ravel(),
+                            np.repeat(np.stack((i[k], j[k]), axis=1), 2, axis=1).ravel()))
+    pts = np.concatenate((np.repeat(xy, 2, axis=0),
+                          np.concatenate((table.seg[j[k]], table.seg[i[k]]), axis=1).reshape(-1, 2)))
+    t = np.empty(len(curve))
+    seg = np.isnan(table.circle[curve, 2])
+    k = np.flatnonzero(seg)
+    ax, ay, bx, by = table.seg[curve[k]].T
+    dx, dy = bx - ax, by - ay
+    L2 = dx * dx + dy * dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = ((pts[k, 0] - ax) * dx + (pts[k, 1] - ay) * dy) / L2
+    u = np.where(0.0 > u, 0.0, u)   # min(max(u, 0.0), 1.0)
+    t[k] = np.where(L2 == 0.0, 0.0, np.where(1.0 < u, 1.0, u))
+    k = np.flatnonzero(~seg)
+    cx, cy = table.circle[curve[k], :2].T
+    t[k] = _norm_angle_np(_math(math.atan2, pts[k, 1] - cy, pts[k, 0] - cx))
+    return curve, t
+
+
+def _split(table: CurveTable, eps: np.ndarray, cut: np.ndarray, t: np.ndarray):
+    """The pieces the cuts (curve, parameter) split the table's curves into,
+    as (curve, t0, t1) arrays in curve order, then along each curve; eps is
+    per curve.  A curve's cuts merge at tol = max(eps/L, 1e-12) for a
+    segment of length L, from 0 to 1 (none if L <= eps), and at
+    max(eps/max(r, eps), 1e-12) for a circle of radius r, in angles (a
+    circle's cuts come normalized): the last within tol of the first across
+    2 pi is dropped, no cut leaves 0 and pi, and one cut a second opposite
+    it."""
+    seg = np.isnan(table.circle[:, 2])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tol = np.maximum(np.where(seg, eps / table.length, eps / np.maximum(table.circle[:, 2], eps)), 1e-12)
+    gone = seg & ~(table.length > eps)
+    ends = np.flatnonzero(seg & ~gone)
+    # 0 and 1 first: the first of equal values stands for them, as in a set
+    c = np.concatenate((ends, ends, cut))
+    v = np.concatenate((np.zeros(len(ends)), np.ones(len(ends)), t))
+    c, v = _sorted_cuts(c[~gone[c]], v[~gone[c]])
+    c, v = _merge(c, v, tol)
+    head, tail = _runs(c)
+    v[tail[seg[c[tail]]]] = 1.0   # a segment's last cut is its end
+    # circles: drop a last cut within tol of the first, across 2 pi
+    circ = ~seg[c[head]]
+    wrap = circ & (tail > head) & (TWO_PI - (v[tail] - v[head]) <= tol[c[tail]])
+    drop = np.zeros(len(c), dtype=bool)
+    drop[tail[wrap]] = True
+    one = head[circ & (tail - head == wrap)]   # a circle left with one cut
+    bare = np.setdiff1d(np.flatnonzero(~seg), c)
+    c = np.concatenate((c[~drop], c[one], bare, bare))
+    v = np.concatenate((v[~drop], _norm_angle_np(v[one] + math.pi), np.zeros(len(bare)), np.full(len(bare), math.pi)))
+    order = np.lexsort((v, c))
+    c, v = c[order], v[order]
+    head, tail = _runs(c)
+    nxt = np.arange(1, len(c) + 1)
+    nxt[tail] = head   # a circle's last arc closes on its first cut
+    last = np.zeros(len(c), dtype=bool)
+    last[tail] = True
+    k = np.flatnonzero(~(last & seg[c]))
+    return c[k], v[k], v[nxt[k]]
+
+
+def _sorted_cuts(c: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of each curve, in ascending order, with the
+    first of equal values (0.0 and -0.0 among them) standing for them."""
+    order = np.lexsort((v, c))
+    c, v = c[order], v[order]
+    new = np.ones(len(c), dtype=bool)
+    new[1:] = (c[1:] != c[:-1]) | (v[1:] != v[:-1])
+    return c[new], v[new]
+
+
+def _merge(c: np.ndarray, v: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values kept of each curve's distinct ascending values, walked in
+    order: each is dropped within tol[curve] of the last one kept."""
+    close = np.zeros(len(v), dtype=bool)
+    close[1:] = (c[1:] == c[:-1]) & (v[1:] - v[:-1] <= tol[c[1:]])
+    keep = ~close
+    # a value close to the one before it is dropped when that one is kept,
+    # so only a run of three or more close values needs the walk
+    start = np.flatnonzero(keep)
+    stop = np.append(start[1:], len(v))
+    walk = stop - start > 2
+    for a, b in zip(start[walk].tolist(), stop[walk].tolist()):
+        run, lim = v[a:b].tolist(), float(tol[c[a]])
+        last = run[0]
+        for k, x in enumerate(run[1:], a + 1):
+            if x - last > lim:
+                keep[k], last = True, x
+    return c[keep], v[keep]
+
+
+def _runs(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each run of equal values of c."""
+    edge = np.flatnonzero(c[1:] != c[:-1]) + 1
+    if not len(c):
+        return edge, edge
+    return np.concatenate(([0], edge)), np.concatenate((edge - 1, [len(c) - 1]))
 
 
 def _piece_endpoints(piece: Piece) -> tuple[Point, Point]:
@@ -798,14 +912,6 @@ def _dedupe_curves(curves: list[Curve], snap: float) -> list[Curve]:
         return [c.center[0], c.center[1], c.radius]
 
     return _first_by_key(curves, snap, key)
-
-
-def _dedupe_pieces(pieces: list[Piece], snap: float) -> list[Piece]:
-    def key(pc: Piece) -> list[float]:
-        a, b = _piece_endpoints(pc)
-        return [v for pt in (*sorted([a, b]), pc.midpoint()) for v in pt]
-
-    return _first_by_key(pieces, snap, key)
 
 
 class _VertexIndex:

@@ -1,7 +1,10 @@
 """Scalar reference code that only tests use.
 
 - region membership by even-odd ray casting, and point-to-piece distance;
-- the per-piece vote that `geom.region_from_curves` makes in one batch;
+- the arrangement's piece loops (`piecewise_region`): a cut parameter per
+  hit, the split of each curve at its merged cuts, the piece dedupe, the
+  probe frames and the vote of each piece, which `geom.regions_from_curves`
+  runs as one array pass over the pieces of every field;
 - the intersection rules of two curves or pieces (`intersect`,
   `piece_intersections`, `piece_curve_intersections`) and the arrangement's
   pair loop over them (`pairwise_cuts`), which `geom.intersections` runs as
@@ -37,16 +40,21 @@ from camplan.geom import (
     Arc,
     Circle,
     Curve,
+    CurveTable,
     DegenerateError,
     Piece,
     Point,
     Region,
     Segment,
-    _curve_param,
+    _chain_loops,
+    _dedupe_curves,
+    _first_by_key,
     _mod_2pi_np,
     _norm_angle_np,
-    _piece_point_tangent,
-    _reverse_piece,
+    _piece_endpoints,
+    curve_table,
+    intersections,
+    loop_bbox_diameter,
     norm_angle,
     point_segment_distance,
     segment_segment_distance,
@@ -170,7 +178,158 @@ def _ray_arc(p: Point, ux: float, uy: float, arc: Arc, eps: float) -> tuple[int,
     return count, False
 
 
-# --- per-piece kernels ----------------------------------------------------
+# --- the arrangement, piece by piece -------------------------------------------
+
+def piecewise_region(curves: list[Curve], inside: Callable[[np.ndarray], np.ndarray], *,
+                     offset: float, snap: float) -> Region:
+    """`geom.region_from_curves` as the scalar piece loops: a cut parameter
+    per hit, a split per curve, the dedupe and the probe frames per piece,
+    and one `inside` call for every probe of the field."""
+    kept = [pc for pc in _classify_pieces(piecewise_pieces(curves, snap), inside, offset) if pc is not None]
+    return Region([lp for lp in _chain_loops(kept, snap) if loop_bbox_diameter(lp) >= 10.0 * snap])
+
+
+def piecewise_pieces(curves: list[Curve], snap: float) -> list[Piece]:
+    """The pieces of a field's arrangement, split and deduped, in order."""
+    curves = _dedupe_curves(list(curves), snap)
+    cuts: list[list[float]] = [[] for _ in curves]
+    for c, t in zip(*(a.tolist() for a in hit_cuts(curve_table(curves), snap))):
+        cuts[c].append(t)
+    return _dedupe_pieces([pc for c, ts in zip(curves, cuts) for pc in _split_curve(c, ts, snap)], snap)
+
+
+def _curve_param(curve: Curve, pt: Point) -> float:
+    if isinstance(curve, Segment):
+        dx = curve.b[0] - curve.a[0]
+        dy = curve.b[1] - curve.a[1]
+        L2 = dx * dx + dy * dy
+        if L2 == 0.0:
+            return 0.0
+        t = ((pt[0] - curve.a[0]) * dx + (pt[1] - curve.a[1]) * dy) / L2
+        return min(max(t, 0.0), 1.0)
+    return norm_angle(math.atan2(pt[1] - curve.center[1], pt[0] - curve.center[0]))
+
+
+def table_curves(table: CurveTable) -> list[Curve]:
+    """The segments and circles a table's rows hold."""
+    return [Segment((ax, ay), (bx, by)) if math.isnan(r) else Circle((cx, cy), r)
+            for (ax, ay, bx, by), (cx, cy, r) in zip(table.seg.tolist(), table.circle.tolist())]
+
+
+def hit_cuts(table: CurveTable, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """`geom._cuts` with `_curve_param` run hit by hit."""
+    curves = table_curves(table)
+    i, j = np.triu_indices(len(curves), 1)
+    call, xy, overlap = intersections(table, i, table, j, eps)
+    hits = list(zip(call.tolist(), xy.tolist())) + [(k, None) for k in np.flatnonzero(overlap).tolist()]
+    i, j = i.tolist(), j.tolist()
+    out = []
+    for k, pt in hits:
+        a, b = curves[i[k]], curves[j[k]]
+        if pt is None:
+            out += [(i[k], _curve_param(a, b.a)), (i[k], _curve_param(a, b.b)),
+                    (j[k], _curve_param(b, a.a)), (j[k], _curve_param(b, a.b))]
+        else:
+            out += [(i[k], _curve_param(a, pt)), (j[k], _curve_param(b, pt))]
+    return _cut_arrays(out)
+
+
+def _cut_arrays(cuts: list[tuple[int, float]]) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([c for c, _ in cuts], dtype=np.int64), np.array([t for _, t in cuts], dtype=float)
+
+
+def _merge_sorted(values: list[float], tol: float) -> list[float]:
+    """The distinct values in ascending order, less those within tol of the last one kept."""
+    merged: list[float] = []
+    for v in sorted(set(values)):
+        if not merged or v - merged[-1] > tol:
+            merged.append(v)
+    return merged
+
+
+def _split_curve(curve: Curve, ts: list[float], eps: float) -> list[Piece]:
+    if isinstance(curve, Segment):
+        L = curve.length()
+        if L <= eps:
+            return []
+        merged = _merge_sorted([0.0, 1.0, *ts], max(eps / L, 1e-12))
+        if merged[-1] < 1.0:
+            merged[-1] = 1.0
+        out: list[Piece] = []
+        for t0, t1 in zip(merged, merged[1:]):
+            out.append(Segment(curve.point_at(t0), curve.point_at(t1)))
+        return out
+    # circle
+    tol = max(eps / max(curve.radius, eps), 1e-12)
+    merged_a = _merge_sorted([norm_angle(t) for t in ts], tol)
+    if len(merged_a) >= 2 and (TWO_PI - (merged_a[-1] - merged_a[0])) <= tol:
+        merged_a.pop()
+    if len(merged_a) == 0:
+        merged_a = [0.0, math.pi]
+    elif len(merged_a) == 1:
+        merged_a.append(norm_angle(merged_a[0] + math.pi))
+        merged_a.sort()
+    out = []
+    n = len(merged_a)
+    for i in range(n):
+        a0 = merged_a[i]
+        a1 = merged_a[(i + 1) % n]
+        out.append(Arc(curve, a0, a1, ccw=True))
+    return out
+
+
+def _dedupe_pieces(pieces: list[Piece], snap: float) -> list[Piece]:
+    def key(pc: Piece) -> list[float]:
+        a, b = _piece_endpoints(pc)
+        return [v for pt in (*sorted([a, b]), pc.midpoint()) for v in pt]
+
+    return _first_by_key(pieces, snap, key)
+
+
+def _piece_point_tangent(piece: Piece, frac: float) -> tuple[Point, Point]:
+    """(point, unit tangent in travel direction) at fraction frac of the piece."""
+    if isinstance(piece, Segment):
+        return piece.point_at(frac), piece.direction()
+    sw = piece.sweep()
+    ang = piece.start + frac * sw if piece.ccw else piece.start - frac * sw
+    p = piece.circle.point_at(ang)
+    cx, cy = piece.circle.center
+    rx, ry = p[0] - cx, p[1] - cy
+    r = math.hypot(rx, ry)
+    tx, ty = (-ry / r, rx / r) if piece.ccw else (ry / r, -rx / r)
+    return p, (tx, ty)
+
+
+def _classify_pieces(pieces: list[Piece], inside: Callable[[np.ndarray], np.ndarray],
+                     offset: float) -> list[Piece | None]:
+    """Each piece oriented with the inside on its left, or None.  A piece votes
+    at three stations, with one `inside` call for all: a real boundary piece
+    separates inside from outside all along its length, while pieces crossed
+    by sub-offset features give mixed answers and are rejected."""
+    probes: list[Point] = []
+    live = []
+    for k, piece in enumerate(pieces):
+        try:
+            frames = [_piece_point_tangent(piece, frac) for frac in (0.25, 0.5, 0.75)]
+        except DegenerateError:
+            continue
+        live.append(k)
+        for p, (tx, ty) in frames:
+            nx, ny = -ty, tx  # left of travel
+            probes += [(p[0] + offset * nx, p[1] + offset * ny), (p[0] - offset * nx, p[1] - offset * ny)]
+    side = np.asarray(inside(np.array(probes, dtype=float).reshape(-1, 2)), dtype=bool).reshape(-1, 3, 2)
+    votes = (side[..., 0].astype(int) - side[..., 1]).sum(axis=1).tolist()
+    out: list[Piece | None] = [None] * len(pieces)
+    for k, v in zip(live, votes):
+        out[k] = pieces[k] if v >= 2 else (_reverse_piece(pieces[k]) if v <= -2 else None)
+    return out
+
+
+def _reverse_piece(piece: Piece) -> Piece:
+    if isinstance(piece, Segment):
+        return Segment(piece.b, piece.a)
+    return Arc(piece.circle, piece.end, piece.start, ccw=not piece.ccw)
+
 
 def _classify_piece(piece: Piece, inside: Callable[[Point], bool], offset: float) -> Piece | None:
     # Vote at three stations: a real boundary piece separates inside from
@@ -356,9 +515,10 @@ def _on_piece(pt: Point, piece: Piece, eps: float) -> bool:
     return piece.angle_inside(ang, tol)
 
 
-def pairwise_cuts(curves: list[Curve], eps: float) -> list[list[float]]:
+def pairwise_cuts(table: CurveTable, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """`geom._cuts` as the pair loop over `intersect`."""
-    cuts: list[list[float]] = [[] for _ in curves]
+    curves = table_curves(table)
+    cuts: list[tuple[int, float]] = []
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):
             res = intersect(curves[i], curves[j], eps)
@@ -366,14 +526,13 @@ def pairwise_cuts(curves: list[Curve], eps: float) -> list[list[float]]:
                 # split each at the other's endpoints for a clean arrangement
                 assert isinstance(curves[i], Segment) and isinstance(curves[j], Segment)
                 for pt in (curves[j].a, curves[j].b):
-                    cuts[i].append(_curve_param(curves[i], pt))
+                    cuts.append((i, _curve_param(curves[i], pt)))
                 for pt in (curves[i].a, curves[i].b):
-                    cuts[j].append(_curve_param(curves[j], pt))
+                    cuts.append((j, _curve_param(curves[j], pt)))
                 continue
             for pt in res:
-                cuts[i].append(_curve_param(curves[i], pt))
-                cuts[j].append(_curve_param(curves[j], pt))
-    return cuts
+                cuts += [(i, _curve_param(curves[i], pt)), (j, _curve_param(curves[j], pt))]
+    return _cut_arrays(cuts)
 
 
 def piece_curve_intersections(piece: Piece, curve: Curve, eps: float = EPS) -> list[Point]:

@@ -22,7 +22,8 @@ from camplan.geom import Arc, Circle, Segment, segment_blocks_triangle
 from camplan.model import MAX_LENGTH, Obstacle, Scenario, SensorSpec, Target
 from camplan.scenario import GenParams, random_scenario
 
-from oracles import _classify_piece, angle_limit_points, boundary_distance, contains
+from oracles import (_classify_piece, angle_limit_points, boundary_distance, contains, piecewise_pieces,
+                     piecewise_region)
 
 
 def scen(targets, sensor, obstacles=(), w=100.0, h=100.0):
@@ -467,34 +468,98 @@ def counting_covers(monkeypatch):
 
 @pytest.mark.parametrize("band", ["default", "wide"])
 def test_batched_classifier_matches_the_scalar_vote(monkeypatch, band):
-    # every piece of every field, voted once in a batch and once piece by
-    # piece with the scalar predicate; a wide margin band sends many probes
-    # to the scalar fallback
+    # every piece of every field, voted once in the array pass and once
+    # piece by piece with the scalar predicate; a wide margin band sends many
+    # probes to the scalar fallback
     if band == "wide":
         monkeypatch.setattr(fields_module, "_LEN_MARGIN", 1e5)
         monkeypatch.setattr(fields_module, "_ANG_MARGIN", 1e-3)
     fallbacks = counting_covers(monkeypatch)
     made, checked = [], []
-    make, classify = fields_module._field_inside, geom_module._classify_pieces
+    make, build = fields_module._field_inside, fields_module.region_from_curves
 
     def spy_make(t, sensor, eps, blockers):
         made.append(scalar_inside(t, sensor, eps, blockers))
         return make(t, sensor, eps, blockers)
 
-    def spy_classify(pieces, inside, offset):
-        got = classify(pieces, inside, offset)
-        want = [_classify_piece(pc, made[-1], offset) for pc in pieces]
-        assert got == want
-        checked.append(sum(pc is not None for pc in got))
-        return got
+    def spy_build(curves, inside, *, offset, snap):
+        got = geom_module._classified_pieces([(curves, inside, offset, snap)])[0]
+        want = [_classify_piece(pc, made[-1], offset) for pc in piecewise_pieces(curves, snap)]
+        assert repr(got) == repr([pc for pc in want if pc is not None])
+        checked.append(len(got))
+        return build(curves, inside, offset=offset, snap=snap)
 
     monkeypatch.setattr(fields_module, "_field_inside", spy_make)
-    monkeypatch.setattr(geom_module, "_classify_pieces", spy_classify)
+    monkeypatch.setattr(fields_module, "region_from_curves", spy_build)
     for t, s in [(t, s) for s in walled_scenes() for t in s.targets] + radial_scenes():
         cpf(t, s)
     assert len(checked) == len(made) and sum(checked) > 2000
     if band == "wide":
         assert len(fallbacks) > 5000
+
+
+# --- the scene's array pass against the scalar piece loops --------------------
+
+def adversarial_wall_scenes():
+    """A unit target among walls that are collinear and overlap, walls that
+    share ends with each other and with the target, and walls whose line
+    splits the target's ends."""
+    t = Target(0, (10.0, 10.0), (11.0, 10.0), (0.0, 1.0))
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=8.0, phi_deg=90.0)
+    walls = [
+        [((12.0, 13.0), (15.0, 13.0)), ((14.0, 13.0), (17.0, 13.0)), ((15.0, 13.0), (16.0, 13.0)),
+         ((9.0, 12.0), (9.0, 14.0)), ((9.0, 13.0), (9.0, 15.0)), ((11.0, 10.0), (13.0, 10.0))],
+        [((12.0, 12.0), (13.0, 12.0), (13.0, 13.0), (11.0, 14.0)), ((11.0, 10.0), (12.0, 11.0)),
+         ((10.0, 10.0), (9.0, 11.5)), ((9.0, 11.5), (12.0, 12.0))],
+        [((10.5, 12.0), (10.5, 14.0)), ((10.2, 11.0), (10.9, 12.5)), ((10.5, 11.0), (12.0, 16.0)),
+         ((9.5, 13.0), (11.5, 13.5))],
+    ]
+    return [scen([t], sensor, [Obstacle(k, chain) for k, chain in enumerate(ws)], w=40.0, h=40.0)
+            for ws in walls]
+
+
+def test_the_array_pass_builds_each_field_as_the_piece_loops():
+    # every target's field in one pass over its scene, loop for loop against
+    # the scalar piece loops on the same curves and predicate
+    scenes = walled_scenes() + [s for _, s in radial_scenes()] + adversarial_wall_scenes()
+    fields = 0
+    for s in scenes:
+        blockers = interacting_blockers(s.targets, s)
+        for t, b, reg in zip(s.targets, blockers, fields_module.regions(s.targets, s.sensor, blockers)):
+            curves, inside, offset, snap = fields_module._field(t, s.sensor, b)
+            assert repr(reg.loops) == repr(piecewise_region(curves, inside, offset=offset, snap=snap).loops)
+            fields += 1
+    assert fields == 50 + 24 + 135 + 3
+
+
+@pytest.mark.parametrize("seed", [3000, 7000, 11000])
+def test_regions_equal_region_target_by_target(seed, monkeypatch):
+    # a bench-shaped scene: one intersections call and one membership call
+    # per field
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=20.0, phi_deg=90.0)
+    s = random_scenario(GenParams(n_targets=25, n_obstacles=25, margin=3.0, seed=seed), sensor)
+    blockers = interacting_blockers(s.targets, s)
+    want = [repr(fields_module.region(t, sensor, b).loops) for t, b in zip(s.targets, blockers)]
+    calls = []
+    kernel, make = geom_module.intersections, fields_module._field_inside
+
+    def spy_kernel(*args):
+        calls.append("intersections")
+        return kernel(*args)
+
+    def spy_make(*args):
+        inside = make(*args)
+
+        def counted(p):
+            calls.append("inside")
+            return inside(p)
+        return counted
+
+    monkeypatch.setattr(geom_module, "intersections", spy_kernel)
+    monkeypatch.setattr(fields_module, "_field_inside", spy_make)
+    got = fields_module.regions(s.targets, sensor, blockers)
+    assert [repr(reg.loops) for reg in got] == want
+    assert sorted(calls) == ["inside"] * s.n + ["intersections"] * s.n
 
 
 def gap_probe_vectors(rng, n):

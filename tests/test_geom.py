@@ -12,7 +12,6 @@ from camplan import geom
 from camplan.geom import (
     EPS,
     TWO_PI,
-    _classify_pieces,
     _mod_2pi_np,
     Arc,
     Circle,
@@ -27,6 +26,7 @@ from camplan.geom import (
     norm_angle,
     point_segment_distance,
     region_from_curves,
+    regions_from_curves,
     scaled_eps,
     segment_blocks_triangle,
     segment_boxes,
@@ -34,7 +34,8 @@ from camplan.geom import (
     wrap_pi,
 )
 
-from oracles import OVERLAP, _classify_piece, batched, contains, intersect, point_piece_distance
+from oracles import (OVERLAP, _classify_piece, _classify_pieces, batched, contains, intersect, piecewise_pieces,
+                     piecewise_region, point_piece_distance)
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -415,31 +416,81 @@ def test_region_from_curves_lens():
 
 def test_batched_piece_vote_matches_the_scalar_vote():
     # predicates whose boundary leaves a piece part way along, so its three
-    # stations vote anywhere from -3 to 3, and degenerate pieces that cannot
+    # stations vote anywhere from -3 to 3: a segment, a zero-length segment
+    # and a circle cut by one another, one field per predicate, every field
+    # in one pass
     rng = random.Random(3)
+    offset, snap = 1e-7, 1e-9
     for _ in range(200):
         c = Circle((rng.uniform(-2, 2), rng.uniform(-2, 2)), rng.uniform(0.5, 3.0))
         a = (rng.uniform(-3, 3), rng.uniform(-3, 3))
-        pieces = [Segment(a, (rng.uniform(-3, 3), rng.uniform(-3, 3))), Segment(a, a),
-                  Arc(c, rng.uniform(0, 6.3), rng.uniform(0, 6.3), rng.random() < 0.5)]
+        curves = [Segment(a, (rng.uniform(-3, 3), rng.uniform(-3, 3))), Segment(a, a), c]
         ux, uy = math.cos(rng.uniform(0, 6.3)), math.sin(rng.uniform(0, 6.3))
         cut = sorted(rng.uniform(-3, 3) for _ in range(2))
-        for piece in pieces:
-            if isinstance(piece, Segment):
-                (ax, ay), (bx, by) = piece.a, piece.b
-
-                def side(p, ax=ax, ay=ay, bx=bx, by=by):
-                    return (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0.0
-            else:
-                def side(p, c=piece.circle):
-                    return math.dist(p, c.center) < c.radius
-
+        (ax, ay), (bx, by) = curves[0].a, curves[0].b
+        sides = [lambda p: (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) > 0.0,
+                 lambda p: math.dist(p, c.center) < c.radius]
+        preds = []
+        for side in sides:
             def inside(p, side=side):
                 f = ux * p[0] + uy * p[1]
                 return side(p) if f < cut[0] else (not side(p) if f < cut[1] else False)
+            preds.append(inside)
+        got = geom._classified_pieces([(curves, batched(inside), offset, snap) for inside in preds])
+        pieces = piecewise_pieces(curves, snap)
+        for kept, inside in zip(got, preds):
+            want = [_classify_piece(pc, inside, offset) for pc in pieces]
+            assert repr(kept) == repr([pc for pc in want if pc is not None])
 
-            offset = 1e-7
-            assert _classify_pieces([piece], batched(inside), offset) == [_classify_piece(piece, inside, offset)]
+
+def adversarial_fields():
+    """(curves, inside) of fields whose pieces take the rare paths: arc cuts
+    on both sides of angle 0, a circle cut once or not at all, coincident
+    cuts that leave a zero-length piece, and a duplicate piece whose rounded
+    key holds -0.0 where the first one's holds 0.0."""
+    unit = Circle((0.0, 0.0), 1.0)
+    out = []
+    for d in (1e-10, 2e-10, 4e-10, 1e-9, 1e-8, 1e-6, 1e-3, 0.3):
+        # a chord at x = cos(d) cuts the unit circle at -d and d (once, at
+        # 0, where cos(d) rounds to 1)
+        x = math.cos(d)
+        out.append(([unit, Segment((x, -2.0), (x, 2.0))], lambda p, x=x: math.hypot(*p) <= 1.0 and p[0] <= x))
+        # two radii cut it at d and -d, and the one near 2 pi merges into
+        # the one near 0 once 2d is within the tolerance
+        rays = [Segment((0.0, 0.0), (2.0 * x, 2.0 * s * math.sin(d))) for s in (1.0, -1.0)]
+        out.append(([unit, *rays], lambda p: math.hypot(*p) <= 1.0 and p[0] >= 0.0))
+    for y in (1.0 - 1e-12, 1.0, 1.0 + 1e-12):
+        # a tangent cuts it once
+        out.append(([unit, Segment((-2.0, y), (2.0, y))], lambda p: math.hypot(*p) <= 1.0 and p[1] <= 1.0))
+    # no curve cuts a circle
+    out.append(([Circle((3.0, 3.0), 0.5)], lambda p: math.dist(p, (3.0, 3.0)) <= 0.5))
+    # a segment two ulps by one at 1e8 overlaps a tiny segment, which cuts
+    # it at 0.2 of its length: that point rounds to its start, and the
+    # piece before it has no length
+    u = math.ulp(1e8)
+    x0 = y0 = 1e8
+    out.append(([Segment((x0, y0), (x0 + 2 * u, y0 + u)), Segment((x0, y0 + u), (x0 + 2 * u, y0 + u))],
+                lambda p: (p[0] - x0) - 2.0 * (p[1] - y0) >= 0.0))
+    # the long segment's middle piece, from (0.0, 0.0) to (3.0, 0.0), and
+    # the short segment, from -1e-17 (key -0.0) to 3.0, are one piece
+    out.append(([Segment((-2.0, 0.0), (5.0, 0.0)), Segment((-1e-17, -0.0), (3.0, -0.0))], lambda p: p[1] >= 0.0))
+    return out
+
+
+def test_the_array_pass_matches_the_piece_loops_on_adversarial_fields():
+    fields = [(curves, batched(inside), 1e-7, 1e-9) for curves, inside in adversarial_fields()]
+    kept = geom._classified_pieces(fields)
+    built = regions_from_curves(fields)
+    zero = dropped = 0
+    short = Segment((-1e-17, -0.0), (3.0, -0.0))
+    for (curves, inside, offset, snap), got, reg in zip(fields, kept, built):
+        pieces = piecewise_pieces(curves, snap)
+        want = [pc for pc in _classify_pieces(pieces, inside, offset) if pc is not None]
+        assert repr(got) == repr(want)
+        assert repr(reg.loops) == repr(piecewise_region(curves, inside, offset=offset, snap=snap).loops)
+        zero += sum(isinstance(pc, Segment) and pc.a == pc.b for pc in pieces)
+        dropped += curves[-1] == short and short not in pieces
+    assert zero == 1 and dropped == 1
 
 
 def test_tolerance_for_diameter():
