@@ -54,12 +54,12 @@ def _dedupe(xy: np.ndarray, rank: np.ndarray, eps: float) -> np.ndarray:
     interact, so the walk visits just the points that have one; the rest are
     kept whatever the order.  Returns indices in walk order."""
     order = np.lexsort((rank, xy[:, 1], xy[:, 0]))
-    p = xy[order]
+    p = xy.take(order, axis=0)
     # a point equal to the one before it sees the same kept points and is
     # dropped whatever became of that one: only the first of each run walks
     lead = np.ones(len(p), dtype=bool)
     lead[1:] = (p[1:] != p[:-1]).any(axis=1)
-    order, p = order[lead], p[lead]
+    order, p = order.compress(lead), p.compress(lead, axis=0)
     if len(p) == 0:
         return order
     key = np.floor(p / (eps if eps > 0 else 1.0))
@@ -81,12 +81,12 @@ def _dedupe(xy: np.ndarray, rank: np.ndarray, eps: float) -> np.ndarray:
     keep = np.ones(len(p), dtype=bool)
     kept: dict[int, list[list[float]]] = {}
     walk = walk[others > 0]
-    for k, q, c in zip(walk.tolist(), p[walk].tolist(), code[walk].tolist()):
+    for k, q, c in zip(walk.tolist(), p.take(walk, axis=0).tolist(), code.take(walk).tolist()):
         if any(math.dist(q, r) <= eps for step in around for r in kept.get(c + step, ())):
             keep[k] = False
         else:
             kept.setdefault(c, []).append(q)
-    return order[keep]
+    return order.compress(keep)
 
 
 def comprehensive_candidates(s: Scenario) -> CandidateSet:
@@ -326,19 +326,19 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
         rays.append(live)
         radii.append(r)
         r = r - eps_r
-        on = r >= floor[live]
-        live, r = live[on], r[on]
+        on = r >= floor.take(live)
+        live, r = live.compress(on), r.compress(on)
     ray, r = np.concatenate(rays), np.concatenate(radii)
     order = np.argsort(ray, kind="stable")
-    ray, r = ray[order], r[order]
-    x = mx[ray] + r * ux[ray]
-    y = my[ray] + r * uy[ray]
+    ray, r = ray.take(order), r.take(order)
+    x = mx.take(ray) + r * ux.take(ray)
+    y = my.take(ray) + r * uy.take(ray)
 
-    tj = ray_t[ray]
-    keep = covers_np(x, y, ts, cols, tj, sensor, eps[tj])
-    xy = _clamp_to_area(np.stack([x[keep], y[keep]], axis=1), s)
+    tj = ray_t.take(ray)
+    keep = covers_np(x, y, ts, cols, tj, sensor, eps.take(tj))
+    xy = _clamp_to_area(np.stack([x.compress(keep), y.compress(keep)], axis=1), s)
     kept = _dedupe(xy, np.full(len(xy), _TAG_RANK["bcpf-sample"]), s.eps_len)
-    return CandidateSet(xy[kept], ["bcpf-sample"] * len(kept),
+    return CandidateSet(xy.take(kept, axis=0), ["bcpf-sample"] * len(kept),
                         params={"algo": "bcpf", "eps_a": eps_a, "eps_r": eps_r})
 
 

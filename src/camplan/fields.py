@@ -185,12 +185,12 @@ def covers_np(x, y, targets: Sequence[Target], cols: np.ndarray, tj, sensor: Sen
     slacks decide every camera whose slacks all clear the margins above,
     `covers` the few with a slack within them."""
     out = np.zeros(len(tj), dtype=bool)
-    nx, ny, vmx, vmy = cols[4][tj], cols[5][tj], x - cols[6][tj], y - cols[7][tj]
+    nx, ny, vmx, vmy = cols[4].take(tj), cols[5].take(tj), x - cols[6].take(tj), y - cols[7].take(tj)
     facing = (sensor.phi + EPS_ANG) - np.arctan2(np.abs(nx * vmy - ny * vmx), nx * vmx + ny * vmy)
     f = np.flatnonzero(facing >= -_ANG_MARGIN)
-    x, y, tj, vmx, vmy = x[f], y[f], tj[f], vmx[f], vmy[f]
-    eps = eps[f] if np.ndim(eps) else eps
-    sx, sy, ex, ey = (c[tj] for c in cols[:4])
+    x, y, tj, vmx, vmy = x.take(f), y.take(f), tj.take(f), vmx.take(f), vmy.take(f)
+    eps = eps.take(f) if np.ndim(eps) else eps
+    sx, sy, ex, ey = (c.take(tj) for c in cols[:4])
     vsx, vsy, vex, vey = sx - x, sy - y, ex - x, ey - y
     d_s = np.sqrt(vsx * vsx + vsy * vsy)
     d_e = np.sqrt(vex * vex + vey * vey)
@@ -199,7 +199,7 @@ def covers_np(x, y, targets: Sequence[Target], cols: np.ndarray, tj, sensor: Sen
     lengths = [d_s - above, d_e - above, (sensor.r_max + eps) - np.maximum(d_s, d_e), np.sqrt(vmx * vmx + vmy * vmy) - above]
     if sensor.r_min > 0.0:
         lengths.append(_seg_point_dist_np(x, y, sx, sy, ex, ey) - (sensor.r_min - eps))
-    angles = [facing[f]]
+    angles = [facing.take(f)]
     if sensor.theta < math.pi:
         angles.append((sensor.theta + EPS_ANG) - np.arctan2(np.abs(vsx * vey - vsy * vex), vsx * vex + vsy * vey))
     margin = _LEN_MARGIN * eps

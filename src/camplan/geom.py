@@ -261,7 +261,7 @@ def box_pairs(lo: np.ndarray, hi: np.ndarray, lo_b: np.ndarray | None = None,
                 & (lo[r, None, 1] <= hi_b[:, 1]) & (lo_b[:, 1] <= hi[r, None, 1]))
         if one:
             near = np.triu(near, k=a + 1)
-        i, j = np.nonzero(near)
+        i, j = np.divmod(np.flatnonzero(near), len(lo_b))
         ia.append(i + a)
         ib.append(j)
     return np.concatenate(ia), np.concatenate(ib)
@@ -543,21 +543,19 @@ def segment_blocks_triangle(blocker: Segment, apex: Point, base: Segment, eps: f
 
 def _blocks_triangle_np(ax, ay, sx, sy, ex, ey, bax, bay, bbx, bby, eps):
     """Elementwise segment_blocks_triangle: blocker (ba, bb) enters the open
-    triangle (apex, s, e)."""
-    cross = (sx - ax) * (ey - ay) - (sy - ay) * (ex - ax)
-    sgn = np.sign(cross)
+    triangle (apex, s, e), which spans the full shape.  Edge lengths and the
+    midpoint tests run only where the plane tests pass."""
+    sgn = np.sign((sx - ax) * (ey - ay) - (sy - ay) * (ex - ax))
     # degenerate slivers never block
     out = sgn != 0.0
-    vx = (ax, sx, ex)
-    vy = (ay, sy, ey)
-    lo = np.zeros(out.shape)
-    hi = np.ones(out.shape)
+    vx, vy = (ax, sx, ex), (ay, sy, ey)
+    lo, hi = np.zeros(out.shape), np.ones(out.shape)
     planes = []
     for i in range(3):
         ux, uy = vx[i], vy[i]
         nx = sgn * (uy - vy[(i + 1) % 3])
         ny = sgn * (vx[(i + 1) % 3] - ux)
-        planes.append((ux, uy, nx, ny, np.hypot(nx, ny)))
+        planes += [ux, uy, nx, ny]
         dp = nx * (bax - ux) + ny * (bay - uy)
         dq = nx * (bbx - ux) + ny * (bby - uy)
         out &= (dp >= 0.0) | (dq >= 0.0)
@@ -566,11 +564,16 @@ def _blocks_triangle_np(ax, ay, sx, sy, ex, ey, bax, bay, bbx, bby, eps):
         lo = np.where((dp < 0.0) & (dq >= 0.0), np.maximum(lo, at), lo)
         hi = np.where((dq < 0.0) & (dp >= 0.0), np.minimum(hi, at), hi)
     out &= hi - lo > 1e-12
+    # each array at the elements left, a smaller one first copied out to the full shape
+    k = np.flatnonzero(out)
+    bax, bay, bbx, bby, lo, hi, *planes = (
+        v if np.ndim(v) == 0 else (v if np.shape(v) == out.shape else np.positive(v, out=np.empty(out.shape))).take(k)
+        for v in (bax, bay, bbx, bby, lo, hi, *planes))
     sm = (lo + hi) / 2.0
     mx = bax + sm * (bbx - bax)
     my = bay + sm * (bby - bay)
-    for ux, uy, nx, ny, nlen in planes:
-        out &= nx * (mx - ux) + ny * (my - uy) > eps * nlen
+    np.put(out, k, np.logical_and.reduce([nx * (mx - ux) + ny * (my - uy) > eps * np.hypot(nx, ny)
+                                          for ux, uy, nx, ny in (planes[i:i + 4] for i in (0, 4, 8))]))
     return out
 
 

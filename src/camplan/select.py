@@ -55,10 +55,10 @@ def _aim(table: ConfigTable, rows: np.ndarray, open_col: np.ndarray, theta: floa
     best = np.where(-half > best, -half, best)
     alpha = _norm_angle_np(center + np.where(half < best, half, best))
     # the deviations summed member by member in member order: a running sum
-    # along each zero-padded row adds in that order, where a reduction may not
-    dev = np.zeros((rows.size, int(k.max(initial=1))))
-    dev[owner, np.arange(owner.size) - first[owner]] = np.abs(_wrap_pi_np(mid - alpha[owner]))
-    return alpha, np.cumsum(dev, axis=1)[:, -1]
+    # down each zero-padded column adds in that order, where a reduction may not
+    dev = np.zeros((int(k.max(initial=1)), rows.size))
+    dev[np.arange(owner.size) - first.take(owner), owner] = np.abs(_wrap_pi_np(mid - alpha.take(owner)))
+    return alpha, np.cumsum(dev, axis=0)[-1]
 
 
 def greedy_cover(table: ConfigTable, s: Scenario, vd_mode: str = "f1") -> Solution:

@@ -19,7 +19,10 @@
 - scenario generation that tests each draw against every placed segment,
   which `scenario.random_scenario` cuts to the neighbouring grid cells;
 - the sweep's subset pass with a cone re-check on every config, which
-  `sweep._subsets` leaves out: its comment argues the check cannot fail;
+  `sweep._subsets` leaves out: its comment argues the check cannot fail,
+  and the maximal-row test and emission as per-row `packbits`, last-axis
+  reductions and 2-D `nonzero` (`maximal_rows`, `emit_rows`), which the
+  sweep runs over flat buffers;
 - probe points on the boundaries of the coverage clauses (`clause_boundary_points`),
   where the array clauses leave their verdicts to `fields.covers`.
 
@@ -62,7 +65,7 @@ from camplan.geom import (
 )
 from camplan.fields import aov_pair
 from camplan.model import CandidateConfig, ConfigTable, Obstacle, Scenario, SensorSpec, Target
-from camplan.sweep import _BUDGET, _maximal_rows
+from camplan.sweep import _BUDGET
 
 
 def batched(inside: Callable[[Point], bool]) -> Callable[[np.ndarray], np.ndarray]:
@@ -700,6 +703,42 @@ def groups_equal(a, b) -> bool:
 
 # --- the subset pass ----------------------------------------------------------
 
+def maximal_rows(fits: np.ndarray) -> np.ndarray:
+    """(G, K) mask of the anchors whose (G, K, K) fits row is a maximal subset:
+    non-empty, the first anchor with that row, and strictly inside no other row.
+    Each row packs into words of the fewest bytes (1, 2, 4 or 8) that hold K
+    bits, or into several 8-byte words, and every pair of rows is compared
+    along the last axis."""
+    K = fits.shape[1]
+    nb = -(-K // 8)
+    size = min(8, 1 << (nb - 1).bit_length())
+    W = -(-nb // size)
+    bits = np.zeros(fits.shape[:2] + (W * size,), dtype=np.uint8)
+    bits[:, :, :nb] = np.packbits(fits, axis=2, bitorder="little")
+    bits = bits.view(f"<u{size}")
+    word = bits[:, :, 0]
+    neq = word[:, :, None] != word[:, None, :]
+    sub = (word[:, :, None] & ~word[:, None, :]) == 0   # sub[g, a, b]: row a within row b
+    for w in range(1, W):
+        word = bits[:, :, w]
+        neq |= word[:, :, None] != word[:, None, :]
+        sub &= (word[:, :, None] & ~word[:, None, :]) == 0
+    # a row within an earlier anchor's row, or strictly within a later one's
+    earlier = np.tri(K, k=-1, dtype=bool)   # earlier[a, b]: b < a
+    return ~(sub & (neq | earlier)).any(axis=2) & bits.any(axis=2)
+
+
+def emit_rows(fits: np.ndarray, reach: np.ndarray):
+    """The maximal rows of a (G, K, K) pass as 2-D index pairs: per config
+    its (g, anchor) and span, the largest reach over its row; per member its
+    config and column, row by row."""
+    gm, am = np.nonzero(maximal_rows(fits))
+    rows = fits[gm, am]
+    span = np.where(rows, reach[gm, am], -np.inf).max(axis=1)
+    r, c = np.nonzero(rows)
+    return gm, am, span, r, c
+
+
 def dense_recheck_subsets(pts: np.ndarray, pi, tj, idx):
     """`sweep._subsets` with the cone re-check run on every config."""
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64),
@@ -731,9 +770,8 @@ def dense_recheck_subsets(pts: np.ndarray, pi, tj, idx):
             # [g, anchor, member]: how far past the anchor's lo the member ends
             reach = _mod_2pi_np(lo_m[:, None, :] - lo_p[:, :, None], turns=1) + wd_m[:, None, :]
             fits = reach <= limit
-            gm, am = np.nonzero(_maximal_rows(fits))
+            gm, am, span, _, _ = emit_rows(fits, reach)
             rows = fits[gm, am]
-            span = np.where(rows, reach[gm, am], -np.inf).max(axis=1)
             lo_a = lo_p[gm, am]
             # re-verify angular containment at vd_rep (range/facing already hold)
             cone_lo = lo_a + span / 2.0 - theta / 2.0

@@ -21,8 +21,8 @@ from camplan.model import CameraPlacement, Obstacle, Scenario, SensorSpec, Solut
 from camplan.scenario import GenParams, random_scenario
 from camplan.sweep import sweep_points
 
-from oracles import (boundary_distance, clause_boundary_points, contains, dense_recheck_subsets, groups_equal,
-                     optimal_vd, subset_window, ulp_neighbours)
+from oracles import (boundary_distance, clause_boundary_points, contains, dense_recheck_subsets, emit_rows,
+                     groups_equal, optimal_vd, subset_window, ulp_neighbours)
 
 DEG = math.pi / 180.0
 SENSOR = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=2.0, phi_deg=90.0)
@@ -436,6 +436,45 @@ def test_batched_occlusion_matches_scalar_reference(triples, eps):
     assert got.tolist() == want
 
 
+def clip_cases(rng: random.Random):
+    """Apexes and blockers about the target (0, 0)-(4, 0): slivers (apexes on
+    the target's line, at its ends), blockers along and touching the edges,
+    zero-length blockers, and random ones."""
+    s, e = (0.0, 0.0), (4.0, 0.0)
+    apexes = [(rng.uniform(-2.0, 6.0), rng.uniform(0.5, 5.0)) for _ in range(12)]
+    apexes += [(rng.uniform(-2.0, 6.0), rng.uniform(-5.0, -0.5)) for _ in range(4)]
+    apexes += [s, e, (-3.0, 0.0), (2.0, 0.0), (9.0, 0.0)]
+    blockers = [((rng.uniform(-2.0, 6.0), rng.uniform(-1.0, 5.0)), (rng.uniform(-2.0, 6.0), rng.uniform(-1.0, 5.0)))
+                for _ in range(12)]
+    blockers += [(s, e), ((1.0, 0.0), (3.0, 0.0)), ((2.0, 0.0), (2.0, 3.0)), ((2.0, -1.0), (2.0, 0.0)),
+                 ((1.0, 1.0), (1.0, 1.0)), ((2.0, 0.0), (2.0, 0.0)), ((-1.0, 0.0), (5.0, 0.0)),
+                 ((2.0, 0.5), (2.0, 0.5 + 1e-13)), ((1.0, 0.2), (3.0, 0.2))]
+    return s, e, apexes, blockers
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_clip_matches_scalar_reference_in_both_call_forms(seed):
+    # the clip runs its edge lengths and midpoint tests only on the elements
+    # that pass its plane tests: both call forms keep every element's verdict
+    s, e, apexes, blockers = clip_cases(random.Random(seed))
+    apexes += [(a[0] + 1e-9 * (x + 1.0), a[1]) for x, a in enumerate(apexes[:4])]
+    want = np.array([[segment_blocks_triangle(Segment(*b), a, Segment(s, e), eps) for b in blockers]
+                     for eps in (0.0, 1e-9) for a in apexes])
+    k, nb = len(apexes), len(blockers)
+    ends = np.array([(*b[0], *b[1]) for b in blockers]).T
+    x, y = np.array(apexes).T
+    # the sweep's form: flat arrays, one element per (apex, blocker) pair
+    for eps, rows in ((0.0, want[:k]), (1e-9, want[k:])):
+        flat = [np.repeat(x, nb), np.repeat(y, nb)] + [np.full(k * nb, c) for c in (*s, *e)]
+        got = geom._blocks_triangle_np(*flat, *(np.tile(c, k) for c in ends), eps)
+        assert got.tolist() == rows.ravel().tolist()
+    # `fields._field_inside`'s form: scalar ends, broadcast apex columns, blocker rows, eps 0
+    ax, ay = (np.broadcast_to(c[:, None], (k, nb)) for c in (x, y))
+    got = geom._blocks_triangle_np(ax, ay, *s, *e, *ends, 0.0)
+    assert got.shape == (k, nb) and got.tolist() == want[:k].tolist()
+    assert 0 < want.sum() < want.size
+
+
 def levelwise_maximal(x, s):
     """Oracle for many coverable targets: every feasible subset, grown one
     target at a time (a subset of a feasible set is feasible), then the maximal ones."""
@@ -586,6 +625,33 @@ def near_limit_thetas(pts, pi, cols, nominal):
 
 def same_subsets(got, want) -> bool:
     return all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(got[0] + got[1], want[0] + want[1]))
+
+
+@pytest.mark.parametrize("K", [1, 7, 8, 9, 16, 17, 32, 33, 64, 65, 130])
+def test_maximal_rows_match_the_per_row_packing(K):
+    # rows pack into 1-, 2-, 4- and 8-byte words and into several 8-byte
+    # words; equal, nested and empty rows, anchors whose own member does not
+    # fit, and a point with no non-empty row
+    rng = np.random.default_rng(K)
+    G = 7
+    fits = rng.random((G, K, K)) < rng.random((G, K, 1))
+    for g, a in itertools.product(range(1, G), range(K)):
+        kind, b = rng.integers(4), rng.integers(K)
+        if kind == 0:
+            fits[g, a] = fits[g, b]
+        elif kind == 1:
+            fits[g, a] = fits[g, b] & (rng.random(K) < 0.7)
+        elif kind == 2:
+            fits[g, a] = False
+    fits[:, np.arange(K), np.arange(K)] &= rng.random((G, K)) < 0.8
+    fits[0], fits[-1, -1] = False, True
+    reach = np.where(fits, rng.random(fits.shape), 1.0 + rng.random(fits.shape))
+    gm, am, span, r, c = emit_rows(fits, reach)
+    head, got_span, count, member = sweep_module._maximal_rows(fits, reach)
+    assert np.array_equal(head, gm * K + am) and np.array_equal(got_span, span)
+    assert np.array_equal(count, np.bincount(r, minlength=gm.size))
+    assert np.array_equal(member, gm[r] * K + c)
+    assert 0 < head.size and (K == 1 or head.size < fits.any(axis=2).sum())
 
 
 def window_widths(subsets, theta):
