@@ -9,10 +9,11 @@ Curves meet in one place: `intersections`, a batched kernel over tables of
 segments, circles and arcs (`curve_table`).  The fields of a scene are built
 in one array pass over all their pieces (`regions_from_curves`): it splits
 the curves at their cuts, dedupes the pieces, sets out the probes and counts
-the votes for every field at once, while each field keeps one
-`intersections` call over all its curve pairs and one `inside` call for its
-probes.  Comprehensive candidate generation then finds every field x field
-and field x view-circle crossing of a scene with one more call.
+the votes for every field at once, with one `intersections` call over the
+curve pairs of every field, each pair at its field's tolerance; each field
+keeps one `inside` call for its probes.  Comprehensive candidate generation
+then finds every field x field and field x view-circle crossing of a scene
+with one more call.
 """
 from __future__ import annotations
 
@@ -306,9 +307,10 @@ def circle_table(xyr: np.ndarray) -> CurveTable:
 
 
 def intersections(a: CurveTable, ia: np.ndarray, b: CurveTable, ib: np.ndarray,
-                  eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where row ia[k] of `a` meets row ib[k] of `b`, for every call k:
-    (the call of each point, the (m, 2) points, which calls overlap).
+                  eps: float | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where row ia[k] of `a` meets row ib[k] of `b`, for every call k, at
+    tolerance eps, one for every call or eps[k] per call: (the call of each
+    point, the (m, 2) points, which calls overlap).
 
     Points come call by call, each call's in sorted() order, and a point is
     kept only when it lies on each operand that is a piece: within 2*eps of
@@ -321,6 +323,7 @@ def intersections(a: CurveTable, ia: np.ndarray, b: CurveTable, ib: np.ndarray,
     `math.hypot` and `math.atan2` wherever they feed a coordinate or a test,
     so a call's points do not depend on the calls batched with it."""
     n = len(ia)
+    eps = np.broadcast_to(np.asarray(eps, dtype=float), (n,))
     pts = np.zeros((n, 2, 2))   # [call, slot, x/y]: up to two points a call
     ok = np.zeros((n, 2), dtype=bool)
     overlap = np.zeros(n, dtype=bool)
@@ -331,24 +334,25 @@ def intersections(a: CurveTable, ia: np.ndarray, b: CurveTable, ib: np.ndarray,
         swap = _lex_less(v, u)
         pts[k, 0], ok[k, 0], overlap[k] = _seg_seg(
             np.where(swap[:, None], v, u), np.where(swap, lv, lu),
-            np.where(swap[:, None], u, v), np.where(swap, lu, lv), eps)
+            np.where(swap[:, None], u, v), np.where(swap, lu, lv), eps[k])
 
         k = np.flatnonzero(seg_a != seg_b)   # the segment first, either way round
         first = seg_a[k, None]
         pts[k], ok[k] = _seg_circle(np.where(first, a.seg[ia[k]], b.seg[ib[k]]),
-                                    np.where(first, b.circle[ib[k]], a.circle[ia[k]]), eps)
+                                    np.where(first, b.circle[ib[k]], a.circle[ia[k]]), eps[k])
 
         k = np.flatnonzero(~seg_a & ~seg_b)
         u, v = a.circle[ia[k]], b.circle[ib[k]]
         swap = _lex_less(v, u)[:, None]
-        pts[k], ok[k], overlap[k] = _circle_circle(np.where(swap, v, u), np.where(swap, u, v), eps)
+        pts[k], ok[k], overlap[k] = _circle_circle(np.where(swap, v, u), np.where(swap, u, v), eps[k])
 
     # sorted(): the second point first when it is lexicographically smaller
     flip = ok.all(axis=1) & _lex_less(pts[:, 1], pts[:, 0])
     pts[flip] = pts[flip, ::-1]
     call, slot = np.nonzero(ok)
     xy = pts[call, slot]
-    on = _on_pieces(a, ia[call], xy, eps) & _on_pieces(b, ib[call], xy, eps)
+    e = eps[call]
+    on = _on_pieces(a, ia[call], xy, e) & _on_pieces(b, ib[call], xy, e)
     return call[on], xy[on], overlap
 
 
@@ -365,10 +369,10 @@ def _math(f, *cols: np.ndarray) -> np.ndarray:
 
 
 def _seg_seg(s1, len1, s2, len2, eps):
-    """Segments s1 x s2, rows (ax, ay, bx, by) of lengths len1 and len2:
-    (point, found, overlap).  Segments parallel within eps meet where they
-    are collinear and touch; otherwise the point lies on s1 at its clamped
-    parameter."""
+    """Segments s1 x s2, rows (ax, ay, bx, by) of lengths len1 and len2, at
+    tolerance eps per row: (point, found, overlap).  Segments parallel
+    within eps meet where they are collinear and touch; otherwise the point
+    lies on s1 at its clamped parameter."""
     (px, py, p2x, p2y), (qx, qy, q2x, q2y) = s1.T, s2.T
     rx, ry, sx, sy = p2x - px, p2y - py, q2x - qx, q2y - qy
     rxs = rx * sy - ry * sx
@@ -398,11 +402,11 @@ def _seg_seg(s1, len1, s2, len2, eps):
 
 
 def _seg_circle(seg, circle, eps):
-    """Segments x circles, rows (ax, ay, bx, by) and (x, y, r): (points,
-    found), two slots each.  A discriminant negative by less than
-    4*A*eps*max(r, 1) grazes the circle once; clamped parameters move a
-    point onto the segment; a second root within eps of the first is
-    dropped."""
+    """Segments x circles, rows (ax, ay, bx, by) and (x, y, r), at tolerance
+    eps per row: (points, found), two slots each.  A discriminant negative
+    by less than 4*A*eps*max(r, 1) grazes the circle once; clamped
+    parameters move a point onto the segment; a second root within eps of
+    the first is dropped."""
     ax, ay, bx, by = seg.T
     vx, vy, vr = circle.T
     dx, dy = bx - ax, by - ay
@@ -421,14 +425,15 @@ def _seg_circle(seg, circle, eps):
     pts = np.stack((ax[:, None] + t * dx[:, None], ay[:, None] + t * dy[:, None]), axis=2)
     two = np.flatnonzero(ok.all(axis=1))
     gap = pts[two, 0] - pts[two, 1]
-    ok[two, 1] = _math(math.hypot, gap[:, 0], gap[:, 1]) > eps
+    ok[two, 1] = _math(math.hypot, gap[:, 0], gap[:, 1]) > eps[two]
     return pts, ok
 
 
 def _circle_circle(c1, c2, eps):
-    """Circles c1 x c2, rows (x, y, r): (points, found, overlap), two slots
-    each.  Circles apart or nested by at most eps touch once; so do circles
-    whose common chord is within eps of a point."""
+    """Circles c1 x c2, rows (x, y, r), at tolerance eps per row: (points,
+    found, overlap), two slots each.  Circles apart or nested by at most eps
+    touch once; so do circles whose common chord is within eps of a
+    point."""
     n = len(c1)
     pts = np.zeros((n, 2, 2))
     (x1, y1, r1), (x2, y2, r2) = c1.T, c2.T
@@ -452,10 +457,10 @@ def _circle_circle(c1, c2, eps):
     return pts, np.stack((hit, hit & ~one), axis=1), overlap
 
 
-def _on_pieces(tab: CurveTable, row: np.ndarray, xy: np.ndarray, eps: float) -> np.ndarray:
-    """Whether each point xy[k] lies on row[k] of `tab`: within 2*eps of a
-    segment piece, or at a bearing within 2*eps/max(r, eps) of an arc's
-    sweep from its center; always for a curve."""
+def _on_pieces(tab: CurveTable, row: np.ndarray, xy: np.ndarray, eps: np.ndarray) -> np.ndarray:
+    """Whether each point xy[k] lies on row[k] of `tab`, at tolerance eps[k]:
+    within 2*eps of a segment piece, or at a bearing within 2*eps/max(r, eps)
+    of an arc's sweep from its center; always for a curve."""
     piece = tab.piece[row]
     on = ~piece
     if on.all():
@@ -467,12 +472,12 @@ def _on_pieces(tab: CurveTable, row: np.ndarray, xy: np.ndarray, eps: float) -> 
     dx, dy = bx - ax, by - ay
     t = ((px - ax) * dx + (py - ay) * dy) / (dx * dx + dy * dy)
     t = np.where(t < 0.0, 0.0, np.where(t > 1.0, 1.0, t))
-    on[k] = _math(math.hypot, px - (ax + t * dx), py - (ay + t * dy)) <= 2.0 * eps
+    on[k] = _math(math.hypot, px - (ax + t * dx), py - (ay + t * dy)) <= 2.0 * eps[k]
     k = np.flatnonzero(piece & ~seg)
     (cx, cy, r), (start, sweep, ccw) = tab.circle[row[k]].T, tab.arc[row[k]].T
     px, py = xy[k, 0] - cx, xy[k, 1] - cy
     ang = _math(math.atan2, py, px)
-    tol = 2.0 * eps / np.maximum(r, eps)
+    tol = 2.0 * eps[k] / np.maximum(r, eps[k])
     off = _norm_angle_np(np.where(ccw == 1.0, ang - start, start - ang))
     on[k] = ((px != 0.0) | (py != 0.0)) & ((off <= sweep + tol) | (off >= TWO_PI - tol))
     return on
@@ -652,10 +657,10 @@ def regions_from_curves(fields: Sequence[Field]) -> list[Region]:
     """`region_from_curves` of each field (curves, inside, offset, snap),
     built in one array pass over the pieces of every field: cut parameters,
     the split at merged cuts, piece ends and probe frames, the piece dedupe
-    and the votes.  Each field makes its own one `intersections` call
-    (`_cuts`) and its own one `inside` call, on its slice of the probes;
-    `Segment`s and `Arc`s are made only for the pieces kept, and chained
-    into loops field by field."""
+    and the votes.  One `intersections` call (`_cuts`) takes the curve pairs
+    of every field, each at its field's snap; each field makes its own one
+    `inside` call, on its slice of the probes.  `Segment`s and `Arc`s are
+    made only for the pieces kept, and chained into loops field by field."""
     out = []
     for kept, (_, _, _, snap) in zip(_classified_pieces(fields), fields):
         loops = _chain_loops(kept, snap)
@@ -668,19 +673,15 @@ def _classified_pieces(fields: Sequence[Field]) -> list[list[Piece]]:
     with the inside on its left.  Every step repeats the scalar piece loops
     (kept in `tests/oracles.py`) in their arithmetic, with `math` cos, sin,
     hypot and atan2, so a field's pieces do not depend on the fields built
-    with it."""
+    with it.  The cuts of every field come from one `_cuts` call, each
+    field's pairs at its own snap."""
     curves = [_dedupe_curves(list(cs), snap) for cs, _, _, snap in fields]
     first = np.cumsum([0] + [len(cs) for cs in curves])
     curves = [c for cs in curves for c in cs]
     table = curve_table(curves)
-    cut, t = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
-    for (_, _, _, eps), lo, hi in zip(fields, first.tolist(), first[1:].tolist()):
-        c, ts = _cuts(CurveTable(*(col[lo:hi] for col in table)), eps)
-        cut.append(np.asarray(c, dtype=np.int64) + lo)
-        t.append(np.asarray(ts, dtype=float))
     snap, offset = (np.array([f[k] for f in fields], dtype=float) for k in (3, 2))
     owner = np.repeat(np.arange(len(fields)), np.diff(first))   # the field of each curve
-    curve, t0, t1 = _split(table, snap[owner], np.concatenate(cut), np.concatenate(t))
+    curve, t0, t1 = _split(table, snap[owner], *_cuts(table, first, snap))
     field = owner[curve]
 
     seg = np.isnan(table.circle[curve, 2])
@@ -778,13 +779,17 @@ def _circle_points(cx, cy, r, ang) -> tuple[np.ndarray, np.ndarray]:
     return cx + r * _math(math.cos, ang), cy + r * _math(math.sin, ang)
 
 
-def _cuts(table: CurveTable, eps: float) -> tuple[np.ndarray, np.ndarray]:
+def _cuts(table: CurveTable, first: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where the table's curves are cut, as (curve, parameter) per cut: at
-    their crossings with every other curve and, where two segments overlap,
-    at the other's ends.  Pairs i < j run as one batch; each curve's cuts
-    come in the order of its pairs, unsorted."""
-    i, j = np.triu_indices(len(table.seg), 1)
-    call, xy, overlap = intersections(table, i, table, j, eps)
+    their crossings with every other curve of their field and, where two
+    segments overlap, at the other's ends.  Field f holds rows first[f] to
+    first[f + 1] and meets at tolerance eps[f].  The pairs i < j of every
+    field run as one `intersections` call, field by field; each curve's
+    cuts come in the order of its pairs, unsorted, as the field's own call
+    would give them."""
+    pairs = [np.array(np.triu_indices(hi - lo, 1)) + lo for lo, hi in zip(first.tolist(), first[1:].tolist())]
+    i, j = np.concatenate([np.zeros((2, 0), dtype=np.intp)] + pairs, axis=1)
+    call, xy, overlap = intersections(table, i, table, j, np.repeat(eps, [p.shape[1] for p in pairs]))
     k = np.flatnonzero(overlap)
     # a crossing cuts i, then j; an overlap cuts i twice, at j's ends, then j
     # twice, at i's

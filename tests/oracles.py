@@ -6,9 +6,9 @@
   probe frames and the vote of each piece, which `geom.regions_from_curves`
   runs as one array pass over the pieces of every field;
 - the intersection rules of two curves or pieces (`intersect`,
-  `piece_intersections`, `piece_curve_intersections`) and the arrangement's
-  pair loop over them (`pairwise_cuts`), which `geom.intersections` runs as
-  one array pass over every call;
+  `piece_intersections`, `piece_curve_intersections`) and the arrangements'
+  pair loop over them, field by field (`pairwise_cuts`), which
+  `geom.intersections` runs as one array pass over every call;
 - greedy's window, direction and deviation rules, which `select._aim`
   applies to many configs at once;
 - the config table of a list of `CandidateConfig`s, which tests hand to
@@ -518,23 +518,25 @@ def _on_piece(pt: Point, piece: Piece, eps: float) -> bool:
     return piece.angle_inside(ang, tol)
 
 
-def pairwise_cuts(table: CurveTable, eps: float) -> tuple[np.ndarray, np.ndarray]:
-    """`geom._cuts` as the pair loop over `intersect`."""
+def pairwise_cuts(table: CurveTable, first: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`geom._cuts` as a pair loop over `intersect` per field: field f holds
+    rows first[f] to first[f + 1] and meets at eps[f]."""
     curves = table_curves(table)
     cuts: list[tuple[int, float]] = []
-    for i in range(len(curves)):
-        for j in range(i + 1, len(curves)):
-            res = intersect(curves[i], curves[j], eps)
-            if res is OVERLAP:
-                # split each at the other's endpoints for a clean arrangement
-                assert isinstance(curves[i], Segment) and isinstance(curves[j], Segment)
-                for pt in (curves[j].a, curves[j].b):
-                    cuts.append((i, _curve_param(curves[i], pt)))
-                for pt in (curves[i].a, curves[i].b):
-                    cuts.append((j, _curve_param(curves[j], pt)))
-                continue
-            for pt in res:
-                cuts += [(i, _curve_param(curves[i], pt)), (j, _curve_param(curves[j], pt))]
+    for lo, hi, e in zip(first[:-1].tolist(), first[1:].tolist(), np.asarray(eps).tolist()):
+        for i in range(lo, hi):
+            for j in range(i + 1, hi):
+                res = intersect(curves[i], curves[j], e)
+                if res is OVERLAP:
+                    # split each at the other's endpoints for a clean arrangement
+                    assert isinstance(curves[i], Segment) and isinstance(curves[j], Segment)
+                    for pt in (curves[j].a, curves[j].b):
+                        cuts.append((i, _curve_param(curves[i], pt)))
+                    for pt in (curves[i].a, curves[i].b):
+                        cuts.append((j, _curve_param(curves[j], pt)))
+                    continue
+                for pt in res:
+                    cuts += [(i, _curve_param(curves[i], pt)), (j, _curve_param(curves[j], pt))]
     return _cut_arrays(cuts)
 
 

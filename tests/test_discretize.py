@@ -19,7 +19,7 @@ from camplan.discretize import (
     fan_steps,
     grid_sample,
 )
-from camplan.fields import bcpf, cpf
+from camplan.fields import bcpf, cpf, interacting_blockers, regions
 from camplan.geom import Arc, Circle, Segment, curve_table
 from camplan.model import Obstacle, Scenario, SensorSpec, Target
 from camplan.scenario import GenParams, random_scenario
@@ -48,6 +48,17 @@ def test_comprehensive_single_target_is_field_vertices():
     verts = {tuple(round(c, 6) for c in v) for v in bcpf(t, SENSOR_2).vertices()}
     got = {tuple(round(c, 6) for c in p) for p in cs.points}
     assert got == verts
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_comprehensive_on_a_walled_scene_with_no_or_one_target(n):
+    s = scen([facing_left(0, (10.0, 10.0), (11.0, 10.0))][:n], SENSOR_2,
+             [Obstacle(0, ((9.0, 11.0), (10.2, 11.2))), Obstacle(1, ((12.0, 9.0), (12.5, 11.0)))], w=30.0, h=30.0)
+    cs = comprehensive_candidates(s)
+    want = unpruned_comprehensive(s)
+    assert cs.points.tolist() == [list(p) for p in want.points]
+    assert cs.provenance == want.provenance and cs.uncoverable == want.uncoverable == ()
+    assert len(cs) > 5 if n else cs.points.shape == (0, 2)
 
 
 def test_comprehensive_far_targets_no_cross_points():
@@ -256,9 +267,20 @@ def test_fields_match_the_scalar_pair_loop(name, monkeypatch):
     # every field, piece for piece; all but the bench scenes have segments
     # that overlap along a stretch
     s = PRUNING_SCENES[name]()
+    blockers = interacting_blockers(s.targets, s)
     got = [repr(cpf(t, s).loops) for t in s.targets]
-    monkeypatch.setattr(geom, "_cuts", pairwise_cuts)
+    got_all = [repr(reg.loops) for reg in regions(s.targets, s.sensor, blockers)]
+    fields_per_call = []
+
+    def oracle(table, first, eps):
+        fields_per_call.append(len(first) - 1)
+        return pairwise_cuts(table, first, eps)
+
+    monkeypatch.setattr(geom, "_cuts", oracle)
     assert [repr(cpf(t, s).loops) for t in s.targets] == got
+    assert [repr(reg.loops) for reg in regions(s.targets, s.sensor, blockers)] == got_all
+    # one field per cpf, then every field of the scene in one call
+    assert fields_per_call == [1] * s.n + [s.n]
 
 
 def reach_ring_pairs(r_max):
@@ -489,8 +511,10 @@ def test_view_circle_kernel_matches_scalar_on_near_contacts(eps):
     assert assert_kernel_matches(calls, eps)[0] > 2500
 
 
-def test_view_circle_kernel_matches_scalar_on_adversarial_calls():
-    eps = 1e-9 * math.hypot(100.0, 100.0)
+def adversarial_view_calls(eps):
+    """(piece, circle) calls where eps decides: coincident and nested circles,
+    tangent circles and segments, -0.0 coordinates, and arc sweeps across
+    angle 0."""
     unit = Circle((0.0, 0.0), 1.0)
     calls = [
         # identical circles and centers within eps (OVERLAP or nothing)
@@ -528,7 +552,50 @@ def test_view_circle_kernel_matches_scalar_on_adversarial_calls():
             p = unit.point_at(ang)
             calls += [(Arc(unit, start, end, ccw), Circle((p[0] + 0.5, p[1]), 0.5 + k * eps))
                       for k in (-1.0, 0.0, 1.0)]
+    return calls
+
+
+def test_view_circle_kernel_matches_scalar_on_adversarial_calls():
+    eps = 1e-9 * math.hypot(100.0, 100.0)
+    calls = adversarial_view_calls(eps)
     assert assert_kernel_matches(calls, eps)[0] > len(calls) // 3
+
+
+MIXED_EPS = (1e-9, 1e-9 * math.hypot(100.0, 100.0), 1e-6)
+
+
+def mixed_tolerance_calls(rng):
+    """(piece, piece or circle, eps) calls built at each tolerance of
+    MIXED_EPS and shuffled together: near contacts, both ways round, and
+    a third of the adversarial view-circle calls."""
+    calls = []
+    for eps in MIXED_EPS:
+        for _ in range(300):
+            p, q = near_contact(rng, eps)
+            calls += [(p, q, eps)] + ([] if isinstance(q, Circle) else [(q, p, eps)])
+        calls += [(p, q, eps) for p, q in adversarial_view_calls(eps) if rng.random() < 1 / 3]
+    rng.shuffle(calls)
+    return calls
+
+
+def test_kernel_with_a_tolerance_per_call_matches_each_call_alone():
+    # one batch, each call at its own eps, against every call run alone at
+    # its scalar eps: the same calls, points and overlap flags, bit for bit
+    calls = mixed_tolerance_calls(random.Random(17))
+    a = curve_table([p for p, _, _ in calls], pieces=True)
+    b = curve_table([q for _, q, _ in calls], pieces=True)
+    k = np.arange(len(calls))
+    eps = np.array([e for _, _, e in calls])
+    call, xy, overlap = geom.intersections(a, k, b, k, eps)
+    alone = [geom.intersections(a, k[n:n + 1], b, k[n:n + 1], e) for n, e in enumerate(eps.tolist())]
+    assert call.tolist() == [n for n, (c, _, _) in enumerate(alone) for _ in c.tolist()]
+    assert xy.tobytes() == np.concatenate([pts for _, pts, _ in alone]).tobytes()
+    assert overlap.tolist() == [bool(flag[0]) for _, _, flag in alone]
+    assert len(call) > len(calls) // 3 and overlap.sum() > 100
+    # the tolerances decide: at any one of them the batch finds other points
+    for e in MIXED_EPS:
+        one = geom.intersections(a, k, b, k, e)
+        assert one[0].tolist() != call.tolist() or one[1].tobytes() != xy.tobytes()
 
 
 def test_view_circle_kernel_matches_scalar_on_tiny_view_circles():

@@ -534,8 +534,8 @@ def test_the_array_pass_builds_each_field_as_the_piece_loops():
 
 @pytest.mark.parametrize("seed", [3000, 7000, 11000])
 def test_regions_equal_region_target_by_target(seed, monkeypatch):
-    # a bench-shaped scene: one intersections call and one membership call
-    # per field
+    # a bench-shaped scene: one intersections call for every field, and one
+    # membership call per field
     sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=20.0, phi_deg=90.0)
     s = random_scenario(GenParams(n_targets=25, n_obstacles=25, margin=3.0, seed=seed), sensor)
     blockers = interacting_blockers(s.targets, s)
@@ -559,7 +559,18 @@ def test_regions_equal_region_target_by_target(seed, monkeypatch):
     monkeypatch.setattr(fields_module, "_field_inside", spy_make)
     got = fields_module.regions(s.targets, sensor, blockers)
     assert [repr(reg.loops) for reg in got] == want
-    assert sorted(calls) == ["inside"] * s.n + ["intersections"] * s.n
+    assert sorted(calls) == ["inside"] * s.n + ["intersections"]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_regions_of_a_walled_scene_with_few_targets(n):
+    # no field, one field, and two whose cuts share one call
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=8.0, phi_deg=90.0)
+    s = random_scenario(GenParams(width=20.0, height=20.0, n_targets=n, n_obstacles=6, margin=1.5, seed=4), sensor)
+    got = fields_module.regions(s.targets, sensor, interacting_blockers(s.targets, s))
+    assert len(got) == n == len(s.targets)
+    assert [repr(reg.loops) for reg in got] == [repr(cpf(t, s).loops) for t in s.targets]
+    assert all(reg.loops for reg in got)
 
 
 def gap_probe_vectors(rng, n):

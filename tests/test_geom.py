@@ -34,8 +34,8 @@ from camplan.geom import (
     wrap_pi,
 )
 
-from oracles import (OVERLAP, _classify_piece, _classify_pieces, batched, contains, intersect, piecewise_pieces,
-                     piecewise_region, point_piece_distance)
+from oracles import (OVERLAP, _classify_piece, _classify_pieces, batched, contains, intersect, pairwise_cuts,
+                     piecewise_pieces, piecewise_region, point_piece_distance)
 
 SQRT3_2 = math.sqrt(3.0) / 2.0
 
@@ -414,6 +414,27 @@ def test_region_from_curves_lens():
     assert not contains(reg, (-0.5, 0.0))
 
 
+def test_fields_without_curve_pairs_among_fields_with_them():
+    # a field of no curve or of one curve has no pairs to cut: built among
+    # fields that have them, at other snaps, each field is the one its own
+    # pass builds; no field at all builds no region
+    square = [Segment((-1, 0), (2, 0)), Segment((-1, 1), (2, 1)), Segment((0, -1), (0, 2)), Segment((1, -1), (1, 2))]
+    fields = [
+        ([], batched(lambda p: False), 1e-7, 1e-9),
+        (square, batched(lambda p: 0 <= p[0] <= 1 and 0 <= p[1] <= 1), 1e-6, 1e-8),
+        ([Circle((0, 0), 1.0)], batched(lambda p: math.hypot(*p) <= 1.0), 1e-7, 1e-9),
+        ([Segment((0, 0), (1, 0))], batched(lambda p: p[1] >= 0.0), 1e-7, 1e-9),
+        ([], batched(lambda p: True), 1e-7, 1e-9),
+        ([Circle((0, 0), 1.0), Circle((1, 0), 1.0)], batched(lambda p: math.hypot(*p) <= 1.0), 1e-5, 1e-7),
+    ]
+    got = regions_from_curves(fields)
+    assert [len(reg.loops) for reg in got] == [0, 1, 1, 0, 0, 1]
+    for (curves, inside, offset, snap), reg in zip(fields, got):
+        assert repr(reg.loops) == repr(region_from_curves(curves, inside, offset=offset, snap=snap).loops)
+        assert repr(reg.loops) == repr(piecewise_region(curves, inside, offset=offset, snap=snap).loops)
+    assert regions_from_curves([]) == []
+
+
 def test_batched_piece_vote_matches_the_scalar_vote():
     # predicates whose boundary leaves a piece part way along, so its three
     # stations vote anywhere from -3 to 3: a segment, a zero-length segment
@@ -491,6 +512,51 @@ def test_the_array_pass_matches_the_piece_loops_on_adversarial_fields():
         zero += sum(isinstance(pc, Segment) and pc.a == pc.b for pc in pieces)
         dropped += curves[-1] == short and short not in pieces
     assert zero == 1 and dropped == 1
+
+
+def mixed_snap_fields(rng):
+    """(curves, snap) of fields at snaps from 1e-9 to 1e-4, deduped as the
+    pass dedupes them: the adversarial fields at every snap, and random ones
+    with a crossing, a collinear overlap, a zero-length segment and a
+    segment tangent to a circle within a few snaps."""
+    snaps = (1e-9, 1e-7, 1e-4)
+    out = [(curves, snap) for curves, _ in adversarial_fields() for snap in snaps]
+    for _ in range(40):
+        snap = rng.choice(snaps)
+        c = Circle((rng.uniform(-2, 2), rng.uniform(-2, 2)), rng.uniform(0.5, 3.0))
+        a, b = (rng.uniform(-3, 3), rng.uniform(-3, 3)), (rng.uniform(-3, 3), rng.uniform(-3, 3))
+        ab = Segment(a, b)
+        s0, s1 = sorted(rng.uniform(-0.5, 1.5) for _ in range(2))
+        ang = rng.uniform(0.0, 2.0 * math.pi)
+        d = c.radius + rng.choice([-2.0, -0.5, 0.0, 0.5, 2.0]) * snap
+        fx, fy = c.center[0] + d * math.cos(ang), c.center[1] + d * math.sin(ang)
+        tx, ty = -math.sin(ang), math.cos(ang)
+        out.append(([c, ab, Segment(ab.point_at(s0), ab.point_at(s1)), Segment(a, a),
+                     Segment((fx - tx, fy - ty), (fx + tx, fy + ty)), Segment(a, (b[1], b[0]))], snap))
+    rng.shuffle(out)
+    return [(geom._dedupe_curves(curves, snap), snap) for curves, snap in out]
+
+
+def test_one_cuts_call_gives_each_field_the_cuts_of_its_own_call():
+    # every field's curves in one table, each field at its own snap: a
+    # field's cuts are those its own call gives, in its order
+    fields = mixed_snap_fields(random.Random(9))
+    first = np.cumsum([0] + [len(cs) for cs, _ in fields])
+    table = curve_table([c for cs, _ in fields for c in cs])
+    snap = np.array([e for _, e in fields])
+    curve, t = geom._cuts(table, first, snap)
+    changed = 0
+    for (cs, e), lo, hi in zip(fields, first[:-1].tolist(), first[1:].tolist()):
+        alone = geom._cuts(curve_table(cs), np.array([0, len(cs)]), np.array([e]))
+        mine = (lo <= curve) & (curve < hi)
+        assert (curve[mine] - lo).tolist() == alone[0].tolist()
+        assert t[mine].tobytes() == alone[1].tobytes()
+        other = geom._cuts(curve_table(cs), np.array([0, len(cs)]), np.array([1e-4 if e < 1e-4 else 1e-9]))
+        changed += other[1].tobytes() != alone[1].tobytes()
+    assert changed > 10   # the snaps decide
+    # the scalar pair loop, field by field, cuts at the same places
+    want = pairwise_cuts(table, first, snap)
+    assert sorted(zip(curve.tolist(), t.tolist())) == sorted(zip(*(a.tolist() for a in want)))
 
 
 def test_tolerance_for_diameter():
