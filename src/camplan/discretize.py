@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import aov_pair, covers_np, field_tolerance, interacting_blockers, regions, target_columns
-from .geom import (CurveTable, DegenerateError, Piece, Segment, box_pairs, circle_table, curve_table,
-                   intersections)
+from .fields import aov_pair, covers_np, interacting_blockers, regions, target_columns
+from .geom import (CurveTable, DegenerateError, Piece, Segment, _math, box_pairs, circle_table, curve_table,
+                   intersections, scaled_eps)
 from .model import MAX_LENGTH, Scenario, Target
 
 _TAG_RANK = {"cpf-critical": 0, "cpf-x-cpf": 1, "cpf-x-aov": 2, "bcpf-sample": 3, "grid": 4}
@@ -54,18 +54,17 @@ def _dedupe(xy: np.ndarray, rank: np.ndarray, eps: float) -> np.ndarray:
     interact, so the walk visits just the points that have one; the rest are
     kept whatever the order.  Returns indices in walk order."""
     order = np.lexsort((rank, xy[:, 1], xy[:, 0]))
+    if len(order) == 0:
+        return order
     p = xy.take(order, axis=0)
     # a point equal to the one before it sees the same kept points and is
     # dropped whatever became of that one: only the first of each run walks
-    lead = np.ones(len(p), dtype=bool)
-    lead[1:] = (p[1:] != p[:-1]).any(axis=1)
+    lead = np.concatenate(([True], (p[1:, 0] != p[:-1, 0]) | (p[1:, 1] != p[:-1, 1])))
     order, p = order.compress(lead), p.compress(lead, axis=0)
-    if len(p) == 0:
-        return order
     key = np.floor(p / (eps if eps > 0 else 1.0))
     # cells as one int64 code; clamped points and a diameter-scaled eps keep
     # the codes far inside its range
-    key = (key - key.min(axis=0) + 1.0).astype(np.int64)
+    key = (key - np.array([c.min() for c in key.T]) + 1.0).astype(np.int64)
     stride = int(key[:, 1].max()) + 2
     code = key[:, 0] * stride + key[:, 1]
     cells = np.sort(code)
@@ -292,29 +291,28 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
     steps = fan_steps(sensor.phi, eps_a, len(s.targets))
     check_steps(eps_r=eps_r)
     ts = s.targets
-    psi = [-sensor.phi + (i + 0.5) * eps_a for i in range(steps)]
-    eps = np.array([field_tolerance(t, sensor) for t in ts])
     cols = target_columns(ts)
     sx, sy, ex, ey = cols[:4]
-    # one ray per (target, fan step), target-major
+    # per target `Target.width`, `field_tolerance`, (w / 2) ** 2 and atan2 as the scalar forms round them
+    width = _math(math.hypot, ex - sx, ey - sy)
+    eps = _math(scaled_eps, 2.0 * (sensor.r_max + width))
+    half_w2 = _math(lambda w: (w / 2.0) ** 2, width)
     base = np.array([math.atan2(t.normal[1], t.normal[0]) for t in ts])
-    angle = (base[:, None] + np.array(psi)).ravel().tolist()
-    ux = np.array([math.cos(a) for a in angle])
-    uy = np.array([math.sin(a) for a in angle])
+    # one ray per (target, fan step), target-major
+    angle = (base[:, None] + (-sensor.phi + (np.arange(steps) + 0.5) * eps_a)).ravel()
+    ux, uy = _math(math.cos, angle), _math(math.sin, angle)
     ray_t = np.repeat(np.arange(len(ts)), steps)
-    mx, my = cols[6][ray_t], cols[7][ray_t]
-    half_w2 = np.array([(t.width / 2.0) ** 2 for t in ts])[ray_t]
-    rr = sensor.r_max * sensor.r_max
+    mx, my, half_w2 = cols[6].take(ray_t), cols[7].take(ray_t), half_w2.take(ray_t)
     outer = np.full(ray_t.size, np.inf)
     for qx, qy in ((sx, sy), (ex, ey)):
         c = ux * (qx[ray_t] - mx) + uy * (qy[ray_t] - my)
-        disc = c * c + rr - half_w2
+        disc = c * c + sensor.r_max * sensor.r_max - half_w2
         reach = c + np.sqrt(np.where(disc < 0.0, 0.0, disc))
         # r_max shorter than the endpoint offset: no reach
         outer = np.where(disc < 0.0, -np.inf, np.where(reach < outer, reach, outer))
     # rings by repeated subtraction, which rounds as a walk inward does and
     # outer - k * eps_r does not
-    floor = np.array([max(sensor.r_min, t.width) - e for t, e in zip(ts, eps)])[ray_t]
+    floor = (np.maximum(sensor.r_min, width) - eps).take(ray_t)
     rays, radii = [np.zeros(0, dtype=np.int64)], [np.zeros(0)]
     live = np.flatnonzero(outer >= floor)
     # counted before any ring is built: a step below half an ulp of the
@@ -331,8 +329,7 @@ def bcpf_sample(s: Scenario, eps_a: float, eps_r: float) -> CandidateSet:
     ray, r = np.concatenate(rays), np.concatenate(radii)
     order = np.argsort(ray, kind="stable")
     ray, r = ray.take(order), r.take(order)
-    x = mx.take(ray) + r * ux.take(ray)
-    y = my.take(ray) + r * uy.take(ray)
+    x, y = mx.take(ray) + r * ux.take(ray), my.take(ray) + r * uy.take(ray)
 
     tj = ray_t.take(ray)
     keep = covers_np(x, y, ts, cols, tj, sensor, eps.take(tj))

@@ -4,15 +4,16 @@ Given a candidate position, find which targets it could cover, enumerate every
 maximal subset that fits in one view cone, and centre a viewing direction
 (vd_rep) on each subset's span; the members' bearing intervals, kept beside
 it, give the window of directions for any part of the subset.  `sweep_points`
-does this for many points in two phases, pair passes over spatial tiles and
-subset passes per live-pair count, into one `model.ConfigTable`.  A pair is
-live exactly where the scalar reference `fields.covers` holds, as decided by
-`fields.covers_np`, and no blocker clips its sight triangle: the clip
-(`geom._blocks_triangle_np`) tests the blockers whose shadow cones hold the
-apex, and no other blocker can clip it (see `_occluded`).  The subset
-passes wrap angles by compare-and-add (`geom._mod_2pi_np`), bit for bit
-`np.remainder`, and need no cone re-check (see `_subsets`).  The solution
-verifier (`select.verify_solution`) calls `covers` and never this module.
+does this for many points, read as two coordinate columns in tile order, in
+two phases, pair passes over the tiles and subset passes per live-pair count,
+into one `model.ConfigTable`.  A pair is live exactly where the scalar
+reference `fields.covers` holds, as decided by `fields.covers_np`, and no
+blocker clips its sight triangle: the clip (`geom._blocks_triangle_np`) tests
+the blockers whose shadow cones hold the apex, and no other blocker can clip
+it (see `_occluded`).  The subset passes wrap angles by compare-and-add
+(`geom._mod_2pi_np`), bit for bit `np.remainder`, and need no cone re-check
+(see `_subsets`).  The solution verifier (`select.verify_solution`) calls
+`covers` and never this module.
 
 The passes keep to flat numpy idioms, which numpy 2.4 runs several times
 faster than the 2-D forms on these shapes (one 2-vCPU Xeon host):
@@ -20,8 +21,10 @@ faster than the 2-D forms on these shapes (one 2-vCPU Xeon host):
 (1024, 16, 16) mask), a reduction over a leading axis for `.any` over a
 16-wide last axis (10 us against 0.7 ms), `take` and `compress` for fancy
 and mask indexing (0.15 against 1.5 ms gathering 60k rows of an (m, 2)
-array, 0.2 against 1.3 ms masking a (2, 60k) one), and one `packbits` over
-a flat buffer for `packbits(..., axis=2)` (11 us against 0.8 ms).
+array, 0.2 against 1.3 ms masking a (2, 60k) one), one `packbits` over a
+flat buffer for `packbits(..., axis=2)` (11 us against 0.8 ms), columns for
+an (m, 2) array (52 against 77 us for `x * y - x` over 60k), and a sort of
+key 2^32 + index for a stable `argsort` (0.08 against 0.8 ms on 12k keys).
 """
 from __future__ import annotations
 
@@ -31,8 +34,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .fields import covers_np, target_columns
-from .geom import (EPS_ANG, TWO_PI, _blocks_triangle_np, _mod_2pi_np, _norm_angle_np, _wrap_pi_np,
-                   box_pairs, segment_boxes)
+from .geom import EPS_ANG, TWO_PI, _blocks_triangle_np, _mod_2pi_np, _norm_angle_np, _wrap_pi_np, box_pairs
 from .model import CandidateConfig, ConfigTable, Scenario
 
 
@@ -47,8 +49,8 @@ _BUDGET = 1 << 18
 
 
 class ScenarioIndex:
-    """Flat numpy snapshot of a scenario for the batch sweep; blockers in the
-    order of `Scenario.blockers`, so blocker k < n is target k's own."""
+    """Flat numpy snapshot of a scenario for the batch sweep; the blocker columns bax, bay,
+    bbx, bby hold the ends of `Scenario.blockers` in order: the n targets', then each wall edge."""
 
     def __init__(self, s: Scenario):
         self.scenario = s
@@ -57,11 +59,9 @@ class ScenarioIndex:
         self.ids = np.array([t.id for t in ts], dtype=np.int64)
         self.columns = target_columns(ts)   # for `covers_np`
         self.sx, self.sy, self.ex, self.ey, self.nx, self.ny, self.mx, self.my = self.columns
-        blockers = s.blockers()
-        self.bax = np.array([b.a[0] for b in blockers])
-        self.bay = np.array([b.a[1] for b in blockers])
-        self.bbx = np.array([b.b[0] for b in blockers])
-        self.bby = np.array([b.b[1] for b in blockers])
+        edges = np.array([(*a, *b) for o in s.obstacles for a, b in zip(o.chain, o.chain[1:])],
+                         dtype=float).reshape(-1, 4)
+        self.bax, self.bay, self.bbx, self.bby = self.blockers = np.concatenate((self.columns[:4], edges.T), axis=1)
 
 
 def _shadow_cones(idx: ScenarioIndex):
@@ -69,8 +69,9 @@ def _shadow_cones(idx: ScenarioIndex):
     only from apexes whose keys 8 t + bearing from s lie in [lo[c], hi[c]]; a
     blocker that does comes within r_max + eps_len of the target."""
     reach = idx.scenario.sensor.r_max + 3.0 * idx.eps_len
-    t, b = box_pairs(*segment_boxes([t.segment for t in idx.scenario.targets], reach),
-                     *segment_boxes(idx.scenario.blockers(), 0.0))
+    # the blockers' boxes, the first n of them the targets'
+    lo, hi = np.minimum(idx.blockers[:2], idx.blockers[2:]).T, np.maximum(idx.blockers[:2], idx.blockers[2:]).T
+    t, b = box_pairs(lo[:idx.ids.size] - reach, hi[:idx.ids.size] + reach, lo, hi)
     t, b = t[b != t], b[b != t]
     # the bearings of the corners of b - t, as offsets in (-pi, pi] from the first's
     sx, sy, ex, ey = idx.sx[t], idx.sy[t], idx.ex[t], idx.ey[t]
@@ -88,29 +89,27 @@ def _shadow_cones(idx: ScenarioIndex):
     return t, b, 8.0 * t + lo, 8.0 * t + hi
 
 
-def _cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
-    """(point, target) index pairs that `fields.covers` covers at the scene
-    tolerance, by `fields.covers_np`, point-major with targets in index order."""
+def _cheap_pairs(x: np.ndarray, y: np.ndarray, idx: ScenarioIndex):
+    """(point, target) index pairs, point k at (x[k], y[k]), that `covers` covers at the
+    scene tolerance, by `covers_np`, point-major with targets in index order."""
     sensor, eps_len = idx.scenario.sensor, idx.eps_len
     # the range clause puts both endpoints, so the midpoint too, within
     # r_max + eps_len: a squared distance with slack picks the candidates,
     # among the targets whose midpoints lie that near the block's box
     reach = (sensor.r_max + 2.0 * eps_len) * (1.0 + 1e-12)
     pad = reach * (1.0 + 1e-9)
-    lo, hi = block.min(axis=0), block.max(axis=0)
-    near = np.flatnonzero((idx.mx - lo[0] >= -pad) & (idx.mx - hi[0] <= pad)
-                          & (idx.my - lo[1] >= -pad) & (idx.my - hi[1] <= pad))
-    dmx = idx.mx.take(near) - block[:, 0:1]
-    dmy = idx.my.take(near) - block[:, 1:2]
+    near = np.flatnonzero((idx.mx - x.min() >= -pad) & (idx.mx - x.max() <= pad)
+                          & (idx.my - y.min() >= -pad) & (idx.my - y.max() <= pad))
+    dmx, dmy = idx.mx.take(near) - x[:, None], idx.my.take(near) - y[:, None]
     pi, k = np.divmod(np.flatnonzero(dmx * dmx + dmy * dmy <= reach * reach), near.size)
     tj = near.take(k)
-    keep = covers_np(*block.take(pi, axis=0).T, idx.scenario.targets, idx.columns, tj, sensor, eps_len)
+    keep = covers_np(x.take(pi), y.take(pi), idx.scenario.targets, idx.columns, tj, sensor, eps_len)
     return pi.compress(keep), tj.compress(keep)
 
 
-def _occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex, cones) -> np.ndarray:
+def _occluded(x: np.ndarray, y: np.ndarray, pi, tj, idx: ScenarioIndex, cones) -> np.ndarray:
     """Per pair: some blocker other than the target itself enters the open
-    sight triangle from point pi of the block to target tj.
+    sight triangle from point pi, at (x[pi], y[pi]), to target tj.
 
     A pair hands the clip (`geom._blocks_triangle_np`) every blocker whose
     shadow `cones` hold its apex, and only those.  If the clip accepts
@@ -129,7 +128,7 @@ def _occluded(block: np.ndarray, pi, tj, idx: ScenarioIndex, cones) -> np.ndarra
     range, within 4 of 8 t, meets no other target's keys while 8 n < 2^51."""
     cone_t, cone_b, cone_lo, cone_hi = cones
     out = np.zeros(tj.size, dtype=bool)
-    x, y = block.take(pi, axis=0).T
+    x, y = x.take(pi), y.take(pi)
     sx, sy, ex, ey = idx.sx.take(tj), idx.sy.take(tj), idx.ex.take(tj), idx.ey.take(tj)
     # the clip never blocks a sliver triangle (cross product, and winding sign, 0)
     live = np.flatnonzero((sx - x) * (ey - y) - (sy - y) * (ex - x) != 0.0)
@@ -186,16 +185,17 @@ def _maximal_rows(fits: np.ndarray, reach: np.ndarray):
     return head, span, count, (head // K).take(r) * K + c
 
 
-def _subsets(pts: np.ndarray, pi, tj, idx: ScenarioIndex):
-    """Maximal co-coverable subsets at every point from its live pairs (sorted
-    by point, targets in index order), as (points, K, K) passes over the points
-    with K pairs.  Returns two tuples: per config its point, vd_rep and
-    member count, then per member its pair (an index into pi and tj); and
-    per pair its interval_lo, interval_hi and mid bearing.  A point's configs
-    come in one pass in anchor order, members of a config in target-id
-    order."""
+def _subsets(x: np.ndarray, y: np.ndarray, pi, tj, idx: ScenarioIndex):
+    """Maximal co-coverable subsets at every point, point k at (x[k], y[k]),
+    from its live pairs (sorted by point, targets in index order), as
+    (points, K, K) passes over the points with K pairs.  Returns two tuples:
+    per config its point, vd_rep and member count, then per member its pair
+    (an index into pi and tj); and per pair its interval_lo, interval_hi and
+    mid bearing.  A point's configs come in one pass in anchor order,
+    members of a config in target-id order."""
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))]
-    x, y = pts.take(pi, axis=0).T
+    count = np.bincount(pi, minlength=x.size)
+    x, y = x.take(pi), y.take(pi)
     limit = idx.scenario.sensor.theta + EPS_ANG
     b1 = np.arctan2(idx.sy.take(tj) - y, idx.sx.take(tj) - x)
     b2 = np.arctan2(idx.ey.take(tj) - y, idx.ex.take(tj) - x)
@@ -207,8 +207,6 @@ def _subsets(pts: np.ndarray, pi, tj, idx: ScenarioIndex):
     # keys are already sorted where ids ascend with index
     rank = np.argsort(np.argsort(idx.ids))
     by_id = np.argsort(pi * idx.ids.size + rank.take(tj), kind="stable")
-
-    count = np.bincount(pi, minlength=pts.shape[0])
     offset = np.cumsum(count) - count   # each point's first pair
     for K in np.unique(count[count > 0]).tolist():
         bucket = np.flatnonzero(count == K)
@@ -261,48 +259,52 @@ class PointGroups(Sequence):
 def _z_order(pts: np.ndarray) -> np.ndarray:
     """Indices of the points in Z-order (Morton order) over a 2^16 x 2^16
     lattice on their bounding box; ties keep input order."""
-    if pts.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    lo = pts.min(axis=0)
-    span = pts.max(axis=0) - lo
+    # column by column: a reduction down the rows of an (m, 2) array is slow
+    lo = np.array([c.min(initial=np.inf) for c in pts.T])
+    span = np.array([c.max(initial=-np.inf) for c in pts.T]) - lo
     with np.errstate(all="ignore"):
         q = (pts - lo) / np.where(span > 0.0, span, 1.0) * 65535.0
     q = np.clip(np.nan_to_num(q), 0.0, 65535.0).astype(np.uint64)
     for shift, mask in ((8, 0x00FF00FF), (4, 0x0F0F0F0F), (2, 0x33333333), (1, 0x55555555)):
         q = (q | (q << np.uint64(shift))) & np.uint64(mask)
-    return np.argsort(q[:, 0] | (q[:, 1] << np.uint64(1)), kind="stable")
+    return _stable_order(q[:, 0] | (q[:, 1] << np.uint64(1)))
+
+
+def _stable_order(key: np.ndarray) -> np.ndarray:
+    """`np.argsort(key, kind="stable")` of under 2^32 integer keys in [0, 2^32), as one sort of key 2^32 + index."""
+    packed = np.sort((key.astype(np.uint64) << np.uint64(32)) | np.arange(key.size, dtype=np.uint64))
+    return (packed & np.uint64(0xFFFFFFFF)).view(np.int64)
 
 
 def sweep_points(points, s: Scenario) -> PointGroups:
     """Run the angular sweep at every point; groups parallel to `points`,
     each config's source the index of its point.  `points` is a float64
-    (m, 2) array, as the candidate generators return, read as it is, or any
+    (m, 2) array, as the candidate generators return, in any layout, or any
     sequence of (x, y) pairs.
 
-    The pair passes take blocks of `_CHUNK` points in Z-order, compact tiles
-    that see few targets, occlusion takes runs of whole tiles, and the subset
-    passes take the points with K live pairs together.  A point's configs
-    depend on none of these groupings; a stable sort restores point order."""
+    The points go once into Z-order, as two contiguous columns.  The pair
+    passes take tiles of `_CHUNK` of them, which see few targets, and give
+    live pairs point-major in that order; occlusion takes runs of tiles, the
+    subset passes the points with K live pairs.  A point's configs depend on
+    none of these groupings; the table's sort by point restores input order."""
     idx = ScenarioIndex(s)
     pts = np.asarray(points, dtype=float).reshape(-1, 2)
     tiles, cones = _z_order(pts), _shadow_cones(idx)
+    x, y = pts[:, 0].take(tiles), pts[:, 1].take(tiles)
     pairs, batch = [np.zeros((2, 0), dtype=np.int64)], []
-    for base in range(0, pts.shape[0], _CHUNK):
-        tile = tiles[base:base + _CHUNK]
-        pi, tj = _cheap_pairs(pts.take(tile, axis=0), idx)
-        batch.append(np.stack((tile.take(pi), tj)))
-        if sum(q.shape[1] for q in batch) >= _BUDGET // 8 or base + _CHUNK >= pts.shape[0]:
+    for base in range(0, x.size, _CHUNK):
+        pi, tj = _cheap_pairs(x[base:base + _CHUNK], y[base:base + _CHUNK], idx)
+        batch.append(np.stack((pi + base, tj)))
+        if sum(q.shape[1] for q in batch) >= _BUDGET // 8 or base + _CHUNK >= x.size:
             batch = np.concatenate(batch, axis=1)
-            pairs.append(batch.compress(~_occluded(pts, batch[0], batch[1], idx, cones), axis=1))
+            pairs.append(batch.compress(~_occluded(x, y, batch[0], batch[1], idx, cones), axis=1))
             batch = []
     del cones   # the subset passes hold the sweep's peak memory
-    pairs = np.concatenate(pairs, axis=1)
-    # each array is gathered point-major and the unsorted one dropped
-    pi, tj = pairs = pairs.take(np.argsort(pairs[0], kind="stable"), axis=1)
-    (point, vd_rep, size, q), (lo, hi, mids) = _subsets(pts, pi, tj, idx)
-    order = np.argsort(point, kind="stable")
+    pi, tj = pairs = np.concatenate(pairs, axis=1)
+    (point, vd_rep, size, q), (lo, hi, mids) = _subsets(x, y, pi, tj, idx)
+    order = _stable_order(tiles.take(point))   # configs by input point, as emitted within one
     first = (np.cumsum(size) - size).take(order)   # each config's first member as emitted
-    point, vd_rep, size = point.take(order), vd_rep.take(order), size.take(order)
+    point, vd_rep, size = tiles.take(point.take(order)), vd_rep.take(order), size.take(order)
     ptr = np.concatenate(([0], np.cumsum(size)))
     q = q.take(np.repeat(first - ptr[:-1], size) + np.arange(ptr[-1]))
     lo, hi, mids, col = lo.take(q), hi.take(q), mids.take(q), tj.take(q)

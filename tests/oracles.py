@@ -23,6 +23,9 @@
   and the maximal-row test and emission as per-row `packbits`, last-axis
   reductions and 2-D `nonzero` (`maximal_rows`, `emit_rows`), which the
   sweep runs over flat buffers;
+- the sweep's shadow cones from the `Segment`s of `Scenario.blockers()`
+  and their boxes by `geom.segment_boxes` (`shadow_cones`), which
+  `sweep._shadow_cones` takes from `sweep.ScenarioIndex`'s blocker columns;
 - probe points on the boundaries of the coverage clauses (`clause_boundary_points`),
   where the array clauses leave their verdicts to `fields.covers`.
 
@@ -55,11 +58,14 @@ from camplan.geom import (
     _mod_2pi_np,
     _norm_angle_np,
     _piece_endpoints,
+    _wrap_pi_np,
+    box_pairs,
     curve_table,
     intersections,
     loop_bbox_diameter,
     norm_angle,
     point_segment_distance,
+    segment_boxes,
     segment_segment_distance,
     wrap_pi,
 )
@@ -703,6 +709,35 @@ def groups_equal(a, b) -> bool:
     return np.array_equal(a.ptr, b.ptr) and tables_equal(a.table, b.table)
 
 
+# --- the shadow cones --------------------------------------------------------
+
+def shadow_cones(idx):
+    """`sweep._shadow_cones` with the blockers and their boxes taken from
+    the `Segment`s of `Scenario.blockers()`, as the sweep did when its index
+    listed them one by one."""
+    blockers = idx.scenario.blockers()
+    bax, bay = np.array([b.a[0] for b in blockers]), np.array([b.a[1] for b in blockers])
+    bbx, bby = np.array([b.b[0] for b in blockers]), np.array([b.b[1] for b in blockers])
+    reach = idx.scenario.sensor.r_max + 3.0 * idx.eps_len
+    t, b = box_pairs(*segment_boxes([t.segment for t in idx.scenario.targets], reach),
+                     *segment_boxes(blockers, 0.0))
+    t, b = t[b != t], b[b != t]
+    # the bearings of the corners of b - t, as offsets in (-pi, pi] from the first's
+    sx, sy, ex, ey = idx.sx[t], idx.sy[t], idx.ex[t], idx.ey[t]
+    phi = np.arctan2(np.stack((bay[b] - sy, bay[b] - ey, bby[b] - sy, bby[b] - ey)),
+                     np.stack((bax[b] - sx, bax[b] - ex, bbx[b] - sx, bbx[b] - ex)))
+    rel = _wrap_pi_np(phi - phi[0])
+    lo, hi = rel.min(axis=0) - EPS_ANG, rel.max(axis=0) + EPS_ANG
+    # a hull of pi or more keeps all; a range past -pi or pi wraps to the other end
+    wide = hi - lo >= math.pi
+    lo, hi = np.where(wide, -4.0, phi[0] + lo), np.where(wide, 4.0, phi[0] + hi)
+    wrap = np.flatnonzero(~wide & ((lo < -math.pi) | (hi > math.pi)))
+    shift = np.where(lo[wrap] < -math.pi, TWO_PI, -TWO_PI)
+    t, b = np.concatenate((t, t[wrap])), np.concatenate((b, b[wrap]))
+    lo, hi = np.concatenate((lo, lo[wrap] + shift)), np.concatenate((hi, hi[wrap] + shift))
+    return t, b, 8.0 * t + lo, 8.0 * t + hi
+
+
 # --- the subset pass ----------------------------------------------------------
 
 def maximal_rows(fits: np.ndarray) -> np.ndarray:
@@ -741,11 +776,12 @@ def emit_rows(fits: np.ndarray, reach: np.ndarray):
     return gm, am, span, r, c
 
 
-def dense_recheck_subsets(pts: np.ndarray, pi, tj, idx):
+def dense_recheck_subsets(x: np.ndarray, y: np.ndarray, pi, tj, idx):
     """`sweep._subsets` with the cone re-check run on every config."""
     parts = [(np.zeros(0, dtype=np.int64), np.zeros(0), np.zeros(0, dtype=np.int64),
               np.zeros(0, dtype=np.int64))]
-    x, y = pts[pi, 0], pts[pi, 1]
+    count = np.bincount(pi, minlength=x.size)
+    x, y = x[pi], y[pi]
     theta = idx.scenario.sensor.theta
     limit = theta + EPS_ANG
     b1 = np.arctan2(idx.sy[tj] - y, idx.sx[tj] - x)
@@ -756,7 +792,6 @@ def dense_recheck_subsets(pts: np.ndarray, pi, tj, idx):
     mids = _mod_2pi_np(np.arctan2(idx.my[tj] - y, idx.mx[tj] - x), turns=1)
     tid = idx.ids[tj]
 
-    count = np.bincount(pi, minlength=pts.shape[0])
     offset = np.cumsum(count) - count   # each point's first pair
     for K in np.unique(count[count > 0]).tolist():
         bucket = np.flatnonzero(count == K)

@@ -568,8 +568,8 @@ def test_kernel_pairs_match_reference(s, data):
     pts = probes(data.draw, s)
     block = np.array(pts, dtype=float)
     idx = sweep.ScenarioIndex(s)
-    pi, tj = sweep._cheap_pairs(block, idx)
-    live = ~sweep._occluded(block, pi, tj, idx, sweep._shadow_cones(idx))
+    pi, tj = sweep._cheap_pairs(*block.T, idx)
+    live = ~sweep._occluded(*block.T, pi, tj, idx, sweep._shadow_cones(idx))
     got = set(zip(pi[live].tolist(), tj[live].tolist()))
     checked = 0
     blockers = interacting_blockers(s.targets, s)

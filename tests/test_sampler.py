@@ -347,9 +347,9 @@ def test_clause_slacks_keep_strict_clauses_strict():
     for p in ((-eps, 0.0), (0.5, eps)):
         assert min(math.dist(p, t.start), math.dist(p, t.end), math.dist(p, t.midpoint)) == eps
         assert not covers(t, p, s.sensor, eps)
-        pi, _ = _cheap_pairs(np.array([p]), idx)
+        pi, _ = _cheap_pairs(*np.array([p]).T, idx)
         assert pi.size == 0, p
     # a hair farther out both accept
     p = (0.5, math.nextafter(eps, 1.0) * 2.0)
     assert covers(t, p, s.sensor, eps)
-    assert _cheap_pairs(np.array([p]), idx)[0].size == 1
+    assert _cheap_pairs(*np.array([p]).T, idx)[0].size == 1

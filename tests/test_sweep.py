@@ -420,7 +420,7 @@ def test_cheap_pairs_are_the_pairs_covers_accepts_on_clause_boundaries(sensor, m
                Target(1, (13.0, 8.0), (13.6, 8.8), (-0.8, 0.6)))
     s = Scenario(40.0, 40.0, sensor, targets)
     pts = ulp_neighbours([p for t in targets for p in clause_boundary_points(t, sensor, s.eps_len)])
-    pi, tj = sweep_module._cheap_pairs(np.array(pts), sweep_module.ScenarioIndex(s))
+    pi, tj = sweep_module._cheap_pairs(*np.array(pts).T, sweep_module.ScenarioIndex(s))
     want = [(i, j) for i, p in enumerate(pts) for j, t in enumerate(targets) if real(t, p, sensor, s.eps_len)]
     assert list(zip(pi.tolist(), tj.tolist())) == want
     assert 0 < len(want) < len(pts) and len(fallbacks) > 500
@@ -679,8 +679,8 @@ def test_subsets_match_dense_recheck_near_the_limit(aov, wraps):
         ids = np.array(rng.sample(range(1000), tj.size), dtype=np.int64)
         for theta in near_limit_thetas(pts, pi, cols, nominal):
             idx = fan_index(cols, theta, ids)
-            want = dense_recheck_subsets(pts, pi, tj, idx)
-            assert same_subsets(sweep_module._subsets(pts, pi, tj, idx), want), (trial, theta)
+            want = dense_recheck_subsets(*pts.T, pi, tj, idx)
+            assert same_subsets(sweep_module._subsets(*pts.T, pi, tj, idx), want), (trial, theta)
             near += int((window_widths(want, theta) < 1e-9).sum())
     assert near > 0
 

@@ -23,7 +23,7 @@ import pytest
 from camplan import sweep as sweep_module
 from camplan.cli import build_candidates, run_pipeline
 from camplan.geom import EPS_ANG, TWO_PI
-from camplan.model import CandidateConfig, Obstacle, Scenario, SensorSpec, Target
+from camplan.model import CandidateConfig, ConfigTable, Obstacle, Scenario, SensorSpec, Target
 from camplan.scenario import GenParams, random_scenario, serialize_solution
 from camplan.select import greedy_cover
 from camplan.sweep import (
@@ -37,7 +37,7 @@ from camplan.sweep import (
 )
 from camplan.fields import _seg_point_dist_np
 
-from oracles import from_configs, tables_equal
+from oracles import from_configs, groups_equal, shadow_cones, tables_equal
 
 
 def oracle_cheap_pairs(block: np.ndarray, idx: ScenarioIndex):
@@ -399,6 +399,52 @@ def test_tiled_sweep_follows_a_permutation_of_its_points(name, monkeypatch):
     assert (np.diff(shuffled.table.source) >= 0).all()
 
 
+def reindexed(groups: PointGroups, perm: np.ndarray) -> ConfigTable:
+    """The table of a sweep of points[perm], its sources mapped to the
+    indices of `points` and its configs put in their order."""
+    t = groups.table
+    source = perm[t.source]
+    order = np.argsort(source, kind="stable")
+    member = np.concatenate([np.zeros(0, dtype=np.int64)] + [np.arange(t.ptr[r], t.ptr[r + 1]) for r in order])
+    return ConfigTable(source=source[order], position=t.position[order], vd_rep=t.vd_rep[order],
+                       ptr=np.concatenate(([0], np.cumsum(np.diff(t.ptr)[order]))), covered=t.covered[member],
+                       col=t.col[member], interval_lo=t.interval_lo[member], interval_hi=t.interval_hi[member],
+                       mid_bearings=t.mid_bearings[member])
+
+
+def test_sweep_is_the_same_whatever_order_or_layout_its_points_come_in():
+    # a walled scene of more than two tiles: reversed (a negative-stride
+    # view), shuffled and Fortran-ordered copies of its points give the same
+    # groups and, re-indexed, the same table arrays
+    s, points = bench_family(60, 10.0, 20, "bcpf", 5)
+    assert points.shape[0] > 2 * sweep_module._CHUNK and s.obstacles
+    groups = sweep_points(points, s)
+    assert len(groups.table) > 0
+    m = points.shape[0]
+    shuffled = np.arange(m)
+    np.random.default_rng(4).shuffle(shuffled)
+    fortran = np.asfortranarray(points)
+    assert not fortran.flags.c_contiguous and not points[::-1].flags.c_contiguous
+    for name, perm, copy in [("reversed", np.arange(m)[::-1], points[::-1]),
+                             ("shuffled", shuffled, points[shuffled]),
+                             ("Fortran-ordered", np.arange(m), fortran)]:
+        got = sweep_points(copy, s)
+        assert len(got) == m, name
+        for k, p in enumerate(perm.tolist()):
+            assert [cfg._replace(source=p) for cfg in got[k]] == groups[p], (name, k)
+        assert tables_equal(reindexed(got, perm), groups.table), name
+    assert groups_equal(got, groups)   # the Fortran-ordered copy, in input order
+
+
+def test_stable_order_is_a_stable_argsort():
+    # ties keep index order, over the whole 32-bit key range and with no keys
+    rng = np.random.default_rng(5)
+    for key in (np.zeros(0, dtype=np.int64), rng.integers(0, 7, 5000), rng.integers(0, 2**32, 3000, dtype=np.uint64),
+                np.array([2**32 - 1, 0, 2**32 - 1, 0, 1], dtype=np.uint64)):
+        got = sweep_module._stable_order(key)
+        assert got.dtype == np.int64 and np.array_equal(got, np.argsort(key, kind="stable"))
+
+
 def range_limit_scene(seed):
     """A tile of 7 points, and narrow targets facing the tile's outermost
     point in directions on and near the axes, their midpoints from 5e-8 m
@@ -431,11 +477,11 @@ def test_tile_box_tests_keep_pairs_and_blockers_at_the_range_limit(seed, monkeyp
     s, points = range_limit_scene(seed)
     idx = ScenarioIndex(s)
     block = np.array(points)
-    pi, tj = sweep_module._cheap_pairs(block, idx)
+    pi, tj = sweep_module._cheap_pairs(*block.T, idx)
     want_pi, want_tj = oracle_cheap_pairs(block, idx)
     assert np.array_equal(pi, want_pi) and np.array_equal(tj, want_tj)
     assert len(set(tj.tolist())) == 16   # every target is seen from its tile
-    hidden = sweep_module._occluded(block, pi, tj, idx, sweep_module._shadow_cones(idx))
+    hidden = sweep_module._occluded(*block.T, pi, tj, idx, sweep_module._shadow_cones(idx))
     assert np.array_equal(hidden, oracle_occluded(block, pi, tj, idx))
     assert hidden.any() and not hidden.all()
     assert_groups_equal(sweep_in_tiles(monkeypatch, points, s, 7), oracle_sweep_points(points, s, chunk=7), s)
@@ -465,8 +511,8 @@ def test_subset_passes_bucket_points_of_one_tile_by_pair_count(monkeypatch, budg
     groups = sweep_in_tiles(monkeypatch, points, s, len(points))
     assert_groups_equal(groups, want, s)
     idx = ScenarioIndex(s)
-    pi, tj = sweep_module._cheap_pairs(np.array(points), idx)
-    live = ~sweep_module._occluded(np.array(points), pi, tj, idx, sweep_module._shadow_cones(idx))
+    pi, tj = sweep_module._cheap_pairs(*np.array(points).T, idx)
+    live = ~sweep_module._occluded(*np.array(points).T, pi, tj, idx, sweep_module._shadow_cones(idx))
     count = np.bincount(pi[live], minlength=len(points))
     assert count.max() > 64 and {1, 2} <= set(count.tolist())
     assert all(len(g) > 0 for g in groups)
@@ -490,7 +536,7 @@ def prefilter_scene():
     eps = base.eps_len
     points = [(19.5 + 0.5 * i + 0.01 * j, 19.5 + 0.5 * j) for i in range(3) for j in range(3)]
     points += [(20.0, 19.0), (19.0, 20.0), (28.0, 17.0)]
-    pi, tj = sweep_module._cheap_pairs(np.array(points), ScenarioIndex(base))
+    pi, tj = sweep_module._cheap_pairs(*np.array(points).T, ScenarioIndex(base))
     walls = {"box edges": [], "sight edges": [], "target endpoints": []}
     for j in sorted(set(tj.tolist())):
         t = targets[j]
@@ -525,9 +571,9 @@ def test_target_grouped_prefilter_equals_oracle_on_adversarial_blockers(monkeypa
         # each wall alone, then the kind's walls together
         for obstacles in [[Obstacle(0, w)] for w in chains] + [[Obstacle(k, w) for k, w in enumerate(chains)]]:
             idx = ScenarioIndex(dataclasses.replace(base, obstacles=tuple(obstacles)))
-            pi, tj = sweep_module._cheap_pairs(block, idx)
+            pi, tj = sweep_module._cheap_pairs(*block.T, idx)
             assert set(tj.tolist()) == set(range(5))
-            hidden = sweep_module._occluded(block, pi, tj, idx, sweep_module._shadow_cones(idx))
+            hidden = sweep_module._occluded(*block.T, pi, tj, idx, sweep_module._shadow_cones(idx))
             assert np.array_equal(hidden, oracle_occluded(block, pi, tj, idx)), (kind, obstacles)
             seen.update(hidden.tolist())
         assert seen == {False, True}, kind
@@ -574,7 +620,7 @@ def test_side_grouped_occlusion_equals_oracle_about_target_lines(monkeypatch, bu
     block = np.array(points)
     monkeypatch.setattr(sweep_module, "_BUDGET", budget)
     idx = ScenarioIndex(base)
-    pi, tj = sweep_module._cheap_pairs(block, idx)
+    pi, tj = sweep_module._cheap_pairs(*block.T, idx)
     sx, sy, ex, ey = idx.sx[tj], idx.sy[tj], idx.ex[tj], idx.ey[tj]
     x, y = block[pi, 0], block[pi, 1]
     sgn = np.sign((sx - x) * (ey - y) - (sy - y) * (ex - x))
@@ -591,8 +637,8 @@ def test_side_grouped_occlusion_equals_oracle_about_target_lines(monkeypatch, bu
     # each wall alone, then all of them together
     for obstacles in [[Obstacle(0, w)] for w in walls] + [[Obstacle(k, w) for k, w in enumerate(walls)]]:
         idx = ScenarioIndex(dataclasses.replace(base, obstacles=tuple(obstacles)))
-        assert np.array_equal(sweep_module._cheap_pairs(block, idx)[0], pi)
-        hidden = sweep_module._occluded(block, pi, tj, idx, sweep_module._shadow_cones(idx))
+        assert np.array_equal(sweep_module._cheap_pairs(*block.T, idx)[0], pi)
+        hidden = sweep_module._occluded(*block.T, pi, tj, idx, sweep_module._shadow_cones(idx))
         assert np.array_equal(hidden, oracle_occluded(block, pi, tj, idx)), obstacles
         seen.update(zip(tj[hidden].tolist(), sgn[hidden].tolist()))
     # walls in front of each target hide some of its pairs on both sides, and
@@ -688,7 +734,7 @@ def test_shadow_cones_equal_oracle_on_adversarial_blockers(monkeypatch, budget):
     block = np.array(points)
     monkeypatch.setattr(sweep_module, "_BUDGET", budget)
     idx = ScenarioIndex(base)
-    pi, tj = sweep_module._cheap_pairs(block, idx)
+    pi, tj = sweep_module._cheap_pairs(*block.T, idx)
     assert set(tj.tolist()) == set(range(6))
     # apexes straight behind s read a bearing of pi, or -pi from y = -0.0
     seam = np.arctan2(block[pi, 1] - idx.sy[tj], block[pi, 0] - idx.sx[tj])
@@ -698,8 +744,8 @@ def test_shadow_cones_equal_oracle_on_adversarial_blockers(monkeypatch, budget):
         # each wall alone, then the kind's walls together
         for obstacles in [[Obstacle(0, w)] for w in chains] + [[Obstacle(k, w) for k, w in enumerate(chains)]]:
             idx = ScenarioIndex(dataclasses.replace(base, obstacles=tuple(obstacles)))
-            assert np.array_equal(sweep_module._cheap_pairs(block, idx)[0], pi)
-            hidden = sweep_module._occluded(block, pi, tj, idx, sweep_module._shadow_cones(idx))
+            assert np.array_equal(sweep_module._cheap_pairs(*block.T, idx)[0], pi)
+            hidden = sweep_module._occluded(*block.T, pi, tj, idx, sweep_module._shadow_cones(idx))
             assert np.array_equal(hidden, oracle_occluded(block, pi, tj, idx)), (kind, obstacles)
             seen.update(hidden.tolist())
         assert seen == {False, True}, kind
@@ -718,6 +764,47 @@ def test_shadow_cones_equal_oracle_on_adversarial_blockers(monkeypatch, budget):
     assert_groups_equal(sweep_in_tiles(monkeypatch, points, s, 16), oracle_sweep_points(points, s, chunk=16), s)
 
 
+def blocker_scenes():
+    """Scenes by the blocker layouts `ScenarioIndex` stacks: no targets, no
+    obstacles, an open chain, a closed one (its last point its first), a
+    one-edge chain, and the adversarial walls of `cone_scene` and a bench
+    family's walls, each with targets."""
+    sensor = SensorSpec(aov_deg=100.0, r_min=0.0, r_max=12.0)
+    targets = (Target(0, (10.0, 10.0), (11.0, 10.0), (0.0, 1.0)),
+               Target(1, (14.0, 13.0), (14.6, 13.8), (-0.8, 0.6)),
+               Target(2, (12.0, 20.0), (12.0, 21.0), (1.0, 0.0)))
+    open_chain = Obstacle(0, ((8.0, 14.0), (12.0, 14.5), (13.0, 17.0)))
+    closed_chain = Obstacle(1, ((16.0, 8.0), (18.0, 8.0), (18.0, 10.0), (16.0, 10.0), (16.0, 8.0)))
+    one_edge = Obstacle(2, ((5.0, 5.0), (6.0, 7.0)))
+    base, _, walls = cone_scene()
+    return {
+        "no targets, no obstacles": Scenario(30.0, 30.0, sensor, ()),
+        "no targets": Scenario(30.0, 30.0, sensor, (), (open_chain, closed_chain)),
+        "no obstacles": Scenario(30.0, 30.0, sensor, targets),
+        "open chain": Scenario(30.0, 30.0, sensor, targets, (open_chain,)),
+        "closed chain": Scenario(30.0, 30.0, sensor, targets, (closed_chain,)),
+        "open and closed chains": Scenario(30.0, 30.0, sensor, targets, (open_chain, one_edge, closed_chain)),
+        "adversarial walls": dataclasses.replace(base, obstacles=tuple(
+            Obstacle(k, w) for k, w in enumerate(w for chains in walls.values() for w in chains))),
+        "comprehensive-occluded family": SCENES["comprehensive-occluded family"]()[0],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(blocker_scenes()))
+def test_blocker_columns_are_the_scenario_blockers_and_give_their_cones(name):
+    s = blocker_scenes()[name]
+    idx = ScenarioIndex(s)
+    blockers = s.blockers()
+    assert idx.bax.size == len(s.targets) + sum(len(o.chain) - 1 for o in s.obstacles) == len(blockers)
+    want = np.array([(*b.a, *b.b) for b in blockers], dtype=float).reshape(-1, 4).T
+    for got, column in zip((idx.bax, idx.bay, idx.bbx, idx.bby), want):
+        assert got.dtype == np.float64 and got.tobytes() == column.tobytes()
+    got, want = sweep_module._shadow_cones(idx), shadow_cones(idx)
+    assert all(a.dtype == b.dtype and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+    if s.targets and s.obstacles:
+        assert (got[1] >= len(s.targets)).any()
+
+
 @pytest.mark.parametrize("n, obstacles, r_max, step", [(25, 25, 5.0, 1), (25, 25, 20.0, 3), (25, 25, 60.0, 8),
                                                        (400, 0, 10.0, 20)])
 def test_every_blocker_the_clip_accepts_reaches_the_clip(n, obstacles, r_max, step, monkeypatch):
@@ -727,7 +814,7 @@ def test_every_blocker_the_clip_accepts_reaches_the_clip(n, obstacles, r_max, st
                         SensorSpec(aov_deg=100.0, r_min=0.0, r_max=r_max))
     block = np.array(build_candidates(s, "bcpf", 0.1, None, 4.0).points[::step])
     idx = ScenarioIndex(s)
-    pi, tj = sweep_module._cheap_pairs(block, idx)
+    pi, tj = sweep_module._cheap_pairs(*block.T, idx)
     reached = []
 
     def clip(ax, ay, sx, sy, ex, ey, bax, bay, bbx, bby, eps):
@@ -735,7 +822,7 @@ def test_every_blocker_the_clip_accepts_reaches_the_clip(n, obstacles, r_max, st
         return _blocks_triangle_np(ax, ay, sx, sy, ex, ey, bax, bay, bbx, bby, eps)
 
     monkeypatch.setattr(sweep_module, "_blocks_triangle_np", clip)
-    hidden = sweep_module._occluded(block, pi, tj, idx, sweep_module._shadow_cones(idx))
+    hidden = sweep_module._occluded(*block.T, pi, tj, idx, sweep_module._shadow_cones(idx))
     nb = idx.bax.size
     accepted, every_hidden = [], np.zeros(pi.size, dtype=bool)
     for a in range(0, pi.size, 100):
